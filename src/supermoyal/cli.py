@@ -20,6 +20,7 @@ from .graded_ring import (
     EVEN,
     ODD,
     GradedPoly,
+    Monomial,
     NonInvertibleSubstitution,
     VarSpec,
     VarTable,
@@ -276,17 +277,6 @@ def _var_decl(spec: VarSpec) -> str:
     return " ".join(parts)
 
 
-def _canonical_pairs(bv: SuperBivector) -> list[tuple[str, str]]:
-    t = bv.table
-    keyed = []
-    for a, b in bv.entries:
-        ia, ib = t.index(a), t.index(b)
-        if ia < ib or a == b:
-            keyed.append((ia, ib, a, b))
-    keyed.sort()
-    return [(a, b) for _, _, a, b in keyed]
-
-
 def render_model_text(model: ModelSpec) -> str:
     sections: list[list[str]] = []
 
@@ -306,14 +296,14 @@ def render_model_text(model: ModelSpec) -> str:
         sections.append(["[constants]", *model.constants])
 
     biv = ["[bivector]"]
-    for a, b in _canonical_pairs(model.bivector):
+    for a, b in model.bivector.canonical_pairs():
         biv.append(f"{a} {b} := {render_poly(model.bivector.entry(a, b))}")
     sections.append(biv)
 
     if model.expected_relations is not None:
         rel = ["[relations]"]
         expected = SuperBivector(model.table, model.expected_relations)
-        for a, b in _canonical_pairs(expected):
+        for a, b in expected.canonical_pairs():
             both_odd = model.table.parity(a) == ODD and model.table.parity(b) == ODD
             kw = "anti" if both_odd else "comm"
             rhs = model.table.hbar() * expected.entry(a, b)
@@ -337,7 +327,7 @@ def render_model_text(model: ModelSpec) -> str:
             ch.append(f"chart {chart.name}")
             for name in chart.table.names():
                 ch.append("var " + _var_decl(chart.table.spec(name)))
-            for a, b in _canonical_pairs(chart.bivector):
+            for a, b in chart.bivector.canonical_pairs():
                 ch.append(f"table {a} {b} = {render_poly(chart.entry(a, b))}")
         sections.append(ch)
 

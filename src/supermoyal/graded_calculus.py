@@ -1,4 +1,4 @@
-"""Left and right graded derivatives, and the bidifferential star kernel.
+"""Left and right graded derivatives.
 
 Odd derivatives delete one Grassmann factor and pick up the sign of moving
 the derivative past the factors it skips; even derivatives are ordinary
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded_ring import EVEN, ODD, GradedPoly, Monomial, VarSpec
+from .graded_ring import EVEN, GradedPoly, Monomial, VarSpec
 
 
 def _left_delete_sign(mask: int, bit: int) -> int:
@@ -76,25 +76,3 @@ def d_right(v, a: GradedPoly) -> GradedPoly:
         return _even_partial(a, t.even_slot(spec.name))
     return _odd_delete(a, t.odd_bit(spec.name), _right_delete_sign)
 
-
-def bidiff_apply(entry: GradedPoly, va, vb, f: GradedPoly, g: GradedPoly):
-    """One star-product step for a bivector entry acting on slots (f, g).
-
-    Returns (d_right(A, f), d_left(B, g), sign).  The sign is the Koszul
-    factor picked up when entry * slot1 * slot2 is multiplied out, chosen so
-    that iterating this kernel yields an associative even-bivector product:
-
-        sign = (-1)^(|B|(|f|+|A|) + |A|(|f|+1))
-
-    f must be parity-homogeneous.
-    """
-    pf = f.parity()
-    if pf == "mixed":
-        raise ValueError("bidiff_apply needs a parity-homogeneous first slot")
-    t = f.table
-    pa = 1 if t.parity(_name(va)) == ODD else 0
-    pb = 1 if t.parity(_name(vb)) == ODD else 0
-    nf = 1 if pf == ODD else 0
-    exponent = pb * (nf + pa) + pa * (nf + 1)
-    sign = -1 if exponent & 1 else 1
-    return d_right(va, f), d_left(vb, g), sign

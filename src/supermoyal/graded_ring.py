@@ -48,6 +48,12 @@ class Monomial(NamedTuple):
         return self.hbar + self.odd.bit_count() + sum(abs(e) for e in self.even)
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact coefficient")
+    return Fraction(value)
+
+
 def _merge_sign(left_mask: int, right_mask: int) -> int:
     # Koszul sign for concatenating two ascending odd-factor sequences:
     # (-1)^(number of transpositions needed to re-sort).
@@ -141,7 +147,7 @@ class VarTable:
         return GradedPoly(self, {})
 
     def const(self, value) -> "GradedPoly":
-        q = Fraction(value)
+        q = _exact(value)
         if q == 0:
             return self.zero()
         return GradedPoly(self, {Monomial((0,) * self.n_even, 0, 0): q})
@@ -241,7 +247,7 @@ class GradedPoly:
         return self + (-other)
 
     def scale(self, value) -> "GradedPoly":
-        q = Fraction(value)
+        q = _exact(value)
         if q == 0:
             return self.table.zero()
         return GradedPoly(self.table, {m: c * q for m, c in self.terms.items()})
@@ -308,10 +314,6 @@ class GradedPoly:
     def constant_value(self) -> Fraction:
         empty = Monomial((0,) * self.table.n_even, 0, 0)
         return self.terms.get(empty, Fraction(0))
-
-
-def mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    return a * b
 
 
 def parity_of(a: GradedPoly) -> str:

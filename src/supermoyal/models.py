@@ -143,16 +143,17 @@ def _d_names() -> tuple[str, ...]:
 
 # -- shared atlas construction ---------------------------------------------
 
-def _two_pole_atlas(pi: SuperBivector, odd_weights: dict[str, int]):
-    """Two-chart trivialization of a (z1, z2, l1, l2 | odd...) table.
+def _two_pole_atlas(pi: SuperBivector):
+    """Two-chart trivialization of a (z1, z2, l1, l2 | ...) table.
 
     Each pole fixes one of the two auxiliary even coordinates to 1 and keeps
-    the ratio as an invertible variable.  Transition rules divide every
-    coordinate by the ratio raised to its weight, and each bracket pair
-    carries the matching declared factor.
+    the ratio as an invertible variable l; every other variable is carried
+    over.  Transition rules divide each weighted coordinate by l raised to
+    its weight, and each bracket pair carries the factor l^-(w_a + w_b).
     """
     decls = [("w1", EVEN, False, 1), ("w2", EVEN, False, 1), ("l", EVEN, True)]
-    decls += [(n, ODD, False, w) for n, w in odd_weights.items()]
+    decls += [s for s in pi.table.specs if s.name not in ("z1", "z2", "l1", "l2")]
+    rename = {"z1": "w1", "z2": "w2"}
     charts = {}
     for pole in ("plus", "minus"):
         ct = VarTable.build(*decls)
@@ -162,9 +163,6 @@ def _two_pole_atlas(pi: SuperBivector, odd_weights: dict[str, int]):
             mapping["l1"], mapping["l2"] = ct.one(), lam
         else:
             mapping["l1"], mapping["l2"] = lam, ct.one()
-        for n in odd_weights:
-            mapping[n] = ct.var(n)
-        rename = {"z1": "w1", "z2": "w2"}
         entries = {
             (rename.get(a, a), rename.get(b, b)): substitute(e, mapping, target=ct)
             for (a, b), e in pi.entries.items()
@@ -173,10 +171,11 @@ def _two_pole_atlas(pi: SuperBivector, odd_weights: dict[str, int]):
     plus, minus = charts["plus"], charts["minus"]
 
     def rules(dst: Chart):
-        inv = dst.table.var("l", -1)
-        out = {"l": inv, "w1": dst.table.var("w1") * inv, "w2": dst.table.var("w2") * inv}
-        for n, w in odd_weights.items():
-            out[n] = dst.table.var(n) * dst.table.var("l", -w) if w else dst.table.var(n)
+        ct = dst.table
+        out = {"l": ct.var("l", -1)}
+        for s in ct.specs:
+            if s.weight is not None:
+                out[s.name] = ct.var(s.name) * ct.var("l", -s.weight)
         return out
 
     t_pm = TransitionMap(plus, minus, rules(minus))
@@ -184,11 +183,21 @@ def _two_pole_atlas(pi: SuperBivector, odd_weights: dict[str, int]):
     laws = []
     for chart, dst_name in ((plus, "minus"), (minus, "plus")):
         st = chart.table
-        laws.append((chart.name, dst_name, WeightLaw(("w1", "w2"), st.var("l", -2))))
-        for n, w in odd_weights.items():
-            factor = st.var("l", -2 * w) if w else st.one()
-            laws.append((chart.name, dst_name, WeightLaw((n, n), factor)))
+        for a, b in chart.bivector.canonical_pairs():
+            factor = st.var("l", -(st.spec(a).weight + st.spec(b).weight))
+            laws.append((chart.name, dst_name, WeightLaw((a, b), factor)))
     return (plus, minus), (t_pm, t_mp), tuple(laws)
+
+
+def _quadratic_odd_entries(t: VarTable, n: int, u: GradedPoly, v: GradedPoly):
+    """Brackets {xi_i, xi_j} = C(i1,j1) u^2 + 2 C(i1,j2) u v + C(i2,j2) v^2, i <= j."""
+    entries = {}
+    for i, j in combinations_with_replacement(range(1, n + 1), 2):
+        e = t.var(_c_symbol(i, 1, j, 1)) * u**2
+        e = e + (t.var(_c_symbol(i, 1, j, 2)) * u * v).scale(2)
+        e = e + t.var(_c_symbol(i, 2, j, 2)) * v**2
+        entries[(f"xi{i}", f"xi{j}")] = e
+    return entries
 
 
 def generic_chart_pair(n: int):
@@ -196,43 +205,14 @@ def generic_chart_pair(n: int):
 
     Returns ((plus, minus), (plus_to_minus, minus_to_plus), laws).
     """
-    cs = _c_names(n)
-    decls = [("w1", EVEN, False, 1), ("w2", EVEN, False, 1), ("l", EVEN, True)]
+    decls = [(name, EVEN, False, 1) for name in ("z1", "z2", "l1", "l2")]
     decls += [(f"xi{i}", ODD, False, 1) for i in range(1, n + 1)]
-    decls += [(c, EVEN) for c in cs]
-    charts = {}
-    for pole in ("plus", "minus"):
-        ct = VarTable.build(*decls)
-        lam = ct.var("l")
-        entries = {("w1", "w2"): lam.scale(2)}
-        for i, j in combinations_with_replacement(range(1, n + 1), 2):
-            c11 = ct.var(_c_symbol(i, 1, j, 1))
-            c12 = ct.var(_c_symbol(i, 1, j, 2))
-            c22 = ct.var(_c_symbol(i, 2, j, 2))
-            if pole == "plus":
-                e = c11 + (c12 * lam).scale(2) + c22 * lam**2
-            else:
-                e = c11 * lam**2 + (c12 * lam).scale(2) + c22
-            entries[(f"xi{i}", f"xi{j}")] = e
-        charts[pole] = Chart(pole, ct, entries)
-    plus, minus = charts["plus"], charts["minus"]
-
-    def rules(dst: Chart):
-        inv = dst.table.var("l", -1)
-        out = {"l": inv, "w1": dst.table.var("w1") * inv, "w2": dst.table.var("w2") * inv}
-        for i in range(1, n + 1):
-            out[f"xi{i}"] = dst.table.var(f"xi{i}") * inv
-        return out
-
-    t_pm = TransitionMap(plus, minus, rules(minus))
-    t_mp = TransitionMap(minus, plus, rules(plus))
-    laws = []
-    for chart, dst_name in ((plus, "minus"), (minus, "plus")):
-        factor = chart.table.var("l", -2)
-        laws.append((chart.name, dst_name, WeightLaw(("w1", "w2"), factor)))
-        for i, j in combinations_with_replacement(range(1, n + 1), 2):
-            laws.append((chart.name, dst_name, WeightLaw((f"xi{i}", f"xi{j}"), factor)))
-    return (plus, minus), (t_pm, t_mp), tuple(laws)
+    decls += [(c, EVEN) for c in _c_names(n)]
+    t = VarTable.build(*decls)
+    l1, l2 = t.var("l1"), t.var("l2")
+    entries = {("z1", "z2"): (l1 * l2).scale(2)}
+    entries.update(_quadratic_odd_entries(t, n, l1, l2))
+    return _two_pole_atlas(SuperBivector(t, entries))
 
 
 # -- built-in models -------------------------------------------------------
@@ -304,7 +284,7 @@ def _p34_model() -> ModelSpec:
     for i in range(1, 5):
         entries[(f"xi{i}", f"xi{i}")] = sq
     pi = SuperBivector(t, entries)
-    charts, transitions, laws = _two_pole_atlas(pi, {f"xi{i}": 1 for i in range(1, 5)})
+    charts, transitions, laws = _two_pole_atlas(pi)
     bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
     bdecls += [(f"t{i}{a}", ODD) for i in range(1, 5) for a in (1, 2)]
     bt = VarTable.build(*bdecls)
@@ -340,7 +320,7 @@ def _wp_model(p: int, q: int) -> ModelSpec:
         ("xi2", "xi2"): sq**q,
     }
     pi = SuperBivector(t, entries)
-    charts, transitions, laws = _two_pole_atlas(pi, {"xi1": p, "xi2": q})
+    charts, transitions, laws = _two_pole_atlas(pi)
     bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
     for idx, w in (("1", p), ("2", q)):
         bdecls += [(f"t{idx}{_FIBER_LETTERS[k]}", ODD) for k in range(w + 1)]
@@ -441,13 +421,7 @@ def _p3n_model(n: int = 4) -> ModelSpec:
     decls += [(f"xi{i}", ODD, False, 1) for i in range(1, n + 1)]
     decls += [(c, EVEN) for c in cs]
     t = VarTable.build(*decls)
-    z3, z4 = t.var("z3"), t.var("z4")
-    entries = {}
-    for i, j in combinations_with_replacement(range(1, n + 1), 2):
-        e = t.var(_c_symbol(i, 1, j, 1)) * z3**2
-        e = e + (t.var(_c_symbol(i, 1, j, 2)) * z3 * z4).scale(2)
-        e = e + t.var(_c_symbol(i, 2, j, 2)) * z4**2
-        entries[(f"xi{i}", f"xi{j}")] = e
+    entries = _quadratic_odd_entries(t, n, t.var("z3"), t.var("z4"))
     pi = SuperBivector(t, entries)
 
     charts = []
@@ -535,7 +509,10 @@ def builtin(name: str, n: int | None = None) -> ModelSpec:
     if maker is None:
         raise UnknownModel(name)
     if key == "P3|N":
-        return maker(n if n is not None else 4)
+        n = n if n is not None else 4
+        if n < 1:
+            raise ValueError(f"P3|N needs at least one odd dimension, got N={n}")
+        return maker(n)
     if n is not None:
         raise ValueError("only P3|N takes an odd-dimension argument")
     return maker()

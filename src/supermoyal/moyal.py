@@ -20,8 +20,8 @@ from math import factorial
 from random import Random
 
 from .graded_calculus import d_left
-from .graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
-from .poisson import SuperBivector, poisson_bracket
+from .graded_ring import EVEN, ODD, GradedPoly, Monomial
+from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
 class NonCentralBivector(ValueError):
@@ -36,16 +36,14 @@ class MixedParityInput(ValueError):
     """Supercommutators are defined for parity-homogeneous arguments."""
 
 
-def _step_sign(pb: int, pf: int, pa: int) -> int:
-    return -1 if pb & (pf ^ pa) else 1
-
-
 class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
-    __slots__ = ("bivector", "table", "max_order", "_pairs", "_cache")
+    __slots__ = ("bivector", "table", "max_order", "_cache")
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
+        if max_order < 0:
+            raise ValueError(f"max_order must be non-negative, got {max_order}")
         if not bivector.is_central:
             raise NonCentralBivector("bivector entries depend on contracted variables")
         for (a, b), entry in bivector.entries.items():
@@ -54,15 +52,6 @@ class StarEngine:
         self.bivector = bivector
         self.table = bivector.table
         self.max_order = max_order
-        t = self.table
-        pairs = []
-        for (a, b), entry in sorted(
-            bivector.entries.items(), key=lambda kv: (t.index(kv[0][0]), t.index(kv[0][1]))
-        ):
-            pa = 1 if t.parity(a) == ODD else 0
-            pb = 1 if t.parity(b) == ODD else 0
-            pairs.append((a, b, entry, pa, pb))
-        self._pairs = tuple(pairs)
         self._cache: dict[tuple[Monomial, Monomial], GradedPoly] = {}
 
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
@@ -79,6 +68,7 @@ class StarEngine:
         if got is not None:
             return got
         t = self.table
+        steps = self.bivector.steps
         one = Fraction(1)
         F0 = GradedPoly(t, {mf: one})
         G0 = GradedPoly(t, {mg: one})
@@ -87,14 +77,10 @@ class StarEngine:
         order = 0
         while states:
             order += 1
-            if order > self.max_order:
-                raise TruncationExceeded(
-                    f"series alive past hbar order {self.max_order}"
-                )
             next_states = []
             order_sum = t.zero()
             for center, F, G, pf in states:
-                for a, b, entry, pa, pb in self._pairs:
+                for a, b, entry, pa, pb in steps:
                     dF = d_left(a, F)
                     if dF.is_zero():
                         continue
@@ -105,6 +91,10 @@ class StarEngine:
                     c2 = (center * entry).scale(sign)
                     if c2.is_zero():
                         continue
+                    if order > self.max_order:
+                        raise TruncationExceeded(
+                            f"series alive past hbar order {self.max_order}"
+                        )
                     next_states.append((c2, dF, dG, pf ^ pa))
                     order_sum = order_sum + c2 * dF * dG
             if not order_sum.is_zero():
@@ -121,14 +111,6 @@ class StarEngine:
         # f*g - (-1)^{|f||g|} g*f; odd-odd arguments anticommute classically
         sign = -1 if (pf == ODD and pg == ODD) else 1
         return self.star(f, g) - self.star(g, f).scale(sign)
-
-
-def star(engine: StarEngine, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    return engine.star(f, g)
-
-
-def supercommutator(engine: StarEngine, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    return engine.supercommutator(f, g)
 
 
 @dataclass(frozen=True)

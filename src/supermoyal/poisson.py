@@ -10,7 +10,7 @@ identity, not an up-to-sign statement.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graded_calculus import d_left
 from .graded_ring import EVEN, ODD, GradedPoly, VarTable
@@ -32,7 +32,7 @@ def _depends_on(p: GradedPoly, name: str) -> bool:
 class SuperBivector:
     """Coefficient matrix of a super Poisson structure candidate."""
 
-    __slots__ = ("table", "entries", "parity", "is_central")
+    __slots__ = ("table", "entries", "steps", "parity", "is_central")
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
         self.table = table
@@ -61,6 +61,7 @@ class SuperBivector:
             full[(b, a)] = mirror
         self.entries = full
         parities = set()
+        steps = []
         for (a, b), value in full.items():
             vp = value.parity()
             if vp == "mixed":
@@ -68,8 +69,12 @@ class SuperBivector:
             pa = 1 if table.parity(a) == ODD else 0
             pb = 1 if table.parity(b) == ODD else 0
             parities.add(((1 if vp == ODD else 0) + pa + pb) & 1)
+            steps.append((a, b, value, pa, pb))
         if len(parities) > 1:
             raise ValueError("entries do not share a single bivector parity")
+        # one contraction step (A, B, pi^{AB}, |A|, |B|) per entry, in table order
+        index = table.index
+        self.steps = tuple(sorted(steps, key=lambda s: (index(s[0]), index(s[1]))))
         self.parity = parities.pop() if parities else 0
         rows = {a for (a, _), v in full.items()}
         self.is_central = not any(
@@ -79,6 +84,11 @@ class SuperBivector:
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))
         return got if got is not None else self.table.zero()
+
+    def canonical_pairs(self) -> list[tuple[str, str]]:
+        """One (A, B) per mirror pair, index A <= index B, in table order."""
+        index = self.table.index
+        return [(a, b) for a, b, *_ in self.steps if index(a) <= index(b)]
 
     def rows(self) -> tuple[str, ...]:
         seen = {a for (a, _) in self.entries}
@@ -126,19 +136,15 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
     out = t.zero()
-    parts = _parity_parts(f)
-    for pf, fp in parts:
-        for (a, b), entry in pi.entries.items():
+    for pf, fp in _parity_parts(f):
+        for a, b, entry, pa, pb in pi.steps:
             df = d_left(a, fp)
             if df.is_zero():
                 continue
             dg = d_left(b, g)
             if dg.is_zero():
                 continue
-            pa = 1 if t.parity(a) == ODD else 0
-            pb = 1 if t.parity(b) == ODD else 0
-            term = entry * df * dg
-            out = out + term.scale(_bracket_sign(pb, pf, pa))
+            out = out + (entry * df * dg).scale(_bracket_sign(pb, pf, pa))
     return out
 
 

@@ -1,0 +1,19 @@
+"""The package's public names: all of them resolve, and retired ones stay gone."""
+
+import supermoyal
+from supermoyal import graded_calculus, graded_ring, moyal
+
+
+def test_every_public_name_resolves():
+    for name in supermoyal.__all__:
+        assert hasattr(supermoyal, name), name
+
+
+def test_retired_helpers_are_gone():
+    for name in ("mul", "star", "supercommutator", "bidiff_apply"):
+        assert name not in supermoyal.__all__
+        assert not hasattr(supermoyal, name), name
+    assert not hasattr(graded_ring, "mul")
+    assert not hasattr(moyal, "star")
+    assert not hasattr(moyal, "supercommutator")
+    assert not hasattr(graded_calculus, "bidiff_apply")

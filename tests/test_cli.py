@@ -321,6 +321,14 @@ class TestVerifyCommand:
         assert rc == 1
         assert "comm z1 z2 = 2*hbar*l1*l2 : fail (expected 4*hbar*l1*l2)" in out
 
+    def test_negative_max_order_in_file_is_an_error(self, cli, tmp_path):
+        text = render_model_text(builtin("WP[1,3]"))
+        path = tmp_path / "negative.model"
+        path.write_text(text.replace("max_order = 8", "max_order = -1"))
+        rc, out, err = cli("verify", str(path))
+        assert rc == 2
+        assert "max_order must be non-negative" in err
+
     def test_corrupt_file_is_a_usage_error(self, cli, tmp_path):
         path = tmp_path / "broken.model"
         path.write_text("[options]\nname = broken\n")
@@ -348,6 +356,11 @@ class TestProductCommands:
         )
         assert rc == 1
         assert "error:" in err
+
+    def test_negative_order_is_an_error(self, cli):
+        rc, out, err = cli("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "-1")
+        assert rc == 2
+        assert "max_order must be non-negative" in err
 
     def test_expression_errors(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "z1+", "--rhs", "z2")

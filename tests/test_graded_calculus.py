@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermoyal.graded_calculus import bidiff_apply, d_left, d_right
+from bidiff_oracle import bidiff_apply
+
+from supermoyal.graded_calculus import d_left, d_right
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 
 

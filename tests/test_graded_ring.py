@@ -63,6 +63,13 @@ class TestConstruction:
         assert p.is_zero()
         assert p == t.zero()
 
+    def test_float_coefficients_rejected(self):
+        t = table()
+        with pytest.raises(TypeError):
+            t.const(0.1)
+        with pytest.raises(TypeError):
+            t.var("x").scale(0.5)
+
     def test_hash_stable(self):
         t = table()
         p = t.var("x") * t.var("th1") + t.const(2)

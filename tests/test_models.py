@@ -46,6 +46,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             builtin("P3|4", n=2)
 
+    def test_nonpositive_odd_dimension_rejected(self):
+        for name in ("P3|N=0", "P3|N=-2"):
+            with pytest.raises(ValueError):
+                builtin(name)
+
 
 @pytest.mark.parametrize("name", list_builtins())
 def test_builtin_verifies_clean(name):

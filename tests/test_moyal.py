@@ -1,11 +1,17 @@
 """Star product engine: frozen low-order values and structural checks."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supermoyal.graded_calculus import bidiff_apply
-from supermoyal.graded_ring import EVEN, ODD, VarTable
+from bidiff_oracle import bidiff_apply
+from test_acceptance import _oracle_star
+
+from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
 from supermoyal.moyal import (
     MixedParityInput,
     NonCentralBivector,
@@ -224,6 +230,14 @@ class TestErrors:
         eng = StarEngine(pi, max_order=1)
         with pytest.raises(TruncationExceeded):
             eng.star(t.var("x") ** 2, t.var("y") ** 2)
+        t, pi = p34()
+        with pytest.raises(TruncationExceeded):
+            StarEngine(pi, max_order=8).star(t.var("z1", 9), t.var("z2", 9))
+
+    def test_negative_max_order_rejected(self):
+        _, pi = moyal_mini()
+        with pytest.raises(ValueError):
+            StarEngine(pi, max_order=-1)
 
     def test_noncentral_bivector_rejected(self):
         t = VarTable.build(("z1", EVEN), ("z2", EVEN))
@@ -267,3 +281,65 @@ class TestContract:
         report = check_quantization_contract(StarEngine(pi), associativity=False)
         assert {e.name for e in report.entries} == {"bilinearity", "order1-bracket"}
         assert report.ok, [e for e in report.entries if e.status != "pass"]
+
+
+class TestTruncationBoundary:
+    def test_series_ending_at_max_order_is_returned(self):
+        # sum_n (hbar/2)^n (2 l1 l2)^n n! C(8,n)^2 z1^(8-n) z2^(8-n)
+        t, pi = p34()
+        eng = StarEngine(pi, max_order=8)
+        ll = t.var("l1") * t.var("l2")
+        want = t.zero()
+        for n in range(9):
+            term = t.hbar(n) * ll**n * t.var("z1", 8 - n) * t.var("z2", 8 - n)
+            want = want + term.scale(factorial(n) * comb(8, n) ** 2)
+        assert eng.star(t.var("z1", 8), t.var("z2", 8)) == want
+
+    def test_first_order_series_at_max_order_one(self):
+        t, pi = moyal_mini()
+        eng = StarEngine(pi, max_order=1)
+        want = t.var("x") * t.var("y") + t.hbar().scale(Fraction(1, 2))
+        assert eng.star(t.var("x"), t.var("y")) == want
+
+
+_COEFFS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _random_poly(draw, t, names):
+    out = t.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = t.const(draw(st.sampled_from(_COEFFS[1:])))
+        for name in draw(st.lists(st.sampled_from(names), max_size=2)):
+            term = term * t.var(name)
+        out = out + term
+    return out
+
+
+@st.composite
+def central_cases(draw):
+    """A constant bivector on up to 4 variables, and operands of degree <= 2."""
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)), min_size=1, max_size=4))
+    names = [f"v{i}" for i in range(len(parities))]
+    t = VarTable.build(*zip(names, parities))
+    odd = [p == ODD for p in parities]
+    # constant entries are even, so |A| + |B| is the bivector parity for every entry
+    shape = draw(st.integers(0, 1))
+    entries = {}
+    for i, j in combinations_with_replacement(range(len(names)), 2):
+        if (odd[i] + odd[j]) % 2 == shape and (i != j or odd[i]):
+            entries[(names[i], names[j])] = t.const(draw(st.sampled_from(_COEFFS)))
+    f = _random_poly(draw, t, names)
+    # the oracle reads its starting sign from the parity of f
+    bit = draw(st.integers(0, 1))
+    f = GradedPoly(t, {m: c for m, c in f.terms.items() if m.parity() == bit})
+    return SuperBivector(t, entries), f, _random_poly(draw, t, names)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=50, deadline=None)
+    @given(central_cases())
+    def test_random_central_bivectors(self, case):
+        pi, f, g = case
+        got = StarEngine(pi).star(f, g)
+        assert got == _oracle_star(pi, f, g, 8)
+        assert got.hbar_coefficient(1) == poisson_bracket(pi, f, g).scale(Fraction(1, 2))
