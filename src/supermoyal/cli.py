@@ -68,6 +68,9 @@ class ModelFormatError(ValueError):
 
 _OPERATORS = set("+-*/^()")
 
+# largest N accepted in (...)^N: such a power is expanded by N multiplications
+MAX_BASE_POWER = 64
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
@@ -194,6 +197,11 @@ class _Parser:
             raise IllegalDivision("negative powers need an invertible variable", pos)
         if meta[0] == "hbar":
             return self.table.hbar(power)
+        if power > MAX_BASE_POWER:
+            raise ParseError(
+                f"exponent {power} of a non-variable base exceeds the limit {MAX_BASE_POWER}",
+                pos,
+            )
         return base**power
 
     def _atom(self) -> tuple[GradedPoly, tuple]:
@@ -887,7 +895,8 @@ def run(argv: list[str]) -> int:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except TruncationExceeded as err:
-        sys.stderr.write(f"error: {err}\n")
+        hint = "" if err.sufficient_order is None else f" (use --order {err.sufficient_order})"
+        sys.stderr.write(f"error: {err}{hint}\n")
         return 1
 
 

@@ -6,9 +6,20 @@ derivative on both tensor slots and a Koszul sign
 
     (-1)^(|B| (|F| + |A|))
 
-for the entry (A, B) acting on a first slot of current parity |F|.  States
-that survive past the configured order raise instead of being dropped, so a
-returned value is always the complete series.
+for the entry (A, B) acting on a first slot of current parity |F|.
+
+The series is summed in its multi-index form.  A live state is the pair of
+derived monomials (F, G) together with a centre polynomial; contributions
+that reach the same pair are added, because what a state produces next
+depends only on (F, G) (entries are even and central, |F| is read off F,
+and the 1/(n! 2^n) prefactor only on the order n).  Each order then costs
+one product centre * F * G per distinct pair, so the work grows with the
+number of derived monomial pairs, not with the number of step sequences.
+
+A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
+instead of being dropped, so a returned value is always the complete series.
+Merged centres that cancel to zero are dropped first; that can only turn a
+raise into the complete series, never hide a live term.
 """
 
 from __future__ import annotations
@@ -29,17 +40,45 @@ class NonCentralBivector(ValueError):
 
 
 class TruncationExceeded(RuntimeError):
-    """The contraction series is still alive past the configured order."""
+    """The contraction series is still alive past the configured order.
+
+    ``sufficient_order`` is an order at which the same product completes,
+    when ``StarEngine.star`` can bound one from its operands, else None.
+    """
+
+    def __init__(self, max_order: int, sufficient_order: int | None = None):
+        msg = f"series alive past hbar order {max_order}"
+        if sufficient_order is not None:
+            msg += f"; order {sufficient_order} suffices for these operands"
+        super().__init__(msg)
+        self.max_order = max_order
+        self.sufficient_order = sufficient_order
 
 
 class MixedParityInput(ValueError):
     """Supercommutators are defined for parity-homogeneous arguments."""
 
 
+@dataclass(frozen=True)
+class EngineStats:
+    """Counters of one engine: cache use and the size of its contraction runs.
+
+    ``peak_states[n]`` is the largest number of live (merged) states seen at
+    hbar order n over all products computed so far; ``max_order_reached``
+    is the highest order that had a live state, or -1 before any product.
+    """
+
+    cache_hits: int
+    cache_misses: int
+    cache_size: int
+    peak_states: tuple[int, ...]
+    max_order_reached: int
+
+
 class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
-    __slots__ = ("bivector", "table", "max_order", "_cache")
+    __slots__ = ("bivector", "table", "max_order", "_cache", "_hits", "_misses", "_peaks")
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
         if max_order < 0:
@@ -53,54 +92,103 @@ class StarEngine:
         self.table = bivector.table
         self.max_order = max_order
         self._cache: dict[tuple[Monomial, Monomial], GradedPoly] = {}
+        self._hits = 0
+        self._misses = 0
+        self._peaks: list[int] = []
+
+    @property
+    def stats(self) -> EngineStats:
+        peaks = tuple(self._peaks)
+        return EngineStats(self._hits, self._misses, len(self._cache), peaks, len(peaks) - 1)
 
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
         out = self.table.zero()
-        for mf, cf in f.terms.items():
-            for mg, cg in g.terms.items():
-                out = out + self._star_mono(mf, mg).scale(cf * cg)
+        try:
+            for mf, cf in f.terms.items():
+                for mg, cg in g.terms.items():
+                    out = out + self._star_mono(mf, mg).scale(cf * cg)
+        except TruncationExceeded:
+            raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
         return out
+
+    def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
+        """min over operands of the largest row degree, or None if unbounded.
+
+        Each contraction step removes one row factor from each slot, so no
+        series runs longer than either operand's row degree.  A negative
+        exponent on a row variable never runs out, so it bounds nothing.
+        """
+        t = self.table
+        rows = self.bivector.rows()
+        slots = [t.even_slot(r) for r in rows if t.parity(r) == EVEN]
+        odd_mask = sum(1 << t.odd_bit(r) for r in rows if t.parity(r) == ODD)
+        bounds = []
+        for p in (f, g):
+            if any(m.even[s] < 0 for m in p.terms for s in slots):
+                continue
+            bounds.append(
+                max((sum(m.even[s] for s in slots) + (m.odd & odd_mask).bit_count()
+                     for m in p.terms), default=0)
+            )
+        return min(bounds) if bounds else None
 
     def _star_mono(self, mf: Monomial, mg: Monomial) -> GradedPoly:
         got = self._cache.get((mf, mg))
         if got is not None:
+            self._hits += 1
             return got
+        self._misses += 1
         t = self.table
         steps = self.bivector.steps
+        peaks = self._peaks
         one = Fraction(1)
-        F0 = GradedPoly(t, {mf: one})
-        G0 = GradedPoly(t, {mg: one})
-        total = F0 * G0
-        states = [(t.one(), F0, G0, mf.parity())]
+        F = GradedPoly(t, {mf: one})
+        G = GradedPoly(t, {mg: one})
+        total = F * G
+        # live states (centre, F, G, |F|), one per derived monomial pair (F, G)
+        states = [(t.one(), F, G, mf.parity())]
         order = 0
         while states:
+            if order == len(peaks):
+                peaks.append(0)
+            peaks[order] = max(peaks[order], len(states))
             order += 1
-            next_states = []
-            order_sum = t.zero()
-            for center, F, G, pf in states:
+            merged: dict[tuple[Monomial, Monomial], GradedPoly] = {}
+            for centre, F, G, pf in states:
+                last_a = None
                 for a, b, entry, pa, pb in steps:
-                    dF = d_left(a, F)
+                    # steps are sorted by row, so one derivative serves a run
+                    if a != last_a:
+                        last_a, dF = a, d_left(a, F)
                     if dF.is_zero():
                         continue
                     dG = d_left(b, G)
                     if dG.is_zero():
                         continue
-                    sign = _step_sign(pb, pf, pa)
-                    c2 = (center * entry).scale(sign)
+                    ((nF, cF),) = dF.terms.items()
+                    ((nG, cG),) = dG.terms.items()
+                    c2 = (centre * entry).scale(_step_sign(pb, pf, pa) * cF * cG)
                     if c2.is_zero():
                         continue
                     if order > self.max_order:
-                        raise TruncationExceeded(
-                            f"series alive past hbar order {self.max_order}"
-                        )
-                    next_states.append((c2, dF, dG, pf ^ pa))
-                    order_sum = order_sum + c2 * dF * dG
+                        raise TruncationExceeded(self.max_order)
+                    key = (nF, nG)
+                    prev = merged.get(key)
+                    merged[key] = c2 if prev is None else prev + c2
+            states = []
+            order_sum = t.zero()
+            for (nF, nG), centre in merged.items():
+                if centre.is_zero():
+                    continue
+                F = GradedPoly(t, {nF: one})
+                G = GradedPoly(t, {nG: one})
+                order_sum = order_sum + centre * (F * G)
+                states.append((centre, F, G, nF.parity()))
             if not order_sum.is_zero():
                 scale = Fraction(1, factorial(order) * 2**order)
                 total = total + (t.hbar(order) * order_sum).scale(scale)
-            states = next_states
         self._cache[(mf, mg)] = total
         return total
 

@@ -1,12 +1,15 @@
 """Expression syntax, canonical rendering, model files, and the driver."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermoyal.cli import (
+    MAX_BASE_POWER,
     IllegalDivision,
     ModelFormatError,
     ParseError,
@@ -22,6 +25,18 @@ from supermoyal.cli import (
 )
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import builtin, list_builtins, verify_model
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _regen_script():
+    spec = importlib.util.spec_from_file_location(
+        "regen_models", _ROOT / "scripts" / "regen_models.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _table():
@@ -106,6 +121,18 @@ class TestParse:
     def test_odd_powers_are_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("th1^2", _table())
+
+    def test_power_of_a_non_variable_base_is_bounded(self):
+        t = _table()
+        want = (t.var("w") + t.one()) ** MAX_BASE_POWER
+        assert parse_expression(f"(w+1)^{MAX_BASE_POWER}", t) == want
+        for text in (f"(w+1)^{MAX_BASE_POWER + 1}", "2^100000000000"):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text, t)
+            assert f"limit {MAX_BASE_POWER}" in info.value.msg
+        # variable and hbar powers cost one monomial, whatever the exponent
+        assert parse_expression("w^100000", t) == t.var("w", 100000)
+        assert parse_expression("hbar^100", t) == t.hbar(100)
 
     def test_missing_value(self):
         with pytest.raises(ParseError):
@@ -217,6 +244,26 @@ class TestModelFiles:
         again = load_model(path)
         assert render_model_text(again) == path.read_text()
         assert again.name == "WP[1,3]"
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_shipped_file_matches_the_builtin(self, name):
+        path = _ROOT / "models" / f"{_regen_script().slug(name)}.model"
+        assert path.read_text() == render_model_text(builtin(name))
+
+    def test_power_limit_in_model_file(self, cli, tmp_path):
+        text = (
+            "[options]\nname = big\n\n[variables]\nx even\ny even\n\n"
+            "[bivector]\nx y := (1+1)^65\n"
+        )
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="big.model")
+        assert info.value.line_no == 9
+        assert f"limit {MAX_BASE_POWER}" in info.value.msg
+        path = tmp_path / "big.model"
+        path.write_text(text)
+        rc, out, err = cli("verify", str(path))
+        assert rc == 2
+        assert f"limit {MAX_BASE_POWER}" in err
 
     def _bad(self, text, fragment, line_no=None):
         with pytest.raises(ModelFormatError) as info:
@@ -356,6 +403,21 @@ class TestProductCommands:
         )
         assert rc == 1
         assert "error:" in err
+
+    def test_truncation_names_a_sufficient_order(self, cli):
+        rc, out, err = cli("star", "P3|4", "--lhs", "z1^9", "--rhs", "z2^9")
+        assert (rc, out) == (1, "")
+        assert "--order 9" in err
+        rc, out, err = cli(
+            "star", "P3|4", "--lhs", "z1^9", "--rhs", "z2^9", "--order", "9"
+        )
+        assert rc == 0
+        assert out.startswith("z1^9*z2^9 + ")
+
+    def test_power_limit_is_a_usage_error(self, cli):
+        rc, out, err = cli("star", "P3|4", "--lhs", "(z1+1)^65", "--rhs", "z2")
+        assert (rc, out) == (2, "")
+        assert f"limit {MAX_BASE_POWER}" in err
 
     def test_negative_order_is_an_error(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "-1")
