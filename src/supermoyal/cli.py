@@ -71,6 +71,10 @@ _OPERATORS = set("+-*/^()")
 # largest N accepted in (...)^N: such a power is expanded by N multiplications
 MAX_BASE_POWER = 64
 
+# most terms a parsed product may reach; a product of p and q terms has at
+# most p*q, and a multiplication whose bound is larger is refused up front
+MAX_PARSED_TERMS = 10_000
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     out = []
@@ -168,7 +172,7 @@ class _Parser:
         while self._peek()[0] in ("*", "/"):
             op, _, pos = self._take()
             q = self._factor()
-            p = p * q if op == "*" else _divide(p, q, pos)
+            p = _product(p, q, pos) if op == "*" else _divide(p, q, pos)
         return p
 
     def _factor(self) -> GradedPoly:
@@ -202,12 +206,15 @@ class _Parser:
                 f"exponent {power} of a non-variable base exceeds the limit {MAX_BASE_POWER}",
                 pos,
             )
-        return base**power
+        out = self.table.one()
+        for _ in range(power):
+            out = _product(out, base, pos)
+        return out
 
     def _atom(self) -> tuple[GradedPoly, tuple]:
         kind, text, pos = self._take()
         if kind == "int":
-            return self.table.const(Fraction(int(text))), ("const",)
+            return self.table.const(int(text)), ("const",)
         if kind == "name":
             if text == "hbar":
                 return self.table.hbar(), ("hbar",)
@@ -221,6 +228,17 @@ class _Parser:
                 raise ParseError("expected ')'", pos2)
             return p, ("const",)
         raise ParseError("expected a value", pos)
+
+
+def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
+    bound = len(p.terms) * len(q.terms)
+    if bound > MAX_PARSED_TERMS:
+        raise ParseError(
+            f"a product of {len(p.terms)} and {len(q.terms)} terms may reach {bound} terms,"
+            f" over the limit of {MAX_PARSED_TERMS} terms",
+            pos,
+        )
+    return p * q
 
 
 def parse_expression(text: str, table: VarTable) -> GradedPoly:

@@ -7,9 +7,7 @@ partials with the Laurent rule d(l^n) = n*l^(n-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .graded_ring import EVEN, GradedPoly, Monomial, VarSpec
+from .graded_ring import EVEN, GradedPoly, Monomial, VarSpec, VarTable
 
 
 def _left_delete_sign(mask: int, bit: int) -> int:
@@ -23,56 +21,49 @@ def _right_delete_sign(mask: int, bit: int) -> int:
     return -1 if after & 1 else 1
 
 
-def _name(v) -> str:
-    return v.name if isinstance(v, VarSpec) else v
+def _var_key(table: VarTable, v) -> int:
+    """Derivative key of a variable: its even slot, or ~bit for an odd one."""
+    name = v.name if isinstance(v, VarSpec) else v
+    if table.parity(name) == EVEN:
+        return table.even_slot(name)
+    return ~table.odd_bit(name)
 
 
-def _even_partial(a: GradedPoly, slot: int) -> GradedPoly:
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in a.terms.items():
-        e = m.even[slot]
-        if e == 0:
-            continue
+def _mono_d(m: Monomial, key: int, left: bool = True) -> tuple[int, Monomial] | None:
+    """(coefficient, monomial) of the derivative of one monomial, or None if zero.
+
+    Distinct monomials with a non-zero derivative have distinct derivatives,
+    so mapping this over the terms of a polynomial needs no accumulation.
+    """
+    if key >= 0:
+        e = m.even[key]
+        if not e:
+            return None
         even = list(m.even)
-        even[slot] = e - 1
-        mm = Monomial(tuple(even), m.odd, m.hbar)
-        q = terms.get(mm, 0) + c * e
-        if q:
-            terms[mm] = q
-        else:
-            terms.pop(mm, None)
-    return GradedPoly(a.table, terms)
+        even[key] = e - 1
+        return e, Monomial(tuple(even), m.odd, m.hbar)
+    bit = ~key
+    if not m.odd >> bit & 1:
+        return None
+    sign = (_left_delete_sign if left else _right_delete_sign)(m.odd, bit)
+    return sign, Monomial(m.even, m.odd ^ (1 << bit), m.hbar)
 
 
-def _odd_delete(a: GradedPoly, bit: int, sign_of) -> GradedPoly:
-    mask_bit = 1 << bit
-    terms: dict[Monomial, Fraction] = {}
+def _derive(v, a: GradedPoly, left: bool) -> GradedPoly:
+    key = _var_key(a.table, v)
+    terms = {}
     for m, c in a.terms.items():
-        if not m.odd & mask_bit:
-            continue
-        mm = Monomial(m.even, m.odd ^ mask_bit, m.hbar)
-        q = terms.get(mm, 0) + c * sign_of(m.odd, bit)
-        if q:
-            terms[mm] = q
-        else:
-            terms.pop(mm, None)
-    return GradedPoly(a.table, terms)
+        got = _mono_d(m, key, left)
+        if got is not None:
+            terms[got[1]] = got[0] * c
+    return GradedPoly._of(a.table, terms)
 
 
 def d_left(v, a: GradedPoly) -> GradedPoly:
     """Left derivative by the named variable."""
-    t = a.table
-    spec = t.spec(_name(v))
-    if spec.parity == EVEN:
-        return _even_partial(a, t.even_slot(spec.name))
-    return _odd_delete(a, t.odd_bit(spec.name), _left_delete_sign)
+    return _derive(v, a, True)
 
 
 def d_right(v, a: GradedPoly) -> GradedPoly:
     """Right derivative: acts from the other end of the odd factor string."""
-    t = a.table
-    spec = t.spec(_name(v))
-    if spec.parity == EVEN:
-        return _even_partial(a, t.even_slot(spec.name))
-    return _odd_delete(a, t.odd_bit(spec.name), _right_delete_sign)
-
+    return _derive(v, a, False)

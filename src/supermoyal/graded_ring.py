@@ -2,15 +2,18 @@
 
 Even variables commute and may be declared invertible (Laurent exponents),
 odd variables anticommute and square to zero, and a central formal parameter
-``hbar`` carries its own exponent slot.  Coefficients are ``Fraction``s, so
-every operation here is exact.  Canonical form: odd factors are kept in
-declaration order, with Koszul signs absorbed into the coefficient.
+``hbar`` carries its own exponent slot.  Coefficients are exact rationals:
+an ``int`` where integral and a ``Fraction`` where a denominator appears
+(``Fraction(2) == 2`` and both hash alike, so the two never disagree).
+Canonical form: odd factors are kept in declaration order, with Koszul signs
+absorbed into the coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 EVEN = "even"
@@ -48,10 +51,15 @@ class Monomial(NamedTuple):
         return self.hbar + self.odd.bit_count() + sum(abs(e) for e in self.even)
 
 
-def _exact(value) -> Fraction:
+def _exact(value) -> int | Fraction:
+    """An exact coefficient: ints stay ints, integral Fractions become ints."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact coefficient")
-    return Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _merge_sign(left_mask: int, right_mask: int) -> int:
@@ -65,6 +73,26 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
         inversions += (left_mask >> (bit + 1)).bit_count()
         rest ^= low
     return -1 if inversions & 1 else 1
+
+
+def _mono_mul(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
+    """(sign, a*b) for two monomials, or None when they share an odd factor."""
+    if a.odd & b.odd:
+        return None
+    sign = _merge_sign(a.odd, b.odd) if a.odd and b.odd else 1
+    return sign, Monomial(tuple(map(add, a.even, b.even)), a.odd | b.odd, a.hbar + b.hbar)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Terms of the product of two term maps, with no zero coefficient."""
+    terms: dict[Monomial, int | Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            got = _mono_mul(ma, mb)
+            if got is not None:
+                sign, m = got
+                terms[m] = terms.get(m, 0) + sign * ca * cb
+    return {m: c for m, c in terms.items() if c}
 
 
 class VarTable:
@@ -106,7 +134,7 @@ class VarTable:
         return cls(specs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarTable) and self.specs == other.specs
+        return self is other or (isinstance(other, VarTable) and self.specs == other.specs)
 
     def __hash__(self) -> int:
         return hash(self.specs)
@@ -127,10 +155,10 @@ class VarTable:
         return tuple(s.name for s in self.specs)
 
     def even_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs if s.parity == EVEN)
+        return tuple(self._even_slot)
 
     def odd_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs if s.parity == ODD)
+        return tuple(self._odd_bit)
 
     def even_slot(self, name: str) -> int:
         return self._even_slot[name]
@@ -144,13 +172,13 @@ class VarTable:
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, {})
+        return GradedPoly._of(self, {})
 
     def const(self, value) -> "GradedPoly":
         q = _exact(value)
         if q == 0:
             return self.zero()
-        return GradedPoly(self, {Monomial((0,) * self.n_even, 0, 0): q})
+        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 0, 0): q})
 
     def one(self) -> "GradedPoly":
         return self.const(1)
@@ -158,7 +186,7 @@ class VarTable:
     def hbar(self, power: int = 1) -> "GradedPoly":
         if power < 0:
             raise ValueError("hbar powers are non-negative")
-        return GradedPoly(self, {Monomial((0,) * self.n_even, 0, power): Fraction(1)})
+        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 0, power): 1})
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
         spec = self.spec(name)
@@ -171,10 +199,10 @@ class VarTable:
                 return self.one()
             even = [0] * self.n_even
             even[self._even_slot[name]] = power
-            return GradedPoly(self, {Monomial(tuple(even), 0, 0): Fraction(1)})
+            return GradedPoly._of(self, {Monomial(tuple(even), 0, 0): 1})
         if power != 1:
             raise ValueError(f"odd variable {name!r} only carries power 1")
-        return GradedPoly(self, {Monomial((0,) * self.n_even, 1 << self._odd_bit[name], 0): Fraction(1)})
+        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 1 << self._odd_bit[name], 0): 1})
 
     def monomial_factors(self, m: Monomial) -> tuple[dict[str, int], tuple[str, ...]]:
         """Readable view of a monomial: even exponents by name, odd names in order."""
@@ -185,14 +213,23 @@ class VarTable:
 
 
 class GradedPoly:
-    """Immutable sparse polynomial: dict of canonical monomials to Fractions."""
+    """Immutable sparse polynomial: dict of canonical monomials to coefficients."""
 
     __slots__ = ("table", "terms", "_hash")
 
-    def __init__(self, table: VarTable, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         self.table = table
         self.terms = {m: c for m, c in terms.items() if c != 0}
         self._hash = None
+
+    @classmethod
+    def _of(cls, table: VarTable, terms: dict[Monomial, int | Fraction]) -> "GradedPoly":
+        """Trusted constructor: ``terms`` holds no zero and is not copied."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        p._hash = None
+        return p
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -237,11 +274,11 @@ class GradedPoly:
             if q:
                 terms[m] = q
             else:
-                terms.pop(m, None)
-        return GradedPoly(self.table, terms)
+                del terms[m]
+        return GradedPoly._of(self.table, terms)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.table, {m: -c for m, c in self.terms.items()})
+        return GradedPoly._of(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -250,32 +287,17 @@ class GradedPoly:
         q = _exact(value)
         if q == 0:
             return self.table.zero()
-        return GradedPoly(self.table, {m: c * q for m, c in self.terms.items()})
+        return GradedPoly._of(self.table, {m: _exact(c * q) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, GradedPoly):
+            return self.__rmul__(other)
         self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma.odd & mb.odd:
-                    continue
-                sign = _merge_sign(ma.odd, mb.odd)
-                m = Monomial(
-                    tuple(x + y for x, y in zip(ma.even, mb.even)),
-                    ma.odd | mb.odd,
-                    ma.hbar + mb.hbar,
-                )
-                q = terms.get(m, 0) + sign * ca * cb
-                if q:
-                    terms[m] = q
-                else:
-                    terms.pop(m, None)
-        return GradedPoly(self.table, terms)
+        return GradedPoly._of(self.table, _mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # scalars are central; _exact turns a float away with TypeError
+        if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -305,15 +327,15 @@ class GradedPoly:
             for m, c in self.terms.items()
             if m.hbar == power
         }
-        return GradedPoly(self.table, terms)
+        return GradedPoly._of(self.table, terms)
 
     def hbar_truncate(self, max_power: int) -> "GradedPoly":
         terms = {m: c for m, c in self.terms.items() if m.hbar <= max_power}
-        return GradedPoly(self.table, terms)
+        return GradedPoly._of(self.table, terms)
 
     def constant_value(self) -> Fraction:
         empty = Monomial((0,) * self.table.n_even, 0, 0)
-        return self.terms.get(empty, Fraction(0))
+        return Fraction(self.terms.get(empty, 0))
 
 
 def parity_of(a: GradedPoly) -> str:
@@ -338,7 +360,7 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
                 f"negative power would require inverting {evens[slot]!r}"
             )
     inv_m0 = Monomial(tuple(-power * e for e in m0.even), 0, 0)
-    lead = GradedPoly(table, {inv_m0: Fraction(1, 1) / c0**power})
+    lead = GradedPoly._of(table, {inv_m0: _exact(Fraction(1) / c0**power)})
     # nu = (repl - c0*M) / (c0*M); nilpotent because every term is odd-carrying
     nu_terms: dict[Monomial, Fraction] = {}
     for m, c in repl.terms.items():
@@ -350,8 +372,8 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
                 raise NonInvertibleSubstitution(
                     f"negative power would require inverting {evens[slot]!r}"
                 )
-        nu_terms[Monomial(even, m.odd, m.hbar)] = c / c0
-    nu = GradedPoly(table, nu_terms)
+        nu_terms[Monomial(even, m.odd, m.hbar)] = _exact(Fraction(c) / c0)
+    nu = GradedPoly._of(table, nu_terms)
     # (1 + nu)^(-k) = sum_j binom(k+j-1, j) (-nu)^j, finite by nilpotency
     series = table.one()
     nu_j = table.one()
@@ -361,7 +383,7 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
         nu_j = nu_j * nu
         if nu_j.is_zero():
             break
-        series = series + nu_j.scale(Fraction((-1) ** j * comb(power + j - 1, j)))
+        series = series + nu_j.scale((-1) ** j * comb(power + j - 1, j))
     return lead * series
 
 
@@ -395,20 +417,18 @@ def substitute(
             raise ParityMismatch(
                 f"{name!r} is {src.parity(name)} but its replacement is {par}"
             )
+    evens = src.even_names()
+    odds = src.odd_names()
     support: set[str] = set()
-    src_evens = src.even_names()
-    src_odds = src.odd_names()
     for m in a.terms:
-        support.update(src_evens[i] for i, e in enumerate(m.even) if e)
-        support.update(n for i, n in enumerate(src_odds) if m.odd >> i & 1)
+        support.update(evens[i] for i, e in enumerate(m.even) if e)
+        support.update(n for i, n in enumerate(odds) if m.odd >> i & 1)
     for name in support:
         if name not in mapping and name not in target:
             raise KeyError(
                 f"variable {name!r} is not mapped and missing from the target table"
             )
 
-    evens = src.even_names()
-    odds = src.odd_names()
     power_cache: dict[tuple[str, int], GradedPoly] = {}
 
     def var_power(name: str, e: int) -> GradedPoly:
@@ -429,10 +449,9 @@ def substitute(
         power_cache[(name, e)] = out
         return out
 
-    total = target.zero()
+    total: dict[Monomial, int | Fraction] = {}
     for m, c in a.terms.items():
         part = target.hbar(m.hbar) if m.hbar else target.one()
-        part = part.scale(c)
         for slot, e in enumerate(m.even):
             if e:
                 part = part * var_power(evens[slot], e)
@@ -444,5 +463,6 @@ def substitute(
                     part = part * var_power(name, 1)
                     if part.is_zero():
                         break
-        total = total + part
-    return total
+        for mm, q in part.terms.items():
+            total[mm] = total.get(mm, 0) + c * q
+    return GradedPoly._of(target, {m: c for m, c in total.items() if c})

@@ -8,13 +8,18 @@ derivative on both tensor slots and a Koszul sign
 
 for the entry (A, B) acting on a first slot of current parity |F|.
 
-The series is summed in its multi-index form.  A live state is the pair of
-derived monomials (F, G) together with a centre polynomial; contributions
-that reach the same pair are added, because what a state produces next
-depends only on (F, G) (entries are even and central, |F| is read off F,
-and the 1/(n! 2^n) prefactor only on the order n).  Each order then costs
-one product centre * F * G per distinct pair, so the work grows with the
-number of derived monomial pairs, not with the number of step sequences.
+The series is summed in its multi-index form.  A live state is a pair of
+bare derived monomials (F, G) together with a centre, the term map of a
+polynomial in the entries; contributions that reach the same pair are added
+into one centre, because what a state produces next depends only on (F, G)
+(entries are even and central, |F| is read off F, and the 1/(n! 2^n)
+prefactor only on the order n).  Each order then costs one product
+centre * F * G per distinct pair, so the work grows with the number of
+derived monomial pairs, not with the number of step sequences.  Steps work
+on monomials directly (one derivative, one product), and every sum is
+accumulated in place in a dict.  Contraction coefficients are integers, so
+with integral entries the centres stay integral and a denominator appears
+only where an order's sum is divided by n! 2^n.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -30,8 +35,10 @@ from itertools import combinations
 from math import factorial
 from random import Random
 
-from .graded_calculus import d_left
-from .graded_ring import EVEN, ODD, GradedPoly, Monomial
+# d_left is not called here; bench/tests/test_bench.py expects the name
+# moyal.d_left, which bench/layertrace.py rebinds like every other import
+from .graded_calculus import _mono_d, _var_key, d_left  # noqa: F401
+from .graded_ring import EVEN, ODD, GradedPoly, Monomial, _exact, _mono_mul, _mul_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -78,7 +85,10 @@ class EngineStats:
 class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
-    __slots__ = ("bivector", "table", "max_order", "_cache", "_hits", "_misses", "_peaks")
+    __slots__ = (
+        "bivector", "table", "max_order", "_steps", "_unit",
+        "_cache", "_hits", "_misses", "_peaks",
+    )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
         if max_order < 0:
@@ -89,9 +99,15 @@ class StarEngine:
             if entry.parity() != EVEN:
                 raise NonCentralBivector(f"entry ({a}, {b}) is not even")
         self.bivector = bivector
-        self.table = bivector.table
+        self.table = t = bivector.table
+        # steps as (derivative key of A, of B, terms of pi^{AB}, |A|, |B|)
+        self._steps = tuple(
+            (_var_key(t, a), _var_key(t, b), entry.terms, pa, pb)
+            for a, b, entry, pa, pb in bivector.steps
+        )
+        self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
-        self._cache: dict[tuple[Monomial, Monomial], GradedPoly] = {}
+        self._cache: dict[tuple[Monomial, Monomial], dict] = {}
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
@@ -104,14 +120,16 @@ class StarEngine:
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
-        out = self.table.zero()
+        out: dict = {}
         try:
             for mf, cf in f.terms.items():
                 for mg, cg in g.terms.items():
-                    out = out + self._star_mono(mf, mg).scale(cf * cg)
+                    c = cf * cg
+                    for m, q in self._star_mono(mf, mg).items():
+                        out[m] = out.get(m, 0) + c * q
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
-        return out
+        return GradedPoly._of(self.table, {m: q for m, q in out.items() if q})
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -134,62 +152,64 @@ class StarEngine:
             )
         return min(bounds) if bounds else None
 
-    def _star_mono(self, mf: Monomial, mg: Monomial) -> GradedPoly:
+    def _star_mono(self, mf: Monomial, mg: Monomial) -> dict:
+        """Terms of mf * mg, cached per engine; callers must not mutate them."""
         got = self._cache.get((mf, mg))
         if got is not None:
             self._hits += 1
             return got
         self._misses += 1
-        t = self.table
-        steps = self.bivector.steps
         peaks = self._peaks
-        one = Fraction(1)
-        F = GradedPoly(t, {mf: one})
-        G = GradedPoly(t, {mg: one})
-        total = F * G
-        # live states (centre, F, G, |F|), one per derived monomial pair (F, G)
-        states = [(t.one(), F, G, mf.parity())]
+        total = _mul_terms({mf: 1}, {mg: 1})
+        # live states (centre, F, G): one per derived monomial pair (F, G),
+        # with the centre polynomial as a term map
+        states = [({self._unit: 1}, mf, mg)]
         order = 0
         while states:
             if order == len(peaks):
                 peaks.append(0)
             peaks[order] = max(peaks[order], len(states))
             order += 1
-            merged: dict[tuple[Monomial, Monomial], GradedPoly] = {}
-            for centre, F, G, pf in states:
+            merged: dict[tuple[Monomial, Monomial], dict] = {}
+            for centre, F, G in states:
+                pf = F.odd.bit_count() & 1
                 last_a = None
-                for a, b, entry, pa, pb in steps:
+                for ka, kb, e, pa, pb in self._steps:
                     # steps are sorted by row, so one derivative serves a run
-                    if a != last_a:
-                        last_a, dF = a, d_left(a, F)
-                    if dF.is_zero():
+                    if ka != last_a:
+                        last_a, dF = ka, _mono_d(F, ka)
+                    if dF is None:
                         continue
-                    dG = d_left(b, G)
-                    if dG.is_zero():
+                    dG = _mono_d(G, kb)
+                    if dG is None:
                         continue
-                    ((nF, cF),) = dF.terms.items()
-                    ((nG, cG),) = dG.terms.items()
-                    c2 = (centre * entry).scale(_step_sign(pb, pf, pa) * cF * cG)
-                    if c2.is_zero():
+                    ce = _mul_terms(centre, e)
+                    if not ce:
                         continue
                     if order > self.max_order:
                         raise TruncationExceeded(self.max_order)
-                    key = (nF, nG)
-                    prev = merged.get(key)
-                    merged[key] = c2 if prev is None else prev + c2
+                    c = _step_sign(pb, pf, pa) * dF[0] * dG[0]
+                    acc = merged.setdefault((dF[1], dG[1]), {})
+                    for m, q in ce.items():
+                        acc[m] = acc.get(m, 0) + c * q
             states = []
-            order_sum = t.zero()
+            order_sum: dict = {}
             for (nF, nG), centre in merged.items():
-                if centre.is_zero():
+                centre = {m: q for m, q in centre.items() if q}
+                if not centre:
                     continue
-                F = GradedPoly(t, {nF: one})
-                G = GradedPoly(t, {nG: one})
-                order_sum = order_sum + centre * (F * G)
-                states.append((centre, F, G, nF.parity()))
-            if not order_sum.is_zero():
-                scale = Fraction(1, factorial(order) * 2**order)
-                total = total + (t.hbar(order) * order_sum).scale(scale)
-        self._cache[(mf, mg)] = total
+                states.append((centre, nF, nG))
+                fg = _mono_mul(nF, nG)
+                if fg is None:
+                    continue
+                sign, FG = fg
+                FG = Monomial(FG.even, FG.odd, FG.hbar + order)
+                for m, q in _mul_terms(centre, {FG: sign}).items():
+                    order_sum[m] = order_sum.get(m, 0) + q
+            denominator = factorial(order) * 2**order
+            for m, q in order_sum.items():
+                total[m] = total.get(m, 0) + _exact(Fraction(q, denominator))
+        total = self._cache[(mf, mg)] = {m: q for m, q in total.items() if q}
         return total
 
     def supercommutator(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:

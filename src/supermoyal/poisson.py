@@ -13,20 +13,11 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graded_calculus import d_left
-from .graded_ring import EVEN, ODD, GradedPoly, VarTable
+from .graded_ring import ODD, GradedPoly, VarTable
 
 
 class VariableMismatch(ValueError):
     """Operands are declared over different variable tables."""
-
-
-def _depends_on(p: GradedPoly, name: str) -> bool:
-    t = p.table
-    if t.parity(name) == EVEN:
-        slot = t.even_slot(name)
-        return any(m.even[slot] for m in p.terms)
-    bit = t.odd_bit(name)
-    return any(m.odd >> bit & 1 for m in p.terms)
 
 
 class SuperBivector:
@@ -77,9 +68,8 @@ class SuperBivector:
         self.steps = tuple(sorted(steps, key=lambda s: (index(s[0]), index(s[1]))))
         self.parity = parities.pop() if parities else 0
         rows = {a for (a, _), v in full.items()}
-        self.is_central = not any(
-            _depends_on(v, r) for v in full.values() for r in rows
-        )
+        # central: no entry depends on a variable that a step differentiates
+        self.is_central = not any(d_left(r, v) for v in full.values() for r in rows)
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))
@@ -135,7 +125,7 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
     t = pi.table
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
-    out = t.zero()
+    out: dict = {}
     for pf, fp in _parity_parts(f):
         for a, b, entry, pa, pb in pi.steps:
             df = d_left(a, fp)
@@ -144,8 +134,10 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
             dg = d_left(b, g)
             if dg.is_zero():
                 continue
-            out = out + (entry * df * dg).scale(_bracket_sign(pb, pf, pa))
-    return out
+            sign = _bracket_sign(pb, pf, pa)
+            for m, c in (entry * df * dg).terms.items():
+                out[m] = out.get(m, 0) + sign * c
+    return GradedPoly._of(t, {m: c for m, c in out.items() if c})
 
 
 def _parity_parts(f: GradedPoly):
@@ -153,9 +145,9 @@ def _parity_parts(f: GradedPoly):
     odds = {m: c for m, c in f.terms.items() if m.parity()}
     parts = []
     if evens:
-        parts.append((0, GradedPoly(f.table, evens)))
+        parts.append((0, GradedPoly._of(f.table, evens)))
     if odds:
-        parts.append((1, GradedPoly(f.table, odds)))
+        parts.append((1, GradedPoly._of(f.table, odds)))
     return parts
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from supermoyal.cli import (
     MAX_BASE_POWER,
+    MAX_PARSED_TERMS,
     IllegalDivision,
     ModelFormatError,
     ParseError,
@@ -134,6 +135,17 @@ class TestParse:
         assert parse_expression("w^100000", t) == t.var("w", 100000)
         assert parse_expression("hbar^100", t) == t.hbar(100)
 
+    def test_term_growth_is_bounded(self):
+        t = builtin("T0-cotangent").table
+        six = "(x11+x12+x21+x22+l1+l2)"
+        # C(13, 5) = 1287 terms, inside the limit
+        assert len(parse_expression(f"{six}^8", t).terms) == 1287
+        # every power step is checked before it multiplies, so ^64 fails early
+        for text in (f"{six}^64", f"{six}^8 * {six}^8"):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text, t)
+            assert f"limit of {MAX_PARSED_TERMS} terms" in info.value.msg
+
     def test_missing_value(self):
         with pytest.raises(ParseError):
             parse_expression("w + * l", _table())
@@ -150,6 +162,15 @@ class TestRender:
         assert render_poly((t.hbar() * t.var("l") * t.var("w")).scale(2)) == "2*hbar*w*l"
         assert render_poly(t.var("l", -2)) == "l^-2"
         assert render_poly(t.var("th1") * t.var("th2")) == "th1*th2"
+
+    def test_int_and_fraction_coefficients_render_alike(self):
+        t = _table()
+        w = next(iter(t.var("w").terms))
+        for value, text in ((2, "2*w"), (-1, "-w"), (Fraction(-3, 2), "-3/2*w")):
+            as_int = GradedPoly(t, {w: value})
+            as_fraction = GradedPoly(t, {w: Fraction(value)})
+            assert render_poly(as_int) == render_poly(as_fraction) == text
+            assert repr(as_int) == repr(as_fraction)
 
     def test_sign_joins(self):
         t = _table()
@@ -264,6 +285,21 @@ class TestModelFiles:
         rc, out, err = cli("verify", str(path))
         assert rc == 2
         assert f"limit {MAX_BASE_POWER}" in err
+
+    def test_term_limit_in_model_file(self, cli, tmp_path):
+        text = (
+            "[options]\nname = big\n\n[variables]\nx even\ny even\n\n"
+            "[constants]\nC\nD\nE\n\n[bivector]\nx y := (C+D+E+1)^64\n"
+        )
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="big.model")
+        assert info.value.line_no == 14
+        assert f"limit of {MAX_PARSED_TERMS} terms" in info.value.msg
+        path = tmp_path / "big.model"
+        path.write_text(text)
+        rc, out, err = cli("verify", str(path))
+        assert rc == 2
+        assert f"limit of {MAX_PARSED_TERMS} terms" in err
 
     def _bad(self, text, fragment, line_no=None):
         with pytest.raises(ModelFormatError) as info:
@@ -418,6 +454,12 @@ class TestProductCommands:
         rc, out, err = cli("star", "P3|4", "--lhs", "(z1+1)^65", "--rhs", "z2")
         assert (rc, out) == (2, "")
         assert f"limit {MAX_BASE_POWER}" in err
+
+    def test_term_limit_is_a_usage_error(self, cli):
+        lhs = "(x11+x12+x21+x22+l1+l2)^64"
+        rc, out, err = cli("star", "T0-cotangent", "--lhs", lhs, "--rhs", "x21")
+        assert (rc, out) == (2, "")
+        assert f"limit of {MAX_PARSED_TERMS} terms" in err
 
     def test_negative_order_is_an_error(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "-1")

@@ -182,3 +182,68 @@ class TestDerivativeLaws:
     @given(small_polys(T))
     def test_even_derivatives_commute(self, p):
         assert d_left("x", d_left("y", p)) == d_left("y", d_left("x", p))
+
+
+def _word_derivative(v, p, left):
+    """Derivative from the factor word: even partials, or delete one odd factor.
+
+    Each odd monomial is read as its ordered list of odd names; the sign is
+    (-1) to the number of odd factors the derivative moves past, counted
+    from the left end or from the right end of the word.
+    """
+    t = p.table
+    out = t.zero()
+    for m, c in p.terms.items():
+        exps, odds = t.monomial_factors(m)
+        term = t.const(c) * t.hbar(m.hbar)
+        if t.parity(v) == EVEN:
+            if v not in exps:
+                continue
+            term = term.scale(exps[v])
+            exps = dict(exps, **{v: exps[v] - 1})
+        else:
+            if v not in odds:
+                continue
+            k = odds.index(v)
+            passed = k if left else len(odds) - 1 - k
+            term = term.scale((-1) ** passed)
+            odds = odds[:k] + odds[k + 1:]
+        for name, e in exps.items():
+            if e:
+                term = term * t.var(name, e)
+        for name in odds:
+            term = term * t.var(name)
+        out = out + term
+    return out
+
+
+class TestMultiTermDerivatives:
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys(T))
+    def test_match_the_factor_word(self, p):
+        for v in T.names():
+            assert d_left(v, p) == _word_derivative(v, p, left=True)
+            assert d_right(v, p) == _word_derivative(v, p, left=False)
+
+    def test_terms_that_meet_after_differentiation_stay_apart(self):
+        # x*th1 and th1 both lose th1, but x*th1 -> x and th1 -> 1 differ;
+        # x^2 and x*y under d/dx give 2x and y, again distinct monomials
+        t = table()
+        x, y, th1, th2 = t.var("x"), t.var("y"), t.var("th1"), t.var("th2")
+        p = x * th1 + th1 - th2 * th1 + x * x + x * y + t.var("l", -1) * x
+        assert d_left("th1", p) == x + t.one() + th2
+        assert d_right("th1", p) == x + t.one() - th2
+        assert d_left("x", p) == th1 + x.scale(2) + y + t.var("l", -1)
+
+    def test_bidifferential_oracle_on_multi_term_slots(self):
+        t = table()
+        f = t.var("th1") * t.var("th2") + t.var("x") * t.var("th2") * t.var("th3")
+        g = t.var("th2") * t.var("y") + t.var("th2") * t.var("th1") - t.var("th3")
+        s1, s2, sign = bidiff_apply(t.one(), "th2", "th2", f, g)
+        assert s1 == _word_derivative("th2", f, left=False)
+        assert s2 == _word_derivative("th2", g, left=True)
+        assert s1 == t.var("th1") - t.var("x") * t.var("th3")
+        # th2*th1 is stored as -th1*th2, whose left derivative passes th1
+        assert s2 == t.var("y") + t.var("th1")
+        # (-1)^(|B|(|f|+|A|) + |A|(|f|+1)) with |f| = 0 and |A| = |B| = 1
+        assert sign == 1

@@ -130,6 +130,38 @@ class TestMultiplication:
         assert 2 * p == raw(t, [({"x": 1}, (), 0, 3)])
 
 
+class TestCoefficients:
+    def test_constructors_store_ints(self):
+        t = table()
+        for p in (t.var("x"), t.var("th1"), t.hbar(), t.one(), t.const(Fraction(4, 2))):
+            assert all(type(c) is int for c in p.terms.values())
+        assert list(t.const(Fraction(4, 2)).terms.values()) == [2]
+        assert list(t.const(Fraction(1, 2)).terms.values()) == [Fraction(1, 2)]
+
+    def test_int_and_integral_fraction_agree(self):
+        t = table()
+        m = Monomial((1, 0, 0, 0), 0, 0)
+        a = GradedPoly(t, {m: 2})
+        b = GradedPoly(t, {m: Fraction(2)})
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_constant_value_is_a_fraction(self):
+        t = table()
+        for p, want in ((t.const(3), 3), (t.var("x"), 0), (t.const(Fraction(1, 2)), Fraction(1, 2))):
+            got = p.constant_value()
+            assert type(got) is Fraction and got == want
+
+    def test_non_exact_operands_raise_type_error(self):
+        t = table()
+        p = t.var("x")
+        for bad in (0.5, "a", None):
+            with pytest.raises(TypeError):
+                p * bad
+            with pytest.raises(TypeError):
+                bad * p
+
+
 class TestParity:
     def test_even_odd_mixed(self):
         t = table()

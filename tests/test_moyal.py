@@ -364,6 +364,68 @@ class TestAssociativityProperty:
         assert eng.star(eng.star(f, g), h) == eng.star(f, eng.star(g, h))
 
 
+def _row_degree_3(draw, t, rows):
+    """c * r1 * r2 * r3 over row variables, with no odd one repeated."""
+    evens = [r for r in rows if t.parity(r) == EVEN]
+    odds = [r for r in rows if t.parity(r) == ODD]
+    k = draw(st.integers(0 if evens else 3, min(3, len(odds))))
+    picks = draw(st.lists(st.sampled_from(odds), min_size=k, max_size=k, unique=True)) if k else []
+    if k < 3:
+        picks += draw(st.lists(st.sampled_from(evens), min_size=3 - k, max_size=3 - k))
+    term = t.const(draw(st.sampled_from(_COEFFS[1:])))
+    for r in draw(st.permutations(picks)):
+        term = term * t.var(r)
+    return term
+
+
+# (bivector parity, even count, odd count) such that every row has >= 2 entries
+# and row-degree-3 operands exist
+_MERGING_SHAPES = (
+    (0, 3, 0), (0, 0, 3), (0, 3, 2), (0, 3, 3),
+    (1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3),
+)
+
+
+@st.composite
+def merging_cases(draw):
+    """A constant bivector with >= 2 entries in every row, and row-degree-3 operands.
+
+    Two steps on different factors of an operand reach the same monomial pair
+    in either order, so these products merge contraction paths from order 2.
+    """
+    shape, n_even, n_odd = draw(st.sampled_from(_MERGING_SHAPES))
+    parities = draw(st.permutations([EVEN] * n_even + [ODD] * n_odd))
+    names = [f"v{i}" for i in range(len(parities))]
+    t = VarTable.build(*zip(names, parities))
+    odd = [p == ODD for p in parities]
+    entries = {}
+    for i, j in combinations_with_replacement(range(len(names)), 2):
+        if (odd[i] + odd[j]) % 2 == shape and (i != j or odd[i]):
+            entries[(names[i], names[j])] = t.const(draw(st.sampled_from(_COEFFS[1:])))
+    pi = SuperBivector(t, entries)
+    rows = pi.rows()
+    f = _row_degree_3(draw, t, rows)
+    g = _row_degree_3(draw, t, rows)
+    if draw(st.booleans()):
+        # a second term of the same parity, so the oracle can read |f| off f
+        extra = _row_degree_3(draw, t, rows)
+        if extra.parity() == f.parity():
+            f = f + extra
+    if draw(st.booleans()):
+        g = g + _row_degree_3(draw, t, rows)
+    return pi, f, g
+
+
+class TestMergedPaths:
+    @settings(max_examples=50, deadline=None)
+    @given(merging_cases())
+    def test_engine_matches_oracle_where_paths_meet(self, case):
+        pi, f, g = case
+        eng = StarEngine(pi)
+        got = eng.star(f, g)
+        assert got == _oracle_star(pi, f, g, 8)
+
+
 def t0_ladder(k):
     """x11^k x12^k t11 t12 and x21^k x22^k t21 t22 on T0-cotangent."""
     m = builtin("T0-cotangent")
