@@ -432,6 +432,27 @@ _CHART_ENTRY_RE = re.compile(r"table\s+(\S+)\s+(\S+)\s*=\s*(.*)$")
 _LAW_RE = re.compile(r"law\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*:\s*(.*)$")
 
 
+def _blocks(source, lines, head):
+    """Cut a section into blocks, each opened by a ``head`` line.
+
+    Yields ``(line_no, header, body, end)`` for each block, where ``end`` is
+    the line that closes it: the next header, or the section's last line.
+    A block is yielded only once it is closed.
+    """
+    block = None
+    for ln, line in lines:
+        if line.startswith(head + " "):
+            if block is not None:
+                yield (*block, ln)
+            block = (ln, line, [])
+        elif block is None:
+            raise ModelFormatError(source, ln, f"expected a {head} line first")
+        else:
+            block[2].append((ln, line))
+    if block is not None:
+        yield (*block, lines[-1][0])
+
+
 def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     sections: dict[str, list[tuple[int, str]]] = {}
     order: list[str] = []
@@ -575,31 +596,11 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         fibration = Fibration(base_table, rules)
 
     charts: list[Chart] = []
-    if "charts" in sections:
-        chart_name = None
+    for _, header, body, end in _blocks(source, sections.get("charts", []), "chart"):
         chart_decls: list[tuple] = []
         chart_table = None
         chart_entries: dict[tuple[str, str], GradedPoly] = {}
-
-        def _flush(ln):
-            nonlocal chart_name, chart_decls, chart_table, chart_entries
-            if chart_name is None:
-                return
-            if chart_table is None:
-                chart_table = VarTable.build(*chart_decls)
-            try:
-                charts.append(Chart(chart_name, chart_table, chart_entries))
-            except ValueError as err:
-                raise ModelFormatError(source, ln, str(err)) from None
-            chart_name, chart_decls, chart_table, chart_entries = None, [], None, {}
-
-        for ln, line in sections["charts"]:
-            if line.startswith("chart "):
-                _flush(ln)
-                chart_name = line.split(None, 1)[1].strip()
-                continue
-            if chart_name is None:
-                raise ModelFormatError(source, ln, "expected a chart line first")
+        for ln, line in body:
             if line.startswith("var "):
                 if chart_table is not None:
                     raise ModelFormatError(source, ln, "var lines must come before table lines")
@@ -615,44 +616,35 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 chart_entries[(a, b)] = _parse_expr_or_die(source, ln, expr, chart_table)
                 continue
             raise ModelFormatError(source, ln, "expected chart, var, or table")
-        _flush(sections["charts"][-1][0])
+        if chart_table is None:
+            chart_table = VarTable.build(*chart_decls)
+        try:
+            charts.append(Chart(header.split(None, 1)[1].strip(), chart_table, chart_entries))
+        except ValueError as err:
+            raise ModelFormatError(source, end, str(err)) from None
 
     chart_by_name = {c.name: c for c in charts}
 
     transitions: list[TransitionMap] = []
-    if "transitions" in sections:
-        pair = None
+    for hln, header, body, end in _blocks(source, sections.get("transitions", []), "map"):
+        words = header.split()
+        if len(words) != 3:
+            raise ModelFormatError(source, hln, "expected: map SRC DST")
+        for cname in words[1:]:
+            if cname not in chart_by_name:
+                raise ModelFormatError(source, hln, f"unknown chart {cname!r}")
+        src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
         rules = {}
-
-        def _flush_map(ln):
-            nonlocal pair, rules
-            if pair is None:
-                return
-            try:
-                transitions.append(TransitionMap(pair[0], pair[1], rules))
-            except (KeyError, ValueError) as err:
-                raise ModelFormatError(source, ln, str(err)) from None
-            pair, rules = None, {}
-
-        for ln, line in sections["transitions"]:
-            if line.startswith("map "):
-                _flush_map(ln)
-                words = line.split()
-                if len(words) != 3:
-                    raise ModelFormatError(source, ln, "expected: map SRC DST")
-                for cname in words[1:]:
-                    if cname not in chart_by_name:
-                        raise ModelFormatError(source, ln, f"unknown chart {cname!r}")
-                pair = (chart_by_name[words[1]], chart_by_name[words[2]])
-                continue
-            if pair is None:
-                raise ModelFormatError(source, ln, "expected a map line first")
+        for ln, line in body:
             m = _RULE_RE.match(line)
             if m is None:
                 raise ModelFormatError(source, ln, "expected: NAME -> expression")
             rule_name, expr = m.groups()
-            rules[rule_name] = _parse_expr_or_die(source, ln, expr, pair[1].table)
-        _flush_map(sections["transitions"][-1][0])
+            rules[rule_name] = _parse_expr_or_die(source, ln, expr, dst.table)
+        try:
+            transitions.append(TransitionMap(src, dst, rules))
+        except (KeyError, ValueError) as err:
+            raise ModelFormatError(source, end, str(err)) from None
 
     weight_laws: list[tuple[str, str, WeightLaw]] = []
     for ln, line in sections.get("weights", []):

@@ -219,7 +219,8 @@ class GradedPoly:
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         self.table = table
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        exact = ((m, _exact(c)) for m, c in terms.items())
+        self.terms = {m: c for m, c in exact if c != 0}
         self._hash = None
 
     @classmethod

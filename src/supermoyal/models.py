@@ -10,6 +10,7 @@ and returns one record per check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
@@ -265,75 +266,39 @@ def _t1_model() -> ModelSpec:
     )
 
 
-def _twistor_z_rules(bt: VarTable) -> dict[str, GradedPoly]:
-    return {
+def _two_pole_model(name: str, odd_weights: tuple[int, ...], letters: str,
+                    cy: CYWeights) -> ModelSpec:
+    """Weighted projective superspace with odd weights w_i, in its two-pole atlas.
+
+    Each odd coordinate brackets as {xi_i, xi_i} = (l1^2 + l2^2)^w_i and is
+    fibered as the binary form sum_k t_i<letters[k]> l1^(w_i - k) l2^k.
+    """
+    decls = [(v, EVEN, False, 1) for v in ("z1", "z2", "l1", "l2")]
+    decls += [(f"xi{i}", ODD, False, w) for i, w in enumerate(odd_weights, 1)]
+    t = VarTable.build(*decls)
+    sq = t.var("l1") ** 2 + t.var("l2") ** 2
+    entries = {("z1", "z2"): (t.var("l1") * t.var("l2")).scale(2)}
+    for i, w in enumerate(odd_weights, 1):
+        entries[(f"xi{i}", f"xi{i}")] = sq**w
+    pi = SuperBivector(t, entries)
+    charts, transitions, laws = _two_pole_atlas(pi)
+    bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
+    for i, w in enumerate(odd_weights, 1):
+        bdecls += [(f"t{i}{letters[k]}", ODD) for k in range(w + 1)]
+    bt = VarTable.build(*bdecls)
+    rules = {
         "z1": bt.var("x11") * bt.var("l1") + bt.var("x12") * bt.var("l2"),
         "z2": bt.var("x21") * bt.var("l1") + bt.var("x22") * bt.var("l2"),
         "l1": bt.var("l1"),
         "l2": bt.var("l2"),
     }
-
-
-def _p34_model() -> ModelSpec:
-    decls = [("z1", EVEN, False, 1), ("z2", EVEN, False, 1),
-             ("l1", EVEN, False, 1), ("l2", EVEN, False, 1)]
-    decls += [(f"xi{i}", ODD, False, 1) for i in range(1, 5)]
-    t = VarTable.build(*decls)
-    sq = t.var("l1") ** 2 + t.var("l2") ** 2
-    entries = {("z1", "z2"): (t.var("l1") * t.var("l2")).scale(2)}
-    for i in range(1, 5):
-        entries[(f"xi{i}", f"xi{i}")] = sq
-    pi = SuperBivector(t, entries)
-    charts, transitions, laws = _two_pole_atlas(pi)
-    bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
-    bdecls += [(f"t{i}{a}", ODD) for i in range(1, 5) for a in (1, 2)]
-    bt = VarTable.build(*bdecls)
-    rules = _twistor_z_rules(bt)
-    for i in range(1, 5):
-        rules[f"xi{i}"] = bt.var(f"t{i}1") * bt.var("l1") + bt.var(f"t{i}2") * bt.var("l2")
-    return ModelSpec(
-        name="P3|4",
-        table=t,
-        constants=(),
-        bivector=pi,
-        expected_relations=dict(entries),
-        fibration=Fibration(bt, rules),
-        charts=charts,
-        transitions=transitions,
-        weight_laws=laws,
-        cy=CYWeights.projective(3, 4),
-    )
-
-
-_FIBER_LETTERS = "abcde"
-
-
-def _wp_model(p: int, q: int) -> ModelSpec:
-    decls = [("z1", EVEN, False, 1), ("z2", EVEN, False, 1),
-             ("l1", EVEN, False, 1), ("l2", EVEN, False, 1),
-             ("xi1", ODD, False, p), ("xi2", ODD, False, q)]
-    t = VarTable.build(*decls)
-    sq = t.var("l1") ** 2 + t.var("l2") ** 2
-    entries = {
-        ("z1", "z2"): (t.var("l1") * t.var("l2")).scale(2),
-        ("xi1", "xi1"): sq**p,
-        ("xi2", "xi2"): sq**q,
-    }
-    pi = SuperBivector(t, entries)
-    charts, transitions, laws = _two_pole_atlas(pi)
-    bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
-    for idx, w in (("1", p), ("2", q)):
-        bdecls += [(f"t{idx}{_FIBER_LETTERS[k]}", ODD) for k in range(w + 1)]
-    bt = VarTable.build(*bdecls)
-    rules = _twistor_z_rules(bt)
-    for idx, w in (("1", p), ("2", q)):
+    for i, w in enumerate(odd_weights, 1):
         expr = bt.zero()
         for k in range(w + 1):
-            mono = bt.var(f"t{idx}{_FIBER_LETTERS[k]}")
-            expr = expr + mono * bt.var("l1", w - k) * bt.var("l2", k)
-        rules[f"xi{idx}"] = expr
+            expr = expr + bt.var(f"t{i}{letters[k]}") * bt.var("l1", w - k) * bt.var("l2", k)
+        rules[f"xi{i}"] = expr
     return ModelSpec(
-        name=f"WP[{p},{q}]",
+        name=name,
         table=t,
         constants=(),
         bivector=pi,
@@ -342,7 +307,7 @@ def _wp_model(p: int, q: int) -> ModelSpec:
         charts=charts,
         transitions=transitions,
         weight_laws=laws,
-        cy=CYWeights.weighted((1, 1, 1, 1), (p, q)),
+        cy=cy,
     )
 
 
@@ -484,10 +449,12 @@ def _p3n_model(n: int = 4) -> ModelSpec:
 _BUILTINS = {
     "T0-cotangent": _t0_model,
     "T1-cotangent": _t1_model,
-    "P3|4": _p34_model,
-    "WP[1,3]": lambda: _wp_model(1, 3),
-    "WP[2,2]": lambda: _wp_model(2, 2),
-    "WP[4,0]": lambda: _wp_model(4, 0),
+    "P3|4": partial(_two_pole_model, "P3|4", (1, 1, 1, 1), "12", CYWeights.projective(3, 4)),
+    **{
+        f"WP[{p},{q}]": partial(_two_pole_model, f"WP[{p},{q}]", (p, q), "abcde",
+                                CYWeights.weighted((1, 1, 1, 1), (p, q)))
+        for p, q in ((1, 3), (2, 2), (4, 0))
+    },
     "L5|6": _l56_model,
     "P3|N": _p3n_model,
 }
@@ -497,24 +464,25 @@ def list_builtins() -> tuple[str, ...]:
     return tuple(_BUILTINS)
 
 
-def builtin(name: str, n: int | None = None) -> ModelSpec:
-    key = name
-    if key.startswith("P3|N="):
+# largest N accepted in "P3|N=N": the model carries 3N(N+1)/2 symbolic
+# constants, so its verification work grows steeply with N
+MAX_P3N_ODD = 16
+
+
+def builtin(name: str) -> ModelSpec:
+    if name.startswith("P3|N="):
         try:
-            n = int(key[len("P3|N="):])
+            n = int(name[len("P3|N="):])
         except ValueError:
             raise UnknownModel(name) from None
-        key = "P3|N"
-    maker = _BUILTINS.get(key)
-    if maker is None:
-        raise UnknownModel(name)
-    if key == "P3|N":
-        n = n if n is not None else 4
         if n < 1:
             raise ValueError(f"P3|N needs at least one odd dimension, got N={n}")
-        return maker(n)
-    if n is not None:
-        raise ValueError("only P3|N takes an odd-dimension argument")
+        if n > MAX_P3N_ODD:
+            raise ValueError(f"P3|N takes at most N={MAX_P3N_ODD} odd dimensions, got N={n}")
+        return _p3n_model(n)
+    maker = _BUILTINS.get(name)
+    if maker is None:
+        raise UnknownModel(name)
     return maker()
 
 
@@ -565,9 +533,7 @@ def anti_chiral_substitution(
 
 # -- verification ----------------------------------------------------------
 
-def verify_model(
-    model: ModelSpec, max_order: int | None = None, seed: int = 0
-) -> VerificationReport:
+def verify_model(model: ModelSpec, max_order: int | None = None) -> VerificationReport:
     """Run the model's full certification sweep."""
     records: list[CheckRecord] = []
     t = model.table
@@ -596,9 +562,7 @@ def verify_model(
                     "pass" if got == want else "fail", got, want,
                 ))
 
-    contract = check_quantization_contract(
-        engine, seed=seed, associativity=model.associative
-    )
+    contract = check_quantization_contract(engine, associativity=model.associative)
     for entry in contract.entries:
         records.append(CheckRecord(
             f"contract {entry.name}", "contract", entry.status, detail=entry.detail
@@ -624,25 +588,17 @@ def verify_model(
         ))
 
     names = [c.name for c in model.charts]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            fwd, back = tmap_by.get((a, b)), tmap_by.get((b, a))
-            if fwd and back:
-                ok, bad = check_cocycle([fwd, back])
-                records.append(CheckRecord(
-                    f"cocycle {a} {b}", "cocycle", "pass" if ok else "fail",
-                    detail="" if ok else f"variable {bad} does not return",
-                ))
-    for combo in combinations(names, 3):
-        a = combo[0]
-        for b, c in ((combo[1], combo[2]), (combo[2], combo[1])):
-            chain = [tmap_by.get((a, b)), tmap_by.get((b, c)), tmap_by.get((c, a))]
-            if all(chain):
-                ok, bad = check_cocycle(chain)
-                records.append(CheckRecord(
-                    f"cocycle {a} {b} {c}", "cocycle", "pass" if ok else "fail",
-                    detail="" if ok else f"variable {bad} does not return",
-                ))
+    chains = list(combinations(names, 2))
+    for a, b, c in combinations(names, 3):
+        chains += [(a, b, c), (a, c, b)]
+    for chain in chains:
+        maps = [tmap_by.get(hop) for hop in zip(chain, chain[1:] + chain[:1])]
+        if all(maps):
+            ok, bad = check_cocycle(maps)
+            records.append(CheckRecord(
+                f"cocycle {' '.join(chain)}", "cocycle", "pass" if ok else "fail",
+                detail="" if ok else f"variable {bad} does not return",
+            ))
 
     if model.cy is not None:
         idx = calabi_yau_index(model.cy)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 from random import Random
 
@@ -237,44 +237,35 @@ class ContractReport:
         return all(e.status == "pass" for e in self.entries)
 
 
-def _row_basis(engine: StarEngine, n_even: int, n_odd: int, max_degree: int):
-    """All monomials of bounded degree in a few bivector-row variables."""
+def _row_basis(engine: StarEngine):
+    """All monomials of degree <= 2 in the first two even and two odd rows."""
     t = engine.table
     rows = engine.bivector.rows()
-    evens = [n for n in rows if t.parity(n) == EVEN][:n_even]
-    odds = [n for n in rows if t.parity(n) == ODD][:n_odd]
+    evens = [n for n in rows if t.parity(n) == EVEN][:2]
+    odds = [n for n in rows if t.parity(n) == ODD][:2]
     basis = []
-    for deg in range(max_degree + 1):
+    for deg in range(3):
         for odd_count in range(min(deg, len(odds)) + 1):
             even_deg = deg - odd_count
             for odd_pick in combinations(odds, odd_count):
-                for even_split in _compositions(even_deg, len(evens)):
+                for even_split in product(range(even_deg + 1), repeat=len(evens)):
+                    if sum(even_split) != even_deg:
+                        continue
                     p = t.one()
                     for name, e in zip(evens, even_split):
-                        for _ in range(e):
-                            p = p * t.var(name)
+                        p = p * t.var(name, e)
                     for name in odd_pick:
                         p = p * t.var(name)
                     basis.append(p)
     return basis
 
 
-def _compositions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
-def _sample_poly(rng: Random, engine: StarEngine, max_terms: int = 2) -> GradedPoly:
+def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
     t = engine.table
     rows = engine.bivector.rows()
     names = list(rows) if rows else list(t.names())
     out = t.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         term = t.const(rng.choice([1, -1, 2, Fraction(1, 2)]))
         for _ in range(rng.randint(0, 2)):
             term = term * t.var(rng.choice(names))
@@ -282,21 +273,17 @@ def _sample_poly(rng: Random, engine: StarEngine, max_terms: int = 2) -> GradedP
     return out
 
 
-def check_quantization_contract(
-    engine: StarEngine,
-    seed: int = 0,
-    associativity: bool = True,
-) -> ContractReport:
+def check_quantization_contract(engine: StarEngine, associativity: bool = True) -> ContractReport:
     """Spot-check bilinearity, associativity, and the order-1 bracket match.
 
     Failures are reported, not raised.  The associativity sweep runs an
     exhaustive low-degree basis plus randomized polynomial triples.
     """
     t = engine.table
-    rng = Random(seed)
+    rng = Random(0)  # fixed, so a model gets the same report on every run
     entries: list[ContractEntry] = []
 
-    basis = _row_basis(engine, 2, 2, 2)
+    basis = _row_basis(engine)
     fails: list[str] = []
     for _ in range(3):
         f, g, h = (_sample_poly(rng, engine) for _ in range(3))

@@ -1,6 +1,9 @@
 """Expression syntax, canonical rendering, model files, and the driver."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from supermoyal.cli import (
     save_model,
 )
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
-from supermoyal.models import builtin, list_builtins, verify_model
+from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +236,14 @@ class TestModelFiles:
         report = verify_model(parse_model_text(text))
         assert report.ok, report.failures()
 
+    def test_empty_chart_and_transition_sections(self):
+        text = (
+            "[options]\nname = m\n\n[variables]\nx even\n\n[bivector]\n\n"
+            "[charts]\n\n[transitions]\n"
+        )
+        model = parse_model_text(text)
+        assert model.charts == () and model.transitions == ()
+
     def test_comments_and_blanks_are_ignored(self):
         original = render_model_text(builtin("T0-cotangent"))
         noisy = "# header comment\n\n" + original.replace(
@@ -338,6 +349,35 @@ class TestModelFiles:
         self._bad(head + "[bivector]\n\n[cy]\nspectral 3\n", "expected projective")
         self._bad(head + "[bivector]\n\n[weights]\nlaw A B x x : 1\n", "unknown chart")
         self._bad(head + "[bivector]\n\n[transitions]\nx -> x\n", "map line first")
+        self._bad(
+            head + "[bivector]\n\n[charts]\nvar a even\n", "chart line first", line_no=11
+        )
+        charts = "[charts]\nchart A\nvar x even\nvar th odd\ntable th th = 1\nchart B\nvar x even\n"
+        self._bad(
+            head + "[bivector]\n\n" + charts + "\n[transitions]\nmap A\n",
+            "expected: map SRC DST", line_no=19,
+        )
+        # a chart or map is built when its block ends: at the next header, or
+        # at the section's last line
+        self._bad(
+            head + "[bivector]\n\n[charts]\nchart A\nvar x even\ntable x x = 1\n"
+            "chart B\nvar x even\n",
+            "even diagonal", line_no=14,
+        )
+        self._bad(
+            head + "[bivector]\n\n[charts]\nchart A\nvar x even\nvar th odd\n"
+            "table x x = 1\ntable th th = 1\n# comment\n\n",
+            "even diagonal", line_no=15,
+        )
+        self._bad(
+            head + "[bivector]\n\n" + charts + "\n[transitions]\nmap A B\nq -> x\n"
+            "map B A\nx -> x\n",
+            "'q'", line_no=21,
+        )
+        self._bad(
+            head + "[bivector]\n\n" + charts + "\n[transitions]\nmap A B\nq -> x\nx -> x\n\n",
+            "'q'", line_no=21,
+        )
 
 
 class _Runner:
@@ -525,10 +565,25 @@ class TestDriver:
         assert rc == 2
         assert "no such file or built-in model" in err
 
+    def test_odd_dimension_above_the_bound(self, cli):
+        rc, out, err = cli("verify", f"P3|N={MAX_P3N_ODD + 1}")
+        assert rc == 2
+        assert f"at most N={MAX_P3N_ODD} odd dimensions" in err
+        assert out == ""
+
     def test_list_builtins(self, cli):
         rc, out, err = cli("list-builtins")
         assert rc == 0
         assert tuple(out.split()) == list_builtins()
+
+    def test_module_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "supermoyal", "list-builtins"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert tuple(proc.stdout.split()) == list_builtins()
 
     def test_main_exits_with_run_code(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["supermoyal", "list-builtins"])

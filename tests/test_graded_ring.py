@@ -146,6 +146,15 @@ class TestCoefficients:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_public_constructor_takes_exact_coefficients_only(self):
+        t = table()
+        m = Monomial((1, 0, 0, 0), 0, 0)
+        assert type(GradedPoly(t, {m: Fraction(4, 2)}).terms[m]) is int
+        with pytest.raises(TypeError):
+            GradedPoly(t, {m: 0.5})
+        with pytest.raises(TypeError):
+            GradedPoly(t, {m: 1, Monomial((0, 0, 0, 0), 0, 0): 2.0})
+
     def test_constant_value_is_a_fraction(self):
         t = table()
         for p, want in ((t.const(3), 3), (t.var("x"), 0), (t.const(Fraction(1, 2)), Fraction(1, 2))):

@@ -8,6 +8,7 @@ from supermoyal.atlas import check_cocycle, check_weight_law
 from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
+    MAX_P3N_ODD,
     MissingFibration,
     UnknownModel,
     anti_chiral_substitution,
@@ -42,14 +43,17 @@ class TestRegistry:
 
     def test_odd_dimension_argument(self):
         assert builtin("P3|N=2").cy == CYWeights.projective(3, 2)
-        assert builtin("P3|N", n=3).cy == CYWeights.projective(3, 3)
-        with pytest.raises(ValueError):
-            builtin("P3|4", n=2)
+        assert builtin("P3|N=3").cy == CYWeights.projective(3, 3)
 
     def test_nonpositive_odd_dimension_rejected(self):
         for name in ("P3|N=0", "P3|N=-2"):
             with pytest.raises(ValueError):
                 builtin(name)
+
+    def test_odd_dimension_is_bounded(self):
+        assert builtin(f"P3|N={MAX_P3N_ODD}").cy == CYWeights.projective(3, MAX_P3N_ODD)
+        with pytest.raises(ValueError, match=f"at most N={MAX_P3N_ODD}"):
+            builtin(f"P3|N={MAX_P3N_ODD + 1}")
 
 
 @pytest.mark.parametrize("name", list_builtins())
