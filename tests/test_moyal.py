@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidiff_oracle import bidiff_apply
+from dict_oracle import as_dict, oracle_star as dict_oracle_star
 from test_acceptance import _oracle_star
 
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
@@ -486,3 +487,23 @@ class TestLadder:
         eng.star(f.scale(2), g)
         stats = eng.stats
         assert (stats.cache_hits, stats.cache_misses, stats.cache_size) == (2, 1, 1)
+
+
+class TestDictOracle:
+    """The engine against an oracle over plain dicts that shares no ring code."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(central_cases())
+    def test_random_central_bivectors(self, case):
+        pi, f, g = case
+        assert as_dict(StarEngine(pi).star(f, g)) == dict_oracle_star(pi, f, g, 8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(merging_cases())
+    def test_paths_that_meet(self, case):
+        pi, f, g = case
+        assert as_dict(StarEngine(pi).star(f, g)) == dict_oracle_star(pi, f, g, 8)
+
+    def test_t0_ladder(self):
+        pi, f, g = t0_ladder(2)
+        assert as_dict(StarEngine(pi, max_order=6).star(f, g)) == dict_oracle_star(pi, f, g, 6)
