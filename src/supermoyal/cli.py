@@ -416,6 +416,13 @@ def _parse_decl(source, ln, words):
     return (name, parity, invertible, weight)
 
 
+def _table_or_die(source, ln, decls):
+    try:
+        return VarTable.build(*decls)
+    except ValueError as err:
+        raise ModelFormatError(source, ln, str(err)) from None
+
+
 def _parse_expr_or_die(source, ln, text, table):
     try:
         return parse_expression(text, table)
@@ -510,10 +517,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             raise ModelFormatError(source, ln, "expected one constant name per line")
         constants.append(words[0])
         decls.append((words[0], EVEN, False, None))
-    try:
-        table = VarTable.build(*decls)
-    except ValueError as err:
-        raise ModelFormatError(source, sections["variables"][0][0], str(err)) from None
+    table = _table_or_die(source, sections["variables"][0][0], decls)
 
     entries = {}
     for ln, line in sections["bivector"]:
@@ -579,7 +583,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                     if over_model:
                         base_table = table
                     elif base_decls:
-                        base_table = VarTable.build(*base_decls)
+                        base_table = _table_or_die(source, sections["fibration"][0][0], base_decls)
                     else:
                         raise ModelFormatError(source, ln, "fibration rules need a base")
                 m = _RULE_RE.match(line[5:])
@@ -596,7 +600,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         fibration = Fibration(base_table, rules)
 
     charts: list[Chart] = []
-    for _, header, body, end in _blocks(source, sections.get("charts", []), "chart"):
+    for hln, header, body, end in _blocks(source, sections.get("charts", []), "chart"):
         chart_decls: list[tuple] = []
         chart_table = None
         chart_entries: dict[tuple[str, str], GradedPoly] = {}
@@ -608,7 +612,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 continue
             if line.startswith("table "):
                 if chart_table is None:
-                    chart_table = VarTable.build(*chart_decls)
+                    chart_table = _table_or_die(source, hln, chart_decls)
                 m = _CHART_ENTRY_RE.match(line)
                 if m is None:
                     raise ModelFormatError(source, ln, "expected: table A B = expression")
@@ -617,7 +621,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 continue
             raise ModelFormatError(source, ln, "expected chart, var, or table")
         if chart_table is None:
-            chart_table = VarTable.build(*chart_decls)
+            chart_table = _table_or_die(source, hln, chart_decls)
         try:
             charts.append(Chart(header.split(None, 1)[1].strip(), chart_table, chart_entries))
         except ValueError as err:

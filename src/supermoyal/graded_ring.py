@@ -2,17 +2,24 @@
 
 Even variables commute and may be declared invertible (Laurent exponents),
 odd variables anticommute and square to zero, and a central formal parameter
-``hbar`` carries its own exponent slot.  Coefficients are exact rationals:
-an ``int`` where integral and a ``Fraction`` where a denominator appears
-(``Fraction(2) == 2`` and both hash alike, so the two never disagree).
-Canonical form: odd factors are kept in declaration order, with Koszul signs
-absorbed into the coefficient.
+``hbar`` carries its own exponent slot.  Canonical form: odd factors are kept
+in declaration order, with Koszul signs absorbed into the coefficient.
+
+Coefficients are exact rationals with two equivalent layouts per polynomial.
+The int form is a map of monomials to integer numerators over one positive
+denominator that shares no factor with all of them (the layout of FLINT's
+``fmpq_poly``); the star engine reads and writes only this form.  ``terms``
+is the coefficient view: an ``int`` where integral and a ``Fraction`` where a
+denominator appears.  A polynomial holds the form it was built from and
+derives the other once, on first use; with denominator 1 both are one dict.
+Equality and hashing read the int form, so they agree with the view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from numbers import Rational
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
@@ -55,8 +62,8 @@ def _exact(value) -> int | Fraction:
     """An exact coefficient: ints stay ints, integral Fractions become ints."""
     if type(value) is int:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} is not an exact coefficient")
+    if not isinstance(value, Rational):
+        raise TypeError(f"{type(value).__name__} {value!r} is not an exact coefficient")
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
@@ -213,14 +220,19 @@ class VarTable:
 
 
 class GradedPoly:
-    """Immutable sparse polynomial: dict of canonical monomials to coefficients."""
+    """Immutable sparse polynomial over a variable table, in exact coefficients.
 
-    __slots__ = ("table", "terms", "_hash")
+    ``_num``/``_den`` is the int form and ``_terms`` the coefficient view; one
+    of them is None until first asked for (see the module docstring).
+    """
+
+    __slots__ = ("table", "_terms", "_num", "_den", "_hash")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         self.table = table
         exact = ((m, _exact(c)) for m, c in terms.items())
-        self.terms = {m: c for m, c in exact if c != 0}
+        self._terms = {m: c for m, c in exact if c != 0}
+        self._num = None
         self._hash = None
 
     @classmethod
@@ -228,25 +240,77 @@ class GradedPoly:
         """Trusted constructor: ``terms`` holds no zero and is not copied."""
         p = object.__new__(cls)
         p.table = table
-        p.terms = terms
+        p._terms = terms
+        p._num = None
         p._hash = None
         return p
 
+    @classmethod
+    def _of_scaled(cls, table: VarTable, num: dict[Monomial, int], den: int) -> "GradedPoly":
+        """Trusted constructor for ``num / den``: no zero numerator, ``den`` > 0.
+
+        One gcd pass makes the pair canonical; ``num`` is not copied when it
+        already is.
+        """
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+        p = object.__new__(cls)
+        p.table = table
+        p._terms = None
+        p._num = num
+        p._den = den
+        p._hash = None
+        return p
+
+    @property
+    def terms(self) -> dict[Monomial, int | Fraction]:
+        """Monomial -> exact coefficient; callers must not mutate it."""
+        if self._terms is None:
+            den = self._den
+            if den == 1:
+                self._terms = self._num
+            else:
+                self._terms = {m: _exact(Fraction(c, den)) for m, c in self._num.items()}
+        return self._terms
+
+    def _scaled(self) -> tuple[dict[Monomial, int], int]:
+        """The int form (numerators, denominator); callers must not mutate it."""
+        if self._num is None:
+            terms = self._terms
+            denominators = [c.denominator for c in terms.values() if type(c) is not int]
+            den = lcm(*denominators)
+            if not denominators:
+                self._num = terms
+            else:
+                # den is the lcm of the denominators, so no prime divides it
+                # and every numerator: the pair is canonical as built
+                self._num = {
+                    m: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                    for m, c in terms.items()
+                }
+            self._den = den
+        return self._num, self._den
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not self.is_zero()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._num if self._terms is None else self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        if self.table != other.table:
+            return False
+        (a, da), (b, db) = self._scaled(), other._scaled()
+        return da == db and a == b
 
     def __hash__(self) -> int:
         if self._hash is None:
-            key = tuple(sorted(self.terms.items()))
-            self._hash = hash((self.table, key))
+            num, den = self._scaled()
+            self._hash = hash((self.table, den, frozenset(num.items())))
         return self._hash
 
     def __repr__(self) -> str:

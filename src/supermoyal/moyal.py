@@ -17,9 +17,19 @@ prefactor only on the order n).  Each order then costs one product
 centre * F * G per distinct pair, so the work grows with the number of
 derived monomial pairs, not with the number of step sequences.  Steps work
 on monomials directly (one derivative, one product), and every sum is
-accumulated in place in a dict.  Contraction coefficients are integers, so
-with integral entries the centres stay integral and a denominator appears
-only where an order's sum is divided by n! 2^n.
+accumulated in place in a dict.
+
+All of it is integer arithmetic.  The engine scales its entries once by
+their common denominator d_e, so centres and contraction coefficients are
+ints and the order-n sum is d_e^n n! 2^n times the true order-n term.  Each
+monomial pair's product is cached at the one scale
+
+    D = max_order! (2 d_e)^max_order,
+
+order n adding its integer sum times D / (n! (2 d_e)^n), itself an integer.
+``star`` multiplies the operands' integer numerators against those ints and
+returns the result over the denominator df dg D, reduced by one gcd pass
+(see ``graded_ring``: the int form of a polynomial).
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -32,13 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 from random import Random
 
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, _var_key, d_left  # noqa: F401
-from .graded_ring import EVEN, ODD, GradedPoly, Monomial, _exact, _mono_mul, _mul_terms
+from .graded_ring import EVEN, ODD, GradedPoly, Monomial, _mono_mul, _mul_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -86,7 +96,7 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
     __slots__ = (
-        "bivector", "table", "max_order", "_steps", "_unit",
+        "bivector", "table", "max_order", "_steps", "_unit", "_den", "_weights",
         "_cache", "_hits", "_misses", "_peaks",
     )
 
@@ -100,13 +110,20 @@ class StarEngine:
                 raise NonCentralBivector(f"entry ({a}, {b}) is not even")
         self.bivector = bivector
         self.table = t = bivector.table
-        # steps as (derivative key of A, of B, terms of pi^{AB}, |A|, |B|)
+        # steps as (derivative key of A, of B, d_e * pi^{AB} as ints, |A|, |B|)
+        scaled = [entry._scaled() for _, _, entry, _, _ in bivector.steps]
+        d_e = lcm(*(den for _, den in scaled))
         self._steps = tuple(
-            (_var_key(t, a), _var_key(t, b), entry.terms, pa, pb)
-            for a, b, entry, pa, pb in bivector.steps
+            (_var_key(t, a), _var_key(t, b), {m: c * (d_e // den) for m, c in num.items()}, pa, pb)
+            for (a, b, _, pa, pb), (num, den) in zip(bivector.steps, scaled)
         )
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
+        # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
+        self._den = factorial(max_order) * (2 * d_e) ** max_order
+        self._weights = [
+            self._den // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
+        ]
         self._cache: dict[tuple[Monomial, Monomial], dict] = {}
         self._hits = 0
         self._misses = 0
@@ -120,16 +137,18 @@ class StarEngine:
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
+        (fn, df), (gn, dg) = f._scaled(), g._scaled()
         out: dict = {}
         try:
-            for mf, cf in f.terms.items():
-                for mg, cg in g.terms.items():
+            for mf, cf in fn.items():
+                for mg, cg in gn.items():
                     c = cf * cg
                     for m, q in self._star_mono(mf, mg).items():
                         out[m] = out.get(m, 0) + c * q
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
-        return GradedPoly._of(self.table, {m: q for m, q in out.items() if q})
+        out = {m: q for m, q in out.items() if q}
+        return GradedPoly._of_scaled(self.table, out, df * dg * self._den)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -153,16 +172,17 @@ class StarEngine:
         return min(bounds) if bounds else None
 
     def _star_mono(self, mf: Monomial, mg: Monomial) -> dict:
-        """Terms of mf * mg, cached per engine; callers must not mutate them."""
+        """Numerators of mf * mg over the scale D, cached; callers must not mutate them."""
         got = self._cache.get((mf, mg))
         if got is not None:
             self._hits += 1
             return got
         self._misses += 1
         peaks = self._peaks
-        total = _mul_terms({mf: 1}, {mg: 1})
+        weights = self._weights
+        total = _mul_terms({mf: weights[0]}, {mg: 1})
         # live states (centre, F, G): one per derived monomial pair (F, G),
-        # with the centre polynomial as a term map
+        # with the centre (d_e^n times a polynomial in the entries) as int terms
         states = [({self._unit: 1}, mf, mg)]
         order = 0
         while states:
@@ -192,8 +212,10 @@ class StarEngine:
                     acc = merged.setdefault((dF[1], dG[1]), {})
                     for m, q in ce.items():
                         acc[m] = acc.get(m, 0) + c * q
+            if not merged:
+                break
+            weight = weights[order]
             states = []
-            order_sum: dict = {}
             for (nF, nG), centre in merged.items():
                 centre = {m: q for m, q in centre.items() if q}
                 if not centre:
@@ -204,11 +226,8 @@ class StarEngine:
                     continue
                 sign, FG = fg
                 FG = Monomial(FG.even, FG.odd, FG.hbar + order)
-                for m, q in _mul_terms(centre, {FG: sign}).items():
-                    order_sum[m] = order_sum.get(m, 0) + q
-            denominator = factorial(order) * 2**order
-            for m, q in order_sum.items():
-                total[m] = total.get(m, 0) + _exact(Fraction(q, denominator))
+                for m, q in _mul_terms(centre, {FG: sign * weight}).items():
+                    total[m] = total.get(m, 0) + q
         total = self._cache[(mf, mg)] = {m: q for m, q in total.items() if q}
         return total
 
@@ -299,14 +318,16 @@ def check_quantization_contract(engine: StarEngine, associativity: bool = True) 
         ContractEntry("bilinearity", "fail" if fails else "pass", "; ".join(sorted(set(fails))))
     )
 
+    # each basis product once, in the order the checks below first meet them
+    # (basis[0] is 1), so a truncation error names the pair they would name
+    products = [[engine.star(g, h) for h in basis] for g in basis]
     if associativity:
         bad = 0
         first = ""
-        for f in basis:
-            for g in basis:
-                fg = engine.star(f, g)
-                for h in basis:
-                    if engine.star(fg, h) != engine.star(f, engine.star(g, h)):
+        for f, f_row in zip(basis, products):
+            for g, fg, g_row in zip(basis, f_row, products):
+                for h, gh in zip(basis, g_row):
+                    if engine.star(fg, h) != engine.star(f, gh):
                         bad += 1
                         if not first:
                             first = f"first failure on basis triple ({f!r}, {g!r}, {h!r})"
@@ -323,11 +344,12 @@ def check_quantization_contract(engine: StarEngine, associativity: bool = True) 
     bad = 0
     first = ""
     pi = engine.bivector
-    pairs = [(f, g) for f in basis for g in basis]
+    pairs = [(f, g, fg) for f, f_row in zip(basis, products) for g, fg in zip(basis, f_row)]
     for _ in range(10):
-        pairs.append((_sample_poly(rng, engine), _sample_poly(rng, engine)))
-    for f, g in pairs:
-        lhs = engine.star(f, g).hbar_coefficient(1)
+        f, g = _sample_poly(rng, engine), _sample_poly(rng, engine)
+        pairs.append((f, g, engine.star(f, g)))
+    for f, g, fg in pairs:
+        lhs = fg.hbar_coefficient(1)
         rhs = poisson_bracket(pi, f, g).scale(Fraction(1, 2))
         if lhs != rhs:
             bad += 1

@@ -282,6 +282,17 @@ class TestModelFiles:
         path = _ROOT / "models" / f"{_regen_script().slug(name)}.model"
         assert path.read_text() == render_model_text(builtin(name))
 
+    def test_duplicate_chart_variable_names_its_line(self, cli, tmp_path):
+        text = (_ROOT / "models" / "wp_2_2.model").read_text()
+        declared = "chart plus\nvar w1 even weight 1\n"
+        assert declared in text
+        path = tmp_path / "dup.model"
+        path.write_text(text.replace(declared, declared + "var w1 even weight 1\n"))
+        rc, out, err = cli("verify", str(path))
+        assert rc == 2
+        # the chart's header line
+        assert f"{path}:44: duplicate variable 'w1'" in err
+
     def test_power_limit_in_model_file(self, cli, tmp_path):
         text = (
             "[options]\nname = big\n\n[variables]\nx even\ny even\n\n"

@@ -15,6 +15,8 @@ from supermoyal.graded_ring import (
     parity_of,
     substitute,
 )
+from supermoyal.moyal import StarEngine
+from supermoyal.poisson import SuperBivector
 
 
 def table() -> VarTable:
@@ -169,6 +171,73 @@ class TestCoefficients:
                 p * bad
             with pytest.raises(TypeError):
                 bad * p
+
+    def test_strings_and_other_non_numbers_are_not_coefficients(self):
+        t = table()
+        m = Monomial((1, 0, 0, 0), 0, 0)
+        for bad in ("1/2", "3", None, object()):
+            with pytest.raises(TypeError):
+                t.const(bad)
+            with pytest.raises(TypeError):
+                t.var("x").scale(bad)
+            with pytest.raises(TypeError):
+                GradedPoly(t, {m: bad})
+
+
+class TestIntForm:
+    """The int form (numerators over one denominator) and the coefficient view."""
+
+    M = Monomial((1, 0, 0, 0), 0, 0)
+    N = Monomial((0, 2, 0, 0), 0b11, 1)
+
+    @pytest.mark.parametrize("terms, num, den", [
+        ({M: 2}, {M: 2}, 1),
+        ({M: Fraction(2)}, {M: 2}, 1),
+        ({M: 2}, {M: 4}, 2),
+        ({M: Fraction(-1, 2), N: Fraction(3, 4)}, {M: -2, N: 3}, 4),
+        ({M: Fraction(-1, 3), N: -2}, {M: -5, N: -30}, 15),
+        ({}, {}, 1),
+        ({}, {}, 7),
+    ])
+    def test_both_constructors_agree(self, terms, num, den):
+        t = table()
+        from_view = GradedPoly(t, terms)
+        scaled = GradedPoly._of_scaled(t, num, den)
+        assert from_view == scaled and hash(from_view) == hash(scaled)
+        assert scaled.terms == from_view.terms
+        assert from_view._scaled() == scaled._scaled()
+        assert {from_view: "view"}[scaled] == "view"
+        assert len({from_view, scaled}) == 1
+        assert scaled.is_zero() == (not terms)
+
+    def test_int_form_is_canonical(self):
+        t = table()
+        p = GradedPoly._of_scaled(t, {self.M: 4, self.N: -6}, 8)
+        assert p._scaled() == ({self.M: 2, self.N: -3}, 4)
+        assert p.terms == {self.M: Fraction(1, 2), self.N: Fraction(-3, 4)}
+        assert GradedPoly(t, {self.M: Fraction(2, 6)})._scaled() == ({self.M: 1}, 3)
+
+    def test_different_values_differ(self):
+        t = table()
+        a = GradedPoly._of_scaled(t, {self.M: 1}, 2)
+        others = (
+            GradedPoly._of_scaled(t, {self.M: 1}, 3),
+            GradedPoly(t, {self.M: -Fraction(1, 2)}),
+            GradedPoly(t, {self.N: Fraction(1, 2)}),
+            t.zero(),
+        )
+        for b in others:
+            assert a != b
+
+    def test_view_of_a_star_result_is_int_where_integral(self):
+        t = VarTable.build(("x", EVEN), ("y", EVEN))
+        eng = StarEngine(SuperBivector(t, {("x", "y"): t.const(Fraction(1, 2))}))
+        # x^2 * y^2 = x^2 y^2 + hbar x y + hbar^2/8, the entry 1/2 halving each order
+        got = eng.star(t.var("x", 2), t.var("y", 2))
+        assert got == t.var("x", 2) * t.var("y", 2) + t.hbar() * t.var("x") * t.var("y") + (
+            t.hbar(2).scale(Fraction(1, 8)))
+        kinds = {c: type(c) for c in got.terms.values()}
+        assert kinds == {1: int, Fraction(1, 8): Fraction}
 
 
 class TestParity:
