@@ -249,8 +249,8 @@ class GradedPoly:
     def _of_scaled(cls, table: VarTable, num: dict[Monomial, int], den: int) -> "GradedPoly":
         """Trusted constructor for ``num / den``: no zero numerator, ``den`` > 0.
 
-        One gcd pass makes the pair canonical; ``num`` is not copied when it
-        already is.
+        One gcd pass makes the pair canonical; ``num`` is kept as given when
+        it already is canonical.
         """
         g = gcd(den, *num.values())
         if g != 1:

@@ -96,7 +96,7 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
     __slots__ = (
-        "bivector", "table", "max_order", "_steps", "_unit", "_den", "_weights",
+        "bivector", "table", "max_order", "_steps", "_unit", "_scale", "_weights",
         "_cache", "_hits", "_misses", "_peaks",
     )
 
@@ -120,9 +120,9 @@ class StarEngine:
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
-        self._den = factorial(max_order) * (2 * d_e) ** max_order
+        self._scale = factorial(max_order) * (2 * d_e) ** max_order
         self._weights = [
-            self._den // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
+            self._scale // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
         ]
         self._cache: dict[tuple[Monomial, Monomial], dict] = {}
         self._hits = 0
@@ -148,7 +148,7 @@ class StarEngine:
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
         out = {m: q for m, q in out.items() if q}
-        return GradedPoly._of_scaled(self.table, out, df * dg * self._den)
+        return GradedPoly._of_scaled(self.table, out, df * dg * self._scale)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -213,7 +213,7 @@ class StarEngine:
                     for m, q in ce.items():
                         acc[m] = acc.get(m, 0) + c * q
             if not merged:
-                break
+                break  # the series has ended; order may be past max_order here
             weight = weights[order]
             states = []
             for (nF, nG), centre in merged.items():
@@ -318,8 +318,9 @@ def check_quantization_contract(engine: StarEngine, associativity: bool = True) 
         ContractEntry("bilinearity", "fail" if fails else "pass", "; ".join(sorted(set(fails))))
     )
 
-    # each basis product once, in the order the checks below first meet them
-    # (basis[0] is 1), so a truncation error names the pair they would name
+    # each basis product once, for both checks below; basis[0] is 1, so this is
+    # the order in which the sweep first needs them, and a truncation error
+    # names the first basis pair whose series outlives max_order
     products = [[engine.star(g, h) for h in basis] for g in basis]
     if associativity:
         bad = 0
