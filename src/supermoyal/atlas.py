@@ -2,7 +2,9 @@
 
 A chart is a variable table plus its local bracket table.  A transition map
 rewrites source-chart variables as polynomials in destination-chart
-variables; transporting a bracket entry is substitution.  A weight law
+variables; transporting a bracket entry is substitution, through the one
+``SubstitutionPlan`` the map holds, so cocycle chains, weight laws and
+transported tables share its validated rules and cached powers.  A weight law
 asserts that a destination entry equals the transport of the source entry
 scaled by a declared factor, the factor being written in source-chart
 variables so it rides through the same substitution.
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graded_ring import GradedPoly, ParityMismatch, VarTable, substitute
+from .graded_ring import GradedPoly, SubstitutionPlan, VarTable
 from .poisson import SuperBivector
 
 
@@ -50,27 +52,24 @@ class Chart:
 class TransitionMap:
     """Rewrites source-chart variables in destination-chart variables.
 
-    Variables without a rule are carried over by name.
+    Variables without a rule are carried over by name.  The map holds one
+    substitution plan, so its rules are validated once and each power of a
+    rule is built once for all the polynomials it transports.
     """
 
-    __slots__ = ("src", "dst", "rules")
+    __slots__ = ("src", "dst", "plan")
 
     def __init__(self, src: Chart, dst: Chart, rules: Mapping[str, GradedPoly]):
-        for name, value in rules.items():
-            src.table.index(name)
-            if value.table != dst.table:
-                raise ValueError(f"rule for {name!r} is not over the destination table")
-            vp = value.parity()
-            if not value.is_zero() and vp != src.table.parity(name):
-                raise ParityMismatch(f"rule for {name!r} changes parity")
         self.src = src
         self.dst = dst
-        self.rules = dict(rules)
+        self.plan = SubstitutionPlan(src.table, rules, dst.table)
+
+    @property
+    def rules(self) -> dict[str, GradedPoly]:
+        return self.plan.mapping
 
     def apply(self, p: GradedPoly) -> GradedPoly:
-        if p.table != self.src.table:
-            raise ValueError("polynomial is not over the source chart's table")
-        return substitute(p, self.rules, target=self.dst.table)
+        return self.plan.apply(p)
 
     def __repr__(self) -> str:
         return f"TransitionMap({self.src.name!r} -> {self.dst.name!r})"

@@ -230,8 +230,25 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
+def _ranges(p: GradedPoly) -> tuple[list[tuple[int, int]], int]:
+    """(low, high) exponent per even slot and of hbar, and the odd factors used."""
+    ms = list(p.terms)
+    columns = [*zip(*(m.even for m in ms)), [m.hbar for m in ms]]
+    odd = 0
+    for m in ms:
+        odd |= m.odd
+    return [(min(c), max(c)) for c in columns], odd
+
+
 def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
     bound = len(p.terms) * len(q.terms)
+    if bound > MAX_PARSED_TERMS:
+        # colliding terms: the product also lies in the box of exponent ranges
+        (rp, odd_p), (rq, odd_q) = _ranges(p), _ranges(q)
+        box = 2 ** (odd_p | odd_q).bit_count()
+        for (lo_p, hi_p), (lo_q, hi_q) in zip(rp, rq):
+            box *= hi_p + hi_q - lo_p - lo_q + 1
+        bound = min(bound, box)
     if bound > MAX_PARSED_TERMS:
         raise ParseError(
             f"a product of {len(p.terms)} and {len(q.terms)} terms may reach {bound} terms,"
@@ -517,7 +534,11 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             raise ModelFormatError(source, ln, "expected one constant name per line")
         constants.append(words[0])
         decls.append((words[0], EVEN, False, None))
-    table = _table_or_die(source, sections["variables"][0][0], decls)
+    # a table error names the first declaration line; [variables] may be empty
+    decl_lines = sections["variables"] + sections.get("constants", [])
+    if not decl_lines:
+        raise ModelFormatError(source, 0, "the model declares no variables")
+    table = _table_or_die(source, decl_lines[0][0], decls)
 
     entries = {}
     for ln, line in sections["bivector"]:
@@ -648,7 +669,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         try:
             transitions.append(TransitionMap(src, dst, rules))
         except (KeyError, ValueError) as err:
-            raise ModelFormatError(source, end, str(err)) from None
+            raise ModelFormatError(source, end, err.args[0]) from None
 
     weight_laws: list[tuple[str, str, WeightLaw]] = []
     for ln, line in sections.get("weights", []):

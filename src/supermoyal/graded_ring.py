@@ -13,6 +13,9 @@ is the coefficient view: an ``int`` where integral and a ``Fraction`` where a
 denominator appears.  A polynomial holds the form it was built from and
 derives the other once, on first use; with denominator 1 both are one dict.
 Equality and hashing read the int form, so they agree with the view.
+
+Substitution is a ``SubstitutionPlan``: a mapping validated once, whose
+powers and Laurent inverses are built once for every polynomial it rewrites.
 """
 
 from __future__ import annotations
@@ -337,7 +340,7 @@ class GradedPoly:
         for m, c in other.terms.items():
             q = terms.get(m, 0) + c
             if q:
-                terms[m] = q
+                terms[m] = q if type(q) is int else _exact(q)
             else:
                 del terms[m]
         return GradedPoly._of(self.table, terms)
@@ -358,7 +361,11 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.__rmul__(other)
         self._check(other)
-        return GradedPoly._of(self.table, _mul_terms(self.terms, other.terms))
+        terms = _mul_terms(self.terms, other.terms)
+        # Fraction operands can leave integral Fractions; ints stay as they are
+        if any(type(c) is not int for c in terms.values()):
+            terms = {m: _exact(c) for m, c in terms.items()}
+        return GradedPoly._of(self.table, terms)
 
     def __rmul__(self, other):
         # scalars are central; _exact turns a float away with TypeError
@@ -452,6 +459,90 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
     return lead * series
 
 
+class SubstitutionPlan:
+    """One parity-preserving substitution from ``src`` into ``target``.
+
+    The mapping is validated once, when the plan is built: replacements must
+    be parity-homogeneous, match the replaced variable's parity and live over
+    ``target``.  Variables not mentioned must exist in the target table.
+    Negative exponents are pushed through the replacement via the finite
+    geometric series, which requires the replacement to factor as
+    unit * (1 + nilpotent).  Each power of a replacement is built once and
+    kept for every later call; a power that cannot be built is not kept and
+    raises again.
+    """
+
+    __slots__ = ("src", "target", "mapping", "_missing", "_powers")
+
+    def __init__(self, src: VarTable, mapping: Mapping[str, GradedPoly], target: VarTable):
+        for name, repl in mapping.items():
+            if name not in src:
+                raise KeyError(f"unknown variable {name!r}")
+            if repl.table != target:
+                raise ValueError("replacement polynomials disagree on the target table")
+            par = repl.parity()
+            if not repl.is_zero() and par != src.parity(name):
+                raise ParityMismatch(
+                    f"{name!r} is {src.parity(name)} but its replacement is {par}"
+                )
+        self.src = src
+        self.target = target
+        self.mapping = dict(mapping)
+        # source variables no term may carry: neither mapped nor in the target
+        self._missing = tuple(
+            n for n in src.names() if n not in mapping and n not in target
+        )
+        self._powers: dict[tuple[str, int], dict[Monomial, int | Fraction]] = {}
+
+    def var_power(self, name: str, e: int) -> dict[Monomial, int | Fraction]:
+        """Terms of the image of ``name**e``, for a non-zero exponent ``e``."""
+        got = self._powers.get((name, e))
+        if got is None:
+            repl = self.mapping.get(name)
+            if repl is None:
+                repl = self.target.var(name)
+                if e < 0 and not self.target.spec(name).invertible:
+                    raise NonInvertibleSubstitution(
+                        f"{name!r} is not invertible in the target table"
+                    )
+            got = (repl**e if e > 0 else _invert_unit(repl, -e)).terms
+            self._powers[(name, e)] = got
+        return got
+
+    def apply(self, a: GradedPoly) -> GradedPoly:
+        if a.table != self.src:
+            raise ValueError("polynomial is not over the substitution's source table")
+        evens, odds = self.src.even_names(), self.src.odd_names()
+        if self._missing:
+            support: set[str] = set()
+            for m in a.terms:
+                support.update(evens[i] for i, e in enumerate(m.even) if e)
+                support.update(n for i, n in enumerate(odds) if m.odd >> i & 1)
+            for name in self._missing:
+                if name in support:
+                    raise KeyError(
+                        f"variable {name!r} is not mapped and missing from the target table"
+                    )
+        unit = (0,) * self.target.n_even
+        total: dict[Monomial, int | Fraction] = {}
+        for m, c in a.terms.items():
+            part = {Monomial(unit, 0, m.hbar): c}
+            for slot, e in enumerate(m.even):
+                if e:
+                    part = _mul_terms(part, self.var_power(evens[slot], e))
+                    if not part:
+                        break
+            if part and m.odd:
+                for bit, name in enumerate(odds):
+                    if m.odd >> bit & 1:
+                        part = _mul_terms(part, self.var_power(name, 1))
+                        if not part:
+                            break
+            for mm, q in part.items():
+                total[mm] = total.get(mm, 0) + q
+        return GradedPoly(self.target, total)
+
+
 def substitute(
     a: GradedPoly,
     mapping: Mapping[str, GradedPoly],
@@ -459,75 +550,13 @@ def substitute(
 ) -> GradedPoly:
     """Simultaneous parity-preserving substitution, possibly into a new table.
 
-    Replacements must be parity-homogeneous and match the replaced variable's
-    parity.  Variables not mentioned must exist (same name and parity) in the
-    target table.  Negative exponents are pushed through the replacement via
-    the finite geometric series, which requires the replacement to factor as
-    unit * (1 + nilpotent).
+    A one-shot ``SubstitutionPlan``; the target defaults to the replacements'
+    table.  Build the plan once to apply one mapping to many polynomials.
     """
-    src = a.table
     if target is None:
         for repl in mapping.values():
             target = repl.table
             break
         else:
             return a
-    for name, repl in mapping.items():
-        if name not in src:
-            raise KeyError(f"unknown variable {name!r}")
-        if repl.table != target:
-            raise ValueError("replacement polynomials disagree on the target table")
-        par = repl.parity()
-        if not repl.is_zero() and par != src.parity(name):
-            raise ParityMismatch(
-                f"{name!r} is {src.parity(name)} but its replacement is {par}"
-            )
-    evens = src.even_names()
-    odds = src.odd_names()
-    support: set[str] = set()
-    for m in a.terms:
-        support.update(evens[i] for i, e in enumerate(m.even) if e)
-        support.update(n for i, n in enumerate(odds) if m.odd >> i & 1)
-    for name in support:
-        if name not in mapping and name not in target:
-            raise KeyError(
-                f"variable {name!r} is not mapped and missing from the target table"
-            )
-
-    power_cache: dict[tuple[str, int], GradedPoly] = {}
-
-    def var_power(name: str, e: int) -> GradedPoly:
-        got = power_cache.get((name, e))
-        if got is not None:
-            return got
-        repl = mapping.get(name)
-        if repl is None:
-            repl = target.var(name)
-            if e < 0 and not target.spec(name).invertible:
-                raise NonInvertibleSubstitution(
-                    f"{name!r} is not invertible in the target table"
-                )
-        if e >= 0:
-            out = repl**e
-        else:
-            out = _invert_unit(repl, -e)
-        power_cache[(name, e)] = out
-        return out
-
-    total: dict[Monomial, int | Fraction] = {}
-    for m, c in a.terms.items():
-        part = target.hbar(m.hbar) if m.hbar else target.one()
-        for slot, e in enumerate(m.even):
-            if e:
-                part = part * var_power(evens[slot], e)
-                if part.is_zero():
-                    break
-        if not part.is_zero():
-            for bit, name in enumerate(odds):
-                if m.odd >> bit & 1:
-                    part = part * var_power(name, 1)
-                    if part.is_zero():
-                        break
-        for mm, q in part.terms.items():
-            total[mm] = total.get(mm, 0) + c * q
-    return GradedPoly._of(target, {m: c for m, c in total.items() if c})
+    return SubstitutionPlan(a.table, mapping, target).apply(a)

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
 from .atlas import Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law
-from .graded_ring import EVEN, ODD, GradedPoly, VarTable, substitute
+from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
 from .moyal import StarEngine, check_quantization_contract
 from .poisson import SuperBivector, is_poisson
 
@@ -164,8 +164,9 @@ def _two_pole_atlas(pi: SuperBivector):
             mapping["l1"], mapping["l2"] = ct.one(), lam
         else:
             mapping["l1"], mapping["l2"] = lam, ct.one()
+        plan = SubstitutionPlan(pi.table, mapping, ct)
         entries = {
-            (rename.get(a, a), rename.get(b, b)): substitute(e, mapping, target=ct)
+            (rename.get(a, a), rename.get(b, b)): plan.apply(e)
             for (a, b), e in pi.entries.items()
         }
         charts[pole] = Chart(pole, ct, entries)
@@ -398,9 +399,8 @@ def _p3n_model(n: int = 4) -> ModelSpec:
         ct = VarTable.build(*cdecls)
         mapping = {f"z{m}": ct.var(f"z{m}") for m in others}
         mapping[f"z{k}"] = ct.one()
-        chart_entries = {
-            pair: substitute(e, mapping, target=ct) for pair, e in pi.entries.items()
-        }
+        plan = SubstitutionPlan(t, mapping, ct)
+        chart_entries = {pair: plan.apply(e) for pair, e in pi.entries.items()}
         charts.append(Chart(f"U{k}", ct, chart_entries))
     chart_by = {c.name: c for c in charts}
 

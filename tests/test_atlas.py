@@ -1,6 +1,8 @@
 """Chart gluing: transports, weight laws, and cocycle identities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermoyal.atlas import (
     Chart,
@@ -12,7 +14,17 @@ from supermoyal.atlas import (
     check_weight_law,
     transport_table,
 )
-from supermoyal.graded_ring import EVEN, ODD, ParityMismatch, VarTable
+from supermoyal.graded_ring import (
+    EVEN,
+    ODD,
+    GradedPoly,
+    Monomial,
+    NonInvertibleSubstitution,
+    ParityMismatch,
+    VarTable,
+    substitute,
+)
+from supermoyal.models import builtin, generic_chart_pair
 
 
 def _pole_table():
@@ -161,7 +173,7 @@ class TestCocycle:
 class TestValidation:
     def test_parity_changing_rule_is_rejected(self):
         plus, minus, _, _ = two_pole_pair()
-        with pytest.raises(ParityMismatch):
+        with pytest.raises(ParityMismatch, match="'xi1' is odd but its replacement is even"):
             TransitionMap(plus, minus, {"xi1": minus.table.var("l")})
 
     def test_foreign_value_table_is_rejected(self):
@@ -172,7 +184,7 @@ class TestValidation:
 
     def test_unknown_rule_key_is_rejected(self):
         plus, minus, _, _ = two_pole_pair()
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown variable 'nope'"):
             TransitionMap(plus, minus, {"nope": minus.table.var("l")})
 
     def test_apply_requires_source_polynomials(self):
@@ -180,3 +192,88 @@ class TestValidation:
         other = VarTable.build(("q", EVEN))
         with pytest.raises(ValueError):
             t_pm.apply(other.var("q"))
+
+
+# -- one substitution plan per map ---------------------------------------------
+
+def _plan_maps():
+    """Transition maps of the P3|N charts and of generic chart pairs.
+
+    The last one divides by a unit with a nilpotent tail, so its negative
+    powers run the geometric series.
+    """
+    maps = [m for n in (1, 3) for m in builtin(f"P3|N={n}").transitions]
+    for n in (1, 2):
+        maps += generic_chart_pair(n)[1]
+    t_pm = generic_chart_pair(2)[1][0]
+    dt = t_pm.dst.table
+    rules = dict(t_pm.rules)
+    rules["l"] = rules["l"] * (dt.one() + dt.var("C11_21") * dt.var("xi1") * dt.var("xi2"))
+    maps.append(TransitionMap(t_pm.src, t_pm.dst, rules))
+    return maps
+
+
+PLAN_MAPS = _plan_maps()
+
+
+@st.composite
+def _map_and_polys(draw):
+    """A fresh copy of a map and polynomials over its source chart."""
+    tmap = draw(st.sampled_from(PLAN_MAPS))
+    t = tmap.src.table
+    invertible = [t.spec(n).invertible for n in t.even_names()]
+
+    def monomial():
+        even = tuple(
+            draw(st.integers(-3 if inv else 0, 3)) for inv in invertible
+        )
+        odd = draw(st.integers(0, (1 << t.n_odd) - 1))
+        return Monomial(even, odd, draw(st.integers(0, 2)))
+
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {monomial(): draw(coeffs) for _ in range(draw(st.integers(1, 3)))}
+        polys.append(GradedPoly(t, terms))
+    order = draw(st.lists(st.integers(0, len(polys) - 1), min_size=1, max_size=8))
+    return TransitionMap(tmap.src, tmap.dst, tmap.rules), [polys[i] for i in order]
+
+
+def _same(a, b):
+    assert a == b
+    assert {m: type(c) for m, c in a.terms.items()} == {m: type(c) for m, c in b.terms.items()}
+
+
+class TestSubstitutionPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(_map_and_polys())
+    def test_apply_matches_a_fresh_substitution(self, drawn):
+        tmap, polys = drawn
+        for p in polys:
+            _same(tmap.apply(p), substitute(p, tmap.rules, target=tmap.dst.table))
+
+    def test_positive_and_negative_powers_are_kept_apart(self):
+        for tmap in PLAN_MAPS:
+            tmap = TransitionMap(tmap.src, tmap.dst, tmap.rules)
+            t = tmap.src.table
+            for name in t.even_names():
+                powers = (1, 2, -1, -2, 1) if t.spec(name).invertible else (1, 2, 1)
+                for e in powers:
+                    p = t.var(name, e)
+                    _same(tmap.apply(p), substitute(p, tmap.rules, target=tmap.dst.table))
+
+    def test_a_power_that_cannot_be_inverted_raises_every_time(self):
+        t_pm = generic_chart_pair(1)[1][0]
+        tmap = TransitionMap(t_pm.src, t_pm.dst, t_pm.rules)
+        t = tmap.src.table
+        c = t.var("C11_11")
+        assert tmap.apply(c) == tmap.dst.table.var("C11_11")
+        # C11_11 is carried over and not invertible; w1 maps to w1 l^-1
+        for name in ("C11_11", "w1"):
+            even = [0] * t.n_even
+            even[t.even_slot(name)] = -1
+            inverse = GradedPoly(t, {Monomial(tuple(even), 0, 0): 1})
+            for _ in range(2):
+                with pytest.raises(NonInvertibleSubstitution):
+                    tmap.apply(inverse)
+        assert tmap.apply(c) == tmap.dst.table.var("C11_11")

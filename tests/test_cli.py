@@ -149,6 +149,21 @@ class TestParse:
                 parse_expression(text, t)
             assert f"limit of {MAX_PARSED_TERMS} terms" in info.value.msg
 
+    def test_product_bound_is_the_smaller_of_pq_and_the_exponent_box(self):
+        # 193 and 65 terms, but every term is a power of z1 up to 256
+        t = builtin("P3|4").table
+        p = parse_expression("(z1+1)^64 * (z1+2)^64 * (z1+3)^64 * (z1+4)^64", t)
+        assert len(p.terms) == 257
+        assert p == parse_expression("(z1+1)^64 * (z1+2)^64", t) * parse_expression(
+            "(z1+3)^64 * (z1+4)^64", t
+        )
+        # spread terms: C(14, 5) = 2002 terms times 6 is refused at the ninth
+        # step, long before (...)^64 would reach C(69, 5) terms
+        t = builtin("T0-cotangent").table
+        with pytest.raises(ParseError) as info:
+            parse_expression("(x11+x12+x21+x22+l1+l2)^64", t)
+        assert info.value.msg.startswith("a product of 2002 and 6 terms may reach 12012 terms")
+
     def test_missing_value(self):
         with pytest.raises(ParseError):
             parse_expression("w + * l", _table())
@@ -292,6 +307,21 @@ class TestModelFiles:
         assert rc == 2
         # the chart's header line
         assert f"{path}:44: duplicate variable 'w1'" in err
+
+    def test_empty_variables_section_names_a_line(self, cli, tmp_path):
+        text = "[options]\nname = m\n\n[variables]\n\n[constants]\nc\nc\n\n[bivector]\n"
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="dup.model")
+        assert str(info.value) == "dup.model:7: duplicate variable 'c'"
+        path = tmp_path / "dup.model"
+        path.write_text(text)
+        rc, out, err = cli("verify", str(path))
+        assert (rc, out) == (2, "")
+        assert f"{path}:7: duplicate variable 'c'" in err
+        path.write_text("[options]\nname = m\n\n[variables]\n\n[bivector]\n")
+        rc, out, err = cli("verify", str(path))
+        assert (rc, out) == (2, "")
+        assert f"{path}:0: the model declares no variables" in err
 
     def test_power_limit_in_model_file(self, cli, tmp_path):
         text = (

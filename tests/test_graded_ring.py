@@ -157,6 +157,19 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             GradedPoly(t, {m: 1, Monomial((0, 0, 0, 0), 0, 0): 2.0})
 
+    def test_sums_and_products_store_ints_where_integral(self):
+        t = VarTable.build(("x", EVEN))
+        half = Fraction(1, 2)
+        for p in (
+            t.const(half) + t.const(half),
+            t.var("x").scale(half) * t.const(2),
+            t.const(2) * t.var("x").scale(half),
+            t.var("x").scale(half) * t.var("x").scale(Fraction(2, 3)) * t.const(3),
+            t.const(Fraction(3, 2)) - t.const(half),
+        ):
+            assert all(type(c) is int for c in p.terms.values()), p.terms
+        assert list((t.var("x").scale(half) * t.const(3)).terms.values()) == [Fraction(3, 2)]
+
     def test_constant_value_is_a_fraction(self):
         t = table()
         for p, want in ((t.const(3), 3), (t.var("x"), 0), (t.const(Fraction(1, 2)), Fraction(1, 2))):
