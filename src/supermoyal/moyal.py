@@ -15,9 +15,17 @@ into one centre, because what a state produces next depends only on (F, G)
 (entries are even and central, |F| is read off F, and the 1/(n! 2^n)
 prefactor only on the order n).  Each order then costs one product
 centre * F * G per distinct pair, so the work grows with the number of
-derived monomial pairs, not with the number of step sequences.  Steps work
-on monomials directly (one derivative, one product), and every sum is
-accumulated in place in a dict.
+derived monomial pairs, not with the number of step sequences.
+
+The kernel visits only live steps.  Steps are grouped by row A, and a state
+tries a row only when A divides F, and a partner B only when B divides G,
+read off an exponent or an odd bit before any derivative is taken; F is
+differentiated once per live row and G once per live partner.  At order 1
+the centre is the unit, so centre * entry is the entry itself; at order 0
+and for each merged state, the product with the single monomial F * G is
+taken term by term.  ``star`` reads the monomial-pair cache inline and runs
+the kernel only on a miss, so a product of cached pairs costs dict reads
+and integer multiply-adds.
 
 All of it is integer arithmetic.  The engine scales its entries once by
 their common denominator d_e, so centres and contraction coefficients are
@@ -96,7 +104,7 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
     __slots__ = (
-        "bivector", "table", "max_order", "_steps", "_unit", "_scale", "_weights",
+        "bivector", "table", "max_order", "_rows", "_unit", "_scale", "_weights",
         "_cache", "_hits", "_misses", "_peaks",
     )
 
@@ -110,13 +118,15 @@ class StarEngine:
                 raise NonCentralBivector(f"entry ({a}, {b}) is not even")
         self.bivector = bivector
         self.table = t = bivector.table
-        # steps as (derivative key of A, of B, d_e * pi^{AB} as ints, |A|, |B|)
+        # steps grouped by row, in step order, as
+        # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
         scaled = [entry._scaled() for _, _, entry, _, _ in bivector.steps]
         d_e = lcm(*(den for _, den in scaled))
-        self._steps = tuple(
-            (_var_key(t, a), _var_key(t, b), {m: c * (d_e // den) for m, c in num.items()}, pa, pb)
-            for (a, b, _, pa, pb), (num, den) in zip(bivector.steps, scaled)
-        )
+        rows: dict[str, tuple] = {}
+        for (a, b, _, pa, pb), (num, den) in zip(bivector.steps, scaled):
+            e = {m: c * (d_e // den) for m, c in num.items()}
+            rows.setdefault(a, (_var_key(t, a), pa, []))[2].append((_var_key(t, b), e, pb))
+        self._rows = tuple((ka, pa, tuple(bs)) for ka, pa, bs in rows.values())
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
@@ -138,16 +148,29 @@ class StarEngine:
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
         (fn, df), (gn, dg) = f._scaled(), g._scaled()
+        cache = self._cache
         out: dict = {}
+        hits = 0
         try:
             for mf, cf in fn.items():
                 for mg, cg in gn.items():
+                    got = cache.get((mf, mg))
+                    if got is None:
+                        got = self._star_mono(mf, mg)
+                    else:
+                        hits += 1
                     c = cf * cg
-                    for m, q in self._star_mono(mf, mg).items():
+                    if not out:  # the first pair, or only empty products so far
+                        out = dict(got) if c == 1 else {m: c * q for m, q in got.items()}
+                        continue
+                    for m, q in got.items():
                         out[m] = out.get(m, 0) + c * q
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
-        out = {m: q for m, q in out.items() if q}
+        finally:
+            self._hits += hits
+        if 0 in out.values():
+            out = {m: q for m, q in out.items() if q}
         return GradedPoly._of_scaled(self.table, out, df * dg * self._scale)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
@@ -172,15 +195,18 @@ class StarEngine:
         return min(bounds) if bounds else None
 
     def _star_mono(self, mf: Monomial, mg: Monomial) -> dict:
-        """Numerators of mf * mg over the scale D, cached; callers must not mutate them."""
-        got = self._cache.get((mf, mg))
-        if got is not None:
-            self._hits += 1
-            return got
+        """Numerators of mf * mg over the scale D, for a pair not yet in the cache.
+
+        The result is cached; callers must not mutate it.
+        """
         self._misses += 1
+        # looked up per call, so a test may patch these module names
+        mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
         peaks = self._peaks
         weights = self._weights
-        total = _mul_terms({mf: weights[0]}, {mg: 1})
+        max_order = self.max_order
+        fg = mono_mul(mf, mg)
+        total = {} if fg is None else {fg[1]: fg[0] * weights[0]}
         # live states (centre, F, G): one per derived monomial pair (F, G),
         # with the centre (d_e^n times a polynomial in the entries) as int terms
         states = [({self._unit: 1}, mf, mg)]
@@ -193,42 +219,55 @@ class StarEngine:
             merged: dict[tuple[Monomial, Monomial], dict] = {}
             for centre, F, G in states:
                 pf = F.odd.bit_count() & 1
-                last_a = None
-                for ka, kb, e, pa, pb in self._steps:
-                    # steps are sorted by row, so one derivative serves a run
-                    if ka != last_a:
-                        last_a, dF = ka, _mono_d(F, ka)
-                    if dF is None:
+                F_even, F_odd, G_even, G_odd = F.even, F.odd, G.even, G.odd
+                for ka, pa, partners in self._rows:
+                    # support test: A must divide F before any derivative
+                    if not (F_odd >> ~ka & 1 if pa else F_even[ka]):
                         continue
-                    dG = _mono_d(G, kb)
-                    if dG is None:
-                        continue
-                    ce = _mul_terms(centre, e)
-                    if not ce:
-                        continue
-                    if order > self.max_order:
-                        raise TruncationExceeded(self.max_order)
-                    c = _step_sign(pb, pf, pa) * dF[0] * dG[0]
-                    acc = merged.setdefault((dF[1], dG[1]), {})
-                    for m, q in ce.items():
-                        acc[m] = acc.get(m, 0) + c * q
+                    cF, dF = mono_d(F, ka)
+                    for kb, e, pb in partners:
+                        if not (G_odd >> ~kb & 1 if pb else G_even[kb]):
+                            continue
+                        cG, dG = mono_d(G, kb)
+                        if order == 1:
+                            ce = e  # the centre is the unit
+                        else:
+                            ce = _mul_terms(centre, e)
+                            if not ce:
+                                continue
+                        if order > max_order:
+                            raise TruncationExceeded(max_order)
+                        c = step_sign(pb, pf, pa) * cF * cG
+                        acc = merged.get((dF, dG))
+                        if acc is None:
+                            merged[dF, dG] = {m: c * q for m, q in ce.items()}
+                            continue
+                        for m, q in ce.items():
+                            acc[m] = acc.get(m, 0) + c * q
             if not merged:
                 break  # the series has ended; order may be past max_order here
             weight = weights[order]
             states = []
             for (nF, nG), centre in merged.items():
-                centre = {m: q for m, q in centre.items() if q}
-                if not centre:
-                    continue
+                if 0 in centre.values():
+                    centre = {m: q for m, q in centre.items() if q}
+                    if not centre:
+                        continue
                 states.append((centre, nF, nG))
-                fg = _mono_mul(nF, nG)
+                fg = mono_mul(nF, nG)
                 if fg is None:
                     continue
                 sign, FG = fg
                 FG = Monomial(FG.even, FG.odd, FG.hbar + order)
-                for m, q in _mul_terms(centre, {FG: sign * weight}).items():
-                    total[m] = total.get(m, 0) + q
-        total = self._cache[(mf, mg)] = {m: q for m, q in total.items() if q}
+                sign *= weight
+                for m, q in centre.items():
+                    got = mono_mul(m, FG)
+                    if got is not None:
+                        p = got[1]
+                        total[p] = total.get(p, 0) + got[0] * sign * q
+        if 0 in total.values():
+            total = {m: q for m, q in total.items() if q}
+        self._cache[(mf, mg)] = total
         return total
 
     def supercommutator(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:

@@ -67,9 +67,11 @@ class SuperBivector:
         index = table.index
         self.steps = tuple(sorted(steps, key=lambda s: (index(s[0]), index(s[1]))))
         self.parity = parities.pop() if parities else 0
-        rows = {a for (a, _), v in full.items()}
-        # central: no entry depends on a variable that a step differentiates
-        self.is_central = not any(d_left(r, v) for v in full.values() for r in rows)
+        # central: no entry depends on a variable that a step differentiates.
+        # Distinct monomials have distinct derivatives, so a row divides some
+        # entry exactly when its derivative of the entries' support is non-zero
+        support = GradedPoly._of(table, {m: 1 for v in full.values() for m in v.terms})
+        self.is_central = not any(d_left(r, support) for r in {a for a, _ in full})
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))
@@ -126,12 +128,18 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
     out: dict = {}
+    dgs: dict[str, GradedPoly] = {}
     for pf, fp in _parity_parts(f):
+        last_a = None
         for a, b, entry, pa, pb in pi.steps:
-            df = d_left(a, fp)
+            # steps are sorted by row, so one derivative of f serves a run
+            if a != last_a:
+                last_a, df = a, d_left(a, fp)
             if df.is_zero():
                 continue
-            dg = d_left(b, g)
+            dg = dgs.get(b)
+            if dg is None:
+                dg = dgs[b] = d_left(b, g)
             if dg.is_zero():
                 continue
             sign = _bracket_sign(pb, pf, pa)

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supermoyal.graded_calculus import d_left
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.poisson import (
     SuperBivector,
@@ -81,6 +85,64 @@ class TestBivectorConstruction:
         t = p34_table()
         with pytest.raises(VariableMismatch):
             SuperBivector(t, {("z1", "nope"): t.one()})
+
+
+@st.composite
+def entry_tables(draw):
+    """Entries drawn as Laurent monomial sums over a table of 2-5 variables.
+
+    Any variable may be a row, an entry factor or both, so bivectors come
+    out central and non-central; each entry comes with its mirror.
+    """
+    decls = []
+    for i in range(draw(st.integers(2, 5))):
+        parity = draw(st.sampled_from((EVEN, ODD)))
+        decls.append((f"v{i}", parity, parity == EVEN and draw(st.booleans())))
+    t = VarTable.build(*decls)
+    names = t.names()
+
+    def term_of_parity(parity):
+        even = tuple(
+            draw(st.integers(-2, 2) if t.spec(n).invertible else st.integers(0, 2))
+            for n in t.even_names()
+        )
+        odd = draw(st.integers(0, 2**t.n_odd - 1))
+        if odd.bit_count() % 2 != parity:
+            odd ^= 1 if t.n_odd else 0
+        if odd.bit_count() % 2 != parity:
+            return None
+        return Monomial(even, odd, 0)
+
+    shape = draw(st.integers(0, 1))
+    entries = {}
+    for a, b in combinations_with_replacement(names, 2):
+        pa, pb = (int(t.parity(n) == ODD) for n in (a, b))
+        if (a == b and not pa) or not draw(st.booleans()):
+            continue
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            m = term_of_parity((shape + pa + pb) % 2)
+            if m is not None:
+                terms[m] = draw(st.sampled_from((1, -2, Fraction(1, 3))))
+        if terms:
+            entries[(a, b)] = GradedPoly(t, terms)
+    return SuperBivector(t, entries)
+
+
+class TestCentrality:
+    @settings(max_examples=100, deadline=None)
+    @given(entry_tables())
+    def test_support_check_matches_rows_times_entries(self, pi):
+        old = not any(d_left(r, v) for v in pi.entries.values() for r in pi.rows())
+        assert pi.is_central == old
+
+    def test_laurent_and_odd_dependence(self):
+        t = VarTable.build(("x", EVEN), ("y", EVEN), ("l", EVEN, True), ("th", ODD), ("c", ODD))
+        inv = GradedPoly(t, {Monomial((0, 0, -1), 0, 0): 1})
+        assert SuperBivector(t, {("x", "y"): inv}).is_central
+        assert not SuperBivector(t, {("x", "l"): inv}).is_central
+        assert not SuperBivector(t, {("th", "th"): t.var("th") * t.var("c")}).is_central
+        assert SuperBivector(t, {("x", "th"): t.var("c")}).is_central
 
 
 class TestPoissonBracket:
