@@ -35,7 +35,7 @@ from .models import (
     list_builtins,
     verify_model,
 )
-from .moyal import StarEngine, TruncationExceeded
+from .moyal import StarEngine, TruncationExceeded, check_max_order
 from .poisson import SuperBivector
 
 
@@ -517,6 +517,10 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 max_order = int(value)
             except ValueError:
                 raise ModelFormatError(source, ln, f"bad max_order {value!r}") from None
+            try:
+                check_max_order(max_order)
+            except ValueError as err:
+                raise ModelFormatError(source, ln, str(err)) from None
         elif key == "associative":
             if value not in ("true", "false"):
                 raise ModelFormatError(source, ln, "associative must be true or false")

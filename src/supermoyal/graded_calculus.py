@@ -51,12 +51,12 @@ def _mono_d(m: Monomial, key: int, left: bool = True) -> tuple[int, Monomial] | 
 
 def _derive(v, a: GradedPoly, left: bool) -> GradedPoly:
     key = _var_key(a.table, v)
-    terms = {}
-    for m, c in a.terms.items():
+    num = {}
+    for m, c in a._num.items():
         got = _mono_d(m, key, left)
         if got is not None:
-            terms[got[1]] = got[0] * c
-    return GradedPoly._of(a.table, terms)
+            num[got[1]] = got[0] * c
+    return GradedPoly._of_scaled(a.table, num, a._den)
 
 
 def d_left(v, a: GradedPoly) -> GradedPoly:

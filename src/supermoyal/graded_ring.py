@@ -5,14 +5,13 @@ odd variables anticommute and square to zero, and a central formal parameter
 ``hbar`` carries its own exponent slot.  Canonical form: odd factors are kept
 in declaration order, with Koszul signs absorbed into the coefficient.
 
-Coefficients are exact rationals with two equivalent layouts per polynomial.
-The int form is a map of monomials to integer numerators over one positive
-denominator that shares no factor with all of them (the layout of FLINT's
-``fmpq_poly``); the star engine reads and writes only this form.  ``terms``
-is the coefficient view: an ``int`` where integral and a ``Fraction`` where a
-denominator appears.  A polynomial holds the form it was built from and
-derives the other once, on first use; with denominator 1 both are one dict.
-Equality and hashing read the int form, so they agree with the view.
+Coefficients are exact rationals, stored in one layout: a map of monomials
+to non-zero integer numerators over one positive denominator that shares no
+factor with all of them (the layout of FLINT's ``fmpq_poly``).  Every ring
+operation reads and writes this int form; the star engine does too.
+``terms`` is a read-only view derived from it once per polynomial, with an
+``int`` where a coefficient is integral and a ``Fraction`` where a
+denominator appears; with denominator 1 the view is the int form itself.
 
 Substitution is a ``SubstitutionPlan``: a mapping validated once, whose
 powers and Laurent inverses are built once for every polynomial it rewrites.
@@ -56,9 +55,6 @@ class Monomial(NamedTuple):
 
     def parity(self) -> int:
         return self.odd.bit_count() & 1
-
-    def degree(self) -> int:
-        return self.hbar + self.odd.bit_count() + sum(abs(e) for e in self.even)
 
 
 def _exact(value) -> int | Fraction:
@@ -182,13 +178,14 @@ class VarTable:
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly._of(self, {})
+        return GradedPoly._of_scaled(self, {}, 1)
 
     def const(self, value) -> "GradedPoly":
         q = _exact(value)
         if q == 0:
             return self.zero()
-        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 0, 0): q})
+        unit = Monomial((0,) * self.n_even, 0, 0)
+        return GradedPoly._of_scaled(self, {unit: q.numerator}, q.denominator)
 
     def one(self) -> "GradedPoly":
         return self.const(1)
@@ -196,7 +193,7 @@ class VarTable:
     def hbar(self, power: int = 1) -> "GradedPoly":
         if power < 0:
             raise ValueError("hbar powers are non-negative")
-        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 0, power): 1})
+        return GradedPoly._of_scaled(self, {Monomial((0,) * self.n_even, 0, power): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
         spec = self.spec(name)
@@ -209,10 +206,11 @@ class VarTable:
                 return self.one()
             even = [0] * self.n_even
             even[self._even_slot[name]] = power
-            return GradedPoly._of(self, {Monomial(tuple(even), 0, 0): 1})
+            return GradedPoly._of_scaled(self, {Monomial(tuple(even), 0, 0): 1}, 1)
         if power != 1:
             raise ValueError(f"odd variable {name!r} only carries power 1")
-        return GradedPoly._of(self, {Monomial((0,) * self.n_even, 1 << self._odd_bit[name], 0): 1})
+        odd = Monomial((0,) * self.n_even, 1 << self._odd_bit[name], 0)
+        return GradedPoly._of_scaled(self, {odd: 1}, 1)
 
     def monomial_factors(self, m: Monomial) -> tuple[dict[str, int], tuple[str, ...]]:
         """Readable view of a monomial: even exponents by name, odd names in order."""
@@ -225,45 +223,41 @@ class VarTable:
 class GradedPoly:
     """Immutable sparse polynomial over a variable table, in exact coefficients.
 
-    ``_num``/``_den`` is the int form and ``_terms`` the coefficient view; one
-    of them is None until first asked for (see the module docstring).
+    Stores only the int form: ``_num`` maps monomials to non-zero integer
+    numerators over the denominator ``_den`` > 0, canonical (no prime divides
+    ``_den`` and every numerator).  ``terms`` is derived from it on first use.
     """
 
     __slots__ = ("table", "_terms", "_num", "_den", "_hash")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
+        exact = [(m, _exact(c)) for m, c in terms.items()]
+        den = lcm(*(c.denominator for _, c in exact))
+        # den is the lcm of the denominators, so no prime divides it and
+        # every numerator: the pair is canonical as built
         self.table = table
-        exact = ((m, _exact(c)) for m, c in terms.items())
-        self._terms = {m: c for m, c in exact if c != 0}
-        self._num = None
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in exact if c}
+        self._den = den
+        self._terms = None
         self._hash = None
-
-    @classmethod
-    def _of(cls, table: VarTable, terms: dict[Monomial, int | Fraction]) -> "GradedPoly":
-        """Trusted constructor: ``terms`` holds no zero and is not copied."""
-        p = object.__new__(cls)
-        p.table = table
-        p._terms = terms
-        p._num = None
-        p._hash = None
-        return p
 
     @classmethod
     def _of_scaled(cls, table: VarTable, num: dict[Monomial, int], den: int) -> "GradedPoly":
         """Trusted constructor for ``num / den``: no zero numerator, ``den`` > 0.
 
-        One gcd pass makes the pair canonical; ``num`` is kept as given when
-        it already is canonical.
+        One gcd pass makes the pair canonical, skipped when ``den`` is 1;
+        ``num`` is not copied when it already is canonical.
         """
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den //= g
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
         p = object.__new__(cls)
         p.table = table
-        p._terms = None
         p._num = num
         p._den = den
+        p._terms = None
         p._hash = None
         return p
 
@@ -278,46 +272,26 @@ class GradedPoly:
                 self._terms = {m: _exact(Fraction(c, den)) for m, c in self._num.items()}
         return self._terms
 
-    def _scaled(self) -> tuple[dict[Monomial, int], int]:
-        """The int form (numerators, denominator); callers must not mutate it."""
-        if self._num is None:
-            terms = self._terms
-            denominators = [c.denominator for c in terms.values() if type(c) is not int]
-            den = lcm(*denominators)
-            if not denominators:
-                self._num = terms
-            else:
-                # den is the lcm of the denominators, so no prime divides it
-                # and every numerator: the pair is canonical as built
-                self._num = {
-                    m: c * den if type(c) is int else c.numerator * (den // c.denominator)
-                    for m, c in terms.items()
-                }
-            self._den = den
-        return self._num, self._den
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not (self._num if self._terms is None else self._terms)
+        return not self._num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         if self.table != other.table:
             return False
-        (a, da), (b, db) = self._scaled(), other._scaled()
-        return da == db and a == b
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            num, den = self._scaled()
-            self._hash = hash((self.table, den, frozenset(num.items())))
+            self._hash = hash((self.table, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "GradedPoly(0)"
         bits = []
         for m, c in sorted(self.terms.items()):
@@ -336,17 +310,19 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            q = terms.get(m, 0) + c
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        num = dict(self._num) if sa == 1 else {m: c * sa for m, c in self._num.items()}
+        for m, c in other._num.items():
+            q = num.get(m, 0) + c * sb
             if q:
-                terms[m] = q if type(q) is int else _exact(q)
+                num[m] = q
             else:
-                del terms[m]
-        return GradedPoly._of(self.table, terms)
+                del num[m]
+        return GradedPoly._of_scaled(self.table, num, den)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._of(self.table, {m: -c for m, c in self.terms.items()})
+        return GradedPoly._of_scaled(self.table, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -355,17 +331,16 @@ class GradedPoly:
         q = _exact(value)
         if q == 0:
             return self.table.zero()
-        return GradedPoly._of(self.table, {m: _exact(c * q) for m, c in self.terms.items()})
+        n = q.numerator
+        num = {m: c * n for m, c in self._num.items()}
+        return GradedPoly._of_scaled(self.table, num, self._den * q.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
             return self.__rmul__(other)
         self._check(other)
-        terms = _mul_terms(self.terms, other.terms)
-        # Fraction operands can leave integral Fractions; ints stay as they are
-        if any(type(c) is not int for c in terms.values()):
-            terms = {m: _exact(c) for m, c in terms.items()}
-        return GradedPoly._of(self.table, terms)
+        num = _mul_terms(self._num, other._num)
+        return GradedPoly._of_scaled(self.table, num, self._den * other._den)
 
     def __rmul__(self, other):
         # scalars are central; _exact turns a float away with TypeError
@@ -382,32 +357,29 @@ class GradedPoly:
         return out
 
     def parity(self) -> str:
-        seen = {m.parity() for m in self.terms}
+        seen = {m.parity() for m in self._num}
         if len(seen) == 2:
             return "mixed"
         if seen == {1}:
             return ODD
         return EVEN
 
-    def degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
-
     def hbar_coefficient(self, power: int) -> "GradedPoly":
         """Terms at an exact hbar power, with that power stripped off."""
-        terms = {
+        num = {
             Monomial(m.even, m.odd, 0): c
-            for m, c in self.terms.items()
+            for m, c in self._num.items()
             if m.hbar == power
         }
-        return GradedPoly._of(self.table, terms)
+        return GradedPoly._of_scaled(self.table, num, self._den)
 
     def hbar_truncate(self, max_power: int) -> "GradedPoly":
-        terms = {m: c for m, c in self.terms.items() if m.hbar <= max_power}
-        return GradedPoly._of(self.table, terms)
+        num = {m: c for m, c in self._num.items() if m.hbar <= max_power}
+        return GradedPoly._of_scaled(self.table, num, self._den)
 
     def constant_value(self) -> Fraction:
         empty = Monomial((0,) * self.table.n_even, 0, 0)
-        return Fraction(self.terms.get(empty, 0))
+        return Fraction(self._num.get(empty, 0), self._den)
 
 
 def parity_of(a: GradedPoly) -> str:
@@ -432,7 +404,7 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
                 f"negative power would require inverting {evens[slot]!r}"
             )
     inv_m0 = Monomial(tuple(-power * e for e in m0.even), 0, 0)
-    lead = GradedPoly._of(table, {inv_m0: _exact(Fraction(1) / c0**power)})
+    lead = GradedPoly(table, {inv_m0: Fraction(1) / c0**power})
     # nu = (repl - c0*M) / (c0*M); nilpotent because every term is odd-carrying
     nu_terms: dict[Monomial, Fraction] = {}
     for m, c in repl.terms.items():
@@ -444,8 +416,8 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
                 raise NonInvertibleSubstitution(
                     f"negative power would require inverting {evens[slot]!r}"
                 )
-        nu_terms[Monomial(even, m.odd, m.hbar)] = _exact(Fraction(c) / c0)
-    nu = GradedPoly._of(table, nu_terms)
+        nu_terms[Monomial(even, m.odd, m.hbar)] = Fraction(c) / c0
+    nu = GradedPoly(table, nu_terms)
     # (1 + nu)^(-k) = sum_j binom(k+j-1, j) (-nu)^j, finite by nilpotency
     series = table.one()
     nu_j = table.one()

@@ -17,10 +17,11 @@ prefactor only on the order n).  Each order then costs one product
 centre * F * G per distinct pair, so the work grows with the number of
 derived monomial pairs, not with the number of step sequences.
 
-The kernel visits only live steps.  Steps are grouped by row A, and a state
-tries a row only when A divides F, and a partner B only when B divides G,
-read off an exponent or an odd bit before any derivative is taken; F is
-differentiated once per live row and G once per live partner.  At order 1
+The kernel visits only live steps.  The bivector groups its steps by row A
+(``SuperBivector.steps``), and a state tries a row only when A divides F,
+and a partner B only when B divides G, read off an exponent or an odd bit
+before any derivative is taken; F is differentiated once per live row and
+G once per live partner.  At order 1
 the centre is the unit, so centre * entry is the entry itself; at order 0
 and for each merged state, the product with the single monomial F * G is
 taken term by term.  ``star`` reads the monomial-pair cache inline and runs
@@ -60,6 +61,20 @@ from .graded_ring import EVEN, ODD, GradedPoly, Monomial, _mono_mul, _mul_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
+# the largest max_order an engine accepts: an engine precomputes
+# max_order! (2 d_e)^max_order and one weight per order, work that grows about
+# cubically with the order, and every cached coefficient carries that scale
+MAX_ORDER = 256
+
+
+def check_max_order(max_order: int) -> None:
+    """Raise a ValueError naming the bound unless 0 <= max_order <= MAX_ORDER."""
+    if max_order < 0:
+        raise ValueError(f"max_order must be non-negative, got {max_order}")
+    if max_order > MAX_ORDER:
+        raise ValueError(f"max_order must be at most {MAX_ORDER}, got {max_order}")
+
+
 class NonCentralBivector(ValueError):
     """Star products need entries that no differentiated variable can see."""
 
@@ -68,7 +83,8 @@ class TruncationExceeded(RuntimeError):
     """The contraction series is still alive past the configured order.
 
     ``sufficient_order`` is an order at which the same product completes,
-    when ``StarEngine.star`` can bound one from its operands, else None.
+    when ``StarEngine.star`` can bound one by ``MAX_ORDER`` from its
+    operands, else None.
     """
 
     def __init__(self, max_order: int, sufficient_order: int | None = None):
@@ -109,8 +125,7 @@ class StarEngine:
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
-        if max_order < 0:
-            raise ValueError(f"max_order must be non-negative, got {max_order}")
+        check_max_order(max_order)
         if not bivector.is_central:
             raise NonCentralBivector("bivector entries depend on contracted variables")
         for (a, b), entry in bivector.entries.items():
@@ -118,15 +133,15 @@ class StarEngine:
                 raise NonCentralBivector(f"entry ({a}, {b}) is not even")
         self.bivector = bivector
         self.table = t = bivector.table
-        # steps grouped by row, in step order, as
+        # the bivector's steps, keyed and scaled, as
         # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
-        scaled = [entry._scaled() for _, _, entry, _, _ in bivector.steps]
-        d_e = lcm(*(den for _, den in scaled))
-        rows: dict[str, tuple] = {}
-        for (a, b, _, pa, pb), (num, den) in zip(bivector.steps, scaled):
-            e = {m: c * (d_e // den) for m, c in num.items()}
-            rows.setdefault(a, (_var_key(t, a), pa, []))[2].append((_var_key(t, b), e, pb))
-        self._rows = tuple((ka, pa, tuple(bs)) for ka, pa, bs in rows.values())
+        d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
+        self._rows = tuple(
+            (_var_key(t, a), pa, tuple(
+                (_var_key(t, b), e.scale(d_e)._num, pb) for b, e, pb in partners
+            ))
+            for a, pa, partners in bivector.steps
+        )
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
@@ -147,13 +162,12 @@ class StarEngine:
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
-        (fn, df), (gn, dg) = f._scaled(), g._scaled()
         cache = self._cache
         out: dict = {}
         hits = 0
         try:
-            for mf, cf in fn.items():
-                for mg, cg in gn.items():
+            for mf, cf in f._num.items():
+                for mg, cg in g._num.items():
                     got = cache.get((mf, mg))
                     if got is None:
                         got = self._star_mono(mf, mg)
@@ -171,7 +185,7 @@ class StarEngine:
             self._hits += hits
         if 0 in out.values():
             out = {m: q for m, q in out.items() if q}
-        return GradedPoly._of_scaled(self.table, out, df * dg * self._scale)
+        return GradedPoly._of_scaled(self.table, out, f._den * g._den * self._scale)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -179,6 +193,7 @@ class StarEngine:
         Each contraction step removes one row factor from each slot, so no
         series runs longer than either operand's row degree.  A negative
         exponent on a row variable never runs out, so it bounds nothing.
+        A bound above ``MAX_ORDER`` is no order an engine accepts: None.
         """
         t = self.table
         rows = self.bivector.rows()
@@ -186,13 +201,14 @@ class StarEngine:
         odd_mask = sum(1 << t.odd_bit(r) for r in rows if t.parity(r) == ODD)
         bounds = []
         for p in (f, g):
-            if any(m.even[s] < 0 for m in p.terms for s in slots):
+            if any(m.even[s] < 0 for m in p._num for s in slots):
                 continue
             bounds.append(
                 max((sum(m.even[s] for s in slots) + (m.odd & odd_mask).bit_count()
-                     for m in p.terms), default=0)
+                     for m in p._num), default=0)
             )
-        return min(bounds) if bounds else None
+        order = min(bounds, default=None)
+        return order if order is not None and order <= MAX_ORDER else None
 
     def _star_mono(self, mf: Monomial, mg: Monomial) -> dict:
         """Numerators of mf * mg over the scale D, for a pair not yet in the cache.

@@ -63,15 +63,20 @@ class SuperBivector:
             steps.append((a, b, value, pa, pb))
         if len(parities) > 1:
             raise ValueError("entries do not share a single bivector parity")
-        # one contraction step (A, B, pi^{AB}, |A|, |B|) per entry, in table order
+        # one contraction step per entry, in table order, grouped by row A as
+        # (A, |A|, ((B, pi^{AB}, |B|), ...))
         index = table.index
-        self.steps = tuple(sorted(steps, key=lambda s: (index(s[0]), index(s[1]))))
+        steps.sort(key=lambda s: (index(s[0]), index(s[1])))
+        rows: dict[str, tuple] = {}
+        for a, b, value, pa, pb in steps:
+            rows.setdefault(a, (a, pa, []))[2].append((b, value, pb))
+        self.steps = tuple((a, pa, tuple(partners)) for a, pa, partners in rows.values())
         self.parity = parities.pop() if parities else 0
         # central: no entry depends on a variable that a step differentiates.
         # Distinct monomials have distinct derivatives, so a row divides some
         # entry exactly when its derivative of the entries' support is non-zero
-        support = GradedPoly._of(table, {m: 1 for v in full.values() for m in v.terms})
-        self.is_central = not any(d_left(r, support) for r in {a for a, _ in full})
+        support = GradedPoly._of_scaled(table, {m: 1 for v in full.values() for m in v._num}, 1)
+        self.is_central = not any(d_left(a, support) for a in rows)
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))
@@ -80,11 +85,13 @@ class SuperBivector:
     def canonical_pairs(self) -> list[tuple[str, str]]:
         """One (A, B) per mirror pair, index A <= index B, in table order."""
         index = self.table.index
-        return [(a, b) for a, b, *_ in self.steps if index(a) <= index(b)]
+        return [
+            (a, b) for a, _, partners in self.steps for b, _, _ in partners
+            if index(a) <= index(b)
+        ]
 
     def rows(self) -> tuple[str, ...]:
-        seen = {a for (a, _) in self.entries}
-        return tuple(n for n in self.table.names() if n in seen)
+        return tuple(a for a, _, _ in self.steps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperBivector):
@@ -127,36 +134,29 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
     t = pi.table
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
-    out: dict = {}
+    out = t.zero()
     dgs: dict[str, GradedPoly] = {}
     for pf, fp in _parity_parts(f):
-        last_a = None
-        for a, b, entry, pa, pb in pi.steps:
-            # steps are sorted by row, so one derivative of f serves a run
-            if a != last_a:
-                last_a, df = a, d_left(a, fp)
+        for a, pa, partners in pi.steps:
+            df = d_left(a, fp)
             if df.is_zero():
                 continue
-            dg = dgs.get(b)
-            if dg is None:
-                dg = dgs[b] = d_left(b, g)
-            if dg.is_zero():
-                continue
-            sign = _bracket_sign(pb, pf, pa)
-            for m, c in (entry * df * dg).terms.items():
-                out[m] = out.get(m, 0) + sign * c
-    return GradedPoly._of(t, {m: c for m, c in out.items() if c})
+            for b, entry, pb in partners:
+                dg = dgs.get(b)
+                if dg is None:
+                    dg = dgs[b] = d_left(b, g)
+                if dg.is_zero():
+                    continue
+                out = out + (entry * df * dg).scale(_bracket_sign(pb, pf, pa))
+    return out
 
 
 def _parity_parts(f: GradedPoly):
-    evens = {m: c for m, c in f.terms.items() if not m.parity()}
-    odds = {m: c for m, c in f.terms.items() if m.parity()}
-    parts = []
-    if evens:
-        parts.append((0, GradedPoly._of(f.table, evens)))
-    if odds:
-        parts.append((1, GradedPoly._of(f.table, odds)))
-    return parts
+    """(|F|, F) for the even and then the odd part of f, skipping an empty one."""
+    parts: dict[int, dict] = {}
+    for m, c in f._num.items():
+        parts.setdefault(m.parity(), {})[m] = c
+    return [(p, GradedPoly._of_scaled(f.table, num, f._den)) for p, num in sorted(parts.items())]
 
 
 def _swap_sign(pa: int, pb: int) -> int:

@@ -29,6 +29,7 @@ from supermoyal.cli import (
 )
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
+from supermoyal.moyal import MAX_ORDER
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -493,6 +494,19 @@ class TestVerifyCommand:
         assert rc == 2
         assert "max_order must be non-negative" in err
 
+    @pytest.mark.parametrize("value, message", [
+        (-1, "max_order must be non-negative"),
+        (100_000, f"max_order must be at most {MAX_ORDER}"),
+    ])
+    def test_max_order_out_of_range_names_its_line(self, cli, tmp_path, value, message):
+        text = render_model_text(builtin("WP[1,3]"))
+        assert text.splitlines()[2] == "max_order = 8"
+        path = tmp_path / "order.model"
+        path.write_text(text.replace("max_order = 8", f"max_order = {value}"))
+        rc, out, err = cli("verify", str(path))
+        assert (rc, out) == (2, "")
+        assert f"{path}:3: {message}, got {value}" in err
+
     def test_corrupt_file_is_a_usage_error(self, cli, tmp_path):
         path = tmp_path / "broken.model"
         path.write_text("[options]\nname = broken\n")
@@ -541,6 +555,23 @@ class TestProductCommands:
         rc, out, err = cli("star", "T0-cotangent", "--lhs", lhs, "--rhs", "x21")
         assert (rc, out) == (2, "")
         assert f"limit of {MAX_PARSED_TERMS} terms" in err
+
+    def test_order_above_the_limit_is_an_error(self, cli):
+        rc, out, err = cli(
+            "star", "T0-cotangent", "--lhs", "x11", "--rhs", "x12", "--order", "100000"
+        )
+        assert (rc, out) == (2, "")
+        assert f"max_order must be at most {MAX_ORDER}, got 100000" in err
+
+    def test_product_at_the_order_limit(self, cli):
+        lhs, rhs = f"z1^{MAX_ORDER}", f"z2^{MAX_ORDER}"
+        rc, out, err = cli("star", "P3|4", "--lhs", lhs, "--rhs", rhs, "--order", str(MAX_ORDER))
+        assert rc == 0
+        assert out.startswith(f"z1^{MAX_ORDER}*z2^{MAX_ORDER} + ")
+        assert f"hbar^{MAX_ORDER}*l1^{MAX_ORDER}*l2^{MAX_ORDER}" in out
+        rc, out, err = cli("star", "P3|4", "--lhs", "z1^300", "--rhs", "z2^300")
+        assert (rc, out) == (1, "")
+        assert "--order" not in err
 
     def test_negative_order_is_an_error(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "-1")

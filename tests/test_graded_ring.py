@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermoyal.graded_calculus import d_left, d_right
 from supermoyal.graded_ring import (
     EVEN,
     ODD,
@@ -218,7 +220,7 @@ class TestIntForm:
         scaled = GradedPoly._of_scaled(t, num, den)
         assert from_view == scaled and hash(from_view) == hash(scaled)
         assert scaled.terms == from_view.terms
-        assert from_view._scaled() == scaled._scaled()
+        assert (from_view._num, from_view._den) == (scaled._num, scaled._den)
         assert {from_view: "view"}[scaled] == "view"
         assert len({from_view, scaled}) == 1
         assert scaled.is_zero() == (not terms)
@@ -226,9 +228,10 @@ class TestIntForm:
     def test_int_form_is_canonical(self):
         t = table()
         p = GradedPoly._of_scaled(t, {self.M: 4, self.N: -6}, 8)
-        assert p._scaled() == ({self.M: 2, self.N: -3}, 4)
+        assert (p._num, p._den) == ({self.M: 2, self.N: -3}, 4)
         assert p.terms == {self.M: Fraction(1, 2), self.N: Fraction(-3, 4)}
-        assert GradedPoly(t, {self.M: Fraction(2, 6)})._scaled() == ({self.M: 1}, 3)
+        p = GradedPoly(t, {self.M: Fraction(2, 6)})
+        assert (p._num, p._den) == ({self.M: 1}, 3)
 
     def test_different_values_differ(self):
         t = table()
@@ -411,3 +414,112 @@ class TestAlgebraLaws:
         first = {f"th{i}": u.var(f"s{i}") for i in (1, 2, 3, 4)}
         back = {f"s{i}": T.var(f"th{i}") for i in (1, 2, 3, 4)}
         assert substitute(substitute(p, first, u), back, T) == p
+
+
+# -- the int form against plain Fraction dicts --------------------------------
+#
+# The oracle keeps a polynomial as {Monomial: Fraction} with no zero value and
+# shares no arithmetic with the package: signs, derivatives and products are
+# worked out again below.
+
+
+def rational_polys(t):
+    exps = st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2)
+    )  # x, y, l (invertible), a
+    monos = st.builds(
+        lambda e, m, h: Monomial(e, m, h), exps, st.integers(0, 15), st.integers(0, 2)
+    )
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    return st.dictionaries(monos, coeffs, max_size=4).map(
+        lambda d: {m: c for m, c in d.items() if c}
+    )
+
+
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_scale(a, q):
+    return {m: c * q for m, c in a.items() if c * q}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma.odd & mb.odd:
+                continue
+            swaps = sum(1 for i in _bits(ma.odd) for j in _bits(mb.odd) if i > j)
+            even = tuple(x + y for x, y in zip(ma.even, mb.even))
+            m = Monomial(even, ma.odd | mb.odd, ma.hbar + mb.hbar)
+            out[m] = out.get(m, 0) + (-1) ** swaps * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_d(a, t, name, left):
+    out = {}
+    for m, c in a.items():
+        if t.parity(name) == EVEN:
+            slot = t.even_slot(name)
+            e = m.even[slot]
+            if e:
+                even = m.even[:slot] + (e - 1,) + m.even[slot + 1 :]
+                out[Monomial(even, m.odd, m.hbar)] = e * c
+        else:
+            bit = t.odd_bit(name)
+            if m.odd >> bit & 1:
+                passed = [i for i in _bits(m.odd) if (i < bit if left else i > bit)]
+                out[Monomial(m.even, m.odd ^ 1 << bit, m.hbar)] = (-1) ** len(passed) * c
+    return out
+
+
+def assert_int_form(p, want):
+    """p is canonical, its view is ``want``, and == and hash agree with the view."""
+    num, den = p._num, p._den
+    assert den > 0
+    assert gcd(den, *num.values()) == 1
+    assert all(type(c) is int and c != 0 for c in num.values())
+    assert p.terms == want
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+    rebuilt = GradedPoly(p.table, p.terms)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+class TestIntFormOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(rational_polys(T), rational_polys(T), st.fractions(max_denominator=12))
+    def test_ring_operations(self, a, b, q):
+        pa, pb = GradedPoly(T, a), GradedPoly(T, b)
+        assert_int_form(pa, a)
+        assert_int_form(pa + pb, _oracle_add(a, b))
+        assert_int_form(pa - pb, _oracle_add(a, _oracle_scale(b, -1)))
+        assert_int_form(-pa, _oracle_scale(a, -1))
+        assert_int_form(pa.scale(q), _oracle_scale(a, q))
+        assert_int_form(pa * pb, _oracle_mul(a, b))
+        assert_int_form(pa - pa, {})
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys(T), st.sampled_from(T.names()))
+    def test_derivatives(self, a, name):
+        p = GradedPoly(T, a)
+        assert_int_form(d_left(name, p), _oracle_d(a, T, name, True))
+        assert_int_form(d_right(name, p), _oracle_d(a, T, name, False))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys(T), st.integers(0, 2))
+    def test_hbar_parts_and_constant(self, a, k):
+        p = GradedPoly(T, a)
+        at_k = {Monomial(m.even, m.odd, 0): c for m, c in a.items() if m.hbar == k}
+        assert_int_form(p.hbar_coefficient(k), at_k)
+        assert_int_form(p.hbar_truncate(k), {m: c for m, c in a.items() if m.hbar <= k})
+        unit = Monomial((0, 0, 0, 0), 0, 0)
+        got = p.constant_value()
+        assert type(got) is Fraction and got == a.get(unit, 0)

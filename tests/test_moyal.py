@@ -15,6 +15,7 @@ from test_acceptance import _oracle_star
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
 from supermoyal.models import builtin
 from supermoyal.moyal import (
+    MAX_ORDER,
     EngineStats,
     MixedParityInput,
     NonCentralBivector,
@@ -241,6 +242,22 @@ class TestErrors:
         _, pi = moyal_mini()
         with pytest.raises(ValueError):
             StarEngine(pi, max_order=-1)
+
+    def test_max_order_above_the_limit_rejected(self):
+        _, pi = moyal_mini()
+        with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
+            StarEngine(pi, max_order=MAX_ORDER + 1)
+
+    def test_sufficient_order_never_exceeds_the_limit(self):
+        t, pi = p34()
+        eng = StarEngine(pi, max_order=8)
+        with pytest.raises(TruncationExceeded) as info:
+            eng.star(t.var("z1", MAX_ORDER), t.var("z2", MAX_ORDER))
+        assert info.value.sufficient_order == MAX_ORDER
+        with pytest.raises(TruncationExceeded) as info:
+            eng.star(t.var("z1", 300), t.var("z2", 300))
+        assert info.value.sufficient_order is None
+        assert "suffices" not in str(info.value)
 
     def test_noncentral_bivector_rejected(self):
         t = VarTable.build(("z1", EVEN), ("z2", EVEN))
