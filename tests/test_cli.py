@@ -354,6 +354,67 @@ class TestModelFiles:
         assert rc == 2
         assert f"limit of {MAX_PARSED_TERMS} terms" in err
 
+    # each case: text after _HEAD, line of the error, message after "file:line: "
+    _HEAD = "[options]\nname = m\n\n[variables]\nx even\nth odd\n\n"
+    _CHARTS = (
+        "[bivector]\n\n[charts]\nchart A\nvar x even\nvar th odd\ntable th th = 1\n"
+        "chart B\nvar x even\n\n[transitions]\n"
+    )
+
+    @pytest.mark.parametrize("tail, line_no, message", [
+        ("[bivector]\n[options]\n", 9, "duplicate section [options]"),
+        ("[constants]\nc d\n\n[bivector]\n", 9, "expected one constant name per line"),
+        ("[bivector]\n\n[relations]\ncomm x = hbar\n", 11,
+         "expected: comm|anti A B = expression"),
+        ("[bivector]\n\n[relations]\ncomm x q = hbar\n", 11, "unknown variable 'q'"),
+        ("[bivector]\n\n[fibration]\nbase y even\nover model\n", 12,
+         "base lines conflict with over model"),
+        ("[bivector]\n\n[fibration]\nbase y even\nrule z -> y\nbase w even\n", 13,
+         "base lines must come before rules"),
+        ("[bivector]\n\n[fibration]\nrule z -> x\n", 11, "fibration rules need a base"),
+        ("[bivector]\n\n[fibration]\nover model\nrule z x\n", 12,
+         "expected: rule NAME -> expression"),
+        ("[bivector]\n\n[fibration]\nover model\nfiber z\n", 12,
+         "expected over model, base, or rule"),
+        ("[bivector]\n\n[fibration]\nover model\n", 11, "a fibration needs rule lines"),
+        ("[bivector]\n\n[charts]\nchart A\nvar x even\ntable x th = 0\nvar th odd\n", 14,
+         "var lines must come before table lines"),
+        ("[bivector]\n\n[charts]\nchart A\nvar x even\ntable x = 1\n", 13,
+         "expected: table A B = expression"),
+        ("[bivector]\n\n[charts]\nchart A\nvar x even\nfield x\n", 13,
+         "expected chart, var, or table"),
+        (_CHARTS + "map A C\n", 19, "unknown chart 'C'"),
+        (_CHARTS + "map A B\nx = x\n", 20, "expected: NAME -> expression"),
+        ("[bivector]\n\n[weights]\nlaw A B x : 1\n", 11,
+         "expected: law SRC DST A B : expression"),
+        ("[bivector]\n\n[cy]\nprojective 3 4\nprojective 3 4\n", 11,
+         "the [cy] section takes one line"),
+        ("[bivector]\n\n[cy]\nprojective x 4\n", 11, "bad weight system line 'projective x 4'"),
+        ("[bivector]\n\n[cy]\nweighted 1 ; y\n", 11, "bad weight system line 'weighted 1 ; y'"),
+        ("[bivector]\n\n[cy]\nweighted 1 2\n", 11, "expected projective, weighted, or ambitwistor"),
+    ])
+    def test_line_errors_keep_their_text(self, tail, line_no, message):
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(self._HEAD + tail, source="bad.model")
+        assert str(info.value) == f"bad.model:{line_no}: {message}"
+
+    _REST = "\n[variables]\nx even\n\n[bivector]\n"
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("[options]\nname = m\n\n[variables]\nx even weight w\n\n[bivector]\n", 5,
+         "bad weight 'w'"),
+        ("[options]\nname = m\n\n[variables]\nx even heavy\n\n[bivector]\n", 5,
+         "unexpected token 'heavy'"),
+        ("[options]\nname = m\nverbose\n" + _REST, 3, "expected: key = value"),
+        ("[options]\nname = m\nmax_order = x\n" + _REST, 3, "bad max_order 'x'"),
+        ("[options]\nname = m\nassociative = maybe\n" + _REST, 3, "associative must be true or false"),
+        ("[options]\nname = m\ncolour = red\n" + _REST, 3, "unknown option 'colour'"),
+    ])
+    def test_declaration_and_option_errors_keep_their_text(self, text, line_no, message):
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="bad.model")
+        assert str(info.value) == f"bad.model:{line_no}: {message}"
+
     def _bad(self, text, fragment, line_no=None):
         with pytest.raises(ModelFormatError) as info:
             parse_model_text(text, source="bad.model")
@@ -642,6 +703,38 @@ class TestDriver:
         assert rc == 2
         assert f"at most N={MAX_P3N_ODD} odd dimensions" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("frobnicate",), "unknown command 'frobnicate'"),
+        (("verify", "P3|4", "--frob"), "unknown option --frob"),
+        (("verify", "nope"), "no such file or built-in model: nope"),
+        (("verify",), "verify takes one model"),
+        (("verify", "P3|4", "WP[2,2]"), "verify takes one model"),
+        (("star", "--lhs", "z1", "--rhs", "z2"), "expected one model"),
+        (("comm", "P3|4", "--a", "z1"), "missing --b"),
+        (("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order"), "--order needs a value"),
+        (("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "two"),
+         "--order needs an integer, got 'two'"),
+        (("cy",), "cy needs --projective, --weighted, or --ambitwistor"),
+        (("cy", "--projective", "3"), "cy --projective takes DIM and ODD"),
+        (("cy", "--weighted", "1", "1"), "cy --weighted separates even and odd weights with --"),
+        (("cy", "--ambitwistor"), "cy --ambitwistor takes ODD"),
+        (("cy", "--ambitwistor", "1", "2"), "cy --ambitwistor takes ODD"),
+    ])
+    def test_argument_errors_print_the_usage(self, cli, argv, message):
+        rc, out, err = cli(*argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message}\nusage: supermoyal <command>")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("star", "P3|4", "--lhs", "z1/z2", "--rhs", "z2"),
+         "divisor must be a constant or an invertible monomial (column 3)"),
+        (("star", "P3|4", "--lhs", "z1/0", "--rhs", "z2"), "division by zero (column 3)"),
+        (("comm", "P3|4", "--a", "z1+", "--b", "z2"), "expected a value (column 4)"),
+        (("cy", "--projective", "x", "4"), "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_input_errors_print_one_line(self, cli, argv, message):
+        assert cli(*argv) == (2, "", f"error: {message}\n")
 
     def test_list_builtins(self, cli):
         rc, out, err = cli("list-builtins")
