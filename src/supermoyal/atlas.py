@@ -32,15 +32,10 @@ class Chart:
 
     __slots__ = ("name", "table", "bivector")
 
-    def __init__(self, name: str, table: VarTable, brackets):
+    def __init__(self, name: str, table: VarTable, brackets: Mapping):
         self.name = name
         self.table = table
-        if isinstance(brackets, SuperBivector):
-            if brackets.table != table:
-                raise ValueError("bracket table built over a different variable table")
-            self.bivector = brackets
-        else:
-            self.bivector = SuperBivector(table, brackets)
+        self.bivector = SuperBivector(table, brackets)
 
     def entry(self, a: str, b: str) -> GradedPoly:
         return self.bivector.entry(a, b)

@@ -57,10 +57,15 @@ class IllegalDivision(ParseError):
 
 
 class ModelFormatError(ValueError):
-    """A model file line could not be parsed or validated."""
+    """A model file line could not be parsed or validated.
 
-    def __init__(self, source: str, line_no: int, msg: str):
-        super().__init__(f"{source}:{line_no}: {msg}")
+    ``line_no`` is None for an error of the whole file, such as a missing
+    section.
+    """
+
+    def __init__(self, source: str, line_no: int | None, msg: str):
+        where = source if line_no is None else f"{source}:{line_no}"
+        super().__init__(f"{where}: {msg}")
         self.source = source
         self.line_no = line_no
         self.msg = msg
@@ -108,25 +113,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _divide(num: GradedPoly, den: GradedPoly, pos: int) -> GradedPoly:
+    if den.is_zero():
+        raise IllegalDivision("division by zero", pos)
     t = den.table
-    c = den.constant_value()
-    if den == t.const(c):
-        if c == 0:
-            raise IllegalDivision("division by zero", pos)
-        return num.scale(Fraction(1) / c)
     if len(den.terms) == 1:
         ((mono, coeff),) = den.terms.items()
-        if mono.odd == 0 and mono.hbar == 0:
-            inv = t.const(Fraction(1) / coeff)
-            try:
-                for name, e in zip(t.even_names(), mono.even):
-                    if e:
-                        inv = inv * t.var(name, -e)
-            except NonInvertibleSubstitution:
-                raise IllegalDivision(
-                    "divisor must be a constant or an invertible monomial", pos
-                ) from None
-            return num * inv
+        if mono.odd == 0 and mono.hbar == 0 and all(
+            t.spec(name).invertible for name, e in zip(t.even_names(), mono.even) if e
+        ):
+            inv = Monomial(tuple(-e for e in mono.even), 0, 0)
+            return num * GradedPoly(t, {inv: Fraction(1) / coeff})
     raise IllegalDivision("divisor must be a constant or an invertible monomial", pos)
 
 
@@ -449,6 +445,33 @@ def _parse_expr_or_die(source, ln, text, table):
         ) from None
 
 
+def _fields(source, ln, pattern, line, usage):
+    """The groups of ``pattern`` matched against ``line``, or an error naming ``usage``."""
+    m = pattern.match(line)
+    if m is None:
+        raise ModelFormatError(source, ln, f"expected: {usage}")
+    return m.groups()
+
+
+def _known(source, ln, names, known, kind):
+    for name in names:
+        if name not in known:
+            raise ModelFormatError(source, ln, f"unknown {kind} {name!r}")
+
+
+def _cy_weights(kind, words, cut):
+    """The weight system ``kind`` over the numbers ``words``, or None if they
+    do not fit its shape; ``cut`` separates weighted even and odd weights."""
+    if kind == "projective" and len(words) == 2:
+        return CYWeights.projective(int(words[0]), int(words[1]))
+    if kind == "weighted" and cut in words:
+        i = words.index(cut)
+        return CYWeights.weighted([int(w) for w in words[:i]], [int(w) for w in words[i + 1 :]])
+    if kind == "ambitwistor" and len(words) == 1:
+        return CYWeights.ambitwistor(int(words[0]))
+    return None
+
+
 _BIVECTOR_RE = re.compile(r"(\S+)\s+(\S+)\s*:=\s*(.*)$")
 _RELATION_RE = re.compile(r"(comm|anti)\s+(\S+)\s+(\S+)\s*=\s*(.*)$")
 _RULE_RE = re.compile(r"(\S+)\s*->\s*(.*)$")
@@ -501,7 +524,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
 
     for required in ("options", "variables", "bivector"):
         if required not in sections:
-            raise ModelFormatError(source, 0, f"missing section [{required}]")
+            raise ModelFormatError(source, None, f"missing section [{required}]")
 
     name = None
     max_order = 8
@@ -528,7 +551,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         else:
             raise ModelFormatError(source, ln, f"unknown option {key!r}")
     if name is None:
-        raise ModelFormatError(source, 0, "the [options] section must set a name")
+        raise ModelFormatError(source, None, "the [options] section must set a name")
 
     decls = [_parse_decl(source, ln, line.split()) for ln, line in sections["variables"]]
     constants = []
@@ -541,18 +564,13 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     # a table error names the first declaration line; [variables] may be empty
     decl_lines = sections["variables"] + sections.get("constants", [])
     if not decl_lines:
-        raise ModelFormatError(source, 0, "the model declares no variables")
+        raise ModelFormatError(source, None, "the model declares no variables")
     table = _table_or_die(source, decl_lines[0][0], decls)
 
     entries = {}
     for ln, line in sections["bivector"]:
-        m = _BIVECTOR_RE.match(line)
-        if m is None:
-            raise ModelFormatError(source, ln, "expected: A B := expression")
-        a, b, expr = m.groups()
-        for v in (a, b):
-            if v not in table:
-                raise ModelFormatError(source, ln, f"unknown variable {v!r}")
+        a, b, expr = _fields(source, ln, _BIVECTOR_RE, line, "A B := expression")
+        _known(source, ln, (a, b), table, "variable")
         value = _parse_expr_or_die(source, ln, expr, table)
         if any(mono.hbar for mono in value.terms):
             raise ModelFormatError(source, ln, "bivector entries cannot contain hbar")
@@ -566,13 +584,10 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     if "relations" in sections:
         expected_relations = {}
         for ln, line in sections["relations"]:
-            m = _RELATION_RE.match(line)
-            if m is None:
-                raise ModelFormatError(source, ln, "expected: comm|anti A B = expression")
-            kw, a, b, expr = m.groups()
-            for v in (a, b):
-                if v not in table:
-                    raise ModelFormatError(source, ln, f"unknown variable {v!r}")
+            kw, a, b, expr = _fields(
+                source, ln, _RELATION_RE, line, "comm|anti A B = expression"
+            )
+            _known(source, ln, (a, b), table, "variable")
             both_odd = table.parity(a) == ODD and table.parity(b) == ODD
             if (kw == "anti") != both_odd:
                 raise ModelFormatError(
@@ -611,10 +626,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                         base_table = _table_or_die(source, sections["fibration"][0][0], base_decls)
                     else:
                         raise ModelFormatError(source, ln, "fibration rules need a base")
-                m = _RULE_RE.match(line[5:])
-                if m is None:
-                    raise ModelFormatError(source, ln, "expected: rule NAME -> expression")
-                rule_name, expr = m.groups()
+                rule_name, expr = _fields(
+                    source, ln, _RULE_RE, line[5:], "rule NAME -> expression"
+                )
                 rules[rule_name] = _parse_expr_or_die(source, ln, expr, base_table)
                 continue
             raise ModelFormatError(source, ln, "expected over model, base, or rule")
@@ -638,10 +652,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             if line.startswith("table "):
                 if chart_table is None:
                     chart_table = _table_or_die(source, hln, chart_decls)
-                m = _CHART_ENTRY_RE.match(line)
-                if m is None:
-                    raise ModelFormatError(source, ln, "expected: table A B = expression")
-                a, b, expr = m.groups()
+                a, b, expr = _fields(
+                    source, ln, _CHART_ENTRY_RE, line, "table A B = expression"
+                )
                 chart_entries[(a, b)] = _parse_expr_or_die(source, ln, expr, chart_table)
                 continue
             raise ModelFormatError(source, ln, "expected chart, var, or table")
@@ -659,16 +672,11 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         words = header.split()
         if len(words) != 3:
             raise ModelFormatError(source, hln, "expected: map SRC DST")
-        for cname in words[1:]:
-            if cname not in chart_by_name:
-                raise ModelFormatError(source, hln, f"unknown chart {cname!r}")
+        _known(source, hln, words[1:], chart_by_name, "chart")
         src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
         rules = {}
         for ln, line in body:
-            m = _RULE_RE.match(line)
-            if m is None:
-                raise ModelFormatError(source, ln, "expected: NAME -> expression")
-            rule_name, expr = m.groups()
+            rule_name, expr = _fields(source, ln, _RULE_RE, line, "NAME -> expression")
             rules[rule_name] = _parse_expr_or_die(source, ln, expr, dst.table)
         try:
             transitions.append(TransitionMap(src, dst, rules))
@@ -677,13 +685,10 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
 
     weight_laws: list[tuple[str, str, WeightLaw]] = []
     for ln, line in sections.get("weights", []):
-        m = _LAW_RE.match(line)
-        if m is None:
-            raise ModelFormatError(source, ln, "expected: law SRC DST A B : expression")
-        sname, dname, a, b, expr = m.groups()
-        for cname in (sname, dname):
-            if cname not in chart_by_name:
-                raise ModelFormatError(source, ln, f"unknown chart {cname!r}")
+        sname, dname, a, b, expr = _fields(
+            source, ln, _LAW_RE, line, "law SRC DST A B : expression"
+        )
+        _known(source, ln, (sname, dname), chart_by_name, "chart")
         factor = _parse_expr_or_die(source, ln, expr, chart_by_name[sname].table)
         weight_laws.append((sname, dname, WeightLaw((a, b), factor)))
 
@@ -694,25 +699,15 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 source, sections["cy"][0][0], "the [cy] section takes one line"
             )
         ln, line = sections["cy"][0]
-        words = line.split()
-        kind = words[0] if words else ""
-        if kind == "projective" and len(words) == 3:
-            builder = lambda: CYWeights.projective(int(words[1]), int(words[2]))
-        elif kind == "weighted" and ";" in words:
-            cut = words.index(";")
-            builder = lambda: CYWeights.weighted(
-                [int(w) for w in words[1:cut]], [int(w) for w in words[cut + 1 :]]
-            )
-        elif kind == "ambitwistor" and len(words) == 2:
-            builder = lambda: CYWeights.ambitwistor(int(words[1]))
-        else:
+        kind, *words = line.split()
+        try:
+            cy = _cy_weights(kind, words, ";")
+        except ValueError:
+            raise ModelFormatError(source, ln, f"bad weight system line {line!r}") from None
+        if cy is None:
             raise ModelFormatError(
                 source, ln, "expected projective, weighted, or ambitwistor"
             )
-        try:
-            cy = builder()
-        except ValueError:
-            raise ModelFormatError(source, ln, f"bad weight system line {line!r}") from None
 
     return ModelSpec(
         name=name,
@@ -769,8 +764,8 @@ def _load_target(arg: str) -> ModelSpec:
     if path.exists():
         try:
             return load_model(path)
-        except ModelFormatError as err:
-            raise _CliError(str(err)) from None
+        except OSError as err:
+            raise ValueError(f"cannot read {arg}: {err.strerror}") from None
     try:
         return builtin(arg)
     except UnknownModel:
@@ -874,26 +869,19 @@ def _cmd_product(opts, named, positional, commutator: bool) -> int:
     return 0
 
 
+_CY_USAGE = {
+    "projective": "cy --projective takes DIM and ODD",
+    "weighted": "cy --weighted separates even and odd weights with --",
+    "ambitwistor": "cy --ambitwistor takes ODD",
+    None: "cy needs --projective, --weighted, or --ambitwistor",
+}
+
+
 def _cmd_cy(opts, named, positional) -> int:
     mode = named.get("mode")
-    if mode == "projective":
-        if len(positional) != 2:
-            raise _CliError("cy --projective takes DIM and ODD")
-        cy = CYWeights.projective(int(positional[0]), int(positional[1]))
-    elif mode == "weighted":
-        if "--" not in positional:
-            raise _CliError("cy --weighted separates even and odd weights with --")
-        cut = positional.index("--")
-        cy = CYWeights.weighted(
-            [int(w) for w in positional[:cut]],
-            [int(w) for w in positional[cut + 1 :]],
-        )
-    elif mode == "ambitwistor":
-        if len(positional) != 1:
-            raise _CliError("cy --ambitwistor takes ODD")
-        cy = CYWeights.ambitwistor(int(positional[0]))
-    else:
-        raise _CliError("cy needs --projective, --weighted, or --ambitwistor")
+    cy = _cy_weights(mode, positional, "--")
+    if cy is None:
+        raise _CliError(_CY_USAGE[mode])
     index = calabi_yau_index(cy)
     flat = index if isinstance(index, tuple) else (index,)
     if opts["json"]:
@@ -926,9 +914,6 @@ def run(argv: list[str]) -> int:
     except _CliError as err:
         sys.stderr.write(f"error: {err}\n")
         sys.stderr.write(_USAGE)
-        return 2
-    except ParseError as err:
-        sys.stderr.write(f"error: {err}\n")
         return 2
     except ValueError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -7,7 +7,7 @@ partials with the Laurent rule d(l^n) = n*l^(n-1).
 
 from __future__ import annotations
 
-from .graded_ring import EVEN, GradedPoly, Monomial, VarSpec, VarTable
+from .graded_ring import EVEN, GradedPoly, Monomial, VarTable
 
 
 def _left_delete_sign(mask: int, bit: int) -> int:
@@ -21,9 +21,8 @@ def _right_delete_sign(mask: int, bit: int) -> int:
     return -1 if after & 1 else 1
 
 
-def _var_key(table: VarTable, v) -> int:
+def _var_key(table: VarTable, name: str) -> int:
     """Derivative key of a variable: its even slot, or ~bit for an odd one."""
-    name = v.name if isinstance(v, VarSpec) else v
     if table.parity(name) == EVEN:
         return table.even_slot(name)
     return ~table.odd_bit(name)

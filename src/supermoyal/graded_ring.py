@@ -20,7 +20,7 @@ powers and Laurent inverses are built once for every polynomial it rewrites.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from numbers import Rational
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
@@ -131,13 +131,7 @@ class VarTable:
     @classmethod
     def build(cls, *decls: tuple) -> "VarTable":
         """Shorthand: build(("x", EVEN), ("l", EVEN, True), ("th", ODD), ...)."""
-        specs = []
-        for d in decls:
-            name, parity = d[0], d[1]
-            invertible = d[2] if len(d) > 2 else False
-            weight = d[3] if len(d) > 3 else None
-            specs.append(VarSpec(name, parity, invertible, weight))
-        return cls(specs)
+        return cls(VarSpec(*d) for d in decls)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, VarTable) and self.specs == other.specs)
@@ -386,8 +380,8 @@ def parity_of(a: GradedPoly) -> str:
     return a.parity()
 
 
-def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
-    """(c*M*(1 + nu))^(-power) with M a unit Laurent monomial, nu nilpotent."""
+def _invert_unit(repl: GradedPoly) -> GradedPoly:
+    """(c*M*(1 + nu))^(-1) with M a unit Laurent monomial, nu nilpotent."""
     table = repl.table
     principal = [(m, c) for m, c in repl.terms.items() if m.odd == 0]
     if len(principal) != 1:
@@ -403,8 +397,8 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
             raise NonInvertibleSubstitution(
                 f"negative power would require inverting {evens[slot]!r}"
             )
-    inv_m0 = Monomial(tuple(-power * e for e in m0.even), 0, 0)
-    lead = GradedPoly(table, {inv_m0: Fraction(1) / c0**power})
+    inv_m0 = Monomial(tuple(-e for e in m0.even), 0, 0)
+    lead = GradedPoly(table, {inv_m0: Fraction(1) / c0})
     # nu = (repl - c0*M) / (c0*M); nilpotent because every term is odd-carrying
     nu_terms: dict[Monomial, Fraction] = {}
     for m, c in repl.terms.items():
@@ -417,17 +411,11 @@ def _invert_unit(repl: GradedPoly, power: int) -> GradedPoly:
                     f"negative power would require inverting {evens[slot]!r}"
                 )
         nu_terms[Monomial(even, m.odd, m.hbar)] = Fraction(c) / c0
-    nu = GradedPoly(table, nu_terms)
-    # (1 + nu)^(-k) = sum_j binom(k+j-1, j) (-nu)^j, finite by nilpotency
-    series = table.one()
-    nu_j = table.one()
-    j = 0
-    while True:
-        j += 1
-        nu_j = nu_j * nu
-        if nu_j.is_zero():
-            break
-        series = series + nu_j.scale((-1) ** j * comb(power + j - 1, j))
+    minus_nu = -GradedPoly(table, nu_terms)
+    # (1 + nu)^(-1) = sum_j (-nu)^j, finite by nilpotency
+    series = power = table.one()
+    while not (power := power * minus_nu).is_zero():
+        series = series + power
     return lead * series
 
 
@@ -477,7 +465,7 @@ class SubstitutionPlan:
                     raise NonInvertibleSubstitution(
                         f"{name!r} is not invertible in the target table"
                     )
-            got = (repl**e if e > 0 else _invert_unit(repl, -e)).terms
+            got = (repl**e if e > 0 else _invert_unit(repl) ** -e).terms
             self._powers[(name, e)] = got
         return got
 
@@ -518,17 +506,11 @@ class SubstitutionPlan:
 def substitute(
     a: GradedPoly,
     mapping: Mapping[str, GradedPoly],
-    target: VarTable | None = None,
+    target: VarTable,
 ) -> GradedPoly:
     """Simultaneous parity-preserving substitution, possibly into a new table.
 
-    A one-shot ``SubstitutionPlan``; the target defaults to the replacements'
-    table.  Build the plan once to apply one mapping to many polynomials.
+    A one-shot ``SubstitutionPlan``.  Build the plan once to apply one
+    mapping to many polynomials.
     """
-    if target is None:
-        for repl in mapping.values():
-            target = repl.table
-            break
-        else:
-            return a
     return SubstitutionPlan(a.table, mapping, target).apply(a)

@@ -491,9 +491,9 @@ def builtin(name: str) -> ModelSpec:
 def fibration_pullback(model: ModelSpec, base=None) -> dict[tuple[str, str], GradedPoly]:
     """Brackets induced on the fibered coordinates, per hbar.
 
-    ``base`` supplies the bracket on the fibration base, either as a
-    ``SuperBivector`` or as an entry mapping; when the base table is the
-    model's own table it defaults to the model bivector.
+    ``base`` supplies the bracket on the fibration base as an entry mapping;
+    when the base table is the model's own table it defaults to the model
+    bivector.
     """
     fib = model.fibration
     if fib is None:
@@ -502,12 +502,8 @@ def fibration_pullback(model: ModelSpec, base=None) -> dict[tuple[str, str], Gra
         if fib.base_table != model.table:
             raise ValueError("a base bracket is required for a separate base table")
         base_biv = model.bivector
-    elif isinstance(base, SuperBivector):
-        base_biv = base
     else:
         base_biv = SuperBivector(fib.base_table, base)
-    if base_biv.table != fib.base_table:
-        raise ValueError("base bracket is not over the fibration base table")
     engine = StarEngine(base_biv, max_order=model.max_order)
     bt = fib.base_table
     names = tuple(fib.rules)

@@ -322,7 +322,7 @@ class TestModelFiles:
         path.write_text("[options]\nname = m\n\n[variables]\n\n[bivector]\n")
         rc, out, err = cli("verify", str(path))
         assert (rc, out) == (2, "")
-        assert f"{path}:0: the model declares no variables" in err
+        assert err == f"error: {path}: the model declares no variables\n"
 
     def test_power_limit_in_model_file(self, cli, tmp_path):
         text = (
@@ -362,7 +362,6 @@ class TestModelFiles:
     )
 
     @pytest.mark.parametrize("tail, line_no, message", [
-        ("[bivector]\n[options]\n", 9, "duplicate section [options]"),
         ("[constants]\nc d\n\n[bivector]\n", 9, "expected one constant name per line"),
         ("[bivector]\n\n[relations]\ncomm x = hbar\n", 11,
          "expected: comm|anti A B = expression"),
@@ -568,12 +567,37 @@ class TestVerifyCommand:
         assert (rc, out) == (2, "")
         assert f"{path}:3: {message}, got {value}" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[options]\nname = m\n\n[variables]\nx even\n", "missing section [bivector]"),
+        ("[options]\nmax_order = 4\n\n[variables]\nx even\n\n[bivector]\n",
+         "the [options] section must set a name"),
+        ("[options]\nname = m\n\n[variables]\n\n[bivector]\n",
+         "the model declares no variables"),
+    ])
+    def test_whole_file_errors_name_no_line(self, text, message):
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="bad.model")
+        assert str(info.value) == f"bad.model: {message}"
+        assert info.value.line_no is None
+
+    def test_model_file_error_prints_one_line(self, cli, tmp_path):
+        path = tmp_path / "broken.model"
+        path.write_text("[options]\nname = broken\n\n[variables]\nx even\ny\n\n[bivector]\n")
+        assert cli("verify", str(path)) == (2, "", f"error: {path}:6: expected: name even|odd"
+                                            " [invertible] [weight K]\n")
+
+    def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
+        rc, out, err = cli("verify", str(tmp_path))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_corrupt_file_is_a_usage_error(self, cli, tmp_path):
         path = tmp_path / "broken.model"
         path.write_text("[options]\nname = broken\n")
         rc, out, err = cli("verify", str(path))
         assert rc == 2
-        assert "missing section" in err
+        assert err == f"error: {path}: missing section [variables]\n"
 
 
 class TestProductCommands:
