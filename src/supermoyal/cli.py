@@ -10,6 +10,7 @@ under a load/save cycle.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -463,13 +464,22 @@ def _cy_weights(kind, words, cut):
     """The weight system ``kind`` over the numbers ``words``, or None if they
     do not fit its shape; ``cut`` separates weighted even and odd weights."""
     if kind == "projective" and len(words) == 2:
-        return CYWeights.projective(int(words[0]), int(words[1]))
+        return CYWeights.projective(_weight(words[0]), _weight(words[1]))
     if kind == "weighted" and cut in words:
         i = words.index(cut)
-        return CYWeights.weighted([int(w) for w in words[:i]], [int(w) for w in words[i + 1 :]])
+        return CYWeights.weighted(
+            [_weight(w) for w in words[:i]], [_weight(w) for w in words[i + 1 :]]
+        )
     if kind == "ambitwistor" and len(words) == 1:
-        return CYWeights.ambitwistor(int(words[0]))
+        return CYWeights.ambitwistor(_weight(words[0]))
     return None
+
+
+def _weight(word):
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError(f"weight {word!r} is not an integer") from None
 
 
 _BIVECTOR_RE = re.compile(r"(\S+)\s+(\S+)\s*:=\s*(.*)$")
@@ -502,7 +512,7 @@ def _blocks(source, lines, head):
 
 def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     sections: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
+    headers: dict[str, int] = {}
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -515,7 +525,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             if name in sections:
                 raise ModelFormatError(source, ln, f"duplicate section [{name}]")
             sections[name] = []
-            order.append(name)
+            headers[name] = ln
             current = name
             continue
         if current is None:
@@ -525,6 +535,11 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     for required in ("options", "variables", "bivector"):
         if required not in sections:
             raise ModelFormatError(source, None, f"missing section [{required}]")
+
+    def first_line(section):
+        """The section's first line, or its header line when it is empty."""
+        body = sections[section]
+        return body[0][0] if body else headers[section]
 
     name = None
     max_order = 8
@@ -578,7 +593,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     try:
         bivector = SuperBivector(table, entries)
     except ValueError as err:
-        raise ModelFormatError(source, sections["bivector"][0][0], str(err)) from None
+        raise ModelFormatError(source, first_line("bivector"), str(err)) from None
 
     expected_relations = None
     if "relations" in sections:
@@ -623,7 +638,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                     if over_model:
                         base_table = table
                     elif base_decls:
-                        base_table = _table_or_die(source, sections["fibration"][0][0], base_decls)
+                        base_table = _table_or_die(source, first_line("fibration"), base_decls)
                     else:
                         raise ModelFormatError(source, ln, "fibration rules need a base")
                 rule_name, expr = _fields(
@@ -634,7 +649,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             raise ModelFormatError(source, ln, "expected over model, base, or rule")
         if base_table is None:
             raise ModelFormatError(
-                source, sections["fibration"][0][0], "a fibration needs rule lines"
+                source, first_line("fibration"), "a fibration needs rule lines"
             )
         fibration = Fibration(base_table, rules)
 
@@ -696,7 +711,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     if "cy" in sections:
         if len(sections["cy"]) != 1:
             raise ModelFormatError(
-                source, sections["cy"][0][0], "the [cy] section takes one line"
+                source, first_line("cy"), "the [cy] section takes one line"
             )
         ln, line = sections["cy"][0]
         kind, *words = line.split()
@@ -879,7 +894,10 @@ _CY_USAGE = {
 
 def _cmd_cy(opts, named, positional) -> int:
     mode = named.get("mode")
-    cy = _cy_weights(mode, positional, "--")
+    try:
+        cy = _cy_weights(mode, positional, "--")
+    except ValueError as err:
+        raise ValueError(f"cy --{mode}: {err}") from None
     if cy is None:
         raise _CliError(_CY_USAGE[mode])
     index = calabi_yau_index(cy)
@@ -925,7 +943,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head -1` does: stop without a
+        # traceback and with the status a shell reports for a tool ended by
+        # SIGPIPE (128 + 13); stdout now writes to os.devnull, so the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -44,6 +44,41 @@ A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
 Merged centres that cancel to zero are dropped first; that can only turn a
 raise into the complete series, never hide a live term.
+
+Mirrored pairs.  For homogeneous f and g the product obeys the
+opposite-algebra identity
+
+    g * f = (-1)^(|f||g|) (f * g)|_{hbar -> -hbar},
+
+where hbar -> -hbar flips the sign of each term of odd contraction order n
+(a term's hbar power less the operands' own).  Proof: f * g is
+mu exp(hbar P / 2)(f (x) g), with mu the product of the two slots and
+
+    P(F (x) G) = sum_{A,B} (-1)^(|B| (|F| + |A|)) pi^{AB} d_A F (x) d_B G,
+
+the kernel's order n applying P n times.  The graded flip
+tau(F (x) G) = (-1)^(|F||G|) G (x) F satisfies mu tau = mu (the ring is
+supercommutative) and tau tau = 1.  The entries are even and central, so
+they pass through tau and the derivatives; as d_A G and d_B F have parities
+|G| + |A| and |F| + |B|, the signs of tau P tau add up to (-1)^(|A||F|):
+
+    tau P tau (F (x) G) = sum_{A,B} (-1)^(|A||F|) pi^{AB} d_B F (x) d_A G.
+
+Swapping the names A and B and using the graded antisymmetry
+pi^{BA} = -(-1)^(|A||B|) pi^{AB} that ``SuperBivector`` enforces turns the
+right side into -P(F (x) G).  Nothing here asks whether |A| + |B| is even
+or odd, so it holds for even and odd bivectors alike.  Then tau P = -P tau,
+and since g (x) f = (-1)^(|f||g|) tau(f (x) g),
+
+    g * f = (-1)^(|f||g|) mu exp(hbar P / 2) tau (f (x) g)
+          = (-1)^(|f||g|) mu tau exp(-hbar P / 2)(f (x) g)
+          = (-1)^(|f||g|) (f * g)|_{hbar -> -hbar}.
+
+So a cache miss on (mg, mf) whose mirror (mf, mg) is cached flips signs
+instead of contracting again; the mirror's series has the same live states
+order by order, so it raises ``TruncationExceeded`` exactly when the cached
+one would have.  And the supercommutator
+f * g - (-1)^(|f||g|) g * f is twice the odd-order part of f * g.
 """
 
 from __future__ import annotations
@@ -160,6 +195,18 @@ class StarEngine:
         return EngineStats(self._hits, self._misses, len(self._cache), peaks, len(peaks) - 1)
 
     def star(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
+        return self._product(f, g, False)
+
+    def supercommutator(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
+        pf, pg = f.parity(), g.parity()
+        if pf == "mixed" or pg == "mixed":
+            raise MixedParityInput("supercommutator needs homogeneous arguments")
+        # f*g - (-1)^{|f||g|} g*f is twice the odd-order part of f*g, pair by
+        # pair (see the module docstring), so g*f is never computed
+        return self._product(f, g, True)
+
+    def _product(self, f: GradedPoly, g: GradedPoly, odd_only: bool) -> GradedPoly:
+        """f * g, or with ``odd_only`` twice its terms of odd contraction order."""
         if f.table != self.table or g.table != self.table:
             raise ValueError("operands must live over the engine's variable table")
         cache = self._cache
@@ -173,6 +220,9 @@ class StarEngine:
                         got = self._star_mono(mf, mg)
                     else:
                         hits += 1
+                    if odd_only:
+                        h = mf.hbar + mg.hbar
+                        got = {m: 2 * q for m, q in got.items() if (m.hbar - h) & 1}
                     c = cf * cg
                     if not out:  # the first pair, or only empty products so far
                         out = dict(got) if c == 1 else {m: c * q for m, q in got.items()}
@@ -216,6 +266,14 @@ class StarEngine:
         The result is cached; callers must not mutate it.
         """
         self._misses += 1
+        mirror = self._cache.get((mg, mf))
+        if mirror is not None:
+            # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n
+            s = -1 if mf.odd.bit_count() & mg.odd.bit_count() & 1 else 1
+            h = mf.hbar + mg.hbar
+            total = {m: -s * q if (m.hbar - h) & 1 else s * q for m, q in mirror.items()}
+            self._cache[(mf, mg)] = total
+            return total
         # looked up per call, so a test may patch these module names
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
         peaks = self._peaks
@@ -285,14 +343,6 @@ class StarEngine:
             total = {m: q for m, q in total.items() if q}
         self._cache[(mf, mg)] = total
         return total
-
-    def supercommutator(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-        pf, pg = f.parity(), g.parity()
-        if pf == "mixed" or pg == "mixed":
-            raise MixedParityInput("supercommutator needs homogeneous arguments")
-        # f*g - (-1)^{|f||g|} g*f; odd-odd arguments anticommute classically
-        sign = -1 if (pf == ODD and pg == ODD) else 1
-        return self.star(f, g) - self.star(g, f).scale(sign)
 
 
 @dataclass(frozen=True)

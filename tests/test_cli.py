@@ -376,6 +376,7 @@ class TestModelFiles:
         ("[bivector]\n\n[fibration]\nover model\nfiber z\n", 12,
          "expected over model, base, or rule"),
         ("[bivector]\n\n[fibration]\nover model\n", 11, "a fibration needs rule lines"),
+        ("[bivector]\n\n[fibration]\n", 10, "a fibration needs rule lines"),
         ("[bivector]\n\n[charts]\nchart A\nvar x even\ntable x th = 0\nvar th odd\n", 14,
          "var lines must come before table lines"),
         ("[bivector]\n\n[charts]\nchart A\nvar x even\ntable x = 1\n", 13,
@@ -388,6 +389,7 @@ class TestModelFiles:
          "expected: law SRC DST A B : expression"),
         ("[bivector]\n\n[cy]\nprojective 3 4\nprojective 3 4\n", 11,
          "the [cy] section takes one line"),
+        ("[bivector]\n\n[cy]\n", 10, "the [cy] section takes one line"),
         ("[bivector]\n\n[cy]\nprojective x 4\n", 11, "bad weight system line 'projective x 4'"),
         ("[bivector]\n\n[cy]\nweighted 1 ; y\n", 11, "bad weight system line 'weighted 1 ; y'"),
         ("[bivector]\n\n[cy]\nweighted 1 2\n", 11, "expected projective, weighted, or ambitwistor"),
@@ -586,6 +588,13 @@ class TestVerifyCommand:
         assert cli("verify", str(path)) == (2, "", f"error: {path}:6: expected: name even|odd"
                                             " [invertible] [weight K]\n")
 
+    def test_empty_section_names_its_header_line(self, cli, tmp_path):
+        path = tmp_path / "empty.model"
+        path.write_text("[options]\nname = m\n\n[variables]\nx even\n\n[bivector]\n\n[cy]\n")
+        assert cli("verify", str(path)) == (
+            2, "", f"error: {path}:9: the [cy] section takes one line\n"
+        )
+
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))
         assert (rc, out) == (2, "")
@@ -755,7 +764,8 @@ class TestDriver:
          "divisor must be a constant or an invertible monomial (column 3)"),
         (("star", "P3|4", "--lhs", "z1/0", "--rhs", "z2"), "division by zero (column 3)"),
         (("comm", "P3|4", "--a", "z1+", "--b", "z2"), "expected a value (column 4)"),
-        (("cy", "--projective", "x", "4"), "invalid literal for int() with base 10: 'x'"),
+        (("cy", "--projective", "x", "4"), "cy --projective: weight 'x' is not an integer"),
+        (("cy", "--weighted", "1", "--", "y"), "cy --weighted: weight 'y' is not an integer"),
     ])
     def test_input_errors_print_one_line(self, cli, argv, message):
         assert cli(*argv) == (2, "", f"error: {message}\n")
@@ -773,6 +783,23 @@ class TestDriver:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert tuple(proc.stdout.split()) == list_builtins()
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "P3|N=6"),
+        ("star", "P3|4", "--lhs", "z1", "--rhs", "z2"),
+    ])
+    def test_closed_pipe_ends_quietly(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supermoyal", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+        )
+        # with the only read end closed, the first write meets a closed pipe
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # 128 + SIGPIPE, the status a shell reports for a tool the pipe ended
+        assert (proc.wait(timeout=60), err) == (141, "")
 
     def test_main_exits_with_run_code(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["supermoyal", "list-builtins"])

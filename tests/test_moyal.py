@@ -651,3 +651,137 @@ class TestStatsCountPairs:
         assert stats.cache_hits + stats.cache_misses == requested
         # six distinct monomials: z1 appears in two operands
         assert stats.cache_misses == stats.cache_size == 36
+
+
+def _with_hbar(draw, p):
+    """p with each term times a power of hbar of its own, from 0 to 2."""
+    t = p.table
+    out = t.zero()
+    for m, c in p.terms.items():
+        out = out + t.hbar(draw(st.integers(0, 2))) * GradedPoly(t, {m: c})
+    return out
+
+
+def _part(p, bit):
+    """The terms of p of one parity."""
+    return GradedPoly(p.table, {m: c for m, c in p.terms.items() if m.parity() == bit})
+
+
+@st.composite
+def central_hbar_cases(draw):
+    """``central_cases`` with a power of hbar drawn for each operand term."""
+    pi, f, g = draw(central_cases())
+    return pi, _with_hbar(draw, f), _with_hbar(draw, g)
+
+
+@st.composite
+def passive_hbar_cases(draw):
+    """``passive_cases`` with a power of hbar drawn for each operand term."""
+    pi, f, g, max_order = draw(passive_cases())
+    return pi, _with_hbar(draw, f), _with_hbar(draw, g), max_order
+
+
+def _both_orders(pi, f, g, max_order):
+    """star(f, g) and then star(g, f) on one engine, each as a dict or None if it raised."""
+    eng = StarEngine(pi, max_order)
+    out = []
+    for a, b in ((f, g), (g, f)):
+        try:
+            out.append(as_dict(eng.star(a, b)))
+        except TruncationExceeded:
+            out.append(None)
+    return eng, out
+
+
+class TestMirroredPairs:
+    """star(g, f) read off the cached pairs of star(f, g), against the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(central_hbar_cases())
+    def test_random_central_bivectors(self, case):
+        pi, f, g = case
+        _, (fg, gf) = _both_orders(pi, f, g, 8)
+        assert fg == dict_oracle_star(pi, f, g, 8)
+        assert gf == dict_oracle_star(pi, g, f, 8)
+        assert gf == as_dict(StarEngine(pi).star(g, f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(passive_hbar_cases())
+    def test_passive_entries_and_truncation(self, case):
+        pi, f, g, max_order = case
+        _, (fg, gf) = _both_orders(pi, f, g, max_order)
+        # a mirrored series has the live states of the cached one, order by order
+        assert (fg is None) == (gf is None)
+        assert gf == _engine_or_none(pi, g, f, max_order)
+        if gf is not None:
+            # row degree <= 3 on each side, so order 3 completes every series
+            assert gf == dict_oracle_star(pi, g, f, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(central_hbar_cases())
+    def test_stats_count_each_requested_pair(self, case):
+        pi, f, g = case
+        eng, _ = _both_orders(pi, f, g, 8)
+        stats = eng.stats
+        assert stats.cache_hits + stats.cache_misses == 2 * len(f.terms) * len(g.terms)
+        assert stats.cache_misses == stats.cache_size
+
+    @pytest.mark.parametrize("model", [pair_odd, grass2, t1_mini])
+    def test_every_sign_on_small_models(self, model):
+        # odd-odd pairs need (-1)^(|f||g|), odd orders need (-1)^n; t1_mini's
+        # bivector is odd
+        t, pi = model()
+        odd = [t.var(n) for n in t.names() if t.parity(n) == ODD]
+        operands = [t.one(), t.hbar(), *(t.var(n) for n in t.names())]
+        if len(odd) > 1:
+            operands.append(t.hbar() * odd[0] * odd[1])
+        for f in operands:
+            for g in operands:
+                eng = StarEngine(pi)
+                eng.star(f, g)
+                assert eng.star(g, f) == StarEngine(pi).star(g, f)
+                assert as_dict(eng.star(g, f)) == dict_oracle_star(pi, g, f, 8)
+
+    def test_mirror_keeps_the_peak_states(self):
+        pi, f, g = t0_ladder(2)
+        eng = StarEngine(pi)
+        eng.star(f, g)
+        eng.star(g, f)
+        assert eng.stats == EngineStats(0, 2, 2, (1, 8, 26, 44, 26, 8, 1), 6)
+        fresh = StarEngine(pi)
+        assert fresh.star(g, f) == eng.star(g, f)
+        assert fresh.stats.peak_states == eng.stats.peak_states
+
+
+def _oracle_comm(pi, f, g, max_order):
+    """f * g - (-1)^(|f||g|) g * f from the dict oracle, both orders computed."""
+    sign = -1 if f.parity() == ODD and g.parity() == ODD else 1
+    fg = dict_oracle_star(pi, f, g, max_order)
+    gf = dict_oracle_star(pi, g, f, max_order)
+    out = {m: fg.get(m, 0) - sign * gf.get(m, 0) for m in fg.keys() | gf.keys()}
+    return {m: c for m, c in out.items() if c}
+
+
+class TestOnePassCommutator:
+    @settings(max_examples=100, deadline=None)
+    @given(central_hbar_cases(), st.integers(0, 1))
+    def test_matches_both_orders_of_the_oracle(self, case, bit):
+        pi, f, g = case
+        g = _part(g, bit)
+        got = StarEngine(pi).supercommutator(f, g)
+        assert as_dict(got) == _oracle_comm(pi, f, g, 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(passive_hbar_cases(), st.integers(0, 1), st.integers(0, 1))
+    def test_truncates_where_the_product_does(self, case, bit_f, bit_g):
+        pi, f, g, max_order = case
+        f, g = _part(f, bit_f), _part(g, bit_g)
+        try:
+            StarEngine(pi, max_order).star(f, g)
+        except TruncationExceeded as err:
+            with pytest.raises(TruncationExceeded) as info:
+                StarEngine(pi, max_order).supercommutator(f, g)
+            assert str(info.value) == str(err)
+            return
+        got = StarEngine(pi, max_order).supercommutator(f, g)
+        assert as_dict(got) == _oracle_comm(pi, f, g, 3)
