@@ -587,6 +587,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         a, b, expr = _fields(source, ln, _BIVECTOR_RE, line, "A B := expression")
         _known(source, ln, (a, b), table, "variable")
         value = _parse_expr_or_die(source, ln, expr, table)
+        # StarEngine rejects such an entry too; here it is named at its line
         if any(mono.hbar for mono in value.terms):
             raise ModelFormatError(source, ln, "bivector entries cannot contain hbar")
         entries[(a, b)] = value

@@ -50,9 +50,11 @@ opposite-algebra identity
 
     g * f = (-1)^(|f||g|) (f * g)|_{hbar -> -hbar},
 
-where hbar -> -hbar flips the sign of each term of odd contraction order n
-(a term's hbar power less the operands' own).  Proof: f * g is
-mu exp(hbar P / 2)(f (x) g), with mu the product of the two slots and
+where hbar -> -hbar flips the sign of each term of odd contraction order n.
+``StarEngine`` rejects an entry that contains hbar, so each contraction step
+adds exactly one power of hbar, and n is a term's hbar power less the
+operands' own.  Proof: f * g is mu exp(hbar P / 2)(f (x) g), with mu the
+product of the two slots and
 
     P(F (x) G) = sum_{A,B} (-1)^(|B| (|F| + |A|)) pi^{AB} d_A F (x) d_B G,
 
@@ -111,7 +113,8 @@ def check_max_order(max_order: int) -> None:
 
 
 class NonCentralBivector(ValueError):
-    """Star products need entries that no differentiated variable can see."""
+    """Star products need even, hbar-free entries that no differentiated
+    variable can see."""
 
 
 class TruncationExceeded(RuntimeError):
@@ -166,6 +169,9 @@ class StarEngine:
         for (a, b), entry in bivector.entries.items():
             if entry.parity() != EVEN:
                 raise NonCentralBivector(f"entry ({a}, {b}) is not even")
+            if any(m.hbar for m in entry._num):
+                # a term's contraction order is read off its hbar power
+                raise NonCentralBivector(f"entry ({a}, {b}) contains hbar")
         self.bivector = bivector
         self.table = t = bivector.table
         # the bivector's steps, keyed and scaled, as

@@ -588,13 +588,6 @@ class TestVerifyCommand:
         assert cli("verify", str(path)) == (2, "", f"error: {path}:6: expected: name even|odd"
                                             " [invertible] [weight K]\n")
 
-    def test_empty_section_names_its_header_line(self, cli, tmp_path):
-        path = tmp_path / "empty.model"
-        path.write_text("[options]\nname = m\n\n[variables]\nx even\n\n[bivector]\n\n[cy]\n")
-        assert cli("verify", str(path)) == (
-            2, "", f"error: {path}:9: the [cy] section takes one line\n"
-        )
-
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))
         assert (rc, out) == (2, "")

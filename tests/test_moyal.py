@@ -271,6 +271,14 @@ class TestErrors:
         with pytest.raises(NonCentralBivector):
             StarEngine(pi)
 
+    def test_hbar_entry_rejected(self):
+        # the mirror path reads a term's contraction order off its hbar power
+        t = VarTable.build(("x", EVEN), ("y", EVEN))
+        for entry in (t.hbar(), t.one() + t.hbar(2)):
+            pi = SuperBivector(t, {("x", "y"): entry})
+            with pytest.raises(NonCentralBivector, match=r"entry \(x, y\) contains hbar"):
+                StarEngine(pi)
+
     def test_mixed_parity_commutator_rejected(self):
         t, pi = t1_mini()
         eng = StarEngine(pi)
