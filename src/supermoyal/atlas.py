@@ -83,15 +83,20 @@ class WeightLaw:
     factor: GradedPoly
 
 
+def check_pair_resolves(tmap: TransitionMap, pair: tuple[str, str]) -> None:
+    """Raise UnresolvedPair unless both charts of the map carry both variables."""
+    a, b = pair
+    for chart in (tmap.src, tmap.dst):
+        if a not in chart.table or b not in chart.table:
+            raise UnresolvedPair(f"pair ({a}, {b}) is not resolvable in chart {chart.name}")
+
+
 def check_weight_law(
     tmap: TransitionMap, law: WeightLaw
 ) -> tuple[bool, GradedPoly, GradedPoly]:
     """Return (ok, destination entry, transported and scaled source entry)."""
+    check_pair_resolves(tmap, law.pair)
     a, b = law.pair
-    for chart in (tmap.src, tmap.dst):
-        names = chart.table.names()
-        if a not in names or b not in names:
-            raise UnresolvedPair(f"pair ({a}, {b}) is not resolvable in chart {chart.name}")
     expected = tmap.dst.entry(a, b)
     transported = tmap.apply(law.factor * tmap.src.entry(a, b))
     return expected == transported, expected, transported

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .atlas import Chart, TransitionMap, WeightLaw
+from .atlas import Chart, TransitionMap, UnresolvedPair, WeightLaw, check_pair_resolves
 from .graded_ring import (
     EVEN,
     ODD,
@@ -117,13 +117,13 @@ def _divide(num: GradedPoly, den: GradedPoly, pos: int) -> GradedPoly:
     if den.is_zero():
         raise IllegalDivision("division by zero", pos)
     t = den.table
-    if len(den.terms) == 1:
-        ((mono, coeff),) = den.terms.items()
+    if len(den._num) == 1:
+        ((mono, c),) = den._num.items()
         if mono.odd == 0 and mono.hbar == 0 and all(
             t.spec(name).invertible for name, e in zip(t.even_names(), mono.even) if e
         ):
             inv = Monomial(tuple(-e for e in mono.even), 0, 0)
-            return num * GradedPoly(t, {inv: Fraction(1) / coeff})
+            return num * GradedPoly(t, {inv: Fraction(den._den, c)})
     raise IllegalDivision("divisor must be a constant or an invertible monomial", pos)
 
 
@@ -229,7 +229,7 @@ class _Parser:
 
 def _ranges(p: GradedPoly) -> tuple[list[tuple[int, int]], int]:
     """(low, high) exponent per even slot and of hbar, and the odd factors used."""
-    ms = list(p.terms)
+    ms = list(p._num)
     columns = [*zip(*(m.even for m in ms)), [m.hbar for m in ms]]
     odd = 0
     for m in ms:
@@ -238,7 +238,7 @@ def _ranges(p: GradedPoly) -> tuple[list[tuple[int, int]], int]:
 
 
 def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
-    bound = len(p.terms) * len(q.terms)
+    bound = len(p._num) * len(q._num)
     if bound > MAX_PARSED_TERMS:
         # colliding terms: the product also lies in the box of exponent ranges
         (rp, odd_p), (rq, odd_q) = _ranges(p), _ranges(q)
@@ -248,7 +248,7 @@ def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
         bound = min(bound, box)
     if bound > MAX_PARSED_TERMS:
         raise ParseError(
-            f"a product of {len(p.terms)} and {len(q.terms)} terms may reach {bound} terms,"
+            f"a product of {len(p._num)} and {len(q._num)} terms may reach {bound} terms,"
             f" over the limit of {MAX_PARSED_TERMS} terms",
             pos,
         )
@@ -588,7 +588,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         _known(source, ln, (a, b), table, "variable")
         value = _parse_expr_or_die(source, ln, expr, table)
         # StarEngine rejects such an entry too; here it is named at its line
-        if any(mono.hbar for mono in value.terms):
+        if any(mono.hbar for mono in value._num):
             raise ModelFormatError(source, ln, "bivector entries cannot contain hbar")
         entries[(a, b)] = value
     try:
@@ -699,13 +699,21 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         except (KeyError, ValueError) as err:
             raise ModelFormatError(source, end, err.args[0]) from None
 
+    tmap_by = {(m.src.name, m.dst.name): m for m in transitions}
     weight_laws: list[tuple[str, str, WeightLaw]] = []
     for ln, line in sections.get("weights", []):
         sname, dname, a, b, expr = _fields(
             source, ln, _LAW_RE, line, "law SRC DST A B : expression"
         )
         _known(source, ln, (sname, dname), chart_by_name, "chart")
-        factor = _parse_expr_or_die(source, ln, expr, chart_by_name[sname].table)
+        tmap = tmap_by.get((sname, dname))
+        if tmap is None:
+            raise ModelFormatError(source, ln, f"no transition from {sname} to {dname}")
+        try:
+            check_pair_resolves(tmap, (a, b))
+        except UnresolvedPair as err:
+            raise ModelFormatError(source, ln, err.args[0]) from None
+        factor = _parse_expr_or_die(source, ln, expr, tmap.src.table)
         weight_laws.append((sname, dname, WeightLaw((a, b), factor)))
 
     cy = None

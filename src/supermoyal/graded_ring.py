@@ -383,7 +383,7 @@ def parity_of(a: GradedPoly) -> str:
 def _invert_unit(repl: GradedPoly) -> GradedPoly:
     """(c*M*(1 + nu))^(-1) with M a unit Laurent monomial, nu nilpotent."""
     table = repl.table
-    principal = [(m, c) for m, c in repl.terms.items() if m.odd == 0]
+    principal = [(m, c) for m, c in repl._num.items() if m.odd == 0]
     if len(principal) != 1:
         raise NonInvertibleSubstitution(
             "replacement has no single invertible leading monomial"
@@ -397,21 +397,11 @@ def _invert_unit(repl: GradedPoly) -> GradedPoly:
             raise NonInvertibleSubstitution(
                 f"negative power would require inverting {evens[slot]!r}"
             )
+    # repl is c0/den * M0 (1 + nu), so lead * repl = 1 + nu; nu is nilpotent
+    # because each of its terms carries an odd factor
     inv_m0 = Monomial(tuple(-e for e in m0.even), 0, 0)
-    lead = GradedPoly(table, {inv_m0: Fraction(1) / c0})
-    # nu = (repl - c0*M) / (c0*M); nilpotent because every term is odd-carrying
-    nu_terms: dict[Monomial, Fraction] = {}
-    for m, c in repl.terms.items():
-        if m is m0 or m == m0:
-            continue
-        even = tuple(x - y for x, y in zip(m.even, m0.even))
-        for slot, e in enumerate(even):
-            if e < 0 and not table.spec(evens[slot]).invertible:
-                raise NonInvertibleSubstitution(
-                    f"negative power would require inverting {evens[slot]!r}"
-                )
-        nu_terms[Monomial(even, m.odd, m.hbar)] = Fraction(c) / c0
-    minus_nu = -GradedPoly(table, nu_terms)
+    lead = GradedPoly(table, {inv_m0: Fraction(repl._den, c0)})
+    minus_nu = table.one() - lead * repl
     # (1 + nu)^(-1) = sum_j (-nu)^j, finite by nilpotency
     series = power = table.one()
     while not (power := power * minus_nu).is_zero():

@@ -30,15 +30,18 @@ and integer multiply-adds.
 
 All of it is integer arithmetic.  The engine scales its entries once by
 their common denominator d_e, so centres and contraction coefficients are
-ints and the order-n sum is d_e^n n! 2^n times the true order-n term.  Each
-monomial pair's product is cached at the one scale
+ints and the order-n sum is d_e^n n! 2^n times the true order-n term.  The
+kernel sums a monomial pair's orders at the one scale
 
     D = max_order! (2 d_e)^max_order,
 
-order n adding its integer sum times D / (n! (2 d_e)^n), itself an integer.
-``star`` multiplies the operands' integer numerators against those ints and
-returns the result over the denominator df dg D, reduced by one gcd pass
-(see ``graded_ring``: the int form of a polynomial).
+order n adding its integer sum times D / (n! (2 d_e)^n), itself an integer,
+and reduces the total over D by one gcd pass (see ``graded_ring``: the int
+form of a polynomial).  The cache holds that reduced polynomial, so D never
+leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
+the cached polynomial itself, which is safe because a ``GradedPoly`` is
+immutable; a single pair with other coefficients scales it; several pairs
+are summed over the lcm of their denominators and reduced once.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -77,10 +80,11 @@ and since g (x) f = (-1)^(|f||g|) tau(f (x) g),
           = (-1)^(|f||g|) (f * g)|_{hbar -> -hbar}.
 
 So a cache miss on (mg, mf) whose mirror (mf, mg) is cached flips signs
-instead of contracting again; the mirror's series has the same live states
-order by order, so it raises ``TruncationExceeded`` exactly when the cached
-one would have.  And the supercommutator
-f * g - (-1)^(|f||g|) g * f is twice the odd-order part of f * g.
+on the mirror's numerators, which keeps it reduced, instead of contracting
+again; the mirror's series has the same live states order by order, so it
+raises ``TruncationExceeded`` exactly when the cached one would have.  And
+the supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
+of f * g.
 """
 
 from __future__ import annotations
@@ -190,7 +194,7 @@ class StarEngine:
         self._weights = [
             self._scale // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
         ]
-        self._cache: dict[tuple[Monomial, Monomial], dict] = {}
+        self._cache: dict[tuple[Monomial, Monomial], GradedPoly] = {}
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
@@ -213,10 +217,11 @@ class StarEngine:
 
     def _product(self, f: GradedPoly, g: GradedPoly, odd_only: bool) -> GradedPoly:
         """f * g, or with ``odd_only`` twice its terms of odd contraction order."""
-        if f.table != self.table or g.table != self.table:
+        t = self.table
+        if not (f.table is t or f.table == t) or not (g.table is t or g.table == t):
             raise ValueError("operands must live over the engine's variable table")
         cache = self._cache
-        out: dict = {}
+        pairs = []
         hits = 0
         try:
             for mf, cf in f._num.items():
@@ -226,22 +231,31 @@ class StarEngine:
                         got = self._star_mono(mf, mg)
                     else:
                         hits += 1
-                    if odd_only:
-                        h = mf.hbar + mg.hbar
-                        got = {m: 2 * q for m, q in got.items() if (m.hbar - h) & 1}
-                    c = cf * cg
-                    if not out:  # the first pair, or only empty products so far
-                        out = dict(got) if c == 1 else {m: c * q for m, q in got.items()}
-                        continue
-                    for m, q in got.items():
-                        out[m] = out.get(m, 0) + c * q
+                    pairs.append((cf * cg, got, mf.hbar + mg.hbar))
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
         finally:
             self._hits += hits
+        den = f._den * g._den
+        if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and not odd_only:
+            return pairs[0][1]  # a GradedPoly is immutable: the cached product itself
+        # every pair over the lcm of their denominators, then one reduction
+        scale = lcm(*(pair._den for _, pair, _ in pairs))
+        out: dict = {}
+        for c, pair, h in pairs:
+            c *= scale // pair._den
+            terms = pair._num
+            if odd_only:
+                c *= 2
+                terms = {m: q for m, q in terms.items() if (m.hbar - h) & 1}
+            if not out:  # the first pair, or only empty products so far
+                out = {m: c * q for m, q in terms.items()}
+                continue
+            for m, q in terms.items():
+                out[m] = out.get(m, 0) + c * q
         if 0 in out.values():
             out = {m: q for m, q in out.items() if q}
-        return GradedPoly._of_scaled(self.table, out, f._den * g._den * self._scale)
+        return GradedPoly._of_scaled(t, out, scale * den)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -266,20 +280,18 @@ class StarEngine:
         order = min(bounds, default=None)
         return order if order is not None and order <= MAX_ORDER else None
 
-    def _star_mono(self, mf: Monomial, mg: Monomial) -> dict:
-        """Numerators of mf * mg over the scale D, for a pair not yet in the cache.
-
-        The result is cached; callers must not mutate it.
-        """
+    def _star_mono(self, mf: Monomial, mg: Monomial) -> GradedPoly:
+        """mf * mg, reduced, for a pair not yet in the cache; the result is cached."""
         self._misses += 1
         mirror = self._cache.get((mg, mf))
         if mirror is not None:
             # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n
             s = -1 if mf.odd.bit_count() & mg.odd.bit_count() & 1 else 1
             h = mf.hbar + mg.hbar
-            total = {m: -s * q if (m.hbar - h) & 1 else s * q for m, q in mirror.items()}
-            self._cache[(mf, mg)] = total
-            return total
+            total = {m: -s * q if (m.hbar - h) & 1 else s * q for m, q in mirror._num.items()}
+            # flipping signs keeps the pair canonical, so nothing is copied
+            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, mirror._den)
+            return got
         # looked up per call, so a test may patch these module names
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
         peaks = self._peaks
@@ -347,8 +359,8 @@ class StarEngine:
                         total[p] = total.get(p, 0) + got[0] * sign * q
         if 0 in total.values():
             total = {m: q for m, q in total.items() if q}
-        self._cache[(mf, mg)] = total
-        return total
+        got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, self._scale)
+        return got
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,10 @@ class TestModelFiles:
         (_CHARTS + "map A B\nx = x\n", 20, "expected: NAME -> expression"),
         ("[bivector]\n\n[weights]\nlaw A B x : 1\n", 11,
          "expected: law SRC DST A B : expression"),
+        (_CHARTS + "map A B\n\n[weights]\nlaw A B th th : 1\n", 22,
+         "pair (th, th) is not resolvable in chart B"),
+        (_CHARTS + "map A B\n\n[weights]\nlaw B A x x : 1\n", 22,
+         "no transition from B to A"),
         ("[bivector]\n\n[cy]\nprojective 3 4\nprojective 3 4\n", 11,
          "the [cy] section takes one line"),
         ("[bivector]\n\n[cy]\n", 10, "the [cy] section takes one line"),
@@ -587,6 +591,27 @@ class TestVerifyCommand:
         path.write_text("[options]\nname = broken\n\n[variables]\nx even\ny\n\n[bivector]\n")
         assert cli("verify", str(path)) == (2, "", f"error: {path}:6: expected: name even|odd"
                                             " [invertible] [weight K]\n")
+
+    # P3|4 with one law on a pair its charts lack, and without the map
+    # minus -> plus that its minus -> plus laws need
+    _BAD_LAWS = [
+        (("law plus minus w1 w2 : l^-2", "law plus minus w1 x : l^-2"), 100,
+         "pair (w1, x) is not resolvable in chart plus"),
+        (("map minus plus\nw1 -> w1*l^-1\nw2 -> w2*l^-1\nl -> l^-1\nxi1 -> l^-1*xi1\n"
+          "xi2 -> l^-1*xi2\nxi3 -> l^-1*xi3\nxi4 -> l^-1*xi4\n", ""), 97,
+         "no transition from minus to plus"),
+    ]
+
+    @pytest.mark.parametrize("edit, line_no, message", _BAD_LAWS)
+    def test_bad_weight_law_is_named_at_its_line(self, cli, tmp_path, edit, line_no, message):
+        text = (_ROOT / "models" / "p3_4.model").read_text()
+        assert edit[0] in text
+        path = tmp_path / "p3_4.model"
+        path.write_text(text.replace(*edit))
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(path.read_text(), source=str(path))
+        assert (info.value.line_no, info.value.msg) == (line_no, message)
+        assert cli("verify", str(path)) == (2, "", f"error: {path}:{line_no}: {message}\n")
 
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))

@@ -793,3 +793,111 @@ class TestOnePassCommutator:
             return
         got = StarEngine(pi, max_order).supercommutator(f, g)
         assert as_dict(got) == _oracle_comm(pi, f, g, 3)
+
+
+_TERM_COEFFS = (1, 1, 3, -2, Fraction(1, 2), Fraction(-3, 4))
+
+
+@st.composite
+def single_term_cases(draw):
+    """A bivector from ``central_cases`` and two single-term operands.
+
+    Each operand is a coefficient (unit, integer or fractional) times a power
+    of hbar and up to three variables, odd ones included; a repeated odd
+    variable makes it zero.
+    """
+    pi, _, _ = draw(central_cases())
+    t = pi.table
+    names = list(t.names())
+
+    def term():
+        out = t.const(draw(st.sampled_from(_TERM_COEFFS))) * t.hbar(draw(st.integers(0, 2)))
+        for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+            out = out * t.var(name)
+        return out
+
+    return pi, term(), term()
+
+
+class TestReducedPairCache:
+    """Products read off cached pair polynomials, against the dict oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(single_term_cases())
+    def test_single_terms(self, case):
+        # a miss, a hit, a mirror miss after that hit, and a hit on the mirror
+        pi, f, g = case
+        eng = StarEngine(pi)
+        for a, b in ((f, g), (f, g), (g, f), (g, f)):
+            assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 8)
+        assert as_dict(eng.supercommutator(f, g)) == _oracle_comm(pi, f, g, 8)
+        assert as_dict(eng.supercommutator(g, f)) == _oracle_comm(pi, g, f, 8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(single_term_cases(), st.integers(0, 1))
+    def test_unit_terms_after_hits(self, case, bit):
+        # the operands with coefficient 1, so a hit returns the cached pair
+        pi, f, g = case
+        assume(f and g)
+        f, g = (GradedPoly(p.table, dict.fromkeys(p._num, 1)) for p in (f, g))
+        eng = StarEngine(pi)
+        first = eng.star(f, g)
+        assert eng.star(f, g) is first
+        assert as_dict(eng.star(g, f)) == dict_oracle_star(pi, g, f, 8)
+        assert as_dict(first) == dict_oracle_star(pi, f, g, 8)
+        h = _part(f + g, bit)
+        assert as_dict(eng.supercommutator(h, g)) == _oracle_comm(pi, h, g, 8)
+
+    def test_pairs_with_different_denominators(self):
+        # the pairs of x^3, x, u and 1 with y^3, y and v reduce over 4, 2, 3
+        # and 1, so no one pair's denominator is a multiple of all the others
+        t = VarTable.build(("x", EVEN), ("y", EVEN), ("u", EVEN), ("v", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.one(), ("u", "v"): t.const(Fraction(2, 3))})
+        x, y, u, v = (t.var(n) for n in "xyuv")
+        f = (x**3).scale(Fraction(2, 3)) + x.scale(-5) + u + t.one()
+        g = (y**3).scale(Fraction(1, 2)) + t.hbar() * y + v.scale(7)
+        eng = StarEngine(pi)
+        dens = {eng.star(GradedPoly(t, {mf: 1}), GradedPoly(t, {mg: 1}))._den
+                for mf in f._num for mg in g._num}
+        assert dens == {1, 2, 3, 4}
+        for a, b in ((f, g), (g, f)):
+            assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 8)
+            assert as_dict(eng.supercommutator(a, b)) == _oracle_comm(pi, a, b, 8)
+
+    def test_truncation_from_a_single_pair(self):
+        t, pi = p34()
+        eng = StarEngine(pi, max_order=1)
+        for c in (1, 3, Fraction(1, 2)):
+            with pytest.raises(TruncationExceeded) as info:
+                eng.star(t.var("z1", 2).scale(c), t.var("z2", 2))
+            assert (info.value.max_order, info.value.sufficient_order) == (1, 2)
+        assert eng.stats.cache_size == 0
+
+    def test_returned_pair_used_as_a_value_leaves_the_cache_alone(self):
+        t, pi = p34()
+        eng = StarEngine(pi)
+        f, g = t.var("z1", 2) * t.var("xi1"), t.var("z2") * t.var("xi1")
+        got = eng.star(f, g)
+        want = dict_oracle_star(pi, f, g, 8)
+        assert as_dict(got) == want
+        for value in (got + got, got.scale(3), got * got, -got, eng.star(got, got)):
+            assert value.table == t
+        assert as_dict(got) == want
+        assert as_dict(eng.star(f, g)) == want
+        assert as_dict(eng.star(g, f)) == dict_oracle_star(pi, g, f, 8)
+        assert as_dict(eng.star(f.scale(2), g)) == {m: 2 * c for m, c in want.items()}
+
+    def test_stats_on_a_fixed_sequence(self):
+        t, pi = p34()
+        eng = StarEngine(pi)
+        z1, z2, xi1, xi2 = (t.var(n) for n in ("z1", "z2", "xi1", "xi2"))
+        a = z1**2 * xi1
+        b = (z2 + z1 * xi1 * xi2).scale(Fraction(3, 2)) + t.hbar() * z2**2
+        for op, f, g in [
+            (eng.star, z1, z2), (eng.star, z1, z2), (eng.star, z2, z1),
+            (eng.star, a, b), (eng.star, b, a),
+            (eng.supercommutator, z1, a), (eng.supercommutator, a, z1),
+            (eng.star, z1.scale(2), z2), (eng.star, b, b),
+        ]:
+            op(f, g)
+        assert eng.stats == EngineStats(2, 19, 19, (1, 2, 1), 2)
