@@ -91,6 +91,21 @@ def check_pair_resolves(tmap: TransitionMap, pair: tuple[str, str]) -> None:
             raise UnresolvedPair(f"pair ({a}, {b}) is not resolvable in chart {chart.name}")
 
 
+def law_transition(
+    maps: Mapping[tuple[str, str], TransitionMap], src: str, dst: str, pair: tuple[str, str]
+) -> TransitionMap:
+    """The map from chart ``src`` to chart ``dst`` that a weight law on ``pair`` needs.
+
+    Raises ValueError when ``maps`` has no such map, and UnresolvedPair
+    unless both of its charts carry both variables of the pair.
+    """
+    tmap = maps.get((src, dst))
+    if tmap is None:
+        raise ValueError(f"no transition from {src} to {dst}")
+    check_pair_resolves(tmap, pair)
+    return tmap
+
+
 def check_weight_law(
     tmap: TransitionMap, law: WeightLaw
 ) -> tuple[bool, GradedPoly, GradedPoly]:

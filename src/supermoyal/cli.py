@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .atlas import Chart, TransitionMap, UnresolvedPair, WeightLaw, check_pair_resolves
+from .atlas import Chart, TransitionMap, UnresolvedPair, WeightLaw, law_transition
 from .graded_ring import (
     EVEN,
     ODD,
@@ -706,12 +706,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             source, ln, _LAW_RE, line, "law SRC DST A B : expression"
         )
         _known(source, ln, (sname, dname), chart_by_name, "chart")
-        tmap = tmap_by.get((sname, dname))
-        if tmap is None:
-            raise ModelFormatError(source, ln, f"no transition from {sname} to {dname}")
         try:
-            check_pair_resolves(tmap, (a, b))
-        except UnresolvedPair as err:
+            tmap = law_transition(tmap_by, sname, dname, (a, b))
+        except (UnresolvedPair, ValueError) as err:
             raise ModelFormatError(source, ln, err.args[0]) from None
         factor = _parse_expr_or_die(source, ln, expr, tmap.src.table)
         weight_laws.append((sname, dname, WeightLaw((a, b), factor)))

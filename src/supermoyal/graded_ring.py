@@ -422,7 +422,7 @@ class SubstitutionPlan:
     raises again.
     """
 
-    __slots__ = ("src", "target", "mapping", "_missing", "_powers")
+    __slots__ = ("src", "target", "mapping", "_names", "_missing", "_powers")
 
     def __init__(self, src: VarTable, mapping: Mapping[str, GradedPoly], target: VarTable):
         for name, repl in mapping.items():
@@ -438,9 +438,12 @@ class SubstitutionPlan:
         self.src = src
         self.target = target
         self.mapping = dict(mapping)
-        # source variables no term may carry: neither mapped nor in the target
+        self._names = src.even_names(), src.odd_names()
+        # source variables no term may carry, neither mapped nor in the target,
+        # each with its even slot or, for an odd one, ~bit
         self._missing = tuple(
-            n for n in src.names() if n not in mapping and n not in target
+            (n, src.even_slot(n) if src.parity(n) == EVEN else ~src.odd_bit(n))
+            for n in src.names() if n not in mapping and n not in target
         )
         self._powers: dict[tuple[str, int], dict[Monomial, int | Fraction]] = {}
 
@@ -462,17 +465,12 @@ class SubstitutionPlan:
     def apply(self, a: GradedPoly) -> GradedPoly:
         if a.table != self.src:
             raise ValueError("polynomial is not over the substitution's source table")
-        evens, odds = self.src.even_names(), self.src.odd_names()
-        if self._missing:
-            support: set[str] = set()
-            for m in a.terms:
-                support.update(evens[i] for i, e in enumerate(m.even) if e)
-                support.update(n for i, n in enumerate(odds) if m.odd >> i & 1)
-            for name in self._missing:
-                if name in support:
-                    raise KeyError(
-                        f"variable {name!r} is not mapped and missing from the target table"
-                    )
+        for name, key in self._missing:
+            if any(m.odd >> ~key & 1 if key < 0 else m.even[key] for m in a._num):
+                raise KeyError(
+                    f"variable {name!r} is not mapped and missing from the target table"
+                )
+        evens, odds = self._names
         unit = (0,) * self.target.n_even
         total: dict[Monomial, int | Fraction] = {}
         for m, c in a.terms.items():

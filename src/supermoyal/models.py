@@ -14,7 +14,9 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
-from .atlas import Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law
+from .atlas import (
+    Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
+)
 from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
 from .moyal import StarEngine, check_quantization_contract
 from .poisson import SuperBivector, is_poisson
@@ -84,6 +86,12 @@ class ModelSpec:
     cy: CYWeights | None = None
     max_order: int = 8
     associative: bool = True
+
+    def __post_init__(self):
+        # each weight law needs its transition and a pair both charts carry
+        maps = {(m.src.name, m.dst.name): m for m in self.transitions}
+        for src, dst, law in self.weight_laws:
+            law_transition(maps, src, dst, law.pair)
 
 
 @dataclass(frozen=True)
@@ -573,10 +581,7 @@ def verify_model(model: ModelSpec, max_order: int | None = None) -> Verification
 
     tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     for sname, dname, law in model.weight_laws:
-        tmap = tmap_by.get((sname, dname))
-        if tmap is None:
-            raise ValueError(f"no transition from {sname} to {dname}")
-        ok, want, got = check_weight_law(tmap, law)
+        ok, want, got = check_weight_law(tmap_by[sname, dname], law)
         a, b = law.pair
         records.append(CheckRecord(
             f"glue {sname} {dname} {a} {b}", "glue",

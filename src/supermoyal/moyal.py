@@ -85,6 +85,49 @@ again; the mirror's series has the same live states order by order, so it
 raises ``TruncationExceeded`` exactly when the cached one would have.  And
 the supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
 of f * g.
+
+Blocks.  Join A and B when pi^{AB} != 0; a block is a connected component of
+that graph, and P = sum_b P_b, with P_b the steps inside block b.  When the
+bivector is even and no entry has an odd factor, a miss contracts each live
+block on its own (a block is live when one of its steps (A, B) has A
+dividing mf and B dividing mg).  Proof: an even step has |A| = |B|, so
+d_A (x) d_B is an even operator on the super tensor product, whose product
+is (a (x) b)(c (x) d) = (-1)^(|b||c|) ac (x) bd.  Writing out the Koszul
+signs with |A| = |B| gives P_b(X Y) = (P_b X) Y when Y has no variable of
+block b, and P_b(X Y) = X (P_b Y) when X has none.  Steps of two blocks
+differentiate different variables and leave the central entries alone, so
+the P_b commute and exp(hbar P / 2) = prod_b exp(hbar P_b / 2).  Write
+mf = s_f F_1 ... F_k F_0 and mg = s_g G_1 ... G_k G_0, with F_b, G_b the
+factors of live block b, F_0, G_0 the rest (hbar included) and s_f, s_g the
+signs of regrouping their odd factors (products of ``_merge_sign``).
+Expanding the tensor product gives
+
+    mf (x) mg = s (F_1 (x) G_1) ... (F_k (x) G_k) (F_0 (x) G_0),
+    s = s_f s_g (-1)^(sum_{b < c} |G_b| |F_c|),
+
+with c running to the rest.  Each exp(hbar P_b / 2) acts on its own
+factor alone and the blocks that are not live act as the identity, and mu
+is an algebra map because the ring is supercommutative, so
+
+    mf * mg = s (F_1 * G_1) ... (F_k * G_k) F_0 G_0,
+
+each F_b * G_b the series of block b alone.  The order-n term of
+exp(hbar P / 2) is the sum over n_1 + ... + n_k = n of
+prod_b (hbar P_b / 2)^(n_b) / n_b!, so a joint state at order n is one
+state of each block, their orders summing to n, and its merged centre is
+n! / prod_b n_b! times the product of the blocks' centres, up to sign.  The
+centres lie in a polynomial ring over Q, which has no zero divisors, so a
+joint state is live exactly when each of its block states is: the joint
+live states per order are the blocks' counts convolved.  For the same
+reason the joint series fires a step past max_order exactly when some block
+b fires from an order a_b while the others sit at live orders summing to
+max_order - a_b.  Block b fires from every order up to its highest, a_b,
+and block c is live at every order up to its depth depth_c, so the engine
+raises when a_b + sum_{c != b} depth_c >= max_order for some live b, and
+records the joint peaks up to max_order first, as the joint series would.
+An odd bivector, or an entry with an odd factor, stays one block: two odd
+block operators anticommute, so the exponential does not factor, and
+centres with odd factors can multiply to zero, so counts do not convolve.
 """
 
 from __future__ import annotations
@@ -98,7 +141,9 @@ from random import Random
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, _var_key, d_left  # noqa: F401
-from .graded_ring import EVEN, ODD, GradedPoly, Monomial, _mono_mul, _mul_terms
+from .graded_ring import (
+    EVEN, ODD, GradedPoly, Monomial, _merge_sign, _mono_mul, _mul_terms,
+)
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -162,7 +207,7 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache."""
 
     __slots__ = (
-        "bivector", "table", "max_order", "_rows", "_unit", "_scale", "_weights",
+        "bivector", "table", "max_order", "_blocks", "_unit", "_scale", "_weights",
         "_cache", "_hits", "_misses", "_peaks",
     )
 
@@ -181,12 +226,40 @@ class StarEngine:
         # the bivector's steps, keyed and scaled, as
         # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
         d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
-        self._rows = tuple(
+        rows = tuple(
             (_var_key(t, a), pa, tuple(
                 (_var_key(t, b), e.scale(d_e)._num, pb) for b, e, pb in partners
             ))
             for a, pa, partners in bivector.steps
         )
+        # the steps' blocks, the connected components of the graph joining A
+        # and B when pi^{AB} != 0, as (rows, even slots, odd mask); one
+        # block where the split would not be exact (see "Blocks" above)
+        partners_of = {ka: partners for ka, _, partners in rows}
+        block_of: dict[int, int] = {}  # row key -> block number
+        n = 0
+        for ka in partners_of:
+            if ka in block_of:
+                continue
+            block_of[ka] = n
+            todo = [ka]
+            while todo:
+                for kb, _, _ in partners_of[todo.pop()]:
+                    if kb not in block_of:
+                        block_of[kb] = n
+                        todo.append(kb)
+            n += 1
+        if bivector.parity or any(m.odd for e in bivector.entries.values() for m in e._num):
+            block_of, n = dict.fromkeys(block_of, 0), min(n, 1)
+        block_rows, slots, masks = [[] for _ in range(n)], [[] for _ in range(n)], [0] * n
+        for row in rows:
+            k, i = row[0], block_of[row[0]]
+            block_rows[i].append(row)
+            if k >= 0:
+                slots[i].append(k)
+            else:
+                masks[i] |= 1 << ~k
+        self._blocks = tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
@@ -292,9 +365,93 @@ class StarEngine:
             # flipping signs keeps the pair canonical, so nothing is copied
             got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, mirror._den)
             return got
+        live = self._blocks
+        if len(live) > 1:
+            live = _live_blocks(live, mf, mg)
+        if len(live) == 1:
+            total, counts, fired = self._contract(mf, mg, live[0][0])
+            scale = self._scale
+        elif not live:  # no step fires: the series is mf * mg alone
+            fg = _mono_mul(mf, mg)
+            total, counts, fired, scale = {} if fg is None else {fg[1]: fg[0]}, [1], -1, 1
+        else:
+            total, counts, fired = self._blockwise(mf, mg, live)
+            scale = self._scale ** len(live)
+        peaks = self._peaks
+        for n, c in enumerate(counts):
+            if n == len(peaks):
+                peaks.append(c)
+            elif c > peaks[n]:
+                peaks[n] = c
+        if fired >= self.max_order:
+            raise TruncationExceeded(self.max_order)
+        got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, scale)
+        return got
+
+    def _blockwise(self, mf: Monomial, mg: Monomial, live: list) -> tuple[dict, list, int]:
+        """``_contract`` of mf * mg over two or more live blocks, one block at a time.
+
+        Splits mf (x) mg as sign * (F_1 (x) G_1) ... (F_k (x) G_k) (F_0 (x) G_0),
+        each F_b, G_b the factors in block b and F_0, G_0 the rest, hbar
+        included; contracts each block on its own, and multiplies the block
+        series, over D^k, by sign * F_0 G_0 (see "Blocks" above).  ``counts``
+        are the joint series' up to ``max_order``, and ``fired`` is the
+        highest order from which the joint series fires a step.
+        """
+        parts, runs = [], []
+        zero = self._unit.even
+        even_f, even_g, odd = list(mf.even), list(mg.even), 0  # the rest's exponents
+        for rows, slots, mask in live:
+            block_f, block_g = list(zero), list(zero)
+            for s in slots:
+                block_f[s], block_g[s], even_f[s], even_g[s] = even_f[s], even_g[s], 0, 0
+            F = Monomial(tuple(block_f), mf.odd & mask, 0)
+            G = Monomial(tuple(block_g), mg.odd & mask, 0)
+            parts.append((F, G))
+            runs.append(self._contract(F, G, rows))
+            odd |= mask
+        F0 = Monomial(tuple(even_f), mf.odd & ~odd, mf.hbar)
+        G0 = Monomial(tuple(even_g), mg.odd & ~odd, mg.hbar)
+        parts.append((F0, G0))
+        sign = 1
+        seen_f = seen_g = pg = 0  # odd factors of the parts so far, parity of the G's
+        for F, G in parts:
+            if F.odd:
+                sign *= _merge_sign(seen_f, F.odd) * (-1 if pg & F.odd.bit_count() else 1)
+                seen_f |= F.odd
+            if G.odd:
+                sign *= _merge_sign(seen_g, G.odd)
+                seen_g |= G.odd
+                pg ^= G.odd.bit_count() & 1
+        # the joint live states per order: the blocks' counts convolved
+        counts = [1]
+        for _, block_counts, _ in runs:
+            joint = [0] * (len(counts) + len(block_counts) - 1)
+            for i, a in enumerate(counts):
+                for j, b in enumerate(block_counts):
+                    joint[i + j] += a * b
+            counts = joint
+        # block b fires from each order up to its ``fired``, beside any live
+        # orders of the others, whose depths sum to the joint depth less its own
+        depth = len(counts) - 1
+        fired = max(f + depth - len(c) + 1 for _, c, f in runs)
+        total = runs[0][0]
+        for block_total, _, _ in runs[1:]:
+            total = _mul_terms(total, block_total)
+        fg = _mono_mul(F0, G0)
+        total = {} if fg is None else _mul_terms(total, {fg[1]: sign * fg[0]})
+        return total, counts[:self.max_order + 1], fired
+
+    def _contract(self, mf: Monomial, mg: Monomial, rows: tuple) -> tuple[dict, list, int]:
+        """The series of mf * mg over the steps in ``rows``: (total, counts, fired).
+
+        ``total`` maps monomials to int numerators over D; ``counts[n]`` is
+        the number of live states at order n, and ``fired`` the highest order
+        from which a step fired, or -1.  A step fired from ``max_order``
+        ends the run there.
+        """
         # looked up per call, so a test may patch these module names
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
-        peaks = self._peaks
         weights = self._weights
         max_order = self.max_order
         fg = mono_mul(mf, mg)
@@ -302,17 +459,17 @@ class StarEngine:
         # live states (centre, F, G): one per derived monomial pair (F, G),
         # with the centre (d_e^n times a polynomial in the entries) as int terms
         states = [({self._unit: 1}, mf, mg)]
+        counts = []
+        fired = -1
         order = 0
         while states:
-            if order == len(peaks):
-                peaks.append(0)
-            peaks[order] = max(peaks[order], len(states))
+            counts.append(len(states))
             order += 1
             merged: dict[tuple[Monomial, Monomial], dict] = {}
             for centre, F, G in states:
                 pf = F.odd.bit_count() & 1
                 F_even, F_odd, G_even, G_odd = F.even, F.odd, G.even, G.odd
-                for ka, pa, partners in self._rows:
+                for ka, pa, partners in rows:
                     # support test: A must divide F before any derivative
                     if not (F_odd >> ~ka & 1 if pa else F_even[ka]):
                         continue
@@ -327,8 +484,6 @@ class StarEngine:
                             ce = _mul_terms(centre, e)
                             if not ce:
                                 continue
-                        if order > max_order:
-                            raise TruncationExceeded(max_order)
                         c = step_sign(pb, pf, pa) * cF * cG
                         acc = merged.get((dF, dG))
                         if acc is None:
@@ -337,7 +492,10 @@ class StarEngine:
                         for m, q in ce.items():
                             acc[m] = acc.get(m, 0) + c * q
             if not merged:
-                break  # the series has ended; order may be past max_order here
+                break  # the series has ended
+            fired = order - 1
+            if order > max_order:
+                break
             weight = weights[order]
             states = []
             for (nF, nG), centre in merged.items():
@@ -359,8 +517,20 @@ class StarEngine:
                         total[p] = total.get(p, 0) + got[0] * sign * q
         if 0 in total.values():
             total = {m: q for m, q in total.items() if q}
-        got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, self._scale)
-        return got
+        return total, counts, fired
+
+
+def _live_blocks(blocks: tuple, F: Monomial, G: Monomial) -> list:
+    """The blocks with a step (A, B) whose A divides F and whose B divides G."""
+    F_even, F_odd, G_even, G_odd = F.even, F.odd, G.even, G.odd
+    live = []
+    for block in blocks:
+        for ka, pa, partners in block[0]:
+            if F_odd >> ~ka & 1 if pa else F_even[ka]:
+                if any(G_odd >> ~kb & 1 if pb else G_even[kb] for kb, _, pb in partners):
+                    live.append(block)
+                    break
+    return live
 
 
 @dataclass(frozen=True)

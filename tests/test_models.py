@@ -1,10 +1,11 @@
 """Built-in models: frozen tables, fibrations, atlases, and verification."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from supermoyal.atlas import check_cocycle, check_weight_law
+from supermoyal.atlas import UnresolvedPair, WeightLaw, check_cocycle, check_weight_law
 from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
@@ -177,6 +178,17 @@ class TestP34:
         assert tuple(c.name for c in m.charts) == ("plus", "minus")
         assert len(m.transitions) == 2
         assert len(m.weight_laws) == 10
+
+    def test_weight_laws_are_checked_when_the_model_is_built(self):
+        # a bad law fails when the spec is built, before verify_model runs a check
+        m = builtin("P3|4")
+        with pytest.raises(ValueError, match="^no transition from minus to plus$"):
+            dataclasses.replace(m, transitions=m.transitions[:1])
+        src, dst, law = m.weight_laws[0]
+        bad = (src, dst, WeightLaw(("w1", "x"), law.factor))
+        with pytest.raises(UnresolvedPair, match="pair \\(w1, x\\) is not resolvable in chart plus"):
+            dataclasses.replace(m, weight_laws=m.weight_laws + (bad,))
+        assert verify_model(dataclasses.replace(m)).ok
 
     def test_chart_tables(self):
         m = builtin("P3|4")

@@ -12,6 +12,7 @@ from bidiff_oracle import bidiff_apply
 from dict_oracle import as_dict, oracle_star as dict_oracle_star
 from test_acceptance import _oracle_star
 
+from supermoyal.cli import parse_expression
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
 from supermoyal.models import builtin
 from supermoyal.moyal import (
@@ -901,3 +902,153 @@ class TestReducedPairCache:
         ]:
             op(f, g)
         assert eng.stats == EngineStats(2, 19, 19, (1, 2, 1), 2)
+
+
+_BLOCK_MODELS = ("T0-cotangent", "L5|6", "WP[1,3]")
+
+
+def _components(pi):
+    """The bivector's variables grouped into connected components of its entries."""
+    groups: list[set] = []
+    for a, b in pi.entries:
+        keys = {a, b}
+        for g in [g for g in groups if g & keys]:
+            groups.remove(g)
+            keys |= g
+        groups.append(keys)
+    return groups
+
+
+@st.composite
+def multi_block_cases(draw):
+    """A built-in model and operands each of whose term pairs has >= 2 live blocks.
+
+    One entry (A, B) is drawn in each of two or more components of the
+    bivector (odd ones included); every term of f carries each A and every
+    term of g each B, beside up to two more variables, a power of hbar and
+    a coefficient.  A repeated odd factor may make a term vanish.
+    """
+    m = builtin(draw(st.sampled_from(_BLOCK_MODELS)))
+    t, pi = m.table, m.bivector
+    groups = _components(pi)
+    picked = draw(st.lists(st.sampled_from(range(len(groups))), min_size=2, max_size=3, unique=True))
+    steps = [draw(st.sampled_from(sorted(p for p in pi.entries if p[0] in groups[i])))
+             for i in picked]
+    names = sorted(set().union(*groups)) + list(m.constants[:2])
+
+    def operand(side):
+        out = t.zero()
+        for _ in range(draw(st.integers(1, 2))):
+            term = t.const(draw(st.sampled_from(_TERM_COEFFS))) * t.hbar(draw(st.integers(0, 2)))
+            for name in [s[side] for s in steps] + draw(st.lists(st.sampled_from(names), max_size=2)):
+                term = term * t.var(name)
+            out = out + term
+        return out
+
+    f, g = operand(0), operand(1)
+    assume(f and g)
+    return pi, f, g
+
+
+def _one_block_bivectors():
+    """Odd bivectors (t1_mini's and one on two components) and an even one with
+    an odd factor in an entry: none of them is split."""
+    _, t1_pi = t1_mini()
+    t = VarTable.build(("x", EVEN), ("th", ODD), ("y", EVEN), ("ph", ODD), ("w", EVEN))
+    odd_pi = SuperBivector(t, {("x", "th"): t.var("w"), ("y", "ph"): t.const(2)})
+    t = VarTable.build(("x", EVEN), ("y", EVEN), ("u", EVEN), ("v", EVEN), ("a1", ODD), ("a2", ODD))
+    factor_pi = SuperBivector(t, {("x", "y"): t.var("a1") * t.var("a2"), ("u", "v"): t.one()})
+    return t1_pi, odd_pi, factor_pi
+
+
+class TestBlocks:
+    """Products split over the bivector's independent blocks, against the dict oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_block_cases())
+    def test_products_agree_with_the_oracle(self, case):
+        pi, f, g = case
+        eng = StarEngine(pi)
+        for a, b in ((f, g), (g, f)):
+            assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 8)
+        for bit_f, bit_g in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            a, b = _part(f, bit_f), _part(g, bit_g)
+            assert as_dict(eng.supercommutator(a, b)) == _oracle_comm(pi, a, b, 8)
+
+    # (model, f, g, order at which the product completes, sufficient_order)
+    @pytest.mark.parametrize("model, lhs, rhs, complete, sufficient", [
+        ("T0-cotangent", "x11^2*x12*t11*t12", "x21*x22^2*t21*t22", 5, 5),
+        ("L5|6", "X1^2*xi1*ze1", "Y1*X2*xi1*ze1", 4, 4),
+        ("WP[1,3]", "z1^2*xi1*xi2", "z2^2*xi1", 3, 3),
+        ("L5|6", "X1*Y1*xi2*ze3", "hbar*X2^2*Y2*xi2*ze3", 4, 4),
+    ])
+    def test_truncation_matches_the_joint_series(self, model, lhs, rhs, complete, sufficient):
+        m = builtin(model)
+        f, g = parse_expression(lhs, m.table), parse_expression(rhs, m.table)
+        for max_order in range(4):
+            for a, b in ((f, g), (g, f)):
+                if max_order >= complete:
+                    assert as_dict(StarEngine(m.bivector, max_order).star(a, b)) == (
+                        dict_oracle_star(m.bivector, a, b, max_order))
+                    continue
+                with pytest.raises(TruncationExceeded) as info:
+                    StarEngine(m.bivector, max_order).star(a, b)
+                assert (info.value.max_order, info.value.sufficient_order) == (
+                    max_order, sufficient)
+
+    def test_stats_on_a_fixed_sequence(self):
+        # the joint states per order are the blocks' counts convolved, and a
+        # call that raises records the joint series' peaks up to max_order
+        m = builtin("L5|6")
+        eng = StarEngine(m.bivector, max_order=3)
+        raised = []
+        for lhs, rhs in [
+            ("X1^2*xi1*ze1", "Y1*X2*xi1*ze1"), ("X1*xi1", "Y2*xi1"), ("Y2*xi1", "X1*xi1"),
+            ("X1^2*Y1*xi2*ze2", "X2^2*xi2*ze2"), ("X1*ze1", "X2*ze1"), ("xi3*ze3", "xi3*ze3"),
+        ]:
+            try:
+                eng.star(parse_expression(lhs, m.table), parse_expression(rhs, m.table))
+            except TruncationExceeded as err:
+                raised.append((lhs, err.sufficient_order))
+        assert raised == [("X1^2*xi1*ze1", 4), ("X1^2*Y1*xi2*ze2", 4)]
+        assert eng.stats == EngineStats(0, 6, 4, (1, 4, 7, 6), 3)
+
+    @pytest.mark.parametrize("pi", _one_block_bivectors())
+    def test_inexact_splits_stay_one_block(self, pi):
+        t = pi.table
+        eng = StarEngine(pi)
+        assert len(eng._blocks) == 1
+        rows = [t.var(n) for n in pi.rows()]
+        every_row = t.one()
+        for r in rows:
+            every_row = every_row * r
+        operands = [t.one(), t.hbar() * rows[0], *rows, rows[0] * rows[-1], rows[1] * rows[-2],
+                    every_row]
+        for f in operands:
+            for g in operands:
+                assert as_dict(eng.star(f, g)) == dict_oracle_star(pi, f, g, 8)
+
+    def test_interleaved_odd_blocks(self):
+        # the blocks {th1, th3} and {th2, th4} interleave in the odd factor
+        # order, so splitting a monomial into blocks reorders its odd factors
+        t = VarTable.build(*((f"th{i}", ODD) for i in range(1, 5)), ("x", EVEN), ("y", EVEN))
+        pi = SuperBivector(t, {
+            ("th1", "th3"): t.one(), ("th2", "th4"): t.const(3), ("th2", "th2"): t.const(-1),
+            ("x", "y"): t.const(2),
+        })
+        assert len(StarEngine(pi)._blocks) == 3
+        th1, th2, th3, th4, x, y = (t.var(n) for n in t.names())
+        operands = [th1, th2 * th3, th1 * th2 * x, th3 * th4 * y, th1 * th4 * x * y,
+                    th2 * th3 * th4 + th1, t.hbar() * th1 * th2 * th3 * th4]
+        eng = StarEngine(pi)
+        for f in operands:
+            for g in operands:
+                assert as_dict(eng.star(f, g)) == dict_oracle_star(pi, f, g, 8)
+
+    def test_blocks_are_the_components_of_the_entries(self):
+        t = VarTable.build(("x", EVEN), ("y", EVEN), ("u", EVEN), ("v", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.const(3), ("u", "v"): t.one()})
+        assert len(StarEngine(pi)._blocks) == 2
+        for model, count in [("T0-cotangent", 2), ("L5|6", 7), ("WP[1,3]", 3), ("P3|4", 5),
+                             ("P3|N", 1), ("T1-cotangent", 1)]:
+            assert len(StarEngine(builtin(model).bivector)._blocks) == count
