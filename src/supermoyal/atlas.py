@@ -60,7 +60,7 @@ class TransitionMap:
         self.plan = SubstitutionPlan(src.table, rules, dst.table)
 
     @property
-    def rules(self) -> dict[str, GradedPoly]:
+    def rules(self) -> Mapping[str, GradedPoly]:
         return self.plan.mapping
 
     def apply(self, p: GradedPoly) -> GradedPoly:

@@ -790,6 +790,8 @@ def _load_target(arg: str) -> ModelSpec:
     try:
         return builtin(arg)
     except UnknownModel:
+        if arg.startswith("P3|N="):  # a malformed count, like one out of range, is one line
+            raise ValueError(f"P3|N=N takes N in the digits 0-9, got {arg[5:]!r}") from None
         raise _CliError(f"no such file or built-in model: {arg}") from None
 
 

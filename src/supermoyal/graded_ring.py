@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 EVEN = "even"
@@ -437,7 +438,7 @@ class SubstitutionPlan:
                 )
         self.src = src
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = MappingProxyType(dict(mapping))  # checked above, so read-only
         self._names = src.even_names(), src.odd_names()
         # source variables no term may carry, neither mapped nor in the target,
         # each with its even slot or, for an odd one, ~bit

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 from typing import Mapping
 
 from .atlas import (
@@ -69,7 +70,10 @@ class Fibration:
     """Coordinates written as polynomials over a base variable table."""
 
     base_table: VarTable
-    rules: dict[str, GradedPoly]
+    rules: Mapping[str, GradedPoly]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +82,7 @@ class ModelSpec:
     table: VarTable
     constants: tuple[str, ...]
     bivector: SuperBivector
-    expected_relations: dict[tuple[str, str], GradedPoly] | None
+    expected_relations: Mapping[tuple[str, str], GradedPoly] | None
     fibration: Fibration | None = None
     charts: tuple[Chart, ...] = ()
     transitions: tuple[TransitionMap, ...] = ()
@@ -88,6 +92,9 @@ class ModelSpec:
     associative: bool = True
 
     def __post_init__(self):
+        if self.expected_relations is not None:
+            relations = MappingProxyType(dict(self.expected_relations))
+            object.__setattr__(self, "expected_relations", relations)
         # each weight law needs its transition and a pair both charts carry
         maps = {(m.src.name, m.dst.name): m for m in self.transitions}
         for src, dst, law in self.weight_laws:
@@ -389,7 +396,7 @@ def quadric_generator(model: ModelSpec) -> GradedPoly:
     return out
 
 
-def _p3n_model(n: int = 4) -> ModelSpec:
+def _p3n_model(n: int) -> ModelSpec:
     cs = _c_names(n)
     decls = [(f"z{k}", EVEN, False, 1) for k in (1, 2, 3, 4)]
     decls += [(f"xi{i}", ODD, False, 1) for i in range(1, n + 1)]
@@ -477,21 +484,36 @@ def list_builtins() -> tuple[str, ...]:
 MAX_P3N_ODD = 16
 
 
+# each model built so far, under its canonical key: the registry name, or
+# ("P3|N", n) for P3|N=n; 7 fixed names and N = 1..16 bound the keys
+_BUILT: dict = {}
+
+
 def builtin(name: str) -> ModelSpec:
+    """The built-in model ``name``, built once per process.
+
+    Every caller gets the same object, so a model and its mappings are
+    read-only; derive a changed model with ``dataclasses.replace``.
+    ``"P3|N"`` is ``"P3|N=4"``.
+    """
+    n = 4 if name == "P3|N" else None
     if name.startswith("P3|N="):
-        try:
-            n = int(name[len("P3|N="):])
-        except ValueError:
-            raise UnknownModel(name) from None
+        count = name[len("P3|N="):]
+        digits = count.removeprefix("-")  # -2 is a non-positive count
+        if not (digits.isascii() and digits.isdigit()):
+            raise UnknownModel(name)
+        n = int(count)
         if n < 1:
             raise ValueError(f"P3|N needs at least one odd dimension, got N={n}")
         if n > MAX_P3N_ODD:
             raise ValueError(f"P3|N takes at most N={MAX_P3N_ODD} odd dimensions, got N={n}")
-        return _p3n_model(n)
-    maker = _BUILTINS.get(name)
-    if maker is None:
+    elif name not in _BUILTINS:
         raise UnknownModel(name)
-    return maker()
+    key = name if n is None else ("P3|N", n)
+    model = _BUILT.get(key)
+    if model is None:
+        model = _BUILT[key] = _BUILTINS[name]() if n is None else _p3n_model(n)
+    return model
 
 
 # -- derived computations --------------------------------------------------

@@ -43,6 +43,12 @@ the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable; a single pair with other coefficients scales it; several pairs
 are summed over the lcm of their denominators and reduced once.
 
+What an engine needs from the bivector alone (the centrality, even-entry
+and hbar checks, d_e, the keyed rows and the blocks below) is its plan,
+computed once per bivector by its first engine and kept on the bivector.
+The pair cache, the scale D and the counters stay per engine, so engines
+share no contraction work.
+
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
 Merged centres that cancel to zero are dropped first; that can only turn a
@@ -204,7 +210,12 @@ class EngineStats:
 
 
 class StarEngine:
-    """Star product for one bivector, with a per-engine monomial cache."""
+    """Star product for one bivector, with a per-engine monomial cache.
+
+    The bivector's plan (its checks, d_e, rows and blocks) is computed once
+    per bivector and read by every engine over it; the pair cache, the
+    scale for ``max_order`` and ``stats`` belong to this engine alone.
+    """
 
     __slots__ = (
         "bivector", "table", "max_order", "_blocks", "_unit", "_scale", "_weights",
@@ -213,53 +224,9 @@ class StarEngine:
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
         check_max_order(max_order)
-        if not bivector.is_central:
-            raise NonCentralBivector("bivector entries depend on contracted variables")
-        for (a, b), entry in bivector.entries.items():
-            if entry.parity() != EVEN:
-                raise NonCentralBivector(f"entry ({a}, {b}) is not even")
-            if any(m.hbar for m in entry._num):
-                # a term's contraction order is read off its hbar power
-                raise NonCentralBivector(f"entry ({a}, {b}) contains hbar")
+        d_e, self._blocks = _engine_plan(bivector)
         self.bivector = bivector
         self.table = t = bivector.table
-        # the bivector's steps, keyed and scaled, as
-        # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
-        d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
-        rows = tuple(
-            (_var_key(t, a), pa, tuple(
-                (_var_key(t, b), e.scale(d_e)._num, pb) for b, e, pb in partners
-            ))
-            for a, pa, partners in bivector.steps
-        )
-        # the steps' blocks, the connected components of the graph joining A
-        # and B when pi^{AB} != 0, as (rows, even slots, odd mask); one
-        # block where the split would not be exact (see "Blocks" above)
-        partners_of = {ka: partners for ka, _, partners in rows}
-        block_of: dict[int, int] = {}  # row key -> block number
-        n = 0
-        for ka in partners_of:
-            if ka in block_of:
-                continue
-            block_of[ka] = n
-            todo = [ka]
-            while todo:
-                for kb, _, _ in partners_of[todo.pop()]:
-                    if kb not in block_of:
-                        block_of[kb] = n
-                        todo.append(kb)
-            n += 1
-        if bivector.parity or any(m.odd for e in bivector.entries.values() for m in e._num):
-            block_of, n = dict.fromkeys(block_of, 0), min(n, 1)
-        block_rows, slots, masks = [[] for _ in range(n)], [[] for _ in range(n)], [0] * n
-        for row in rows:
-            k, i = row[0], block_of[row[0]]
-            block_rows[i].append(row)
-            if k >= 0:
-                slots[i].append(k)
-            else:
-                masks[i] |= 1 << ~k
-        self._blocks = tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
         self._unit = Monomial((0,) * t.n_even, 0, 0)
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
@@ -518,6 +485,64 @@ class StarEngine:
         if 0 in total.values():
             total = {m: q for m, q in total.items() if q}
         return total, counts, fired
+
+
+def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
+    """(d_e, blocks) of a bivector, checked and computed by its first engine.
+
+    The plan depends on the bivector alone, so it is kept on the bivector
+    and every later engine reads it; a bivector that fails a check keeps
+    nothing, so each engine over it raises the same error.
+    """
+    if bivector._plan is not None:
+        return bivector._plan
+    if not bivector.is_central:
+        raise NonCentralBivector("bivector entries depend on contracted variables")
+    for (a, b), entry in bivector.entries.items():
+        if entry.parity() != EVEN:
+            raise NonCentralBivector(f"entry ({a}, {b}) is not even")
+        if any(m.hbar for m in entry._num):
+            # a term's contraction order is read off its hbar power
+            raise NonCentralBivector(f"entry ({a}, {b}) contains hbar")
+    t = bivector.table
+    # the bivector's steps, keyed and scaled, as
+    # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
+    d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
+    rows = tuple(
+        (_var_key(t, a), pa, tuple(
+            (_var_key(t, b), e.scale(d_e)._num, pb) for b, e, pb in partners
+        ))
+        for a, pa, partners in bivector.steps
+    )
+    # the steps' blocks, the connected components of the graph joining A
+    # and B when pi^{AB} != 0, as (rows, even slots, odd mask); one
+    # block where the split would not be exact (see "Blocks" above)
+    partners_of = {ka: partners for ka, _, partners in rows}
+    block_of: dict[int, int] = {}  # row key -> block number
+    n = 0
+    for ka in partners_of:
+        if ka in block_of:
+            continue
+        block_of[ka] = n
+        todo = [ka]
+        while todo:
+            for kb, _, _ in partners_of[todo.pop()]:
+                if kb not in block_of:
+                    block_of[kb] = n
+                    todo.append(kb)
+        n += 1
+    if bivector.parity or any(m.odd for e in bivector.entries.values() for m in e._num):
+        block_of, n = dict.fromkeys(block_of, 0), min(n, 1)
+    block_rows, slots, masks = [[] for _ in range(n)], [[] for _ in range(n)], [0] * n
+    for row in rows:
+        k, i = row[0], block_of[row[0]]
+        block_rows[i].append(row)
+        if k >= 0:
+            slots[i].append(k)
+        else:
+            masks[i] |= 1 << ~k
+    bivector._plan = d_e, tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
+    return bivector._plan
 
 
 def _live_blocks(blocks: tuple, F: Monomial, G: Monomial) -> list:

@@ -10,6 +10,7 @@ identity, not an up-to-sign statement.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .graded_calculus import d_left
@@ -23,7 +24,7 @@ class VariableMismatch(ValueError):
 class SuperBivector:
     """Coefficient matrix of a super Poisson structure candidate."""
 
-    __slots__ = ("table", "entries", "steps", "parity", "is_central")
+    __slots__ = ("table", "entries", "steps", "parity", "is_central", "_plan")
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
         self.table = table
@@ -50,7 +51,8 @@ class SuperBivector:
                 raise ValueError(f"entries ({a}, {b}) and ({b}, {a}) break graded antisymmetry")
             full[(a, b)] = value
             full[(b, a)] = mirror
-        self.entries = full
+        # read-only, as a built-in model's bivector is shared by every caller
+        self.entries = MappingProxyType(full)
         parities = set()
         steps = []
         for (a, b), value in full.items():
@@ -77,6 +79,7 @@ class SuperBivector:
         # entry exactly when its derivative of the entries' support is non-zero
         support = GradedPoly._of_scaled(table, {m: 1 for v in full.values() for m in v._num}, 1)
         self.is_central = not any(d_left(a, support) for a in rows)
+        self._plan = None  # the star engine's plan, filled by the first engine
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))

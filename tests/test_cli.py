@@ -749,6 +749,13 @@ class TestDriver:
         assert rc == 2
         assert "no such file or built-in model" in err
 
+    @pytest.mark.parametrize("count", [" 6", "0_6", "\u0666", "+2"])
+    def test_odd_dimension_is_ascii_digits(self, cli, count):
+        # int() reads each of these as a count
+        assert cli("verify", f"P3|N={count}") == (
+            2, "", f"error: P3|N=N takes N in the digits 0-9, got {count!r}\n"
+        )
+
     def test_odd_dimension_above_the_bound(self, cli):
         rc, out, err = cli("verify", f"P3|N={MAX_P3N_ODD + 1}")
         assert rc == 2

@@ -2,10 +2,13 @@
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from supermoyal import models
 from supermoyal.atlas import UnresolvedPair, WeightLaw, check_cocycle, check_weight_law
+from supermoyal.cli import render_model_text
 from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
@@ -37,10 +40,10 @@ class TestRegistry:
         )
 
     def test_unknown_model(self):
-        with pytest.raises(UnknownModel):
-            builtin("nope")
-        with pytest.raises(UnknownModel):
-            builtin("P3|N=x")
+        # int() reads " 6", "0_6", Arabic-Indic six and "+2" as counts
+        for name in ("nope", "P3|N=x", "P3|N= 6", "P3|N=0_6", "P3|N=\u0666", "P3|N=+2", "P3|N="):
+            with pytest.raises(UnknownModel):
+                builtin(name)
 
     def test_odd_dimension_argument(self):
         assert builtin("P3|N=2").cy == CYWeights.projective(3, 2)
@@ -55,6 +58,58 @@ class TestRegistry:
         assert builtin(f"P3|N={MAX_P3N_ODD}").cy == CYWeights.projective(3, MAX_P3N_ODD)
         with pytest.raises(ValueError, match=f"at most N={MAX_P3N_ODD}"):
             builtin(f"P3|N={MAX_P3N_ODD + 1}")
+
+
+class TestSharedModels:
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_each_model_is_built_once(self, name):
+        assert builtin(name) is builtin(name)
+
+    def test_p3n_spellings_share_one_model(self):
+        assert builtin("P3|N") is builtin("P3|N=4")
+        keys = set(models._BUILT)
+        assert builtin("P3|N=04") is builtin("P3|N=4")
+        assert set(models._BUILT) == keys
+
+    def test_a_rejected_name_is_not_cached(self):
+        builtin("P3|N=4")
+        built = dict(models._BUILT)
+        for name in ("nope", "P3|N=x", "P3|N=0", "P3|N=-2", f"P3|N={MAX_P3N_ODD + 1}",
+                     "P3|N= 6", "P3|N=+2"):
+            with pytest.raises((UnknownModel, ValueError)):
+                builtin(name)
+        assert models._BUILT == built
+
+    def test_verification_leaves_the_shared_models_as_they_were(self):
+        names = list_builtins()
+        first = [verify_model(builtin(n)).records for n in names]
+        assert [verify_model(builtin(n)).records for n in names] == first
+        shipped = Path(__file__).resolve().parent.parent / "models"
+        texts = sorted(p.read_text() for p in shipped.glob("*.model"))
+        assert sorted(render_model_text(builtin(n)) for n in names) == texts
+
+    def test_mappings_are_read_only(self):
+        m, p34 = builtin("T0-cotangent"), builtin("P3|4")
+        x = m.table.var("x11")
+        for mapping, key in ((m.bivector.entries, ("x11", "x12")),
+                             (m.expected_relations, ("x11", "x12")),
+                             (m.fibration.rules, "z1"),
+                             (p34.transitions[0].rules, "xi1")):
+            with pytest.raises(TypeError):
+                mapping[key] = x
+            with pytest.raises(TypeError):
+                del mapping[key]
+
+    def test_replace_derives_a_model_and_leaves_the_shared_one(self):
+        m = builtin("T0-cotangent")
+        relations = dict(m.expected_relations)
+        relations[("x11", "x12")] = m.table.zero()
+        derived = dataclasses.replace(m, expected_relations=relations)
+        assert derived is not m and builtin("T0-cotangent") is m
+        assert m.expected_relations[("x11", "x12")] == m.table.var("D11_12")
+        assert not verify_model(derived).ok
+        with pytest.raises(TypeError):
+            derived.expected_relations[("x11", "x12")] = m.table.one()
 
 
 @pytest.mark.parametrize("name", list_builtins())

@@ -312,6 +312,57 @@ class TestContract:
         assert report.ok, [e for e in report.entries if e.status != "pass"]
 
 
+def _product_or_error(engine, f, g):
+    try:
+        return engine.star(f, g), engine.supercommutator(f, g)
+    except TruncationExceeded as err:
+        return type(err), str(err), err.sufficient_order
+
+
+class TestEnginePlan:
+    """The plan is computed once per bivector; the pair cache stays per engine."""
+
+    def _calls(self, t):
+        z1, z2, xi1, xi2 = (t.var(n) for n in ("z1", "z2", "xi1", "xi2"))
+        return [
+            [(z1**2 + xi1 * xi2, z2 * xi2), (xi1 * xi2, z1 * z2)],
+            [(z1, z2), (z1**3 * xi2, z2**2 * xi1 + xi2), (z1, z2)],
+        ]
+
+    def test_engines_over_one_bivector_keep_their_own_cache_and_stats(self):
+        t, pi = p34()
+        first, second = StarEngine(pi), StarEngine(pi)
+        assert first._blocks is second._blocks  # the plan is shared
+        assert first._cache is not second._cache
+        for engine, calls in zip((first, second), self._calls(t)):
+            fresh = StarEngine(p34()[1])
+            for f, g in calls:
+                assert engine.star(f, g) == fresh.star(f, g)
+            assert engine.stats == fresh.stats
+        assert first.stats != second.stats
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 8])
+    def test_max_order_is_per_engine(self, order):
+        t, pi = p34()
+        StarEngine(pi, max_order=8)  # fills the plan at another order
+        shared, fresh = StarEngine(pi, max_order=order), StarEngine(p34()[1], max_order=order)
+        for calls in self._calls(t):
+            for f, g in calls + [(t.var("z1", 9), t.var("z2", 9))]:
+                assert _product_or_error(shared, f, g) == _product_or_error(fresh, f, g)
+
+    @pytest.mark.parametrize("entry, message", [
+        (lambda t: t.hbar(), r"entry \(x, y\) contains hbar"),
+        (lambda t: t.var("x"), "bivector entries depend on contracted variables"),
+    ])
+    def test_a_rejected_bivector_raises_on_every_engine(self, entry, message):
+        t = VarTable.build(("x", EVEN), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): entry(t)})
+        for _ in range(2):
+            with pytest.raises(NonCentralBivector, match=message):
+                StarEngine(pi)
+        assert pi._plan is None
+
+
 class TestTruncationBoundary:
     def test_series_ending_at_max_order_is_returned(self):
         # sum_n (hbar/2)^n (2 l1 l2)^n n! C(8,n)^2 z1^(8-n) z2^(8-n)
