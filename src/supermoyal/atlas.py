@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graded_ring import GradedPoly, SubstitutionPlan, VarTable
+from .graded_ring import GradedPoly, SubstitutionPlan, VarTable, _ReadOnly
 from .poisson import SuperBivector
 
 
@@ -27,7 +27,7 @@ class NonComposableCycle(ValueError):
     """Chained transition maps whose endpoints do not meet."""
 
 
-class Chart:
+class Chart(_ReadOnly):
     """Named coordinate patch with its local commutation table."""
 
     __slots__ = ("name", "table", "bivector")
@@ -44,7 +44,7 @@ class Chart:
         return f"Chart({self.name!r})"
 
 
-class TransitionMap:
+class TransitionMap(_ReadOnly):
     """Rewrites source-chart variables in destination-chart variables.
 
     Variables without a rule are carried over by name.  The map holds one
@@ -68,11 +68,6 @@ class TransitionMap:
 
     def __repr__(self) -> str:
         return f"TransitionMap({self.src.name!r} -> {self.dst.name!r})"
-
-
-def transport_table(tmap: TransitionMap) -> dict[tuple[str, str], GradedPoly]:
-    """Every source bracket entry rewritten in destination variables."""
-    return {pair: tmap.apply(entry) for pair, entry in tmap.src.bivector.entries.items()}
 
 
 @dataclass(frozen=True)

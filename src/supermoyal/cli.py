@@ -36,7 +36,7 @@ from .models import (
     list_builtins,
     verify_model,
 )
-from .moyal import StarEngine, TruncationExceeded, check_max_order
+from .moyal import NonCentralBivector, StarEngine, TruncationExceeded, check_max_order
 from .poisson import SuperBivector
 
 
@@ -82,7 +82,7 @@ MAX_BASE_POWER = 64
 MAX_PARSED_TERMS = 10_000
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -90,11 +90,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII digits only: str.isdigit() also takes "²" and "٣"
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            out.append(("int", text[i:j], i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # a run of ASCII digits fails only on int()'s length limit
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
+            out.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -135,10 +139,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def _peek(self) -> tuple[str, str, int]:
+    def _peek(self) -> tuple[str, str | int, int]:
         return self.tokens[self.k]
 
-    def _take(self) -> tuple[str, str, int]:
+    def _take(self) -> tuple[str, str | int, int]:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
@@ -181,10 +185,10 @@ class _Parser:
         if self._peek()[0] in ("+", "-"):
             op, _, _ = self._take()
             sign = -1 if op == "-" else 1
-        kind, text, pos = self._take()
+        kind, value, pos = self._take()
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
-        power = sign * int(text)
+        power = sign * value
         if meta[0] == "var":
             try:
                 return self.table.var(meta[1], power)
@@ -209,15 +213,15 @@ class _Parser:
         return out
 
     def _atom(self) -> tuple[GradedPoly, tuple]:
-        kind, text, pos = self._take()
+        kind, value, pos = self._take()
         if kind == "int":
-            return self.table.const(int(text)), ("const",)
+            return self.table.const(value), ("const",)
         if kind == "name":
-            if text == "hbar":
+            if value == "hbar":
                 return self.table.hbar(), ("hbar",)
-            if text not in self.table:
-                raise UnknownIdentifier(f"unknown name {text!r}", pos)
-            return self.table.var(text), ("var", text)
+            if value not in self.table:
+                raise UnknownIdentifier(f"unknown name {value!r}", pos)
+            return self.table.var(value), ("var", value)
         if kind == "(":
             p = self._expr()
             k2, _, pos2 = self._take()
@@ -730,20 +734,23 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 source, ln, "expected projective, weighted, or ambitwistor"
             )
 
-    return ModelSpec(
-        name=name,
-        table=table,
-        constants=tuple(constants),
-        bivector=bivector,
-        expected_relations=expected_relations,
-        fibration=fibration,
-        charts=tuple(charts),
-        transitions=tuple(transitions),
-        weight_laws=tuple(weight_laws),
-        cy=cy,
-        max_order=max_order,
-        associative=associative,
-    )
+    try:
+        return ModelSpec(
+            name=name,
+            table=table,
+            constants=tuple(constants),
+            bivector=bivector,
+            expected_relations=expected_relations,
+            fibration=fibration,
+            charts=tuple(charts),
+            transitions=tuple(transitions),
+            weight_laws=tuple(weight_laws),
+            cy=cy,
+            max_order=max_order,
+            associative=associative,
+        )
+    except NonCentralBivector as err:  # the laws and max_order were checked at their lines
+        raise ModelFormatError(source, first_line("bivector"), str(err)) from None
 
 
 def load_model(path) -> ModelSpec:

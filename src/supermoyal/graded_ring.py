@@ -102,7 +102,25 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-class VarTable:
+class _ReadOnly:
+    """Lets each attribute be bound once, by the constructor.
+
+    A built-in model's objects are shared by every caller, so a later
+    rebinding or deletion raises AttributeError instead of changing them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class VarTable(_ReadOnly):
     """Ordered table of variable declarations shared by polynomials."""
 
     __slots__ = ("specs", "_index", "_even_slot", "_odd_bit", "n_even", "n_odd")
@@ -372,10 +390,6 @@ class GradedPoly:
         num = {m: c for m, c in self._num.items() if m.hbar <= max_power}
         return GradedPoly._of_scaled(self.table, num, self._den)
 
-    def constant_value(self) -> Fraction:
-        empty = Monomial((0,) * self.table.n_even, 0, 0)
-        return Fraction(self._num.get(empty, 0), self._den)
-
 
 def parity_of(a: GradedPoly) -> str:
     return a.parity()
@@ -410,7 +424,7 @@ def _invert_unit(repl: GradedPoly) -> GradedPoly:
     return lead * series
 
 
-class SubstitutionPlan:
+class SubstitutionPlan(_ReadOnly):
     """One parity-preserving substitution from ``src`` into ``target``.
 
     The mapping is validated once, when the plan is built: replacements must

@@ -3,8 +3,11 @@
 Each model bundles a variable table, a central superbivector, the expected
 commutation relations, and optionally a fibration (coordinates expressed
 over a base table), an atlas with weight laws, and scaling-weight data for
-the volume-form check.  ``verify_model`` runs the whole certification sweep
-and returns one record per check.
+the volume-form check.  A ``ModelSpec`` is checked when it is built: its
+weight laws, and the star engine's checks of its bivector and order.
+``verify_model`` runs the whole certification sweep and returns one
+``CheckRecord`` per check; the quantization contract's records are the ones
+``check_quantization_contract`` returns.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from .atlas import (
     Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
 )
 from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
-from .moyal import StarEngine, check_quantization_contract
+from .moyal import (
+    CheckRecord, StarEngine, _engine_plan, check_max_order, check_quantization_contract,
+)
 from .poisson import SuperBivector, is_poisson
 
 
@@ -95,20 +100,14 @@ class ModelSpec:
         if self.expected_relations is not None:
             relations = MappingProxyType(dict(self.expected_relations))
             object.__setattr__(self, "expected_relations", relations)
+        # the engine's checks of the bivector and the order, so verify_model
+        # cannot fail on them; the bivector keeps the plan for every engine
+        _engine_plan(self.bivector)
+        check_max_order(self.max_order)
         # each weight law needs its transition and a pair both charts carry
         maps = {(m.src.name, m.dst.name): m for m in self.transitions}
         for src, dst, law in self.weight_laws:
             law_transition(maps, src, dst, law.pair)
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    category: str
-    status: str
-    lhs: GradedPoly | None = None
-    rhs: GradedPoly | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -588,18 +587,7 @@ def verify_model(model: ModelSpec, max_order: int | None = None) -> Verification
                     "pass" if got == want else "fail", got, want,
                 ))
 
-    contract = check_quantization_contract(engine, associativity=model.associative)
-    for entry in contract.entries:
-        records.append(CheckRecord(
-            f"contract {entry.name}", "contract", entry.status, detail=entry.detail
-        ))
-        if entry.name == "bilinearity" and not model.associative:
-            records.append(CheckRecord(
-                "contract associativity", "contract", "skip",
-                detail="bracket pairs even with odd coordinates; the product is "
-                "order-1 consistent but associativity fails at order 2, so the "
-                "sweep is not run",
-            ))
+    records += check_quantization_contract(engine, associativity=model.associative)
 
     tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     for sname, dname, law in model.weight_laws:

@@ -45,7 +45,8 @@ are summed over the lcm of their denominators and reduced once.
 
 What an engine needs from the bivector alone (the centrality, even-entry
 and hbar checks, d_e, the keyed rows and the blocks below) is its plan,
-computed once per bivector by its first engine and kept on the bivector.
+computed once per bivector, by its first engine or by the ``ModelSpec``
+that holds it, and kept on the bivector.
 The pair cache, the scale D and the counters stay per engine, so engines
 share no contraction work.
 
@@ -488,7 +489,7 @@ class StarEngine:
 
 
 def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
-    """(d_e, blocks) of a bivector, checked and computed by its first engine.
+    """(d_e, blocks) of a bivector, checked and computed on first use.
 
     The plan depends on the bivector alone, so it is kept on the bivector
     and every later engine reads it; a bivector that fails a check keeps
@@ -541,8 +542,9 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
             slots[i].append(k)
         else:
             masks[i] |= 1 << ~k
-    bivector._plan = d_e, tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
-    return bivector._plan
+    plan = d_e, tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
+    object.__setattr__(bivector, "_plan", plan)  # the one write after construction
+    return plan
 
 
 def _live_blocks(blocks: tuple, F: Monomial, G: Monomial) -> list:
@@ -559,19 +561,21 @@ def _live_blocks(blocks: tuple, F: Monomial, G: Monomial) -> list:
 
 
 @dataclass(frozen=True)
-class ContractEntry:
-    name: str
+class CheckRecord:
+    """One named check: its status, the two sides compared, and a detail."""
+
+    check_id: str
+    category: str
     status: str
+    lhs: GradedPoly | None = None
+    rhs: GradedPoly | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ContractReport:
-    entries: tuple[ContractEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
+def _contract_record(name: str, failure: str) -> CheckRecord:
+    """The record of contract check ``name``: a fail if ``failure`` says why."""
+    status = "fail" if failure else "pass"
+    return CheckRecord(f"contract {name}", "contract", status, detail=failure)
 
 
 def _row_basis(engine: StarEngine):
@@ -610,15 +614,19 @@ def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
     return out
 
 
-def check_quantization_contract(engine: StarEngine, associativity: bool = True) -> ContractReport:
+def check_quantization_contract(
+    engine: StarEngine, associativity: bool = True
+) -> tuple[CheckRecord, ...]:
     """Spot-check bilinearity, associativity, and the order-1 bracket match.
 
-    Failures are reported, not raised.  The associativity sweep runs an
-    exhaustive low-degree basis plus randomized polynomial triples.
+    Returns the ``CheckRecord``s ``contract bilinearity``, ``contract
+    associativity`` and ``contract order1-bracket``, in that order.  Failures
+    are reported, not raised.  The associativity sweep runs an exhaustive
+    low-degree basis plus randomized polynomial triples; with
+    ``associativity=False`` it is not run and its record is a ``skip``.
     """
     t = engine.table
     rng = Random(0)  # fixed, so a model gets the same report on every run
-    entries: list[ContractEntry] = []
 
     basis = _row_basis(engine)
     fails: list[str] = []
@@ -632,35 +640,32 @@ def check_quantization_contract(engine: StarEngine, associativity: bool = True) 
             fails.append("scalar linearity")
         if engine.star(t.hbar() * f, g) != t.hbar() * engine.star(f, g):
             fails.append("hbar linearity")
-    entries.append(
-        ContractEntry("bilinearity", "fail" if fails else "pass", "; ".join(sorted(set(fails))))
-    )
+    records = [_contract_record("bilinearity", "; ".join(sorted(set(fails))))]
 
     # each basis product once, for both checks below; basis[0] is 1, so this is
     # the order in which the sweep first needs them, and a truncation error
     # names the first basis pair whose series outlives max_order
     products = [[engine.star(g, h) for h in basis] for g in basis]
     if associativity:
-        bad = 0
-        first = ""
+        first = ""  # the first failure, so far
         for f, f_row in zip(basis, products):
             for g, fg, g_row in zip(basis, f_row, products):
                 for h, gh in zip(basis, g_row):
-                    if engine.star(fg, h) != engine.star(f, gh):
-                        bad += 1
-                        if not first:
-                            first = f"first failure on basis triple ({f!r}, {g!r}, {h!r})"
+                    if engine.star(fg, h) != engine.star(f, gh) and not first:
+                        first = f"first failure on basis triple ({f!r}, {g!r}, {h!r})"
         for _ in range(10):
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
-                bad += 1
-                if not first:
-                    first = "failure on a randomized triple"
-        entries.append(
-            ContractEntry("associativity", "fail" if bad else "pass", first if bad else "")
-        )
+                first = first or "failure on a randomized triple"
+        records.append(_contract_record("associativity", first))
+    else:
+        records.append(CheckRecord(
+            "contract associativity", "contract", "skip",
+            detail="bracket pairs even with odd coordinates; the product is "
+            "order-1 consistent but associativity fails at order 2, so the "
+            "sweep is not run",
+        ))
 
-    bad = 0
     first = ""
     pi = engine.bivector
     pairs = [(f, g, fg) for f, f_row in zip(basis, products) for g, fg in zip(basis, f_row)]
@@ -668,13 +673,7 @@ def check_quantization_contract(engine: StarEngine, associativity: bool = True) 
         f, g = _sample_poly(rng, engine), _sample_poly(rng, engine)
         pairs.append((f, g, engine.star(f, g)))
     for f, g, fg in pairs:
-        lhs = fg.hbar_coefficient(1)
-        rhs = poisson_bracket(pi, f, g).scale(Fraction(1, 2))
-        if lhs != rhs:
-            bad += 1
-            if not first:
-                first = f"pair ({f!r}, {g!r})"
-    entries.append(
-        ContractEntry("order1-bracket", "fail" if bad else "pass", first if bad else "")
-    )
-    return ContractReport(tuple(entries))
+        if fg.hbar_coefficient(1) != poisson_bracket(pi, f, g).scale(Fraction(1, 2)):
+            first = first or f"pair ({f!r}, {g!r})"
+    records.append(_contract_record("order1-bracket", first))
+    return tuple(records)

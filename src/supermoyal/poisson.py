@@ -14,14 +14,14 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .graded_calculus import d_left
-from .graded_ring import ODD, GradedPoly, VarTable
+from .graded_ring import ODD, GradedPoly, VarTable, _ReadOnly
 
 
 class VariableMismatch(ValueError):
     """Operands are declared over different variable tables."""
 
 
-class SuperBivector:
+class SuperBivector(_ReadOnly):
     """Coefficient matrix of a super Poisson structure candidate."""
 
     __slots__ = ("table", "entries", "steps", "parity", "is_central", "_plan")
@@ -79,7 +79,7 @@ class SuperBivector:
         # entry exactly when its derivative of the entries' support is non-zero
         support = GradedPoly._of_scaled(table, {m: 1 for v in full.values() for m in v._num}, 1)
         self.is_central = not any(d_left(a, support) for a in rows)
-        self._plan = None  # the star engine's plan, filled by the first engine
+        self._plan = None  # the star engine's plan, filled on first use
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))

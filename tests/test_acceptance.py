@@ -103,10 +103,11 @@ def test_criterion_03_projective_superspace():
     for i in range(1, 5):
         expected[(f"xi{i}", f"xi{i}")] = sq
     _sweep_relations(m, expected)
-    report = check_quantization_contract(StarEngine(m.bivector))
-    names = {entry.name for entry in report.entries}
-    assert {"bilinearity", "associativity", "order1-bracket"} <= names
-    assert report.ok, [e for e in report.entries if e.status != "pass"]
+    records = check_quantization_contract(StarEngine(m.bivector))
+    assert [r.check_id for r in records] == [
+        "contract bilinearity", "contract associativity", "contract order1-bracket",
+    ]
+    assert all(r.status == "pass" for r in records), records
     print("criterion 03 (projective_superspace): pass")
 
 

@@ -1,7 +1,7 @@
 """The package's public names: all of them resolve, and retired ones stay gone."""
 
 import supermoyal
-from supermoyal import graded_calculus, graded_ring, moyal
+from supermoyal import atlas, graded_calculus, graded_ring, moyal
 
 
 def test_every_public_name_resolves():
@@ -10,10 +10,17 @@ def test_every_public_name_resolves():
 
 
 def test_retired_helpers_are_gone():
-    for name in ("mul", "star", "supercommutator", "bidiff_apply"):
+    for name in (
+        "mul", "star", "supercommutator", "bidiff_apply",
+        "ContractEntry", "ContractReport", "transport_table", "constant_value",
+    ):
         assert name not in supermoyal.__all__
         assert not hasattr(supermoyal, name), name
     assert not hasattr(graded_ring, "mul")
     assert not hasattr(moyal, "star")
     assert not hasattr(moyal, "supercommutator")
     assert not hasattr(graded_calculus, "bidiff_apply")
+    assert not hasattr(moyal, "ContractEntry")
+    assert not hasattr(moyal, "ContractReport")
+    assert not hasattr(atlas, "transport_table")
+    assert not hasattr(graded_ring.GradedPoly, "constant_value")

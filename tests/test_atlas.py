@@ -12,7 +12,6 @@ from supermoyal.atlas import (
     WeightLaw,
     check_cocycle,
     check_weight_law,
-    transport_table,
 )
 from supermoyal.graded_ring import (
     EVEN,
@@ -78,12 +77,6 @@ class TestTransport:
         factor = plus.table.var("l", -2)
         got = t_pm.apply(factor * plus.entry("w1", "w2"))
         assert got == minus.entry("w1", "w2")
-
-    def test_transport_table_covers_mirrors(self):
-        plus, minus, t_pm, _ = two_pole_pair()
-        table = transport_table(t_pm)
-        assert ("xi1", "xi1") in table
-        assert ("w2", "w1") in table
 
     def test_transport_is_multiplicative(self):
         plus, _, t_pm, _ = two_pole_pair()

@@ -1,6 +1,7 @@
 """Expression syntax, canonical rendering, model files, and the driver."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -613,6 +614,37 @@ class TestVerifyCommand:
         assert (info.value.line_no, info.value.msg) == (line_no, message)
         assert cli("verify", str(path)) == (2, "", f"error: {path}:{line_no}: {message}\n")
 
+    # T0-cotangent's [bivector] section starts at line 35 and ends at line 40
+    @pytest.mark.parametrize("entry, error", [
+        ("x21 x22 := x11", "35: bivector entries depend on contracted variables"),
+        ("x21 x22 := ²*D21_22", "40: unexpected character '²' (column 1 of the expression)"),
+        ("x21 x22 := D21_22^٣", "40: unexpected character '٣' (column 8 of the expression)"),
+    ])
+    def test_bad_bivector_entry_is_named_at_its_line(self, cli, tmp_path, entry, error):
+        text = (_ROOT / "models" / "t0_cotangent.model").read_text()
+        assert text.splitlines()[39] == "x21 x22 := D21_22"
+        path = tmp_path / "t0.model"
+        path.write_text(text.replace("x21 x22 := D21_22\n", entry + "\n"))
+        assert cli("verify", str(path)) == (2, "", f"error: {path}:{error}\n")
+
+    def test_t1_cotangent_fails_the_associativity_sweep(self, cli, tmp_path):
+        text = (_ROOT / "models" / "t1_cotangent.model").read_text()
+        assert "associative = false\n" in text
+        path = tmp_path / "t1.model"
+        path.write_text(text.replace("associative = false\n", ""))
+        rc, out, err = cli("verify", str(path))
+        assert (rc, err) == (1, "")
+        (line,) = [line for line in out.splitlines() if line.startswith("contract associativity")]
+        head = "contract associativity : fail (first failure on basis triple ("
+        assert line.startswith(head) and line.endswith(")")
+        rc, out, err = cli("verify", str(path), "--json")
+        assert (rc, err) == (1, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r for r in records if r["check_id"] == "contract associativity"] == [{
+            "check_id": "contract associativity", "status": "fail", "lhs": None, "rhs": None,
+            "detail": line[len("contract associativity : fail ("):-1],
+        }]
+
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))
         assert (rc, out) == (2, "")
@@ -656,6 +688,38 @@ class TestProductCommands:
         )
         assert rc == 0
         assert out.startswith("z1^9*z2^9 + ")
+
+    def test_truncation_hint_needs_an_operand_that_runs_out(self, cli, tmp_path):
+        # x^-1 never runs out of x; y^9 runs out after 9 steps
+        path = tmp_path / "inverse.model"
+        path.write_text(
+            "[options]\nname = inverse\n\n[variables]\nx even invertible\n"
+            "y even invertible\n\n[bivector]\nx y := 1\n"
+        )
+        assert cli("star", str(path), "--lhs", "x^-1", "--rhs", "y^-1", "--order", "4") == (
+            1, "", "error: series alive past hbar order 4\n"
+        )
+        assert cli("star", str(path), "--lhs", "x^-1", "--rhs", "y^9", "--order", "4") == (
+            1, "", "error: series alive past hbar order 4; order 9 suffices for these operands"
+            " (use --order 9)\n"
+        )
+
+    @pytest.mark.parametrize("lhs, column", [("x11^²", 5), ("٣*x11", 1), ("x11 + 1٣", 8)])
+    def test_an_integer_is_ascii_digits(self, cli, lhs, column):
+        assert cli("star", "T0-cotangent", "--lhs", lhs, "--rhs", "x12") == (
+            2, "", f"error: unexpected character {lhs[column - 1]!r} (column {column})\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python converts an integer string of any length")
+    def test_a_literal_int_refuses_is_one_error_line(self, cli):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default; an environment may change it
+        try:
+            got = cli("star", "T0-cotangent", "--lhs", "x11*" + "7" * 5000, "--rhs", "x12")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (2, "", "error: integer literal of 5000 digits is too long (column 5)\n")
 
     def test_power_limit_is_a_usage_error(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "(z1+1)^65", "--rhs", "z2")

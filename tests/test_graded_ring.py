@@ -172,12 +172,6 @@ class TestCoefficients:
             assert all(type(c) is int for c in p.terms.values()), p.terms
         assert list((t.var("x").scale(half) * t.const(3)).terms.values()) == [Fraction(3, 2)]
 
-    def test_constant_value_is_a_fraction(self):
-        t = table()
-        for p, want in ((t.const(3), 3), (t.var("x"), 0), (t.const(Fraction(1, 2)), Fraction(1, 2))):
-            got = p.constant_value()
-            assert type(got) is Fraction and got == want
-
     def test_non_exact_operands_raise_type_error(self):
         t = table()
         p = t.var("x")
@@ -515,11 +509,8 @@ class TestIntFormOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(rational_polys(T), st.integers(0, 2))
-    def test_hbar_parts_and_constant(self, a, k):
+    def test_hbar_parts(self, a, k):
         p = GradedPoly(T, a)
         at_k = {Monomial(m.even, m.odd, 0): c for m, c in a.items() if m.hbar == k}
         assert_int_form(p.hbar_coefficient(k), at_k)
         assert_int_form(p.hbar_truncate(k), {m: c for m, c in a.items() if m.hbar <= k})
-        unit = Monomial((0, 0, 0, 0), 0, 0)
-        got = p.constant_value()
-        assert type(got) is Fraction and got == a.get(unit, 0)

@@ -24,7 +24,8 @@ from supermoyal.models import (
     quadric_generator,
     verify_model,
 )
-from supermoyal.moyal import StarEngine
+from supermoyal.moyal import MAX_ORDER, NonCentralBivector, StarEngine
+from supermoyal.poisson import SuperBivector, poisson_bracket
 
 
 def _orbit_name(i, a, j, b):
@@ -99,6 +100,30 @@ class TestSharedModels:
                 mapping[key] = x
             with pytest.raises(TypeError):
                 del mapping[key]
+
+    def test_attributes_are_read_only(self):
+        m = builtin("P3|4")
+        t, tmap = m.table, m.transitions[0]
+        z1, z2, w1 = t.var("z1"), t.var("z2"), tmap.src.table.var("w1")
+        before = StarEngine(m.bivector).star(z1, z2), poisson_bracket(m.bivector, z1, z2)
+        moved = tmap.apply(w1)
+        objects = [(m.bivector, ("table", "entries", "steps", "parity", "is_central", "_plan")),
+                   (t, ("specs", "n_even", "_index")),
+                   (m.charts[0], ("name", "table", "bivector")),
+                   (tmap, ("src", "dst", "plan", "rules")),
+                   (tmap.plan, ("src", "target", "mapping", "_powers"))]
+        for obj, attrs in objects:
+            for attr in attrs:
+                value = getattr(obj, attr)
+                with pytest.raises(AttributeError, match="is read-only"):
+                    setattr(obj, attr, ())
+                with pytest.raises(AttributeError, match="is read-only"):
+                    delattr(obj, attr)
+                assert getattr(obj, attr) is value
+        m = builtin("P3|4")
+        assert (StarEngine(m.bivector).star(z1, z2), poisson_bracket(m.bivector, z1, z2)) == before
+        assert StarEngine(SuperBivector(t, m.bivector.entries)).star(z1, z2) == before[0]
+        assert m.transitions[0].apply(w1) == moved
 
     def test_replace_derives_a_model_and_leaves_the_shared_one(self):
         m = builtin("T0-cotangent")
@@ -244,6 +269,20 @@ class TestP34:
         with pytest.raises(UnresolvedPair, match="pair \\(w1, x\\) is not resolvable in chart plus"):
             dataclasses.replace(m, weight_laws=m.weight_laws + (bad,))
         assert verify_model(dataclasses.replace(m)).ok
+
+    def test_the_engine_checks_run_when_the_model_is_built(self):
+        # a bivector the engine refuses fails when the spec is built, before
+        # verify_model runs is_poisson or any other check
+        m = builtin("P3|4")
+        t = m.table
+        for entry, message in ((t.var("z1"), "bivector entries depend on contracted variables"),
+                               (t.var("xi1"), r"entry \(z1, z2\) is not even")):
+            with pytest.raises(NonCentralBivector, match=f"^{message}$"):
+                dataclasses.replace(m, bivector=SuperBivector(t, {("z1", "z2"): entry}))
+        with pytest.raises(ValueError, match=f"max_order must be at most {MAX_ORDER}"):
+            dataclasses.replace(m, max_order=MAX_ORDER + 1)
+        with pytest.raises(ValueError, match="max_order must be non-negative"):
+            dataclasses.replace(m, max_order=-1)
 
     def test_chart_tables(self):
         m = builtin("P3|4")

@@ -12,11 +12,13 @@ from bidiff_oracle import bidiff_apply
 from dict_oracle import as_dict, oracle_star as dict_oracle_star
 from test_acceptance import _oracle_star
 
+import supermoyal.moyal as moyal
 from supermoyal.cli import parse_expression
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
 from supermoyal.models import builtin
 from supermoyal.moyal import (
     MAX_ORDER,
+    CheckRecord,
     EngineStats,
     MixedParityInput,
     NonCentralBivector,
@@ -294,22 +296,47 @@ class TestErrors:
             eng.star(other.var("x"), t.var("z1"))
 
 
+_CONTRACT_IDS = ["contract bilinearity", "contract associativity", "contract order1-bracket"]
+
+
 class TestContract:
     def test_full_contract_on_associative_model(self):
         _, pi = p34()
-        report = check_quantization_contract(StarEngine(pi))
-        assert {e.name for e in report.entries} == {
-            "bilinearity",
-            "associativity",
-            "order1-bracket",
-        }
-        assert report.ok, [e for e in report.entries if e.status != "pass"]
+        records = check_quantization_contract(StarEngine(pi))
+        assert [r.check_id for r in records] == _CONTRACT_IDS
+        assert {r.category for r in records} == {"contract"}
+        assert all(r.status == "pass" for r in records), records
 
     def test_contract_without_associativity(self):
         _, pi = t1_mini()
-        report = check_quantization_contract(StarEngine(pi), associativity=False)
-        assert {e.name for e in report.entries} == {"bilinearity", "order1-bracket"}
-        assert report.ok, [e for e in report.entries if e.status != "pass"]
+        records = check_quantization_contract(StarEngine(pi), associativity=False)
+        assert [r.check_id for r in records] == _CONTRACT_IDS
+        assert [r.status for r in records] == ["pass", "skip", "pass"], records
+        assert records[1].detail.startswith("bracket pairs even with odd coordinates; ")
+
+    def test_associativity_failure_names_the_first_basis_triple(self):
+        records = check_quantization_contract(StarEngine(builtin("T1-cotangent").bivector))
+        assert [r.check_id for r in records] == _CONTRACT_IDS
+        assert [r.status for r in records] == ["pass", "fail", "pass"], records
+        assert records[1].detail.startswith("first failure on basis triple (")
+
+    def test_order1_failure_names_the_first_pair(self, monkeypatch):
+        # the contraction step's sign flipped, as in criterion 11's mutation
+        monkeypatch.setattr(moyal, "_step_sign", lambda *a, _o=moyal._step_sign: -_o(*a))
+        _, pi = p34()
+        order1 = check_quantization_contract(StarEngine(pi))[2]
+        assert (order1.check_id, order1.status) == ("contract order1-bracket", "fail")
+        assert order1.detail.startswith("pair (")
+
+    def test_bilinearity_failure_lists_each_broken_law_once_sorted(self, monkeypatch):
+        # a product that adds 1 breaks all four laws in each of the three rounds
+        t, pi = p34()
+        star = StarEngine.star
+        monkeypatch.setattr(StarEngine, "star", lambda self, f, g: star(self, f, g) + t.one())
+        assert check_quantization_contract(StarEngine(pi))[0] == CheckRecord(
+            "contract bilinearity", "contract", "fail",
+            detail="hbar linearity; left additivity; right additivity; scalar linearity",
+        )
 
 
 def _product_or_error(engine, f, g):
