@@ -13,18 +13,19 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .atlas import Chart, TransitionMap, UnresolvedPair, WeightLaw, law_transition
 from .graded_ring import (
     EVEN,
     ODD,
+    ExponentOverflow,
     GradedPoly,
-    Monomial,
     NonInvertibleSubstitution,
     VarSpec,
     VarTable,
+    _invert_term,
 )
 from .models import (
     CYWeights,
@@ -82,6 +83,27 @@ MAX_BASE_POWER = 64
 MAX_PARSED_TERMS = 10_000
 
 
+def _digits_end(text: str, i: int) -> int:
+    """The end of the run of ASCII digits from ``text[i]``.
+
+    ASCII digits only: str.isdigit() also takes "²" and "٣", and int()
+    takes "٣" and "0_1".  Expression literals, ``--order``, the cy weights,
+    ``max_order`` and declared weights are all read with it.
+    """
+    n = len(text)
+    while i < n and "0" <= text[i] <= "9":
+        i += 1
+    return i
+
+
+def _ascii_int(word: str) -> int:
+    """``word`` read as an optional "-" and ASCII digits, or a ValueError."""
+    start = 1 if word.startswith("-") else 0
+    if start == len(word) or _digits_end(word, start) != len(word):
+        raise ValueError(f"{word!r} is not an integer")
+    return int(word)  # a ValueError too past int()'s length limit
+
+
 def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     out = []
     i, n = 0, len(text)
@@ -90,10 +112,8 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
         if ch.isspace():
             i += 1
             continue
-        if "0" <= ch <= "9":  # ASCII digits only: str.isdigit() also takes "²" and "٣"
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
+        if "0" <= ch <= "9":
+            j = _digits_end(text, i + 1)
             try:
                 value = int(text[i:j])
             except ValueError:  # a run of ASCII digits fails only on int()'s length limit
@@ -123,11 +143,12 @@ def _divide(num: GradedPoly, den: GradedPoly, pos: int) -> GradedPoly:
     t = den.table
     if len(den._num) == 1:
         ((mono, c),) = den._num.items()
-        if mono.odd == 0 and mono.hbar == 0 and all(
-            t.spec(name).invertible for name, e in zip(t.even_names(), mono.even) if e
-        ):
-            inv = Monomial(tuple(-e for e in mono.even), 0, 0)
-            return num * GradedPoly(t, {inv: Fraction(den._den, c)})
+        try:
+            return num * _invert_term(t, mono, c, den._den)
+        except NonInvertibleSubstitution:
+            pass  # not a unit monomial
+        except ExponentOverflow as err:
+            raise ParseError(str(err), pos) from None
     raise IllegalDivision("divisor must be a constant or an invertible monomial", pos)
 
 
@@ -231,14 +252,22 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
-def _ranges(p: GradedPoly) -> tuple[list[tuple[int, int]], int]:
-    """(low, high) exponent per even slot and of hbar, and the odd factors used."""
-    ms = list(p._num)
-    columns = [*zip(*(m.even for m in ms)), [m.hbar for m in ms]]
+def _ranges(p: GradedPoly) -> tuple[dict, int]:
+    """(low, high) exponent of each even slot some term carries and of hbar
+    (key None), and the odd factors used."""
+    t = p.table
+    columns: dict[int | None, list[int]] = {}
     odd = 0
-    for m in ms:
-        odd |= m.odd
-    return [(min(c), max(c)) for c in columns], odd
+    for m in p._num:
+        odd |= m & t._odd
+        for key, e in (*t._exponents(m), (None, m >> t._hbar_shift)):
+            columns.setdefault(key, []).append(e)
+    # a term without a slot has exponent 0 there
+    n = len(p._num)
+    return {
+        key: (min(c), max(c)) if len(c) == n else (min(0, *c), max(0, *c))
+        for key, c in columns.items()
+    }, odd
 
 
 def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
@@ -247,7 +276,8 @@ def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
         # colliding terms: the product also lies in the box of exponent ranges
         (rp, odd_p), (rq, odd_q) = _ranges(p), _ranges(q)
         box = 2 ** (odd_p | odd_q).bit_count()
-        for (lo_p, hi_p), (lo_q, hi_q) in zip(rp, rq):
+        for key in rp.keys() | rq.keys():
+            (lo_p, hi_p), (lo_q, hi_q) = rp.get(key, (0, 0)), rq.get(key, (0, 0))
             box *= hi_p + hi_q - lo_p - lo_q + 1
         bound = min(bound, box)
     if bound > MAX_PARSED_TERMS:
@@ -256,16 +286,14 @@ def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
             f" over the limit of {MAX_PARSED_TERMS} terms",
             pos,
         )
-    return p * q
+    try:
+        return p * q
+    except ExponentOverflow as err:
+        raise ParseError(str(err), pos) from None
 
 
 def parse_expression(text: str, table: VarTable) -> GradedPoly:
     return _Parser(text, table).parse()
-
-
-def _monomial_key(m: Monomial):
-    degree = sum(m.even) + bin(m.odd).count("1")
-    return (-degree, tuple(-e for e in m.even), m.odd, m.hbar)
 
 
 def render_poly(p: GradedPoly) -> str:
@@ -275,21 +303,31 @@ def render_poly(p: GradedPoly) -> str:
     t = p.table
     evens = t.even_names()
     odds = t.odd_names()
+    odd, fields, hs, den = t._odd, t._evens, t._hbar_shift, p._den
+    # by descending degree, then descending exponents in slot order (which
+    # is the order of the even fields read as one int), odd mask and hbar
+    rows = []
+    for m, c in p._num.items():
+        exps = t._exponents(m)
+        mask = m & odd
+        degree = sum(e for _, e in exps) + mask.bit_count()
+        rows.append((-degree, -(m & fields), mask, m >> hs, exps, c))
+    rows.sort()
     pieces = []
-    for mono in sorted(p.terms, key=_monomial_key):
-        c = p.terms[mono]
+    for _, _, mask, h, exps, c in rows:
         factors = []
-        if mono.hbar:
-            factors.append("hbar" if mono.hbar == 1 else f"hbar^{mono.hbar}")
-        for name, e in zip(evens, mono.even):
-            if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
-        for bit, name in enumerate(odds):
-            if mono.odd >> bit & 1:
-                factors.append(name)
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
+        if h:
+            factors.append("hbar" if h == 1 else f"hbar^{h}")
+        for slot, e in exps:
+            factors.append(evens[slot] if e == 1 else f"{evens[slot]}^{e}")
+        while mask:
+            low = mask & -mask
+            factors.append(odds[low.bit_length() - 1])
+            mask ^= low
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
         body = "*".join(factors)
         if not pieces:
             pieces.append(("-" if c < 0 else "") + body)
@@ -425,7 +463,7 @@ def _parse_decl(source, ln, words):
             rest = rest[1:]
         elif rest[0] == "weight" and len(rest) >= 2:
             try:
-                weight = int(rest[1])
+                weight = _ascii_int(rest[1])
             except ValueError:
                 raise ModelFormatError(source, ln, f"bad weight {rest[1]!r}") from None
             rest = rest[2:]
@@ -481,7 +519,7 @@ def _cy_weights(kind, words, cut):
 
 def _weight(word):
     try:
-        return int(word)
+        return _ascii_int(word)
     except ValueError:
         raise ValueError(f"weight {word!r} is not an integer") from None
 
@@ -556,7 +594,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             name = value
         elif key == "max_order":
             try:
-                max_order = int(value)
+                max_order = _ascii_int(value)
             except ValueError:
                 raise ModelFormatError(source, ln, f"bad max_order {value!r}") from None
             try:
@@ -592,7 +630,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         _known(source, ln, (a, b), table, "variable")
         value = _parse_expr_or_die(source, ln, expr, table)
         # StarEngine rejects such an entry too; here it is named at its line
-        if any(mono.hbar for mono in value._num):
+        if any(mono >> table._hbar_shift for mono in value._num):
             raise ModelFormatError(source, ln, "bivector entries cannot contain hbar")
         entries[(a, b)] = value
     try:
@@ -838,7 +876,7 @@ def _parse_args(args: list[str]):
             if i >= len(args):
                 raise _CliError("--order needs a value")
             try:
-                opts["order"] = int(args[i])
+                opts["order"] = _ascii_int(args[i])
             except ValueError:
                 raise _CliError(f"--order needs an integer, got {args[i]!r}") from None
         elif tok == "--json":

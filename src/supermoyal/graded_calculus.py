@@ -7,7 +7,7 @@ partials with the Laurent rule d(l^n) = n*l^(n-1).
 
 from __future__ import annotations
 
-from .graded_ring import EVEN, GradedPoly, Monomial, VarTable
+from .graded_ring import _FIELD, EVEN, EXPONENT_LIMIT, ExponentOverflow, GradedPoly, VarTable
 
 
 def _left_delete_sign(mask: int, bit: int) -> int:
@@ -22,37 +22,39 @@ def _right_delete_sign(mask: int, bit: int) -> int:
 
 
 def _var_key(table: VarTable, name: str) -> int:
-    """Derivative key of a variable: its even slot, or ~bit for an odd one."""
+    """Derivative key of a variable: its even field's shift, or ~bit for an odd one."""
     if table.parity(name) == EVEN:
-        return table.even_slot(name)
+        return table._shifts[table.even_slot(name)]
     return ~table.odd_bit(name)
 
 
-def _mono_d(m: Monomial, key: int, left: bool = True) -> tuple[int, Monomial] | None:
-    """(coefficient, monomial) of the derivative of one monomial, or None if zero.
+def _mono_d(m: int, key: int, odd: int, left: bool = True) -> tuple[int, int] | None:
+    """(coefficient, monomial) of the derivative of one packed monomial, or None if zero.
 
+    ``key`` is the variable's ``_var_key`` and ``odd`` the table's odd mask.
     Distinct monomials with a non-zero derivative have distinct derivatives,
     so mapping this over the terms of a polynomial needs no accumulation.
     """
     if key >= 0:
-        e = m.even[key]
+        e = (m >> key & _FIELD) - EXPONENT_LIMIT
         if not e:
             return None
-        even = list(m.even)
-        even[key] = e - 1
-        return e, Monomial(tuple(even), m.odd, m.hbar)
+        if e == -EXPONENT_LIMIT:
+            raise ExponentOverflow(e - 1)
+        return e, m - (1 << key)
     bit = ~key
-    if not m.odd >> bit & 1:
+    if not m >> bit & 1:
         return None
-    sign = (_left_delete_sign if left else _right_delete_sign)(m.odd, bit)
-    return sign, Monomial(m.even, m.odd ^ (1 << bit), m.hbar)
+    sign = (_left_delete_sign if left else _right_delete_sign)(m & odd, bit)
+    return sign, m ^ (1 << bit)
 
 
 def _derive(v, a: GradedPoly, left: bool) -> GradedPoly:
     key = _var_key(a.table, v)
+    odd = a.table._odd
     num = {}
     for m, c in a._num.items():
-        got = _mono_d(m, key, left)
+        got = _mono_d(m, key, odd, left)
         if got is not None:
             num[got[1]] = got[0] * c
     return GradedPoly._of_scaled(a.table, num, a._den)

@@ -9,9 +9,32 @@ Coefficients are exact rationals, stored in one layout: a map of monomials
 to non-zero integer numerators over one positive denominator that shares no
 factor with all of them (the layout of FLINT's ``fmpq_poly``).  Every ring
 operation reads and writes this int form; the star engine does too.
-``terms`` is a read-only view derived from it once per polynomial, with an
-``int`` where a coefficient is integral and a ``Fraction`` where a
-denominator appears; with denominator 1 the view is the int form itself.
+
+A monomial in the int form is one int, a packed exponent vector (Monagan and
+Pearce, CASC 2007), laid out by its ``VarTable`` from the table's specs
+alone, so equal tables pack alike:
+
+    bits 0 .. n_odd - 1         the odd mask, bit i for odd slot i
+    FIELD_BITS bits per slot    even slot i at n_odd + (n_even - 1 - i) * FIELD_BITS
+    the bits above those        the hbar power
+
+An even field holds its exponent plus the bias ``EXPONENT_LIMIT``, so every
+exponent with -EXPONENT_LIMIT <= e < EXPONENT_LIMIT, Laurent ones included,
+fills the field's low FIELD_BITS - 1 bits and leaves its top bit, the guard,
+clear.  Slot 0 sits highest, so the even fields compare as one int in the
+order of the exponent tuple.  A product of monomials without a common odd
+factor adds the two ints and subtracts the bias once.  Two biased fields sum
+below 2^FIELD_BITS, so no field carries into the next, and the product is in
+range exactly when no guard bit is set: the lowest field out of range either
+reaches the guard or, below the bias, borrows from the field above it, which
+sets its guard too.  An exponent out of range raises ``ExponentOverflow``
+instead of wrapping, wherever a field is written.  The hbar power sits above
+every field, where a Python int has no top, so it has no limit.
+
+``Monomial`` is the readable view: the public constructor packs its keys,
+and ``terms`` is a read-only view derived from the int form once per
+polynomial, with ``Monomial`` keys, an ``int`` where a coefficient is
+integral and a ``Fraction`` where a denominator appears.
 
 Substitution is a ``SubstitutionPlan``: a mapping validated once, whose
 powers and Laurent inverses are built once for every polynomial it rewrites.
@@ -22,7 +45,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -30,6 +52,31 @@ EVEN = "even"
 ODD = "odd"
 
 RESERVED = ("hbar",)
+
+# the width of one even exponent's field in a packed monomial: the narrowest
+# whose range holds the exponents the command line and the models are known
+# to use, up to w^100000
+FIELD_BITS = 19
+# every even exponent e lies in -EXPONENT_LIMIT <= e < EXPONENT_LIMIT; it is
+# also the bias each field adds to its exponent
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 2)
+_FIELD = (1 << FIELD_BITS) - 1
+
+
+class ExponentOverflow(ValueError):
+    """An even exponent outside -EXPONENT_LIMIT <= e < EXPONENT_LIMIT.
+
+    Raised wherever a packed field would be written out of range, so an
+    exponent never wraps.
+    """
+
+    def __init__(self, exponent: int, name: str | None = None):
+        of = "" if name is None else f" of {name!r}"
+        super().__init__(
+            f"exponent {exponent}{of} is past the exponent limit: every exponent e"
+            f" has -{EXPONENT_LIMIT} <= e < {EXPONENT_LIMIT}"
+        )
+        self.exponent = exponent
 
 
 class ParityMismatch(ValueError):
@@ -82,20 +129,24 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> tuple[int, Monomial] | None:
-    """(sign, a*b) for two monomials, or None when they share an odd factor."""
-    if a.odd & b.odd:
+def _mono_mul(a: int, b: int, table: VarTable) -> tuple[int, int] | None:
+    """(sign, a*b) for two packed monomials, or None when they share an odd factor."""
+    odd = table._odd
+    oa, ob = a & odd, b & odd
+    if oa & ob:
         return None
-    sign = _merge_sign(a.odd, b.odd) if a.odd and b.odd else 1
-    return sign, Monomial(tuple(map(add, a.even, b.even)), a.odd | b.odd, a.hbar + b.hbar)
+    m = a + b - table._zero
+    if m & table._guard:
+        raise table._overflow(a, b)
+    return (_merge_sign(oa, ob) if oa and ob else 1), m
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Terms of the product of two term maps, with no zero coefficient."""
-    terms: dict[Monomial, int | Fraction] = {}
+def _mul_terms(a: dict, b: dict, table: VarTable) -> dict:
+    """Terms of the product of two packed term maps, with no zero coefficient."""
+    terms: dict[int, int] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            got = _mono_mul(ma, mb)
+            got = _mono_mul(ma, mb, table)
             if got is not None:
                 sign, m = got
                 terms[m] = terms.get(m, 0) + sign * ca * cb
@@ -121,9 +172,19 @@ class _ReadOnly:
 
 
 class VarTable(_ReadOnly):
-    """Ordered table of variable declarations shared by polynomials."""
+    """Ordered table of variable declarations shared by polynomials.
 
-    __slots__ = ("specs", "_index", "_even_slot", "_odd_bit", "n_even", "n_odd")
+    It also fixes the packed layout of its monomials (see the module
+    docstring): ``_odd`` masks the odd bits, ``_shifts[i]`` is even slot i's
+    field, ``_zero`` is the unit monomial (every field at the bias),
+    ``_guard`` the fields' top bits, ``_evens`` all the fields' bits and
+    ``_hbar_shift`` where the hbar power starts.
+    """
+
+    __slots__ = (
+        "specs", "_index", "_even_slot", "_odd_bit", "n_even", "n_odd",
+        "_odd", "_shifts", "_zero", "_guard", "_evens", "_hbar_shift",
+    )
 
     def __init__(self, specs: Iterable[VarSpec]):
         self.specs = tuple(specs)
@@ -144,8 +205,14 @@ class VarTable(_ReadOnly):
                 self._even_slot[spec.name] = len(self._even_slot)
             else:
                 self._odd_bit[spec.name] = len(self._odd_bit)
-        self.n_even = len(self._even_slot)
-        self.n_odd = len(self._odd_bit)
+        self.n_even = n_even = len(self._even_slot)
+        self.n_odd = n_odd = len(self._odd_bit)
+        self._odd = (1 << n_odd) - 1
+        self._shifts = tuple(n_odd + (n_even - 1 - i) * FIELD_BITS for i in range(n_even))
+        self._zero = sum(EXPONENT_LIMIT << s for s in self._shifts)
+        self._guard = self._zero << 1
+        self._evens = sum(_FIELD << s for s in self._shifts)
+        self._hbar_shift = n_odd + n_even * FIELD_BITS
 
     @classmethod
     def build(cls, *decls: tuple) -> "VarTable":
@@ -188,6 +255,61 @@ class VarTable(_ReadOnly):
     def parity(self, name: str) -> str:
         return self.spec(name).parity
 
+    # -- packed monomials ---------------------------------------------------
+
+    def _pack(self, m: Monomial) -> int:
+        """The packed int of a monomial view."""
+        even, odd, hbar = m
+        if len(even) != self.n_even or not 0 <= odd <= self._odd:
+            raise ValueError(f"{m!r} is not a monomial over {self!r}")
+        key = (hbar << self._hbar_shift) + odd
+        for i, (e, s) in enumerate(zip(even, self._shifts)):
+            if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
+                raise ExponentOverflow(e, self.even_names()[i])
+            key += (e + EXPONENT_LIMIT) << s
+        return key
+
+    def _unpack(self, key: int) -> Monomial:
+        """The monomial view of a packed int."""
+        even = [0] * self.n_even
+        for slot, e in self._exponents(key):
+            even[slot] = e
+        return Monomial(tuple(even), key & self._odd, key >> self._hbar_shift)
+
+    def _exponents(self, key: int) -> list[tuple[int, int]]:
+        """(slot, exponent) of each non-zero even exponent of a packed int, by slot.
+
+        Only the non-zero fields are visited: a field differs from the
+        bias exactly when its exponent is not zero.
+        """
+        out = []
+        x = ((key ^ self._zero) & self._evens) >> self.n_odd
+        slot = self.n_even  # the lowest field is the last slot's
+        while x:
+            skip = ((x & -x).bit_length() - 1) // FIELD_BITS
+            x >>= skip * FIELD_BITS
+            slot -= skip + 1
+            out.append((slot, ((x & _FIELD) ^ EXPONENT_LIMIT) - EXPONENT_LIMIT))
+            x >>= FIELD_BITS
+        out.reverse()
+        return out
+
+    def _support(self, name: str) -> tuple[int, int]:
+        """(mask, bits): a packed m has the factor ``name`` when m & mask != bits."""
+        if self.parity(name) == EVEN:
+            s = self._shifts[self._even_slot[name]]
+            return _FIELD << s, EXPONENT_LIMIT << s
+        return 1 << self._odd_bit[name], 0
+
+    def _overflow(self, a: int, b: int) -> ExponentOverflow:
+        """The error of a product of packed monomials whose exponents leave the range."""
+        sums: dict[int, int] = {}
+        for key in (a, b):
+            for slot, e in self._exponents(key):
+                sums[slot] = sums.get(slot, 0) + e
+        slot, e = min((s, e) for s, e in sums.items() if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT)
+        return ExponentOverflow(e, self.even_names()[slot])
+
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "GradedPoly":
@@ -197,8 +319,7 @@ class VarTable(_ReadOnly):
         q = _exact(value)
         if q == 0:
             return self.zero()
-        unit = Monomial((0,) * self.n_even, 0, 0)
-        return GradedPoly._of_scaled(self, {unit: q.numerator}, q.denominator)
+        return GradedPoly._of_scaled(self, {self._zero: q.numerator}, q.denominator)
 
     def one(self) -> "GradedPoly":
         return self.const(1)
@@ -206,7 +327,7 @@ class VarTable(_ReadOnly):
     def hbar(self, power: int = 1) -> "GradedPoly":
         if power < 0:
             raise ValueError("hbar powers are non-negative")
-        return GradedPoly._of_scaled(self, {Monomial((0,) * self.n_even, 0, power): 1}, 1)
+        return GradedPoly._of_scaled(self, {self._zero + (power << self._hbar_shift): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
         spec = self.spec(name)
@@ -217,13 +338,13 @@ class VarTable(_ReadOnly):
                 )
             if power == 0:
                 return self.one()
-            even = [0] * self.n_even
-            even[self._even_slot[name]] = power
-            return GradedPoly._of_scaled(self, {Monomial(tuple(even), 0, 0): 1}, 1)
+            if not -EXPONENT_LIMIT <= power < EXPONENT_LIMIT:
+                raise ExponentOverflow(power, name)
+            key = self._zero + (power << self._shifts[self._even_slot[name]])
+            return GradedPoly._of_scaled(self, {key: 1}, 1)
         if power != 1:
             raise ValueError(f"odd variable {name!r} only carries power 1")
-        odd = Monomial((0,) * self.n_even, 1 << self._odd_bit[name], 0)
-        return GradedPoly._of_scaled(self, {odd: 1}, 1)
+        return GradedPoly._of_scaled(self, {self._zero | 1 << self._odd_bit[name]: 1}, 1)
 
     def monomial_factors(self, m: Monomial) -> tuple[dict[str, int], tuple[str, ...]]:
         """Readable view of a monomial: even exponents by name, odd names in order."""
@@ -236,15 +357,17 @@ class VarTable(_ReadOnly):
 class GradedPoly:
     """Immutable sparse polynomial over a variable table, in exact coefficients.
 
-    Stores only the int form: ``_num`` maps monomials to non-zero integer
-    numerators over the denominator ``_den`` > 0, canonical (no prime divides
-    ``_den`` and every numerator).  ``terms`` is derived from it on first use.
+    Stores only the int form: ``_num`` maps packed monomials to non-zero
+    integer numerators over the denominator ``_den`` > 0, canonical (no prime
+    divides ``_den`` and every numerator).  ``terms`` is derived from it on
+    first use.
     """
 
     __slots__ = ("table", "_terms", "_num", "_den", "_hash")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
-        exact = [(m, _exact(c)) for m, c in terms.items()]
+        pack = table._pack
+        exact = [(pack(m), _exact(c)) for m, c in terms.items()]
         den = lcm(*(c.denominator for _, c in exact))
         # den is the lcm of the denominators, so no prime divides it and
         # every numerator: the pair is canonical as built
@@ -255,7 +378,7 @@ class GradedPoly:
         self._hash = None
 
     @classmethod
-    def _of_scaled(cls, table: VarTable, num: dict[Monomial, int], den: int) -> "GradedPoly":
+    def _of_scaled(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
         """Trusted constructor for ``num / den``: no zero numerator, ``den`` > 0.
 
         One gcd pass makes the pair canonical, skipped when ``den`` is 1;
@@ -278,11 +401,11 @@ class GradedPoly:
     def terms(self) -> dict[Monomial, int | Fraction]:
         """Monomial -> exact coefficient; callers must not mutate it."""
         if self._terms is None:
-            den = self._den
-            if den == 1:
-                self._terms = self._num
-            else:
-                self._terms = {m: _exact(Fraction(c, den)) for m, c in self._num.items()}
+            unpack, den = self.table._unpack, self._den
+            self._terms = {
+                unpack(m): c if den == 1 else _exact(Fraction(c, den))
+                for m, c in self._num.items()
+            }
         return self._terms
 
     def __bool__(self) -> bool:
@@ -352,7 +475,7 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return self.__rmul__(other)
         self._check(other)
-        num = _mul_terms(self._num, other._num)
+        num = _mul_terms(self._num, other._num, self.table)
         return GradedPoly._of_scaled(self.table, num, self._den * other._den)
 
     def __rmul__(self, other):
@@ -370,7 +493,8 @@ class GradedPoly:
         return out
 
     def parity(self) -> str:
-        seen = {m.parity() for m in self._num}
+        odd = self.table._odd
+        seen = {(m & odd).bit_count() & 1 for m in self._num}
         if len(seen) == 2:
             return "mixed"
         if seen == {1}:
@@ -379,15 +503,14 @@ class GradedPoly:
 
     def hbar_coefficient(self, power: int) -> "GradedPoly":
         """Terms at an exact hbar power, with that power stripped off."""
-        num = {
-            Monomial(m.even, m.odd, 0): c
-            for m, c in self._num.items()
-            if m.hbar == power
-        }
+        h = self.table._hbar_shift
+        low = (1 << h) - 1
+        num = {m & low: c for m, c in self._num.items() if m >> h == power}
         return GradedPoly._of_scaled(self.table, num, self._den)
 
     def hbar_truncate(self, max_power: int) -> "GradedPoly":
-        num = {m: c for m, c in self._num.items() if m.hbar <= max_power}
+        h = self.table._hbar_shift
+        num = {m: c for m, c in self._num.items() if m >> h <= max_power}
         return GradedPoly._of_scaled(self.table, num, self._den)
 
 
@@ -395,27 +518,40 @@ def parity_of(a: GradedPoly) -> str:
     return a.parity()
 
 
+def _invert_term(table: VarTable, m: int, c: int, den: int) -> GradedPoly:
+    """(c/den * m)^(-1) for a packed monomial m with no odd factor and no hbar
+    whose variables are all invertible; NonInvertibleSubstitution otherwise."""
+    if m & table._odd:
+        raise NonInvertibleSubstitution("cannot invert an odd factor")
+    if m >> table._hbar_shift:
+        raise NonInvertibleSubstitution("cannot invert an hbar-carrying monomial")
+    exps = table._exponents(m)
+    evens = table.even_names()
+    for slot, _ in exps:
+        if not table.spec(evens[slot]).invertible:
+            raise NonInvertibleSubstitution(
+                f"negative power would require inverting {evens[slot]!r}"
+            )
+    for slot, e in exps:
+        if e == -EXPONENT_LIMIT:  # its negation is one past the range
+            raise ExponentOverflow(EXPONENT_LIMIT, evens[slot])
+    sign = 1 if c > 0 else -1
+    # every field e + bias becomes -e + bias
+    return GradedPoly._of_scaled(table, {2 * table._zero - m: sign * den}, sign * c)
+
+
 def _invert_unit(repl: GradedPoly) -> GradedPoly:
     """(c*M*(1 + nu))^(-1) with M a unit Laurent monomial, nu nilpotent."""
     table = repl.table
-    principal = [(m, c) for m, c in repl._num.items() if m.odd == 0]
+    principal = [(m, c) for m, c in repl._num.items() if not m & table._odd]
     if len(principal) != 1:
         raise NonInvertibleSubstitution(
             "replacement has no single invertible leading monomial"
         )
     (m0, c0) = principal[0]
-    if m0.hbar != 0:
-        raise NonInvertibleSubstitution("cannot invert an hbar-carrying monomial")
-    evens = table.even_names()
-    for slot, e in enumerate(m0.even):
-        if e != 0 and not table.spec(evens[slot]).invertible:
-            raise NonInvertibleSubstitution(
-                f"negative power would require inverting {evens[slot]!r}"
-            )
     # repl is c0/den * M0 (1 + nu), so lead * repl = 1 + nu; nu is nilpotent
     # because each of its terms carries an odd factor
-    inv_m0 = Monomial(tuple(-e for e in m0.even), 0, 0)
-    lead = GradedPoly(table, {inv_m0: Fraction(repl._den, c0)})
+    lead = _invert_term(table, m0, c0, repl._den)
     minus_nu = table.one() - lead * repl
     # (1 + nu)^(-1) = sum_j (-nu)^j, finite by nilpotency
     series = power = table.one()
@@ -455,15 +591,14 @@ class SubstitutionPlan(_ReadOnly):
         self.mapping = MappingProxyType(dict(mapping))  # checked above, so read-only
         self._names = src.even_names(), src.odd_names()
         # source variables no term may carry, neither mapped nor in the target,
-        # each with its even slot or, for an odd one, ~bit
+        # each with the mask and bits of its support test
         self._missing = tuple(
-            (n, src.even_slot(n) if src.parity(n) == EVEN else ~src.odd_bit(n))
-            for n in src.names() if n not in mapping and n not in target
+            (n, *src._support(n)) for n in src.names() if n not in mapping and n not in target
         )
-        self._powers: dict[tuple[str, int], dict[Monomial, int | Fraction]] = {}
+        self._powers: dict[tuple[str, int], GradedPoly] = {}
 
-    def var_power(self, name: str, e: int) -> dict[Monomial, int | Fraction]:
-        """Terms of the image of ``name**e``, for a non-zero exponent ``e``."""
+    def var_power(self, name: str, e: int) -> GradedPoly:
+        """The image of ``name**e``, for a non-zero exponent ``e``."""
         got = self._powers.get((name, e))
         if got is None:
             repl = self.mapping.get(name)
@@ -473,37 +608,51 @@ class SubstitutionPlan(_ReadOnly):
                     raise NonInvertibleSubstitution(
                         f"{name!r} is not invertible in the target table"
                     )
-            got = (repl**e if e > 0 else _invert_unit(repl) ** -e).terms
+            got = repl**e if e > 0 else _invert_unit(repl) ** -e
             self._powers[(name, e)] = got
         return got
 
     def apply(self, a: GradedPoly) -> GradedPoly:
         if a.table != self.src:
             raise ValueError("polynomial is not over the substitution's source table")
-        for name, key in self._missing:
-            if any(m.odd >> ~key & 1 if key < 0 else m.even[key] for m in a._num):
+        for name, mask, bits in self._missing:
+            if any(m & mask != bits for m in a._num):
                 raise KeyError(
                     f"variable {name!r} is not mapped and missing from the target table"
                 )
+        src, target = self.src, self.target
         evens, odds = self._names
-        unit = (0,) * self.target.n_even
-        total: dict[Monomial, int | Fraction] = {}
-        for m, c in a.terms.items():
-            part = {Monomial(unit, 0, m.hbar): c}
-            for slot, e in enumerate(m.even):
-                if e:
-                    part = _mul_terms(part, self.var_power(evens[slot], e))
-                    if not part:
-                        break
-            if part and m.odd:
-                for bit, name in enumerate(odds):
-                    if m.odd >> bit & 1:
-                        part = _mul_terms(part, self.var_power(name, 1))
-                        if not part:
-                            break
-            for mm, q in part.items():
-                total[mm] = total.get(mm, 0) + q
-        return GradedPoly(self.target, total)
+        odd, h_src, h_dst, unit = src._odd, src._hbar_shift, target._hbar_shift, target._zero
+        # each term's image is ``part`` over ``d``; the sum is ``total`` over ``den``
+        total: dict[int, int] = {}
+        den = 1
+        for m, c in a._num.items():
+            part, d = {unit + (m >> h_src << h_dst): c}, 1
+            factors = [(evens[slot], e) for slot, e in src._exponents(m)]
+            rest = m & odd
+            while rest:
+                low = rest & -rest
+                factors.append((odds[low.bit_length() - 1], 1))
+                rest ^= low
+            for name, e in factors:
+                image = self.var_power(name, e)
+                part = _mul_terms(part, image._num, target)
+                if not part:
+                    break
+                d *= image._den
+            if not part:
+                continue
+            if d != den:
+                both = lcm(d, den)
+                if both != den:
+                    total = {k: q * (both // den) for k, q in total.items()}
+                    den = both
+                if both != d:
+                    part = {k: q * (both // d) for k, q in part.items()}
+            for k, q in part.items():
+                total[k] = total.get(k, 0) + q
+        total = {k: q for k, q in total.items() if q}
+        return GradedPoly._of_scaled(target, total, den * a._den)
 
 
 def substitute(

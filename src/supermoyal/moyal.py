@@ -19,8 +19,9 @@ derived monomial pairs, not with the number of step sequences.
 
 The kernel visits only live steps.  The bivector groups its steps by row A
 (``SuperBivector.steps``), and a state tries a row only when A divides F,
-and a partner B only when B divides G, read off an exponent or an odd bit
-before any derivative is taken; F is differentiated once per live row and
+and a partner B only when B divides G, read off the variable's field or odd
+bit of the packed monomial (see ``graded_ring``) before any derivative is
+taken; F is differentiated once per live row and
 G once per live partner.  At order 1
 the centre is the unit, so centre * entry is the entry itself; at order 0
 and for each merged state, the product with the single monomial F * G is
@@ -148,9 +149,7 @@ from random import Random
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, _var_key, d_left  # noqa: F401
-from .graded_ring import (
-    EVEN, ODD, GradedPoly, Monomial, _merge_sign, _mono_mul, _mul_terms,
-)
+from .graded_ring import EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -228,14 +227,14 @@ class StarEngine:
         d_e, self._blocks = _engine_plan(bivector)
         self.bivector = bivector
         self.table = t = bivector.table
-        self._unit = Monomial((0,) * t.n_even, 0, 0)
+        self._unit = t._zero
         self.max_order = max_order
         # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
         self._scale = factorial(max_order) * (2 * d_e) ** max_order
         self._weights = [
             self._scale // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
         ]
-        self._cache: dict[tuple[Monomial, Monomial], GradedPoly] = {}
+        self._cache: dict[tuple[int, int], GradedPoly] = {}
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
@@ -272,7 +271,7 @@ class StarEngine:
                         got = self._star_mono(mf, mg)
                     else:
                         hits += 1
-                    pairs.append((cf * cg, got, mf.hbar + mg.hbar))
+                    pairs.append((cf * cg, got, mf, mg))
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
         finally:
@@ -281,14 +280,16 @@ class StarEngine:
         if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and not odd_only:
             return pairs[0][1]  # a GradedPoly is immutable: the cached product itself
         # every pair over the lcm of their denominators, then one reduction
-        scale = lcm(*(pair._den for _, pair, _ in pairs))
+        scale = lcm(*(pair._den for _, pair, _, _ in pairs))
+        hs = t._hbar_shift
         out: dict = {}
-        for c, pair, h in pairs:
+        for c, pair, mf, mg in pairs:
             c *= scale // pair._den
             terms = pair._num
             if odd_only:
                 c *= 2
-                terms = {m: q for m, q in terms.items() if (m.hbar - h) & 1}
+                h = (mf >> hs) + (mg >> hs)
+                terms = {m: q for m, q in terms.items() if (m >> hs) - h & 1}
             if not out:  # the first pair, or only empty products so far
                 out = {m: c * q for m, q in terms.items()}
                 continue
@@ -308,30 +309,34 @@ class StarEngine:
         """
         t = self.table
         rows = self.bivector.rows()
-        slots = [t.even_slot(r) for r in rows if t.parity(r) == EVEN]
+        slots = {t.even_slot(r) for r in rows if t.parity(r) == EVEN}
         odd_mask = sum(1 << t.odd_bit(r) for r in rows if t.parity(r) == ODD)
         bounds = []
         for p in (f, g):
-            if any(m.even[s] < 0 for m in p._num for s in slots):
-                continue
-            bounds.append(
-                max((sum(m.even[s] for s in slots) + (m.odd & odd_mask).bit_count()
-                     for m in p._num), default=0)
-            )
+            degrees = []
+            for m in p._num:
+                exps = [e for s, e in t._exponents(m) if s in slots]
+                if any(e < 0 for e in exps):
+                    break
+                degrees.append(sum(exps) + (m & odd_mask).bit_count())
+            else:
+                bounds.append(max(degrees, default=0))
         order = min(bounds, default=None)
         return order if order is not None and order <= MAX_ORDER else None
 
-    def _star_mono(self, mf: Monomial, mg: Monomial) -> GradedPoly:
+    def _star_mono(self, mf: int, mg: int) -> GradedPoly:
         """mf * mg, reduced, for a pair not yet in the cache; the result is cached."""
         self._misses += 1
         mirror = self._cache.get((mg, mf))
         if mirror is not None:
             # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n
-            s = -1 if mf.odd.bit_count() & mg.odd.bit_count() & 1 else 1
-            h = mf.hbar + mg.hbar
-            total = {m: -s * q if (m.hbar - h) & 1 else s * q for m, q in mirror._num.items()}
+            t = self.table
+            odd, hs = t._odd, t._hbar_shift
+            s = -1 if (mf & odd).bit_count() & (mg & odd).bit_count() & 1 else 1
+            h = (mf >> hs) + (mg >> hs)
+            total = {m: -s * q if (m >> hs) - h & 1 else s * q for m, q in mirror._num.items()}
             # flipping signs keeps the pair canonical, so nothing is copied
-            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, mirror._den)
+            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(t, total, mirror._den)
             return got
         live = self._blocks
         if len(live) > 1:
@@ -340,7 +345,7 @@ class StarEngine:
             total, counts, fired = self._contract(mf, mg, live[0][0])
             scale = self._scale
         elif not live:  # no step fires: the series is mf * mg alone
-            fg = _mono_mul(mf, mg)
+            fg = _mono_mul(mf, mg, self.table)
             total, counts, fired, scale = {} if fg is None else {fg[1]: fg[0]}, [1], -1, 1
         else:
             total, counts, fired = self._blockwise(mf, mg, live)
@@ -356,7 +361,7 @@ class StarEngine:
         got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, scale)
         return got
 
-    def _blockwise(self, mf: Monomial, mg: Monomial, live: list) -> tuple[dict, list, int]:
+    def _blockwise(self, mf: int, mg: int, live: list) -> tuple[dict, list, int]:
         """``_contract`` of mf * mg over two or more live blocks, one block at a time.
 
         Splits mf (x) mg as sign * (F_1 (x) G_1) ... (F_k (x) G_k) (F_0 (x) G_0),
@@ -366,31 +371,28 @@ class StarEngine:
         are the joint series' up to ``max_order``, and ``fired`` is the
         highest order from which the joint series fires a step.
         """
+        t = self.table
         parts, runs = [], []
-        zero = self._unit.even
-        even_f, even_g, odd = list(mf.even), list(mg.even), 0  # the rest's exponents
-        for rows, slots, mask in live:
-            block_f, block_g = list(zero), list(zero)
-            for s in slots:
-                block_f[s], block_g[s], even_f[s], even_g[s] = even_f[s], even_g[s], 0, 0
-            F = Monomial(tuple(block_f), mf.odd & mask, 0)
-            G = Monomial(tuple(block_g), mg.odd & mask, 0)
+        used = 0  # the fields and odd bits of the blocks so far
+        for rows, mask, fill in live:
+            F, G = mf & mask | fill, mg & mask | fill
             parts.append((F, G))
             runs.append(self._contract(F, G, rows))
-            odd |= mask
-        F0 = Monomial(tuple(even_f), mf.odd & ~odd, mf.hbar)
-        G0 = Monomial(tuple(even_g), mg.odd & ~odd, mg.hbar)
+            used |= mask
+        fill = self._unit & used
+        F0, G0 = mf & ~used | fill, mg & ~used | fill
         parts.append((F0, G0))
         sign = 1
         seen_f = seen_g = pg = 0  # odd factors of the parts so far, parity of the G's
         for F, G in parts:
-            if F.odd:
-                sign *= _merge_sign(seen_f, F.odd) * (-1 if pg & F.odd.bit_count() else 1)
-                seen_f |= F.odd
-            if G.odd:
-                sign *= _merge_sign(seen_g, G.odd)
-                seen_g |= G.odd
-                pg ^= G.odd.bit_count() & 1
+            F, G = F & t._odd, G & t._odd
+            if F:
+                sign *= _merge_sign(seen_f, F) * (-1 if pg & F.bit_count() else 1)
+                seen_f |= F
+            if G:
+                sign *= _merge_sign(seen_g, G)
+                seen_g |= G
+                pg ^= G.bit_count() & 1
         # the joint live states per order: the blocks' counts convolved
         counts = [1]
         for _, block_counts, _ in runs:
@@ -405,12 +407,12 @@ class StarEngine:
         fired = max(f + depth - len(c) + 1 for _, c, f in runs)
         total = runs[0][0]
         for block_total, _, _ in runs[1:]:
-            total = _mul_terms(total, block_total)
-        fg = _mono_mul(F0, G0)
-        total = {} if fg is None else _mul_terms(total, {fg[1]: sign * fg[0]})
+            total = _mul_terms(total, block_total, t)
+        fg = _mono_mul(F0, G0, t)
+        total = {} if fg is None else _mul_terms(total, {fg[1]: sign * fg[0]}, t)
         return total, counts[:self.max_order + 1], fired
 
-    def _contract(self, mf: Monomial, mg: Monomial, rows: tuple) -> tuple[dict, list, int]:
+    def _contract(self, mf: int, mg: int, rows: tuple) -> tuple[dict, list, int]:
         """The series of mf * mg over the steps in ``rows``: (total, counts, fired).
 
         ``total`` maps monomials to int numerators over D; ``counts[n]`` is
@@ -420,9 +422,11 @@ class StarEngine:
         """
         # looked up per call, so a test may patch these module names
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
+        t = self.table
+        odd, hbar = t._odd, 1 << t._hbar_shift
         weights = self._weights
         max_order = self.max_order
-        fg = mono_mul(mf, mg)
+        fg = mono_mul(mf, mg, t)
         total = {} if fg is None else {fg[1]: fg[0] * weights[0]}
         # live states (centre, F, G): one per derived monomial pair (F, G),
         # with the centre (d_e^n times a polynomial in the entries) as int terms
@@ -433,23 +437,22 @@ class StarEngine:
         while states:
             counts.append(len(states))
             order += 1
-            merged: dict[tuple[Monomial, Monomial], dict] = {}
+            merged: dict[tuple[int, int], dict] = {}
             for centre, F, G in states:
-                pf = F.odd.bit_count() & 1
-                F_even, F_odd, G_even, G_odd = F.even, F.odd, G.even, G.odd
-                for ka, pa, partners in rows:
+                pf = (F & odd).bit_count() & 1
+                for ka, ma, wa, pa, partners in rows:
                     # support test: A must divide F before any derivative
-                    if not (F_odd >> ~ka & 1 if pa else F_even[ka]):
+                    if F & ma == wa:
                         continue
-                    cF, dF = mono_d(F, ka)
-                    for kb, e, pb in partners:
-                        if not (G_odd >> ~kb & 1 if pb else G_even[kb]):
+                    cF, dF = mono_d(F, ka, odd)
+                    for kb, mb, wb, e, pb in partners:
+                        if G & mb == wb:
                             continue
-                        cG, dG = mono_d(G, kb)
+                        cG, dG = mono_d(G, kb, odd)
                         if order == 1:
                             ce = e  # the centre is the unit
                         else:
-                            ce = _mul_terms(centre, e)
+                            ce = _mul_terms(centre, e, t)
                             if not ce:
                                 continue
                         c = step_sign(pb, pf, pa) * cF * cG
@@ -472,14 +475,14 @@ class StarEngine:
                     if not centre:
                         continue
                 states.append((centre, nF, nG))
-                fg = mono_mul(nF, nG)
+                fg = mono_mul(nF, nG, t)
                 if fg is None:
                     continue
                 sign, FG = fg
-                FG = Monomial(FG.even, FG.odd, FG.hbar + order)
+                FG += order * hbar
                 sign *= weight
                 for m, q in centre.items():
-                    got = mono_mul(m, FG)
+                    got = mono_mul(m, FG, t)
                     if got is not None:
                         p = got[1]
                         total[p] = total.get(p, 0) + got[0] * sign * q
@@ -499,26 +502,28 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
         return bivector._plan
     if not bivector.is_central:
         raise NonCentralBivector("bivector entries depend on contracted variables")
+    t = bivector.table
     for (a, b), entry in bivector.entries.items():
         if entry.parity() != EVEN:
             raise NonCentralBivector(f"entry ({a}, {b}) is not even")
-        if any(m.hbar for m in entry._num):
+        if any(m >> t._hbar_shift for m in entry._num):
             # a term's contraction order is read off its hbar power
             raise NonCentralBivector(f"entry ({a}, {b}) contains hbar")
-    t = bivector.table
-    # the bivector's steps, keyed and scaled, as
-    # (key A, |A|, ((key B, d_e * pi^{AB} as ints, |B|), ...))
+    # the bivector's steps, keyed and scaled, as (key A, support mask and
+    # bits of A, |A|, ((key B, mask and bits of B, d_e * pi^{AB} as ints,
+    # |B|), ...)); a packed m has the factor A when m & mask != bits
     d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
     rows = tuple(
-        (_var_key(t, a), pa, tuple(
-            (_var_key(t, b), e.scale(d_e)._num, pb) for b, e, pb in partners
+        (_var_key(t, a), *t._support(a), pa, tuple(
+            (_var_key(t, b), *t._support(b), e.scale(d_e)._num, pb) for b, e, pb in partners
         ))
         for a, pa, partners in bivector.steps
     )
     # the steps' blocks, the connected components of the graph joining A
-    # and B when pi^{AB} != 0, as (rows, even slots, odd mask); one
-    # block where the split would not be exact (see "Blocks" above)
-    partners_of = {ka: partners for ka, _, partners in rows}
+    # and B when pi^{AB} != 0, as (rows, mask, fill): the mask covers the
+    # block's fields and odd bits, and fill sets every other field to the
+    # bias; one block where the split would not be exact (see "Blocks" above)
+    partners_of = {row[0]: row[4] for row in rows}
     block_of: dict[int, int] = {}  # row key -> block number
     n = 0
     for ka in partners_of:
@@ -527,36 +532,31 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
         block_of[ka] = n
         todo = [ka]
         while todo:
-            for kb, _, _ in partners_of[todo.pop()]:
+            for kb, *_ in partners_of[todo.pop()]:
                 if kb not in block_of:
                     block_of[kb] = n
                     todo.append(kb)
         n += 1
-    if bivector.parity or any(m.odd for e in bivector.entries.values() for m in e._num):
+    if bivector.parity or any(m & t._odd for e in bivector.entries.values() for m in e._num):
         block_of, n = dict.fromkeys(block_of, 0), min(n, 1)
-    block_rows, slots, masks = [[] for _ in range(n)], [[] for _ in range(n)], [0] * n
+    block_rows, masks = [[] for _ in range(n)], [0] * n
     for row in rows:
-        k, i = row[0], block_of[row[0]]
+        i = block_of[row[0]]
         block_rows[i].append(row)
-        if k >= 0:
-            slots[i].append(k)
-        else:
-            masks[i] |= 1 << ~k
-    plan = d_e, tuple(zip(map(tuple, block_rows), map(tuple, slots), masks))
+        masks[i] |= row[1]
+    plan = d_e, tuple((tuple(r), mask, t._zero & ~mask) for r, mask in zip(block_rows, masks))
     object.__setattr__(bivector, "_plan", plan)  # the one write after construction
     return plan
 
 
-def _live_blocks(blocks: tuple, F: Monomial, G: Monomial) -> list:
+def _live_blocks(blocks: tuple, F: int, G: int) -> list:
     """The blocks with a step (A, B) whose A divides F and whose B divides G."""
-    F_even, F_odd, G_even, G_odd = F.even, F.odd, G.even, G.odd
     live = []
     for block in blocks:
-        for ka, pa, partners in block[0]:
-            if F_odd >> ~ka & 1 if pa else F_even[ka]:
-                if any(G_odd >> ~kb & 1 if pb else G_even[kb] for kb, _, pb in partners):
-                    live.append(block)
-                    break
+        for _, ma, wa, _, partners in block[0]:
+            if F & ma != wa and any(G & mb != wb for _, mb, wb, _, _ in partners):
+                live.append(block)
+                break
     return live
 
 

@@ -157,8 +157,9 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
 def _parity_parts(f: GradedPoly):
     """(|F|, F) for the even and then the odd part of f, skipping an empty one."""
     parts: dict[int, dict] = {}
+    odd = f.table._odd
     for m, c in f._num.items():
-        parts.setdefault(m.parity(), {})[m] = c
+        parts.setdefault((m & odd).bit_count() & 1, {})[m] = c
     return [(p, GradedPoly._of_scaled(f.table, num, f._den)) for p, num in sorted(parts.items())]
 
 

@@ -28,7 +28,7 @@ from supermoyal.cli import (
     run,
     save_model,
 )
-from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
+from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
 from supermoyal.moyal import MAX_ORDER
 
@@ -796,6 +796,93 @@ class TestCyCommand:
         assert cli("cy", "--projective", "3")[0] == 2
         assert cli("cy", "--weighted", "1", "1")[0] == 2
         assert cli("cy", "--projective", "x", "4")[0] == 2
+
+
+class TestAsciiIntegers:
+    """Every integer the command line and model files read is ASCII digits;
+    int() alone also reads other scripts' digits, "_" separators and spaces."""
+
+    @pytest.mark.parametrize("value", ["\u0663", "0_1", " 3", "+3", "-"])
+    def test_order(self, cli, value):
+        rc, out, err = cli("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", value)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: --order needs an integer, got {value!r}\nusage:")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: --order needs an integer, got {value!r}"
+        ]
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("--projective", "\u0663", "\u0664"), "\u0663"),
+        (("--weighted", "1", "1", "--", "1_0"), "1_0"),
+        (("--ambitwistor", "\u0663"), "\u0663"),
+    ])
+    def test_cy_weights(self, cli, argv, bad):
+        assert cli("cy", *argv) == (
+            2, "", f"error: cy {argv[0]}: weight {bad!r} is not an integer\n"
+        )
+
+    @pytest.mark.parametrize("old, new, line_no, message", [
+        ("max_order = 8", "max_order = \u0668", 3, "bad max_order '\u0668'"),
+        ("max_order = 8", "max_order = 0_8", 3, "bad max_order '0_8'"),
+        ("z1 even weight 1", "z1 even weight \u0661", 6, "bad weight '\u0661'"),
+    ])
+    def test_model_file(self, cli, tmp_path, old, new, line_no, message):
+        text = (_ROOT / "models" / "p3_4.model").read_text()
+        assert text.splitlines()[line_no - 1] == old
+        path = tmp_path / "digits.model"
+        path.write_text(text.replace(old, new, 1))
+        assert cli("verify", str(path)) == (2, "", f"error: {path}:{line_no}: {message}\n")
+
+
+class TestExponentLimit:
+    """An exponent past the packed limit is one error line, never a wrap."""
+
+    L = EXPONENT_LIMIT
+    RANGE = f"every exponent e has -{L} <= e < {L}"
+
+    def test_parser_names_the_column(self):
+        t, L = _table(), self.L
+        assert parse_expression(f"w^{L - 1}", t) == t.var("w", L - 1)
+        assert parse_expression(f"l^-{L}", t) == t.var("l", -L)
+        assert parse_expression(f"w^{L - 1}*l^-{L}/l^-1", t) == t.var("w", L - 1) * t.var("l", 1 - L)
+        for text, at in (
+            (f"w^{L}", f"{L}"),
+            (f"l^-{L + 1}", f"{L + 1}"),
+            (f"w^{L - 1}*w", "*"),
+            (f"1/l^-{L}", "/"),
+            (f"(w^{L - 1} + 1)^2", "2"),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_expression(text, t)
+            assert self.RANGE in info.value.msg
+            assert info.value.position == text.rindex(at)
+
+    @pytest.mark.parametrize("lhs, exponent", [
+        (f"x11^{EXPONENT_LIMIT + 1}", EXPONENT_LIMIT + 1),
+        ("x11^100000000000", 100000000000),
+        (f"x11^{EXPONENT_LIMIT - 1}*x11", EXPONENT_LIMIT),
+    ])
+    def test_operands(self, cli, lhs, exponent):
+        rc, out, err = cli("star", "T0-cotangent", "--lhs", lhs, "--rhs", "x12^3")
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: exponent {exponent} of 'x11' is past the exponent limit")
+        assert self.RANGE in err and err.count("\n") == 1
+
+    def test_product(self, cli):
+        # both operands are in range; their product is not
+        rc, out, err = cli("comm", "T0-cotangent", "--a", f"x11^{self.L - 1}", "--b", "x11*x12")
+        assert (rc, out) == (2, "")
+        assert err == f"error: exponent {self.L} of 'x11' is past the exponent limit: {self.RANGE}\n"
+
+    @pytest.mark.parametrize("entry", [f"D11_12^{EXPONENT_LIMIT}", f"D11_12^{EXPONENT_LIMIT - 1}*D11_12"])
+    def test_model_file_names_the_line(self, cli, tmp_path, entry):
+        text = (_ROOT / "models" / "t0_cotangent.model").read_text()
+        path = tmp_path / "exponent.model"
+        path.write_text(text.replace("x11 x12 := D11_12\n", f"x11 x12 := {entry}\n", 1))
+        rc, out, err = cli("verify", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {path}:35: exponent {self.L} of 'D11_12'")
+        assert self.RANGE in err and err.count("\n") == 1
 
 
 class TestDriver:

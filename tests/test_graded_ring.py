@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_oracle import as_dict, mono_d_left, poly_mul
 from supermoyal.graded_calculus import d_left, d_right
 from supermoyal.graded_ring import (
     EVEN,
+    EXPONENT_LIMIT,
     ODD,
+    ExponentOverflow,
     GradedPoly,
     Monomial,
     NonInvertibleSubstitution,
@@ -193,6 +196,11 @@ class TestCoefficients:
                 GradedPoly(t, {m: bad})
 
 
+def packed(t, num):
+    """A term map keyed by ``Monomial``, keyed by packed ints for ``_of_scaled``."""
+    return {t._pack(m): c for m, c in num.items()}
+
+
 class TestIntForm:
     """The int form (numerators over one denominator) and the coefficient view."""
 
@@ -211,7 +219,7 @@ class TestIntForm:
     def test_both_constructors_agree(self, terms, num, den):
         t = table()
         from_view = GradedPoly(t, terms)
-        scaled = GradedPoly._of_scaled(t, num, den)
+        scaled = GradedPoly._of_scaled(t, packed(t, num), den)
         assert from_view == scaled and hash(from_view) == hash(scaled)
         assert scaled.terms == from_view.terms
         assert (from_view._num, from_view._den) == (scaled._num, scaled._den)
@@ -221,17 +229,16 @@ class TestIntForm:
 
     def test_int_form_is_canonical(self):
         t = table()
-        p = GradedPoly._of_scaled(t, {self.M: 4, self.N: -6}, 8)
-        assert (p._num, p._den) == ({self.M: 2, self.N: -3}, 4)
-        assert p.terms == {self.M: Fraction(1, 2), self.N: Fraction(-3, 4)}
+        p = GradedPoly._of_scaled(t, packed(t, {self.M: 4, self.N: -6}), 8)
+        assert (p.terms, p._den) == ({self.M: Fraction(1, 2), self.N: Fraction(-3, 4)}, 4)
         p = GradedPoly(t, {self.M: Fraction(2, 6)})
-        assert (p._num, p._den) == ({self.M: 1}, 3)
+        assert (p.terms, p._den) == ({self.M: Fraction(1, 3)}, 3)
 
     def test_different_values_differ(self):
         t = table()
-        a = GradedPoly._of_scaled(t, {self.M: 1}, 2)
+        a = GradedPoly._of_scaled(t, packed(t, {self.M: 1}), 2)
         others = (
-            GradedPoly._of_scaled(t, {self.M: 1}, 3),
+            GradedPoly._of_scaled(t, packed(t, {self.M: 1}), 3),
             GradedPoly(t, {self.M: -Fraction(1, 2)}),
             GradedPoly(t, {self.N: Fraction(1, 2)}),
             t.zero(),
@@ -478,6 +485,7 @@ def _oracle_d(a, t, name, left):
 def assert_int_form(p, want):
     """p is canonical, its view is ``want``, and == and hash agree with the view."""
     num, den = p._num, p._den
+    assert all(type(m) is int for m in num)
     assert den > 0
     assert gcd(den, *num.values()) == 1
     assert all(type(c) is int and c != 0 for c in num.values())
@@ -514,3 +522,123 @@ class TestIntFormOracle:
         at_k = {Monomial(m.even, m.odd, 0): c for m, c in a.items() if m.hbar == k}
         assert_int_form(p.hbar_coefficient(k), at_k)
         assert_int_form(p.hbar_truncate(k), {m: c for m, c in a.items() if m.hbar <= k})
+
+
+# -- the packed form at the edge of its fields, against tests/dict_oracle.py ---
+
+L = EXPONENT_LIMIT
+TB = VarTable.build(
+    ("x", EVEN), ("l", EVEN, True), ("m", EVEN, True), ("th1", ODD), ("th2", ODD)
+)
+
+
+def boundary_polys():
+    """Term maps with exponents at the field boundary, Laurent exponents on the
+    invertible l and m, odd factors and hbar."""
+    exps = st.tuples(
+        st.sampled_from([0, 1, 2, L - 2, L - 1]),
+        st.sampled_from([-L, -(L - 1), -2, -1, 0, 1, L - 1]),
+        st.sampled_from([-(L - 1), -1, 0, 2, L - 1]),
+    )
+    monos = st.builds(Monomial, exps, st.integers(0, 3), st.integers(0, 2))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.dictionaries(monos, coeffs, max_size=4).map(
+        lambda d: {m: c for m, c in d.items() if c}
+    )
+
+
+def _in_range(even):
+    return all(-L <= e < L for e in even)
+
+
+class TestPackedBoundary:
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_polys())
+    def test_the_view_round_trips(self, a):
+        p = GradedPoly(TB, a)
+        assert as_dict(p) == a
+        assert GradedPoly(TB, p.terms) == p
+
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_polys(), boundary_polys())
+    def test_sums_and_products_are_exact_or_refused(self, a, b):
+        pa, pb = GradedPoly(TB, a), GradedPoly(TB, b)
+        assert as_dict(pa + pb) == _oracle_add(a, b)
+        # the ring forms the product of every pair without a common odd factor
+        past = any(
+            not _in_range([x + y for x, y in zip(ma.even, mb.even)])
+            for ma in a for mb in b if not ma.odd & mb.odd
+        )
+        if past:
+            with pytest.raises(ExponentOverflow):
+                pa * pb
+        else:
+            assert as_dict(pa * pb) == poly_mul(as_dict(pa), as_dict(pb))
+
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_polys(), st.sampled_from(TB.names()))
+    def test_left_derivatives_are_exact_or_refused(self, a, name):
+        p = GradedPoly(TB, a)
+        if TB.parity(name) == ODD:
+            key = ("odd", TB.odd_bit(name))
+        else:
+            key = ("even", TB.even_slot(name))
+            if any(m.even[key[1]] == -L for m in a):  # -L - 1 is past the limit
+                with pytest.raises(ExponentOverflow):
+                    d_left(name, p)
+                return
+        want = {}
+        for m, c in as_dict(p).items():
+            got = mono_d_left(key, m)
+            if got is not None:
+                want[got[1]] = got[0] * c
+        assert as_dict(d_left(name, p)) == want
+
+    def test_every_field_write_checks_the_limit(self):
+        t = TB
+        assert t.var("x", L - 1).terms == {Monomial((L - 1, 0, 0), 0, 0): 1}
+        assert t.var("l", -L).terms == {Monomial((0, -L, 0), 0, 0): 1}
+        for name, e in (("x", L), ("l", -L - 1), ("x", 100_000_000_000)):
+            with pytest.raises(ExponentOverflow) as info:
+                t.var(name, e)
+            assert f"exponent {e} of {name!r}" in str(info.value)
+            assert f"-{L} <= e < {L}" in str(info.value)
+        with pytest.raises(ExponentOverflow):
+            GradedPoly(t, {Monomial((0, 0, L), 0, 0): 1})
+        for a, b in (
+            (t.var("x", L - 1), t.var("x")),
+            (t.var("l", -L), t.var("l", -1)),
+            (t.var("m", L - 1) * t.var("th1"), t.var("m", 1) * t.var("th2") + t.one()),
+        ):
+            with pytest.raises(ExponentOverflow):
+                a * b
+        assert t.var("l", L - 1) * t.var("l", -L) == t.var("l", -1)
+        with pytest.raises(ExponentOverflow):
+            d_left("l", t.var("l", -L))
+        # l^-L through l -> l^-1 needs l^L; l -> l^-L needs the inverse l^L
+        with pytest.raises(ExponentOverflow):
+            substitute(t.var("l", -L), {"l": t.var("l", -1)}, t)
+        with pytest.raises(ExponentOverflow):
+            substitute(t.var("l", -1), {"l": t.var("l", -L)}, t)
+        # hbar sits above every field, so its power has no limit
+        big = 100_000_000_000
+        assert (t.hbar(big) * t.hbar(big)).terms == {Monomial((0, 0, 0), 0, 2 * big): 1}
+
+    def test_a_monomial_must_fit_its_table(self):
+        # three even slots and two odd bits: a fourth slot or a third bit
+        # would overlap the next field
+        for m in (Monomial((0, 0), 0, 0), Monomial((0, 0, 0, 0), 0, 0),
+                  Monomial((0, 0, 0), 0b100, 0), Monomial((0, 0, 0), -1, 0)):
+            with pytest.raises(ValueError):
+                GradedPoly(TB, {m: 1})
+
+    def test_a_refused_product_leaves_its_neighbours_alone(self):
+        # x^(L-1) * x would carry into l's field, and l^-L * l^-1 borrow from
+        # x's field: neither may come back as a product of other exponents
+        t = TB
+        for a, b in (
+            (t.var("x", L - 1) * t.var("l", 5), t.var("x") * t.var("m", -3)),
+            (t.var("x", 2) * t.var("l", -L), t.var("l", -1)),
+        ):
+            with pytest.raises(ExponentOverflow):
+                a * b

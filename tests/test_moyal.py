@@ -14,7 +14,7 @@ from test_acceptance import _oracle_star
 
 import supermoyal.moyal as moyal
 from supermoyal.cli import parse_expression
-from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
+from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, VarTable
 from supermoyal.models import builtin
 from supermoyal.moyal import (
     MAX_ORDER,
@@ -918,7 +918,7 @@ class TestReducedPairCache:
         # the operands with coefficient 1, so a hit returns the cached pair
         pi, f, g = case
         assume(f and g)
-        f, g = (GradedPoly(p.table, dict.fromkeys(p._num, 1)) for p in (f, g))
+        f, g = (GradedPoly(p.table, dict.fromkeys(p.terms, 1)) for p in (f, g))
         eng = StarEngine(pi)
         first = eng.star(f, g)
         assert eng.star(f, g) is first
@@ -937,7 +937,7 @@ class TestReducedPairCache:
         g = (y**3).scale(Fraction(1, 2)) + t.hbar() * y + v.scale(7)
         eng = StarEngine(pi)
         dens = {eng.star(GradedPoly(t, {mf: 1}), GradedPoly(t, {mg: 1}))._den
-                for mf in f._num for mg in g._num}
+                for mf in f.terms for mg in g.terms}
         assert dens == {1, 2, 3, 4}
         for a, b in ((f, g), (g, f)):
             assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 8)
@@ -1130,3 +1130,87 @@ class TestBlocks:
         for model, count in [("T0-cotangent", 2), ("L5|6", 7), ("WP[1,3]", 3), ("P3|4", 5),
                              ("P3|N", 1), ("T1-cotangent", 1)]:
             assert len(StarEngine(builtin(model).bivector)._blocks) == count
+
+
+L = EXPONENT_LIMIT
+
+
+@st.composite
+def boundary_cases(draw):
+    """Operands with exponents at the edge of the packed range, and max_order.
+
+    The rows x, y (y invertible), th1 and th2 carry small exponents, a
+    negative one on y included, so a series may outlive max_order.  The
+    passive p and q are invertible and in no entry, and carry exponents at
+    the field boundary, p in f only and q in g only, so every exact product
+    stays in range; s is left for ``test_a_product_past_the_limit_is_refused``.
+    The entries are multiples of 1 and of the constant k.
+    """
+    decls = [("x", EVEN), ("y", EVEN, True), ("k", EVEN), ("p", EVEN, True),
+             ("q", EVEN, True), ("s", EVEN, True), ("th1", ODD), ("th2", ODD)]
+    t = VarTable.build(*draw(st.permutations(decls)))
+    entries = {}
+    for pair in (("x", "y"), ("th1", "th2"), ("th1", "th1"), ("th2", "th2")):
+        if draw(st.integers(0, 2)):
+            c = draw(st.sampled_from(_COEFFS[1:]))
+            entries[pair] = t.var("k", draw(st.integers(0, 1))).scale(c)
+    assume(entries)
+    edge = st.sampled_from([L - 1, -(L - 1), -L, 0, 1])
+
+    def operand(passive):
+        out = t.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            term = t.const(draw(st.sampled_from(_COEFFS[1:]))) * t.hbar(draw(st.integers(0, 2)))
+            term = term * t.var("x", draw(st.integers(0, 2))) * t.var("y", draw(st.integers(-1, 2)))
+            term = term * t.var("k", draw(st.integers(0, 1))) * t.var(passive, draw(edge))
+            for name in ("th1", "th2"):
+                if draw(st.booleans()):
+                    term = term * t.var(name)
+            out = out + term
+        return out
+
+    return SuperBivector(t, entries), operand("p"), operand("q"), draw(st.integers(1, 3))
+
+
+class TestPackedBoundary:
+    """The engine at the edge of the packed exponent range, against the dict oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_cases())
+    def test_engine_matches_oracle(self, case):
+        pi, f, g, max_order = case
+        assert _engine_or_none(pi, f, g, max_order) == _oracle_or_none(pi, f, g, max_order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_cases(), st.sampled_from([(L - 1, 1), (L - 2, 2), (-L, -1), (-(L - 1), -2)]))
+    def test_a_product_past_the_limit_is_refused(self, case, powers):
+        # every term of f * g carries s^(a + b), past the limit: the engine
+        # raises, or returns zero where the exact series is zero, or
+        # truncates where it does, and never returns a wrapped exponent
+        pi, f, g, max_order = case
+        t = pi.table
+        f, g = f * t.var("s", powers[0]), g * t.var("s", powers[1])
+        want = _oracle_or_none(pi, f, g, max_order)
+        try:
+            got = _engine_or_none(pi, f, g, max_order)
+        except ExponentOverflow:
+            return
+        assert got == want and not got
+
+    def test_the_kernel_checks_every_field_it_writes(self):
+        t = VarTable.build(("x", EVEN), ("y", EVEN, True), ("k", EVEN), ("p", EVEN))
+        eng = StarEngine(SuperBivector(t, {("x", "y"): t.var("k")}))
+        x, y, k, p = (t.var(n) for n in t.names())
+        for f, g in (
+            (x * t.var("p", L - 1), y * p),  # the order-0 product
+            (x * t.var("k", L - 1), y),  # the entry times the order-0 product
+            (x, t.var("y", -L)),  # a derivative
+        ):
+            with pytest.raises(ExponentOverflow):
+                eng.star(f, g)
+            with pytest.raises(ExponentOverflow):
+                eng.supercommutator(f, g)
+        # the refused products left nothing behind: the same pairs one step
+        # inside the range come out exact
+        f, g = x * t.var("k", L - 2), y
+        assert as_dict(eng.star(f, g)) == dict_oracle_star(eng.bivector, f, g, 8)
