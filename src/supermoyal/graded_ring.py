@@ -262,6 +262,8 @@ class VarTable(_ReadOnly):
         even, odd, hbar = m
         if len(even) != self.n_even or not 0 <= odd <= self._odd:
             raise ValueError(f"{m!r} is not a monomial over {self!r}")
+        if hbar < 0:
+            raise ValueError("hbar powers are non-negative")
         key = (hbar << self._hbar_shift) + odd
         for i, (e, s) in enumerate(zip(even, self._shifts)):
             if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
@@ -389,6 +391,20 @@ class GradedPoly:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
+        # built here, not by calling _of_canonical: every ring operation ends
+        # here, and the extra call measurably slowed the star product's reads
+        p = object.__new__(cls)
+        p.table = table
+        p._num = num
+        p._den = den
+        p._terms = None
+        p._hash = None
+        return p
+
+    @classmethod
+    def _of_canonical(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
+        """Trusted constructor for ``num / den`` that is canonical already, as
+        a sign flip or a shift of every key of a canonical pair is: no pass."""
         p = object.__new__(cls)
         p.table = table
         p._num = num

@@ -26,8 +26,9 @@ G once per live partner.  At order 1
 the centre is the unit, so centre * entry is the entry itself; at order 0
 and for each merged state, the product with the single monomial F * G is
 taken term by term.  ``star`` reads the monomial-pair cache inline and runs
-the kernel only on a miss, so a product of cached pairs costs dict reads
-and integer multiply-adds.
+the kernel only on a miss whose block parts have no run yet (see "Runs"
+below), so a product of cached pairs costs dict reads and integer
+multiply-adds.
 
 All of it is integer arithmetic.  The engine scales its entries once by
 their common denominator d_e, so centres and contraction coefficients are
@@ -38,7 +39,7 @@ kernel sums a monomial pair's orders at the one scale
 
 order n adding its integer sum times D / (n! (2 d_e)^n), itself an integer,
 and reduces the total over D by one gcd pass (see ``graded_ring``: the int
-form of a polynomial).  The cache holds that reduced polynomial, so D never
+form of a polynomial).  The caches hold that reduced polynomial, so D never
 leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
 the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable; a single pair with other coefficients scales it; several pairs
@@ -48,8 +49,8 @@ What an engine needs from the bivector alone (the centrality, even-entry
 and hbar checks, d_e, the keyed rows and the blocks below) is its plan,
 computed once per bivector, by its first engine or by the ``ModelSpec``
 that holds it, and kept on the bivector.
-The pair cache, the scale D and the counters stay per engine, so engines
-share no contraction work.
+The pair cache, the run cache, the scale D and the counters stay per
+engine, so engines share no contraction work.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -95,10 +96,11 @@ the supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
 of f * g.
 
 Blocks.  Join A and B when pi^{AB} != 0; a block is a connected component of
-that graph, and P = sum_b P_b, with P_b the steps inside block b.  When the
-bivector is even and no entry has an odd factor, a miss contracts each live
-block on its own (a block is live when one of its steps (A, B) has A
-dividing mf and B dividing mg).  Proof: an even step has |A| = |B|, so
+that graph, and P = sum_b P_b, with P_b the steps inside block b.  A miss
+splits the pair into the parts of its k >= 0 live blocks and a passive rest
+(a block is live when one of its steps (A, B) has A dividing mf and B
+dividing mg).  Proof for an even bivector with no odd factor in an entry:
+an even step has |A| = |B|, so
 d_A (x) d_B is an even operator on the super tensor product, whose product
 is (a (x) b)(c (x) d) = (-1)^(|b||c|) ac (x) bd.  Writing out the Koszul
 signs with |A| = |B| gives P_b(X Y) = (P_b X) Y when Y has no variable of
@@ -119,7 +121,12 @@ is an algebra map because the ring is supercommutative, so
 
     mf * mg = s (F_1 * G_1) ... (F_k * G_k) F_0 G_0,
 
-each F_b * G_b the series of block b alone.  The order-n term of
+each F_b * G_b the series of block b alone.  With k = 0 this is mf mg, and
+s = 1.  With k = 1 it is s (F_1 * G_1) F_0 G_0, where s = 1 unless the rest
+has an odd factor: order by order, the joint kernel's states are block 1's
+states times (F_0, G_0), each centre up to a sign that the state fixes, so
+they merge, cancel and fire alike and the live states per order are block
+1's.  With k >= 2, the order-n term of
 exp(hbar P / 2) is the sum over n_1 + ... + n_k = n of
 prod_b (hbar P_b / 2)^(n_b) / n_b!, so a joint state at order n is one
 state of each block, their orders summing to n, and its merged centre is
@@ -133,9 +140,29 @@ max_order - a_b.  Block b fires from every order up to its highest, a_b,
 and block c is live at every order up to its depth depth_c, so the engine
 raises when a_b + sum_{c != b} depth_c >= max_order for some live b, and
 records the joint peaks up to max_order first, as the joint series would.
-An odd bivector, or an entry with an odd factor, stays one block: two odd
-block operators anticommute, so the exponential does not factor, and
-centres with odd factors can multiply to zero, so counts do not convolve.
+
+An odd bivector, or an entry with an odd factor, is one block over every
+variable, which an engine takes as live on every miss: two odd block
+operators anticommute, so the exponential does not factor, and centres with
+odd factors can multiply to zero, so counts do not convolve.  Its rest is
+only the operands' hbar powers, and stripping them is exact: hbar is even
+and central and no step differentiates it, so
+exp(hbar P / 2)(hbar^a F (x) hbar^b G) = hbar^(a+b) exp(hbar P / 2)(F (x) G),
+with s = 1 and the same states order by order.
+
+Runs.  The series F_b * G_b of a block, its live states per order and the
+highest order it fired from depend only on the parts (F_b, G_b), so an
+engine keeps them per pair of parts, as the block's run, with the series
+reduced over D, and every later miss with the same parts reads the run
+instead of contracting again.  With one live block the pair's product is
+the run times s F_0 G_0: each key gains F_0 G_0's fields and hbar power,
+and each coefficient its sign, with a ``_merge_sign`` per term when F_0 G_0
+has odd factors (no key of the run has one: they lie outside the block).
+Keys stay distinct and coefficients change only in sign, so the product is
+reduced as built.  The entries live in passive fields, which F_0 G_0 may
+fill too, so every shifted key is tested against the guard bits when F_0 G_0
+has an even exponent.  Such a pair raises ``TruncationExceeded`` exactly when
+its run fired from max_order, and records the run's live states.
 """
 
 from __future__ import annotations
@@ -213,13 +240,14 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache.
 
     The bivector's plan (its checks, d_e, rows and blocks) is computed once
-    per bivector and read by every engine over it; the pair cache, the
-    scale for ``max_order`` and ``stats`` belong to this engine alone.
+    per bivector and read by every engine over it; the pair cache, the run
+    cache, the scale for ``max_order`` and ``stats`` belong to this engine
+    alone.  ``stats`` count monomial pairs, not runs.
     """
 
     __slots__ = (
         "bivector", "table", "max_order", "_blocks", "_unit", "_scale", "_weights",
-        "_cache", "_hits", "_misses", "_peaks",
+        "_cache", "_runs", "_hits", "_misses", "_peaks",
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
@@ -235,6 +263,8 @@ class StarEngine:
             self._scale // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
         ]
         self._cache: dict[tuple[int, int], GradedPoly] = {}
+        # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
+        self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
@@ -325,31 +355,74 @@ class StarEngine:
         return order if order is not None and order <= MAX_ORDER else None
 
     def _star_mono(self, mf: int, mg: int) -> GradedPoly:
-        """mf * mg, reduced, for a pair not yet in the cache; the result is cached."""
+        """mf * mg, reduced, for a pair not yet in the cache; the result is cached.
+
+        Splits mf (x) mg as sign * (F_1 (x) G_1) ... (F_k (x) G_k) (F_0 (x) G_0),
+        each F_b, G_b the factors of live block b and F_0, G_0 the rest, reads
+        each block's run from the run cache, and multiplies the runs by
+        sign * F_0 G_0 (see "Blocks" above).  ``peak_states`` take the joint
+        series' counts up to ``max_order``.
+        """
         self._misses += 1
+        t = self.table
+        odd = t._odd
         mirror = self._cache.get((mg, mf))
         if mirror is not None:
             # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n
-            t = self.table
-            odd, hs = t._odd, t._hbar_shift
+            hs = t._hbar_shift
             s = -1 if (mf & odd).bit_count() & (mg & odd).bit_count() & 1 else 1
             h = (mf >> hs) + (mg >> hs)
             total = {m: -s * q if (m >> hs) - h & 1 else s * q for m, q in mirror._num.items()}
-            # flipping signs keeps the pair canonical, so nothing is copied
-            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(t, total, mirror._den)
+            # flipping signs keeps the pair reduced: no gcd pass
+            got = self._cache[(mf, mg)] = GradedPoly._of_canonical(t, total, mirror._den)
             return got
         live = self._blocks
         if len(live) > 1:
             live = _live_blocks(live, mf, mg)
-        if len(live) == 1:
-            total, counts, fired = self._contract(mf, mg, live[0][0])
-            scale = self._scale
-        elif not live:  # no step fires: the series is mf * mg alone
-            fg = _mono_mul(mf, mg, self.table)
-            total, counts, fired, scale = {} if fg is None else {fg[1]: fg[0]}, [1], -1, 1
+        k = len(live)
+        unit = self._unit
+        if k == 1:
+            rows, used, fill = live[0]
+            series, counts, fired = self._run(mf & used | fill, mg & used | fill, rows)
+            num, den = series._num, series._den
+        elif not k:  # no step fires: the series is mf * mg alone
+            used, num, den, counts, fired = 0, {unit: 1}, 1, [1], -1
         else:
-            total, counts, fired = self._blockwise(mf, mg, live)
-            scale = self._scale ** len(live)
+            runs = [self._run(mf & mask | fill, mg & mask | fill, rows) for rows, mask, fill in live]
+            # the joint live states per order: the blocks' counts convolved
+            counts = [1]
+            for _, block_counts, _ in runs:
+                joint = [0] * (len(counts) + len(block_counts) - 1)
+                for i, a in enumerate(counts):
+                    for j, b in enumerate(block_counts):
+                        joint[i + j] += a * b
+                counts = joint
+            # block b fires from each order up to its ``fired``, beside any live
+            # orders of the others, whose depths sum to the joint depth less its own
+            depth = len(counts) - 1
+            fired = max(f + depth - len(c) + 1 for _, c, f in runs)
+            counts = counts[:self.max_order + 1]
+            num, den = runs[0][0]._num, runs[0][0]._den
+            for series, _, _ in runs[1:]:
+                num = _mul_terms(num, series._num, t)
+                den *= series._den
+            used = sum(mask for _, mask, _ in live)  # the blocks' fields and odd bits are disjoint
+        fill = unit & used
+        fg = _mono_mul(mf & ~used | fill, mg & ~used | fill, t)
+        if fg is None:  # F_0 and G_0 share an odd factor
+            got = t.zero()
+        else:
+            sign, FG = fg
+            # s is 1 unless two parts have odd factors: with one block, it and the rest
+            if k > 1 and (mf | mg) & odd or k == 1 and (mf | mg) & odd & ~used:
+                sign *= _regroup_sign(mf, mg, live, odd)
+            if k > 1:
+                got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
+            elif k and sign == 1 and FG == unit:
+                got = series  # the pair's product is its block's run
+            else:
+                # a sign and a shift of every key keep a reduced series reduced
+                got = GradedPoly._of_canonical(t, _times_monomial(num, sign, FG, t), den)
         peaks = self._peaks
         for n, c in enumerate(counts):
             if n == len(peaks):
@@ -358,59 +431,20 @@ class StarEngine:
                 peaks[n] = c
         if fired >= self.max_order:
             raise TruncationExceeded(self.max_order)
-        got = self._cache[(mf, mg)] = GradedPoly._of_scaled(self.table, total, scale)
+        self._cache[(mf, mg)] = got
         return got
 
-    def _blockwise(self, mf: int, mg: int, live: list) -> tuple[dict, list, int]:
-        """``_contract`` of mf * mg over two or more live blocks, one block at a time.
+    def _run(self, F: int, G: int, rows: tuple) -> tuple[GradedPoly, list, int]:
+        """The run of a block on its parts (F, G), cached: (series, counts, fired).
 
-        Splits mf (x) mg as sign * (F_1 (x) G_1) ... (F_k (x) G_k) (F_0 (x) G_0),
-        each F_b, G_b the factors in block b and F_0, G_0 the rest, hbar
-        included; contracts each block on its own, and multiplies the block
-        series, over D^k, by sign * F_0 G_0 (see "Blocks" above).  ``counts``
-        are the joint series' up to ``max_order``, and ``fired`` is the
-        highest order from which the joint series fires a step.
+        The series is reduced; a run that fired from ``max_order`` holds the
+        orders up to it, and every pair that reads it raises.
         """
-        t = self.table
-        parts, runs = [], []
-        used = 0  # the fields and odd bits of the blocks so far
-        for rows, mask, fill in live:
-            F, G = mf & mask | fill, mg & mask | fill
-            parts.append((F, G))
-            runs.append(self._contract(F, G, rows))
-            used |= mask
-        fill = self._unit & used
-        F0, G0 = mf & ~used | fill, mg & ~used | fill
-        parts.append((F0, G0))
-        sign = 1
-        seen_f = seen_g = pg = 0  # odd factors of the parts so far, parity of the G's
-        for F, G in parts:
-            F, G = F & t._odd, G & t._odd
-            if F:
-                sign *= _merge_sign(seen_f, F) * (-1 if pg & F.bit_count() else 1)
-                seen_f |= F
-            if G:
-                sign *= _merge_sign(seen_g, G)
-                seen_g |= G
-                pg ^= G.bit_count() & 1
-        # the joint live states per order: the blocks' counts convolved
-        counts = [1]
-        for _, block_counts, _ in runs:
-            joint = [0] * (len(counts) + len(block_counts) - 1)
-            for i, a in enumerate(counts):
-                for j, b in enumerate(block_counts):
-                    joint[i + j] += a * b
-            counts = joint
-        # block b fires from each order up to its ``fired``, beside any live
-        # orders of the others, whose depths sum to the joint depth less its own
-        depth = len(counts) - 1
-        fired = max(f + depth - len(c) + 1 for _, c, f in runs)
-        total = runs[0][0]
-        for block_total, _, _ in runs[1:]:
-            total = _mul_terms(total, block_total, t)
-        fg = _mono_mul(F0, G0, t)
-        total = {} if fg is None else _mul_terms(total, {fg[1]: sign * fg[0]}, t)
-        return total, counts[:self.max_order + 1], fired
+        run = self._runs.get((F, G))
+        if run is None:
+            total, counts, fired = self._contract(F, G, rows)
+            run = self._runs[F, G] = (GradedPoly._of_scaled(self.table, total, self._scale), counts, fired)
+        return run
 
     def _contract(self, mf: int, mg: int, rows: tuple) -> tuple[dict, list, int]:
         """The series of mf * mg over the steps in ``rows``: (total, counts, fired).
@@ -522,7 +556,8 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
     # the steps' blocks, the connected components of the graph joining A
     # and B when pi^{AB} != 0, as (rows, mask, fill): the mask covers the
     # block's fields and odd bits, and fill sets every other field to the
-    # bias; one block where the split would not be exact (see "Blocks" above)
+    # bias; where the split would not be exact, one block over every
+    # variable, so that only the hbar power is left out (see "Blocks" above)
     partners_of = {row[0]: row[4] for row in rows}
     block_of: dict[int, int] = {}  # row key -> block number
     n = 0
@@ -537,16 +572,56 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
                     block_of[kb] = n
                     todo.append(kb)
         n += 1
-    if bivector.parity or any(m & t._odd for e in bivector.entries.values() for m in e._num):
-        block_of, n = dict.fromkeys(block_of, 0), min(n, 1)
     block_rows, masks = [[] for _ in range(n)], [0] * n
     for row in rows:
         i = block_of[row[0]]
         block_rows[i].append(row)
         masks[i] |= row[1]
+    if n and (bivector.parity or any(m & t._odd for e in bivector.entries.values() for m in e._num)):
+        block_rows, masks = [rows], [t._evens | t._odd]
     plan = d_e, tuple((tuple(r), mask, t._zero & ~mask) for r, mask in zip(block_rows, masks))
     object.__setattr__(bivector, "_plan", plan)  # the one write after construction
     return plan
+
+
+def _regroup_sign(mf: int, mg: int, blocks: list, odd: int) -> int:
+    """s_f s_g (-1)^(sum_{b < c} |G_b| |F_c|) of "Blocks" above: the sign of
+    regrouping mf (x) mg into the parts of ``blocks``, in their order, and
+    the rest, last."""
+    sign = 1
+    seen_f = seen_g = pg = 0  # odd factors of the parts so far, parity of the G's
+    used = sum(mask for _, mask, _ in blocks)
+    for mask in (*(mask for _, mask, _ in blocks), ~used):
+        F, G = mf & mask & odd, mg & mask & odd
+        if F:
+            sign *= _merge_sign(seen_f, F) * (-1 if pg & F.bit_count() else 1)
+            seen_f |= F
+        if G:
+            sign *= _merge_sign(seen_g, G)
+            seen_g |= G
+            pg ^= G.bit_count() & 1
+    return sign
+
+
+def _times_monomial(num: dict, sign: int, FG: int, t) -> dict:
+    """The terms of sign * num * FG, for a monomial FG with no odd factor of num.
+
+    Where FG has an even exponent, every key is tested against the guard
+    bits: the entries live in the passive fields that FG writes too.
+    """
+    shift, odd = FG - t._zero, t._odd
+    fo = FG & odd
+    if fo:
+        out = {m + shift: (sign * _merge_sign(m & odd, fo) if m & odd else sign) * c
+               for m, c in num.items()}
+    else:
+        out = {m + shift: sign * c for m, c in num.items()}
+    if (FG ^ t._zero) & t._evens:
+        guard = t._guard
+        for p in out:
+            if p & guard:
+                raise t._overflow(p - shift, FG)
+    return out
 
 
 def _live_blocks(blocks: tuple, F: int, G: int) -> list:

@@ -206,22 +206,26 @@ def schouten_bracket(a: SuperBivector, b: SuperBivector) -> SuperTrivector:
     def par(name: str) -> int:
         return 1 if t.parity(name) == ODD else 0
 
+    def derivatives(pi: SuperBivector, by: SuperBivector) -> dict[str, list]:
+        """d_mu of each entry of pi, for every row mu of ``by``: the non-zero
+        ones, in entry order, each taken once."""
+        return {
+            mu: [(pair, der) for pair, entry in pi.entries.items() if (der := d_left(mu, entry))]
+            for mu, _, _ in by.steps
+        }
+
+    d_b = derivatives(b, a)
+    d_a = d_b if a is b else derivatives(a, b)
     half = Fraction(1, 2)
     # (1/2) (-1)^(|i1|(|j1|+|j2|+|B|)) A^{mu i1} d_mu(B^{j1 j2}) d_i1 ^ d_j1 ^ d_j2
     for (mu, i1), a_entry in a.entries.items():
-        for (j1, j2), b_entry in b.entries.items():
-            der = d_left(mu, b_entry)
-            if der.is_zero():
-                continue
+        for (j1, j2), der in d_b[mu]:
             exp = par(i1) * (par(j1) + par(j2) + b.parity)
             coeff = (a_entry * der).scale(half if exp % 2 == 0 else -half)
             add((t.index(i1), t.index(j1), t.index(j2)), coeff)
     # (1/2) (-1)^(|A|(|j1|+|B|)) B^{mu j1} d_mu(A^{i1 i2}) d_i1 ^ d_i2 ^ d_j1
     for (mu, j1), b_entry in b.entries.items():
-        for (i1, i2), a_entry in a.entries.items():
-            der = d_left(mu, a_entry)
-            if der.is_zero():
-                continue
+        for (i1, i2), der in d_a[mu]:
             exp = a.parity * (par(j1) + b.parity)
             coeff = (b_entry * der).scale(half if exp % 2 == 0 else -half)
             add((t.index(i1), t.index(i2), t.index(j1)), coeff)

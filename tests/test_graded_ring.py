@@ -632,6 +632,16 @@ class TestPackedBoundary:
             with pytest.raises(ValueError):
                 GradedPoly(TB, {m: 1})
 
+    def test_hbar_powers_are_non_negative(self):
+        # as VarTable.hbar refuses them: a negative power renders as text
+        # that parse_expression refuses
+        t = VarTable.build(("x", EVEN))
+        with pytest.raises(ValueError, match="hbar powers are non-negative"):
+            t.hbar(-1)
+        with pytest.raises(ValueError, match="hbar powers are non-negative"):
+            GradedPoly(t, {Monomial((1,), 0, -1): 1})
+        assert GradedPoly(t, {Monomial((1,), 0, 0): 1}) == t.var("x")
+
     def test_a_refused_product_leaves_its_neighbours_alone(self):
         # x^(L-1) * x would carry into l's field, and l^-L * l^-1 borrow from
         # x's field: neither may come back as a product of other exponents

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ from dict_oracle import as_dict, oracle_star as dict_oracle_star
 from test_acceptance import _oracle_star
 
 import supermoyal.moyal as moyal
-from supermoyal.cli import parse_expression
+from supermoyal.cli import load_model, parse_expression
 from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, VarTable
 from supermoyal.models import builtin
 from supermoyal.moyal import (
@@ -1214,3 +1215,105 @@ class TestPackedBoundary:
         # inside the range come out exact
         f, g = x * t.var("k", L - 2), y
         assert as_dict(eng.star(f, g)) == dict_oracle_star(eng.bivector, f, g, 8)
+
+
+@st.composite
+def run_reuse_cases(draw):
+    """A bivector of 1-3 blocks or an odd one, operands that share block parts,
+    and max_order.
+
+    An even bivector has one entry per block, even-even or odd-odd, each a
+    multiple of 1 or of the passive constant k; an odd bivector has entries
+    even-odd.  The passive variables k, p (invertible) and a1, a2 (odd) are
+    in no row, and the table's order interleaves them with the rows.  Each
+    operand list is every product of two row parts with two passive parts,
+    the passive ones carrying Laurent powers of p, a1 or a2 and hbar, so one
+    engine reads each block's run for several pairs.
+    """
+    odd_bivector = draw(st.booleans())
+    n_blocks = draw(st.integers(1, 3))
+    decls, pairs = [("k", EVEN), ("p", EVEN, True), ("a1", ODD), ("a2", ODD)], []
+    for b in range(n_blocks):
+        kinds = [(EVEN, ODD)] if odd_bivector else [(EVEN, EVEN), (ODD, ODD)]
+        pa, pb = draw(st.sampled_from(kinds))
+        decls += [(f"r{b}", pa), (f"s{b}", pb)]
+        pairs.append((f"r{b}", f"s{b}"))
+    t = VarTable.build(*draw(st.permutations(decls)))
+    entries = {pair: t.var("k", draw(st.integers(0, 1))).scale(draw(st.sampled_from(_COEFFS[1:])))
+               for pair in pairs}
+    rows = [name for pair in pairs for name in pair]
+
+    def row_part():
+        out = t.const(draw(st.sampled_from(_TERM_COEFFS)))
+        for name in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            out = out * t.var(name)
+        return out
+
+    def passive_part():
+        out = t.hbar(draw(st.integers(0, 2))) * t.var("k", draw(st.integers(0, 1)))
+        out = out * t.var("p", draw(st.integers(-2, 2)))
+        for name in draw(st.lists(st.sampled_from(["a1", "a2"]), max_size=2, unique=True)):
+            out = out * t.var(name)
+        return out
+
+    def operands():
+        parts = [row_part() for _ in range(2)]
+        return [r * q for r in parts for q in (passive_part(), passive_part())]
+
+    return SuperBivector(t, entries), operands(), operands(), draw(st.integers(1, 4))
+
+
+_MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+class TestRunCache:
+    """Misses split into block runs and a passive rest, against the dict oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_reuse_cases())
+    def test_one_engine_matches_the_oracle(self, case):
+        pi, fs, gs, max_order = case
+        eng = StarEngine(pi, max_order)
+        for f in fs:
+            for g in gs:
+                for a, b in ((f, g), (g, f)):
+                    try:
+                        got = as_dict(eng.star(a, b))
+                    except TruncationExceeded:
+                        got = None
+                    want = _oracle_or_none(pi, a, b, max_order)
+                    # the engine drops merged centres that cancel, where the
+                    # oracle follows each path: it may complete where the
+                    # oracle raises, never the other way round
+                    if want is not None:
+                        assert got == want
+                    elif got is not None:
+                        # row degree <= 3 on each side, so order 3 completes the series
+                        assert got == dict_oracle_star(pi, a, b, 3)
+
+    def test_a_run_read_past_the_limit_raises_and_caches_nothing(self):
+        t = VarTable.build(("x", EVEN), ("k", EVEN), ("y", EVEN))
+        eng = StarEngine(SuperBivector(t, {("x", "y"): t.var("k")}))
+        x, y = t.var("x"), t.var("y")
+        assert as_dict(eng.star(x, y)) == dict_oracle_star(eng.bivector, x, y, 8)
+        runs = dict(eng._runs)
+        # the pair's run is x * y's, and its hbar * k term times k^(L-1) is past the limit
+        f = x * t.var("k", L - 1)
+        for op in (eng.star, eng.supercommutator, eng.star):
+            with pytest.raises(ExponentOverflow):
+                op(f, y)
+        assert eng._runs == runs
+        assert eng.stats == EngineStats(0, 4, 1, (1, 1), 1)
+        f = x * t.var("k", L - 2)
+        assert as_dict(eng.star(f, y)) == dict_oracle_star(eng.bivector, f, y, 8)
+        assert eng._runs == runs
+
+    @pytest.mark.parametrize("name, stats", [
+        ("wp_2_2.model", EngineStats(5493, 2409, 2409, (1, 2, 1), 2)),
+        ("P3|N=6", EngineStats(268, 514, 514, (1, 4, 1), 2)),
+    ])
+    def test_stats_after_the_contract(self, name, stats):
+        m = load_model(_MODELS / name) if name.endswith(".model") else builtin(name)
+        eng = StarEngine(m.bivector, m.max_order)
+        check_quantization_contract(eng, associativity=m.associative)
+        assert eng.stats == stats

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermoyal.graded_calculus import d_left
+import supermoyal.poisson as poisson
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.poisson import (
     SuperBivector,
@@ -226,6 +227,19 @@ class TestSchouten:
     def test_odd_parity_bivector_with_constants(self):
         _, pi = t1_mini()
         assert is_poisson(pi)
+
+    def test_each_derivative_is_taken_once_per_call(self, monkeypatch):
+        # d_mu of an entry, for each row mu of the other bivector
+        t = VarTable.build(("z1", EVEN), ("z2", EVEN), ("z3", EVEN))
+        pi = SuperBivector(t, {("z1", "z2"): t.one(), ("z1", "z3"): t.var("z1")})
+        rho = SuperBivector(t, {("z1", "z2"): t.var("z1", 2)})
+        calls = []
+        monkeypatch.setattr(poisson, "d_left", lambda v, a: calls.append((v, id(a))) or d_left(v, a))
+        assert schouten_bracket(pi, pi).entry(0, 1, 2) == t.const(-2)
+        assert len(calls) == len(set(calls)) == 3 * 4
+        calls.clear()
+        assert schouten_bracket(pi, rho).entries == {(0, 1, 2): t.var("z1", 2)}
+        assert len(calls) == len(set(calls)) == 3 * 2 + 2 * 4
 
     def test_table_mismatch(self):
         pi = p34_bivector()
