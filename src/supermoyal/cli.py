@@ -658,6 +658,10 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                     source, ln, "relation right-hand side must be linear in hbar"
                 )
             expected_relations[(a, b)] = coeff
+        try:
+            SuperBivector(table, expected_relations)
+        except ValueError as err:
+            raise ModelFormatError(source, first_line("relations"), str(err)) from None
 
     fibration = None
     if "fibration" in sections:

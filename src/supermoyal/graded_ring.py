@@ -365,7 +365,7 @@ class GradedPoly:
     first use.
     """
 
-    __slots__ = ("table", "_terms", "_num", "_den", "_hash")
+    __slots__ = ("table", "_terms", "_num", "_den")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         pack = table._pack
@@ -377,7 +377,6 @@ class GradedPoly:
         self._num = {m: c.numerator * (den // c.denominator) for m, c in exact if c}
         self._den = den
         self._terms = None
-        self._hash = None
 
     @classmethod
     def _of_scaled(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
@@ -391,26 +390,11 @@ class GradedPoly:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
-        # built here, not by calling _of_canonical: every ring operation ends
-        # here, and the extra call measurably slowed the star product's reads
         p = object.__new__(cls)
         p.table = table
         p._num = num
         p._den = den
         p._terms = None
-        p._hash = None
-        return p
-
-    @classmethod
-    def _of_canonical(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
-        """Trusted constructor for ``num / den`` that is canonical already, as
-        a sign flip or a shift of every key of a canonical pair is: no pass."""
-        p = object.__new__(cls)
-        p.table = table
-        p._num = num
-        p._den = den
-        p._terms = None
-        p._hash = None
         return p
 
     @property
@@ -438,9 +422,7 @@ class GradedPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.table, self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self.table, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
         if not self._num:

@@ -100,6 +100,8 @@ class ModelSpec:
         if self.expected_relations is not None:
             relations = MappingProxyType(dict(self.expected_relations))
             object.__setattr__(self, "expected_relations", relations)
+            # verify_model reads the relations as a bivector: refuse any other table
+            SuperBivector(self.table, relations)
         # the engine's checks of the bivector and the order, so verify_model
         # cannot fail on them; the bivector keeps the plan for every engine
         _engine_plan(self.bivector)

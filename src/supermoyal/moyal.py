@@ -89,10 +89,10 @@ and since g (x) f = (-1)^(|f||g|) tau(f (x) g),
           = (-1)^(|f||g|) (f * g)|_{hbar -> -hbar}.
 
 So a cache miss on (mg, mf) whose mirror (mf, mg) is cached flips signs
-on the mirror's numerators, which keeps it reduced, instead of contracting
-again; the mirror's series has the same live states order by order, so it
-raises ``TruncationExceeded`` exactly when the cached one would have.  And
-the supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
+on the mirror's numerators instead of contracting again; the mirror's
+series has the same live states order by order, so it raises
+``TruncationExceeded`` exactly when the cached one would have.  And the
+supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
 of f * g.
 
 Blocks.  Join A and B when pi^{AB} != 0; a block is a connected component of
@@ -158,10 +158,10 @@ instead of contracting again.  With one live block the pair's product is
 the run times s F_0 G_0: each key gains F_0 G_0's fields and hbar power,
 and each coefficient its sign, with a ``_merge_sign`` per term when F_0 G_0
 has odd factors (no key of the run has one: they lie outside the block).
-Keys stay distinct and coefficients change only in sign, so the product is
-reduced as built.  The entries live in passive fields, which F_0 G_0 may
-fill too, so every shifted key is tested against the guard bits when F_0 G_0
-has an even exponent.  Such a pair raises ``TruncationExceeded`` exactly when
+Keys stay distinct, so each term of the run is one term of the product.
+The entries live in passive fields, which F_0 G_0 may fill too, so every
+shifted key is tested against the guard bits when F_0 G_0 has an even
+exponent.  Such a pair raises ``TruncationExceeded`` exactly when
 its run fired from max_order, and records the run's live states.
 """
 
@@ -320,9 +320,6 @@ class StarEngine:
                 c *= 2
                 h = (mf >> hs) + (mg >> hs)
                 terms = {m: q for m, q in terms.items() if (m >> hs) - h & 1}
-            if not out:  # the first pair, or only empty products so far
-                out = {m: c * q for m, q in terms.items()}
-                continue
             for m, q in terms.items():
                 out[m] = out.get(m, 0) + c * q
         if 0 in out.values():
@@ -373,8 +370,7 @@ class StarEngine:
             s = -1 if (mf & odd).bit_count() & (mg & odd).bit_count() & 1 else 1
             h = (mf >> hs) + (mg >> hs)
             total = {m: -s * q if (m >> hs) - h & 1 else s * q for m, q in mirror._num.items()}
-            # flipping signs keeps the pair reduced: no gcd pass
-            got = self._cache[(mf, mg)] = GradedPoly._of_canonical(t, total, mirror._den)
+            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(t, total, mirror._den)
             return got
         live = self._blocks
         if len(live) > 1:
@@ -416,13 +412,10 @@ class StarEngine:
             # s is 1 unless two parts have odd factors: with one block, it and the rest
             if k > 1 and (mf | mg) & odd or k == 1 and (mf | mg) & odd & ~used:
                 sign *= _regroup_sign(mf, mg, live, odd)
-            if k > 1:
-                got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
-            elif k and sign == 1 and FG == unit:
+            if k == 1 and sign == 1 and FG == unit:
                 got = series  # the pair's product is its block's run
             else:
-                # a sign and a shift of every key keep a reduced series reduced
-                got = GradedPoly._of_canonical(t, _times_monomial(num, sign, FG, t), den)
+                got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
         peaks = self._peaks
         for n, c in enumerate(counts):
             if n == len(peaks):
@@ -611,11 +604,8 @@ def _times_monomial(num: dict, sign: int, FG: int, t) -> dict:
     """
     shift, odd = FG - t._zero, t._odd
     fo = FG & odd
-    if fo:
-        out = {m + shift: (sign * _merge_sign(m & odd, fo) if m & odd else sign) * c
-               for m, c in num.items()}
-    else:
-        out = {m + shift: sign * c for m, c in num.items()}
+    out = {m + shift: (sign * _merge_sign(m & odd, fo) if fo and m & odd else sign) * c
+           for m, c in num.items()}
     if (FG ^ t._zero) & t._evens:
         guard = t._guard
         for p in out:

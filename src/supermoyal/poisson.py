@@ -47,8 +47,6 @@ class SuperBivector(_ReadOnly):
                 continue
             if (a, b) in full and full[(a, b)] != value:
                 raise ValueError(f"conflicting values for entry ({a}, {b})")
-            if (b, a) in full and full[(b, a)] != mirror:
-                raise ValueError(f"entries ({a}, {b}) and ({b}, {a}) break graded antisymmetry")
             full[(a, b)] = value
             full[(b, a)] = mirror
         # read-only, as a built-in model's bivector is shared by every caller

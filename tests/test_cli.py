@@ -3,10 +3,12 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from supermoyal.cli import (
 )
 from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
-from supermoyal.moyal import MAX_ORDER
+from supermoyal.moyal import MAX_ORDER, TruncationExceeded
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -373,6 +375,11 @@ class TestModelFiles:
         ("[bivector]\n\n[relations]\ncomm x = hbar\n", 11,
          "expected: comm|anti A B = expression"),
         ("[bivector]\n\n[relations]\ncomm x q = hbar\n", 11, "unknown variable 'q'"),
+        # a relations table that is no bracket table is named at its first line
+        ("[bivector]\n\n[relations]\ncomm x x = hbar\n", 11,
+         "even diagonal entry (x, x) must vanish"),
+        ("[bivector]\n\n[relations]\nanti th th = hbar\ncomm x th = hbar\n", 11,
+         "entries do not share a single bivector parity"),
         ("[bivector]\n\n[fibration]\nbase y even\nover model\n", 12,
          "base lines conflict with over model"),
         ("[bivector]\n\n[fibration]\nbase y even\nrule z -> y\nbase w even\n", 13,
@@ -493,6 +500,81 @@ class TestModelFiles:
             head + "[bivector]\n\n" + charts + "\n[transitions]\nmap A B\nq -> x\nx -> x\n\n",
             "'q'", line_no=21,
         )
+
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_ODD_DECL_RE = re.compile(r"^(\w+) odd\b", re.M)
+_RHS_RE = re.compile(r"^(\w+ \w+ :=|(?:comm|anti) \w+ \w+ =) ")
+
+
+def _model_mutants(count, seed):
+    """``count`` single-edit mutants of the shipped model files, as (file name, text).
+
+    Each deletes, duplicates or swaps a line, replaces a token with another
+    token of the same file, changes a digit, or replaces a bivector entry's or
+    a relation's right-hand side with a term holding an odd variable.
+    """
+    rng = Random(seed)
+    files = []
+    for path in sorted((_ROOT / "models").glob("*.model")):
+        text = path.read_text()
+        files.append((path.name, text, sorted(set(_TOKEN_RE.findall(text))), _ODD_DECL_RE.findall(text)))
+    out = []
+    while len(out) < count:
+        name, text, tokens, odds = rng.choice(files)
+        lines = text.split("\n")
+        full = [i for i, line in enumerate(lines) if line.strip()]
+        i = rng.choice(full)
+        kind = rng.choice(("delete", "duplicate", "swap", "token", "digit", "odd"))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = rng.choice(full)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            a, b = rng.choice([m.span() for m in _TOKEN_RE.finditer(lines[i])])
+            lines[i] = lines[i][:a] + rng.choice(tokens) + lines[i][b:]
+        elif kind == "digit":
+            k = rng.choice([k for k, ch in enumerate(text) if ch.isdigit()])
+            digit = rng.choice([d for d in "0123456789" if d != text[k]])
+            lines = (text[:k] + digit + text[k + 1:]).split("\n")
+        else:
+            rhs = [j for j in full if _RHS_RE.match(lines[j])]
+            if not odds or not rhs:
+                continue
+            j = rng.choice(rhs)
+            head = _RHS_RE.match(lines[j]).group(1)
+            lines[j] = f"{head} {'hbar*' if head.endswith(' =') else ''}{rng.choice(odds)}"
+        out.append((name, "\n".join(lines)))
+    return out
+
+
+class TestModelFileFuzz:
+    def test_single_edit_mutants_load_or_fail_at_a_line(self):
+        # every mutant gives a spec or a ModelFormatError, and every spec a
+        # report or TruncationExceeded; a spec that renders as a shipped model
+        # (verified by the built-in model tests) or an earlier mutant is not
+        # verified again
+        verified = {render_model_text(load_model(p)) for p in (_ROOT / "models").glob("*.model")}
+        errors = reports = 0
+        for name, text in _model_mutants(200, seed=18):
+            try:
+                spec = parse_model_text(text, source=name)
+            except ModelFormatError:
+                errors += 1
+                continue
+            rendered = render_model_text(spec)
+            if rendered in verified:
+                continue
+            verified.add(rendered)
+            try:
+                verify_model(spec)
+                reports += 1
+            except TruncationExceeded:
+                pass
+        assert errors > 100 and reports > 20
 
 
 class _Runner:

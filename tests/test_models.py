@@ -382,6 +382,19 @@ class TestL56:
         for f in basis:
             assert anti_chiral_substitution(back, anti_chiral_substitution(fwd, f)) == f
 
+    def test_relations_are_checked_when_the_model_is_built(self):
+        # a relations table that is no bracket table fails when the spec is
+        # built, not partway through verify_model
+        m = builtin("L5|6")
+        t = m.table
+        for key, value, message in (
+            (("X1", "Y1"), t.var("l2") * t.var("xi1"), "entries do not share a single bivector parity"),
+            (("X1", "X1"), t.one(), r"even diagonal entry \(X1, X1\) must vanish"),
+        ):
+            relations = {**m.expected_relations, key: value}
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dataclasses.replace(m, expected_relations=relations)
+
 
 class TestP3N:
     def test_atlas_shape(self):

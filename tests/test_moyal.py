@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -1317,3 +1317,40 @@ class TestRunCache:
         eng = StarEngine(m.bivector, m.max_order)
         check_quantization_contract(eng, associativity=m.associative)
         assert eng.stats == stats
+
+
+def _assert_canonical(p):
+    """p's int form is canonical: den > 0, no zero numerator, and no prime
+    divides den and every numerator."""
+    assert p._den > 0
+    assert 0 not in p._num.values()
+    assert gcd(p._den, *p._num.values()) == 1
+
+
+class TestCanonicalForm:
+    """Every product, cached pair and block run is in the ring's canonical form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        single_term_cases().map(lambda c: (c[0], [c[1]], [c[2]], 8)),
+        multi_block_cases().map(lambda c: (c[0], [c[1]], [c[2]], 8)),
+        run_reuse_cases(),
+    ))
+    def test_products_and_caches(self, case):
+        pi, fs, gs, max_order = case
+        eng = StarEngine(pi, max_order)
+        for f in fs:
+            for g in gs:
+                for a, b in ((f, g), (g, f)):
+                    calls = [(eng.star, a, b)] + [
+                        (eng.supercommutator, _part(a, i), _part(b, j)) for i in (0, 1) for j in (0, 1)
+                    ]
+                    for op, x, y in calls:
+                        try:
+                            _assert_canonical(op(x, y))
+                        except TruncationExceeded:
+                            pass
+        for p in eng._cache.values():
+            _assert_canonical(p)
+        for series, _, _ in eng._runs.values():
+            _assert_canonical(series)
