@@ -47,7 +47,8 @@ class Chart(_ReadOnly):
 class TransitionMap(_ReadOnly):
     """Rewrites source-chart variables in destination-chart variables.
 
-    Variables without a rule are carried over by name.  The map holds one
+    Variables without a rule are carried over by name, so every source
+    variable the destination chart lacks needs a rule.  The map holds one
     substitution plan, so its rules are validated once and each power of a
     rule is built once for all the polynomials it transports.
     """
@@ -58,6 +59,9 @@ class TransitionMap(_ReadOnly):
         self.src = src
         self.dst = dst
         self.plan = SubstitutionPlan(src.table, rules, dst.table)
+        if self.plan._missing:
+            name = self.plan._missing[0][0]
+            raise KeyError(f"variable {name!r} has no rule and chart {dst.name} lacks it")
 
     @property
     def rules(self) -> Mapping[str, GradedPoly]:

@@ -16,7 +16,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
-from .atlas import Chart, TransitionMap, UnresolvedPair, WeightLaw, law_transition
+from .atlas import Chart, TransitionMap, WeightLaw, law_transition
 from .graded_ring import (
     EVEN,
     ODD,
@@ -37,7 +37,7 @@ from .models import (
     list_builtins,
     verify_model,
 )
-from .moyal import NonCentralBivector, StarEngine, TruncationExceeded, check_max_order
+from .moyal import StarEngine, TruncationExceeded, check_max_order
 from .poisson import SuperBivector
 
 
@@ -450,9 +450,9 @@ def render_model_text(model: ModelSpec) -> str:
     return "\n\n".join("\n".join(s) for s in sections) + "\n"
 
 
-def _parse_decl(source, ln, words):
+def _parse_decl(words):
     if len(words) < 2 or words[1] not in (EVEN, ODD):
-        raise ModelFormatError(source, ln, "expected: name even|odd [invertible] [weight K]")
+        raise ValueError("expected: name even|odd [invertible] [weight K]")
     name, parity = words[0], words[1]
     invertible = False
     weight = None
@@ -465,41 +465,25 @@ def _parse_decl(source, ln, words):
             try:
                 weight = _ascii_int(rest[1])
             except ValueError:
-                raise ModelFormatError(source, ln, f"bad weight {rest[1]!r}") from None
+                raise ValueError(f"bad weight {rest[1]!r}") from None
             rest = rest[2:]
         else:
-            raise ModelFormatError(source, ln, f"unexpected token {rest[0]!r}")
+            raise ValueError(f"unexpected token {rest[0]!r}")
     return (name, parity, invertible, weight)
 
 
-def _table_or_die(source, ln, decls):
-    try:
-        return VarTable.build(*decls)
-    except ValueError as err:
-        raise ModelFormatError(source, ln, str(err)) from None
-
-
-def _parse_expr_or_die(source, ln, text, table):
-    try:
-        return parse_expression(text, table)
-    except ParseError as err:
-        raise ModelFormatError(
-            source, ln, f"{err.msg} (column {err.position + 1} of the expression)"
-        ) from None
-
-
-def _fields(source, ln, pattern, line, usage):
+def _fields(pattern, line, usage):
     """The groups of ``pattern`` matched against ``line``, or an error naming ``usage``."""
     m = pattern.match(line)
     if m is None:
-        raise ModelFormatError(source, ln, f"expected: {usage}")
+        raise ValueError(f"expected: {usage}")
     return m.groups()
 
 
-def _known(source, ln, names, known, kind):
+def _known(names, known, kind):
     for name in names:
         if name not in known:
-            raise ModelFormatError(source, ln, f"unknown {kind} {name!r}")
+            raise ValueError(f"unknown {kind} {name!r}")
 
 
 def _cy_weights(kind, words, cut):
@@ -531,21 +515,20 @@ _CHART_ENTRY_RE = re.compile(r"table\s+(\S+)\s+(\S+)\s*=\s*(.*)$")
 _LAW_RE = re.compile(r"law\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*:\s*(.*)$")
 
 
-def _blocks(source, lines, head):
+def _blocks(lines, head):
     """Cut a section into blocks, each opened by a ``head`` line.
 
     Yields ``(line_no, header, body, end)`` for each block, where ``end`` is
     the line that closes it: the next header, or the section's last line.
-    A block is yielded only once it is closed.
+    A block is yielded only once it is closed.  The first block opens at the
+    section's first line, so its header is the one to check for ``head``.
     """
     block = None
     for ln, line in lines:
-        if line.startswith(head + " "):
+        if block is None or line.startswith(head + " "):
             if block is not None:
                 yield (*block, ln)
             block = (ln, line, [])
-        elif block is None:
-            raise ModelFormatError(source, ln, f"expected a {head} line first")
         else:
             block[2].append((ln, line))
     if block is not None:
@@ -553,230 +536,222 @@ def _blocks(source, lines, head):
 
 
 def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
-    sections: dict[str, list[tuple[int, str]]] = {}
-    headers: dict[str, int] = {}
-    current = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.startswith("[") and body.endswith("]"):
-            name = body[1:-1]
-            if name not in _SECTIONS:
-                raise ModelFormatError(source, ln, f"unknown section [{name}]")
-            if name in sections:
-                raise ModelFormatError(source, ln, f"duplicate section [{name}]")
-            sections[name] = []
-            headers[name] = ln
-            current = name
-            continue
-        if current is None:
-            raise ModelFormatError(source, ln, "content before any section header")
-        sections[current].append((ln, body))
+    """Read a model file's text into a ``ModelSpec``.
 
-    for required in ("options", "variables", "bivector"):
-        if required not in sections:
-            raise ModelFormatError(source, None, f"missing section [{required}]")
+    Every error is a ``ModelFormatError`` that names the line it is about,
+    as ``source:line``.  A chart or a transition map is built when its block
+    ends, so its error names the line that closes the block.  An error of
+    the whole file, such as a missing section, names no line.
+    """
+    ln = None  # the line the current step is about, named by any error it raises
+    try:
+        sections: dict[str, list[tuple[int, str]]] = {}
+        headers: dict[str, int] = {}
+        current = None
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            body = raw.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if body.startswith("[") and body.endswith("]"):
+                name = body[1:-1]
+                if name not in _SECTIONS:
+                    raise ValueError(f"unknown section [{name}]")
+                if name in sections:
+                    raise ValueError(f"duplicate section [{name}]")
+                sections[name] = []
+                headers[name] = ln
+                current = name
+                continue
+            if current is None:
+                raise ValueError("content before any section header")
+            sections[current].append((ln, body))
 
-    def first_line(section):
-        """The section's first line, or its header line when it is empty."""
-        body = sections[section]
-        return body[0][0] if body else headers[section]
+        ln = None
+        for required in ("options", "variables", "bivector"):
+            if required not in sections:
+                raise ValueError(f"missing section [{required}]")
 
-    name = None
-    max_order = 8
-    associative = True
-    for ln, line in sections["options"]:
-        if "=" not in line:
-            raise ModelFormatError(source, ln, "expected: key = value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key == "name":
-            name = value
-        elif key == "max_order":
-            try:
-                max_order = _ascii_int(value)
-            except ValueError:
-                raise ModelFormatError(source, ln, f"bad max_order {value!r}") from None
-            try:
+        def first_line(section):
+            """The section's first line, or its header line when it is empty."""
+            body = sections[section]
+            return body[0][0] if body else headers[section]
+
+        name = None
+        max_order = 8
+        associative = True
+        for ln, line in sections["options"]:
+            if "=" not in line:
+                raise ValueError("expected: key = value")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key == "name":
+                name = value
+            elif key == "max_order":
+                try:
+                    max_order = _ascii_int(value)
+                except ValueError:
+                    raise ValueError(f"bad max_order {value!r}") from None
                 check_max_order(max_order)
-            except ValueError as err:
-                raise ModelFormatError(source, ln, str(err)) from None
-        elif key == "associative":
-            if value not in ("true", "false"):
-                raise ModelFormatError(source, ln, "associative must be true or false")
-            associative = value == "true"
-        else:
-            raise ModelFormatError(source, ln, f"unknown option {key!r}")
-    if name is None:
-        raise ModelFormatError(source, None, "the [options] section must set a name")
+            elif key == "associative":
+                if value not in ("true", "false"):
+                    raise ValueError("associative must be true or false")
+                associative = value == "true"
+            else:
+                raise ValueError(f"unknown option {key!r}")
+        ln = None
+        if name is None:
+            raise ValueError("the [options] section must set a name")
 
-    decls = [_parse_decl(source, ln, line.split()) for ln, line in sections["variables"]]
-    constants = []
-    for ln, line in sections.get("constants", []):
-        words = line.split()
-        if len(words) != 1:
-            raise ModelFormatError(source, ln, "expected one constant name per line")
-        constants.append(words[0])
-        decls.append((words[0], EVEN, False, None))
-    # a table error names the first declaration line; [variables] may be empty
-    decl_lines = sections["variables"] + sections.get("constants", [])
-    if not decl_lines:
-        raise ModelFormatError(source, None, "the model declares no variables")
-    table = _table_or_die(source, decl_lines[0][0], decls)
+        decls = []
+        for ln, line in sections["variables"]:
+            decls.append(_parse_decl(line.split()))
+        constants = []
+        for ln, line in sections.get("constants", []):
+            words = line.split()
+            if len(words) != 1:
+                raise ValueError("expected one constant name per line")
+            constants.append(words[0])
+            decls.append((words[0], EVEN, False, None))
+        # a table error names the first declaration line; [variables] may be empty
+        decl_lines = sections["variables"] + sections.get("constants", [])
+        if not decl_lines:  # no declaration line was read, so ln is None
+            raise ValueError("the model declares no variables")
+        ln = decl_lines[0][0]
+        table = VarTable.build(*decls)
 
-    entries = {}
-    for ln, line in sections["bivector"]:
-        a, b, expr = _fields(source, ln, _BIVECTOR_RE, line, "A B := expression")
-        _known(source, ln, (a, b), table, "variable")
-        value = _parse_expr_or_die(source, ln, expr, table)
-        # StarEngine rejects such an entry too; here it is named at its line
-        if any(mono >> table._hbar_shift for mono in value._num):
-            raise ModelFormatError(source, ln, "bivector entries cannot contain hbar")
-        entries[(a, b)] = value
-    try:
+        entries = {}
+        for ln, line in sections["bivector"]:
+            a, b, expr = _fields(_BIVECTOR_RE, line, "A B := expression")
+            _known((a, b), table, "variable")
+            value = parse_expression(expr, table)
+            # StarEngine rejects such an entry too; here it is named at its line
+            if any(mono >> table._hbar_shift for mono in value._num):
+                raise ValueError("bivector entries cannot contain hbar")
+            entries[(a, b)] = value
+        ln = first_line("bivector")
         bivector = SuperBivector(table, entries)
-    except ValueError as err:
-        raise ModelFormatError(source, first_line("bivector"), str(err)) from None
 
-    expected_relations = None
-    if "relations" in sections:
-        expected_relations = {}
-        for ln, line in sections["relations"]:
-            kw, a, b, expr = _fields(
-                source, ln, _RELATION_RE, line, "comm|anti A B = expression"
-            )
-            _known(source, ln, (a, b), table, "variable")
-            both_odd = table.parity(a) == ODD and table.parity(b) == ODD
-            if (kw == "anti") != both_odd:
-                raise ModelFormatError(
-                    source, ln, "anti is for odd pairs and comm for the rest"
-                )
-            rhs = _parse_expr_or_die(source, ln, expr, table)
-            coeff = rhs.hbar_coefficient(1)
-            if rhs != table.hbar() * coeff:
-                raise ModelFormatError(
-                    source, ln, "relation right-hand side must be linear in hbar"
-                )
-            expected_relations[(a, b)] = coeff
-        try:
+        expected_relations = None
+        if "relations" in sections:
+            expected_relations = {}
+            for ln, line in sections["relations"]:
+                kw, a, b, expr = _fields(_RELATION_RE, line, "comm|anti A B = expression")
+                _known((a, b), table, "variable")
+                both_odd = table.parity(a) == ODD and table.parity(b) == ODD
+                if (kw == "anti") != both_odd:
+                    raise ValueError("anti is for odd pairs and comm for the rest")
+                rhs = parse_expression(expr, table)
+                coeff = rhs.hbar_coefficient(1)
+                if rhs != table.hbar() * coeff:
+                    raise ValueError("relation right-hand side must be linear in hbar")
+                expected_relations[(a, b)] = coeff
+            ln = first_line("relations")
             SuperBivector(table, expected_relations)
-        except ValueError as err:
-            raise ModelFormatError(source, first_line("relations"), str(err)) from None
 
-    fibration = None
-    if "fibration" in sections:
-        base_decls = []
-        over_model = False
-        base_table = None
-        rules: dict[str, GradedPoly] = {}
-        for ln, line in sections["fibration"]:
-            if line == "over model":
-                if base_decls:
-                    raise ModelFormatError(source, ln, "base lines conflict with over model")
-                over_model = True
-                continue
-            if line.startswith("base "):
-                if base_table is not None:
-                    raise ModelFormatError(source, ln, "base lines must come before rules")
-                base_decls.append(_parse_decl(source, ln, line.split()[1:]))
-                continue
-            if line.startswith("rule "):
-                if base_table is None:
-                    if over_model:
-                        base_table = table
-                    elif base_decls:
-                        base_table = _table_or_die(source, first_line("fibration"), base_decls)
-                    else:
-                        raise ModelFormatError(source, ln, "fibration rules need a base")
-                rule_name, expr = _fields(
-                    source, ln, _RULE_RE, line[5:], "rule NAME -> expression"
-                )
-                rules[rule_name] = _parse_expr_or_die(source, ln, expr, base_table)
-                continue
-            raise ModelFormatError(source, ln, "expected over model, base, or rule")
-        if base_table is None:
-            raise ModelFormatError(
-                source, first_line("fibration"), "a fibration needs rule lines"
-            )
-        fibration = Fibration(base_table, rules)
+        fibration = None
+        if "fibration" in sections:
+            base_decls = []
+            over_model = False
+            base_table = None
+            rules: dict[str, GradedPoly] = {}
+            for ln, line in sections["fibration"]:
+                if line == "over model":
+                    if base_decls:
+                        raise ValueError("base lines conflict with over model")
+                    over_model = True
+                elif line.startswith("base "):
+                    if base_table is not None:
+                        raise ValueError("base lines must come before rules")
+                    base_decls.append(_parse_decl(line.split()[1:]))
+                elif line.startswith("rule "):
+                    if base_table is None:
+                        if not (over_model or base_decls):
+                            raise ValueError("fibration rules need a base")
+                        # a base table error names the section's first line
+                        rule_ln, ln = ln, first_line("fibration")
+                        base_table = table if over_model else VarTable.build(*base_decls)
+                        ln = rule_ln
+                    rule_name, expr = _fields(_RULE_RE, line[5:], "rule NAME -> expression")
+                    rules[rule_name] = parse_expression(expr, base_table)
+                else:
+                    raise ValueError("expected over model, base, or rule")
+            ln = first_line("fibration")
+            if base_table is None:
+                raise ValueError("a fibration needs rule lines")
+            fibration = Fibration(base_table, rules)
 
-    charts: list[Chart] = []
-    for hln, header, body, end in _blocks(source, sections.get("charts", []), "chart"):
-        chart_decls: list[tuple] = []
-        chart_table = None
-        chart_entries: dict[tuple[str, str], GradedPoly] = {}
-        for ln, line in body:
-            if line.startswith("var "):
-                if chart_table is not None:
-                    raise ModelFormatError(source, ln, "var lines must come before table lines")
-                chart_decls.append(_parse_decl(source, ln, line.split()[1:]))
-                continue
-            if line.startswith("table "):
-                if chart_table is None:
-                    chart_table = _table_or_die(source, hln, chart_decls)
-                a, b, expr = _fields(
-                    source, ln, _CHART_ENTRY_RE, line, "table A B = expression"
-                )
-                chart_entries[(a, b)] = _parse_expr_or_die(source, ln, expr, chart_table)
-                continue
-            raise ModelFormatError(source, ln, "expected chart, var, or table")
-        if chart_table is None:
-            chart_table = _table_or_die(source, hln, chart_decls)
-        try:
+        charts: list[Chart] = []
+        for hln, header, body, end in _blocks(sections.get("charts", []), "chart"):
+            ln = hln
+            if not header.startswith("chart "):
+                raise ValueError("expected a chart line first")
+            chart_decls: list[tuple] = []
+            chart_table = None
+            chart_entries: dict[tuple[str, str], GradedPoly] = {}
+            for ln, line in body:
+                if line.startswith("var "):
+                    if chart_table is not None:
+                        raise ValueError("var lines must come before table lines")
+                    chart_decls.append(_parse_decl(line.split()[1:]))
+                elif line.startswith("table "):
+                    if chart_table is None:
+                        # a table error names the chart's header line
+                        entry_ln, ln = ln, hln
+                        chart_table = VarTable.build(*chart_decls)
+                        ln = entry_ln
+                    a, b, expr = _fields(_CHART_ENTRY_RE, line, "table A B = expression")
+                    chart_entries[(a, b)] = parse_expression(expr, chart_table)
+                else:
+                    raise ValueError("expected chart, var, or table")
+            if chart_table is None:
+                ln = hln
+                chart_table = VarTable.build(*chart_decls)
+            ln = end
             charts.append(Chart(header.split(None, 1)[1].strip(), chart_table, chart_entries))
-        except ValueError as err:
-            raise ModelFormatError(source, end, str(err)) from None
 
-    chart_by_name = {c.name: c for c in charts}
+        chart_by_name = {c.name: c for c in charts}
 
-    transitions: list[TransitionMap] = []
-    for hln, header, body, end in _blocks(source, sections.get("transitions", []), "map"):
-        words = header.split()
-        if len(words) != 3:
-            raise ModelFormatError(source, hln, "expected: map SRC DST")
-        _known(source, hln, words[1:], chart_by_name, "chart")
-        src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
-        rules = {}
-        for ln, line in body:
-            rule_name, expr = _fields(source, ln, _RULE_RE, line, "NAME -> expression")
-            rules[rule_name] = _parse_expr_or_die(source, ln, expr, dst.table)
-        try:
+        transitions: list[TransitionMap] = []
+        for ln, header, body, end in _blocks(sections.get("transitions", []), "map"):
+            if not header.startswith("map "):
+                raise ValueError("expected a map line first")
+            words = header.split()
+            if len(words) != 3:
+                raise ValueError("expected: map SRC DST")
+            _known(words[1:], chart_by_name, "chart")
+            src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
+            rules = {}
+            for ln, line in body:
+                rule_name, expr = _fields(_RULE_RE, line, "NAME -> expression")
+                rules[rule_name] = parse_expression(expr, dst.table)
+            ln = end
             transitions.append(TransitionMap(src, dst, rules))
-        except (KeyError, ValueError) as err:
-            raise ModelFormatError(source, end, err.args[0]) from None
 
-    tmap_by = {(m.src.name, m.dst.name): m for m in transitions}
-    weight_laws: list[tuple[str, str, WeightLaw]] = []
-    for ln, line in sections.get("weights", []):
-        sname, dname, a, b, expr = _fields(
-            source, ln, _LAW_RE, line, "law SRC DST A B : expression"
-        )
-        _known(source, ln, (sname, dname), chart_by_name, "chart")
-        try:
+        tmap_by = {(m.src.name, m.dst.name): m for m in transitions}
+        weight_laws: list[tuple[str, str, WeightLaw]] = []
+        for ln, line in sections.get("weights", []):
+            sname, dname, a, b, expr = _fields(_LAW_RE, line, "law SRC DST A B : expression")
+            _known((sname, dname), chart_by_name, "chart")
             tmap = law_transition(tmap_by, sname, dname, (a, b))
-        except (UnresolvedPair, ValueError) as err:
-            raise ModelFormatError(source, ln, err.args[0]) from None
-        factor = _parse_expr_or_die(source, ln, expr, tmap.src.table)
-        weight_laws.append((sname, dname, WeightLaw((a, b), factor)))
+            factor = parse_expression(expr, tmap.src.table)
+            weight_laws.append((sname, dname, WeightLaw((a, b), factor)))
 
-    cy = None
-    if "cy" in sections:
-        if len(sections["cy"]) != 1:
-            raise ModelFormatError(
-                source, first_line("cy"), "the [cy] section takes one line"
-            )
-        ln, line = sections["cy"][0]
-        kind, *words = line.split()
-        try:
-            cy = _cy_weights(kind, words, ";")
-        except ValueError:
-            raise ModelFormatError(source, ln, f"bad weight system line {line!r}") from None
-        if cy is None:
-            raise ModelFormatError(
-                source, ln, "expected projective, weighted, or ambitwistor"
-            )
+        cy = None
+        if "cy" in sections:
+            ln = first_line("cy")
+            if len(sections["cy"]) != 1:
+                raise ValueError("the [cy] section takes one line")
+            line = sections["cy"][0][1]
+            kind, *words = line.split()
+            try:
+                cy = _cy_weights(kind, words, ";")
+            except ValueError:
+                raise ValueError(f"bad weight system line {line!r}") from None
+            if cy is None:
+                raise ValueError("expected projective, weighted, or ambitwistor")
 
-    try:
+        # the laws and max_order were checked at their lines, so what is left
+        # is the engine's check of the bivector
+        ln = first_line("bivector")
         return ModelSpec(
             name=name,
             table=table,
@@ -791,8 +766,12 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             max_order=max_order,
             associative=associative,
         )
-    except NonCentralBivector as err:  # the laws and max_order were checked at their lines
-        raise ModelFormatError(source, first_line("bivector"), str(err)) from None
+    except (ValueError, KeyError) as err:
+        if isinstance(err, ParseError):
+            msg = f"{err.msg} (column {err.position + 1} of the expression)"
+        else:
+            msg = err.args[0] if isinstance(err, KeyError) else str(err)
+        raise ModelFormatError(source, ln, msg) from None
 
 
 def load_model(path) -> ModelSpec:

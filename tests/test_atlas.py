@@ -180,6 +180,13 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown variable 'nope'"):
             TransitionMap(plus, minus, {"nope": minus.table.var("l")})
 
+    def test_missing_rule_is_rejected(self):
+        plus, minus, _, _ = two_pole_pair()
+        other = Chart("other", VarTable.build(("l", EVEN, True)), {})
+        rules = {"l": other.table.var("l", -1)}
+        with pytest.raises(KeyError, match="variable 'w1' has no rule and chart other lacks it"):
+            TransitionMap(plus, other, rules)
+
     def test_apply_requires_source_polynomials(self):
         _, _, t_pm, _ = two_pole_pair()
         other = VarTable.build(("q", EVEN))

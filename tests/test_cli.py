@@ -401,9 +401,11 @@ class TestModelFiles:
         (_CHARTS + "map A B\nx = x\n", 20, "expected: NAME -> expression"),
         ("[bivector]\n\n[weights]\nlaw A B x : 1\n", 11,
          "expected: law SRC DST A B : expression"),
-        (_CHARTS + "map A B\n\n[weights]\nlaw A B th th : 1\n", 22,
+        # chart B lacks th, so the map needs a rule for it
+        (_CHARTS + "map A B\n", 19, "variable 'th' has no rule and chart B lacks it"),
+        (_CHARTS + "map A B\nth -> 0\n\n[weights]\nlaw A B th th : 1\n", 23,
          "pair (th, th) is not resolvable in chart B"),
-        (_CHARTS + "map A B\n\n[weights]\nlaw B A x x : 1\n", 22,
+        (_CHARTS + "map A B\nth -> 0\n\n[weights]\nlaw B A x x : 1\n", 23,
          "no transition from B to A"),
         ("[bivector]\n\n[cy]\nprojective 3 4\nprojective 3 4\n", 11,
          "the [cy] section takes one line"),
@@ -562,7 +564,10 @@ class TestModelFileFuzz:
         for name, text in _model_mutants(200, seed=18):
             try:
                 spec = parse_model_text(text, source=name)
-            except ModelFormatError:
+            except ModelFormatError as err:
+                # an error names no line, or a line that holds more than a comment
+                if err.line_no is not None:
+                    assert text.splitlines()[err.line_no - 1].split("#", 1)[0].strip(), str(err)
                 errors += 1
                 continue
             rendered = render_model_text(spec)
