@@ -2,9 +2,11 @@
 
 Expressions are plain arithmetic over a variable table: names, integers,
 ``+ - * / ^`` and parentheses, with ``hbar`` reserved for the deformation
-parameter.  ``render_poly`` writes any polynomial back in a canonical form
-that ``parse_expression`` reads verbatim, so files produced here are stable
-under a load/save cycle.
+parameter.  The parser computes on the ring's int form: each sub-expression
+is a term map of packed monomials over one denominator, and a parse builds
+exactly one ``GradedPoly``.  ``render_poly`` writes any polynomial back in a
+canonical form that ``parse_expression`` reads verbatim, so files produced
+here are stable under a load/save cycle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .graded_ring import (
     NonInvertibleSubstitution,
     VarSpec,
     VarTable,
+    _add_terms,
     _invert_term,
+    _mul_terms,
 )
 from .models import (
     CYWeights,
@@ -137,14 +141,15 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     return out
 
 
-def _divide(num: GradedPoly, den: GradedPoly, pos: int) -> GradedPoly:
-    if den.is_zero():
+def _divide(p: dict, dp: int, q: dict, dq: int, table: VarTable, pos: int) -> tuple[dict, int]:
+    """(num, den) of the quotient of two term maps ``p/dp`` and ``q/dq``."""
+    if not q:
         raise IllegalDivision("division by zero", pos)
-    t = den.table
-    if len(den._num) == 1:
-        ((mono, c),) = den._num.items()
+    if len(q) == 1:
+        ((mono, c),) = q.items()
         try:
-            return num * _invert_term(t, mono, c, den._den)
+            inverse, d = _invert_term(table, mono, c, dq)
+            return _mul_terms(p, inverse, table), dp * d
         except NonInvertibleSubstitution:
             pass  # not a unit monomial
         except ExponentOverflow as err:
@@ -153,128 +158,135 @@ def _divide(num: GradedPoly, den: GradedPoly, pos: int) -> GradedPoly:
 
 
 class _Parser:
-    """Recursive descent over expr := term (('+'|'-') term)*."""
+    """Recursive descent over expr := term (('+'|'-') term)*.
+
+    It computes on the ring's int form: each sub-expression is a term map of
+    packed monomials over one denominator, ``(num, den)``, not necessarily
+    reduced, and ``parse`` builds the one ``GradedPoly`` of the text.
+    """
 
     def __init__(self, text: str, table: VarTable):
         self.table = table
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def _peek(self) -> tuple[str, str | int, int]:
-        return self.tokens[self.k]
-
-    def _take(self) -> tuple[str, str | int, int]:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
     def parse(self) -> GradedPoly:
-        p = self._expr()
-        kind, _, pos = self._peek()
+        num, den = self._expr()
+        kind, _, pos = self.tokens[self.k]
         if kind != "end":
             raise ParseError("expected an operator", pos)
-        return p
+        return GradedPoly._of_scaled(self.table, num, den)
 
-    def _expr(self) -> GradedPoly:
-        negate = False
-        if self._peek()[0] in ("+", "-"):
-            op, _, _ = self._take()
-            negate = op == "-"
-        p = self._term()
-        if negate:
-            p = -p
-        while self._peek()[0] in ("+", "-"):
-            op, _, _ = self._take()
-            q = self._term()
-            p = p - q if op == "-" else p + q
-        return p
+    def _expr(self) -> tuple[dict, int]:
+        tokens = self.tokens
+        op = tokens[self.k][0]
+        if op in ("+", "-"):
+            self.k += 1
+        num, den = self._term()
+        if op == "-":
+            num = {m: -c for m, c in num.items()}
+        while (op := tokens[self.k][0]) in ("+", "-"):
+            self.k += 1
+            q, dq = self._term()
+            num, den = _add_terms(num, den, q, dq, -1 if op == "-" else 1)
+        return num, den
 
-    def _term(self) -> GradedPoly:
-        p = self._factor()
-        while self._peek()[0] in ("*", "/"):
-            op, _, pos = self._take()
-            q = self._factor()
-            p = _product(p, q, pos) if op == "*" else _divide(p, q, pos)
-        return p
+    def _term(self) -> tuple[dict, int]:
+        tokens, t = self.tokens, self.table
+        num, den = self._factor()
+        while (op := tokens[self.k][0]) in ("*", "/"):
+            pos = tokens[self.k][2]
+            self.k += 1
+            q, dq = self._factor()
+            if op == "*":
+                num, den = _product(num, q, t, pos), den * dq
+            else:
+                num, den = _divide(num, den, q, dq, t, pos)
+        return num, den
 
-    def _factor(self) -> GradedPoly:
-        base, meta = self._atom()
-        if self._peek()[0] != "^":
-            return base
-        self._take()
+    def _factor(self) -> tuple[dict, int]:
+        num, den, name = self._atom()
+        tokens, t = self.tokens, self.table
+        if tokens[self.k][0] != "^":
+            return num, den
+        self.k += 1
         sign = 1
-        if self._peek()[0] in ("+", "-"):
-            op, _, _ = self._take()
+        if (op := tokens[self.k][0]) in ("+", "-"):
+            self.k += 1
             sign = -1 if op == "-" else 1
-        kind, value, pos = self._take()
+        kind, value, pos = tokens[self.k]
+        self.k += 1
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
         power = sign * value
-        if meta[0] == "var":
+        if name is not None and name != "hbar":
             try:
-                return self.table.var(meta[1], power)
+                return {t._var_key(name, power): 1}, 1
             except NonInvertibleSubstitution:
-                raise IllegalDivision(
-                    f"variable {meta[1]!r} is not invertible", pos
-                ) from None
+                raise IllegalDivision(f"variable {name!r} is not invertible", pos) from None
             except ValueError as err:
                 raise ParseError(str(err), pos) from None
         if power < 0:
             raise IllegalDivision("negative powers need an invertible variable", pos)
-        if meta[0] == "hbar":
-            return self.table.hbar(power)
+        if name == "hbar":
+            return {t._zero + (power << t._hbar_shift): 1}, 1
         if power > MAX_BASE_POWER:
             raise ParseError(
                 f"exponent {power} of a non-variable base exceeds the limit {MAX_BASE_POWER}",
                 pos,
             )
-        out = self.table.one()
+        out = {t._zero: 1}
         for _ in range(power):
-            out = _product(out, base, pos)
-        return out
+            out = _product(out, num, t, pos)
+        return out, den**power
 
-    def _atom(self) -> tuple[GradedPoly, tuple]:
-        kind, value, pos = self._take()
+    def _atom(self) -> tuple[dict, int, str | None]:
+        """(num, den, name): ``name`` is the variable's, "hbar", or None for a
+        literal or a parenthesised expression."""
+        kind, value, pos = self.tokens[self.k]
+        self.k += 1
+        t = self.table
         if kind == "int":
-            return self.table.const(value), ("const",)
+            return ({t._zero: value} if value else {}), 1, None
         if kind == "name":
             if value == "hbar":
-                return self.table.hbar(), ("hbar",)
-            if value not in self.table:
+                return {t._zero + (1 << t._hbar_shift): 1}, 1, value
+            if value not in t:
                 raise UnknownIdentifier(f"unknown name {value!r}", pos)
-            return self.table.var(value), ("var", value)
+            return {t._var_key(value): 1}, 1, value
         if kind == "(":
-            p = self._expr()
-            k2, _, pos2 = self._take()
-            if k2 != ")":
-                raise ParseError("expected ')'", pos2)
-            return p, ("const",)
+            num, den = self._expr()
+            kind, _, pos = self.tokens[self.k]
+            self.k += 1
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            return num, den, None
         raise ParseError("expected a value", pos)
 
 
-def _ranges(p: GradedPoly) -> tuple[dict, int]:
+def _ranges(num: dict, t: VarTable) -> tuple[dict, int]:
     """(low, high) exponent of each even slot some term carries and of hbar
     (key None), and the odd factors used."""
-    t = p.table
     columns: dict[int | None, list[int]] = {}
     odd = 0
-    for m in p._num:
+    for m in num:
         odd |= m & t._odd
         for key, e in (*t._exponents(m), (None, m >> t._hbar_shift)):
             columns.setdefault(key, []).append(e)
     # a term without a slot has exponent 0 there
-    n = len(p._num)
+    n = len(num)
     return {
         key: (min(c), max(c)) if len(c) == n else (min(0, *c), max(0, *c))
         for key, c in columns.items()
     }, odd
 
 
-def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
-    bound = len(p._num) * len(q._num)
+def _product(p: dict, q: dict, t: VarTable, pos: int) -> dict:
+    """The terms of the product of two term maps, refused up front past the term limit."""
+    bound = len(p) * len(q)
     if bound > MAX_PARSED_TERMS:
         # colliding terms: the product also lies in the box of exponent ranges
-        (rp, odd_p), (rq, odd_q) = _ranges(p), _ranges(q)
+        (rp, odd_p), (rq, odd_q) = _ranges(p, t), _ranges(q, t)
         box = 2 ** (odd_p | odd_q).bit_count()
         for key in rp.keys() | rq.keys():
             (lo_p, hi_p), (lo_q, hi_q) = rp.get(key, (0, 0)), rq.get(key, (0, 0))
@@ -282,12 +294,12 @@ def _product(p: GradedPoly, q: GradedPoly, pos: int) -> GradedPoly:
         bound = min(bound, box)
     if bound > MAX_PARSED_TERMS:
         raise ParseError(
-            f"a product of {len(p._num)} and {len(q._num)} terms may reach {bound} terms,"
+            f"a product of {len(p)} and {len(q)} terms may reach {bound} terms,"
             f" over the limit of {MAX_PARSED_TERMS} terms",
             pos,
         )
     try:
-        return p * q
+        return _mul_terms(p, q, t)
     except ExponentOverflow as err:
         raise ParseError(str(err), pos) from None
 
@@ -304,35 +316,31 @@ def render_poly(p: GradedPoly) -> str:
     evens = t.even_names()
     odds = t.odd_names()
     odd, fields, hs, den = t._odd, t._evens, t._hbar_shift, p._den
-    # by descending degree, then descending exponents in slot order (which
-    # is the order of the even fields read as one int), odd mask and hbar
+    # each term's text and degree come from one walk over its fields; the
+    # terms go by descending degree, then descending exponents in slot order
+    # (the order of the even fields read as one int), odd mask and hbar
     rows = []
     for m, c in p._num.items():
-        exps = t._exponents(m)
-        mask = m & odd
-        degree = sum(e for _, e in exps) + mask.bit_count()
-        rows.append((-degree, -(m & fields), mask, m >> hs, exps, c))
-    rows.sort()
-    pieces = []
-    for _, _, mask, h, exps, c in rows:
-        factors = []
-        if h:
-            factors.append("hbar" if h == 1 else f"hbar^{h}")
-        for slot, e in exps:
+        h = m >> hs
+        factors = ["hbar" if h == 1 else f"hbar^{h}"] if h else []
+        mask = rest = m & odd
+        degree = mask.bit_count()
+        for slot, e in t._exponents(m):
+            degree += e
             factors.append(evens[slot] if e == 1 else f"{evens[slot]}^{e}")
-        while mask:
-            low = mask & -mask
+        while rest:
+            low = rest & -rest
             factors.append(odds[low.bit_length() - 1])
-            mask ^= low
+            rest ^= low
         g = gcd(c, den)
         mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
         if mag != "1" or not factors:
             factors.insert(0, mag)
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
+        rows.append((-degree, -(m & fields), mask, h, c < 0, "*".join(factors)))
+    rows.sort()
+    pieces = [("-" if rows[0][4] else "") + rows[0][5]]
+    for *_, negative, body in rows[1:]:
+        pieces.append((" - " if negative else " + ") + body)
     return "".join(pieces)
 
 
@@ -679,11 +687,14 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 raise ValueError("a fibration needs rule lines")
             fibration = Fibration(base_table, rules)
 
-        charts: list[Chart] = []
+        chart_by_name: dict[str, Chart] = {}
         for hln, header, body, end in _blocks(sections.get("charts", []), "chart"):
             ln = hln
             if not header.startswith("chart "):
                 raise ValueError("expected a chart line first")
+            chart_name = header.split(None, 1)[1].strip()
+            if chart_name in chart_by_name:
+                raise ValueError(f"duplicate chart {chart_name!r}")
             chart_decls: list[tuple] = []
             chart_table = None
             chart_entries: dict[tuple[str, str], GradedPoly] = {}
@@ -706,11 +717,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 ln = hln
                 chart_table = VarTable.build(*chart_decls)
             ln = end
-            charts.append(Chart(header.split(None, 1)[1].strip(), chart_table, chart_entries))
+            chart_by_name[chart_name] = Chart(chart_name, chart_table, chart_entries)
 
-        chart_by_name = {c.name: c for c in charts}
-
-        transitions: list[TransitionMap] = []
+        tmap_by: dict[tuple[str, str], TransitionMap] = {}
         for ln, header, body, end in _blocks(sections.get("transitions", []), "map"):
             if not header.startswith("map "):
                 raise ValueError("expected a map line first")
@@ -718,15 +727,16 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             if len(words) != 3:
                 raise ValueError("expected: map SRC DST")
             _known(words[1:], chart_by_name, "chart")
+            if (words[1], words[2]) in tmap_by:
+                raise ValueError(f"duplicate map {words[1]} {words[2]}")
             src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
             rules = {}
             for ln, line in body:
                 rule_name, expr = _fields(_RULE_RE, line, "NAME -> expression")
                 rules[rule_name] = parse_expression(expr, dst.table)
             ln = end
-            transitions.append(TransitionMap(src, dst, rules))
+            tmap_by[words[1], words[2]] = TransitionMap(src, dst, rules)
 
-        tmap_by = {(m.src.name, m.dst.name): m for m in transitions}
         weight_laws: list[tuple[str, str, WeightLaw]] = []
         for ln, line in sections.get("weights", []):
             sname, dname, a, b, expr = _fields(_LAW_RE, line, "law SRC DST A B : expression")
@@ -759,8 +769,8 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             bivector=bivector,
             expected_relations=expected_relations,
             fibration=fibration,
-            charts=tuple(charts),
-            transitions=tuple(transitions),
+            charts=tuple(chart_by_name.values()),
+            transitions=tuple(tmap_by.values()),
             weight_laws=tuple(weight_laws),
             cy=cy,
             max_order=max_order,

@@ -150,7 +150,22 @@ def _mul_terms(a: dict, b: dict, table: VarTable) -> dict:
             if got is not None:
                 sign, m = got
                 terms[m] = terms.get(m, 0) + sign * ca * cb
-    return {m: c for m, c in terms.items() if c}
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
+
+
+def _add_terms(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
+    """(num, den) of ``a/da + sign * b/db`` for two term maps: the sum over the
+    lcm of the denominators, with no zero coefficient and no gcd pass."""
+    den = lcm(da, db)
+    sa, sb = den // da, sign * den // db
+    num = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+    for m, c in b.items():
+        q = num.get(m, 0) + c * sb
+        if q:
+            num[m] = q
+        else:
+            del num[m]
+    return num, den
 
 
 class _ReadOnly:
@@ -332,21 +347,22 @@ class VarTable(_ReadOnly):
         return GradedPoly._of_scaled(self, {self._zero + (power << self._hbar_shift): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
+        return GradedPoly._of_scaled(self, {self._var_key(name, power): 1}, 1)
+
+    def _var_key(self, name: str, power: int = 1) -> int:
+        """The packed monomial ``name**power``."""
         spec = self.spec(name)
         if spec.parity == EVEN:
             if power < 0 and not spec.invertible:
                 raise NonInvertibleSubstitution(
                     f"variable {name!r} has no inverse"
                 )
-            if power == 0:
-                return self.one()
             if not -EXPONENT_LIMIT <= power < EXPONENT_LIMIT:
                 raise ExponentOverflow(power, name)
-            key = self._zero + (power << self._shifts[self._even_slot[name]])
-            return GradedPoly._of_scaled(self, {key: 1}, 1)
+            return self._zero + (power << self._shifts[self._even_slot[name]])
         if power != 1:
             raise ValueError(f"odd variable {name!r} only carries power 1")
-        return GradedPoly._of_scaled(self, {self._zero | 1 << self._odd_bit[name]: 1}, 1)
+        return self._zero | 1 << self._odd_bit[name]
 
     def monomial_factors(self, m: Monomial) -> tuple[dict[str, int], tuple[str, ...]]:
         """Readable view of a monomial: even exponents by name, odd names in order."""
@@ -444,15 +460,7 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        num = dict(self._num) if sa == 1 else {m: c * sa for m, c in self._num.items()}
-        for m, c in other._num.items():
-            q = num.get(m, 0) + c * sb
-            if q:
-                num[m] = q
-            else:
-                del num[m]
+        num, den = _add_terms(self._num, self._den, other._num, other._den)
         return GradedPoly._of_scaled(self.table, num, den)
 
     def __neg__(self) -> "GradedPoly":
@@ -516,9 +524,10 @@ def parity_of(a: GradedPoly) -> str:
     return a.parity()
 
 
-def _invert_term(table: VarTable, m: int, c: int, den: int) -> GradedPoly:
-    """(c/den * m)^(-1) for a packed monomial m with no odd factor and no hbar
-    whose variables are all invertible; NonInvertibleSubstitution otherwise."""
+def _invert_term(table: VarTable, m: int, c: int, den: int) -> tuple[dict, int]:
+    """(num, den) of (c/den * m)^(-1) for a packed monomial m with no odd
+    factor and no hbar whose variables are all invertible;
+    NonInvertibleSubstitution otherwise."""
     if m & table._odd:
         raise NonInvertibleSubstitution("cannot invert an odd factor")
     if m >> table._hbar_shift:
@@ -535,7 +544,7 @@ def _invert_term(table: VarTable, m: int, c: int, den: int) -> GradedPoly:
             raise ExponentOverflow(EXPONENT_LIMIT, evens[slot])
     sign = 1 if c > 0 else -1
     # every field e + bias becomes -e + bias
-    return GradedPoly._of_scaled(table, {2 * table._zero - m: sign * den}, sign * c)
+    return {2 * table._zero - m: sign * den}, sign * c
 
 
 def _invert_unit(repl: GradedPoly) -> GradedPoly:
@@ -549,7 +558,7 @@ def _invert_unit(repl: GradedPoly) -> GradedPoly:
     (m0, c0) = principal[0]
     # repl is c0/den * M0 (1 + nu), so lead * repl = 1 + nu; nu is nilpotent
     # because each of its terms carries an odd factor
-    lead = _invert_term(table, m0, c0, repl._den)
+    lead = GradedPoly._of_scaled(table, *_invert_term(table, m0, c0, repl._den))
     minus_nu = table.one() - lead * repl
     # (1 + nu)^(-1) = sum_j (-nu)^j, finite by nilpotency
     series = power = table.one()

@@ -53,7 +53,106 @@ def _table():
     )
 
 
+# An expression tree is drawn as (text, precedence, value): its text, the
+# binding of its outermost operator (0 a sum, 1 a product, 2 an atom or a
+# power) and the polynomial the tree evaluates to under the ring operations.
+_SUM, _PRODUCT, _ATOM = 0, 1, 2
+
+
+def _operand(node, least):
+    """A node's text, parenthesised where its operator binds looser than ``least``."""
+    text, prec, _ = node
+    return text if prec >= least else f"({text})"
+
+
+def _leaves(t):
+    """Literals, hbar powers and variable powers over ``t``."""
+    def var(name, power):
+        text = name if power is None else f"{name}^{power}"
+        return text, _ATOM, t.var(name, 1 if power is None else power)
+
+    def power(name):
+        spec = t.spec(name)
+        if spec.parity == ODD:
+            return st.sampled_from([None, 1])
+        low = -3 if spec.invertible else 0
+        return st.one_of(st.none(), st.integers(min_value=low, max_value=4))
+
+    names = st.sampled_from(t.names())
+    return st.one_of(
+        st.integers(min_value=0, max_value=12).map(lambda n: (str(n), _ATOM, t.const(n))),
+        st.just(("hbar", _ATOM, t.hbar())),
+        st.integers(min_value=0, max_value=3).map(lambda k: (f"hbar^{k}", _ATOM, t.hbar(k))),
+        names.flatmap(lambda n: power(n).map(lambda e: var(n, e))),
+    )
+
+
+def _divisors(t):
+    """(text, inverse) of a non-zero constant, or of a constant times a power
+    of an invertible variable."""
+    constants = st.integers(min_value=1, max_value=9).map(
+        lambda n: (str(n), t.one().scale(Fraction(1, n)))
+    )
+    units = [s.name for s in t.specs if s.invertible]
+    if not units:
+        return constants
+
+    def unit(c, name, e):
+        text = f"{name}^{e}" if c == 1 else f"({c}*{name}^{e})"
+        return text, t.var(name, -e).scale(Fraction(1, c))
+
+    return st.one_of(constants, st.builds(
+        unit,
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(units),
+        st.integers(min_value=-2, max_value=3),
+    ))
+
+
+def _trees(t):
+    def extend(sub):
+        def add(a, b, op):
+            value = a[2] + b[2] if op == "+" else a[2] - b[2]
+            return f"{a[0]} {op} {_operand(b, _PRODUCT)}", _SUM, value
+
+        def mul(a, b):
+            return f"{_operand(a, _PRODUCT)}*{_operand(b, _ATOM)}", _PRODUCT, a[2] * b[2]
+
+        def neg(a):
+            return f"-{_operand(a, _PRODUCT)}", _SUM, -a[2]
+
+        def power(a, n):
+            return f"({a[0]})^{n}", _ATOM, a[2] ** n
+
+        def divide(a, d):
+            return f"{_operand(a, _PRODUCT)}/{d[0]}", _PRODUCT, a[2] * d[1]
+
+        return st.one_of(
+            st.builds(add, sub, sub, st.sampled_from("+-")),
+            st.builds(mul, sub, sub),
+            st.builds(neg, sub),
+            st.builds(power, sub, st.integers(min_value=0, max_value=3)),
+            st.builds(divide, sub, _divisors(t)),
+        )
+
+    return st.recursive(_leaves(t), extend, max_leaves=8)
+
+
+def _oracle_table(name):
+    if name == "P3|4 chart plus":  # the one with an invertible variable
+        return builtin("P3|4").charts[0].table
+    return builtin(name).table
+
+
 class TestParse:
+    @pytest.mark.parametrize("name", ["T0-cotangent", "P3|4", "L5|6", "P3|4 chart plus"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_parse_matches_the_ring_operations(self, name, data):
+        t = _oracle_table(name)
+        text, _, value = data.draw(_trees(t))
+        assert parse_expression(text, t) == value, text
+
     def test_literals_and_names(self):
         t = _table()
         assert parse_expression("0", t).is_zero()
@@ -204,6 +303,51 @@ class TestRender:
         t = _table()
         p = t.const(1) + t.var("w") + t.var("w") ** 2
         assert render_poly(p) == "w^2 + w + 1"
+
+    # one case per branch of render_poly: the polynomial built from the
+    # fixture's w, l (invertible), th1, th2 and hbar, and its pinned text
+    @pytest.mark.parametrize("build, text", [
+        # zero and bare constants
+        (lambda t, w, l, a, b, h: t.zero(), "0"),
+        (lambda t, w, l, a, b, h: t.const(7), "7"),
+        (lambda t, w, l, a, b, h: t.const(Fraction(-3, 2)), "-3/2"),
+        # a negative leading term
+        (lambda t, w, l, a, b, h: l - w.scale(2), "-2*w + l"),
+        (lambda t, w, l, a, b, h: t.one() - w * l, "-w*l + 1"),
+        # hbar and hbar^k
+        (lambda t, w, l, a, b, h: h, "hbar"),
+        (lambda t, w, l, a, b, h: h * w, "hbar*w"),
+        (lambda t, w, l, a, b, h: t.hbar(3).scale(-2), "-2*hbar^3"),
+        (lambda t, w, l, a, b, h: t.hbar(2) * a * b, "hbar^2*th1*th2"),
+        # Laurent exponents, ordered by the degree they give
+        (lambda t, w, l, a, b, h: t.var("l", -2) * w, "w*l^-2"),
+        (lambda t, w, l, a, b, h: t.var("l", -1) - t.var("l", -3).scale(Fraction(1, 2)),
+         "l^-1 - 1/2*l^-3"),
+        (lambda t, w, l, a, b, h: w * w * t.var("l", -5) + w, "w + w^2*l^-5"),
+        # each coefficient reduced on its own over the common denominator
+        (lambda t, w, l, a, b, h: w.scale(Fraction(1, 2)) + l.scale(Fraction(1, 3)),
+         "1/2*w + 1/3*l"),
+        (lambda t, w, l, a, b, h: w.scale(Fraction(2, 6)) - t.const(Fraction(4, 6)),
+         "1/3*w - 2/3"),
+        (lambda t, w, l, a, b, h: w.scale(Fraction(5, 4)) * a, "5/4*w*th1"),
+        # odd-only terms
+        (lambda t, w, l, a, b, h: a, "th1"),
+        (lambda t, w, l, a, b, h: b * a, "-th1*th2"),
+        (lambda t, w, l, a, b, h: b - a.scale(3), "-3*th1 + th2"),
+        (lambda t, w, l, a, b, h: a * b * h, "hbar*th1*th2"),
+        # equal degree and even exponents: the odd mask, then the hbar power
+        (lambda t, w, l, a, b, h: w * b + w * a + w * a * b, "w*th1*th2 + w*th1 + w*th2"),
+        (lambda t, w, l, a, b, h: a * b + w * a, "w*th1 + th1*th2"),
+        (lambda t, w, l, a, b, h: t.hbar(2) * w + h * w + w, "w + hbar*w + hbar^2*w"),
+        (lambda t, w, l, a, b, h: h * a + t.hbar(2) * a + a, "th1 + hbar*th1 + hbar^2*th1"),
+        (lambda t, w, l, a, b, h: t.hbar(2) * w * a + h * w * b - w * a * b,
+         "-w*th1*th2 + hbar^2*w*th1 + hbar*w*th2"),
+    ])
+    def test_golden_text(self, build, text):
+        t = _table()
+        p = build(t, t.var("w"), t.var("l"), t.var("th1"), t.var("th2"), t.hbar())
+        assert render_poly(p) == text
+        assert parse_expression(text, t) == p
 
     def test_round_trip_samples(self):
         t = _table()
@@ -397,6 +541,9 @@ class TestModelFiles:
          "expected: table A B = expression"),
         ("[bivector]\n\n[charts]\nchart A\nvar x even\nfield x\n", 13,
          "expected chart, var, or table"),
+        # a second chart or map of one name is refused at its header line
+        ("[bivector]\n\n[charts]\nchart A\nvar x even\nchart A\n", 13, "duplicate chart 'A'"),
+        (_CHARTS + "map A B\nth -> 0\nmap A B\nth -> 0\n", 21, "duplicate map A B"),
         (_CHARTS + "map A C\n", 19, "unknown chart 'C'"),
         (_CHARTS + "map A B\nx = x\n", 20, "expected: NAME -> expression"),
         ("[bivector]\n\n[weights]\nlaw A B x : 1\n", 11,
