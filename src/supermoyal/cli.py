@@ -205,8 +205,9 @@ class _Parser:
         return num, den
 
     def _factor(self) -> tuple[dict, int]:
-        num, den, name = self._atom()
         tokens, t = self.tokens, self.table
+        parenthesised = tokens[self.k][0] == "("
+        num, den, name = self._atom()
         if tokens[self.k][0] != "^":
             return num, den
         self.k += 1
@@ -226,18 +227,20 @@ class _Parser:
                 raise IllegalDivision(f"variable {name!r} is not invertible", pos) from None
             except ValueError as err:
                 raise ParseError(str(err), pos) from None
-        if power < 0:
+        if power < 0 and not parenthesised:
             raise IllegalDivision("negative powers need an invertible variable", pos)
         if name == "hbar":
             return {t._zero + (power << t._hbar_shift): 1}, 1
-        if power > MAX_BASE_POWER:
+        if abs(power) > MAX_BASE_POWER:
             raise ParseError(
                 f"exponent {power} of a non-variable base exceeds the limit {MAX_BASE_POWER}",
                 pos,
             )
         out = {t._zero: 1}
-        for _ in range(power):
+        for _ in range(abs(power)):
             out = _product(out, num, t, pos)
+        if power < 0:  # (base)^-k is 1/(base^k)
+            return _divide({t._zero: 1}, 1, out, den**-power, t, pos)
         return out, den**power
 
     def _atom(self) -> tuple[dict, int, str | None]:

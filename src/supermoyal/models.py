@@ -13,8 +13,8 @@ weight laws, and the star engine's checks of its bivector and order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, combinations_with_replacement
+from functools import cache, partial
+from itertools import combinations, combinations_with_replacement, permutations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -160,51 +160,62 @@ def _d_names() -> tuple[str, ...]:
 
 # -- shared atlas construction ---------------------------------------------
 
-def _two_pole_atlas(pi: SuperBivector):
-    """Two-chart trivialization of a (z1, z2, l1, l2 | ...) table.
+def _projective_atlas(pi: SuperBivector, poles: tuple[str, ...], chart_names: tuple[str, ...],
+                      rename: Mapping[str, str], law_hops: tuple[tuple[int, int], ...],
+                      weighted: bool):
+    """The standard affine cover of a projective superspace with bracket ``pi``.
 
-    Each pole fixes one of the two auxiliary even coordinates to 1 and keeps
-    the ratio as an invertible variable l; every other variable is carried
-    over.  Transition rules divide each weighted coordinate by l raised to
-    its weight, and each bracket pair carries the factor l^-(w_a + w_b).
+    Chart k sets the homogeneous coordinate ``poles[k]`` to 1 and carries
+    every other variable under its ``rename`` name; there the other poles are
+    invertible, and ``weighted`` declares the carried variables' weights.  The
+    map from chart k to chart m divides each weighted variable x by
+    ``poles[k]^w_x``, with ``poles[m]`` at 1, and the law of a hop (k, m) in
+    ``law_hops`` gives each bracket pair of chart k the factor
+    ``poles[m]^-(w_a + w_b)``.  Every weight is read from ``pi``'s table.
     """
-    decls = [("w1", EVEN, False, 1), ("w2", EVEN, False, 1), ("l", EVEN, True)]
-    decls += [s for s in pi.table.specs if s.name not in ("z1", "z2", "l1", "l2")]
-    rename = {"z1": "w1", "z2": "w2"}
-    charts = {}
-    for pole in ("plus", "minus"):
-        ct = VarTable.build(*decls)
-        lam = ct.var("l")
-        mapping = {"z1": ct.var("w1"), "z2": ct.var("w2")}
-        if pole == "plus":
-            mapping["l1"], mapping["l2"] = ct.one(), lam
-        else:
-            mapping["l1"], mapping["l2"] = lam, ct.one()
-        plan = SubstitutionPlan(pi.table, mapping, ct)
-        entries = {
-            (rename.get(a, a), rename.get(b, b)): plan.apply(e)
-            for (a, b), e in pi.entries.items()
+    t = pi.table
+    local = {s.name: rename.get(s.name, s.name) for s in t.specs}
+    weighted_specs = [s for s in t.specs if s.weight is not None]
+    charts = []
+    for pole, chart_name in zip(poles, chart_names):
+        carried = [s for s in t.specs if s.name != pole]
+        ct = VarTable.build(*(
+            (local[s.name], s.parity, s.name in poles,
+             s.weight if weighted and s.name not in poles else None)
+            for s in carried
+        ))
+        mapping = {s.name: ct.var(local[s.name]) for s in carried if s.name in rename}
+        mapping[pole] = ct.one()
+        plan = SubstitutionPlan(t, mapping, ct)
+        entries = {(local[a], local[b]): plan.apply(e) for (a, b), e in pi.entries.items()}
+        charts.append(Chart(chart_name, ct, entries))
+
+    # pole_power(e) is a pole to the power e, built once per map or hop
+    transitions = []
+    for (k, src), (m, dst) in permutations(enumerate(charts), 2):
+        dt = dst.table
+        pole_power = cache(partial(dt.var, local[poles[k]]))
+        rules = {
+            local[s.name]: pole_power(-s.weight) if s.name == poles[m]
+            else dt.var(local[s.name]) * pole_power(-s.weight)
+            for s in weighted_specs if s.name != poles[k]
         }
-        charts[pole] = Chart(pole, ct, entries)
-    plus, minus = charts["plus"], charts["minus"]
+        transitions.append(TransitionMap(src, dst, rules))
 
-    def rules(dst: Chart):
-        ct = dst.table
-        out = {"l": ct.var("l", -1)}
-        for s in ct.specs:
-            if s.weight is not None:
-                out[s.name] = ct.var(s.name) * ct.var("l", -s.weight)
-        return out
-
-    t_pm = TransitionMap(plus, minus, rules(minus))
-    t_mp = TransitionMap(minus, plus, rules(plus))
     laws = []
-    for chart, dst_name in ((plus, "minus"), (minus, "plus")):
-        st = chart.table
-        for a, b in chart.bivector.canonical_pairs():
-            factor = st.var("l", -(st.spec(a).weight + st.spec(b).weight))
-            laws.append((chart.name, dst_name, WeightLaw((a, b), factor)))
-    return (plus, minus), (t_pm, t_mp), tuple(laws)
+    for k, m in law_hops:
+        src = charts[k]
+        weight = {local[s.name]: s.weight for s in weighted_specs if s.name != poles[k]}
+        pole_power = cache(partial(src.table.var, local[poles[m]]))
+        for a, b in src.bivector.canonical_pairs():
+            factor = pole_power(-(weight[a] + weight[b]))
+            laws.append((src.name, chart_names[m], WeightLaw((a, b), factor)))
+    return tuple(charts), tuple(transitions), tuple(laws)
+
+
+# chart plus sets l1 to 1 and minus sets l2, each keeping the other as the ratio l
+_TWO_POLE = (("l1", "l2"), ("plus", "minus"), {"z1": "w1", "z2": "w2", "l1": "l", "l2": "l"},
+             ((0, 1), (1, 0)), True)
 
 
 def _quadratic_odd_entries(t: VarTable, n: int, u: GradedPoly, v: GradedPoly):
@@ -230,7 +241,7 @@ def generic_chart_pair(n: int):
     l1, l2 = t.var("l1"), t.var("l2")
     entries = {("z1", "z2"): (l1 * l2).scale(2)}
     entries.update(_quadratic_odd_entries(t, n, l1, l2))
-    return _two_pole_atlas(SuperBivector(t, entries))
+    return _projective_atlas(SuperBivector(t, entries), *_TWO_POLE)
 
 
 # -- built-in models -------------------------------------------------------
@@ -298,7 +309,7 @@ def _two_pole_model(name: str, odd_weights: tuple[int, ...], letters: str,
     for i, w in enumerate(odd_weights, 1):
         entries[(f"xi{i}", f"xi{i}")] = sq**w
     pi = SuperBivector(t, entries)
-    charts, transitions, laws = _two_pole_atlas(pi)
+    charts, transitions, laws = _projective_atlas(pi, *_TWO_POLE)
     bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
     for i, w in enumerate(odd_weights, 1):
         bdecls += [(f"t{i}{letters[k]}", ODD) for k in range(w + 1)]
@@ -405,42 +416,10 @@ def _p3n_model(n: int) -> ModelSpec:
     t = VarTable.build(*decls)
     entries = _quadratic_odd_entries(t, n, t.var("z3"), t.var("z4"))
     pi = SuperBivector(t, entries)
-
-    charts = []
-    for k in (1, 2, 3, 4):
-        others = [m for m in (1, 2, 3, 4) if m != k]
-        cdecls = [(f"z{m}", EVEN, True) for m in others]
-        cdecls += [(f"xi{i}", ODD) for i in range(1, n + 1)]
-        cdecls += [(c, EVEN) for c in cs]
-        ct = VarTable.build(*cdecls)
-        mapping = {f"z{m}": ct.var(f"z{m}") for m in others}
-        mapping[f"z{k}"] = ct.one()
-        plan = SubstitutionPlan(t, mapping, ct)
-        chart_entries = {pair: plan.apply(e) for pair, e in pi.entries.items()}
-        charts.append(Chart(f"U{k}", ct, chart_entries))
-    chart_by = {c.name: c for c in charts}
-
-    transitions = []
-    for k in (1, 2, 3, 4):
-        for l in (1, 2, 3, 4):
-            if k == l:
-                continue
-            src, dst = chart_by[f"U{k}"], chart_by[f"U{l}"]
-            inv = dst.table.var(f"z{k}", -1)
-            rules = {f"z{l}": inv}
-            for m in (1, 2, 3, 4):
-                if m not in (k, l):
-                    rules[f"z{m}"] = dst.table.var(f"z{m}") * inv
-            for i in range(1, n + 1):
-                rules[f"xi{i}"] = dst.table.var(f"xi{i}") * inv
-            transitions.append(TransitionMap(src, dst, rules))
-
-    laws = []
-    for k, l in combinations((1, 2, 3, 4), 2):
-        factor = chart_by[f"U{l}"].table.var(f"z{k}", -2)
-        for i, j in combinations_with_replacement(range(1, n + 1), 2):
-            laws.append((f"U{l}", f"U{k}", WeightLaw((f"xi{i}", f"xi{j}"), factor)))
-
+    charts, transitions, laws = _projective_atlas(
+        pi, ("z1", "z2", "z3", "z4"), ("U1", "U2", "U3", "U4"), {},
+        tuple((l, k) for k, l in combinations(range(4), 2)), False,
+    )
     bdecls = [("z3", EVEN), ("z4", EVEN)]
     bdecls += [(f"t{i}{a}", ODD) for i in range(1, n + 1) for a in (1, 2)]
     bdecls += [(c, EVEN) for c in cs]
@@ -455,9 +434,9 @@ def _p3n_model(n: int) -> ModelSpec:
         bivector=pi,
         expected_relations=dict(entries),
         fibration=Fibration(bt, rules),
-        charts=tuple(charts),
-        transitions=tuple(transitions),
-        weight_laws=tuple(laws),
+        charts=charts,
+        transitions=transitions,
+        weight_laws=laws,
         cy=CYWeights.projective(3, n),
     )
 

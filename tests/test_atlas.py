@@ -1,5 +1,7 @@
 """Chart gluing: transports, weight laws, and cocycle identities."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,14 @@ from supermoyal.graded_ring import (
     VarTable,
     substitute,
 )
-from supermoyal.models import builtin, generic_chart_pair
+from supermoyal.models import (
+    _c_names,
+    _projective_atlas,
+    _quadratic_odd_entries,
+    builtin,
+    generic_chart_pair,
+)
+from supermoyal.poisson import SuperBivector
 
 
 def _pole_table():
@@ -192,6 +201,48 @@ class TestValidation:
         other = VarTable.build(("q", EVEN))
         with pytest.raises(ValueError):
             t_pm.apply(other.var("q"))
+
+
+class TestProjectiveAtlas:
+    """The atlas builder on P^4|2, a cover no built-in model uses."""
+
+    @staticmethod
+    def _p4_2():
+        decls = [(f"z{k}", EVEN, False, 1) for k in range(1, 6)]
+        decls += [(f"xi{i}", ODD, False, 1) for i in (1, 2)]
+        decls += [(c, EVEN) for c in _c_names(2)]
+        t = VarTable.build(*decls)
+        pi = SuperBivector(t, _quadratic_odd_entries(t, 2, t.var("z4"), t.var("z5")))
+        return _projective_atlas(
+            pi, tuple(f"z{k}" for k in range(1, 6)), tuple(f"U{k}" for k in range(1, 6)), {},
+            tuple((m, k) for k, m in combinations(range(5), 2)), False,
+        )
+
+    def test_five_chart_cover_glues(self):
+        charts, maps, laws = self._p4_2()
+        assert len(charts) == 5
+        assert len(maps) == 20
+        by = {(m.src.name, m.dst.name): m for m in maps}
+        names = [c.name for c in charts]
+        chains = list(combinations(names, 2))
+        for a, b, c in combinations(names, 3):
+            chains += [(a, b, c), (a, c, b)]
+        assert len(chains) == 30
+        for chain in chains:
+            ok, bad = check_cocycle([by[hop] for hop in zip(chain, chain[1:] + chain[:1])])
+            assert ok, (chain, bad)
+        assert len(laws) == 30
+        for src, dst, law in laws:
+            ok, want, got = check_weight_law(by[src, dst], law)
+            assert ok, (src, dst, law.pair, want, got)
+
+    def test_a_wrong_factor_fails(self):
+        charts, maps, laws = self._p4_2()
+        src, dst, law = laws[0]
+        tmap = next(m for m in maps if (m.src.name, m.dst.name) == (src, dst))
+        assert law.factor == tmap.src.table.var("z1", -2)
+        wrong = WeightLaw(law.pair, tmap.src.table.var("z1", -1))
+        assert not check_weight_law(tmap, wrong)[0]
 
 
 # -- one substitution plan per map ---------------------------------------------

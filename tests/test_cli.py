@@ -138,6 +138,10 @@ def _trees(t):
     return st.recursive(_leaves(t), extend, max_leaves=8)
 
 
+# one tree strategy per oracle table, built on its first draw
+_TREES: dict = {}
+
+
 def _oracle_table(name):
     if name == "P3|4 chart plus":  # the one with an invertible variable
         return builtin("P3|4").charts[0].table
@@ -150,7 +154,9 @@ class TestParse:
     @given(data=st.data())
     def test_parse_matches_the_ring_operations(self, name, data):
         t = _oracle_table(name)
-        text, _, value = data.draw(_trees(t))
+        if name not in _TREES:
+            _TREES[name] = _trees(t)
+        text, _, value = data.draw(_TREES[name])
         assert parse_expression(text, t) == value, text
 
     def test_literals_and_names(self):
@@ -195,6 +201,17 @@ class TestParse:
             Fraction(1, 2)
         )
         assert parse_expression("l^-2", t) == t.var("l", -2)
+        # a negative power of a parenthesised base is one over its positive power
+        for text, want in (
+            ("(l)^-1", t.var("l", -1)),
+            ("(2*l)^-1", t.var("l", -1).scale(Fraction(1, 2))),
+            ("(l^2)^-1", t.var("l", -2)),
+            ("(1/3*l)^-2", t.var("l", -2).scale(9)),
+        ):
+            assert parse_expression(text, t) == want, text
+        for text in ("(l+1)^-1", "(w)^-1", "(hbar)^-1", "(0)^-1"):
+            with pytest.raises(IllegalDivision):
+                parse_expression(text, t)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownIdentifier) as info:

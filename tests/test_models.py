@@ -1,6 +1,7 @@
 """Built-in models: frozen tables, fibrations, atlases, and verification."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -458,6 +459,17 @@ class TestP3N:
         rec = next(r for r in report if r.check_id == "cy index")
         assert rec.status == "fail"
         assert rec.detail == "2"
+
+    @pytest.mark.parametrize("n, digest", [
+        (1, "becb925e936547ae212a54c803974c90bdb5e8e4aac8f79868ebc93cc998215e"),
+        (2, "83467b199b292c54ba5ac6601d4c68f8d817c4d2f35f342fb21bead290557a3d"),
+        (6, "b781a16cd272a282a87caa61b48491f41d8323b5ae2ba5c40fbf62cf211980f4"),
+        (16, "6005fc9bd89994da1a618c74e1ba7c7619981324a62ffd56a0dce2d5a64c15fa"),
+    ])
+    def test_serialization_is_pinned_beyond_the_shipped_n(self, n, digest):
+        # only P3|N=4 is shipped as a file; these pin other sizes byte for byte
+        text = render_model_text(builtin(f"P3|N={n}"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGenericGluing:
