@@ -452,10 +452,8 @@ def render_model_text(model: ModelSpec) -> str:
                 + " ; "
                 + " ".join(str(w) for w in odd_w)
             )
-        elif cy.kind == "ambitwistor":
-            line = f"ambitwistor {cy.data[0]}"
         else:
-            raise ValueError(f"unknown weight system kind {cy.kind!r}")
+            line = f"ambitwistor {cy.data[0]}"
         sections.append(["[cy]", line])
 
     return "\n\n".join("\n".join(s) for s in sections) + "\n"
@@ -972,6 +970,8 @@ def run(argv: list[str]) -> int:
         if command == "comm":
             return _cmd_product(opts, named, positional, commutator=True)
         if command == "list-builtins":
+            if rest:
+                raise _CliError("list-builtins takes no arguments")
             for name in list_builtins():
                 print(name)
             return 0

@@ -520,10 +520,6 @@ class GradedPoly:
         return GradedPoly._of_scaled(self.table, num, self._den)
 
 
-def parity_of(a: GradedPoly) -> str:
-    return a.parity()
-
-
 def _invert_term(table: VarTable, m: int, c: int, den: int) -> tuple[dict, int]:
     """(num, den) of (c/den * m)^(-1) for a packed monomial m with no odd
     factor and no hbar whose variables are all invertible;

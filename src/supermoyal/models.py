@@ -5,9 +5,9 @@ commutation relations, and optionally a fibration (coordinates expressed
 over a base table), an atlas with weight laws, and scaling-weight data for
 the volume-form check.  A ``ModelSpec`` is checked when it is built: its
 weight laws, and the star engine's checks of its bivector and order.
-``verify_model`` runs the whole certification sweep and returns one
-``CheckRecord`` per check; the quantization contract's records are the ones
-``check_quantization_contract`` returns.
+``verify_model`` runs the whole certification sweep as six phases, each
+yielding the ``CheckRecord``s of its own category; the quantization contract's
+records are the ones ``check_quantization_contract`` returns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .atlas import (
 )
 from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
 from .moyal import (
-    CheckRecord, StarEngine, _engine_plan, check_max_order, check_quantization_contract,
+    CheckRecord, StarEngine, _engine_plan, _record, check_max_order, check_quantization_contract,
 )
 from .poisson import SuperBivector, is_poisson
 
@@ -42,6 +42,23 @@ class CYWeights:
 
     kind: str
     data: tuple
+
+    def __post_init__(self):
+        if self.kind == "weighted":
+            even_weights, odd_weights = self.data
+            if not even_weights:
+                raise ValueError("a weighted system needs at least one even weight")
+            if min(even_weights) < 1:
+                raise ValueError(f"an even weight must be at least 1, got {min(even_weights)}")
+            if min(odd_weights, default=0) < 0:
+                raise ValueError(f"an odd weight must be at least 0, got {min(odd_weights)}")
+            return
+        if self.kind not in ("projective", "ambitwistor"):
+            raise ValueError(f"unknown weight system kind {self.kind!r}")
+        if self.kind == "projective" and self.data[0] < 0:
+            raise ValueError(f"the dimension must be at least 0, got {self.data[0]}")
+        if self.data[-1] < 0:  # the odd count, the last entry of either kind
+            raise ValueError(f"the odd count must be at least 0, got {self.data[-1]}")
 
     @classmethod
     def projective(cls, dim: int, odd: int) -> "CYWeights":
@@ -64,10 +81,8 @@ def calabi_yau_index(cy: CYWeights):
     if cy.kind == "weighted":
         even_weights, odd_weights = cy.data
         return sum(even_weights) - sum(odd_weights)
-    if cy.kind == "ambitwistor":
-        (odd,) = cy.data
-        return (3 - odd, 3 - odd)
-    raise ValueError(f"unknown weight system kind {cy.kind!r}")
+    (odd,) = cy.data  # ambitwistor, the one kind left
+    return (3 - odd, 3 - odd)
 
 
 @dataclass(frozen=True)
@@ -539,46 +554,30 @@ def anti_chiral_substitution(
 
 # -- verification ----------------------------------------------------------
 
-def verify_model(model: ModelSpec, max_order: int | None = None) -> VerificationReport:
-    """Run the model's full certification sweep."""
-    records: list[CheckRecord] = []
-    t = model.table
-
-    records.append(CheckRecord(
-        "poisson [pi,pi]=0", "poisson",
-        "pass" if is_poisson(model.bivector) else "fail",
-    ))
-
-    engine = StarEngine(
-        model.bivector, max_order if max_order is not None else model.max_order
-    )
-
+def _relations_phase(model: ModelSpec, engine: StarEngine):
     if model.expected_relations is not None:
+        t = model.table
         expected = SuperBivector(t, model.expected_relations)
         coords = [n for n in t.names() if n not in model.constants]
-        for i, a in enumerate(coords):
-            for b in coords[i:]:
-                both_odd = t.parity(a) == ODD and t.parity(b) == ODD
-                if a == b and not both_odd:
-                    continue
+        for a, b in combinations_with_replacement(coords, 2):
+            both_odd = t.parity(a) == ODD and t.parity(b) == ODD
+            if a != b or both_odd:
                 got = engine.supercommutator(t.var(a), t.var(b))
                 want = t.hbar() * expected.entry(a, b)
-                records.append(CheckRecord(
-                    f"{'anti' if both_odd else 'comm'} {a} {b}", "relations",
-                    "pass" if got == want else "fail", got, want,
-                ))
+                yield _record(f"{'anti' if both_odd else 'comm'} {a} {b}", "relations",
+                              got == want, got, want)
 
-    records += check_quantization_contract(engine, associativity=model.associative)
 
+def _glue_phase(model: ModelSpec, engine: StarEngine):
     tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     for sname, dname, law in model.weight_laws:
         ok, want, got = check_weight_law(tmap_by[sname, dname], law)
         a, b = law.pair
-        records.append(CheckRecord(
-            f"glue {sname} {dname} {a} {b}", "glue",
-            "pass" if ok else "fail", got, want,
-        ))
+        yield _record(f"glue {sname} {dname} {a} {b}", "glue", ok, got, want)
 
+
+def _cocycle_phase(model: ModelSpec, engine: StarEngine):
+    tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     names = [c.name for c in model.charts]
     chains = list(combinations(names, 2))
     for a, b, c in combinations(names, 3):
@@ -587,16 +586,32 @@ def verify_model(model: ModelSpec, max_order: int | None = None) -> Verification
         maps = [tmap_by.get(hop) for hop in zip(chain, chain[1:] + chain[:1])]
         if all(maps):
             ok, bad = check_cocycle(maps)
-            records.append(CheckRecord(
-                f"cocycle {' '.join(chain)}", "cocycle", "pass" if ok else "fail",
-                detail="" if ok else f"variable {bad} does not return",
-            ))
+            detail = "" if ok else f"variable {bad} does not return"
+            yield _record(f"cocycle {' '.join(chain)}", "cocycle", ok, detail=detail)
 
+
+def _cy_phase(model: ModelSpec, engine: StarEngine):
     if model.cy is not None:
         idx = calabi_yau_index(model.cy)
-        flat = idx == 0 or idx == (0, 0)
-        records.append(CheckRecord(
-            "cy index", "cy", "pass" if flat else "fail", detail=str(idx)
-        ))
+        yield _record("cy index", "cy", idx in (0, (0, 0)), detail=str(idx))
 
-    return VerificationReport(model.name, tuple(records))
+
+# verify_model's phases in record order, each yielding records of its own category;
+# each reads its check from the module globals at call time, for tracers that rebind them
+_PHASES = (
+    ("poisson", lambda model, engine: [
+        _record("poisson [pi,pi]=0", "poisson", is_poisson(model.bivector))]),
+    ("relations", _relations_phase),
+    ("contract", lambda model, engine: check_quantization_contract(
+        engine, associativity=model.associative)),
+    ("glue", _glue_phase),
+    ("cocycle", _cocycle_phase),
+    ("cy", _cy_phase),
+)
+
+
+def verify_model(model: ModelSpec, max_order: int | None = None) -> VerificationReport:
+    """Run the model's full certification sweep, one phase of ``_PHASES`` at a time."""
+    engine = StarEngine(model.bivector, model.max_order if max_order is None else max_order)
+    records = tuple(r for _, phase in _PHASES for r in phase(model, engine))
+    return VerificationReport(model.name, records)

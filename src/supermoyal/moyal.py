@@ -637,10 +637,9 @@ class CheckRecord:
     detail: str = ""
 
 
-def _contract_record(name: str, failure: str) -> CheckRecord:
-    """The record of contract check ``name``: a fail if ``failure`` says why."""
-    status = "fail" if failure else "pass"
-    return CheckRecord(f"contract {name}", "contract", status, detail=failure)
+def _record(check_id, category, ok, lhs=None, rhs=None, detail="") -> CheckRecord:
+    """The record of a check that passes if ``ok`` and fails otherwise."""
+    return CheckRecord(check_id, category, "pass" if ok else "fail", lhs, rhs, detail)
 
 
 def _row_basis(engine: StarEngine):
@@ -705,7 +704,8 @@ def check_quantization_contract(
             fails.append("scalar linearity")
         if engine.star(t.hbar() * f, g) != t.hbar() * engine.star(f, g):
             fails.append("hbar linearity")
-    records = [_contract_record("bilinearity", "; ".join(sorted(set(fails))))]
+    failure = "; ".join(sorted(set(fails)))
+    records = [_record("contract bilinearity", "contract", not failure, detail=failure)]
 
     # each basis product once, for both checks below; basis[0] is 1, so this is
     # the order in which the sweep first needs them, and a truncation error
@@ -722,7 +722,7 @@ def check_quantization_contract(
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
                 first = first or "failure on a randomized triple"
-        records.append(_contract_record("associativity", first))
+        records.append(_record("contract associativity", "contract", not first, detail=first))
     else:
         records.append(CheckRecord(
             "contract associativity", "contract", "skip",
@@ -740,5 +740,5 @@ def check_quantization_contract(
     for f, g, fg in pairs:
         if fg.hbar_coefficient(1) != poisson_bracket(pi, f, g).scale(Fraction(1, 2)):
             first = first or f"pair ({f!r}, {g!r})"
-    records.append(_contract_record("order1-bracket", first))
+    records.append(_record("contract order1-bracket", "contract", not first, detail=first))
     return tuple(records)

@@ -17,7 +17,7 @@ import supermoyal.moyal as moyal
 import supermoyal.poisson as poisson
 from supermoyal.atlas import WeightLaw, check_cocycle, check_weight_law
 from supermoyal.graded_calculus import d_left, d_right
-from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable, parity_of
+from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import (
     CYWeights,
     anti_chiral_substitution,
@@ -41,7 +41,7 @@ def _orbit_name(i, a, j, b):
 
 
 def _pbit(p):
-    return 1 if parity_of(p) == ODD else 0
+    return 1 if p.parity() == ODD else 0
 
 
 def _coords(model):

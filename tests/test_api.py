@@ -12,7 +12,7 @@ def test_every_public_name_resolves():
 def test_retired_helpers_are_gone():
     for name in (
         "mul", "star", "supercommutator", "bidiff_apply",
-        "ContractEntry", "ContractReport", "transport_table", "constant_value",
+        "ContractEntry", "ContractReport", "transport_table", "constant_value", "parity_of",
     ):
         assert name not in supermoyal.__all__
         assert not hasattr(supermoyal, name), name
@@ -24,3 +24,4 @@ def test_retired_helpers_are_gone():
     assert not hasattr(moyal, "ContractReport")
     assert not hasattr(atlas, "transport_table")
     assert not hasattr(graded_ring.GradedPoly, "constant_value")
+    assert not hasattr(graded_ring, "parity_of")

@@ -635,6 +635,8 @@ class TestModelFiles:
             head.replace("x even", "x sideways") + "[bivector]\n", "even|odd"
         )
         self._bad(head + "[bivector]\n\n[cy]\nspectral 3\n", "expected projective")
+        self._bad(head + "[bivector]\n\n[cy]\nprojective -1 4\n",
+                  "bad weight system line 'projective -1 4'", line_no=11)
         self._bad(head + "[bivector]\n\n[weights]\nlaw A B x x : 1\n", "unknown chart")
         self._bad(head + "[bivector]\n\n[transitions]\nx -> x\n", "map line first")
         self._bad(
@@ -1186,6 +1188,9 @@ class TestDriver:
         (("cy", "--weighted", "1", "1"), "cy --weighted separates even and odd weights with --"),
         (("cy", "--ambitwistor"), "cy --ambitwistor takes ODD"),
         (("cy", "--ambitwistor", "1", "2"), "cy --ambitwistor takes ODD"),
+        (("list-builtins", "extra"), "list-builtins takes no arguments"),
+        (("list-builtins", "--order", "3"), "list-builtins takes no arguments"),
+        (("list-builtins", "--json"), "list-builtins takes no arguments"),
     ])
     def test_argument_errors_print_the_usage(self, cli, argv, message):
         rc, out, err = cli(*argv)
@@ -1199,6 +1204,18 @@ class TestDriver:
         (("comm", "P3|4", "--a", "z1+", "--b", "z2"), "expected a value (column 4)"),
         (("cy", "--projective", "x", "4"), "cy --projective: weight 'x' is not an integer"),
         (("cy", "--weighted", "1", "--", "y"), "cy --weighted: weight 'y' is not an integer"),
+        (("cy", "--projective", "-1", "-5"),
+         "cy --projective: the dimension must be at least 0, got -1"),
+        (("cy", "--projective", "3", "-5"),
+         "cy --projective: the odd count must be at least 0, got -5"),
+        (("cy", "--ambitwistor", "-2"),
+         "cy --ambitwistor: the odd count must be at least 0, got -2"),
+        (("cy", "--weighted", "--", "1"),
+         "cy --weighted: a weighted system needs at least one even weight"),
+        (("cy", "--weighted", "1", "-1", "--"),
+         "cy --weighted: an even weight must be at least 1, got -1"),
+        (("cy", "--weighted", "1", "--", "-1"),
+         "cy --weighted: an odd weight must be at least 0, got -1"),
     ])
     def test_input_errors_print_one_line(self, cli, argv, message):
         assert cli(*argv) == (2, "", f"error: {message}\n")

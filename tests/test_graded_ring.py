@@ -17,7 +17,6 @@ from supermoyal.graded_ring import (
     NonInvertibleSubstitution,
     ParityMismatch,
     VarTable,
-    parity_of,
     substitute,
 )
 from supermoyal.moyal import StarEngine
@@ -260,12 +259,12 @@ class TestIntForm:
 class TestParity:
     def test_even_odd_mixed(self):
         t = table()
-        assert parity_of(t.var("x")) == EVEN
-        assert parity_of(t.var("th1")) == ODD
-        assert parity_of(t.var("th1") * t.var("th2")) == EVEN
-        assert parity_of(t.var("x") + t.var("th1")) == "mixed"
-        assert parity_of(t.zero()) == EVEN
-        assert parity_of(t.hbar()) == EVEN
+        assert t.var("x").parity() == EVEN
+        assert t.var("th1").parity() == ODD
+        assert (t.var("th1") * t.var("th2")).parity() == EVEN
+        assert (t.var("x") + t.var("th1")).parity() == "mixed"
+        assert t.zero().parity() == EVEN
+        assert t.hbar().parity() == EVEN
 
 
 class TestSubstitute:

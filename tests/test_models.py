@@ -9,7 +9,7 @@ import pytest
 
 from supermoyal import models
 from supermoyal.atlas import UnresolvedPair, WeightLaw, check_cocycle, check_weight_law
-from supermoyal.cli import render_model_text
+from supermoyal.cli import render_model_text, run
 from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
@@ -142,6 +142,76 @@ class TestSharedModels:
 def test_builtin_verifies_clean(name):
     report = verify_model(builtin(name))
     assert report.ok, report.failures()
+
+
+class TestVerifyPhases:
+    PHASES = ("poisson", "relations", "contract", "glue", "cocycle", "cy")
+
+    def test_phase_names_in_record_order(self):
+        assert tuple(name for name, _ in models._PHASES) == self.PHASES
+
+    @pytest.mark.parametrize("name", [*list_builtins(), "P3|N=2"])
+    def test_categories_follow_the_phases(self, name):
+        # a record's category is its phase, and no phase comes back after a later one
+        categories = [r.category for r in verify_model(builtin(name))]
+        assert set(categories) <= set(self.PHASES)
+        order = [self.PHASES.index(c) for c in categories]
+        assert order == sorted(order)
+
+
+# exit code and sha256 of the standard output of `verify NAME` and of
+# `verify NAME --json`, run in process
+_VERIFY_DIGESTS = {
+    "T0-cotangent": (
+        0,
+        "38c98d816c7eb7a0c079732407e12baca68e23ef9892e6362757fbb052b2e776",
+        "477c0f153b8e4fcce485bf3d6c49470a80834a3ed729b9dc1f4575678e7ad903",
+    ),
+    "T1-cotangent": (
+        0,
+        "5cc8b8167e5c003c19c5486a6d9b317ab10f3ed79b360588394a0eb82ba2b978",
+        "66f0f9bbce2215704e1d4ecc369fa21595075feb059c2c62fe910ecc42f731ed",
+    ),
+    "P3|4": (
+        0,
+        "796744ceb62106c0acae788690b7038c6b897673a2048b433257c6f9f8e6b7f0",
+        "bb03ea0d534bf74a649aa6c2fc3a733fa9f7eedf967e93c30495f4286621bbb9",
+    ),
+    "WP[1,3]": (
+        0,
+        "6d7e5aada90e9db1c49ca1f42641db57b636f042ffada85dc5338e054eb452d1",
+        "d8fb311ab9b75b6d4ac8b5519637419000d846adaf3a7c0c320615f4541e1235",
+    ),
+    "WP[2,2]": (
+        0,
+        "3885b4c38455739063de6bac88deb22ef830c2c75a2aa53878c8900b6150f83b",
+        "a2a3c575a6d9fc7adc4150df0a15ac916e138dd647676879c7197442cb0eb1fd",
+    ),
+    "WP[4,0]": (
+        0,
+        "979381c29eae1cb5d05dbeefe0bee136159daf4ee79bcd4c36da8b2ee0da1624",
+        "429b5f258086ee209754bad6009c3f6ee39efa9bdffd841d0a9866c16d8382a6",
+    ),
+    "L5|6": (
+        0,
+        "fe49f2ff7f6fa6552f9fc0055a8795bc5ea03ddad81035bb9351ce336a0503be",
+        "5cebff46f80fd534e7dd25b0a8c58418f941da0a2a2fc4f3487bd6be277fa1b0",
+    ),
+    "P3|N=1": (
+        1,
+        "c3d23678b4f75ca52a32805833c7da90706268005e027be8f153326b2dbf3768",
+        "198f312655ae4215fc39a7994b33e26421332705a43c865f08ce4636d4ec0417",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_VERIFY_DIGESTS))
+def test_verify_output_is_pinned(capsys, name):
+    code, text, as_json = _VERIFY_DIGESTS[name]
+    for argv, digest in ((["verify", name], text), (["verify", name, "--json"], as_json)):
+        assert run(argv) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestConstantNaming:
@@ -505,6 +575,7 @@ class TestCYArithmetic:
         assert calabi_yau_index(CYWeights.projective(3, 0)) == 4
         assert calabi_yau_index(CYWeights.projective(3, 5)) == -1
         assert calabi_yau_index(CYWeights.projective(2, 4)) == -1
+        assert calabi_yau_index(CYWeights.projective(0, 0)) == 1
 
     def test_weighted(self):
         assert calabi_yau_index(CYWeights.weighted((1, 1, 1, 1), (1, 3))) == 0
@@ -515,10 +586,25 @@ class TestCYArithmetic:
     def test_ambitwistor(self):
         assert calabi_yau_index(CYWeights.ambitwistor(3)) == (0, 0)
         assert calabi_yau_index(CYWeights.ambitwistor(1)) == (2, 2)
+        assert calabi_yau_index(CYWeights.ambitwistor(0)) == (3, 3)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CYWeights.projective(-1, 4), "the dimension must be at least 0, got -1"),
+        (lambda: CYWeights.projective(3, -5), "the odd count must be at least 0, got -5"),
+        (lambda: CYWeights.ambitwistor(-2), "the odd count must be at least 0, got -2"),
+        (lambda: CYWeights.weighted((), (1,)), "a weighted system needs at least one even weight"),
+        (lambda: CYWeights.weighted((1, 0), (1,)), "an even weight must be at least 1, got 0"),
+        (lambda: CYWeights.weighted((1, -1), ()), "an even weight must be at least 1, got -1"),
+        (lambda: CYWeights.weighted((1,), (0, -1)), "an odd weight must be at least 0, got -1"),
+    ])
+    def test_nonsense_weight_systems_are_refused(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            calabi_yau_index(CYWeights("spectral", ()))
+        with pytest.raises(ValueError, match="unknown weight system kind 'spectral'"):
+            CYWeights("spectral", ())
 
 
 class TestShippedFiles:
