@@ -755,8 +755,8 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             kind, *words = line.split()
             try:
                 cy = _cy_weights(kind, words, ";")
-            except ValueError:
-                raise ValueError(f"bad weight system line {line!r}") from None
+            except ValueError as err:
+                raise ValueError(f"bad weight system line {line!r}: {err}") from None
             if cy is None:
                 raise ValueError("expected projective, weighted, or ambitwistor")
 

@@ -574,9 +574,15 @@ class SubstitutionPlan(_ReadOnly):
     unit * (1 + nilpotent).  Each power of a replacement is built once and
     kept for every later call; a power that cannot be built is not kept and
     raises again.
+
+    An even variable that the mapping leaves alone and the target declares
+    even is kept: the plan stores its target field once, and ``apply`` adds
+    its exponent straight into the term's packed key.  Only mapped factors,
+    odd ones and a negative power of a kept variable the target cannot
+    invert go through ``var_power``.
     """
 
-    __slots__ = ("src", "target", "mapping", "_names", "_missing", "_powers")
+    __slots__ = ("src", "target", "mapping", "_names", "_missing", "_kept", "_powers")
 
     def __init__(self, src: VarTable, mapping: Mapping[str, GradedPoly], target: VarTable):
         for name, repl in mapping.items():
@@ -597,6 +603,13 @@ class SubstitutionPlan(_ReadOnly):
         # each with the mask and bits of its support test
         self._missing = tuple(
             (n, *src._support(n)) for n in src.names() if n not in mapping and n not in target
+        )
+        # per source even slot: (target field shift, invertible in the target)
+        # of a kept variable, else None
+        self._kept = tuple(
+            (target._shifts[target._even_slot[n]], target.spec(n).invertible)
+            if n not in mapping and n in target and target.parity(n) == EVEN else None
+            for n in self._names[0]
         )
         self._powers: dict[tuple[str, int], GradedPoly] = {}
 
@@ -629,14 +642,27 @@ class SubstitutionPlan(_ReadOnly):
         # each term's image is ``part`` over ``d``; the sum is ``total`` over ``den``
         total: dict[int, int] = {}
         den = 1
+        kept = self._kept
         for m, c in a._num.items():
-            part, d = {unit + (m >> h_src << h_dst): c}, 1
-            factors = [(evens[slot], e) for slot, e in src._exponents(m)]
+            # kept factors go into the key; each source exponent is in range,
+            # and kept variables have distinct target fields, so it is too
+            key = unit + (m >> h_src << h_dst)
+            factors = []
+            for slot, e in src._exponents(m):
+                field = kept[slot]
+                if field is not None and (e > 0 or field[1]):
+                    key += e << field[0]
+                else:
+                    factors.append((evens[slot], e))
             rest = m & odd
             while rest:
                 low = rest & -rest
                 factors.append((odds[low.bit_length() - 1], 1))
                 rest ^= low
+            if not factors:  # the image is the one term c * key, over 1
+                total[key] = total.get(key, 0) + c * den
+                continue
+            part, d = {key: c}, 1
             for name, e in factors:
                 image = self.var_power(name, e)
                 part = _mul_terms(part, image._num, target)
@@ -654,7 +680,8 @@ class SubstitutionPlan(_ReadOnly):
                     part = {k: q * (both // d) for k, q in part.items()}
             for k, q in part.items():
                 total[k] = total.get(k, 0) + q
-        total = {k: q for k, q in total.items() if q}
+        if 0 in total.values():
+            total = {k: q for k, q in total.items() if q}
         return GradedPoly._of_scaled(target, total, den * a._den)
 
 

@@ -36,6 +36,14 @@ class MissingFibration(ValueError):
     """The model declares no fibered coordinates."""
 
 
+# the length of each kind's data, and its shape as an error names it
+_CY_SHAPES = {
+    "projective": (2, "(dimension, odd count)"),
+    "weighted": (2, "(even weights, odd weights), each a tuple"),
+    "ambitwistor": (1, "(odd count,)"),
+}
+
+
 @dataclass(frozen=True)
 class CYWeights:
     """Scaling-weight data for the global volume-form condition."""
@@ -44,8 +52,21 @@ class CYWeights:
     data: tuple
 
     def __post_init__(self):
-        if self.kind == "weighted":
-            even_weights, odd_weights = self.data
+        if type(self.kind) is not str or self.kind not in _CY_SHAPES:
+            raise ValueError(f"unknown weight system kind {self.kind!r}")
+        length, shape = _CY_SHAPES[self.kind]
+        data = self.data
+        weighted = self.kind == "weighted"
+        if (
+            type(data) is not tuple or len(data) != length
+            or weighted and not all(type(part) is tuple for part in data)
+        ):
+            raise ValueError(f"{self.kind} data must be {shape}, got {data!r}")
+        for w in (*data[0], *data[1]) if weighted else data:
+            if type(w) is not int:
+                raise ValueError(f"a weight must be an int, got {w!r}")
+        if weighted:
+            even_weights, odd_weights = data
             if not even_weights:
                 raise ValueError("a weighted system needs at least one even weight")
             if min(even_weights) < 1:
@@ -53,8 +74,6 @@ class CYWeights:
             if min(odd_weights, default=0) < 0:
                 raise ValueError(f"an odd weight must be at least 0, got {min(odd_weights)}")
             return
-        if self.kind not in ("projective", "ambitwistor"):
-            raise ValueError(f"unknown weight system kind {self.kind!r}")
         if self.kind == "projective" and self.data[0] < 0:
             raise ValueError(f"the dimension must be at least 0, got {self.data[0]}")
         if self.data[-1] < 0:  # the odd count, the last entry of either kind

@@ -122,8 +122,10 @@ is an algebra map because the ring is supercommutative, so
     mf * mg = s (F_1 * G_1) ... (F_k * G_k) F_0 G_0,
 
 each F_b * G_b the series of block b alone.  With k = 0 this is mf mg, and
-s = 1.  With k = 1 it is s (F_1 * G_1) F_0 G_0, where s = 1 unless the rest
-has an odd factor: order by order, the joint kernel's states are block 1's
+s = 1: such a miss is one monomial product, cached as it is, with its one
+state at order 0.  With k = 1 it is s (F_1 * G_1) F_0 G_0, where s = 1
+unless the rest has an odd factor: order by order, the joint kernel's
+states are block 1's
 states times (F_0, G_0), each centre up to a sign that the state fixes, so
 they merge, cancel and fire alike and the live states per order are block
 1's.  With k >= 2, the order-n term of
@@ -175,7 +177,7 @@ from random import Random
 
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
-from .graded_calculus import _mono_d, _var_key, d_left  # noqa: F401
+from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
@@ -376,13 +378,18 @@ class StarEngine:
         if len(live) > 1:
             live = _live_blocks(live, mf, mg)
         k = len(live)
+        if not k:  # no step fires: the product is the one term mf mg
+            fg = _mono_mul(mf, mg, t)
+            got = t.zero() if fg is None else GradedPoly._of_scaled(t, {fg[1]: fg[0]}, 1)
+            if not self._peaks:
+                self._peaks.append(1)  # its one state, at order 0
+            self._cache[(mf, mg)] = got
+            return got
         unit = self._unit
         if k == 1:
             rows, used, fill = live[0]
             series, counts, fired = self._run(mf & used | fill, mg & used | fill, rows)
             num, den = series._num, series._den
-        elif not k:  # no step fires: the series is mf * mg alone
-            used, num, den, counts, fired = 0, {unit: 1}, 1, [1], -1
         else:
             runs = [self._run(mf & mask | fill, mg & mask | fill, rows) for rows, mask, fill in live]
             # the joint live states per order: the blocks' counts convolved
@@ -540,9 +547,10 @@ def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
     # bits of A, |A|, ((key B, mask and bits of B, d_e * pi^{AB} as ints,
     # |B|), ...)); a packed m has the factor A when m & mask != bits
     d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
+    keys = bivector._keys
     rows = tuple(
-        (_var_key(t, a), *t._support(a), pa, tuple(
-            (_var_key(t, b), *t._support(b), e.scale(d_e)._num, pb) for b, e, pb in partners
+        (keys[a], *t._support(a), pa, tuple(
+            (keys[b], *t._support(b), e.scale(d_e)._num, pb) for b, e, pb in partners
         ))
         for a, pa, partners in bivector.steps
     )

@@ -10,11 +10,12 @@ identity, not an up-to-sign statement.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .graded_calculus import d_left
-from .graded_ring import ODD, GradedPoly, VarTable, _ReadOnly
+from .graded_calculus import _mono_d, _var_key, d_left
+from .graded_ring import ODD, GradedPoly, VarTable, _ReadOnly, _mono_mul
 
 
 class VariableMismatch(ValueError):
@@ -24,7 +25,7 @@ class VariableMismatch(ValueError):
 class SuperBivector(_ReadOnly):
     """Coefficient matrix of a super Poisson structure candidate."""
 
-    __slots__ = ("table", "entries", "steps", "parity", "is_central", "_plan")
+    __slots__ = ("table", "entries", "steps", "parity", "is_central", "_keys", "_plan")
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
         self.table = table
@@ -71,6 +72,9 @@ class SuperBivector(_ReadOnly):
         for a, b, value, pa, pb in steps:
             rows.setdefault(a, (a, pa, []))[2].append((b, value, pb))
         self.steps = tuple((a, pa, tuple(partners)) for a, pa, partners in rows.values())
+        # the derivative key of each variable a step differentiates, for the
+        # bracket and the star engine's plan
+        self._keys = {a: _var_key(table, a) for a in rows}
         self.parity = parities.pop() if parities else 0
         # central: no entry depends on a variable that a step differentiates.
         # Distinct monomials have distinct derivatives, so a row divides some
@@ -131,34 +135,54 @@ def _bracket_sign(pb: int, pf: int, pa: int) -> int:
 
 
 def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """{f, g} = sum over entries of sign * pi^{AB} * d_left(A, f) * d_left(B, g)."""
+    """{f, g} = sum over entries of sign * pi^{AB} * d_left(A, f) * d_left(B, g).
+
+    Summed term by term into one map of packed monomials over the common
+    denominator of f, g and the entries, with the sign (-1)^(|B| (|F| + |A|))
+    of each term F of f.  It reads the bivector's entries, not the star
+    engine's plan, so the order-1 check compares two separate computations;
+    any entries will do, non-central, odd and Laurent ones included.
+    """
     t = pi.table
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
-    out = t.zero()
-    dgs: dict[str, GradedPoly] = {}
-    for pf, fp in _parity_parts(f):
-        for a, pa, partners in pi.steps:
-            df = d_left(a, fp)
-            if df.is_zero():
+    odd = t._odd
+    d_e = lcm(*(e._den for _, _, partners in pi.steps for _, e, _ in partners))
+    out: dict[int, int] = {}
+    dgs: dict[str, list] = {}  # d_left(B, g) as (coefficient, monomial) pairs
+    keys = pi._keys
+    for a, pa, partners in pi.steps:
+        ka = keys[a]
+        dfs = [  # d_left(A, f) as (coefficient, monomial, parity of the term of f)
+            (got[0] * c, got[1], (m & odd).bit_count() & 1) for m, c in f._num.items()
+            if (got := _mono_d(m, ka, odd)) is not None
+        ]
+        if not dfs:
+            continue
+        for b, entry, pb in partners:
+            dg = dgs.get(b)
+            if dg is None:
+                kb = keys[b]
+                dg = dgs[b] = [
+                    (got[0] * c, got[1]) for m, c in g._num.items()
+                    if (got := _mono_d(m, kb, odd)) is not None
+                ]
+            if not dg:
                 continue
-            for b, entry, pb in partners:
-                dg = dgs.get(b)
-                if dg is None:
-                    dg = dgs[b] = d_left(b, g)
-                if dg.is_zero():
-                    continue
-                out = out + (entry * df * dg).scale(_bracket_sign(pb, pf, pa))
-    return out
-
-
-def _parity_parts(f: GradedPoly):
-    """(|F|, F) for the even and then the odd part of f, skipping an empty one."""
-    parts: dict[int, dict] = {}
-    odd = f.table._odd
-    for m, c in f._num.items():
-        parts.setdefault((m & odd).bit_count() & 1, {})[m] = c
-    return [(p, GradedPoly._of_scaled(f.table, num, f._den)) for p, num in sorted(parts.items())]
+            scale = d_e // entry._den
+            signs = _bracket_sign(pb, 0, pa), _bracket_sign(pb, 1, pa)
+            for me, ce in entry._num.items():
+                ce *= scale
+                for cf, mf, pf in dfs:
+                    ef = _mono_mul(me, mf, t)
+                    if ef is None:
+                        continue
+                    c = signs[pf] * ef[0] * ce * cf
+                    for cg, mg in dg:
+                        efg = _mono_mul(ef[1], mg, t)
+                        if efg is not None:
+                            out[efg[1]] = out.get(efg[1], 0) + efg[0] * c * cg
+    return GradedPoly._of_scaled(t, {m: c for m, c in out.items() if c}, d_e * f._den * g._den)
 
 
 def _swap_sign(pa: int, pb: int) -> int:

@@ -128,3 +128,27 @@ def oracle_star(bivector, f, g, max_order: int) -> dict:
             add(poly_mul({mf: cf}, {mg: cg}))
             descend(0, mf, mg, cf * cg, {unit: Fraction(1)})
     return {m: c for m, c in total.items() if c}
+
+
+def oracle_bracket(bivector, f, g) -> dict:
+    """{f, g} as a plain dict: the sum over every entry (A, B) and every pair
+    of terms F of f and G of g of (-1)^(|B| (|F| + |A|)) pi^{AB} d_A F d_B G."""
+    table = bivector.table
+    fs, gs = as_dict(f), as_dict(g)
+    total: dict = {}
+    for (a, b), entry in bivector.entries.items():
+        ka, kb = _key(table, a), _key(table, b)
+        parity_a = 1 if ka[0] == "odd" else 0
+        parity_b = 1 if kb[0] == "odd" else 0
+        for mf, cf in fs.items():
+            dF = mono_d_left(ka, mf)
+            if dF is None:
+                continue
+            sign = -1 if parity_b * (len(_word(mf[1])) + parity_a) % 2 else 1
+            left = poly_mul(as_dict(entry), {dF[1]: sign * dF[0] * cf})
+            for mg, cg in gs.items():
+                dG = mono_d_left(kb, mg)
+                if dG is not None:
+                    for m, c in poly_mul(left, {dG[1]: dG[0] * cg}).items():
+                        total[m] = total.get(m, 0) + c
+    return {m: c for m, c in total.items() if c}

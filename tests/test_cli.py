@@ -574,8 +574,16 @@ class TestModelFiles:
         ("[bivector]\n\n[cy]\nprojective 3 4\nprojective 3 4\n", 11,
          "the [cy] section takes one line"),
         ("[bivector]\n\n[cy]\n", 10, "the [cy] section takes one line"),
-        ("[bivector]\n\n[cy]\nprojective x 4\n", 11, "bad weight system line 'projective x 4'"),
-        ("[bivector]\n\n[cy]\nweighted 1 ; y\n", 11, "bad weight system line 'weighted 1 ; y'"),
+        ("[bivector]\n\n[cy]\nprojective x 4\n", 11,
+         "bad weight system line 'projective x 4': weight 'x' is not an integer"),
+        ("[bivector]\n\n[cy]\nweighted 1 ; y\n", 11,
+         "bad weight system line 'weighted 1 ; y': weight 'y' is not an integer"),
+        ("[bivector]\n\n[cy]\nprojective -1 4\n", 11,
+         "bad weight system line 'projective -1 4': the dimension must be at least 0, got -1"),
+        ("[bivector]\n\n[cy]\nweighted ; 1\n", 11,
+         "bad weight system line 'weighted ; 1': a weighted system needs at least one even weight"),
+        ("[bivector]\n\n[cy]\nambitwistor -2\n", 11,
+         "bad weight system line 'ambitwistor -2': the odd count must be at least 0, got -2"),
         ("[bivector]\n\n[cy]\nweighted 1 2\n", 11, "expected projective, weighted, or ambitwistor"),
     ])
     def test_line_errors_keep_their_text(self, tail, line_no, message):
@@ -636,7 +644,8 @@ class TestModelFiles:
         )
         self._bad(head + "[bivector]\n\n[cy]\nspectral 3\n", "expected projective")
         self._bad(head + "[bivector]\n\n[cy]\nprojective -1 4\n",
-                  "bad weight system line 'projective -1 4'", line_no=11)
+                  "bad weight system line 'projective -1 4': "
+                  "the dimension must be at least 0, got -1", line_no=11)
         self._bad(head + "[bivector]\n\n[weights]\nlaw A B x x : 1\n", "unknown chart")
         self._bad(head + "[bivector]\n\n[transitions]\nx -> x\n", "map line first")
         self._bad(

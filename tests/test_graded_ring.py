@@ -16,6 +16,7 @@ from supermoyal.graded_ring import (
     Monomial,
     NonInvertibleSubstitution,
     ParityMismatch,
+    SubstitutionPlan,
     VarTable,
     substitute,
 )
@@ -355,6 +356,91 @@ class TestSubstitute:
         p = raw(t, [({"l": 2}, (), 0, 1)])
         q = substitute(p, {"l": t.var("x")}, t)
         assert q == raw(t, [({"x": 2}, (), 0, 1)])
+
+
+def _kept_plan():
+    """A plan from ``table()`` that keeps x, y, a, th1, th2 and th4 by name and
+    maps l and th3; the target orders them differently, makes a invertible
+    and x not, and has a variable m of its own."""
+    src = table()
+    dst = VarTable.build(
+        ("a", EVEN, True), ("m", EVEN, True), ("y", EVEN), ("x", EVEN),
+        ("th4", ODD), ("th2", ODD), ("th1", ODD),
+    )
+    m, th1, th2, th4 = (dst.var(n) for n in ("m", "th1", "th2", "th4"))
+    mapping = {
+        "l": m.scale(2) * (dst.one() + th1 * th2),
+        "th3": m * th4 + dst.var("y") * th1 * th2 * th4,
+    }
+    return src, dst, mapping
+
+
+def _outcome(compute):
+    """A polynomial, or the message of the NonInvertibleSubstitution it raised."""
+    try:
+        return compute()
+    except NonInvertibleSubstitution as err:
+        return str(err)
+
+
+@st.composite
+def kept_terms(draw):
+    """Terms over ``table()`` mixing kept and mapped factors, exponents -3..3."""
+    t = table()
+    even = tuple(draw(st.integers(-3, 3)) for _ in t.even_names())
+    odd = draw(st.just(0) | st.integers(0, 15))  # a term with no odd factor is often all kept
+    return Monomial(even, odd, draw(st.integers(0, 2))), draw(
+        st.sampled_from((1, -2, Fraction(3, 4)))
+    )
+
+
+class TestKeptVariables:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(kept_terms(), min_size=1, max_size=3))
+    def test_apply_is_the_product_of_var_power_images(self, terms):
+        src, dst, mapping = _kept_plan()
+        plan, reference = SubstitutionPlan(src, mapping, dst), SubstitutionPlan(src, mapping, dst)
+
+        def image(m, c):
+            out = dst.hbar(m.hbar).scale(c)
+            for name, e in zip(src.even_names(), m.even):
+                if e:
+                    out = out * reference.var_power(name, e)
+            for name in src.odd_names():
+                if m.odd >> src.odd_bit(name) & 1:
+                    out = out * reference.var_power(name, 1)
+            return out
+
+        images = [_outcome(lambda: image(m, c)) for m, c in terms]
+        for (m, c), want in zip(terms, images):
+            assert _outcome(lambda: plan.apply(GradedPoly(src, {m: c}))) == want
+        # the terms whose images exist, summed in one call
+        kept = [t for t, i in zip(terms, images) if isinstance(i, GradedPoly)]
+        poly = GradedPoly(src, dict(kept))
+        want = dst.zero()
+        for m, c in poly.terms.items():
+            want = want + image(m, c)
+        assert plan.apply(poly) == want
+
+    def test_a_kept_variable_the_target_cannot_invert(self):
+        src, dst, mapping = _kept_plan()
+        plan = SubstitutionPlan(src, mapping, dst)
+        x_inv = raw(src, [({"x": -1, "a": -2}, ("th1",), 0, 1)])
+        with pytest.raises(NonInvertibleSubstitution) as info:
+            plan.apply(x_inv)
+        assert str(info.value) == "'x' is not invertible in the target table"
+        # a is invertible in the target, though not in the source
+        got = plan.apply(raw(src, [({"a": -2, "y": 3}, ("th1",), 1, 1)]))
+        assert got == dst.hbar() * dst.var("a", -2) * dst.var("y", 3) * dst.var("th1")
+
+    def test_a_kept_term_after_a_fractional_image(self):
+        # l^-1 has the image (1/2) m^-1 (1 - th1 th2), so the sum has a
+        # denominator before the all-kept term y^2 joins it
+        src, dst, mapping = _kept_plan()
+        p = raw(src, [({"l": -1}, (), 0, 1), ({"y": 2}, (), 0, 3)])
+        l_inv = substitute(raw(src, [({"l": -1}, (), 0, 1)]), mapping, dst)
+        want = l_inv + dst.var("y", 2).scale(3)
+        assert SubstitutionPlan(src, mapping, dst).apply(p) == want
 
 
 def monomials(t):

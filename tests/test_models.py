@@ -202,12 +202,25 @@ _VERIFY_DIGESTS = {
         "c3d23678b4f75ca52a32805833c7da90706268005e027be8f153326b2dbf3768",
         "198f312655ae4215fc39a7994b33e26421332705a43c865f08ce4636d4ec0417",
     ),
+    # the atlas path: transition maps, weight laws and cocycle chains
+    "models/p3_n.model": (
+        0,
+        "3ba880fe67aa3ba95cb7823877b9a98c0ae670cf3948ef266e8c1a84db22982b",
+        "c041f946715f49abafd2cebad76cacb3f88267fc2ea44e3d502cb7706f5f6779",
+    ),
+    "P3|N=6": (
+        1,
+        "7098320a28a5e8133f27616a40b2e3d470354525ddc7b45040223d9580f41182",
+        "f5cdaa10d9296bb66a7dccc3aa86f649d09a12daa644962cb13fceba484d24b4",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_VERIFY_DIGESTS))
 def test_verify_output_is_pinned(capsys, name):
     code, text, as_json = _VERIFY_DIGESTS[name]
+    if name.endswith(".model"):
+        name = str(Path(__file__).resolve().parent.parent / name)
     for argv, digest in ((["verify", name], text), (["verify", name, "--json"], as_json)):
         assert run(argv) == code
         out = capsys.readouterr().out
@@ -596,6 +609,18 @@ class TestCYArithmetic:
         (lambda: CYWeights.weighted((1, 0), (1,)), "an even weight must be at least 1, got 0"),
         (lambda: CYWeights.weighted((1, -1), ()), "an even weight must be at least 1, got -1"),
         (lambda: CYWeights.weighted((1,), (0, -1)), "an odd weight must be at least 0, got -1"),
+        (lambda: CYWeights.projective(3.5, 4), "a weight must be an int, got 3.5"),
+        (lambda: CYWeights.projective(3, True), "a weight must be an int, got True"),
+        (lambda: CYWeights.ambitwistor(Fraction(3)), "a weight must be an int, got Fraction(3, 1)"),
+        (lambda: CYWeights.weighted((1.5, 1), (1,)), "a weight must be an int, got 1.5"),
+        (lambda: CYWeights.weighted((1, 1), (False,)), "a weight must be an int, got False"),
+        (lambda: CYWeights("projective", (3,)),
+         "projective data must be (dimension, odd count), got (3,)"),
+        (lambda: CYWeights("ambitwistor", 3), "ambitwistor data must be (odd count,), got 3"),
+        (lambda: CYWeights("weighted", ((1,),)),
+         "weighted data must be (even weights, odd weights), each a tuple, got ((1,),)"),
+        (lambda: CYWeights("weighted", ([1], [])),
+         "weighted data must be (even weights, odd weights), each a tuple, got ([1], [])"),
     ])
     def test_nonsense_weight_systems_are_refused(self, make, message):
         with pytest.raises(ValueError) as info:
@@ -605,6 +630,8 @@ class TestCYArithmetic:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown weight system kind 'spectral'"):
             CYWeights("spectral", ())
+        with pytest.raises(ValueError, match=r"unknown weight system kind \['projective'\]"):
+            CYWeights(["projective"], (3, 4))
 
 
 class TestShippedFiles:

@@ -1092,6 +1092,26 @@ class TestBlocks:
         assert raised == [("X1^2*xi1*ze1", 4), ("X1^2*Y1*xi2*ze2", 4)]
         assert eng.stats == EngineStats(0, 6, 4, (1, 4, 7, 6), 3)
 
+    def test_stats_with_pairs_no_block_reaches(self):
+        # l1 * X1, Y1 * Y2, xi1 * ze1 and the like have no live block: each
+        # miss is one monomial product and one state at order 0
+        m = builtin("L5|6")
+        eng = StarEngine(m.bivector, m.max_order)
+        pairs = [
+            ("l1", "X1"), ("Y1", "Y2"), ("xi1", "ze1"), ("l1*m2", "hbar*l2"),
+            ("X1*Y1", "X2"), ("X2", "X1*Y1"), ("xi1*l1", "xi1"), ("xi1", "xi2*m1"),
+            ("X1 + l1", "Y1 + 3/2*m2"), ("Y1 + 3/2*m2", "X1 + l1"), ("Y2*xi3", "Y1*ze2"),
+            ("X1^2*xi1", "X2*xi1 + ze3"), ("l1", "X1"), ("hbar*ze1*ze2", "ze1"),
+        ]
+        for op in (eng.star, eng.supercommutator):
+            for lhs, rhs in pairs:
+                op(parse_expression(lhs, m.table), parse_expression(rhs, m.table))
+        assert eng.stats == EngineStats(22, 20, 20, (1, 2, 1), 2)
+        eng = StarEngine(m.bivector, m.max_order)
+        for lhs, rhs in [("l1", "X1"), ("Y1", "Y2"), ("xi1", "ze1"), ("X1", "l1"), ("l1", "X1")]:
+            eng.star(parse_expression(lhs, m.table), parse_expression(rhs, m.table))
+        assert eng.stats == EngineStats(1, 4, 4, (1,), 0)
+
     @pytest.mark.parametrize("pi", _one_block_bivectors())
     def test_inexact_splits_stay_one_block(self, pi):
         t = pi.table

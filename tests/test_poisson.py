@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_oracle import as_dict, oracle_bracket
 from supermoyal.graded_calculus import d_left
 import supermoyal.poisson as poisson
 from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
+from supermoyal.models import builtin, generic_chart_pair
 from supermoyal.poisson import (
     SuperBivector,
     SuperTrivector,
@@ -198,6 +200,67 @@ class TestPoissonBracket:
         other = VarTable.build(("q", EVEN))
         with pytest.raises(VariableMismatch):
             poisson_bracket(pi, other.var("q"), other.var("q"))
+
+
+def _named_bivector(name):
+    if name == "non-central":
+        t = VarTable.build(("z1", EVEN), ("z2", EVEN), ("l", EVEN, True), ("th", ODD))
+        l_inv = GradedPoly(t, {Monomial((0, 0, -1), 0, 0): 1})
+        return SuperBivector(t, {
+            ("z1", "z2"): l_inv,
+            ("z1", "l"): t.var("z1") + t.var("l", 2),
+            ("th", "th"): t.var("z2"),
+        })
+    if name in ("plus", "minus"):
+        return generic_chart_pair(2)[0][name == "minus"].bivector
+    return builtin(name).bivector
+
+
+@st.composite
+def bracket_cases(draw):
+    """(pi, f, g): a drawn bivector or a model's, with polynomials that mix
+    odd factors, Laurent exponents where the table allows them, hbar powers
+    and fractional coefficients, their factors mostly the bivector's rows."""
+    pi = draw(st.one_of(
+        entry_tables(),
+        st.sampled_from(("WP[4,0]", "T1-cotangent", "plus", "minus", "non-central")).map(
+            _named_bivector
+        ),
+    ))
+    t = pi.table
+    names = st.sampled_from(pi.rows() or t.names()) | st.sampled_from(t.names())
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            even, odd = [0] * t.n_even, 0
+            for name in draw(st.lists(names, max_size=4)):
+                if t.parity(name) == ODD:
+                    odd |= 1 << t.odd_bit(name)
+                else:
+                    low = -2 if t.spec(name).invertible else 0
+                    even[t.even_slot(name)] = draw(st.integers(low, 3))
+            terms[Monomial(tuple(even), odd, draw(st.integers(0, 1)))] = draw(
+                st.sampled_from((1, -1, 3, Fraction(1, 2), Fraction(-2, 3)))
+            )
+        return GradedPoly(t, terms)
+
+    return pi, poly(), poly()
+
+
+class TestBracketOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(bracket_cases())
+    def test_matches_the_dict_oracle(self, case):
+        pi, f, g = case
+        assert as_dict(poisson_bracket(pi, f, g)) == oracle_bracket(pi, f, g)
+
+    def test_named_bivectors_cover_the_cases(self):
+        # odd, multi-term, Laurent and non-central, whatever the drawn ones hit
+        assert _named_bivector("T1-cotangent").parity == 1
+        assert any(len(e._num) > 1 for e in _named_bivector("WP[4,0]").entries.values())
+        assert any(s.invertible for s in _named_bivector("plus").table.specs)
+        assert not _named_bivector("non-central").is_central
 
 
 class TestSchouten:
