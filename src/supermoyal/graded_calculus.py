@@ -21,7 +21,7 @@ def _right_delete_sign(mask: int, bit: int) -> int:
     return -1 if after & 1 else 1
 
 
-def _var_key(table: VarTable, name: str) -> int:
+def _derivative_key(table: VarTable, name: str) -> int:
     """Derivative key of a variable: its even field's shift, or ~bit for an odd one."""
     if table.parity(name) == EVEN:
         return table._shifts[table.even_slot(name)]
@@ -31,7 +31,7 @@ def _var_key(table: VarTable, name: str) -> int:
 def _mono_d(m: int, key: int, odd: int, left: bool = True) -> tuple[int, int] | None:
     """(coefficient, monomial) of the derivative of one packed monomial, or None if zero.
 
-    ``key`` is the variable's ``_var_key`` and ``odd`` the table's odd mask.
+    ``key`` is the variable's ``_derivative_key`` and ``odd`` the table's odd mask.
     Distinct monomials with a non-zero derivative have distinct derivatives,
     so mapping this over the terms of a polynomial needs no accumulation.
     """
@@ -50,7 +50,7 @@ def _mono_d(m: int, key: int, odd: int, left: bool = True) -> tuple[int, int] | 
 
 
 def _derive(v, a: GradedPoly, left: bool) -> GradedPoly:
-    key = _var_key(a.table, v)
+    key = _derivative_key(a.table, v)
     odd = a.table._odd
     num = {}
     for m, c in a._num.items():

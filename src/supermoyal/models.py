@@ -23,7 +23,8 @@ from .atlas import (
 )
 from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
 from .moyal import (
-    CheckRecord, StarEngine, _engine_plan, _record, check_max_order, check_quantization_contract,
+    CheckRecord, NonCentralBivector, StarEngine, _record, check_max_order,
+    check_quantization_contract,
 )
 from .poisson import SuperBivector, is_poisson
 
@@ -137,8 +138,9 @@ class ModelSpec:
             # verify_model reads the relations as a bivector: refuse any other table
             SuperBivector(self.table, relations)
         # the engine's checks of the bivector and the order, so verify_model
-        # cannot fail on them; the bivector keeps the plan for every engine
-        _engine_plan(self.bivector)
+        # cannot fail on them
+        if self.bivector._refusal is not None:
+            raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
         # each weight law needs its transition and a pair both charts carry
         maps = {(m.src.name, m.dst.name): m for m in self.transitions}

@@ -17,23 +17,22 @@ prefactor only on the order n).  Each order then costs one product
 centre * F * G per distinct pair, so the work grows with the number of
 derived monomial pairs, not with the number of step sequences.
 
-The kernel visits only live steps.  The bivector groups its steps by row A
-(``SuperBivector.steps``), and a state tries a row only when A divides F,
-and a partner B only when B divides G, read off the variable's field or odd
-bit of the packed monomial (see ``graded_ring``) before any derivative is
-taken; F is differentiated once per live row and
-G once per live partner.  At order 1
-the centre is the unit, so centre * entry is the entry itself; at order 0
-and for each merged state, the product with the single monomial F * G is
-taken term by term.  ``star`` reads the monomial-pair cache inline and runs
-the kernel only on a miss whose block parts have no run yet (see "Runs"
-below), so a product of cached pairs costs dict reads and integer
-multiply-adds.
+The kernel visits only live steps.  It reads the bivector's packed step
+table (``SuperBivector._rows``, built with the bivector), grouped by row A,
+and a state tries a row only when A divides F, and a partner B only when B
+divides G, read off the variable's field or odd bit of the packed monomial
+(see ``graded_ring``) before any derivative is taken; F is differentiated
+once per live row and G once per live partner.  At order 1 the centre is
+the unit, so centre * entry is the entry itself; at order 0 and for each
+merged state, the product with the single monomial F * G is taken term by
+term.  ``star`` reads the monomial-pair cache inline and runs the kernel
+only on a miss whose block parts have no run yet (see "Runs" below), so a
+product of cached pairs costs dict reads and integer multiply-adds.
 
-All of it is integer arithmetic.  The engine scales its entries once by
-their common denominator d_e, so centres and contraction coefficients are
-ints and the order-n sum is d_e^n n! 2^n times the true order-n term.  The
-kernel sums a monomial pair's orders at the one scale
+All of it is integer arithmetic.  The step table holds the entries scaled
+once by their common denominator d_e, so centres and contraction
+coefficients are ints and the order-n sum is d_e^n n! 2^n times the true
+order-n term.  The kernel sums a monomial pair's orders at the one scale
 
     D = max_order! (2 d_e)^max_order,
 
@@ -45,12 +44,12 @@ the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable; a single pair with other coefficients scales it; several pairs
 are summed over the lcm of their denominators and reduced once.
 
-What an engine needs from the bivector alone (the centrality, even-entry
-and hbar checks, d_e, the keyed rows and the blocks below) is its plan,
-computed once per bivector, by its first engine or by the ``ModelSpec``
-that holds it, and kept on the bivector.
-The pair cache, the run cache, the scale D and the counters stay per
-engine, so engines share no contraction work.
+What an engine needs from the bivector alone (d_e, the packed rows, the
+blocks below, and the reason to refuse it when it is not central, has an
+odd entry or an entry with hbar) is computed once, when the bivector is
+built, and an engine only reads it.  The pair cache, the run cache, the
+scale D and the counters stay per engine, so engines share no contraction
+work.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -241,10 +240,10 @@ class EngineStats:
 class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache.
 
-    The bivector's plan (its checks, d_e, rows and blocks) is computed once
-    per bivector and read by every engine over it; the pair cache, the run
-    cache, the scale for ``max_order`` and ``stats`` belong to this engine
-    alone.  ``stats`` count monomial pairs, not runs.
+    The bivector's refusal, d_e and blocks are built with the bivector and
+    read by every engine over it; the pair cache, the run cache, the scale
+    for ``max_order`` and ``stats`` belong to this engine alone.  ``stats``
+    count monomial pairs, not runs.
     """
 
     __slots__ = (
@@ -254,7 +253,9 @@ class StarEngine:
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
         check_max_order(max_order)
-        d_e, self._blocks = _engine_plan(bivector)
+        if bivector._refusal is not None:
+            raise NonCentralBivector(bivector._refusal)
+        d_e, self._blocks = bivector._d_e, bivector._blocks
         self.bivector = bivector
         self.table = t = bivector.table
         self._unit = t._zero
@@ -523,66 +524,6 @@ class StarEngine:
         if 0 in total.values():
             total = {m: q for m, q in total.items() if q}
         return total, counts, fired
-
-
-def _engine_plan(bivector: SuperBivector) -> tuple[int, tuple]:
-    """(d_e, blocks) of a bivector, checked and computed on first use.
-
-    The plan depends on the bivector alone, so it is kept on the bivector
-    and every later engine reads it; a bivector that fails a check keeps
-    nothing, so each engine over it raises the same error.
-    """
-    if bivector._plan is not None:
-        return bivector._plan
-    if not bivector.is_central:
-        raise NonCentralBivector("bivector entries depend on contracted variables")
-    t = bivector.table
-    for (a, b), entry in bivector.entries.items():
-        if entry.parity() != EVEN:
-            raise NonCentralBivector(f"entry ({a}, {b}) is not even")
-        if any(m >> t._hbar_shift for m in entry._num):
-            # a term's contraction order is read off its hbar power
-            raise NonCentralBivector(f"entry ({a}, {b}) contains hbar")
-    # the bivector's steps, keyed and scaled, as (key A, support mask and
-    # bits of A, |A|, ((key B, mask and bits of B, d_e * pi^{AB} as ints,
-    # |B|), ...)); a packed m has the factor A when m & mask != bits
-    d_e = lcm(*(e._den for _, _, partners in bivector.steps for _, e, _ in partners))
-    keys = bivector._keys
-    rows = tuple(
-        (keys[a], *t._support(a), pa, tuple(
-            (keys[b], *t._support(b), e.scale(d_e)._num, pb) for b, e, pb in partners
-        ))
-        for a, pa, partners in bivector.steps
-    )
-    # the steps' blocks, the connected components of the graph joining A
-    # and B when pi^{AB} != 0, as (rows, mask, fill): the mask covers the
-    # block's fields and odd bits, and fill sets every other field to the
-    # bias; where the split would not be exact, one block over every
-    # variable, so that only the hbar power is left out (see "Blocks" above)
-    partners_of = {row[0]: row[4] for row in rows}
-    block_of: dict[int, int] = {}  # row key -> block number
-    n = 0
-    for ka in partners_of:
-        if ka in block_of:
-            continue
-        block_of[ka] = n
-        todo = [ka]
-        while todo:
-            for kb, *_ in partners_of[todo.pop()]:
-                if kb not in block_of:
-                    block_of[kb] = n
-                    todo.append(kb)
-        n += 1
-    block_rows, masks = [[] for _ in range(n)], [0] * n
-    for row in rows:
-        i = block_of[row[0]]
-        block_rows[i].append(row)
-        masks[i] |= row[1]
-    if n and (bivector.parity or any(m & t._odd for e in bivector.entries.values() for m in e._num)):
-        block_rows, masks = [rows], [t._evens | t._odd]
-    plan = d_e, tuple((tuple(r), mask, t._zero & ~mask) for r, mask in zip(block_rows, masks))
-    object.__setattr__(bivector, "_plan", plan)  # the one write after construction
-    return plan
 
 
 def _regroup_sign(mf: int, mg: int, blocks: list, odd: int) -> int:

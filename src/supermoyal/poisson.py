@@ -14,8 +14,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .graded_calculus import _mono_d, _var_key, d_left
-from .graded_ring import ODD, GradedPoly, VarTable, _ReadOnly, _mono_mul
+from .graded_calculus import _derivative_key, _mono_d, d_left
+from .graded_ring import EVEN, ODD, GradedPoly, VarTable, _ReadOnly, _mono_mul
 
 
 class VariableMismatch(ValueError):
@@ -23,9 +23,22 @@ class VariableMismatch(ValueError):
 
 
 class SuperBivector(_ReadOnly):
-    """Coefficient matrix of a super Poisson structure candidate."""
+    """Coefficient matrix of a super Poisson structure candidate.
 
-    __slots__ = ("table", "entries", "steps", "parity", "is_central", "_keys", "_plan")
+    Construction computes, once, all that the bracket and the star engine
+    read; nothing is written afterwards.  ``steps`` holds one contraction
+    step per entry, grouped by row A as (A, |A|, ((B, pi^{AB}, |B|), ...)) in
+    table order; ``_rows`` the same steps packed, as (key A, mask A, bits A,
+    |A|, ((key B, mask B, bits B, d_e * pi^{AB} as ints, |B|), ...)), with
+    ``_d_e`` the entries' common denominator, keys from ``_derivative_key``
+    and a packed m having the factor A when m & mask != bits; ``_blocks``
+    the star engine's blocks of those rows; and ``_refusal`` why a star
+    product must refuse the bivector, or None.
+    """
+
+    __slots__ = (
+        "table", "entries", "steps", "parity", "is_central", "_d_e", "_rows", "_blocks", "_refusal",
+    )
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
         self.table = table
@@ -52,8 +65,11 @@ class SuperBivector(_ReadOnly):
             full[(b, a)] = mirror
         # read-only, as a built-in model's bivector is shared by every caller
         self.entries = MappingProxyType(full)
+        zero, hbar_shift = table._zero, table._hbar_shift
         parities = set()
         steps = []
+        support = 0  # every bit where a monomial of an entry differs from the unit's
+        refusal = None  # the first entry, in entry order, that is odd or holds hbar
         for (a, b), value in full.items():
             vp = value.parity()
             if vp == "mixed":
@@ -62,26 +78,41 @@ class SuperBivector(_ReadOnly):
             pb = 1 if table.parity(b) == ODD else 0
             parities.add(((1 if vp == ODD else 0) + pa + pb) & 1)
             steps.append((a, b, value, pa, pb))
+            bits = 0
+            for m in value._num:
+                bits |= m ^ zero
+            support |= bits
+            if refusal is None:
+                if vp != EVEN:
+                    refusal = f"entry ({a}, {b}) is not even"
+                elif bits >> hbar_shift:
+                    # a term's contraction order is read off its hbar power
+                    refusal = f"entry ({a}, {b}) contains hbar"
         if len(parities) > 1:
             raise ValueError("entries do not share a single bivector parity")
-        # one contraction step per entry, in table order, grouped by row A as
-        # (A, |A|, ((B, pi^{AB}, |B|), ...))
         index = table.index
         steps.sort(key=lambda s: (index(s[0]), index(s[1])))
         rows: dict[str, tuple] = {}
         for a, b, value, pa, pb in steps:
             rows.setdefault(a, (a, pa, []))[2].append((b, value, pb))
         self.steps = tuple((a, pa, tuple(partners)) for a, pa, partners in rows.values())
-        # the derivative key of each variable a step differentiates, for the
-        # bracket and the star engine's plan
-        self._keys = {a: _var_key(table, a) for a in rows}
         self.parity = parities.pop() if parities else 0
-        # central: no entry depends on a variable that a step differentiates.
-        # Distinct monomials have distinct derivatives, so a row divides some
-        # entry exactly when its derivative of the entries' support is non-zero
-        support = GradedPoly._of_scaled(table, {m: 1 for v in full.values() for m in v._num}, 1)
-        self.is_central = not any(d_left(a, support) for a in rows)
-        self._plan = None  # the star engine's plan, filled on first use
+        self._d_e = d_e = lcm(*(value._den for value in full.values()))
+        # every partner B is a row too, as its mirror entry is there
+        packed = {a: (_derivative_key(table, a), *table._support(a)) for a in rows}
+        self._rows = tuple(
+            (*packed[a], pa, tuple(
+                (*packed[b], {m: c * (d_e // e._den) for m, c in e._num.items()}, pb)
+                for b, e, pb in partners
+            ))
+            for a, pa, partners in self.steps
+        )
+        # central: no entry has a factor of a row (distinct variables' masks are disjoint)
+        self.is_central = not support & sum(row[1] for row in self._rows)
+        if not self.is_central:
+            refusal = "bivector entries depend on contracted variables"
+        self._refusal = refusal
+        self._blocks = _blocks(table, self._rows, self.parity or support & table._odd)
 
     def entry(self, a: str, b: str) -> GradedPoly:
         got = self.entries.get((a, b))
@@ -105,6 +136,34 @@ class SuperBivector(_ReadOnly):
 
     def __repr__(self) -> str:
         return f"SuperBivector({len(self.entries)} entries)"
+
+
+def _blocks(table: VarTable, rows: tuple, joint: bool) -> tuple:
+    """The star engine's blocks of packed rows, as (rows, mask, fill).
+
+    A block is a connected component of the graph joining A and B when
+    pi^{AB} != 0, in the order of its first row; its mask covers its fields
+    and odd bits, and fill sets every other field to the bias.  Where the
+    split is not exact (``joint``: an odd bivector or an odd entry factor),
+    one block covers every variable (see "Blocks" in ``moyal``).
+    """
+    if joint and rows:
+        return ((rows, table._evens | table._odd, 0),)
+    partners_of = {row[0]: row[4] for row in rows}
+    home: dict[int, list] = {}  # row key -> the rows of its block
+    blocks = []
+    for row in rows:
+        if row[0] not in home:
+            todo, home[row[0]] = [row[0]], []
+            blocks.append(home[row[0]])
+            while todo:
+                for partner in partners_of[todo.pop()]:
+                    if (kb := partner[0]) not in home:
+                        home[kb] = blocks[-1]
+                        todo.append(kb)
+        home[row[0]].append(row)
+    masks = [sum(row[1] for row in block) for block in blocks]
+    return tuple((tuple(b), mask, table._zero & ~mask) for b, mask in zip(blocks, masks))
 
 
 class SuperTrivector:
@@ -139,40 +198,35 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
 
     Summed term by term into one map of packed monomials over the common
     denominator of f, g and the entries, with the sign (-1)^(|B| (|F| + |A|))
-    of each term F of f.  It reads the bivector's entries, not the star
-    engine's plan, so the order-1 check compares two separate computations;
-    any entries will do, non-central, odd and Laurent ones included.
+    of each term F of f.  It reads the bivector's packed steps, as the star
+    engine does, but sums them with its own code and sign, so the order-1
+    check compares two separate computations; any entries will do,
+    non-central, odd and Laurent ones included.
     """
     t = pi.table
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
     odd = t._odd
-    d_e = lcm(*(e._den for _, _, partners in pi.steps for _, e, _ in partners))
     out: dict[int, int] = {}
-    dgs: dict[str, list] = {}  # d_left(B, g) as (coefficient, monomial) pairs
-    keys = pi._keys
-    for a, pa, partners in pi.steps:
-        ka = keys[a]
+    dgs: dict[int, list] = {}  # d_left(B, g) as (coefficient, monomial) pairs, by B's key
+    for ka, _, _, pa, partners in pi._rows:
         dfs = [  # d_left(A, f) as (coefficient, monomial, parity of the term of f)
             (got[0] * c, got[1], (m & odd).bit_count() & 1) for m, c in f._num.items()
             if (got := _mono_d(m, ka, odd)) is not None
         ]
         if not dfs:
             continue
-        for b, entry, pb in partners:
-            dg = dgs.get(b)
+        for kb, _, _, entry, pb in partners:
+            dg = dgs.get(kb)
             if dg is None:
-                kb = keys[b]
-                dg = dgs[b] = [
+                dg = dgs[kb] = [
                     (got[0] * c, got[1]) for m, c in g._num.items()
                     if (got := _mono_d(m, kb, odd)) is not None
                 ]
             if not dg:
                 continue
-            scale = d_e // entry._den
             signs = _bracket_sign(pb, 0, pa), _bracket_sign(pb, 1, pa)
-            for me, ce in entry._num.items():
-                ce *= scale
+            for me, ce in entry.items():
                 for cf, mf, pf in dfs:
                     ef = _mono_mul(me, mf, t)
                     if ef is None:
@@ -182,7 +236,7 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
                         efg = _mono_mul(ef[1], mg, t)
                         if efg is not None:
                             out[efg[1]] = out.get(efg[1], 0) + efg[0] * c * cg
-    return GradedPoly._of_scaled(t, {m: c for m, c in out.items() if c}, d_e * f._den * g._den)
+    return GradedPoly._of_scaled(t, {m: c for m, c in out.items() if c}, pi._d_e * f._den * g._den)
 
 
 def _swap_sign(pa: int, pb: int) -> int:

@@ -64,6 +64,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             VarTable.build(("th", ODD, True))
 
+    def test_bad_parity_rejected(self):
+        with pytest.raises(ValueError, match="^bad parity 'bosonic' for 'x'$"):
+            VarTable.build(("x", "bosonic"))
+
+    def test_operands_over_different_tables(self):
+        t, other = table(), VarTable.build(("x", EVEN))
+        assert (t.var("x") == other.var("x")) is False
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ValueError, match="^polynomials over different variable tables$"):
+                op(t.var("x"), other.var("x"))
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="^negative powers only arise through substitution$"):
+            table().var("x") ** -1
+
     def test_zero_terms_dropped(self):
         t = table()
         p = t.var("x") - t.var("x")

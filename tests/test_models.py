@@ -16,6 +16,7 @@ from supermoyal.models import (
     MAX_P3N_ODD,
     MissingFibration,
     UnknownModel,
+    VerificationReport,
     anti_chiral_substitution,
     builtin,
     calabi_yau_index,
@@ -25,7 +26,7 @@ from supermoyal.models import (
     quadric_generator,
     verify_model,
 )
-from supermoyal.moyal import MAX_ORDER, NonCentralBivector, StarEngine
+from supermoyal.moyal import MAX_ORDER, CheckRecord, NonCentralBivector, StarEngine
 from supermoyal.poisson import SuperBivector, poisson_bracket
 
 
@@ -108,7 +109,8 @@ class TestSharedModels:
         z1, z2, w1 = t.var("z1"), t.var("z2"), tmap.src.table.var("w1")
         before = StarEngine(m.bivector).star(z1, z2), poisson_bracket(m.bivector, z1, z2)
         moved = tmap.apply(w1)
-        objects = [(m.bivector, ("table", "entries", "steps", "parity", "is_central", "_plan")),
+        objects = [(m.bivector, ("table", "entries", "steps", "parity", "is_central",
+                                  "_d_e", "_rows", "_blocks", "_refusal")),
                    (t, ("specs", "n_even", "_index")),
                    (m.charts[0], ("name", "table", "bivector")),
                    (tmap, ("src", "dst", "plan", "rules")),
@@ -149,6 +151,14 @@ class TestVerifyPhases:
 
     def test_phase_names_in_record_order(self):
         assert tuple(name for name, _ in models._PHASES) == self.PHASES
+
+    def test_failures_are_the_failing_records_in_order(self):
+        records = tuple(CheckRecord(f"check {s}", "poisson", s) for s in
+                        ("pass", "fail", "skip", "fail"))
+        report = VerificationReport("m", records)
+        assert report.failures() == (records[1], records[3])
+        assert not report.ok
+        assert VerificationReport("m", records[::2]).failures() == ()
 
     @pytest.mark.parametrize("name", [*list_builtins(), "P3|N=2"])
     def test_categories_follow_the_phases(self, name):
@@ -318,9 +328,15 @@ class TestT1:
     def test_no_fibration(self):
         with pytest.raises(MissingFibration):
             fibration_pullback(builtin("T1-cotangent"))
+        with pytest.raises(MissingFibration, match="^model T1-cotangent declares no fibration$"):
+            quadric_generator(builtin("T1-cotangent"))
 
 
 class TestP34:
+    def test_a_separate_base_needs_its_bracket(self):
+        with pytest.raises(ValueError, match="^a base bracket is required for a separate base table$"):
+            fibration_pullback(builtin("P3|4"))
+
     def test_numeric_base_reproduces_the_model(self):
         m = builtin("P3|4")
         bt = m.fibration.base_table

@@ -348,7 +348,7 @@ def _product_or_error(engine, f, g):
 
 
 class TestEnginePlan:
-    """The plan is computed once per bivector; the pair cache stays per engine."""
+    """The step table is built with the bivector; the pair cache stays per engine."""
 
     def _calls(self, t):
         z1, z2, xi1, xi2 = (t.var(n) for n in ("z1", "z2", "xi1", "xi2"))
@@ -360,7 +360,7 @@ class TestEnginePlan:
     def test_engines_over_one_bivector_keep_their_own_cache_and_stats(self):
         t, pi = p34()
         first, second = StarEngine(pi), StarEngine(pi)
-        assert first._blocks is second._blocks  # the plan is shared
+        assert first._blocks is second._blocks  # the bivector's, built with it
         assert first._cache is not second._cache
         for engine, calls in zip((first, second), self._calls(t)):
             fresh = StarEngine(p34()[1])
@@ -372,7 +372,7 @@ class TestEnginePlan:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 8])
     def test_max_order_is_per_engine(self, order):
         t, pi = p34()
-        StarEngine(pi, max_order=8)  # fills the plan at another order
+        StarEngine(pi, max_order=8)  # an engine at another order
         shared, fresh = StarEngine(pi, max_order=order), StarEngine(p34()[1], max_order=order)
         for calls in self._calls(t):
             for f, g in calls + [(t.var("z1", 9), t.var("z2", 9))]:
@@ -388,7 +388,6 @@ class TestEnginePlan:
         for _ in range(2):
             with pytest.raises(NonCentralBivector, match=message):
                 StarEngine(pi)
-        assert pi._plan is None
 
 
 class TestTruncationBoundary:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dict_oracle import as_dict, oracle_bracket
-from supermoyal.graded_calculus import d_left
+from supermoyal.graded_calculus import _mono_d, d_left
 import supermoyal.poisson as poisson
-from supermoyal.graded_ring import EVEN, ODD, GradedPoly, Monomial, VarTable
-from supermoyal.models import builtin, generic_chart_pair
+from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
+from supermoyal.models import builtin, generic_chart_pair, list_builtins
+from supermoyal.moyal import NonCentralBivector, StarEngine
 from supermoyal.poisson import (
     SuperBivector,
     SuperTrivector,
@@ -89,6 +91,51 @@ class TestBivectorConstruction:
         with pytest.raises(VariableMismatch):
             SuperBivector(t, {("z1", "nope"): t.one()})
 
+    def test_equality_compares_tables_and_entries(self):
+        pi = p34_bivector()
+        t = pi.table
+        assert pi == p34_bivector()
+        assert pi != SuperBivector(t, {("z1", "z2"): t.one()})
+        other = VarTable.build(*((s.name, s.parity) for s in t.specs), ("w", EVEN))
+        assert SuperBivector(t, {}) != SuperBivector(other, {})
+        assert pi.__eq__(t) is NotImplemented and pi != t
+
+    def test_entry_over_another_table(self):
+        t, other = p34_table(), VarTable.build(("z1", EVEN), ("z2", EVEN))
+        with pytest.raises(VariableMismatch, match=r"^entry \(z1, z2\) built over a different table$"):
+            SuperBivector(t, {("z1", "z2"): other.one()})
+
+    # entry maps with two faults each: the constructor's first pass (mirrors
+    # and diagonals) raises before its second (parities), and a star engine
+    # refuses a non-central bivector before it looks at any entry, then
+    # refuses the first entry, in entry order, that is odd or holds hbar
+    @pytest.mark.parametrize("entries, error, message", [
+        (lambda x, y, th, c, h: {("x", "y"): x + th, ("y", "x"): y},
+         ValueError, r"conflicting values for entry \(y, x\)"),
+        (lambda x, y, th, c, h: {("x", "y"): y, ("y", "x"): y, ("x", "th"): x + th},
+         ValueError, r"conflicting values for entry \(y, x\)"),
+        (lambda x, y, th, c, h: {("x", "y"): x + th, ("x", "x"): y},
+         ValueError, r"even diagonal entry \(x, x\) must vanish"),
+        (lambda x, y, th, c, h: {("x", "y"): x + th, ("x", "th"): x},
+         ValueError, r"entry \(x, y\) is not parity-homogeneous"),
+        (lambda x, y, th, c, h: {("x", "th"): x, ("x", "y"): x + th},
+         ValueError, r"entry \(x, y\) is not parity-homogeneous"),
+        (lambda x, y, th, c, h: {("x", "th"): c, ("x", "y"): h},
+         NonCentralBivector, r"entry \(x, th\) is not even"),
+        (lambda x, y, th, c, h: {("x", "y"): h, ("x", "th"): c},
+         NonCentralBivector, r"entry \(x, y\) contains hbar"),
+        (lambda x, y, th, c, h: {("x", "th"): c, ("x", "y"): x},
+         NonCentralBivector, "bivector entries depend on contracted variables"),
+        (lambda x, y, th, c, h: {("x", "y"): h + y},
+         NonCentralBivector, "bivector entries depend on contracted variables"),
+    ])
+    def test_the_first_of_two_faults_is_raised(self, entries, error, message):
+        t = VarTable.build(("x", EVEN), ("y", EVEN), ("th", ODD), ("c", ODD))
+        entries = entries(*(t.var(n) for n in ("x", "y", "th", "c")), t.hbar())
+        with pytest.raises(error, match=f"^{message}$") as info:
+            StarEngine(SuperBivector(t, entries))
+        assert type(info.value) is error
+
 
 @st.composite
 def entry_tables(draw):
@@ -146,6 +193,91 @@ class TestCentrality:
         assert not SuperBivector(t, {("x", "l"): inv}).is_central
         assert not SuperBivector(t, {("th", "th"): t.var("th") * t.var("c")}).is_central
         assert SuperBivector(t, {("x", "th"): t.var("c")}).is_central
+
+    def test_an_entry_at_the_exponent_limit_is_not_central(self):
+        # the support test reads the entry's fields; it takes no derivative,
+        # which would leave the exponent range
+        t = VarTable.build(("l", EVEN, True), ("y", EVEN))
+        entry = GradedPoly(t, {Monomial((-EXPONENT_LIMIT, 0), 0, 0): 1})
+        pi = SuperBivector(t, {("l", "y"): entry})
+        assert not pi.is_central
+        with pytest.raises(NonCentralBivector, match="^bivector entries depend on contracted variables$"):
+            StarEngine(pi)
+
+
+def _components(pi):
+    """The sets of variables joined by non-zero entries."""
+    comps = []
+    for pair in pi.entries:
+        hit = [c for c in comps if c & set(pair)]
+        comps = [c for c in comps if c not in hit] + [set(pair).union(*hit)]
+    return {frozenset(c) for c in comps}
+
+
+class TestPackedSteps:
+    """The packed step table built with a bivector, read against its entries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        entry_tables(), st.sampled_from(list_builtins()).map(lambda name: builtin(name).bivector)
+    ))
+    def test_the_table_decodes_to_the_entries(self, pi):
+        t = pi.table
+        units = [t._zero] + [t._var_key(n) for n in t.names()]
+        name_of = {}
+
+        def names_its_variable(packed, name):
+            key, mask, bits = packed
+            for m in units:
+                assert (m & mask != bits) == (m == t._var_key(name))
+            assert _mono_d(t._var_key(name), key, t._odd) == (1, t._zero)
+            name_of[key] = name
+
+        assert pi._d_e == math.lcm(*(e._den for e in pi.entries.values()))
+        assert len(pi._rows) == len(pi.steps)
+        for (a, pa, partners), (*packed, pa_row, row_partners) in zip(pi.steps, pi._rows):
+            names_its_variable(packed, a)
+            assert pa_row == pa == (t.parity(a) == ODD)
+            assert [b for b, _, _ in partners] == sorted((b for x, b in pi.entries if x == a),
+                                                         key=t.index)
+            assert len(row_partners) == len(partners)
+            for (b, entry, pb), (*packed, ints, pb_row) in zip(partners, row_partners):
+                names_its_variable(packed, b)
+                assert pb_row == pb == (t.parity(b) == ODD)
+                assert entry is pi.entries[(a, b)]
+                assert GradedPoly._of_scaled(t, ints, pi._d_e) == entry
+        assert [t.index(a) for a in pi.rows()] == sorted(t.index(a) for a in set(pi.rows()))
+
+        rows = pi._rows
+        odd_factor = any(m & t._odd for e in pi.entries.values() for m in e._num)
+        if rows and (pi.parity or odd_factor):
+            assert pi._blocks == ((rows, t._evens | t._odd, 0),)
+            return
+        flat = [row for block_rows, _, _ in pi._blocks for row in block_rows]
+        assert sorted(map(id, flat)) == sorted(map(id, rows))
+        assert {frozenset(name_of[row[0]] for row in block_rows)
+                for block_rows, _, _ in pi._blocks} == _components(pi)
+        firsts = []
+        for block_rows, mask, fill in pi._blocks:
+            positions = [rows.index(row) for row in block_rows]
+            assert positions == sorted(positions)
+            firsts.append(positions[0])
+            covered = 0
+            for name in (name_of[row[0]] for row in block_rows):
+                covered |= t._support(name)[0]
+            assert mask == covered and fill == t._zero & ~mask
+        assert firsts == sorted(firsts)
+
+    def test_the_built_in_bivectors_reach_every_block_shape(self):
+        # joint blocks from an odd bivector and from an odd entry factor, and
+        # several blocks from an even one
+        shapes = {name: builtin(name).bivector for name in list_builtins()}
+        assert len(shapes) == 8
+        assert shapes["T1-cotangent"].parity == 1 and len(shapes["T1-cotangent"]._blocks) == 1
+        assert len(shapes["P3|4"]._blocks) > 1
+        t = VarTable.build(("x", EVEN), ("y", EVEN), ("th", ODD), ("c", ODD))
+        pi = SuperBivector(t, {("x", "y"): t.var("th") * t.var("c"), ("th", "th"): t.one()})
+        assert pi.parity == 0 and pi._blocks == ((pi._rows, t._evens | t._odd, 0),)
 
 
 class TestPoissonBracket:
@@ -286,6 +418,14 @@ class TestSchouten:
         assert tri.entry(0, 1, 2) == t.const(-2)
         assert set(tri.entries) == {(0, 1, 2)}
         assert not is_poisson(pi)
+
+    def test_trivector_equality(self):
+        t = VarTable.build(("z1", EVEN), ("z2", EVEN), ("z3", EVEN))
+        pi = SuperBivector(t, {("z1", "z2"): t.one(), ("z1", "z3"): t.var("z1")})
+        tri = schouten_bracket(pi, pi)
+        assert tri == SuperTrivector(t, {(0, 1, 2): t.const(-2), (0, 0, 1): t.zero()})
+        assert tri != SuperTrivector(t, {(0, 1, 2): t.const(2)})
+        assert tri.__eq__(pi) is NotImplemented and tri != pi
 
     def test_odd_parity_bivector_with_constants(self):
         _, pi = t1_mini()
