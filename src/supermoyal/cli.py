@@ -86,6 +86,10 @@ MAX_BASE_POWER = 64
 # most p*q, and a multiplication whose bound is larger is refused up front
 MAX_PARSED_TERMS = 10_000
 
+# deepest parenthesis nesting read: each level takes four frames of the
+# recursive descent, so this keeps far inside the interpreter's recursion limit
+MAX_NESTING = 100
+
 
 def _digits_end(text: str, i: int) -> int:
     """The end of the run of ASCII digits from ``text[i]``.
@@ -169,6 +173,7 @@ class _Parser:
         self.table = table
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0  # parentheses open at the current token
 
     def parse(self) -> GradedPoly:
         num, den = self._expr()
@@ -258,7 +263,11 @@ class _Parser:
                 raise UnknownIdentifier(f"unknown name {value!r}", pos)
             return {t._var_key(value): 1}, 1, value
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit of {MAX_NESTING}", pos)
+            self.depth += 1
             num, den = self._expr()
+            self.depth -= 1
             kind, _, pos = self.tokens[self.k]
             self.k += 1
             if kind != ")":
@@ -395,7 +404,7 @@ def render_model_text(model: ModelSpec) -> str:
 
     if model.expected_relations is not None:
         rel = ["[relations]"]
-        expected = SuperBivector(model.table, model.expected_relations)
+        expected = model.expected_relations
         for a, b in expected.canonical_pairs():
             both_odd = model.table.parity(a) == ODD and model.table.parity(b) == ODD
             kw = "anti" if both_odd else "comm"
@@ -641,7 +650,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
 
         expected_relations = None
         if "relations" in sections:
-            expected_relations = {}
+            relations = {}
             for ln, line in sections["relations"]:
                 kw, a, b, expr = _fields(_RELATION_RE, line, "comm|anti A B = expression")
                 _known((a, b), table, "variable")
@@ -652,9 +661,9 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                 coeff = rhs.hbar_coefficient(1)
                 if rhs != table.hbar() * coeff:
                     raise ValueError("relation right-hand side must be linear in hbar")
-                expected_relations[(a, b)] = coeff
+                relations[(a, b)] = coeff
             ln = first_line("relations")
-            SuperBivector(table, expected_relations)
+            expected_relations = SuperBivector(table, relations)
 
         fibration = None
         if "fibration" in sections:

@@ -1,7 +1,8 @@
 """Built-in quantized models: tables, atlases, fibrations, verification.
 
 Each model bundles a variable table, a central superbivector, the expected
-commutation relations, and optionally a fibration (coordinates expressed
+commutation relations as a superbivector over the same table (a built-in's
+is its own bivector), and optionally a fibration (coordinates expressed
 over a base table), an atlas with weight laws, and scaling-weight data for
 the volume-form check.  A ``ModelSpec`` is checked when it is built: its
 weight laws, and the star engine's checks of its bivector and order.
@@ -26,7 +27,7 @@ from .moyal import (
     CheckRecord, NonCentralBivector, StarEngine, _record, check_max_order,
     check_quantization_contract,
 )
-from .poisson import SuperBivector, is_poisson
+from .poisson import SuperBivector, VariableMismatch, is_poisson
 
 
 class UnknownModel(KeyError):
@@ -122,7 +123,7 @@ class ModelSpec:
     table: VarTable
     constants: tuple[str, ...]
     bivector: SuperBivector
-    expected_relations: Mapping[tuple[str, str], GradedPoly] | None
+    expected_relations: SuperBivector | None
     fibration: Fibration | None = None
     charts: tuple[Chart, ...] = ()
     transitions: tuple[TransitionMap, ...] = ()
@@ -132,11 +133,14 @@ class ModelSpec:
     associative: bool = True
 
     def __post_init__(self):
-        if self.expected_relations is not None:
-            relations = MappingProxyType(dict(self.expected_relations))
-            object.__setattr__(self, "expected_relations", relations)
-            # verify_model reads the relations as a bivector: refuse any other table
-            SuperBivector(self.table, relations)
+        relations = self.expected_relations
+        if relations is not None:
+            if not isinstance(relations, SuperBivector):
+                raise TypeError(
+                    f"expected_relations must be a SuperBivector, got {type(relations).__name__}"
+                )
+            if relations.table != self.table:
+                raise VariableMismatch("expected relations built over a different table")
         # the engine's checks of the bivector and the order, so verify_model
         # cannot fail on them
         if self.bivector._refusal is not None:
@@ -295,6 +299,7 @@ def _t0_model() -> ModelSpec:
         entries[(f"t{p}", f"t{q}")] = t.var(
             _c_symbol(int(p[0]), int(p[1]), int(q[0]), int(q[1]))
         )
+    pi = SuperBivector(t, entries)
     rules = {
         "z1": t.var("x11") * t.var("l1") + t.var("x12") * t.var("l2"),
         "z2": t.var("x21") * t.var("l1") + t.var("x22") * t.var("l2"),
@@ -305,8 +310,8 @@ def _t0_model() -> ModelSpec:
         name="T0-cotangent",
         table=t,
         constants=ds + cs,
-        bivector=SuperBivector(t, entries),
-        expected_relations=dict(entries),
+        bivector=pi,
+        expected_relations=pi,
         fibration=Fibration(t, rules),
     )
 
@@ -317,15 +322,15 @@ def _t1_model() -> ModelSpec:
     decls += [(f"t{s}", ODD) for s in _SPINOR]
     decls += [(b, EVEN) for b in bs]
     t = VarTable.build(*decls)
-    entries = {
+    pi = SuperBivector(t, {
         (f"x{p}", f"t{q}"): t.var(f"B{p}_{q}") for p in _SPINOR for q in _SPINOR
-    }
+    })
     return ModelSpec(
         name="T1-cotangent",
         table=t,
         constants=bs,
-        bivector=SuperBivector(t, entries),
-        expected_relations=dict(entries),
+        bivector=pi,
+        expected_relations=pi,
         associative=False,
     )
 
@@ -366,7 +371,7 @@ def _two_pole_model(name: str, odd_weights: tuple[int, ...], letters: str,
         table=t,
         constants=(),
         bivector=pi,
-        expected_relations=dict(entries),
+        expected_relations=pi,
         fibration=Fibration(bt, rules),
         charts=charts,
         transitions=transitions,
@@ -424,7 +429,7 @@ def _l56_model() -> ModelSpec:
         table=t,
         constants=(),
         bivector=pi,
-        expected_relations=dict(entries),
+        expected_relations=pi,
         fibration=Fibration(bt, rules),
         cy=CYWeights.ambitwistor(3),
     )
@@ -468,7 +473,7 @@ def _p3n_model(n: int) -> ModelSpec:
         table=t,
         constants=cs,
         bivector=pi,
-        expected_relations=dict(entries),
+        expected_relations=pi,
         fibration=Fibration(bt, rules),
         charts=charts,
         transitions=transitions,
@@ -576,9 +581,9 @@ def anti_chiral_substitution(
 # -- verification ----------------------------------------------------------
 
 def _relations_phase(model: ModelSpec, engine: StarEngine):
-    if model.expected_relations is not None:
+    expected = model.expected_relations
+    if expected is not None:
         t = model.table
-        expected = SuperBivector(t, model.expected_relations)
         coords = [n for n in t.names() if n not in model.constants]
         for a, b in combinations_with_replacement(coords, 2):
             both_odd = t.parity(a) == ODD and t.parity(b) == ODD

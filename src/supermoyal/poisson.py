@@ -166,28 +166,6 @@ def _blocks(table: VarTable, rows: tuple, joint: bool) -> tuple:
     return tuple((tuple(b), mask, table._zero & ~mask) for b, mask in zip(blocks, masks))
 
 
-class SuperTrivector:
-    """Canonicalized trivector: entries keyed by non-decreasing index triples."""
-
-    __slots__ = ("table", "entries")
-
-    def __init__(self, table: VarTable, entries: Mapping[tuple[int, int, int], GradedPoly]):
-        self.table = table
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def entry(self, i: int, j: int, k: int) -> GradedPoly:
-        got = self.entries.get((i, j, k))
-        return got if got is not None else self.table.zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuperTrivector):
-            return NotImplemented
-        return self.table == other.table and self.entries == other.entries
-
-
 def _bracket_sign(pb: int, pf: int, pa: int) -> int:
     # Koszul factor of one contraction step: (-1)^(|B|(|F|+|A|))
     return -1 if pb & (pf ^ pa) else 1
@@ -261,10 +239,12 @@ def _canonical_triple(table: VarTable, triple: tuple[int, int, int]):
     return tuple(idx), sign
 
 
-def schouten_bracket(a: SuperBivector, b: SuperBivector) -> SuperTrivector:
-    """Graded Schouten bracket [a, b] as a canonicalized trivector.
+def schouten_bracket(a: SuperBivector, b: SuperBivector) -> Mapping[tuple[int, int, int], GradedPoly]:
+    """Graded Schouten bracket [a, b]: its non-zero components, read-only.
 
-    Only zero versus nonzero is contractually meaningful; entries are exact.
+    Each is keyed by its canonical index triple, non-decreasing, so the
+    bracket vanishes exactly when the mapping is empty.  Only zero versus
+    nonzero is contractually meaningful; entries are exact.
     """
     if a.table != b.table:
         raise VariableMismatch("bivectors live over different tables")
@@ -305,9 +285,9 @@ def schouten_bracket(a: SuperBivector, b: SuperBivector) -> SuperTrivector:
             exp = a.parity * (par(j1) + b.parity)
             coeff = (b_entry * der).scale(half if exp % 2 == 0 else -half)
             add((t.index(i1), t.index(i2), t.index(j1)), coeff)
-    return SuperTrivector(t, acc)
+    return MappingProxyType({key: value for key, value in acc.items() if value})
 
 
 def is_poisson(pi: SuperBivector) -> bool:
     """True when [pi, pi] vanishes identically."""
-    return schouten_bracket(pi, pi).is_zero()
+    return not schouten_bracket(pi, pi)

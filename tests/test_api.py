@@ -1,7 +1,7 @@
 """The package's public names: all of them resolve, and retired ones stay gone."""
 
 import supermoyal
-from supermoyal import atlas, graded_calculus, graded_ring, moyal
+from supermoyal import atlas, graded_calculus, graded_ring, moyal, poisson
 
 
 def test_every_public_name_resolves():
@@ -13,6 +13,7 @@ def test_retired_helpers_are_gone():
     for name in (
         "mul", "star", "supercommutator", "bidiff_apply",
         "ContractEntry", "ContractReport", "transport_table", "constant_value", "parity_of",
+        "SuperTrivector",
     ):
         assert name not in supermoyal.__all__
         assert not hasattr(supermoyal, name), name
@@ -25,3 +26,4 @@ def test_retired_helpers_are_gone():
     assert not hasattr(atlas, "transport_table")
     assert not hasattr(graded_ring.GradedPoly, "constant_value")
     assert not hasattr(graded_ring, "parity_of")
+    assert not hasattr(poisson, "SuperTrivector")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from supermoyal.cli import (
     MAX_BASE_POWER,
+    MAX_NESTING,
     MAX_PARSED_TERMS,
     IllegalDivision,
     ModelFormatError,
@@ -33,6 +34,7 @@ from supermoyal.cli import (
 from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
 from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
 from supermoyal.moyal import MAX_ORDER, TruncationExceeded
+from supermoyal.poisson import SuperBivector
 
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -284,6 +286,16 @@ class TestParse:
             parse_expression("(x11+x12+x21+x22+l1+l2)^64", t)
         assert info.value.msg.startswith("a product of 2002 and 6 terms may reach 12012 terms")
 
+    def test_parenthesis_nesting_is_bounded(self):
+        t = _table()
+        deep = "(" * MAX_NESTING + "w" + ")" * MAX_NESTING
+        assert parse_expression(f"{deep} + {deep}^2", t) == t.var("w") + t.var("w", 2)
+        # refused at the parenthesis that opens one level too many
+        with pytest.raises(ParseError) as info:
+            parse_expression(f"w + ({deep})", t)
+        assert info.value.msg == f"parentheses nest deeper than the limit of {MAX_NESTING}"
+        assert info.value.position == 4 + MAX_NESTING
+
     def test_missing_value(self):
         with pytest.raises(ParseError):
             parse_expression("w + * l", _table())
@@ -453,7 +465,7 @@ class TestModelFiles:
         )
         assert parse_model_text(text).expected_relations is None
         with_empty = text + "\n[relations]\n"
-        assert parse_model_text(with_empty).expected_relations == {}
+        assert parse_model_text(with_empty).expected_relations.entries == {}
 
     def test_file_round_trip_on_disk(self, tmp_path):
         m = builtin("WP[1,3]")
@@ -508,6 +520,18 @@ class TestModelFiles:
         rc, out, err = cli("verify", str(path))
         assert rc == 2
         assert f"limit {MAX_BASE_POWER}" in err
+
+    def test_nesting_limit_in_model_file(self, cli, tmp_path):
+        head = "[options]\nname = deep\n\n[variables]\nx even\ny even\n\n[bivector]\nx y := "
+        nested = lambda n: head + "(" * n + "1" + ")" * n + "\n"
+        m = parse_model_text(nested(MAX_NESTING))
+        assert m.bivector.entry("x", "y") == m.table.one()
+        path = tmp_path / "deep.model"
+        path.write_text(nested(MAX_NESTING + 1))
+        rc, out, err = cli("verify", str(path))
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {path}:9: parentheses nest deeper than the limit of {MAX_NESTING}"
+                       f" (column {MAX_NESTING + 1} of the expression)\n")
 
     def test_term_limit_in_model_file(self, cli, tmp_path):
         text = (
@@ -805,6 +829,20 @@ class TestVerifyCommand:
         assert by_id["comm x11 x12"]["lhs"] == "hbar*D11_12"
         assert by_id["comm x11 x12"]["status"] == "pass"
 
+    def test_a_model_file_builds_each_bracket_table_once(self, cli, monkeypatch):
+        models = [builtin(name) for name in list_builtins()]
+        builds = []
+        init = SuperBivector.__init__
+        monkeypatch.setattr(SuperBivector, "__init__",
+                            lambda self, *args: builds.append(args) or init(self, *args))
+        rc, out, err = cli("verify", str(_ROOT / "models" / "t0_cotangent.model"), "--quiet")
+        assert rc == 0
+        assert len(builds) == 2  # its [bivector] and its [relations]
+        builds.clear()
+        for model in models:
+            render_model_text(model)
+        assert builds == []
+
     def test_verify_model_file(self, cli, tmp_path):
         path = tmp_path / "wp.model"
         save_model(builtin("WP[1,3]"), path)
@@ -993,6 +1031,15 @@ class TestProductCommands:
         rc, out, err = cli("star", "P3|4", "--lhs", "(z1+1)^65", "--rhs", "z2")
         assert (rc, out) == (2, "")
         assert f"limit {MAX_BASE_POWER}" in err
+
+    def test_nesting_limit_is_a_usage_error(self, cli):
+        for n in (MAX_NESTING + 1, 250):
+            lhs = "(" * n + "x11" + ")" * n
+            got = cli("star", "T0-cotangent", "--lhs", lhs, "--rhs", "x12")
+            assert got == (2, "", f"error: parentheses nest deeper than the limit of {MAX_NESTING}"
+                                  f" (column {MAX_NESTING + 1})\n")
+        deep = "(" * MAX_NESTING + "x11" + ")" * MAX_NESTING
+        assert cli("star", "T0-cotangent", "--lhs", deep, "--rhs", "x12")[0] == 0
 
     def test_term_limit_is_a_usage_error(self, cli):
         lhs = "(x11+x12+x21+x22+l1+l2)^64"

@@ -84,6 +84,12 @@ class TestConstruction:
         p = t.var("x") - t.var("x")
         assert p.is_zero()
         assert p == t.zero()
+        assert repr(p) == "GradedPoly(0)"
+
+    def test_equality_with_a_non_polynomial_is_false(self):
+        p, other = table().var("x"), object()
+        assert p.__eq__(other) is NotImplemented
+        assert (p == other) is False and p != other
 
     def test_float_coefficients_rejected(self):
         t = table()

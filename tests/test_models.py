@@ -14,7 +14,9 @@ from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
     MAX_P3N_ODD,
+    Fibration,
     MissingFibration,
+    ModelSpec,
     UnknownModel,
     VerificationReport,
     anti_chiral_substitution,
@@ -27,7 +29,7 @@ from supermoyal.models import (
     verify_model,
 )
 from supermoyal.moyal import MAX_ORDER, CheckRecord, NonCentralBivector, StarEngine
-from supermoyal.poisson import SuperBivector, poisson_bracket
+from supermoyal.poisson import SuperBivector, VariableMismatch, poisson_bracket
 
 
 def _orbit_name(i, a, j, b):
@@ -91,11 +93,16 @@ class TestSharedModels:
         texts = sorted(p.read_text() for p in shipped.glob("*.model"))
         assert sorted(render_model_text(builtin(n)) for n in names) == texts
 
+    def test_relations_are_the_model_bivector(self):
+        for name in list_builtins():
+            m = builtin(name)
+            assert m.expected_relations is m.bivector, name
+
     def test_mappings_are_read_only(self):
         m, p34 = builtin("T0-cotangent"), builtin("P3|4")
         x = m.table.var("x11")
         for mapping, key in ((m.bivector.entries, ("x11", "x12")),
-                             (m.expected_relations, ("x11", "x12")),
+                             (m.expected_relations.entries, ("x11", "x12")),
                              (m.fibration.rules, "z1"),
                              (p34.transitions[0].rules, "xi1")):
             with pytest.raises(TypeError):
@@ -130,14 +137,14 @@ class TestSharedModels:
 
     def test_replace_derives_a_model_and_leaves_the_shared_one(self):
         m = builtin("T0-cotangent")
-        relations = dict(m.expected_relations)
-        relations[("x11", "x12")] = m.table.zero()
-        derived = dataclasses.replace(m, expected_relations=relations)
+        relations = dict(m.expected_relations.entries)
+        del relations["x11", "x12"], relations["x12", "x11"]
+        derived = dataclasses.replace(m, expected_relations=SuperBivector(m.table, relations))
         assert derived is not m and builtin("T0-cotangent") is m
-        assert m.expected_relations[("x11", "x12")] == m.table.var("D11_12")
+        assert m.expected_relations.entry("x11", "x12") == m.table.var("D11_12")
         assert not verify_model(derived).ok
         with pytest.raises(TypeError):
-            derived.expected_relations[("x11", "x12")] = m.table.one()
+            derived.expected_relations.entries[("x11", "x12")] = m.table.one()
 
 
 @pytest.mark.parametrize("name", list_builtins())
@@ -332,6 +339,17 @@ class TestT1:
             quadric_generator(builtin("T1-cotangent"))
 
 
+class TestPullback:
+    def test_a_bracket_beyond_hbar_is_refused(self):
+        # the star commutator of x^3 and y^3 under {x, y} = 1 has an hbar^3 term
+        t = VarTable.build(("x", EVEN), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.one()})
+        fib = Fibration(t, {"u": t.var("x", 3), "v": t.var("y", 3)})
+        m = ModelSpec("cubes", t, (), pi, None, fibration=fib)
+        with pytest.raises(ValueError, match=r"^pullback bracket of \(u, v\) is not hbar-linear$"):
+            fibration_pullback(m)
+
+
 class TestP34:
     def test_a_separate_base_needs_its_bracket(self):
         with pytest.raises(ValueError, match="^a base bracket is required for a separate base table$"):
@@ -483,17 +501,23 @@ class TestL56:
             assert anti_chiral_substitution(back, anti_chiral_substitution(fwd, f)) == f
 
     def test_relations_are_checked_when_the_model_is_built(self):
-        # a relations table that is no bracket table fails when the spec is
-        # built, not partway through verify_model
+        # a relations table that is no bracket table fails when its bivector
+        # is built, and the spec takes only a bivector over its own table, so
+        # nothing fails partway through verify_model
         m = builtin("L5|6")
-        t = m.table
+        t, pi = m.table, m.expected_relations
+        given = {pair: pi.entry(*pair) for pair in pi.canonical_pairs()}
         for key, value, message in (
             (("X1", "Y1"), t.var("l2") * t.var("xi1"), "entries do not share a single bivector parity"),
             (("X1", "X1"), t.one(), r"even diagonal entry \(X1, X1\) must vanish"),
         ):
-            relations = {**m.expected_relations, key: value}
             with pytest.raises(ValueError, match=f"^{message}$"):
-                dataclasses.replace(m, expected_relations=relations)
+                SuperBivector(t, {**given, key: value})
+        with pytest.raises(TypeError, match="^expected_relations must be a SuperBivector, got dict$"):
+            dataclasses.replace(m, expected_relations=dict(m.expected_relations.entries))
+        other = VarTable.build(("X1", EVEN), ("X2", EVEN))
+        with pytest.raises(VariableMismatch, match="^expected relations built over a different table$"):
+            dataclasses.replace(m, expected_relations=SuperBivector(other, {("X1", "X2"): other.one()}))
 
 
 class TestP3N:
