@@ -451,19 +451,9 @@ def render_model_text(model: ModelSpec) -> str:
 
     if model.cy is not None:
         cy = model.cy
-        if cy.kind == "projective":
-            line = f"projective {cy.data[0]} {cy.data[1]}"
-        elif cy.kind == "weighted":
-            even_w, odd_w = cy.data
-            line = (
-                "weighted "
-                + " ".join(str(w) for w in even_w)
-                + " ; "
-                + " ".join(str(w) for w in odd_w)
-            )
-        else:
-            line = f"ambitwistor {cy.data[0]}"
-        sections.append(["[cy]", line])
+        # a weighted system's data is its even weights, ";", its odd weights
+        data = (*cy.data[0], ";", *cy.data[1]) if cy.kind == "weighted" else cy.data
+        sections.append(["[cy]", " ".join(map(str, (cy.kind, *data)))])
 
     return "\n\n".join("\n".join(s) for s in sections) + "\n"
 
@@ -774,7 +764,6 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         ln = first_line("bivector")
         return ModelSpec(
             name=name,
-            table=table,
             constants=tuple(constants),
             bivector=bivector,
             expected_relations=expected_relations,

@@ -1,11 +1,12 @@
 """Built-in quantized models: tables, atlases, fibrations, verification.
 
-Each model bundles a variable table, a central superbivector, the expected
-commutation relations as a superbivector over the same table (a built-in's
-is its own bivector), and optionally a fibration (coordinates expressed
-over a base table), an atlas with weight laws, and scaling-weight data for
-the volume-form check.  A ``ModelSpec`` is checked when it is built: its
-weight laws, and the star engine's checks of its bivector and order.
+Each model bundles a central superbivector, whose table is the model's
+table, the expected commutation relations as a superbivector over the same
+table (a built-in's is its own bivector), and optionally a fibration
+(coordinates expressed over a base table), an atlas with weight laws, and
+scaling-weight data for the volume-form check.  A ``ModelSpec`` is checked
+when it is built: the type of each field, its constants, charts and weight
+laws, and the star engine's checks of its bivector and order.
 ``verify_model`` runs the whole certification sweep as six phases, each
 yielding the ``CheckRecord``s of its own category; the quantization contract's
 records are the ones ``check_quantization_contract`` returns.
@@ -120,7 +121,6 @@ class Fibration:
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     name: str
-    table: VarTable
     constants: tuple[str, ...]
     bivector: SuperBivector
     expected_relations: SuperBivector | None
@@ -132,7 +132,14 @@ class ModelSpec:
     max_order: int = 8
     associative: bool = True
 
+    @property
+    def table(self) -> VarTable:
+        """The bivector's variable table, the one table the model has."""
+        return self.bivector.table
+
     def __post_init__(self):
+        if not isinstance(self.bivector, SuperBivector):
+            raise TypeError(f"bivector must be a SuperBivector, got {type(self.bivector).__name__}")
         relations = self.expected_relations
         if relations is not None:
             if not isinstance(relations, SuperBivector):
@@ -146,6 +153,15 @@ class ModelSpec:
         if self.bivector._refusal is not None:
             raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
+        # the fields verify_model reads: each is refused here, naming itself
+        for name in self.constants:
+            if name not in self.table:
+                raise ValueError(f"constants must name variables of the table, got {name!r}")
+        for m in self.transitions:
+            if m.src not in self.charts or m.dst not in self.charts:
+                raise ValueError(f"transitions must join charts of charts, got {m!r}")
+        if self.cy is not None and not isinstance(self.cy, CYWeights):
+            raise TypeError(f"cy must be a CYWeights or None, got {type(self.cy).__name__}")
         # each weight law needs its transition and a pair both charts carry
         maps = {(m.src.name, m.dst.name): m for m in self.transitions}
         for src, dst, law in self.weight_laws:
@@ -171,6 +187,9 @@ class VerificationReport:
 # -- constant naming -------------------------------------------------------
 
 _SPINOR = ("11", "12", "21", "22")
+
+# the twistor coordinates x_ab and the line's homogeneous coordinates l1, l2
+_TWISTOR = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
 
 
 def _c_symbol(i: int, a: int, j: int, b: int) -> str:
@@ -258,15 +277,24 @@ _TWO_POLE = (("l1", "l2"), ("plus", "minus"), {"z1": "w1", "z2": "w2", "l1": "l"
              ((0, 1), (1, 0)), True)
 
 
+def _binary_form(coefficients, u: GradedPoly, v: GradedPoly) -> GradedPoly:
+    """The binary form sum_k c_k u^(w-k) v^k of degree w = len(coefficients) - 1."""
+    w = len(coefficients) - 1
+    out = u.table.zero()
+    for k, c in enumerate(coefficients):
+        out = out + c * u ** (w - k) * v**k
+    return out
+
+
 def _quadratic_odd_entries(t: VarTable, n: int, u: GradedPoly, v: GradedPoly):
     """Brackets {xi_i, xi_j} = C(i1,j1) u^2 + 2 C(i1,j2) u v + C(i2,j2) v^2, i <= j."""
-    entries = {}
-    for i, j in combinations_with_replacement(range(1, n + 1), 2):
-        e = t.var(_c_symbol(i, 1, j, 1)) * u**2
-        e = e + (t.var(_c_symbol(i, 1, j, 2)) * u * v).scale(2)
-        e = e + t.var(_c_symbol(i, 2, j, 2)) * v**2
-        entries[(f"xi{i}", f"xi{j}")] = e
-    return entries
+    return {
+        (f"xi{i}", f"xi{j}"): _binary_form([
+            t.var(_c_symbol(i, 1, j, 1)), t.var(_c_symbol(i, 1, j, 2)).scale(2),
+            t.var(_c_symbol(i, 2, j, 2)),
+        ], u, v)
+        for i, j in combinations_with_replacement(range(1, n + 1), 2)
+    }
 
 
 def generic_chart_pair(n: int):
@@ -288,9 +316,7 @@ def generic_chart_pair(n: int):
 
 def _t0_model() -> ModelSpec:
     ds, cs = _d_names(), _c_names(2)
-    decls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
-    decls += [(f"t{s}", ODD) for s in _SPINOR]
-    decls += [(c, EVEN) for c in ds + cs]
+    decls = _TWISTOR + [(f"t{s}", ODD) for s in _SPINOR] + [(c, EVEN) for c in ds + cs]
     t = VarTable.build(*decls)
     entries = {}
     for p, q in combinations(_SPINOR, 2):
@@ -300,15 +326,13 @@ def _t0_model() -> ModelSpec:
             _c_symbol(int(p[0]), int(p[1]), int(q[0]), int(q[1]))
         )
     pi = SuperBivector(t, entries)
+    l1, l2 = t.var("l1"), t.var("l2")
     rules = {
-        "z1": t.var("x11") * t.var("l1") + t.var("x12") * t.var("l2"),
-        "z2": t.var("x21") * t.var("l1") + t.var("x22") * t.var("l2"),
-        "xi1": t.var("t11") * t.var("l1") + t.var("t12") * t.var("l2"),
-        "xi2": t.var("t21") * t.var("l1") + t.var("t22") * t.var("l2"),
+        f"{z}{a}": _binary_form([t.var(f"{x}{a}1"), t.var(f"{x}{a}2")], l1, l2)
+        for z, x in (("z", "x"), ("xi", "t")) for a in (1, 2)
     }
     return ModelSpec(
         name="T0-cotangent",
-        table=t,
         constants=ds + cs,
         bivector=pi,
         expected_relations=pi,
@@ -318,16 +342,13 @@ def _t0_model() -> ModelSpec:
 
 def _t1_model() -> ModelSpec:
     bs = tuple(f"B{p}_{q}" for p in _SPINOR for q in _SPINOR)
-    decls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
-    decls += [(f"t{s}", ODD) for s in _SPINOR]
-    decls += [(b, EVEN) for b in bs]
+    decls = _TWISTOR + [(f"t{s}", ODD) for s in _SPINOR] + [(b, EVEN) for b in bs]
     t = VarTable.build(*decls)
     pi = SuperBivector(t, {
         (f"x{p}", f"t{q}"): t.var(f"B{p}_{q}") for p in _SPINOR for q in _SPINOR
     })
     return ModelSpec(
         name="T1-cotangent",
-        table=t,
         constants=bs,
         bivector=pi,
         expected_relations=pi,
@@ -351,24 +372,15 @@ def _two_pole_model(name: str, odd_weights: tuple[int, ...], letters: str,
         entries[(f"xi{i}", f"xi{i}")] = sq**w
     pi = SuperBivector(t, entries)
     charts, transitions, laws = _projective_atlas(pi, *_TWO_POLE)
-    bdecls = [(f"x{s}", EVEN) for s in _SPINOR] + [("l1", EVEN), ("l2", EVEN)]
-    for i, w in enumerate(odd_weights, 1):
-        bdecls += [(f"t{i}{letters[k]}", ODD) for k in range(w + 1)]
-    bt = VarTable.build(*bdecls)
-    rules = {
-        "z1": bt.var("x11") * bt.var("l1") + bt.var("x12") * bt.var("l2"),
-        "z2": bt.var("x21") * bt.var("l1") + bt.var("x22") * bt.var("l2"),
-        "l1": bt.var("l1"),
-        "l2": bt.var("l2"),
-    }
-    for i, w in enumerate(odd_weights, 1):
-        expr = bt.zero()
-        for k in range(w + 1):
-            expr = expr + bt.var(f"t{i}{letters[k]}") * bt.var("l1", w - k) * bt.var("l2", k)
-        rules[f"xi{i}"] = expr
+    odd = {i: [f"t{i}{letters[k]}" for k in range(w + 1)] for i, w in enumerate(odd_weights, 1)}
+    bt = VarTable.build(*_TWISTOR, *((c, ODD) for names in odd.values() for c in names))
+    l1, l2 = bt.var("l1"), bt.var("l2")
+    rules = {f"z{a}": _binary_form([bt.var(f"x{a}1"), bt.var(f"x{a}2")], l1, l2) for a in (1, 2)}
+    rules.update(l1=l1, l2=l2)
+    for i, names in odd.items():
+        rules[f"xi{i}"] = _binary_form([bt.var(c) for c in names], l1, l2)
     return ModelSpec(
         name=name,
-        table=t,
         constants=(),
         bivector=pi,
         expected_relations=pi,
@@ -398,35 +410,23 @@ def _l56_model() -> ModelSpec:
         entries[(f"xi{i}", f"xi{i}")] = l1**2 + l2**2
         entries[(f"ze{i}", f"ze{i}")] = m1**2 + m2**2
     pi = SuperBivector(t, entries)
-    bdecls = [(f"x{s}", EVEN) for s in _SPINOR]
-    bdecls += [("l1", EVEN), ("l2", EVEN), ("m1", EVEN), ("m2", EVEN)]
-    bdecls += [(f"t{i}{a}", ODD) for i in (1, 2, 3) for a in (1, 2)]
-    bdecls += [(f"e{i}{a}", ODD) for i in (1, 2, 3) for a in (1, 2)]
+    bdecls = _TWISTOR + [("m1", EVEN), ("m2", EVEN)]
+    bdecls += [(f"{c}{i}{a}", ODD) for c in "te" for i in (1, 2, 3) for a in (1, 2)]
     bt = VarTable.build(*bdecls)
+    l1, l2, m1, m2 = bt.var("l1"), bt.var("l2"), bt.var("m1"), bt.var("m2")
 
-    def shift(alpha: int, adot: int) -> GradedPoly:
-        out = bt.zero()
-        for i in (1, 2, 3):
-            out = out + bt.var(f"t{i}{adot}") * bt.var(f"e{i}{alpha}")
-        return out
+    def x(alpha: int, adot: int, sign: int) -> GradedPoly:
+        """x_{alpha adot} shifted by sign * sum_i t_{i adot} e_{i alpha}."""
+        shift = [bt.var(f"t{i}{adot}") * bt.var(f"e{i}{alpha}") for i in (1, 2, 3)]
+        return bt.var(f"x{alpha}{adot}") + sum(shift, bt.zero()).scale(sign)
 
-    rules = {}
-    for alpha in (1, 2):
-        expr = bt.zero()
-        for adot in (1, 2):
-            expr = expr + (bt.var(f"x{alpha}{adot}") - shift(alpha, adot)) * bt.var(f"l{adot}")
-        rules[f"X{alpha}"] = expr
-    for adot in (1, 2):
-        expr = bt.zero()
-        for alpha in (1, 2):
-            expr = expr + (bt.var(f"x{alpha}{adot}") + shift(alpha, adot)) * bt.var(f"m{alpha}")
-        rules[f"Y{adot}"] = expr
+    rules = {f"X{a}": _binary_form([x(a, 1, -1), x(a, 2, -1)], l1, l2) for a in (1, 2)}
+    rules.update({f"Y{a}": _binary_form([x(1, a, 1), x(2, a, 1)], m1, m2) for a in (1, 2)})
     for i in (1, 2, 3):
-        rules[f"xi{i}"] = bt.var(f"t{i}1") * bt.var("l1") + bt.var(f"t{i}2") * bt.var("l2")
-        rules[f"ze{i}"] = bt.var(f"e{i}1") * bt.var("m1") + bt.var(f"e{i}2") * bt.var("m2")
+        rules[f"xi{i}"] = _binary_form([bt.var(f"t{i}1"), bt.var(f"t{i}2")], l1, l2)
+        rules[f"ze{i}"] = _binary_form([bt.var(f"e{i}1"), bt.var(f"e{i}2")], m1, m2)
     return ModelSpec(
         name="L5|6",
-        table=t,
         constants=(),
         bivector=pi,
         expected_relations=pi,
@@ -440,10 +440,9 @@ def quadric_generator(model: ModelSpec) -> GradedPoly:
     fib = model.fibration
     if fib is None:
         raise MissingFibration(f"model {model.name} declares no fibration")
-    r = fib.rules
-    bt = fib.base_table
-    out = r["X1"] * bt.var("m1") + r["X2"] * bt.var("m2")
-    out = out - r["Y1"] * bt.var("l1") - r["Y2"] * bt.var("l2")
+    r, bt = fib.rules, fib.base_table
+    out = _binary_form([r["X1"], r["X2"]], bt.var("m1"), bt.var("m2"))
+    out = out - _binary_form([r["Y1"], r["Y2"]], bt.var("l1"), bt.var("l2"))
     for i in (1, 2, 3):
         out = out + (r[f"xi{i}"] * r[f"ze{i}"]).scale(2)
     return out
@@ -465,12 +464,13 @@ def _p3n_model(n: int) -> ModelSpec:
     bdecls += [(f"t{i}{a}", ODD) for i in range(1, n + 1) for a in (1, 2)]
     bdecls += [(c, EVEN) for c in cs]
     bt = VarTable.build(*bdecls)
-    rules = {}
-    for i in range(1, n + 1):
-        rules[f"xi{i}"] = bt.var(f"t{i}1") * bt.var("z3") + bt.var(f"t{i}2") * bt.var("z4")
+    z3, z4 = bt.var("z3"), bt.var("z4")
+    rules = {
+        f"xi{i}": _binary_form([bt.var(f"t{i}1"), bt.var(f"t{i}2")], z3, z4)
+        for i in range(1, n + 1)
+    }
     return ModelSpec(
         name="P3|N",
-        table=t,
         constants=cs,
         bivector=pi,
         expected_relations=pi,

@@ -420,7 +420,7 @@ class StarEngine:
             # s is 1 unless two parts have odd factors: with one block, it and the rest
             if k > 1 and (mf | mg) & odd or k == 1 and (mf | mg) & odd & ~used:
                 sign *= _regroup_sign(mf, mg, live, odd)
-            if k == 1 and sign == 1 and FG == unit:
+            if k == 1 and FG == unit:
                 got = series  # the pair's product is its block's run
             else:
                 got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)

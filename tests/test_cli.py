@@ -1,5 +1,6 @@
 """Expression syntax, canonical rendering, model files, and the driver."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -32,7 +33,7 @@ from supermoyal.cli import (
     save_model,
 )
 from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
-from supermoyal.models import MAX_P3N_ODD, builtin, list_builtins, verify_model
+from supermoyal.models import MAX_P3N_ODD, CYWeights, builtin, list_builtins, verify_model
 from supermoyal.moyal import MAX_ORDER, TruncationExceeded
 from supermoyal.poisson import SuperBivector
 
@@ -466,6 +467,13 @@ class TestModelFiles:
         assert parse_model_text(text).expected_relations is None
         with_empty = text + "\n[relations]\n"
         assert parse_model_text(with_empty).expected_relations.entries == {}
+
+    def test_weighted_system_without_odd_weights_round_trips(self):
+        # its [cy] line ends at the ";", so a hand-written file reads back byte for byte
+        m = dataclasses.replace(builtin("WP[4,0]"), cy=CYWeights.weighted((1, 1, 1, 1), ()))
+        text = render_model_text(m)
+        assert text.endswith("\n[cy]\nweighted 1 1 1 1 ;\n")
+        assert render_model_text(parse_model_text(text)) == text
 
     def test_file_round_trip_on_disk(self, tmp_path):
         m = builtin("WP[1,3]")

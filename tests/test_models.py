@@ -9,7 +9,7 @@ import pytest
 
 from supermoyal import models
 from supermoyal.atlas import UnresolvedPair, WeightLaw, check_cocycle, check_weight_law
-from supermoyal.cli import render_model_text, run
+from supermoyal.cli import load_model, render_model_text, render_poly, run
 from supermoyal.graded_ring import EVEN, ODD, VarTable
 from supermoyal.models import (
     CYWeights,
@@ -97,6 +97,17 @@ class TestSharedModels:
         for name in list_builtins():
             m = builtin(name)
             assert m.expected_relations is m.bivector, name
+
+    def test_the_table_is_the_bivector_table(self):
+        # a model has one table, its bivector's, so no other can be given
+        shipped = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+        for m in [*map(builtin, list_builtins()), *map(load_model, shipped)]:
+            assert m.table is m.bivector.table, m.name
+        with pytest.raises(TypeError, match="table"):
+            dataclasses.replace(builtin("T1-cotangent"), table=builtin("T0-cotangent").table,
+                                expected_relations=None)
+        with pytest.raises(TypeError, match="^bivector must be a SuperBivector, got dict$"):
+            dataclasses.replace(builtin("T0-cotangent"), bivector={})
 
     def test_mappings_are_read_only(self):
         m, p34 = builtin("T0-cotangent"), builtin("P3|4")
@@ -345,7 +356,7 @@ class TestPullback:
         t = VarTable.build(("x", EVEN), ("y", EVEN))
         pi = SuperBivector(t, {("x", "y"): t.one()})
         fib = Fibration(t, {"u": t.var("x", 3), "v": t.var("y", 3)})
-        m = ModelSpec("cubes", t, (), pi, None, fibration=fib)
+        m = ModelSpec("cubes", (), pi, None, fibration=fib)
         with pytest.raises(ValueError, match=r"^pullback bracket of \(u, v\) is not hbar-linear$"):
             fibration_pullback(m)
 
@@ -401,6 +412,23 @@ class TestP34:
             dataclasses.replace(m, max_order=MAX_ORDER + 1)
         with pytest.raises(ValueError, match="max_order must be non-negative"):
             dataclasses.replace(m, max_order=-1)
+
+    def test_the_other_fields_are_checked_when_the_model_is_built(self):
+        # each would otherwise pass verify_model vacuously or fail inside it
+        m = builtin("P3|4")
+        with pytest.raises(ValueError, match="^constants must name variables of the table, "
+                                             "got 'nope'$"):
+            dataclasses.replace(m, constants=("nope",))
+        with pytest.raises(ValueError, match=r"^transitions must join charts of charts, "
+                                             r"got TransitionMap\('plus' -> 'minus'\)$"):
+            dataclasses.replace(m, charts=())
+        with pytest.raises(ValueError, match="^transitions must join charts of charts"):
+            dataclasses.replace(m, charts=m.charts[:1])
+        with pytest.raises(TypeError, match="^cy must be a CYWeights or None, got dict$"):
+            dataclasses.replace(m, cy={"kind": "projective", "data": (3, 4)})
+        # a model without an atlas, or without a weight system, still builds
+        assert verify_model(dataclasses.replace(m, charts=(), transitions=(), weight_laws=())).ok
+        assert dataclasses.replace(m, cy=None).cy is None
 
     def test_chart_tables(self):
         m = builtin("P3|4")
@@ -586,6 +614,9 @@ class TestP3N:
     @pytest.mark.parametrize("n, digest", [
         (1, "becb925e936547ae212a54c803974c90bdb5e8e4aac8f79868ebc93cc998215e"),
         (2, "83467b199b292c54ba5ac6601d4c68f8d817c4d2f35f342fb21bead290557a3d"),
+        (3, "e74ffd4c304b2b732cf34f8a469bf3b5f7e9aa7be6005571015cbcfe47974009"),
+        (4, "e601c9efa32311a86205258c528415eb15e27d3ae760460ceef959c0fb191851"),
+        (5, "4a78bc5b8973cc444f7419fa930f11aa38488a16e06ecdf8d9e8e0a39e4608f1"),
         (6, "b781a16cd272a282a87caa61b48491f41d8323b5ae2ba5c40fbf62cf211980f4"),
         (16, "6005fc9bd89994da1a618c74e1ba7c7619981324a62ffd56a0dce2d5a64c15fa"),
     ])
@@ -595,7 +626,36 @@ class TestP3N:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _atlas_text(charts, maps, laws) -> str:
+    """Every chart, transition rule and weight law of an atlas, one per line."""
+    lines = []
+    for c in charts:
+        lines.append(f"chart {c.name}")
+        for name in c.table.names():
+            s = c.table.spec(name)
+            lines.append(f"var {name} {s.parity} {s.invertible} {s.weight}")
+        for a, b in c.bivector.canonical_pairs():
+            lines.append(f"table {a} {b} = {render_poly(c.entry(a, b))}")
+    for m in maps:
+        lines.append(f"map {m.src.name} {m.dst.name}")
+        for name, rule in m.rules.items():
+            lines.append(f"{name} -> {render_poly(rule)}")
+    for src, dst, law in laws:
+        lines.append(f"law {src} {dst} {law.pair[0]} {law.pair[1]} : {render_poly(law.factor)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestGenericGluing:
+    @pytest.mark.parametrize("n, digest", [
+        (1, "d149b93914ae0303aad25f0e1f288ab651ec2b8e4881758711f268a410fc1e00"),
+        (2, "6b84c5f4d4d0e9ea39bc0690f15221d56471279118a81da00a6dfb4139ea20f3"),
+        (3, "866fcddcd9afb50d4b6811ded69b3113e39617135ca2855c0f69514a00bc5ebc"),
+        (4, "2332c626da32f9340bac7972fdc0a7544d34ba34be58e3fcbb76d49a99de7270"),
+    ])
+    def test_atlas_is_pinned(self, n, digest):
+        text = _atlas_text(*generic_chart_pair(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_all_pairs_glue(self):
         (plus, minus), (t_pm, t_mp), laws = generic_chart_pair(2)
         for sname, dname, law in laws:
