@@ -27,9 +27,9 @@ from .graded_ring import (
     NonInvertibleSubstitution,
     VarSpec,
     VarTable,
-    _add_terms,
     _invert_term,
     _mul_terms,
+    _sum_terms,
 )
 from .models import (
     CYWeights,
@@ -184,17 +184,15 @@ class _Parser:
 
     def _expr(self) -> tuple[dict, int]:
         tokens = self.tokens
-        op = tokens[self.k][0]
-        if op in ("+", "-"):
+        sign = 1
+        if (op := tokens[self.k][0]) in ("+", "-"):
             self.k += 1
-        num, den = self._term()
-        if op == "-":
-            num = {m: -c for m, c in num.items()}
+            sign = -1 if op == "-" else 1
+        parts = [(sign, *self._term())]
         while (op := tokens[self.k][0]) in ("+", "-"):
             self.k += 1
-            q, dq = self._term()
-            num, den = _add_terms(num, den, q, dq, -1 if op == "-" else 1)
-        return num, den
+            parts.append((-1 if op == "-" else 1, *self._term()))
+        return _sum_terms(parts)
 
     def _term(self) -> tuple[dict, int]:
         tokens, t = self.tokens, self.table
@@ -667,6 +665,8 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                         raise ValueError("base lines conflict with over model")
                     over_model = True
                 elif line.startswith("base "):
+                    if over_model:
+                        raise ValueError("base lines conflict with over model")
                     if base_table is not None:
                         raise ValueError("base lines must come before rules")
                     base_decls.append(_parse_decl(line.split()[1:]))
@@ -856,13 +856,27 @@ def _record_json(record) -> str:
     )
 
 
-def _parse_args(args: list[str]):
+# the options each command reads; the parser refuses any other, and
+# list-builtins and an unknown command are refused whole after parsing
+_TAKES = {
+    "verify": ("--order", "--json", "--quiet"),
+    "star": ("--order", "--json", "--lhs", "--rhs"),
+    "comm": ("--order", "--json", "--a", "--b"),
+    "cy": ("--json", "--projective", "--weighted", "--ambitwistor"),
+}
+_OPTIONS = {tok for takes in _TAKES.values() for tok in takes}
+
+
+def _parse_args(command: str, args: list[str]):
     opts = {"order": None, "json": False, "quiet": False}
     named: dict[str, str] = {}
     positional: list[str] = []
+    takes = _TAKES.get(command, _OPTIONS)
     i = 0
     while i < len(args):
         tok = args[i]
+        if tok in _OPTIONS and tok not in takes:
+            raise _CliError(f"{command} does not take {tok}")
         if tok == "--order":
             i += 1
             if i >= len(args):
@@ -960,7 +974,7 @@ def run(argv: list[str]) -> int:
         return 2
     command, rest = argv[0], argv[1:]
     try:
-        opts, named, positional = _parse_args(rest)
+        opts, named, positional = _parse_args(command, rest)
         if command == "verify":
             return _cmd_verify(opts, named, positional)
         if command == "star":

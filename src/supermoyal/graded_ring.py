@@ -8,7 +8,10 @@ in declaration order, with Koszul signs absorbed into the coefficient.
 Coefficients are exact rationals, stored in one layout: a map of monomials
 to non-zero integer numerators over one positive denominator that shares no
 factor with all of them (the layout of FLINT's ``fmpq_poly``).  Every ring
-operation reads and writes this int form; the star engine does too.
+operation reads and writes this int form; the star engine does too.  Every
+sum of term maps over different denominators, in ``+`` and ``-``, the
+expression parser, the star engine and substitution, is one ``_sum_terms``,
+which copies its first part's map and writes into none.
 
 A monomial in the int form is one int, a packed exponent vector (Monagan and
 Pearce, CASC 2007), laid out by its ``VarTable`` from the table's specs
@@ -153,18 +156,25 @@ def _mul_terms(a: dict, b: dict, table: VarTable) -> dict:
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _add_terms(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
-    """(num, den) of ``a/da + sign * b/db`` for two term maps: the sum over the
-    lcm of the denominators, with no zero coefficient and no gcd pass."""
-    den = lcm(da, db)
-    sa, sb = den // da, sign * den // db
-    num = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
-    for m, c in b.items():
-        q = num.get(m, 0) + c * sb
-        if q:
-            num[m] = q
-        else:
-            del num[m]
+def _sum_terms(parts: list[tuple[int, dict, int]]) -> tuple[dict, int]:
+    """(num, den) of the sum of c * num / den over the parts (c, num, den):
+    the sum over the lcm of the denominators, with no zero coefficient and
+    no gcd pass.  Every sum of term maps over different denominators goes
+    through here.  It copies the first part's map and writes into none, so
+    a part may be a cached polynomial's own ``_num``."""
+    den = lcm(*[d for _, _, d in parts])
+    rest = iter(parts)
+    c, a, d = next(rest, (1, {}, 1))
+    c *= den // d
+    num = dict(a) if c == 1 else {m: c * q for m, q in a.items()}
+    for c, b, d in rest:
+        c *= den // d
+        for m, q in b.items():
+            q = num.get(m, 0) + c * q
+            if q:
+                num[m] = q
+            else:
+                del num[m]
     return num, den
 
 
@@ -460,14 +470,16 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check(other)
-        num, den = _add_terms(self._num, self._den, other._num, other._den)
+        num, den = _sum_terms([(1, self._num, self._den), (1, other._num, other._den)])
         return GradedPoly._of_scaled(self.table, num, den)
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly._of_scaled(self.table, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
+        self._check(other)
+        num, den = _sum_terms([(1, self._num, self._den), (-1, other._num, other._den)])
+        return GradedPoly._of_scaled(self.table, num, den)
 
     def scale(self, value) -> "GradedPoly":
         q = _exact(value)
@@ -639,9 +651,8 @@ class SubstitutionPlan(_ReadOnly):
         src, target = self.src, self.target
         evens, odds = self._names
         odd, h_src, h_dst, unit = src._odd, src._hbar_shift, target._hbar_shift, target._zero
-        # each term's image is ``part`` over ``d``; the sum is ``total`` over ``den``
-        total: dict[int, int] = {}
-        den = 1
+        # each term's image is c * part / d, one part of the sum
+        parts = []
         kept = self._kept
         for m, c in a._num.items():
             # kept factors go into the key; each source exponent is in range,
@@ -659,30 +670,17 @@ class SubstitutionPlan(_ReadOnly):
                 low = rest & -rest
                 factors.append((odds[low.bit_length() - 1], 1))
                 rest ^= low
-            if not factors:  # the image is the one term c * key, over 1
-                total[key] = total.get(key, 0) + c * den
-                continue
-            part, d = {key: c}, 1
+            part, d = {key: 1}, 1
             for name, e in factors:
                 image = self.var_power(name, e)
                 part = _mul_terms(part, image._num, target)
                 if not part:
                     break
                 d *= image._den
-            if not part:
-                continue
-            if d != den:
-                both = lcm(d, den)
-                if both != den:
-                    total = {k: q * (both // den) for k, q in total.items()}
-                    den = both
-                if both != d:
-                    part = {k: q * (both // d) for k, q in part.items()}
-            for k, q in part.items():
-                total[k] = total.get(k, 0) + q
-        if 0 in total.values():
-            total = {k: q for k, q in total.items() if q}
-        return GradedPoly._of_scaled(target, total, den * a._den)
+            else:
+                parts.append((c, part, d))
+        num, den = _sum_terms(parts)
+        return GradedPoly._of_scaled(target, num, den * a._den)
 
 
 def substitute(

@@ -115,7 +115,15 @@ class Fibration:
     rules: Mapping[str, GradedPoly]
 
     def __post_init__(self):
+        bt = self.base_table
+        if not isinstance(bt, VarTable):
+            raise TypeError(f"base_table must be a VarTable, got {type(bt).__name__}")
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
+        for name, rule in self.rules.items():
+            if not isinstance(rule, GradedPoly):
+                raise TypeError(f"rule {name!r} must be a GradedPoly, got {type(rule).__name__}")
+            if rule.table != bt:
+                raise VariableMismatch(f"rule {name!r} built over a different table than base_table")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +168,10 @@ class ModelSpec:
         for m in self.transitions:
             if m.src not in self.charts or m.dst not in self.charts:
                 raise ValueError(f"transitions must join charts of charts, got {m!r}")
+        if self.fibration is not None and not isinstance(self.fibration, Fibration):
+            raise TypeError(
+                f"fibration must be a Fibration or None, got {type(self.fibration).__name__}"
+            )
         if self.cy is not None and not isinstance(self.cy, CYWeights):
             raise TypeError(f"cy must be a CYWeights or None, got {type(self.cy).__name__}")
         # each weight law needs its transition and a pair both charts carry

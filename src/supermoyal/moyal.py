@@ -42,7 +42,8 @@ form of a polynomial).  The caches hold that reduced polynomial, so D never
 leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
 the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable; a single pair with other coefficients scales it; several pairs
-are summed over the lcm of their denominators and reduced once.
+are summed over the lcm of their denominators by ``graded_ring._sum_terms``
+and reduced once.
 
 What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
@@ -171,13 +172,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial
 from random import Random
 
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
-from .graded_ring import EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms
+from .graded_ring import EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, _sum_terms
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -294,7 +295,8 @@ class StarEngine:
         if not (f.table is t or f.table == t) or not (g.table is t or g.table == t):
             raise ValueError("operands must live over the engine's variable table")
         cache = self._cache
-        pairs = []
+        hs = t._hbar_shift
+        parts = []
         hits = 0
         try:
             for mf, cf in f._num.items():
@@ -304,30 +306,22 @@ class StarEngine:
                         got = self._star_mono(mf, mg)
                     else:
                         hits += 1
-                    pairs.append((cf * cg, got, mf, mg))
+                    if odd_only:
+                        h = (mf >> hs) + (mg >> hs)
+                        odd_terms = {m: q for m, q in got._num.items() if (m >> hs) - h & 1}
+                        parts.append((2 * cf * cg, odd_terms, got._den))
+                    else:
+                        parts.append((cf * cg, got._num, got._den))
         except TruncationExceeded:
             raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
         finally:
             self._hits += hits
         den = f._den * g._den
-        if len(pairs) == 1 and pairs[0][0] == 1 and den == 1 and not odd_only:
-            return pairs[0][1]  # a GradedPoly is immutable: the cached product itself
+        if len(parts) == 1 and parts[0][0] == 1 and den == 1 and not odd_only:
+            return got  # a GradedPoly is immutable: the cached product itself
         # every pair over the lcm of their denominators, then one reduction
-        scale = lcm(*(pair._den for _, pair, _, _ in pairs))
-        hs = t._hbar_shift
-        out: dict = {}
-        for c, pair, mf, mg in pairs:
-            c *= scale // pair._den
-            terms = pair._num
-            if odd_only:
-                c *= 2
-                h = (mf >> hs) + (mg >> hs)
-                terms = {m: q for m, q in terms.items() if (m >> hs) - h & 1}
-            for m, q in terms.items():
-                out[m] = out.get(m, 0) + c * q
-        if 0 in out.values():
-            out = {m: q for m, q in out.items() if q}
-        return GradedPoly._of_scaled(t, out, scale * den)
+        num, scale = _sum_terms(parts)
+        return GradedPoly._of_scaled(t, num, scale * den)
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.

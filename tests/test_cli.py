@@ -575,6 +575,8 @@ class TestModelFiles:
          "entries do not share a single bivector parity"),
         ("[bivector]\n\n[fibration]\nbase y even\nover model\n", 12,
          "base lines conflict with over model"),
+        ("[bivector]\n\n[fibration]\nover model\nbase y even\n", 12,
+         "base lines conflict with over model"),
         ("[bivector]\n\n[fibration]\nbase y even\nrule z -> y\nbase w even\n", 13,
          "base lines must come before rules"),
         ("[bivector]\n\n[fibration]\nrule z -> x\n", 11, "fibration rules need a base"),
@@ -1255,6 +1257,13 @@ class TestDriver:
         (("list-builtins", "extra"), "list-builtins takes no arguments"),
         (("list-builtins", "--order", "3"), "list-builtins takes no arguments"),
         (("list-builtins", "--json"), "list-builtins takes no arguments"),
+        # an option the command does not read is refused, not ignored
+        (("verify", "WP[2,2]", "--quiet", "--rhs", "q"), "verify does not take --rhs"),
+        (("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--quiet"), "star does not take --quiet"),
+        (("comm", "P3|4", "--a", "z1", "--b", "z2", "--lhs", "nonsense"),
+         "comm does not take --lhs"),
+        (("cy", "--projective", "3", "4", "--order", "2"), "cy does not take --order"),
+        (("cy", "--projective", "3", "4", "--lhs", "x"), "cy does not take --lhs"),
     ])
     def test_argument_errors_print_the_usage(self, cli, argv, message):
         rc, out, err = cli(*argv)

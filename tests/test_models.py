@@ -366,6 +366,23 @@ class TestP34:
         with pytest.raises(ValueError, match="^a base bracket is required for a separate base table$"):
             fibration_pullback(builtin("P3|4"))
 
+    def test_a_fibration_is_whole_when_built(self):
+        # each part of a fibration is refused when built, naming the field or the rule
+        m = builtin("P3|4")
+        bt = m.fibration.base_table
+        with pytest.raises(TypeError, match="^fibration must be a Fibration or None, got dict$"):
+            dataclasses.replace(m, fibration={})
+        with pytest.raises(TypeError, match="^base_table must be a VarTable, got tuple$"):
+            Fibration(bt.specs, m.fibration.rules)
+        with pytest.raises(TypeError, match="^rule 'z1' must be a GradedPoly, got int$"):
+            Fibration(bt, {"z1": 3})
+        t0 = builtin("T0-cotangent").table
+        with pytest.raises(
+            VariableMismatch, match="^rule 'z1' built over a different table than base_table$"
+        ):
+            Fibration(bt, {"z1": t0.var("x11")})
+        assert dataclasses.replace(m, fibration=Fibration(bt, m.fibration.rules)).fibration == m.fibration
+
     def test_numeric_base_reproduces_the_model(self):
         m = builtin("P3|4")
         bt = m.fibration.base_table
