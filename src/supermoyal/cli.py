@@ -4,9 +4,10 @@ Expressions are plain arithmetic over a variable table: names, integers,
 ``+ - * / ^`` and parentheses, with ``hbar`` reserved for the deformation
 parameter.  The parser computes on the ring's int form: each sub-expression
 is a term map of packed monomials over one denominator, and a parse builds
-exactly one ``GradedPoly``.  ``render_poly`` writes any polynomial back in a
-canonical form that ``parse_expression`` reads verbatim, so files produced
-here are stable under a load/save cycle.
+exactly one ``GradedPoly``.  ``render_poly``, defined in ``graded_ring``
+beside the packed layout it reads and re-exported here, writes any
+polynomial back in a canonical form that ``parse_expression`` reads
+verbatim, so files produced here are stable under a load/save cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import re
 import sys
-from math import gcd
 from pathlib import Path
 
 from .atlas import Chart, TransitionMap, WeightLaw, law_transition
@@ -30,6 +30,7 @@ from .graded_ring import (
     _invert_term,
     _mul_terms,
     _sum_terms,
+    render_poly,
 )
 from .models import (
     CYWeights,
@@ -316,42 +317,6 @@ def _product(p: dict, q: dict, t: VarTable, pos: int) -> dict:
 
 def parse_expression(text: str, table: VarTable) -> GradedPoly:
     return _Parser(text, table).parse()
-
-
-def render_poly(p: GradedPoly) -> str:
-    """Canonical text form; ``parse_expression`` reads it back exactly."""
-    if p.is_zero():
-        return "0"
-    t = p.table
-    evens = t.even_names()
-    odds = t.odd_names()
-    odd, fields, hs, den = t._odd, t._evens, t._hbar_shift, p._den
-    # each term's text and degree come from one walk over its fields; the
-    # terms go by descending degree, then descending exponents in slot order
-    # (the order of the even fields read as one int), odd mask and hbar
-    rows = []
-    for m, c in p._num.items():
-        h = m >> hs
-        factors = ["hbar" if h == 1 else f"hbar^{h}"] if h else []
-        mask = rest = m & odd
-        degree = mask.bit_count()
-        for slot, e in t._exponents(m):
-            degree += e
-            factors.append(evens[slot] if e == 1 else f"{evens[slot]}^{e}")
-        while rest:
-            low = rest & -rest
-            factors.append(odds[low.bit_length() - 1])
-            rest ^= low
-        g = gcd(c, den)
-        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
-        if mag != "1" or not factors:
-            factors.insert(0, mag)
-        rows.append((-degree, -(m & fields), mask, h, c < 0, "*".join(factors)))
-    rows.sort()
-    pieces = [("-" if rows[0][4] else "") + rows[0][5]]
-    for *_, negative, body in rows[1:]:
-        pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
 
 
 _SECTIONS = (
@@ -856,13 +821,15 @@ def _record_json(record) -> str:
     )
 
 
-# the options each command reads; the parser refuses any other, and
-# list-builtins and an unknown command are refused whole after parsing
+# the options each command reads; the parser refuses any other and any
+# option given twice, and list-builtins and an unknown command are refused
+# whole after parsing
+_CY_MODES = ("--projective", "--weighted", "--ambitwistor")
 _TAKES = {
     "verify": ("--order", "--json", "--quiet"),
     "star": ("--order", "--json", "--lhs", "--rhs"),
     "comm": ("--order", "--json", "--a", "--b"),
-    "cy": ("--json", "--projective", "--weighted", "--ambitwistor"),
+    "cy": ("--json", *_CY_MODES),
 }
 _OPTIONS = {tok for takes in _TAKES.values() for tok in takes}
 
@@ -871,12 +838,19 @@ def _parse_args(command: str, args: list[str]):
     opts = {"order": None, "json": False, "quiet": False}
     named: dict[str, str] = {}
     positional: list[str] = []
-    takes = _TAKES.get(command, _OPTIONS)
+    takes = _TAKES.get(command)
+    seen: set[str] = set()
     i = 0
     while i < len(args):
         tok = args[i]
-        if tok in _OPTIONS and tok not in takes:
-            raise _CliError(f"{command} does not take {tok}")
+        if tok in _OPTIONS and takes is not None:
+            if tok not in takes:
+                raise _CliError(f"{command} does not take {tok}")
+            if tok in _CY_MODES and "mode" in named:
+                raise _CliError("cy takes one of --projective, --weighted, or --ambitwistor")
+            if tok in seen:
+                raise _CliError(f"{tok} is given twice")
+            seen.add(tok)
         if tok == "--order":
             i += 1
             if i >= len(args):
@@ -894,7 +868,7 @@ def _parse_args(command: str, args: list[str]):
             if i >= len(args):
                 raise _CliError(f"{tok} needs a value")
             named[tok[2:]] = args[i]
-        elif tok in ("--projective", "--weighted", "--ambitwistor"):
+        elif tok in _CY_MODES:
             named["mode"] = tok[2:]
         elif tok == "--":
             positional.append("--")

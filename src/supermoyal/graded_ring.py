@@ -37,7 +37,10 @@ every field, where a Python int has no top, so it has no limit.
 ``Monomial`` is the readable view: the public constructor packs its keys,
 and ``terms`` is a read-only view derived from the int form once per
 polynomial, with ``Monomial`` keys, an ``int`` where a coefficient is
-integral and a ``Fraction`` where a denominator appears.
+integral and a ``Fraction`` where a denominator appears.  ``render_poly`` is
+the one text form of a polynomial, read straight off the packed layout:
+``repr`` and the engine's check details print it, and the command line's
+``parse_expression`` reads it back.
 
 Substitution is a ``SubstitutionPlan``: a mapping validated once, whose
 powers and Laurent inverses are built once for every polynomial it rewrites.
@@ -374,13 +377,6 @@ class VarTable(_ReadOnly):
             raise ValueError(f"odd variable {name!r} only carries power 1")
         return self._zero | 1 << self._odd_bit[name]
 
-    def monomial_factors(self, m: Monomial) -> tuple[dict[str, int], tuple[str, ...]]:
-        """Readable view of a monomial: even exponents by name, odd names in order."""
-        evens = self.even_names()
-        exps = {evens[i]: e for i, e in enumerate(m.even) if e != 0}
-        odds = tuple(n for n in self.odd_names() if m.odd >> self._odd_bit[n] & 1)
-        return exps, odds
-
 
 class GradedPoly:
     """Immutable sparse polynomial over a variable table, in exact coefficients.
@@ -451,18 +447,7 @@ class GradedPoly:
         return hash((self.table, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._num:
-            return "GradedPoly(0)"
-        bits = []
-        for m, c in sorted(self.terms.items()):
-            exps, odds = self.table.monomial_factors(m)
-            parts = [str(c)]
-            if m.hbar:
-                parts.append(f"hbar^{m.hbar}" if m.hbar != 1 else "hbar")
-            parts += [f"{n}^{e}" if e != 1 else n for n, e in exps.items()]
-            parts += list(odds)
-            bits.append("*".join(parts))
-        return "GradedPoly(" + " + ".join(bits) + ")"
+        return f"GradedPoly({render_poly(self)})"
 
     def _check(self, other: "GradedPoly") -> None:
         if self.table != other.table:
@@ -530,6 +515,42 @@ class GradedPoly:
         h = self.table._hbar_shift
         num = {m: c for m, c in self._num.items() if m >> h <= max_power}
         return GradedPoly._of_scaled(self.table, num, self._den)
+
+
+def render_poly(p: GradedPoly) -> str:
+    """Canonical text form; ``cli.parse_expression`` reads it back exactly."""
+    if p.is_zero():
+        return "0"
+    t = p.table
+    evens = t.even_names()
+    odds = t.odd_names()
+    odd, fields, hs, den = t._odd, t._evens, t._hbar_shift, p._den
+    # each term's text and degree come from one walk over its fields; the
+    # terms go by descending degree, then descending exponents in slot order
+    # (the order of the even fields read as one int), odd mask and hbar
+    rows = []
+    for m, c in p._num.items():
+        h = m >> hs
+        factors = ["hbar" if h == 1 else f"hbar^{h}"] if h else []
+        mask = rest = m & odd
+        degree = mask.bit_count()
+        for slot, e in t._exponents(m):
+            degree += e
+            factors.append(evens[slot] if e == 1 else f"{evens[slot]}^{e}")
+        while rest:
+            low = rest & -rest
+            factors.append(odds[low.bit_length() - 1])
+            rest ^= low
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        rows.append((-degree, -(m & fields), mask, h, c < 0, "*".join(factors)))
+    rows.sort()
+    pieces = [("-" if rows[0][4] else "") + rows[0][5]]
+    for *_, negative, body in rows[1:]:
+        pieces.append((" - " if negative else " + ") + body)
+    return "".join(pieces)
 
 
 def _invert_term(table: VarTable, m: int, c: int, den: int) -> tuple[dict, int]:
@@ -600,6 +621,10 @@ class SubstitutionPlan(_ReadOnly):
         for name, repl in mapping.items():
             if name not in src:
                 raise KeyError(f"unknown variable {name!r}")
+            if not isinstance(repl, GradedPoly):
+                raise TypeError(
+                    f"replacement for {name!r} must be a GradedPoly, got {type(repl).__name__}"
+                )
             if repl.table != target:
                 raise ValueError("replacement polynomials disagree on the target table")
             par = repl.parity()

@@ -178,7 +178,9 @@ from random import Random
 # d_left is not called here; bench/tests/test_bench.py expects the name
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
-from .graded_ring import EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, _sum_terms
+from .graded_ring import (
+    EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, _sum_terms, render_poly,
+)
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
@@ -189,7 +191,10 @@ MAX_ORDER = 256
 
 
 def check_max_order(max_order: int) -> None:
-    """Raise a ValueError naming the bound unless 0 <= max_order <= MAX_ORDER."""
+    """Raise a ValueError naming the bound unless 0 <= max_order <= MAX_ORDER,
+    and a TypeError for a value that is not an int (a bool included)."""
+    if isinstance(max_order, bool) or not isinstance(max_order, int):
+        raise TypeError(f"max_order must be an int, got {type(max_order).__name__}")
     if max_order < 0:
         raise ValueError(f"max_order must be non-negative, got {max_order}")
     if max_order > MAX_ORDER:
@@ -253,6 +258,8 @@ class StarEngine:
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
+        if not isinstance(bivector, SuperBivector):
+            raise TypeError(f"bivector must be a SuperBivector, got {type(bivector).__name__}")
         check_max_order(max_order)
         if bivector._refusal is not None:
             raise NonCentralBivector(bivector._refusal)
@@ -660,7 +667,10 @@ def check_quantization_contract(
             for g, fg, g_row in zip(basis, f_row, products):
                 for h, gh in zip(basis, g_row):
                     if engine.star(fg, h) != engine.star(f, gh) and not first:
-                        first = f"first failure on basis triple ({f!r}, {g!r}, {h!r})"
+                        first = (
+                            "first failure on basis triple"
+                            f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                        )
         for _ in range(10):
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
@@ -682,6 +692,6 @@ def check_quantization_contract(
         pairs.append((f, g, engine.star(f, g)))
     for f, g, fg in pairs:
         if fg.hbar_coefficient(1) != poisson_bracket(pi, f, g).scale(Fraction(1, 2)):
-            first = first or f"pair ({f!r}, {g!r})"
+            first = first or f"pair ({render_poly(f)}, {render_poly(g)})"
     records.append(_record("contract order1-bracket", "contract", not first, detail=first))
     return tuple(records)

@@ -46,6 +46,8 @@ class SuperBivector(_ReadOnly):
         for (a, b), value in entries.items():
             if a not in table or b not in table:
                 raise VariableMismatch(f"unknown variable in entry ({a}, {b})")
+            if not isinstance(value, GradedPoly):
+                raise TypeError(f"entry ({a}, {b}) must be a GradedPoly, got {type(value).__name__}")
             if value.table != table:
                 raise VariableMismatch(f"entry ({a}, {b}) built over a different table")
             if value.is_zero():

@@ -1,7 +1,7 @@
 """The package's public names: all of them resolve, and retired ones stay gone."""
 
 import supermoyal
-from supermoyal import atlas, graded_calculus, graded_ring, moyal, poisson
+from supermoyal import atlas, cli, graded_calculus, graded_ring, moyal, poisson
 
 
 def test_every_public_name_resolves():
@@ -27,3 +27,9 @@ def test_retired_helpers_are_gone():
     assert not hasattr(graded_ring.GradedPoly, "constant_value")
     assert not hasattr(graded_ring, "parity_of")
     assert not hasattr(poisson, "SuperTrivector")
+    assert not hasattr(graded_ring.VarTable, "monomial_factors")
+
+
+def test_render_poly_is_one_function():
+    # the ring owns the renderer; cli and the package re-export that object
+    assert supermoyal.render_poly is cli.render_poly is graded_ring.render_poly

@@ -196,6 +196,13 @@ class TestValidation:
         with pytest.raises(KeyError, match="variable 'w1' has no rule and chart other lacks it"):
             TransitionMap(plus, other, rules)
 
+    def test_a_value_that_is_not_a_polynomial_is_refused(self):
+        plus, minus, _, _ = two_pole_pair()
+        with pytest.raises(TypeError, match=r"^entry \(w1, w2\) must be a GradedPoly, got int$"):
+            Chart("c", plus.table, {("w1", "w2"): 1})
+        with pytest.raises(TypeError, match="^replacement for 'l' must be a GradedPoly, got int$"):
+            TransitionMap(plus, minus, {"l": 2})
+
     def test_apply_requires_source_polynomials(self):
         _, _, t_pm, _ = two_pole_pair()
         other = VarTable.build(("q", EVEN))

@@ -194,7 +194,9 @@ def _word_derivative(v, p, left):
     t = p.table
     out = t.zero()
     for m, c in p.terms.items():
-        exps, odds = t.monomial_factors(m)
+        # the Monomial view: even exponents by name, odd names in table order
+        exps = {n: e for n, e in zip(t.even_names(), m.even) if e}
+        odds = tuple(n for n in t.odd_names() if m.odd >> t.odd_bit(n) & 1)
         term = t.const(c) * t.hbar(m.hbar)
         if t.parity(v) == EVEN:
             if v not in exps:

@@ -302,6 +302,14 @@ class TestSubstitute:
         with pytest.raises(ParityMismatch):
             substitute(t.var("x"), {"x": t.var("th1")}, t)
 
+    def test_replacement_that_is_not_a_polynomial(self):
+        t = table()
+        with pytest.raises(TypeError, match="^replacement for 'x' must be a GradedPoly, got int$"):
+            substitute(t.var("x"), {"x": 2}, t)
+        # the name is checked first
+        with pytest.raises(KeyError, match="unknown variable 'nope'"):
+            substitute(t.var("x"), {"nope": 2}, t)
+
     def test_unmapped_missing_from_target(self):
         t = table()
         u = VarTable.build(("z", EVEN))

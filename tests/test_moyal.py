@@ -247,6 +247,17 @@ class TestErrors:
         with pytest.raises(ValueError):
             StarEngine(pi, max_order=-1)
 
+    def test_max_order_that_is_not_an_int_rejected(self):
+        # True would otherwise build an order-1 engine
+        _, pi = moyal_mini()
+        with pytest.raises(TypeError, match="^max_order must be an int, got bool$"):
+            StarEngine(pi, True)
+
+    def test_bivector_that_is_not_a_superbivector_rejected(self):
+        _, pi = moyal_mini()
+        with pytest.raises(TypeError, match="^bivector must be a SuperBivector, got dict$"):
+            StarEngine(dict(pi.entries))
+
     def test_max_order_above_the_limit_rejected(self):
         _, pi = moyal_mini()
         with pytest.raises(ValueError, match=f"at most {MAX_ORDER}"):
@@ -319,7 +330,7 @@ class TestContract:
         records = check_quantization_contract(StarEngine(builtin("T1-cotangent").bivector))
         assert [r.check_id for r in records] == _CONTRACT_IDS
         assert [r.status for r in records] == ["pass", "fail", "pass"], records
-        assert records[1].detail.startswith("first failure on basis triple (")
+        assert records[1].detail == "first failure on basis triple (x12, x11, t11*t12)"
 
     def test_order1_failure_names_the_first_pair(self, monkeypatch):
         # the contraction step's sign flipped, as in criterion 11's mutation
@@ -328,6 +339,14 @@ class TestContract:
         order1 = check_quantization_contract(StarEngine(pi))[2]
         assert (order1.check_id, order1.status) == ("contract order1-bracket", "fail")
         assert order1.detail.startswith("pair (")
+
+    def test_order1_failure_writes_the_pair_as_star_input(self, monkeypatch):
+        # a bracket that is always zero; the pair is in the syntax star reads
+        monkeypatch.setattr(moyal, "poisson_bracket", lambda pi, f, g: pi.table.zero())
+        order1 = check_quantization_contract(StarEngine(builtin("T0-cotangent").bivector))[2]
+        assert order1 == CheckRecord(
+            "contract order1-bracket", "contract", "fail", detail="pair (x12, x11)"
+        )
 
     def test_bilinearity_failure_lists_each_broken_law_once_sorted(self, monkeypatch):
         # a product that adds 1 breaks all four laws in each of the three rounds

@@ -90,6 +90,14 @@ class TestBivectorConstruction:
         with pytest.raises(VariableMismatch):
             SuperBivector(t, {("z1", "nope"): t.one()})
 
+    def test_entry_that_is_not_a_polynomial(self):
+        t = p34_table()
+        with pytest.raises(TypeError, match=r"^entry \(z1, z2\) must be a GradedPoly, got int$"):
+            SuperBivector(t, {("z1", "z2"): 1})
+        # the names are checked first
+        with pytest.raises(VariableMismatch):
+            SuperBivector(t, {("z1", "nope"): 1})
+
     def test_equality_compares_tables_and_entries(self):
         pi = p34_bivector()
         t = pi.table
