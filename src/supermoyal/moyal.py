@@ -43,7 +43,11 @@ leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
 the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable; a single pair with other coefficients scales it; several pairs
 are summed over the lcm of their denominators by ``graded_ring._sum_terms``
-and reduced once.
+and reduced once.  The quantization contract's basis sweep reads the same
+cached pairs, in the same order, but builds no polynomial: it needs only an
+equality per triple, so it sums both sides as int numerators over one shared
+denominator and compares them (``_basis_sweep``), as ``poisson_bracket``
+sums the bracket for the order-1 check.
 
 What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
@@ -172,7 +176,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 # d_left is not called here; bench/tests/test_bench.py expects the name
@@ -628,6 +632,68 @@ def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
     return out
 
 
+def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
+    """Every basis triple's (f * g) * h against f * (g * h): the detail of the
+    first that differs, or "".
+
+    ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
+    summed straight from the pair cache, reading its pairs as ``star`` would,
+    in the same order, with the same hits and misses, so the engine ends in
+    the state that 2 ``star`` calls per triple leave.  ``star`` must return
+    one canonical polynomial per call; the sweep needs only an equality, so
+    each side is an int numerator map over one shared denominator S, the lcm
+    of the pair denominators read so far, and never reduced.  Each side also
+    takes the other side's operand denominator, so the two maps are equal
+    exactly when the two products are.  When S grows, the maps of the open
+    row (f, g) are rescaled; a row is compared, all its h at once, when its
+    maps are summed.  Relies on every basis element being a single monomial
+    with coefficient 1, as ``_row_basis`` builds them.
+    """
+    get, star_mono = engine._cache.get, engine._star_mono
+    scale = 1  # S
+    hits = 0
+    first = ""
+    try:
+        for f, f_row in zip(basis, products):
+            for g, fg, g_row in zip(basis, f_row, products):
+                row = []  # (f g) h and f (g h) over S, for each h in turn
+                for h, gh in zip(basis, g_row):
+                    for x, y, other in ((fg, h, gh._den), (f, gh, fg._den)):
+                        acc = {}
+                        row.append(acc)
+                        for mx, cx in x._num.items():
+                            for my, cy in y._num.items():
+                                got = get((mx, my))
+                                if got is None:
+                                    got = star_mono(mx, my)
+                                else:
+                                    hits += 1
+                                d = got._den
+                                if scale % d:
+                                    grow = d // gcd(scale, d)
+                                    scale *= grow
+                                    for part in row:
+                                        for m in part:
+                                            part[m] *= grow
+                                c = cx * cy * other * (scale // d)
+                                for m, q in got._num.items():
+                                    acc[m] = acc.get(m, 0) + c * q
+                        if 0 in acc.values():
+                            for m in [m for m, q in acc.items() if not q]:
+                                del acc[m]
+                if not first and row[::2] != row[1::2]:
+                    h = next(h for h, a, b in zip(basis, row[::2], row[1::2]) if a != b)
+                    first = (
+                        "first failure on basis triple"
+                        f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                    )
+    except TruncationExceeded:
+        raise TruncationExceeded(engine.max_order, engine._sufficient_order(x, y)) from None
+    finally:
+        engine._hits += hits
+    return first
+
+
 def check_quantization_contract(
     engine: StarEngine, associativity: bool = True
 ) -> tuple[CheckRecord, ...]:
@@ -638,6 +704,10 @@ def check_quantization_contract(
     are reported, not raised.  The associativity sweep runs an exhaustive
     low-degree basis plus randomized polynomial triples; with
     ``associativity=False`` it is not run and its record is a ``skip``.
+    Each basis triple compares the int numerators of its two sides, summed
+    from the pair cache by ``_basis_sweep``; every other check compares
+    ``star`` products.  A series that outlives ``max_order`` raises
+    ``TruncationExceeded``, as ``star`` does.
     """
     t = engine.table
     rng = Random(0)  # fixed, so a model gets the same report on every run
@@ -662,15 +732,7 @@ def check_quantization_contract(
     # names the first basis pair whose series outlives max_order
     products = [[engine.star(g, h) for h in basis] for g in basis]
     if associativity:
-        first = ""  # the first failure, so far
-        for f, f_row in zip(basis, products):
-            for g, fg, g_row in zip(basis, f_row, products):
-                for h, gh in zip(basis, g_row):
-                    if engine.star(fg, h) != engine.star(f, gh) and not first:
-                        first = (
-                            "first failure on basis triple"
-                            f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
-                        )
+        first = _basis_sweep(engine, basis, products)
         for _ in range(10):
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):

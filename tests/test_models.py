@@ -187,6 +187,8 @@ class TestVerifyPhases:
         assert order == sorted(order)
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
 # exit code and sha256 of the standard output of `verify NAME` and of
 # `verify NAME --json`, run in process
 _VERIFY_DIGESTS = {
@@ -244,15 +246,43 @@ _VERIFY_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_VERIFY_DIGESTS))
-def test_verify_output_is_pinned(capsys, name):
-    code, text, as_json = _VERIFY_DIGESTS[name]
+# each model file prints what its built-in prints, at --order 2 and 16 as at
+# its own max_order
+_MODEL_FILE_DIGESTS = {
+    "models/l5_6.model": "L5|6",
+    "models/p3_4.model": "P3|4",
+    "models/p3_n.model": "models/p3_n.model",
+    "models/t0_cotangent.model": "T0-cotangent",
+    "models/t1_cotangent.model": "T1-cotangent",
+    "models/wp_1_3.model": "WP[1,3]",
+    "models/wp_2_2.model": "WP[2,2]",
+    "models/wp_4_0.model": "WP[4,0]",
+}
+
+
+@pytest.mark.parametrize("name, options", [
+    *(pytest.param(name, [], id=name) for name in _VERIFY_DIGESTS),
+    *(pytest.param(path, ["--order", order], id=f"{path} --order {order}")
+      for path in _MODEL_FILE_DIGESTS for order in ("2", "16")),
+])
+def test_verify_output_is_pinned(capsys, name, options):
+    code, text, as_json = _VERIFY_DIGESTS[_MODEL_FILE_DIGESTS.get(name, name)]
     if name.endswith(".model"):
-        name = str(Path(__file__).resolve().parent.parent / name)
-    for argv, digest in ((["verify", name], text), (["verify", name, "--json"], as_json)):
+        name = str(_ROOT / name)
+    for argv, digest in ((["verify", name, *options], text),
+                         (["verify", name, *options, "--json"], as_json)):
         assert run(argv) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_below_the_order_a_product_needs_is_one_error_line(capsys):
+    assert run(["verify", str(_ROOT / "models/wp_2_2.model"), "--order", "1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: series alive past hbar order 1; order 2 suffices for these"
+        " operands (use --order 2)\n",
+    )
 
 
 class TestConstantNaming:

@@ -15,7 +15,9 @@ from test_acceptance import _oracle_star
 
 import supermoyal.moyal as moyal
 from supermoyal.cli import load_model, parse_expression
-from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, VarTable
+from supermoyal.graded_ring import (
+    EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, VarTable, render_poly,
+)
 from supermoyal.models import builtin
 from supermoyal.moyal import (
     MAX_ORDER,
@@ -357,6 +359,93 @@ class TestContract:
             "contract bilinearity", "contract", "fail",
             detail="hbar linearity; left additivity; right additivity; scalar linearity",
         )
+
+
+def _star_sweep(engine, basis, products):
+    """The basis sweep as two ``star`` calls per triple: the oracle of
+    ``moyal._basis_sweep``, which sums the same pairs without ``star``."""
+    first = ""
+    for f, f_row in zip(basis, products):
+        for g, fg, g_row in zip(basis, f_row, products):
+            for h, gh in zip(basis, g_row):
+                if engine.star(fg, h) != engine.star(f, gh) and not first:
+                    first = (
+                        "first failure on basis triple"
+                        f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                    )
+    return first
+
+
+def _outcome(engine, run, *args):
+    """What ``run(engine, *args)`` returns, or its truncation text, and the
+    engine's stats after it."""
+    try:
+        got = run(engine, *args)
+    except TruncationExceeded as err:
+        got = str(err)
+    return got, engine.stats
+
+
+_SWEEP_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(1, 5))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A bivector for the contract's basis sweep, and max_order.
+
+    The rows are 2-4 even and odd variables, beside an even constant k and
+    odd constants a1 and a2.  Entries have fractional coefficients, so pair
+    denominators differ within a row of the sweep, and an entry may carry k
+    or a1 a2, whose square vanishes.  The bivector is even or odd; an odd
+    one, like T1-cotangent's, can fail associativity at order 2.
+    """
+    parities = draw(st.lists(st.sampled_from((EVEN, ODD)), min_size=2, max_size=4))
+    rows = [f"v{i}" for i in range(len(parities))]
+    decls = [*zip(rows, parities), ("k", EVEN), ("a1", ODD), ("a2", ODD)]
+    t = VarTable.build(*draw(st.permutations(decls)))
+    passive = {"1": t.one(), "k": t.var("k"), "a": t.var("a1") * t.var("a2"),
+               "1+a": t.one() + t.var("a1") * t.var("a2")}
+    shape = draw(st.integers(0, 1))
+    entries = {}
+    for a, b in combinations_with_replacement(rows, 2):
+        odd_a, odd_b = t.parity(a) == ODD, t.parity(b) == ODD
+        if (odd_a + odd_b) % 2 == shape and (a != b or odd_a) and draw(st.booleans()):
+            c = draw(st.sampled_from(_SWEEP_COEFFS))
+            entries[(a, b)] = passive[draw(st.sampled_from(sorted(passive)))].scale(c)
+    assume(entries)
+    return SuperBivector(t, entries), draw(st.sampled_from((0, 1, 2, 3, 8)))
+
+
+class TestBasisSweep:
+    """``moyal._basis_sweep`` against the two ``star`` calls per triple it replaced:
+    the same detail, the same truncation text and the same engine stats."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(
+        sweep_cases(),
+        st.tuples(st.just(builtin("T1-cotangent").bivector), st.sampled_from((1, 2, 8))),
+    ))
+    def test_contract_matches_the_star_sweep(self, case):
+        pi, max_order = case
+        got = _outcome(StarEngine(pi, max_order), check_quantization_contract)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moyal, "_basis_sweep", _star_sweep)
+            want = _outcome(StarEngine(pi, max_order), check_quantization_contract)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases(), st.data())
+    def test_any_basis_order_and_truncation_inside_the_sweep(self, case, data):
+        # the products come from an engine at order 8, so the swept engine
+        # reads every pair itself and may run out of orders inside the sweep
+        pi, max_order = case
+        ref = StarEngine(pi, 8)
+        basis = moyal._row_basis(ref)
+        basis = [basis[i] for i in data.draw(st.permutations(range(len(basis))))]
+        products = [[ref.star(g, h) for h in basis] for g in basis]
+        got, want = (_outcome(StarEngine(pi, max_order), sweep, basis, products)
+                     for sweep in (moyal._basis_sweep, _star_sweep))
+        assert got == want
 
 
 def _product_or_error(engine, f, g):
@@ -1347,7 +1436,14 @@ class TestRunCache:
         assert eng._runs == runs
 
     @pytest.mark.parametrize("name, stats", [
+        ("l5_6.model", EngineStats(4937, 2081, 2081, (1, 3, 1), 2)),
+        ("p3_4.model", EngineStats(4954, 2026, 2026, (1, 2, 1), 2)),
+        ("p3_n.model", EngineStats(258, 534, 534, (1, 6, 3), 2)),
+        ("t0_cotangent.model", EngineStats(4722, 2246, 2246, (1, 6, 3), 2)),
+        ("t1_cotangent.model", EngineStats(56, 197, 197, (1, 4), 1)),
+        ("wp_1_3.model", EngineStats(4945, 2955, 2955, (1, 2, 1), 2)),
         ("wp_2_2.model", EngineStats(5493, 2409, 2409, (1, 2, 1), 2)),
+        ("wp_4_0.model", EngineStats(4954, 2952, 2952, (1, 2, 1), 2)),
         ("P3|N=6", EngineStats(268, 514, 514, (1, 4, 1), 2)),
     ])
     def test_stats_after_the_contract(self, name, stats):
