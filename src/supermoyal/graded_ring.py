@@ -9,11 +9,11 @@ Coefficients are exact rationals, stored in one layout: a map of monomials
 to non-zero integer numerators over one positive denominator that shares no
 factor with all of them (the layout of FLINT's ``fmpq_poly``).  Every ring
 operation reads and writes this int form; the star engine does too.  Every
-sum of term maps over different denominators that makes a polynomial, in
-``+`` and ``-``, the expression parser, the star engine and substitution,
-is one ``_sum_terms``, which copies its first part's map and writes into
-none.  The star engine's associativity sweep makes no polynomial: it
-compares int numerators over one shared denominator.
+sum of polynomials' term maps over different denominators, in ``+`` and
+``-``, the expression parser and substitution, is one ``_sum_terms``, which
+copies its first part's map and writes into none.  The star engine sums
+its cached monomial pairs with its own reader, ``StarEngine._sum_products``,
+over a denominator that grows as the pairs arrive.
 
 A monomial in the int form is one int, a packed exponent vector (Monagan and
 Pearce, CASC 2007), laid out by its ``VarTable`` from the table's specs
@@ -164,10 +164,9 @@ def _mul_terms(a: dict, b: dict, table: VarTable) -> dict:
 def _sum_terms(parts: list[tuple[int, dict, int]]) -> tuple[dict, int]:
     """(num, den) of the sum of c * num / den over the parts (c, num, den):
     the sum over the lcm of the denominators, with no zero coefficient and
-    no gcd pass.  Every sum of term maps over different denominators that
-    makes a polynomial goes through here; the star engine's associativity
-    sweep only compares numerators.  It copies the first part's map and
-    writes into none, so a part may be a cached polynomial's own ``_num``."""
+    no gcd pass.  ``+``, ``-``, the parser and substitution sum through
+    here.  It copies the first part's map and writes into none, so a part
+    may be a polynomial's own ``_num``."""
     den = lcm(*[d for _, _, d in parts])
     rest = iter(parts)
     c, a, d = next(rest, (1, {}, 1))

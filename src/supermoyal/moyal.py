@@ -25,9 +25,9 @@ divides G, read off the variable's field or odd bit of the packed monomial
 once per live row and G once per live partner.  At order 1 the centre is
 the unit, so centre * entry is the entry itself; at order 0 and for each
 merged state, the product with the single monomial F * G is taken term by
-term.  ``star`` reads the monomial-pair cache inline and runs the kernel
-only on a miss whose block parts have no run yet (see "Runs" below), so a
-product of cached pairs costs dict reads and integer multiply-adds.
+term.  ``star`` reads the monomial-pair cache and runs the kernel only on
+a miss whose block parts have no run yet (see "Runs" below), so a product
+of cached pairs costs dict reads and integer multiply-adds.
 
 All of it is integer arithmetic.  The step table holds the entries scaled
 once by their common denominator d_e, so centres and contraction
@@ -41,13 +41,13 @@ and reduces the total over D by one gcd pass (see ``graded_ring``: the int
 form of a polynomial).  The caches hold that reduced polynomial, so D never
 leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
 the cached polynomial itself, which is safe because a ``GradedPoly`` is
-immutable; a single pair with other coefficients scales it; several pairs
-are summed over the lcm of their denominators by ``graded_ring._sum_terms``
-and reduced once.  The quantization contract's basis sweep reads the same
-cached pairs, in the same order, but builds no polynomial: it needs only an
-equality per triple, so it sums both sides as int numerators over one shared
-denominator and compares them (``_basis_sweep``), as ``poisson_bracket``
-sums the bracket for the order-1 check.
+immutable.  Every other product, and every side of the quantization
+contract's basis sweep, is read pair by pair by one method,
+``StarEngine._sum_products``: it sums int numerators over one shared
+denominator, the lcm of the pair denominators.  ``star`` reduces that sum
+once; the sweep needs only an equality per triple, so it compares the two
+sides' numerators and builds no polynomial (``_basis_sweep``), as
+``poisson_bracket`` sums the bracket for the order-1 check.
 
 What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
@@ -183,7 +183,7 @@ from random import Random
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import (
-    EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, _sum_terms, render_poly,
+    EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, render_poly,
 )
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
@@ -293,46 +293,79 @@ class StarEngine:
         return self._product(f, g, False)
 
     def supercommutator(self, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-        pf, pg = f.parity(), g.parity()
-        if pf == "mixed" or pg == "mixed":
-            raise MixedParityInput("supercommutator needs homogeneous arguments")
         # f*g - (-1)^{|f||g|} g*f is twice the odd-order part of f*g, pair by
         # pair (see the module docstring), so g*f is never computed
         return self._product(f, g, True)
 
     def _product(self, f: GradedPoly, g: GradedPoly, odd_only: bool) -> GradedPoly:
         """f * g, or with ``odd_only`` twice its terms of odd contraction order."""
+        if not isinstance(f, GradedPoly) or not isinstance(g, GradedPoly):
+            bad = type(g if isinstance(f, GradedPoly) else f).__name__
+            entry = "supercommutator" if odd_only else "star"
+            raise TypeError(f"{entry} operand must be a GradedPoly, got {bad}")
+        if odd_only and "mixed" in (f.parity(), g.parity()):
+            raise MixedParityInput("supercommutator needs homogeneous arguments")
         t = self.table
         if not (f.table is t or f.table == t) or not (g.table is t or g.table == t):
             raise ValueError("operands must live over the engine's variable table")
-        cache = self._cache
-        hs = t._hbar_shift
-        parts = []
+        if not odd_only and len(f._num) == len(g._num) == 1 and f._den * g._den == 1:
+            [(mf, cf)], [(mg, cg)] = f._num.items(), g._num.items()
+            if cf * cg == 1:  # the cached product itself: a GradedPoly is immutable
+                got = self._cache.get((mf, mg))
+                if got is None:
+                    self._sum_products([(1, f, g)])
+                    return self._cache[mf, mg]
+                self._hits += 1
+                return got
+        [num], scale = self._sum_products([(2 if odd_only else 1, f, g)], odd_only=odd_only)
+        return GradedPoly._of_scaled(t, num, scale * f._den * g._den)
+
+    def _sum_products(self, jobs: list, scale: int = 1, odd_only: bool = False) -> tuple[list, int]:
+        """c0 * x * y for each job (c0, x, y), read pair by pair from the cache:
+        (maps, S), each map the int numerators over S, with no zero entry.
+
+        S starts at ``scale`` and grows to the lcm of the pair denominators,
+        rescaling the maps summed so far; the operands' own denominators are
+        left to the caller.  ``odd_only`` keeps the terms of odd contraction
+        order.  A miss goes to ``_star_mono``; ``TruncationExceeded`` carries
+        the sufficient order of the job being summed.
+        """
+        get, star_mono = self._cache.get, self._star_mono
+        hs = self.table._hbar_shift
+        maps = []
         hits = 0
         try:
-            for mf, cf in f._num.items():
-                for mg, cg in g._num.items():
-                    got = cache.get((mf, mg))
-                    if got is None:
-                        got = self._star_mono(mf, mg)
-                    else:
-                        hits += 1
-                    if odd_only:
-                        h = (mf >> hs) + (mg >> hs)
-                        odd_terms = {m: q for m, q in got._num.items() if (m >> hs) - h & 1}
-                        parts.append((2 * cf * cg, odd_terms, got._den))
-                    else:
-                        parts.append((cf * cg, got._num, got._den))
+            for c0, x, y in jobs:
+                acc = {}
+                maps.append(acc)
+                for mx, cx in x._num.items():
+                    for my, cy in y._num.items():
+                        got = get((mx, my))
+                        if got is None:
+                            got = star_mono(mx, my)
+                        else:
+                            hits += 1
+                        d = got._den
+                        if scale % d:
+                            grow = d // gcd(scale, d)
+                            scale *= grow
+                            for part in maps:
+                                for m in part:
+                                    part[m] *= grow
+                        c = c0 * cx * cy * (scale // d)
+                        terms = got._num.items()
+                        if odd_only:
+                            h = (mx >> hs) + (my >> hs)
+                            terms = [(m, q) for m, q in terms if (m >> hs) - h & 1]
+                        for m, q in terms:
+                            acc[m] = acc.get(m, 0) + c * q
+                if 0 in acc.values():
+                    maps[-1] = {m: q for m, q in acc.items() if q}
         except TruncationExceeded:
-            raise TruncationExceeded(self.max_order, self._sufficient_order(f, g)) from None
+            raise TruncationExceeded(self.max_order, self._sufficient_order(x, y)) from None
         finally:
             self._hits += hits
-        den = f._den * g._den
-        if len(parts) == 1 and parts[0][0] == 1 and den == 1 and not odd_only:
-            return got  # a GradedPoly is immutable: the cached product itself
-        # every pair over the lcm of their denominators, then one reduction
-        num, scale = _sum_terms(parts)
-        return GradedPoly._of_scaled(t, num, scale * den)
+        return maps, scale
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -637,60 +670,29 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     first that differs, or "".
 
     ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
-    summed straight from the pair cache, reading its pairs as ``star`` would,
-    in the same order, with the same hits and misses, so the engine ends in
-    the state that 2 ``star`` calls per triple leave.  ``star`` must return
-    one canonical polynomial per call; the sweep needs only an equality, so
-    each side is an int numerator map over one shared denominator S, the lcm
-    of the pair denominators read so far, and never reduced.  Each side also
-    takes the other side's operand denominator, so the two maps are equal
-    exactly when the two products are.  When S grows, the maps of the open
-    row (f, g) are rescaled; a row is compared, all its h at once, when its
-    maps are summed.  Relies on every basis element being a single monomial
-    with coefficient 1, as ``_row_basis`` builds them.
+    read by ``StarEngine._sum_products``, the reader ``star`` uses, in the
+    order of 2 ``star`` calls per triple, so the engine ends in the state
+    that those calls leave.  One call per row (f, g) sums the sides of every
+    h as int numerator maps over one shared denominator S, kept from row to
+    row and never reduced; each side takes the other side's operand
+    denominator, so the two maps are equal exactly when the two products
+    are.  Relies on every basis element being a single monomial with
+    coefficient 1, as ``_row_basis`` builds them.
     """
-    get, star_mono = engine._cache.get, engine._star_mono
     scale = 1  # S
-    hits = 0
     first = ""
-    try:
-        for f, f_row in zip(basis, products):
-            for g, fg, g_row in zip(basis, f_row, products):
-                row = []  # (f g) h and f (g h) over S, for each h in turn
-                for h, gh in zip(basis, g_row):
-                    for x, y, other in ((fg, h, gh._den), (f, gh, fg._den)):
-                        acc = {}
-                        row.append(acc)
-                        for mx, cx in x._num.items():
-                            for my, cy in y._num.items():
-                                got = get((mx, my))
-                                if got is None:
-                                    got = star_mono(mx, my)
-                                else:
-                                    hits += 1
-                                d = got._den
-                                if scale % d:
-                                    grow = d // gcd(scale, d)
-                                    scale *= grow
-                                    for part in row:
-                                        for m in part:
-                                            part[m] *= grow
-                                c = cx * cy * other * (scale // d)
-                                for m, q in got._num.items():
-                                    acc[m] = acc.get(m, 0) + c * q
-                        if 0 in acc.values():
-                            for m in [m for m, q in acc.items() if not q]:
-                                del acc[m]
-                if not first and row[::2] != row[1::2]:
-                    h = next(h for h, a, b in zip(basis, row[::2], row[1::2]) if a != b)
-                    first = (
-                        "first failure on basis triple"
-                        f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
-                    )
-    except TruncationExceeded:
-        raise TruncationExceeded(engine.max_order, engine._sufficient_order(x, y)) from None
-    finally:
-        engine._hits += hits
+    for f, f_row in zip(basis, products):
+        for g, fg, g_row in zip(basis, f_row, products):
+            jobs = []  # (f g) h and f (g h), each taking the other's denominator
+            for h, gh in zip(basis, g_row):
+                jobs += (gh._den, fg, h), (fg._den, f, gh)
+            row, scale = engine._sum_products(jobs, scale)
+            if not first and row[::2] != row[1::2]:
+                h = next(h for h, a, b in zip(basis, row[::2], row[1::2]) if a != b)
+                first = (
+                    "first failure on basis triple"
+                    f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                )
     return first
 
 
@@ -704,9 +706,9 @@ def check_quantization_contract(
     are reported, not raised.  The associativity sweep runs an exhaustive
     low-degree basis plus randomized polynomial triples; with
     ``associativity=False`` it is not run and its record is a ``skip``.
-    Each basis triple compares the int numerators of its two sides, summed
-    from the pair cache by ``_basis_sweep``; every other check compares
-    ``star`` products.  A series that outlives ``max_order`` raises
+    Each basis triple compares the int numerators of its two sides, which
+    ``_basis_sweep`` sums with the reader ``star`` uses; every other check
+    compares ``star`` products.  A series that outlives ``max_order`` raises
     ``TruncationExceeded``, as ``star`` does.
     """
     t = engine.table

@@ -964,6 +964,17 @@ class TestVerifyCommand:
             "detail": detail,
         }]
 
+    def test_t0_cotangent_with_an_entry_over_3_passes_the_sweep(self, cli, tmp_path):
+        # every shipped bivector has denominator 1; pairs over 3 make the
+        # sweep's shared denominator grow inside a row
+        lines = (_ROOT / "models" / "t0_cotangent.model").read_text().splitlines(keepends=True)
+        assert (lines[34], lines[52]) == ("x11 x12 := D11_12\n", "comm x11 x12 = hbar*D11_12\n")
+        lines[34], lines[52] = "x11 x12 := D11_12/3\n", "comm x11 x12 = hbar*D11_12/3\n"
+        path = tmp_path / "t0_third.model"
+        path.write_text("".join(lines))
+        assert cli("verify", str(path), "--quiet") == (
+            0, "T0-cotangent: 53 passed, 0 failed, 0 skipped\n", "")
+
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))
         assert (rc, out) == (2, "")

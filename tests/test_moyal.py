@@ -309,6 +309,17 @@ class TestErrors:
         with pytest.raises(ValueError):
             eng.star(other.var("x"), t.var("z1"))
 
+    @pytest.mark.parametrize("entry, bad, first", [
+        ("star", 1, False), ("star", 1, True),
+        ("supercommutator", 1, False), ("supercommutator", None, True),
+    ])
+    def test_operand_that_is_not_a_polynomial_rejected(self, entry, bad, first):
+        t, pi = p34()
+        args = (bad, t.var("z1")) if first else (t.var("z1"), bad)
+        message = f"^{entry} operand must be a GradedPoly, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            getattr(StarEngine(pi), entry)(*args)
+
 
 _CONTRACT_IDS = ["contract bilinearity", "contract associativity", "contract order1-bracket"]
 
@@ -446,6 +457,20 @@ class TestBasisSweep:
         got, want = (_outcome(StarEngine(pi, max_order), sweep, basis, products)
                      for sweep in (moyal._basis_sweep, _star_sweep))
         assert got == want
+
+
+def test_the_pair_reader_rescales_every_map_when_its_denominator_grows():
+    # the pairs (1, y), (x, y), (u, v) and (x^3, y^3) reduce over 1, 2, 3 and
+    # 4, so each job raises the shared denominator of the maps before it
+    t = VarTable.build(("x", EVEN), ("y", EVEN), ("u", EVEN), ("v", EVEN))
+    pi = SuperBivector(t, {("x", "y"): t.one(), ("u", "v"): t.const(Fraction(2, 3))})
+    x, y, u, v = (t.var(n) for n in "xyuv")
+    jobs = [(1, t.one(), y), (3, x, y), (-1, u, v), (2, x**3, y**3)]
+    eng = StarEngine(pi)
+    maps, scale = eng._sum_products(jobs)
+    assert scale == 12
+    for (c0, a, b), num in zip(jobs, maps):
+        assert GradedPoly._of_scaled(t, num, scale) == eng.star(a, b).scale(c0)
 
 
 def _product_or_error(engine, f, g):
