@@ -113,6 +113,12 @@ class Monomial(NamedTuple):
         return self.odd.bit_count() & 1
 
 
+def _check_int(name: str, value) -> None:
+    """A TypeError naming ``name`` unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _exact(value) -> int | Fraction:
     """An exact coefficient: ints stay ints, integral Fractions become ints."""
     if type(value) is int:
@@ -357,11 +363,13 @@ class VarTable(_ReadOnly):
         return self.const(1)
 
     def hbar(self, power: int = 1) -> "GradedPoly":
+        _check_int("power", power)
         if power < 0:
             raise ValueError("hbar powers are non-negative")
         return GradedPoly._of_scaled(self, {self._zero + (power << self._hbar_shift): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
+        _check_int("power", power)
         return GradedPoly._of_scaled(self, {self._var_key(name, power): 1}, 1)
 
     def _var_key(self, name: str, power: int = 1) -> int:
@@ -456,6 +464,8 @@ class GradedPoly:
             raise ValueError("polynomials over different variable tables")
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         self._check(other)
         num, den = _sum_terms([(1, self._num, self._den), (1, other._num, other._den)])
         return GradedPoly._of_scaled(self.table, num, den)
@@ -464,6 +474,8 @@ class GradedPoly:
         return GradedPoly._of_scaled(self.table, {m: -c for m, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
         self._check(other)
         num, den = _sum_terms([(1, self._num, self._den), (-1, other._num, other._den)])
         return GradedPoly._of_scaled(self.table, num, den)
@@ -508,12 +520,14 @@ class GradedPoly:
 
     def hbar_coefficient(self, power: int) -> "GradedPoly":
         """Terms at an exact hbar power, with that power stripped off."""
+        _check_int("power", power)
         h = self.table._hbar_shift
         low = (1 << h) - 1
         num = {m & low: c for m, c in self._num.items() if m >> h == power}
         return GradedPoly._of_scaled(self.table, num, self._den)
 
     def hbar_truncate(self, max_power: int) -> "GradedPoly":
+        _check_int("max_power", max_power)
         h = self.table._hbar_shift
         num = {m: c for m, c in self._num.items() if m >> h <= max_power}
         return GradedPoly._of_scaled(self.table, num, self._den)

@@ -36,10 +36,10 @@ order-n term.  The kernel sums a monomial pair's orders at the one scale
 
     D = max_order! (2 d_e)^max_order,
 
-order n adding its integer sum times D / (n! (2 d_e)^n), itself an integer,
-and reduces the total over D by one gcd pass (see ``graded_ring``: the int
-form of a polynomial).  The caches hold that reduced polynomial, so D never
-leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
+order n adding its integer sum times D / (n! (2 d_e)^n), an integer that is
+order n - 1's divided by n 2 d_e, and reduces the total over D by one gcd
+pass (see ``graded_ring``: the int form of a polynomial).  The caches hold
+that reduced polynomial, so D never leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
 the cached polynomial itself, which is safe because a ``GradedPoly`` is
 immutable.  Every other product, and every side of the quantization
 contract's basis sweep, is read pair by pair by one method,
@@ -146,6 +146,11 @@ max_order - a_b.  Block b fires from every order up to its highest, a_b,
 and block c is live at every order up to its depth depth_c, so the engine
 raises when a_b + sum_{c != b} depth_c >= max_order for some live b, and
 records the joint peaks up to max_order first, as the joint series would.
+One fold over the live blocks takes that maximum for any k >= 1: block 1's
+run seeds the series, the counts and a = a_1, and each later block c
+multiplies in its series, convolves in its counts and sets a to
+max(a + depth_c, a_c + depth), depth that of the blocks before c; the
+counts are cut at max_order only for the peaks, or depth would fall short.
 
 An odd bivector, or an entry with an odd factor, is one block over every
 variable, which an engine takes as live on every miss: two odd block
@@ -183,22 +188,22 @@ from random import Random
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import (
-    EVEN, ODD, GradedPoly, _merge_sign, _mono_mul, _mul_terms, render_poly,
+    _FIELD, EVEN, EXPONENT_LIMIT, ODD, GradedPoly, _check_int, _merge_sign, _mono_mul, _mul_terms,
+    render_poly,
 )
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
 
-# the largest max_order an engine accepts: an engine precomputes
-# max_order! (2 d_e)^max_order and one weight per order, work that grows about
-# cubically with the order, and every cached coefficient carries that scale
+# the largest max_order an engine accepts: every run sums its orders over
+# D = max_order! (2 d_e)^max_order, which grows with the order (1,940 bits at
+# 256 with d_e = 1), and every run's integer sum carries D until it is reduced
 MAX_ORDER = 256
 
 
 def check_max_order(max_order: int) -> None:
     """Raise a ValueError naming the bound unless 0 <= max_order <= MAX_ORDER,
     and a TypeError for a value that is not an int (a bool included)."""
-    if isinstance(max_order, bool) or not isinstance(max_order, int):
-        raise TypeError(f"max_order must be an int, got {type(max_order).__name__}")
+    _check_int("max_order", max_order)
     if max_order < 0:
         raise ValueError(f"max_order must be non-negative, got {max_order}")
     if max_order > MAX_ORDER:
@@ -257,7 +262,7 @@ class StarEngine:
     """
 
     __slots__ = (
-        "bivector", "table", "max_order", "_blocks", "_unit", "_scale", "_weights",
+        "bivector", "table", "max_order", "_blocks", "_unit", "_scale",
         "_cache", "_runs", "_hits", "_misses", "_peaks",
     )
 
@@ -272,11 +277,7 @@ class StarEngine:
         self.table = t = bivector.table
         self._unit = t._zero
         self.max_order = max_order
-        # the cache scale D, and D / (n! (2 d_e)^n) for each order n <= max_order
-        self._scale = factorial(max_order) * (2 * d_e) ** max_order
-        self._weights = [
-            self._scale // (factorial(n) * (2 * d_e) ** n) for n in range(max_order + 1)
-        ]
+        self._scale = factorial(max_order) * (2 * d_e) ** max_order  # the cache scale D
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
         self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
@@ -375,18 +376,16 @@ class StarEngine:
         exponent on a row variable never runs out, so it bounds nothing.
         A bound above ``MAX_ORDER`` is no order an engine accepts: None.
         """
-        t = self.table
-        rows = self.bivector.rows()
-        slots = {t.even_slot(r) for r in rows if t.parity(r) == EVEN}
-        odd_mask = sum(1 << t.odd_bit(r) for r in rows if t.parity(r) == ODD)
+        keys = [row[0] for row in self.bivector._rows]
         bounds = []
         for p in (f, g):
             degrees = []
             for m in p._num:
-                exps = [e for s, e in t._exponents(m) if s in slots]
-                if any(e < 0 for e in exps):
+                # a row's exponent, read off its packed field or odd bit as _mono_d does
+                exps = [(m >> k & _FIELD) - EXPONENT_LIMIT if k >= 0 else m >> ~k & 1 for k in keys]
+                if min(exps, default=0) < 0:
                     break
-                degrees.append(sum(exps) + (m & odd_mask).bit_count())
+                degrees.append(sum(exps))
             else:
                 bounds.append(max(degrees, default=0))
         order = min(bounds, default=None)
@@ -416,54 +415,52 @@ class StarEngine:
         live = self._blocks
         if len(live) > 1:
             live = _live_blocks(live, mf, mg)
-        k = len(live)
-        if not k:  # no step fires: the product is the one term mf mg
+        if not live:  # no step fires: the product is the one term mf mg
             fg = _mono_mul(mf, mg, t)
             got = t.zero() if fg is None else GradedPoly._of_scaled(t, {fg[1]: fg[0]}, 1)
             if not self._peaks:
                 self._peaks.append(1)  # its one state, at order 0
             self._cache[(mf, mg)] = got
             return got
-        unit = self._unit
-        if k == 1:
-            rows, used, fill = live[0]
-            series, counts, fired = self._run(mf & used | fill, mg & used | fill, rows)
-            num, den = series._num, series._den
-        else:
-            runs = [self._run(mf & mask | fill, mg & mask | fill, rows) for rows, mask, fill in live]
-            # the joint live states per order: the blocks' counts convolved
-            counts = [1]
-            for _, block_counts, _ in runs:
-                joint = [0] * (len(counts) + len(block_counts) - 1)
-                for i, a in enumerate(counts):
-                    for j, b in enumerate(block_counts):
-                        joint[i + j] += a * b
-                counts = joint
-            # block b fires from each order up to its ``fired``, beside any live
-            # orders of the others, whose depths sum to the joint depth less its own
-            depth = len(counts) - 1
-            fired = max(f + depth - len(c) + 1 for _, c, f in runs)
-            counts = counts[:self.max_order + 1]
-            num, den = runs[0][0]._num, runs[0][0]._den
-            for series, _, _ in runs[1:]:
-                num = _mul_terms(num, series._num, t)
-                den *= series._den
-            used = sum(mask for _, mask, _ in live)  # the blocks' fields and odd bits are disjoint
+        unit, runs = self._unit, self._runs
+        counts = None
+        for rows, mask, fill in live:
+            F, G = mf & mask | fill, mg & mask | fill
+            run = runs.get((F, G))
+            if run is None:
+                total, c, f = self._contract(F, G, rows)
+                run = runs[F, G] = (GradedPoly._of_scaled(t, total, self._scale), c, f)
+            series, c, f = run
+            if counts is None:
+                num, den, counts, fired, used = series._num, series._den, c, f, mask
+                continue
+            # the joint live states per order: the counts convolved; a block
+            # fires from each order up to its ``fired`` beside any live orders
+            # of the others, whose depths add
+            joint = [0] * (len(counts) + len(c) - 1)
+            for i, a in enumerate(counts):
+                for j, b in enumerate(c):
+                    joint[i + j] += a * b
+            fired = max(fired + len(c) - 1, f + len(counts) - 1)
+            counts = joint
+            num = _mul_terms(num, series._num, t)
+            den *= series._den
+            used |= mask  # the blocks' fields and odd bits are disjoint
         fill = unit & used
         fg = _mono_mul(mf & ~used | fill, mg & ~used | fill, t)
         if fg is None:  # F_0 and G_0 share an odd factor
             got = t.zero()
         else:
             sign, FG = fg
-            # s is 1 unless two parts have odd factors: with one block, it and the rest
-            if k > 1 and (mf | mg) & odd or k == 1 and (mf | mg) & odd & ~used:
+            # s is 1 when every odd factor lies in the first block's part
+            if (mf | mg) & odd & ~live[0][1]:
                 sign *= _regroup_sign(mf, mg, live, odd)
-            if k == 1 and FG == unit:
-                got = series  # the pair's product is its block's run
+            if FG == unit and num is series._num:
+                got = series  # one live block and no rest: the pair's product is its run
             else:
                 got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
         peaks = self._peaks
-        for n, c in enumerate(counts):
+        for n, c in enumerate(counts[:self.max_order + 1]):
             if n == len(peaks):
                 peaks.append(c)
             elif c > peaks[n]:
@@ -472,18 +469,6 @@ class StarEngine:
             raise TruncationExceeded(self.max_order)
         self._cache[(mf, mg)] = got
         return got
-
-    def _run(self, F: int, G: int, rows: tuple) -> tuple[GradedPoly, list, int]:
-        """The run of a block on its parts (F, G), cached: (series, counts, fired).
-
-        The series is reduced; a run that fired from ``max_order`` holds the
-        orders up to it, and every pair that reads it raises.
-        """
-        run = self._runs.get((F, G))
-        if run is None:
-            total, counts, fired = self._contract(F, G, rows)
-            run = self._runs[F, G] = (GradedPoly._of_scaled(self.table, total, self._scale), counts, fired)
-        return run
 
     def _contract(self, mf: int, mg: int, rows: tuple) -> tuple[dict, list, int]:
         """The series of mf * mg over the steps in ``rows``: (total, counts, fired).
@@ -497,10 +482,10 @@ class StarEngine:
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
         t = self.table
         odd, hbar = t._odd, 1 << t._hbar_shift
-        weights = self._weights
-        max_order = self.max_order
+        max_order, step = self.max_order, 2 * self.bivector._d_e
+        weight = self._scale  # D / (n! (2 d_e)^n) at order n
         fg = mono_mul(mf, mg, t)
-        total = {} if fg is None else {fg[1]: fg[0] * weights[0]}
+        total = {} if fg is None else {fg[1]: fg[0] * weight}
         # live states (centre, F, G): one per derived monomial pair (F, G),
         # with the centre (d_e^n times a polynomial in the entries) as int terms
         states = [({self._unit: 1}, mf, mg)]
@@ -540,7 +525,7 @@ class StarEngine:
             fired = order - 1
             if order > max_order:
                 break
-            weight = weights[order]
+            weight //= order * step
             states = []
             for (nF, nG), centre in merged.items():
                 if 0 in centre.values():

@@ -205,6 +205,26 @@ class TestCoefficients:
             with pytest.raises(TypeError):
                 bad * p
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda t, p: p + 1, "unsupported operand type(s) for +: 'GradedPoly' and 'int'"),
+        (lambda t, p: p - 1, "unsupported operand type(s) for -: 'GradedPoly' and 'int'"),
+        (lambda t, p: p.hbar_coefficient(1.0), "power must be an int, got float"),
+        (lambda t, p: p.hbar_coefficient(True), "power must be an int, got bool"),
+        (lambda t, p: p.hbar_coefficient("1"), "power must be an int, got str"),
+        (lambda t, p: p.hbar_truncate(1.5), "max_power must be an int, got float"),
+        (lambda t, p: t.var("x", 2.0), "power must be an int, got float"),
+        (lambda t, p: t.hbar(1.0), "power must be an int, got float"),
+    ], ids=["add", "sub", "hbar_coefficient-float", "hbar_coefficient-bool", "hbar_coefficient-str",
+            "hbar_truncate-float", "var-float", "hbar-float"])
+    def test_wrong_typed_arguments_raise_type_error(self, call, message):
+        # refused where the value enters: no AttributeError from deep inside,
+        # and no float, bool or str read as an hbar power
+        t = table()
+        p = t.var("x") + t.hbar() * t.var("y")
+        with pytest.raises(TypeError) as info:
+            call(t, p)
+        assert str(info.value) == message
+
     def test_strings_and_other_non_numbers_are_not_coefficients(self):
         t = table()
         m = Monomial((1, 0, 0, 0), 0, 0)

@@ -275,6 +275,20 @@ class TestErrors:
             eng.star(t.var("z1", 300), t.var("z2", 300))
         assert info.value.sufficient_order is None
         assert "suffices" not in str(info.value)
+        # rows read off their packed fields and odd bits: a negative exponent
+        # bounds nothing, and an odd row counts once
+        t = VarTable.build(("x", EVEN, True), ("y", EVEN, True), ("k", EVEN), ("th", ODD), ("ph", ODD))
+        pi = SuperBivector(t, {("x", "y"): t.var("k"), ("th", "ph"): t.const(2)})
+        eng = StarEngine(pi, max_order=1)
+        x, y, th, ph = (t.var(n) for n in ("x", "y", "th", "ph"))
+        for f, g, sufficient in [
+            (t.var("x", -1), y**3, 3),
+            (t.var("x", -1), t.var("y", -2), None),
+            (x**2 * th, y**2 * ph, 3),
+        ]:
+            with pytest.raises(TruncationExceeded) as info:
+                eng.star(f, g)
+            assert info.value.sufficient_order == sufficient
 
     def test_noncentral_bivector_rejected(self):
         t = VarTable.build(("z1", EVEN), ("z2", EVEN))
@@ -1192,6 +1206,8 @@ class TestBlocks:
         ("L5|6", "X1^2*xi1*ze1", "Y1*X2*xi1*ze1", 4, 4),
         ("WP[1,3]", "z1^2*xi1*xi2", "z2^2*xi1", 3, 3),
         ("L5|6", "X1*Y1*xi2*ze3", "hbar*X2^2*Y2*xi2*ze3", 4, 4),
+        # three live blocks, of depths 3, 1 and 1, beside a passive rest
+        ("L5|6", "X1^3*Y2*xi1*ze1*l1", "hbar*X2*Y1^2*xi1*ze1", 5, 5),
     ])
     def test_truncation_matches_the_joint_series(self, model, lhs, rhs, complete, sufficient):
         m = builtin(model)
