@@ -27,6 +27,7 @@ from .graded_ring import (
     NonInvertibleSubstitution,
     VarSpec,
     VarTable,
+    _check_type,
     _invert_term,
     _mul_terms,
     _sum_terms,
@@ -316,6 +317,8 @@ def _product(p: dict, q: dict, t: VarTable, pos: int) -> dict:
 
 
 def parse_expression(text: str, table: VarTable) -> GradedPoly:
+    _check_type("text", text, str)
+    _check_type("table", table, VarTable)
     return _Parser(text, table).parse()
 
 

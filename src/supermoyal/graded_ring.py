@@ -119,6 +119,12 @@ def _check_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """A TypeError naming ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _exact(value) -> int | Fraction:
     """An exact coefficient: ints stay ints, integral Fractions become ints."""
     if type(value) is int:
@@ -502,6 +508,7 @@ class GradedPoly:
         return NotImplemented
 
     def __pow__(self, n: int) -> "GradedPoly":
+        _check_int("power", n)
         if n < 0:
             raise ValueError("negative powers only arise through substitution")
         out = self.table.one()
@@ -535,6 +542,7 @@ class GradedPoly:
 
 def render_poly(p: GradedPoly) -> str:
     """Canonical text form; ``cli.parse_expression`` reads it back exactly."""
+    _check_type("polynomial", p, GradedPoly)
     if p.is_zero():
         return "0"
     t = p.table

@@ -23,7 +23,7 @@ from typing import Mapping
 from .atlas import (
     Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
 )
-from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, substitute
+from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, _check_type, substitute
 from .moyal import (
     CheckRecord, NonCentralBivector, StarEngine, _record, check_max_order,
     check_quantization_contract,
@@ -97,6 +97,7 @@ class CYWeights:
 
 def calabi_yau_index(cy: CYWeights):
     """Net scaling weight of the canonical volume form; zero means global."""
+    _check_type("cy", cy, CYWeights)
     if cy.kind == "projective":
         dim, odd = cy.data
         return dim + 1 - odd
@@ -116,8 +117,7 @@ class Fibration:
 
     def __post_init__(self):
         bt = self.base_table
-        if not isinstance(bt, VarTable):
-            raise TypeError(f"base_table must be a VarTable, got {type(bt).__name__}")
+        _check_type("base_table", bt, VarTable)
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
         for name, rule in self.rules.items():
             if not isinstance(rule, GradedPoly):
@@ -146,14 +146,10 @@ class ModelSpec:
         return self.bivector.table
 
     def __post_init__(self):
-        if not isinstance(self.bivector, SuperBivector):
-            raise TypeError(f"bivector must be a SuperBivector, got {type(self.bivector).__name__}")
+        _check_type("bivector", self.bivector, SuperBivector)
         relations = self.expected_relations
         if relations is not None:
-            if not isinstance(relations, SuperBivector):
-                raise TypeError(
-                    f"expected_relations must be a SuperBivector, got {type(relations).__name__}"
-                )
+            _check_type("expected_relations", relations, SuperBivector)
             if relations.table != self.table:
                 raise VariableMismatch("expected relations built over a different table")
         # the engine's checks of the bivector and the order, so verify_model
@@ -529,6 +525,7 @@ def builtin(name: str) -> ModelSpec:
     read-only; derive a changed model with ``dataclasses.replace``.
     ``"P3|N"`` is ``"P3|N=4"``.
     """
+    _check_type("name", name, str)
     n = 4 if name == "P3|N" else None
     if name.startswith("P3|N="):
         count = name[len("P3|N="):]
@@ -650,6 +647,7 @@ _PHASES = (
 
 def verify_model(model: ModelSpec, max_order: int | None = None) -> VerificationReport:
     """Run the model's full certification sweep, one phase of ``_PHASES`` at a time."""
+    _check_type("model", model, ModelSpec)
     engine = StarEngine(model.bivector, model.max_order if max_order is None else max_order)
     records = tuple(r for _, phase in _PHASES for r in phase(model, engine))
     return VerificationReport(model.name, records)

@@ -188,8 +188,8 @@ from random import Random
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import (
-    _FIELD, EVEN, EXPONENT_LIMIT, ODD, GradedPoly, _check_int, _merge_sign, _mono_mul, _mul_terms,
-    render_poly,
+    _FIELD, EVEN, EXPONENT_LIMIT, ODD, GradedPoly, _check_int, _check_type, _merge_sign, _mono_mul,
+    _mul_terms, render_poly,
 )
 from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
 
@@ -267,8 +267,7 @@ class StarEngine:
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
-        if not isinstance(bivector, SuperBivector):
-            raise TypeError(f"bivector must be a SuperBivector, got {type(bivector).__name__}")
+        _check_type("bivector", bivector, SuperBivector)
         check_max_order(max_order)
         if bivector._refusal is not None:
             raise NonCentralBivector(bivector._refusal)
@@ -696,6 +695,7 @@ def check_quantization_contract(
     compares ``star`` products.  A series that outlives ``max_order`` raises
     ``TruncationExceeded``, as ``star`` does.
     """
+    _check_type("engine", engine, StarEngine)
     t = engine.table
     rng = Random(0)  # fixed, so a model gets the same report on every run
 

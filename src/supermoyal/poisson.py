@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .graded_calculus import _derivative_key, _mono_d, d_left
-from .graded_ring import EVEN, ODD, GradedPoly, VarTable, _ReadOnly, _mono_mul
+from .graded_ring import EVEN, ODD, GradedPoly, VarTable, _ReadOnly, _check_type, _mono_mul
 
 
 class VariableMismatch(ValueError):
@@ -183,6 +183,9 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
     check compares two separate computations; any entries will do,
     non-central, odd and Laurent ones included.
     """
+    _check_type("bivector", pi, SuperBivector)
+    _check_type("bracket operand", f, GradedPoly)
+    _check_type("bracket operand", g, GradedPoly)
     t = pi.table
     if f.table != t or g.table != t:
         raise VariableMismatch("bracket operands must live over the bivector's table")
@@ -248,6 +251,8 @@ def schouten_bracket(a: SuperBivector, b: SuperBivector) -> Mapping[tuple[int, i
     bracket vanishes exactly when the mapping is empty.  Only zero versus
     nonzero is contractually meaningful; entries are exact.
     """
+    _check_type("bivector", a, SuperBivector)
+    _check_type("bivector", b, SuperBivector)
     if a.table != b.table:
         raise VariableMismatch("bivectors live over different tables")
     t = a.table

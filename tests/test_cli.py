@@ -490,6 +490,22 @@ class TestModelFiles:
         path = _ROOT / "models" / f"{_regen_script().slug(name)}.model"
         assert path.read_text() == render_model_text(builtin(name))
 
+    def test_regen_script_writes_the_shipped_files(self, tmp_path):
+        shipped = {p.name: p.read_bytes() for p in (_ROOT / "models").glob("*.model")}
+        for seed in ("0", "1"):
+            # a copy of the script writes next to itself, into <seed>/models
+            (tmp_path / seed / "scripts").mkdir(parents=True)
+            script = tmp_path / seed / "scripts" / "regen_models.py"
+            script.write_bytes((_ROOT / "scripts" / "regen_models.py").read_bytes())
+            proc = subprocess.run(
+                [sys.executable, str(script)], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONHASHSEED=seed,
+                         PYTHONDONTWRITEBYTECODE="1"),
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            written = {p.name: p.read_bytes() for p in (tmp_path / seed / "models").iterdir()}
+            assert written == shipped
+
     def test_duplicate_chart_variable_names_its_line(self, cli, tmp_path):
         text = (_ROOT / "models" / "wp_2_2.model").read_text()
         declared = "chart plus\nvar w1 even weight 1\n"
@@ -793,6 +809,15 @@ class TestModelFileFuzz:
         assert errors > 100 and reports > 20
 
 
+# `verify --json` on each target named on the command line, with its exit code
+_VERIFY_EACH = """
+import sys
+from supermoyal.cli import run
+for target in sys.argv[1:]:
+    print(f"{target}: exit {run(['verify', target, '--json'])}")
+"""
+
+
 class _Runner:
     def __init__(self, capsys):
         self.capsys = capsys
@@ -817,10 +842,14 @@ class TestVerifyCommand:
         assert "poisson [pi,pi]=0 : pass" in lines
         assert lines[-1] == "P3|4: 48 passed, 0 failed, 0 skipped"
 
-    def test_quiet_keeps_only_the_summary(self, cli):
-        rc, out, err = cli("verify", "WP[2,2]", "--quiet")
-        assert rc == 0
-        assert out == "WP[2,2]: 29 passed, 0 failed, 0 skipped\n"
+    @pytest.mark.parametrize("target, rc, summary", [
+        ("WP[2,2]", 0, "WP[2,2]: 29 passed, 0 failed, 0 skipped"),
+        # P3|N=N is Calabi-Yau at N=4 only, so its one failure is the cy index
+        ("P3|N=12", 1, "P3|N: 618 passed, 1 failed, 0 skipped"),
+        ("P3|N=16", 1, "P3|N: 1040 passed, 1 failed, 0 skipped"),
+    ], ids=["WP[2,2]", "P3|N=12", "P3|N=16"])
+    def test_quiet_keeps_only_the_summary(self, cli, target, rc, summary):
+        assert cli("verify", target, "--quiet") == (rc, f"{summary}\n", "")
 
     def test_skip_line_shows_detail(self, cli):
         rc, out, err = cli("verify", "T1-cotangent")
@@ -912,13 +941,17 @@ class TestVerifyCommand:
                                             " [invertible] [weight K]\n")
 
     # P3|4 with one law on a pair its charts lack, and without the map
-    # minus -> plus that its minus -> plus laws need
+    # minus -> plus that its minus -> plus laws need (with and without the
+    # blank line that closes the map's block)
+    _MINUS_PLUS = (
+        "map minus plus\nw1 -> w1*l^-1\nw2 -> w2*l^-1\nl -> l^-1\nxi1 -> l^-1*xi1\n"
+        "xi2 -> l^-1*xi2\nxi3 -> l^-1*xi3\nxi4 -> l^-1*xi4\n"
+    )
     _BAD_LAWS = [
         (("law plus minus w1 w2 : l^-2", "law plus minus w1 x : l^-2"), 100,
          "pair (w1, x) is not resolvable in chart plus"),
-        (("map minus plus\nw1 -> w1*l^-1\nw2 -> w2*l^-1\nl -> l^-1\nxi1 -> l^-1*xi1\n"
-          "xi2 -> l^-1*xi2\nxi3 -> l^-1*xi3\nxi4 -> l^-1*xi4\n", ""), 97,
-         "no transition from minus to plus"),
+        ((_MINUS_PLUS, ""), 97, "no transition from minus to plus"),
+        ((_MINUS_PLUS + "\n", ""), 96, "no transition from minus to plus"),
     ]
 
     @pytest.mark.parametrize("edit, line_no, message", _BAD_LAWS)
@@ -932,17 +965,50 @@ class TestVerifyCommand:
         assert (info.value.line_no, info.value.msg) == (line_no, message)
         assert cli("verify", str(path)) == (2, "", f"error: {path}:{line_no}: {message}\n")
 
-    # T0-cotangent's [bivector] section starts at line 35 and ends at line 40
-    @pytest.mark.parametrize("entry, error", [
-        ("x21 x22 := x11", "35: bivector entries depend on contracted variables"),
-        ("x21 x22 := ²*D21_22", "40: unexpected character '²' (column 1 of the expression)"),
-        ("x21 x22 := D21_22^٣", "40: unexpected character '٣' (column 8 of the expression)"),
-    ])
-    def test_bad_bivector_entry_is_named_at_its_line(self, cli, tmp_path, entry, error):
-        text = (_ROOT / "models" / "t0_cotangent.model").read_text()
-        assert text.splitlines()[39] == "x21 x22 := D21_22"
-        path = tmp_path / "t0.model"
-        path.write_text(text.replace("x21 x22 := D21_22\n", entry + "\n"))
+    # P3|N=4's map U1 -> U2, lines 312-319 of p3_n.model
+    _U1_U2 = (
+        "map U1 U2\nz2 -> z1^-1\nz3 -> z1^-1*z3\nz4 -> z1^-1*z4\nxi1 -> z1^-1*xi1\n"
+        "xi2 -> z1^-1*xi2\nxi3 -> z1^-1*xi3\nxi4 -> z1^-1*xi4"
+    )
+    _DEEP = "(" * (MAX_NESTING + 1) + "D11_12" + ")" * (MAX_NESTING + 1)
+
+    @pytest.mark.parametrize("model, old, new, error", [
+        # T0-cotangent's [bivector] section starts at line 35 and ends at line 40:
+        # an entry the engine refuses is named at its first line, a bad
+        # expression at the entry's own line
+        ("t0_cotangent", "x21 x22 := D21_22", "x21 x22 := x11",
+         "35: bivector entries depend on contracted variables"),
+        ("t0_cotangent", "x11 x12 := D11_12", "x11 x12 := x21",
+         "35: bivector entries depend on contracted variables"),
+        ("t0_cotangent", "x21 x22 := D21_22", "x21 x22 := ²*D21_22",
+         "40: unexpected character '²' (column 1 of the expression)"),
+        ("t0_cotangent", "x11 x12 := D11_12", "x11 x12 := ²*D11_12",
+         "35: unexpected character '²' (column 1 of the expression)"),
+        ("t0_cotangent", "x21 x22 := D21_22", "x21 x22 := D21_22^٣",
+         "40: unexpected character '٣' (column 8 of the expression)"),
+        ("t0_cotangent", "x11 x12 := D11_12", f"x11 x12 := {_DEEP}",
+         f"35: parentheses nest deeper than the limit of {MAX_NESTING}"
+         f" (column {MAX_NESTING + 1} of the expression)"),
+        # L5|6's [relations] starts at line 35; line 36 gets the other parity
+        ("l5_6", "comm X1 Y1 = hbar*l2*m2", "comm X1 Y1 = hbar*l2*xi1",
+         "35: entries do not share a single bivector parity"),
+        # a map is built when its block ends, so a missing rule is named at
+        # the next map's header; a repeated chart or map at its second header
+        ("p3_n", _U1_U2, _U1_U2.replace("z2 -> z1^-1\n", ""),
+         "319: variable 'z2' has no rule and chart U2 lacks it"),
+        ("p3_n", "chart U1", "chart U1\nchart U1", "119: duplicate chart 'U1'"),
+        ("p3_n", _U1_U2, f"{_U1_U2}\n{_U1_U2}", "320: duplicate map U1 U2"),
+        # P3|4's [cy] line
+        ("p3_4", "projective 3 4", "projective -1 4",
+         "112: bad weight system line 'projective -1 4': the dimension must be at least 0, got -1"),
+    ], ids=["noncentral-40", "noncentral-35", "superscript-40", "superscript-35", "digit",
+            "nesting", "relation-parity", "dropped-rule", "duplicate-chart", "duplicate-map",
+            "negative-cy"])
+    def test_edited_shipped_file_is_named_at_its_line(self, cli, tmp_path, model, old, new, error):
+        text = (_ROOT / "models" / f"{model}.model").read_text()
+        assert text.count(f"\n{old}\n") == 1
+        path = tmp_path / f"{model}.model"
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
         assert cli("verify", str(path)) == (2, "", f"error: {path}:{error}\n")
 
     def test_t1_cotangent_fails_the_associativity_sweep(self, cli, tmp_path):
@@ -974,6 +1040,22 @@ class TestVerifyCommand:
         path.write_text("".join(lines))
         assert cli("verify", str(path), "--quiet") == (
             0, "T0-cotangent: 53 passed, 0 failed, 0 skipped\n", "")
+
+    def test_output_does_not_depend_on_the_hash_seed(self, capsys, monkeypatch):
+        targets = [*sorted(str(p) for p in (_ROOT / "models").glob("*.model")), "P3|N=6"]
+        # the loop in this process, under its own hash seed, and under seeds 0 and 1
+        monkeypatch.setattr(sys, "argv", ["-c", *targets])
+        exec(_VERIFY_EACH, {})
+        out = capsys.readouterr().out
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _VERIFY_EACH, *targets], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=str(_ROOT / "src"), PYTHONHASHSEED=seed,
+                         PYTHONDONTWRITEBYTECODE="1"),
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        codes = re.findall(r"^.*: exit (\d+)$", out, re.M)
+        assert len(codes) == len(targets) and max(map(int, codes)) <= 1
 
     def test_directory_is_an_error_not_a_traceback(self, cli, tmp_path):
         rc, out, err = cli("verify", str(tmp_path))
@@ -1295,6 +1377,8 @@ class TestDriver:
         rc, out, err = cli(*argv)
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {message}\nusage: supermoyal <command>")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {message}"]
 
     @pytest.mark.parametrize("argv, message", [
         (("star", "P3|4", "--lhs", "z1/z2", "--rhs", "z2"),
@@ -1324,14 +1408,20 @@ class TestDriver:
         assert rc == 0
         assert tuple(out.split()) == list_builtins()
 
-    def test_module_entry_point(self):
+    @pytest.mark.parametrize("argv, out", [
+        (("list-builtins",), "".join(f"{name}\n" for name in list_builtins())),
+        (("verify", "models/p3_4.model", "--quiet"), "P3|4: 48 passed, 0 failed, 0 skipped\n"),
+    ], ids=["list-builtins", "verify"])
+    def test_module_entry_point(self, tmp_path, argv, out):
+        # compiled afresh into an empty cache, so that -W error sees every
+        # warning a compile raises, such as an invalid escape in a string
         proc = subprocess.run(
-            [sys.executable, "-m", "supermoyal", "list-builtins"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+            [sys.executable, "-W", "error", "-X", f"pycache_prefix={tmp_path}",
+             "-m", "supermoyal", *argv],
+            capture_output=True, text=True, cwd=_ROOT,
+            env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
         )
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        assert tuple(proc.stdout.split()) == list_builtins()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "P3|N=6"),

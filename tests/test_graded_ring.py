@@ -214,8 +214,11 @@ class TestCoefficients:
         (lambda t, p: p.hbar_truncate(1.5), "max_power must be an int, got float"),
         (lambda t, p: t.var("x", 2.0), "power must be an int, got float"),
         (lambda t, p: t.hbar(1.0), "power must be an int, got float"),
+        (lambda t, p: p ** True, "power must be an int, got bool"),
+        (lambda t, p: p ** 2.0, "power must be an int, got float"),
+        (lambda t, p: p ** "2", "power must be an int, got str"),
     ], ids=["add", "sub", "hbar_coefficient-float", "hbar_coefficient-bool", "hbar_coefficient-str",
-            "hbar_truncate-float", "var-float", "hbar-float"])
+            "hbar_truncate-float", "var-float", "hbar-float", "pow-bool", "pow-float", "pow-str"])
     def test_wrong_typed_arguments_raise_type_error(self, call, message):
         # refused where the value enters: no AttributeError from deep inside,
         # and no float, bool or str read as an hbar power
