@@ -12,10 +12,10 @@ variables so it rides through the same substitution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from .graded_ring import GradedPoly, SubstitutionPlan, VarTable, _ReadOnly
+from .graded_ring import GradedPoly, SubstitutionPlan, VarTable, _ReadOnly, _check_type
 from .poisson import SuperBivector
 
 
@@ -33,6 +33,8 @@ class Chart(_ReadOnly):
     __slots__ = ("name", "table", "bivector")
 
     def __init__(self, name: str, table: VarTable, brackets: Mapping):
+        _check_type("name", name, str)
+        _check_type("brackets", brackets, Mapping)
         self.name = name
         self.table = table
         self.bivector = SuperBivector(table, brackets)
@@ -56,6 +58,9 @@ class TransitionMap(_ReadOnly):
     __slots__ = ("src", "dst", "plan")
 
     def __init__(self, src: Chart, dst: Chart, rules: Mapping[str, GradedPoly]):
+        _check_type("src", src, Chart)
+        _check_type("dst", dst, Chart)
+        _check_type("rules", rules, Mapping)
         self.src = src
         self.dst = dst
         self.plan = SubstitutionPlan(src.table, rules, dst.table)
@@ -109,6 +114,8 @@ def check_weight_law(
     tmap: TransitionMap, law: WeightLaw
 ) -> tuple[bool, GradedPoly, GradedPoly]:
     """Return (ok, destination entry, transported and scaled source entry)."""
+    _check_type("tmap", tmap, TransitionMap)
+    _check_type("law", law, WeightLaw)
     check_pair_resolves(tmap, law.pair)
     a, b = law.pair
     expected = tmap.dst.entry(a, b)
@@ -123,6 +130,8 @@ def check_cocycle(maps: Sequence[TransitionMap]) -> tuple[bool, str]:
     """
     if not maps:
         raise NonComposableCycle("empty chain")
+    for tmap in maps:
+        _check_type("map", tmap, TransitionMap)
     for left, right in zip(maps, maps[1:]):
         if left.dst.name != right.src.name:
             raise NonComposableCycle(

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from .atlas import Chart, TransitionMap, WeightLaw, law_transition
@@ -346,6 +347,7 @@ def _var_decl(spec: VarSpec) -> str:
 
 
 def render_model_text(model: ModelSpec) -> str:
+    _check_type("model", model, ModelSpec)
     sections: list[list[str]] = []
 
     opts = ["[options]", f"name = {model.name}", f"max_order = {model.max_order}"]
@@ -454,6 +456,12 @@ def _fields(pattern, line, usage):
     return m.groups()
 
 
+def _once(key, seen, what):
+    """Refuse the line if ``seen`` already holds ``key``: it repeats ``what``."""
+    if key in seen:
+        raise ValueError(f"duplicate {what}")
+
+
 def _known(names, known, kind):
     for name in names:
         if name not in known:
@@ -517,6 +525,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
     ends, so its error names the line that closes the block.  An error of
     the whole file, such as a missing section, names no line.
     """
+    _check_type("text", text, str)
     ln = None  # the line the current step is about, named by any error it raises
     try:
         sections: dict[str, list[tuple[int, str]]] = {}
@@ -553,10 +562,13 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         name = None
         max_order = 8
         associative = True
+        keys: set[str] = set()
         for ln, line in sections["options"]:
             if "=" not in line:
                 raise ValueError("expected: key = value")
             key, _, value = (part.strip() for part in line.partition("="))
+            _once(key, keys, f"option {key!r}")
+            keys.add(key)
             if key == "name":
                 name = value
             elif key == "max_order":
@@ -596,6 +608,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         for ln, line in sections["bivector"]:
             a, b, expr = _fields(_BIVECTOR_RE, line, "A B := expression")
             _known((a, b), table, "variable")
+            _once((a, b), entries, f"entry ({a}, {b})")
             value = parse_expression(expr, table)
             # StarEngine rejects such an entry too; here it is named at its line
             if any(mono >> table._hbar_shift for mono in value._num):
@@ -610,6 +623,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             for ln, line in sections["relations"]:
                 kw, a, b, expr = _fields(_RELATION_RE, line, "comm|anti A B = expression")
                 _known((a, b), table, "variable")
+                _once((a, b), relations, f"relation ({a}, {b})")
                 both_odd = table.parity(a) == ODD and table.parity(b) == ODD
                 if (kw == "anti") != both_odd:
                     raise ValueError("anti is for odd pairs and comm for the rest")
@@ -647,6 +661,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                         base_table = table if over_model else VarTable.build(*base_decls)
                         ln = rule_ln
                     rule_name, expr = _fields(_RULE_RE, line[5:], "rule NAME -> expression")
+                    _once(rule_name, rules, f"rule {rule_name!r}")
                     rules[rule_name] = parse_expression(expr, base_table)
                 else:
                     raise ValueError("expected over model, base, or rule")
@@ -661,8 +676,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             if not header.startswith("chart "):
                 raise ValueError("expected a chart line first")
             chart_name = header.split(None, 1)[1].strip()
-            if chart_name in chart_by_name:
-                raise ValueError(f"duplicate chart {chart_name!r}")
+            _once(chart_name, chart_by_name, f"chart {chart_name!r}")
             chart_decls: list[tuple] = []
             chart_table = None
             chart_entries: dict[tuple[str, str], GradedPoly] = {}
@@ -678,6 +692,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
                         chart_table = VarTable.build(*chart_decls)
                         ln = entry_ln
                     a, b, expr = _fields(_CHART_ENTRY_RE, line, "table A B = expression")
+                    _once((a, b), chart_entries, f"table entry ({a}, {b})")
                     chart_entries[(a, b)] = parse_expression(expr, chart_table)
                 else:
                     raise ValueError("expected chart, var, or table")
@@ -695,23 +710,24 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             if len(words) != 3:
                 raise ValueError("expected: map SRC DST")
             _known(words[1:], chart_by_name, "chart")
-            if (words[1], words[2]) in tmap_by:
-                raise ValueError(f"duplicate map {words[1]} {words[2]}")
+            _once((words[1], words[2]), tmap_by, f"map {words[1]} {words[2]}")
             src, dst = chart_by_name[words[1]], chart_by_name[words[2]]
             rules = {}
             for ln, line in body:
                 rule_name, expr = _fields(_RULE_RE, line, "NAME -> expression")
+                _once(rule_name, rules, f"rule {rule_name!r}")
                 rules[rule_name] = parse_expression(expr, dst.table)
             ln = end
             tmap_by[words[1], words[2]] = TransitionMap(src, dst, rules)
 
-        weight_laws: list[tuple[str, str, WeightLaw]] = []
+        weight_laws: dict[tuple[str, ...], tuple[str, str, WeightLaw]] = {}
         for ln, line in sections.get("weights", []):
             sname, dname, a, b, expr = _fields(_LAW_RE, line, "law SRC DST A B : expression")
+            _once((sname, dname, a, b), weight_laws, f"law {sname} {dname} {a} {b}")
             _known((sname, dname), chart_by_name, "chart")
             tmap = law_transition(tmap_by, sname, dname, (a, b))
             factor = parse_expression(expr, tmap.src.table)
-            weight_laws.append((sname, dname, WeightLaw((a, b), factor)))
+            weight_laws[sname, dname, a, b] = (sname, dname, WeightLaw((a, b), factor))
 
         cy = None
         if "cy" in sections:
@@ -738,7 +754,7 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
             fibration=fibration,
             charts=tuple(chart_by_name.values()),
             transitions=tuple(tmap_by.values()),
-            weight_laws=tuple(weight_laws),
+            weight_laws=tuple(weight_laws.values()),
             cy=cy,
             max_order=max_order,
             associative=associative,
@@ -824,77 +840,18 @@ def _record_json(record) -> str:
     )
 
 
-# the options each command reads; the parser refuses any other and any
-# option given twice, and list-builtins and an unknown command are refused
-# whole after parsing
-_CY_MODES = ("--projective", "--weighted", "--ambitwistor")
-_TAKES = {
-    "verify": ("--order", "--json", "--quiet"),
-    "star": ("--order", "--json", "--lhs", "--rhs"),
-    "comm": ("--order", "--json", "--a", "--b"),
-    "cy": ("--json", *_CY_MODES),
-}
-_OPTIONS = {tok for takes in _TAKES.values() for tok in takes}
-
-
-def _parse_args(command: str, args: list[str]):
-    opts = {"order": None, "json": False, "quiet": False}
-    named: dict[str, str] = {}
-    positional: list[str] = []
-    takes = _TAKES.get(command)
-    seen: set[str] = set()
-    i = 0
-    while i < len(args):
-        tok = args[i]
-        if tok in _OPTIONS and takes is not None:
-            if tok not in takes:
-                raise _CliError(f"{command} does not take {tok}")
-            if tok in _CY_MODES and "mode" in named:
-                raise _CliError("cy takes one of --projective, --weighted, or --ambitwistor")
-            if tok in seen:
-                raise _CliError(f"{tok} is given twice")
-            seen.add(tok)
-        if tok == "--order":
-            i += 1
-            if i >= len(args):
-                raise _CliError("--order needs a value")
-            try:
-                opts["order"] = _ascii_int(args[i])
-            except ValueError:
-                raise _CliError(f"--order needs an integer, got {args[i]!r}") from None
-        elif tok == "--json":
-            opts["json"] = True
-        elif tok == "--quiet":
-            opts["quiet"] = True
-        elif tok in ("--lhs", "--rhs", "--a", "--b"):
-            i += 1
-            if i >= len(args):
-                raise _CliError(f"{tok} needs a value")
-            named[tok[2:]] = args[i]
-        elif tok in _CY_MODES:
-            named["mode"] = tok[2:]
-        elif tok == "--":
-            positional.append("--")
-        elif tok.startswith("--"):
-            raise _CliError(f"unknown option {tok}")
-        else:
-            positional.append(tok)
-        i += 1
-    return opts, named, positional
-
-
-def _cmd_verify(opts, named, positional) -> int:
+def _cmd_verify(opts, positional) -> int:
     if len(positional) != 1:
         raise _CliError("verify takes one model")
     model = _load_target(positional[0])
-    report = verify_model(model, max_order=opts["order"])
+    report = verify_model(model, max_order=opts.get("--order"))
     counted = {"pass": 0, "fail": 0, "skip": 0}
     for record in report:
         counted[record.status] = counted.get(record.status, 0) + 1
-        if opts["quiet"]:
+        if "--quiet" in opts:
             continue
-        print(_record_json(record) if opts["json"] else _record_line(record))
-    if not opts["json"]:
+        print(_record_json(record) if "--json" in opts else _record_line(record))
+    if "--json" not in opts:
         print(
             f"{model.name}: {counted['pass']} passed, "
             f"{counted['fail']} failed, {counted['skip']} skipped"
@@ -902,24 +859,25 @@ def _cmd_verify(opts, named, positional) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_product(opts, named, positional, commutator: bool) -> int:
-    keys = ("a", "b") if commutator else ("lhs", "rhs")
+def _cmd_product(opts, positional, commutator: bool) -> int:
+    keys = ("--a", "--b") if commutator else ("--lhs", "--rhs")
     if len(positional) != 1:
         raise _CliError("expected one model")
     for key in keys:
-        if key not in named:
-            raise _CliError(f"missing --{key}")
+        if key not in opts:
+            raise _CliError(f"missing {key}")
     model = _load_target(positional[0])
-    order = opts["order"] if opts["order"] is not None else model.max_order
+    order = opts.get("--order", model.max_order)
     engine = StarEngine(model.bivector, max_order=order)
-    f = parse_expression(named[keys[0]], model.table)
-    g = parse_expression(named[keys[1]], model.table)
+    f = parse_expression(opts[keys[0]], model.table)
+    g = parse_expression(opts[keys[1]], model.table)
     result = engine.supercommutator(f, g) if commutator else engine.star(f, g)
     text = render_poly(result)
-    print(json.dumps({"result": text}) if opts["json"] else text)
+    print(json.dumps({"result": text}) if "--json" in opts else text)
     return 0
 
 
+_CY_MODES = ("--projective", "--weighted", "--ambitwistor")
 _CY_USAGE = {
     "projective": "cy --projective takes DIM and ODD",
     "weighted": "cy --weighted separates even and odd weights with --",
@@ -928,8 +886,8 @@ _CY_USAGE = {
 }
 
 
-def _cmd_cy(opts, named, positional) -> int:
-    mode = named.get("mode")
+def _cmd_cy(opts, positional) -> int:
+    mode = next((m[2:] for m in _CY_MODES if m in opts), None)
     try:
         cy = _cy_weights(mode, positional, "--")
     except ValueError as err:
@@ -938,35 +896,80 @@ def _cmd_cy(opts, named, positional) -> int:
         raise _CliError(_CY_USAGE[mode])
     index = calabi_yau_index(cy)
     flat = index if isinstance(index, tuple) else (index,)
-    if opts["json"]:
+    if "--json" in opts:
         print(json.dumps({"index": list(flat) if len(flat) > 1 else flat[0]}))
     else:
         print(" ".join(str(v) for v in flat))
     return 0 if all(v == 0 for v in flat) else 1
 
 
+def _cmd_list_builtins(opts, positional) -> int:
+    if opts or positional:
+        raise _CliError("list-builtins takes no arguments")
+    for name in list_builtins():
+        print(name)
+    return 0
+
+
+# each command's handler and the options it reads; the parser refuses any
+# other and any option given twice, and a command that reads none (None) or
+# an unknown command is refused whole after parsing
+_COMMANDS = {
+    "verify": (_cmd_verify, ("--order", "--json", "--quiet")),
+    "star": (partial(_cmd_product, commutator=False), ("--order", "--json", "--lhs", "--rhs")),
+    "comm": (partial(_cmd_product, commutator=True), ("--order", "--json", "--a", "--b")),
+    "cy": (_cmd_cy, ("--json", *_CY_MODES)),
+    "list-builtins": (_cmd_list_builtins, None),
+}
+_OPTIONS = {tok for _, takes in _COMMANDS.values() for tok in takes or ()}
+_VALUED = ("--order", "--lhs", "--rhs", "--a", "--b")
+
+
+def _parse_args(command: str, args: list[str]) -> tuple[dict, list[str]]:
+    """Each option as typed mapped to its value, or True for a flag, and the
+    positional words; ``--order``'s value is read as an int."""
+    takes = _COMMANDS.get(command, (None, None))[1]
+    opts: dict[str, str | int | bool] = {}
+    positional: list[str] = []
+    words = iter(args)
+    for tok in words:
+        if tok not in _OPTIONS:
+            if tok.startswith("--") and tok != "--":
+                raise _CliError(f"unknown option {tok}")
+            positional.append(tok)
+            continue
+        if takes is not None:
+            if tok not in takes:
+                raise _CliError(f"{command} does not take {tok}")
+            if tok in _CY_MODES and any(mode in opts for mode in _CY_MODES):
+                raise _CliError("cy takes one of --projective, --weighted, or --ambitwistor")
+            if tok in opts:
+                raise _CliError(f"{tok} is given twice")
+        if tok not in _VALUED:
+            opts[tok] = True
+            continue
+        value = next(words, None)
+        if value is None:
+            raise _CliError(f"{tok} needs a value")
+        if tok == "--order":
+            try:
+                value = _ascii_int(value)
+            except ValueError:
+                raise _CliError(f"--order needs an integer, got {value!r}") from None
+        opts[tok] = value
+    return opts, positional
+
+
 def run(argv: list[str]) -> int:
     if not argv:
         sys.stderr.write(_USAGE)
         return 2
-    command, rest = argv[0], argv[1:]
+    command = argv[0]
     try:
-        opts, named, positional = _parse_args(command, rest)
-        if command == "verify":
-            return _cmd_verify(opts, named, positional)
-        if command == "star":
-            return _cmd_product(opts, named, positional, commutator=False)
-        if command == "comm":
-            return _cmd_product(opts, named, positional, commutator=True)
-        if command == "list-builtins":
-            if rest:
-                raise _CliError("list-builtins takes no arguments")
-            for name in list_builtins():
-                print(name)
-            return 0
-        if command == "cy":
-            return _cmd_cy(opts, named, positional)
-        raise _CliError(f"unknown command {command!r}")
+        opts, positional = _parse_args(command, argv[1:])
+        if command not in _COMMANDS:
+            raise _CliError(f"unknown command {command!r}")
+        return _COMMANDS[command][0](opts, positional)
     except _CliError as err:
         sys.stderr.write(f"error: {err}\n")
         sys.stderr.write(_USAGE)

@@ -7,7 +7,9 @@ partials with the Laurent rule d(l^n) = n*l^(n-1).
 
 from __future__ import annotations
 
-from .graded_ring import _FIELD, EVEN, EXPONENT_LIMIT, ExponentOverflow, GradedPoly, VarTable
+from .graded_ring import (
+    _FIELD, EVEN, EXPONENT_LIMIT, ExponentOverflow, GradedPoly, VarTable, _check_type,
+)
 
 
 def _left_delete_sign(mask: int, bit: int) -> int:
@@ -50,6 +52,8 @@ def _mono_d(m: int, key: int, odd: int, left: bool = True) -> tuple[int, int] | 
 
 
 def _derive(v, a: GradedPoly, left: bool) -> GradedPoly:
+    _check_type("variable", v, str)
+    _check_type("polynomial", a, GradedPoly)
     key = _derivative_key(a.table, v)
     odd = a.table._odd
     num = {}

@@ -50,11 +50,12 @@ powers and Laurent inverses are built once for every polynomial it rewrites.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 EVEN = "even"
 ODD = "odd"
@@ -234,6 +235,11 @@ class VarTable(_ReadOnly):
         self._even_slot: dict[str, int] = {}
         self._odd_bit: dict[str, int] = {}
         for i, spec in enumerate(self.specs):
+            _check_type("spec", spec, VarSpec)
+            _check_type("name", spec.name, str)
+            _check_type("invertible", spec.invertible, bool)
+            if spec.weight is not None:
+                _check_int("weight", spec.weight)
             if spec.name in self._index:
                 raise ValueError(f"duplicate variable {spec.name!r}")
             if spec.name in RESERVED:
@@ -406,6 +412,8 @@ class GradedPoly:
     __slots__ = ("table", "_terms", "_num", "_den")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
+        _check_type("table", table, VarTable)
+        _check_type("terms", terms, Mapping)
         pack = table._pack
         exact = [(pack(m), _exact(c)) for m, c in terms.items()]
         den = lcm(*(c.denominator for _, c in exact))
@@ -642,6 +650,8 @@ class SubstitutionPlan(_ReadOnly):
     __slots__ = ("src", "target", "mapping", "_names", "_missing", "_kept", "_powers")
 
     def __init__(self, src: VarTable, mapping: Mapping[str, GradedPoly], target: VarTable):
+        _check_type("mapping", mapping, Mapping)
+        _check_type("target", target, VarTable)
         for name, repl in mapping.items():
             if name not in src:
                 raise KeyError(f"unknown variable {name!r}")
@@ -742,4 +752,5 @@ def substitute(
     A one-shot ``SubstitutionPlan``.  Build the plan once to apply one
     mapping to many polynomials.
     """
+    _check_type("polynomial", a, GradedPoly)
     return SubstitutionPlan(a.table, mapping, target).apply(a)

@@ -14,11 +14,11 @@ records are the ones ``check_quantization_contract`` returns.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
 from types import MappingProxyType
-from typing import Mapping
 
 from .atlas import (
     Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
@@ -445,6 +445,7 @@ def _l56_model() -> ModelSpec:
 
 def quadric_generator(model: ModelSpec) -> GradedPoly:
     """The incidence quadric of the two-sided model, over its fibration base."""
+    _check_type("model", model, ModelSpec)
     fib = model.fibration
     if fib is None:
         raise MissingFibration(f"model {model.name} declares no fibration")
@@ -555,6 +556,7 @@ def fibration_pullback(model: ModelSpec, base=None) -> dict[tuple[str, str], Gra
     when the base table is the model's own table it defaults to the model
     bivector.
     """
+    _check_type("model", model, ModelSpec)
     fib = model.fibration
     if fib is None:
         raise MissingFibration(f"model {model.name} declares no fibration")
@@ -582,6 +584,8 @@ def anti_chiral_substitution(
     shifts: Mapping[str, GradedPoly], f: GradedPoly
 ) -> GradedPoly:
     """Shift even coordinates by even nilpotent amounts: x -> x + shift."""
+    _check_type("shifts", shifts, Mapping)
+    _check_type("polynomial", f, GradedPoly)
     t = f.table
     mapping = {name: t.var(name) + s for name, s in shifts.items()}
     return substitute(f, mapping, target=t)

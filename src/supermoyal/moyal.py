@@ -258,11 +258,12 @@ class StarEngine:
     The bivector's refusal, d_e and blocks are built with the bivector and
     read by every engine over it; the pair cache, the run cache, the scale
     for ``max_order`` and ``stats`` belong to this engine alone.  ``stats``
-    count monomial pairs, not runs.
+    count monomial pairs, not runs.  ``bivector``, ``table`` and
+    ``max_order`` are read-only: the scale and both caches are built for them.
     """
 
     __slots__ = (
-        "bivector", "table", "max_order", "_blocks", "_unit", "_scale",
+        "_bivector", "_table", "_max_order", "_blocks", "_unit", "_scale",
         "_cache", "_runs", "_hits", "_misses", "_peaks",
     )
 
@@ -272,10 +273,10 @@ class StarEngine:
         if bivector._refusal is not None:
             raise NonCentralBivector(bivector._refusal)
         d_e, self._blocks = bivector._d_e, bivector._blocks
-        self.bivector = bivector
-        self.table = t = bivector.table
+        self._bivector = bivector
+        self._table = t = bivector.table
         self._unit = t._zero
-        self.max_order = max_order
+        self._max_order = max_order
         self._scale = factorial(max_order) * (2 * d_e) ** max_order  # the cache scale D
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
@@ -283,6 +284,10 @@ class StarEngine:
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
+
+    bivector = property(lambda self: self._bivector)
+    table = property(lambda self: self._table)
+    max_order = property(lambda self: self._max_order)
 
     @property
     def stats(self) -> EngineStats:
@@ -305,7 +310,7 @@ class StarEngine:
             raise TypeError(f"{entry} operand must be a GradedPoly, got {bad}")
         if odd_only and "mixed" in (f.parity(), g.parity()):
             raise MixedParityInput("supercommutator needs homogeneous arguments")
-        t = self.table
+        t = self._table
         if not (f.table is t or f.table == t) or not (g.table is t or g.table == t):
             raise ValueError("operands must live over the engine's variable table")
         if not odd_only and len(f._num) == len(g._num) == 1 and f._den * g._den == 1:
@@ -331,7 +336,7 @@ class StarEngine:
         the sufficient order of the job being summed.
         """
         get, star_mono = self._cache.get, self._star_mono
-        hs = self.table._hbar_shift
+        hs = self._table._hbar_shift
         maps = []
         hits = 0
         try:
@@ -362,7 +367,7 @@ class StarEngine:
                 if 0 in acc.values():
                     maps[-1] = {m: q for m, q in acc.items() if q}
         except TruncationExceeded:
-            raise TruncationExceeded(self.max_order, self._sufficient_order(x, y)) from None
+            raise TruncationExceeded(self._max_order, self._sufficient_order(x, y)) from None
         finally:
             self._hits += hits
         return maps, scale
@@ -375,7 +380,7 @@ class StarEngine:
         exponent on a row variable never runs out, so it bounds nothing.
         A bound above ``MAX_ORDER`` is no order an engine accepts: None.
         """
-        keys = [row[0] for row in self.bivector._rows]
+        keys = [row[0] for row in self._bivector._rows]
         bounds = []
         for p in (f, g):
             degrees = []
@@ -400,7 +405,7 @@ class StarEngine:
         series' counts up to ``max_order``.
         """
         self._misses += 1
-        t = self.table
+        t = self._table
         odd = t._odd
         mirror = self._cache.get((mg, mf))
         if mirror is not None:
@@ -459,13 +464,13 @@ class StarEngine:
             else:
                 got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
         peaks = self._peaks
-        for n, c in enumerate(counts[:self.max_order + 1]):
+        for n, c in enumerate(counts[:self._max_order + 1]):
             if n == len(peaks):
                 peaks.append(c)
             elif c > peaks[n]:
                 peaks[n] = c
-        if fired >= self.max_order:
-            raise TruncationExceeded(self.max_order)
+        if fired >= self._max_order:
+            raise TruncationExceeded(self._max_order)
         self._cache[(mf, mg)] = got
         return got
 
@@ -479,9 +484,9 @@ class StarEngine:
         """
         # looked up per call, so a test may patch these module names
         mono_d, mono_mul, step_sign = _mono_d, _mono_mul, _step_sign
-        t = self.table
+        t = self._table
         odd, hbar = t._odd, 1 << t._hbar_shift
-        max_order, step = self.max_order, 2 * self.bivector._d_e
+        max_order, step = self._max_order, 2 * self._bivector._d_e
         weight = self._scale  # D / (n! (2 d_e)^n) at order n
         fg = mono_mul(mf, mg, t)
         total = {} if fg is None else {fg[1]: fg[0] * weight}

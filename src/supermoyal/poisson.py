@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping
+from collections.abc import Mapping
 
 from .graded_calculus import _derivative_key, _mono_d, d_left
 from .graded_ring import EVEN, ODD, GradedPoly, VarTable, _ReadOnly, _check_type, _mono_mul
@@ -41,6 +41,8 @@ class SuperBivector(_ReadOnly):
     )
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
+        _check_type("table", table, VarTable)
+        _check_type("entries", entries, Mapping)
         self.table = table
         full: dict[tuple[str, str], GradedPoly] = {}
         for (a, b), value in entries.items():

@@ -2,9 +2,12 @@
 a wrong-typed argument is refused where it enters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supermoyal
-from supermoyal import atlas, cli, graded_calculus, graded_ring, moyal, poisson
+from supermoyal import atlas, cli, graded_calculus, graded_ring, models, moyal, poisson
+from supermoyal.graded_ring import EVEN, VarTable
 from supermoyal.models import builtin, calabi_yau_index, verify_model
 
 
@@ -41,6 +44,7 @@ def test_render_poly_is_one_function():
 
 _T0 = builtin("T0-cotangent")
 _X = _T0.table.var("x11")
+_P34 = builtin("P3|4")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -58,11 +62,68 @@ _X = _T0.table.var("x11")
     (lambda: graded_ring.render_poly(3), "polynomial must be a GradedPoly, got int"),
     (lambda: cli.parse_expression(3, _T0.table), "text must be a str, got int"),
     (lambda: cli.parse_expression("x11", None), "table must be a VarTable, got NoneType"),
+    (lambda: atlas.Chart("A", _T0.table, None), "brackets must be a Mapping, got NoneType"),
+    (lambda: graded_ring.GradedPoly(None, {}), "table must be a VarTable, got NoneType"),
+    (lambda: graded_ring.GradedPoly(_T0.table, None), "terms must be a Mapping, got NoneType"),
+    (lambda: poisson.SuperBivector(None, {}), "table must be a VarTable, got NoneType"),
+    (lambda: poisson.SuperBivector(_T0.table, None), "entries must be a Mapping, got NoneType"),
+    (lambda: atlas.TransitionMap(None, _P34.charts[0], {}), "src must be a Chart, got NoneType"),
+    (lambda: VarTable("x"), "spec must be a VarSpec, got str"),
+    (lambda: VarTable.build(("x", EVEN, "yes")), "invertible must be a bool, got str"),
+    (lambda: VarTable.build(("x", EVEN, False, 1.5)), "weight must be an int, got float"),
+    (lambda: VarTable.build(("x", EVEN, False, True)), "weight must be an int, got bool"),
+    (lambda: VarTable.build((3, EVEN)), "name must be a str, got int"),
+    (lambda: models.anti_chiral_substitution(None, _X), "shifts must be a Mapping, got NoneType"),
+    (lambda: models.anti_chiral_substitution({}, None), "polynomial must be a GradedPoly, got NoneType"),
+    (lambda: atlas.check_cocycle("x"), "map must be a TransitionMap, got str"),
+    (lambda: atlas.check_weight_law(_P34.transitions[0], None), "law must be a WeightLaw, got NoneType"),
+    (lambda: atlas.check_weight_law(None, _P34.weight_laws[0][2]),
+     "tmap must be a TransitionMap, got NoneType"),
+    (lambda: graded_calculus.d_left("x11", None), "polynomial must be a GradedPoly, got NoneType"),
+    (lambda: graded_calculus.d_right("x11", None), "polynomial must be a GradedPoly, got NoneType"),
+    (lambda: graded_calculus.d_left(None, _X), "variable must be a str, got NoneType"),
+    (lambda: models.fibration_pullback(None), "model must be a ModelSpec, got NoneType"),
+    (lambda: models.quadric_generator(None), "model must be a ModelSpec, got NoneType"),
+    (lambda: cli.parse_model_text(None), "text must be a str, got NoneType"),
+    (lambda: cli.render_model_text(None), "model must be a ModelSpec, got NoneType"),
+    (lambda: cli.save_model(None, "unused.model"), "model must be a ModelSpec, got NoneType"),
+    (lambda: graded_ring.substitute(None, {}, _T0.table), "polynomial must be a GradedPoly, got NoneType"),
+    (lambda: graded_ring.substitute(_X, None, _T0.table), "mapping must be a Mapping, got NoneType"),
+    (lambda: graded_ring.substitute(_X, {}, None), "target must be a VarTable, got NoneType"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
-        "parse-text", "parse-table"])
+        "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
+        "bivector-table", "bivector-entries", "map-src", "table-specs", "spec-invertible",
+        "spec-weight-float", "spec-weight-bool", "spec-name", "shift-shifts", "shift-poly",
+        "cocycle", "weight-law-law", "weight-law-map", "d_left-poly", "d_right-poly",
+        "d_left-variable", "pullback", "quadric", "parse-model", "render-model", "save-model",
+        "substitute-poly", "substitute-mapping", "substitute-target"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
+
+
+_PUBLIC_CALLABLES = [
+    obj for obj in (getattr(supermoyal, name) for name in supermoyal.__all__)
+    if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
+]
+
+
+def test_no_public_callable_ends_in_an_attribute_error(tmp_path, monkeypatch):
+    # save_model(model, "x") writes to a relative path: keep it out of the checkout
+    monkeypatch.chdir(tmp_path)
+    values = st.sampled_from([None, 1, 1.0, True, "x", {}, _P34])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_PUBLIC_CALLABLES), st.lists(values, max_size=4))
+    def call(fn, args):
+        try:
+            fn(*args)
+        except AttributeError as err:
+            raise AssertionError(f"{fn.__name__}{tuple(args)!r}: {err!r}") from err
+        except Exception:
+            pass  # any other error names what is wrong
+
+    call()

@@ -613,6 +613,17 @@ class TestModelFiles:
         # a second chart or map of one name is refused at its header line
         ("[bivector]\n\n[charts]\nchart A\nvar x even\nchart A\n", 13, "duplicate chart 'A'"),
         (_CHARTS + "map A B\nth -> 0\nmap A B\nth -> 0\n", 21, "duplicate map A B"),
+        # so is every other repeated key, at its second line
+        ("[bivector]\nth th := 1\nth th := 2\n", 10, "duplicate entry (th, th)"),
+        ("[bivector]\n\n[relations]\nanti th th = hbar\nanti th th = hbar\n", 12,
+         "duplicate relation (th, th)"),
+        ("[bivector]\n\n[fibration]\nover model\nrule z -> x\nrule z -> x\n", 13,
+         "duplicate rule 'z'"),
+        ("[bivector]\n\n[charts]\nchart A\nvar th odd\ntable th th = 1\ntable th th = 2\n", 14,
+         "duplicate table entry (th, th)"),
+        (_CHARTS + "map A B\nth -> 0\nth -> 1\n", 21, "duplicate rule 'th'"),
+        (_CHARTS + "map A B\nth -> 0\n\n[weights]\nlaw A B x x : 1\nlaw A B x x : 1\n", 24,
+         "duplicate law A B x x"),
         (_CHARTS + "map A C\n", 19, "unknown chart 'C'"),
         (_CHARTS + "map A B\nx = x\n", 20, "expected: NAME -> expression"),
         ("[bivector]\n\n[weights]\nlaw A B x : 1\n", 11,
@@ -654,6 +665,9 @@ class TestModelFiles:
         ("[options]\nname = m\nmax_order = x\n" + _REST, 3, "bad max_order 'x'"),
         ("[options]\nname = m\nassociative = maybe\n" + _REST, 3, "associative must be true or false"),
         ("[options]\nname = m\ncolour = red\n" + _REST, 3, "unknown option 'colour'"),
+        ("[options]\nname = m\nmax_order = 3\nmax_order = 9\n" + _REST, 4,
+         "duplicate option 'max_order'"),
+        ("[options]\nname = m\nname = n\n" + _REST, 3, "duplicate option 'name'"),
     ])
     def test_declaration_and_option_errors_keep_their_text(self, text, line_no, message):
         with pytest.raises(ModelFormatError) as info:
@@ -970,6 +984,7 @@ class TestVerifyCommand:
         "map U1 U2\nz2 -> z1^-1\nz3 -> z1^-1*z3\nz4 -> z1^-1*z4\nxi1 -> z1^-1*xi1\n"
         "xi2 -> z1^-1*xi2\nxi3 -> z1^-1*xi3\nxi4 -> z1^-1*xi4"
     )
+    _LAW = "law plus minus w1 w2 : l^-2"  # line 100 of p3_4.model
     _DEEP = "(" * (MAX_NESTING + 1) + "D11_12" + ")" * (MAX_NESTING + 1)
 
     @pytest.mark.parametrize("model, old, new, error", [
@@ -998,12 +1013,14 @@ class TestVerifyCommand:
          "319: variable 'z2' has no rule and chart U2 lacks it"),
         ("p3_n", "chart U1", "chart U1\nchart U1", "119: duplicate chart 'U1'"),
         ("p3_n", _U1_U2, f"{_U1_U2}\n{_U1_U2}", "320: duplicate map U1 U2"),
+        # a second law line once added a second glue record to the report
+        ("p3_4", _LAW, f"{_LAW}\n{_LAW}", "101: duplicate law plus minus w1 w2"),
         # P3|4's [cy] line
         ("p3_4", "projective 3 4", "projective -1 4",
          "112: bad weight system line 'projective -1 4': the dimension must be at least 0, got -1"),
     ], ids=["noncentral-40", "noncentral-35", "superscript-40", "superscript-35", "digit",
             "nesting", "relation-parity", "dropped-rule", "duplicate-chart", "duplicate-map",
-            "negative-cy"])
+            "duplicate-law", "negative-cy"])
     def test_edited_shipped_file_is_named_at_its_line(self, cli, tmp_path, model, old, new, error):
         text = (_ROOT / "models" / f"{model}.model").read_text()
         assert text.count(f"\n{old}\n") == 1
@@ -1439,6 +1456,35 @@ class TestDriver:
         proc.stderr.close()
         # 128 + SIGPIPE, the status a shell reports for a tool the pipe ended
         assert (proc.wait(timeout=60), err) == (141, "")
+
+    _COMMAND_WORDS = ("verify", "star", "comm", "cy", "list-builtins", "bogus")
+    _ARGV_WORDS = _COMMAND_WORDS + (
+        "P3|4", "T1-cotangent", "P3|N=1",
+        "--order", "--json", "--quiet", "--lhs", "--rhs", "--a", "--b",
+        "--projective", "--weighted", "--ambitwistor", "--", "--bogus",
+        "0", "1", "3", "-1", "two", "z1", "xi1", "z1*z2", "x11", "1/2", "(z1",
+    )
+
+    def test_any_argv_exits_0_1_or_2_and_an_exit_2_names_one_error(self, capsys):
+        words = st.sampled_from(self._ARGV_WORDS)
+        argvs = st.one_of(
+            st.lists(words, max_size=7),
+            st.builds(lambda c, rest: [c, *rest], st.sampled_from(self._COMMAND_WORDS),
+                      st.lists(words, max_size=6)),
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(argvs)
+        def check(argv):
+            rc = run(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 1, 2)
+            if rc == 0:
+                assert err == ""
+            if rc == 2 and argv:
+                assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
+
+        check()
 
     def test_main_exits_with_run_code(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["supermoyal", "list-builtins"])

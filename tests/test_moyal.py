@@ -334,6 +334,26 @@ class TestErrors:
         with pytest.raises(TypeError, match=message):
             getattr(StarEngine(pi), entry)(*args)
 
+    @pytest.mark.parametrize("attr", ["max_order", "bivector", "table"])
+    def test_engine_settings_cannot_be_rebound(self, attr):
+        # the scale, the weights and both caches are built for the engine's
+        # order, bivector and table; an order-2 engine rebound to 8 once
+        # dropped the 3/4*hbar^3*D11_12^3 term of x11^3 * x12^3
+        m = builtin("T0-cotangent")
+        t, other = m.table, builtin("P3|4")
+        eng = StarEngine(m.bivector, 2)
+        for value in (8, other.bivector, other.table):
+            with pytest.raises(AttributeError):
+                setattr(eng, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(eng, attr)
+        fresh = StarEngine(m.bivector, 2)
+        f, g = t.var("x11", 2), t.var("x12", 2)
+        assert eng.star(f, g) == fresh.star(f, g)
+        assert (eng.max_order, eng.bivector, eng.table) == (2, m.bivector, t)
+        with pytest.raises(TruncationExceeded):
+            eng.star(t.var("x11", 3), t.var("x12", 3))
+
 
 _CONTRACT_IDS = ["contract bilinearity", "contract associativity", "contract order1-bracket"]
 
