@@ -127,6 +127,15 @@ def check_cocycle(maps: Sequence[TransitionMap]) -> tuple[bool, str]:
     """Compose a closed chain of maps and test it is the identity.
 
     Returns (ok, name of the first variable that fails to return to itself).
+    Variables go one at a time, in table order.  A hop that has no rule for
+    a variable carries it over by name, exactly what its plan would give, so
+    the variable rides by name until the first hop that maps it.  It takes
+    that hop's rule, and only the later hops transport the image.  A
+    variable no hop maps returns as the last target's variable of the same
+    name.  Equal tables pack alike, so it equals the source's variable
+    exactly when the last target's table equals the source's.  A hop whose
+    source chart carries another table than the one the variable arrives in
+    gets the variable as a polynomial, so its plan raises as it would.
     """
     if not maps:
         raise NonComposableCycle("empty chain")
@@ -140,10 +149,21 @@ def check_cocycle(maps: Sequence[TransitionMap]) -> tuple[bool, str]:
     if maps[-1].dst.name != maps[0].src.name:
         raise NonComposableCycle("chain does not close")
     table = maps[0].src.table
+    # each hop with its rules and, when its source chart carries another
+    # table, the table a riding variable arrives in
+    hops, here = [], table
+    for tmap in maps:
+        hops.append((tmap, tmap.rules, None if tmap.src.table == here else here))
+        here = tmap.dst.table
+    # a variable that rides every hop returns as here.var(name)
+    closes = here == table
     for name in table.names():
-        p = table.var(name)
-        for tmap in maps:
-            p = tmap.apply(p)
-        if p != table.var(name):
+        p = None  # None while the variable rides by name
+        for tmap, rules, foreign in hops:
+            if p is None and foreign is None:
+                p = rules.get(name)
+            else:
+                p = tmap.apply(foreign.var(name) if p is None else p)
+        if not (closes if p is None else p == table.var(name)):
             return False, name
     return True, ""

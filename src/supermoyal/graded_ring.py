@@ -307,6 +307,8 @@ class VarTable(_ReadOnly):
 
     def _pack(self, m: Monomial) -> int:
         """The packed int of a monomial view."""
+        if not (isinstance(m, tuple) and len(m) == 3):
+            raise TypeError(f"term key {m!r} must be a Monomial")
         even, odd, hbar = m
         if len(even) != self.n_even or not 0 <= odd <= self._odd:
             raise ValueError(f"{m!r} is not a monomial over {self!r}")
@@ -381,6 +383,7 @@ class VarTable(_ReadOnly):
         return GradedPoly._of_scaled(self, {self._zero + (power << self._hbar_shift): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
+        _check_type("name", name, str)
         _check_int("power", power)
         return GradedPoly._of_scaled(self, {self._var_key(name, power): 1}, 1)
 

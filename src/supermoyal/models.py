@@ -23,7 +23,9 @@ from types import MappingProxyType
 from .atlas import (
     Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
 )
-from .graded_ring import EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, _check_type, substitute
+from .graded_ring import (
+    EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, _check_int, _check_type, substitute,
+)
 from .moyal import (
     CheckRecord, NonCentralBivector, StarEngine, _record, check_max_order,
     check_quantization_contract,
@@ -310,6 +312,7 @@ def generic_chart_pair(n: int):
 
     Returns ((plus, minus), (plus_to_minus, minus_to_plus), laws).
     """
+    _check_int("n", n)
     decls = [(name, EVEN, False, 1) for name in ("z1", "z2", "l1", "l2")]
     decls += [(f"xi{i}", ODD, False, 1) for i in range(1, n + 1)]
     decls += [(c, EVEN) for c in _c_names(n)]
@@ -587,6 +590,8 @@ def anti_chiral_substitution(
     _check_type("shifts", shifts, Mapping)
     _check_type("polynomial", f, GradedPoly)
     t = f.table
+    for name, s in shifts.items():
+        _check_type(f"shift of {name!r}", s, GradedPoly)
     mapping = {name: t.var(name) + s for name, s in shifts.items()}
     return substitute(f, mapping, target=t)
 

@@ -45,7 +45,10 @@ class SuperBivector(_ReadOnly):
         _check_type("entries", entries, Mapping)
         self.table = table
         full: dict[tuple[str, str], GradedPoly] = {}
-        for (a, b), value in entries.items():
+        for key, value in entries.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise TypeError(f"entry key {key!r} must be a pair of variable names")
+            a, b = key
             if a not in table or b not in table:
                 raise VariableMismatch(f"unknown variable in entry ({a}, {b})")
             if not isinstance(value, GradedPoly):

@@ -16,6 +16,7 @@ the first slot before that step.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 
@@ -85,8 +86,31 @@ def _key(table, name: str) -> tuple:
     return ("even", table.even_slot(name))
 
 
-def oracle_star(bivector, f, g, max_order: int) -> dict:
-    """f * g as a plain dict; raises ValueError if the series outlives max_order."""
+def _step(ka: tuple, kb: tuple, F: tuple, G: tuple):
+    """(sign * d_A F coefficient * d_B G coefficient, d_A F, d_B G) of one
+    contraction step on the monomials F and G, or None if it vanishes."""
+    dF = mono_d_left(ka, F)
+    if dF is None:
+        return None
+    dG = mono_d_left(kb, G)
+    if dG is None:
+        return None
+    parity_f = len(_word(F[1])) % 2
+    parity_a = 1 if ka[0] == "odd" else 0
+    parity_b = 1 if kb[0] == "odd" else 0
+    sign = -1 if parity_b * (parity_f + parity_a) % 2 else 1
+    return sign * dF[0] * dG[0], dF[1], dG[1]
+
+
+def oracle_star(bivector, f, g, max_order: int, plain: bool = False) -> dict:
+    """f * g as a plain dict; raises ValueError if the series outlives max_order.
+
+    When every entry is even and has no odd factor, the entries commute
+    with every factor and with one another, so the sum over the tuples that
+    continue a state (depth, F, G) depends on that state alone, and it is
+    memoised on it; each product of entries is built once.  Any other
+    bivector, or ``plain``, takes the plain tuple sum.
+    """
     table = bivector.table
     steps = [
         (_key(table, a), _key(table, b), as_dict(entry))
@@ -101,32 +125,63 @@ def oracle_star(bivector, f, g, max_order: int) -> dict:
     def descend(depth: int, F: tuple, G: tuple, coeff: Fraction, centre: dict) -> None:
         n = depth + 1
         for ka, kb, entry in steps:
-            dF = mono_d_left(ka, F)
-            if dF is None:
+            got = _step(ka, kb, F, G)
+            if got is None:
                 continue
-            dG = mono_d_left(kb, G)
-            if dG is None:
-                continue
-            parity_f = len(_word(F[1])) % 2
-            parity_a = 1 if ka[0] == "odd" else 0
-            parity_b = 1 if kb[0] == "odd" else 0
-            sign = -1 if parity_b * (parity_f + parity_a) % 2 else 1
-            c = coeff * sign * dF[0] * dG[0]
+            factor, dF, dG = got
+            c = coeff * factor
             here = poly_mul(centre, entry)
             if not here:
                 continue
             if depth == max_order:
                 raise ValueError(f"series alive past order {max_order}")
-            even, odd, hbar = dF[1]
+            even, odd, hbar = dF
             shifted = {(even, odd, hbar + n): c / (factorial(n) * 2**n)}
-            add(poly_mul(poly_mul(here, shifted), {dG[1]: Fraction(1)}))
-            descend(n, dF[1], dG[1], c, here)
+            add(poly_mul(poly_mul(here, shifted), {dG: Fraction(1)}))
+            descend(n, dF, dG, c, here)
 
+    @cache
+    def series(depth: int, F: tuple, G: tuple) -> dict:
+        """What descend(depth, F, G, 1, unit) adds, for central entries, as
+        {(path, monomial): coefficient}: the entries commute, so the sorted
+        indices of the steps a path takes stand for their product."""
+        out: dict = {}
+        n = depth + 1
+        for i, (ka, kb, entry) in enumerate(steps):
+            got = _step(ka, kb, F, G)
+            if got is None or not entry:
+                continue
+            if depth == max_order:
+                raise ValueError(f"series alive past order {max_order}")
+            c, dF, dG = got
+            even, odd, hbar = dF
+            parts = [(path, m, c * x) for (path, m), x in series(n, dF, dG).items()]
+            emitted = mono_mul((even, odd, hbar + n), dG)
+            if emitted is not None:
+                sign, m = emitted
+                parts.append(((), m, Fraction(sign * c, factorial(n) * 2**n)))
+            for path, m, x in parts:
+                key = (tuple(sorted(path + (i,))), m)
+                out[key] = out.get(key, 0) + x
+        return out
+
+    @cache
+    def product(path: tuple) -> dict:
+        out = {unit: Fraction(1)}
+        for i in path:
+            out = poly_mul(out, steps[i][2])
+        return out
+
+    central = not plain and all(not odd for _, _, entry in steps for _, odd, _ in entry)
     unit = ((0,) * table.n_even, 0, 0)
     for mf, cf in as_dict(f).items():
         for mg, cg in as_dict(g).items():
             add(poly_mul({mf: cf}, {mg: cg}))
-            descend(0, mf, mg, cf * cg, {unit: Fraction(1)})
+            if central:
+                for (path, m), x in series(0, mf, mg).items():
+                    add(poly_mul(product(path), {m: cf * cg * x}))
+            else:
+                descend(0, mf, mg, cf * cg, {unit: Fraction(1)})
     return {m: c for m, c in total.items() if c}
 
 

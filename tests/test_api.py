@@ -90,6 +90,14 @@ _P34 = builtin("P3|4")
     (lambda: graded_ring.substitute(None, {}, _T0.table), "polynomial must be a GradedPoly, got NoneType"),
     (lambda: graded_ring.substitute(_X, None, _T0.table), "mapping must be a Mapping, got NoneType"),
     (lambda: graded_ring.substitute(_X, {}, None), "target must be a VarTable, got NoneType"),
+    (lambda: _T0.table.var(3), "name must be a str, got int"),
+    (lambda: graded_ring.GradedPoly(_T0.table, {"x": 1}), "term key 'x' must be a Monomial"),
+    (lambda: poisson.SuperBivector(_P34.table, {("z1",): _P34.table.var("z1")}),
+     "entry key ('z1',) must be a pair of variable names"),
+    (lambda: atlas.Chart("A", _T0.table, {1: 2}), "entry key 1 must be a pair of variable names"),
+    (lambda: models.anti_chiral_substitution({"x11": 1}, _X),
+     "shift of 'x11' must be a GradedPoly, got int"),
+    (lambda: models.generic_chart_pair({}), "n must be an int, got dict"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -97,7 +105,8 @@ _P34 = builtin("P3|4")
         "spec-weight-float", "spec-weight-bool", "spec-name", "shift-shifts", "shift-poly",
         "cocycle", "weight-law-law", "weight-law-map", "d_left-poly", "d_right-poly",
         "d_left-variable", "pullback", "quadric", "parse-model", "render-model", "save-model",
-        "substitute-poly", "substitute-mapping", "substitute-target"])
+        "substitute-poly", "substitute-mapping", "substitute-target", "var-name", "poly-term-key",
+        "bivector-entry-key", "chart-entry-key", "shift-value", "chart-pair-n"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
@@ -114,7 +123,10 @@ _PUBLIC_CALLABLES = [
 def test_no_public_callable_ends_in_an_attribute_error(tmp_path, monkeypatch):
     # save_model(model, "x") writes to a relative path: keep it out of the checkout
     monkeypatch.chdir(tmp_path)
-    values = st.sampled_from([None, 1, 1.0, True, "x", {}, _P34])
+    # the mappings are non-empty and wrong: keys that are no monomial, pair or
+    # name, and values that are no polynomial
+    values = st.sampled_from([None, 1, 1.0, True, "x", {}, _P34, {"x": 1}, {1: 2},
+                              {("z1",): _X}, {("x11", "x12"): 1}, {"x11": 1}])
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(_PUBLIC_CALLABLES), st.lists(values, max_size=4))
@@ -123,6 +135,10 @@ def test_no_public_callable_ends_in_an_attribute_error(tmp_path, monkeypatch):
             fn(*args)
         except AttributeError as err:
             raise AssertionError(f"{fn.__name__}{tuple(args)!r}: {err!r}") from err
+        except (TypeError, ValueError) as err:
+            # a failed unpacking names neither the key nor the value
+            if "unpack" in str(err):
+                raise AssertionError(f"{fn.__name__}{tuple(args)!r}: {err!r}") from err
         except Exception:
             pass  # any other error names what is wrong
 

@@ -1,6 +1,6 @@
 """Chart gluing: transports, weight laws, and cocycle identities."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +22,18 @@ from supermoyal.graded_ring import (
     Monomial,
     NonInvertibleSubstitution,
     ParityMismatch,
+    VarSpec,
     VarTable,
     substitute,
 )
 from supermoyal.models import (
+    MAX_P3N_ODD,
     _c_names,
     _projective_atlas,
     _quadratic_odd_entries,
     builtin,
     generic_chart_pair,
+    list_builtins,
 )
 from supermoyal.poisson import SuperBivector
 
@@ -335,3 +338,104 @@ class TestSubstitutionPlan:
                 with pytest.raises(NonInvertibleSubstitution):
                     tmap.apply(inverse)
         assert tmap.apply(c) == tmap.dst.table.var("C11_11")
+
+
+# -- the cocycle check against the hop-by-hop loop -------------------------------
+
+def _hop_by_hop_cocycle(maps):
+    """The cocycle check, on a chain it accepts, transporting every
+    variable through every hop."""
+    table = maps[0].src.table
+    for name in table.names():
+        p = table.var(name)
+        for tmap in maps:
+            p = tmap.apply(p)
+        if p != table.var(name):
+            return False, name
+    return True, ""
+
+
+def _outcome(check, maps):
+    try:
+        return check(maps)
+    except Exception as exc:  # the exception is compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _agree(maps):
+    """check_cocycle's outcome, asserted equal to the hop-by-hop loop's."""
+    got = _outcome(check_cocycle, maps)
+    assert got == _outcome(_hop_by_hop_cocycle, maps), maps
+    return got
+
+
+def _chains(transitions, rotations):
+    """Closed chains of 2 and 3 distinct charts: verify's set, or every rotation."""
+    by = {(m.src.name, m.dst.name): m for m in transitions}
+    names = list(dict.fromkeys(m.src.name for m in transitions))
+    chains = list(permutations(names, 2) if rotations else combinations(names, 2))
+    for a, b, c in combinations(names, 3):
+        chains += [(a, b, c), (a, c, b)]
+        if rotations:
+            chains += [(b, c, a), (c, a, b), (c, b, a), (b, a, c)]
+    return [[by[hop] for hop in zip(chain, chain[1:] + chain[:1])] for chain in chains]
+
+
+def _atlases():
+    """(id, transitions, every rotation) of each atlas the oracle runs on."""
+    out = [(name, builtin(name).transitions, True)
+           for name in list_builtins() if builtin(name).transitions]
+    out += [(f"generic_chart_pair({n})", generic_chart_pair(n)[1], True) for n in range(1, 5)]
+    out += [("P^4|2", TestProjectiveAtlas._p4_2()[1], True)]
+    # verify's chains only past N=4, to keep the oracle's share of the suite small
+    out += [(f"P3|N={n}", builtin(f"P3|N={n}").transitions, n <= 4)
+            for n in range(1, MAX_P3N_ODD + 1)]
+    return out
+
+
+class TestCocycleOracle:
+    @pytest.mark.parametrize("transitions, rotations", [
+        pytest.param(transitions, rotations, id=name) for name, transitions, rotations in _atlases()
+    ])
+    def test_every_chain_agrees_with_the_hop_by_hop_loop(self, transitions, rotations):
+        for maps in _chains(transitions, rotations):
+            assert _agree(maps) == (True, "")
+
+    def test_a_mapped_variable_fails_first(self):
+        t_pm, t_mp = generic_chart_pair(2)[1]
+        dt = t_pm.dst.table
+        rules = dict(t_pm.rules)
+        rules["xi2"] = rules["xi2"].scale(3)
+        broken = TransitionMap(t_pm.src, t_pm.dst, rules)
+        assert _agree([broken, t_mp]) == (False, "xi2")
+        rules["w1"] = dt.var("w1")
+        assert _agree([TransitionMap(t_pm.src, t_pm.dst, rules), t_mp]) == (False, "w1")
+
+    def test_a_variable_only_the_middle_hop_maps_fails_first(self):
+        by = {(m.src.name, m.dst.name): m for m in builtin("P3|N=2").transitions}
+        middle = by["U2", "U3"]
+        c = middle.dst.table.var("C12_22")
+        broken = TransitionMap(middle.src, middle.dst, {**middle.rules, "C12_22": c.scale(2)})
+        assert "C12_22" not in by["U1", "U2"].rules and "C12_22" not in by["U3", "U1"].rules
+        assert _agree([by["U1", "U2"], broken, by["U3", "U1"]]) == (False, "C12_22")
+
+    def test_charts_that_meet_by_name_with_other_tables(self):
+        plus, minus, t_pm, t_mp = two_pole_pair()
+        wider = VarTable(minus.table.specs + (VarSpec("q", EVEN),))
+        other = Chart("minus", wider, {})
+        into = TransitionMap(plus, other, _pole_rules(wider))
+        out_of = TransitionMap(other, plus, {**_pole_rules(plus.table), "q": plus.table.one()})
+        by_name = TransitionMap(plus, minus, {})
+        assert by_name.rules == {}
+        # the chain meets another table inside: the hop's plan refuses the
+        # variable, mapped or riding by name
+        for maps in ([t_pm, out_of], [by_name, out_of]):
+            kind, message = _agree(maps)
+            assert kind is ValueError and "source table" in message
+        # it closes on another table: the first variable does not return,
+        # mapped or riding by name
+        assert _agree([t_mp, into]) == (False, "w1")
+        back = TransitionMap(minus, plus, {})
+        assert _agree([back, TransitionMap(plus, other, {})]) == (False, "w1")
+        assert _agree([back, by_name]) == (True, "")
+        assert _agree([t_mp, t_pm]) == (True, "")

@@ -243,6 +243,17 @@ _VERIFY_DIGESTS = {
         "7098320a28a5e8133f27616a40b2e3d470354525ddc7b45040223d9580f41182",
         "f5cdaa10d9296bb66a7dccc3aa86f649d09a12daa644962cb13fceba484d24b4",
     ),
+    # the largest atlases: 14 cocycle chains over 250 and 428 variables
+    "P3|N=12": (
+        1,
+        "be852637acde64892fdf81eb241aff75248597e37532ff54ea645f8325be6faf",
+        "3bea95444fef0e79e6aa5908d50d586c5c5227e99bacb03b9597b244e733bec7",
+    ),
+    "P3|N=16": (
+        1,
+        "5fcb920466e9dd273f7d43082e5a985195aa9d851ce643d1cf2ae97fdc48eb1e",
+        "a75851577ed1153824be53545f84e812cc38d8e527b4e92f14139f6733a52cb2",
+    ),
 }
 
 

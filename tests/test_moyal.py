@@ -767,7 +767,10 @@ class TestDictOracle:
     @given(central_cases())
     def test_random_central_bivectors(self, case):
         pi, f, g = case
-        assert as_dict(StarEngine(pi).star(f, g)) == dict_oracle_star(pi, f, g, 8)
+        want = dict_oracle_star(pi, f, g, 8)
+        assert as_dict(StarEngine(pi).star(f, g)) == want
+        # constant entries take the oracle's memoised sum, which is its tuple sum
+        assert dict_oracle_star(pi, f, g, 8, plain=True) == want
 
     @settings(max_examples=50, deadline=None)
     @given(merging_cases())
@@ -1169,14 +1172,16 @@ def multi_block_cases(draw):
     """A built-in model and operands each of whose term pairs has >= 2 live blocks.
 
     One entry (A, B) is drawn in each of two or more components of the
-    bivector (odd ones included); every term of f carries each A and every
-    term of g each B, beside up to two more variables, a power of hbar and
-    a coefficient.  A repeated odd factor may make a term vanish.
+    bivector (odd ones included), up to every component; every term of f
+    carries each A and every term of g each B, beside up to two more
+    variables, a power of hbar and a coefficient.  A repeated odd factor
+    may make a term vanish.
     """
     m = builtin(draw(st.sampled_from(_BLOCK_MODELS)))
     t, pi = m.table, m.bivector
     groups = _components(pi)
-    picked = draw(st.lists(st.sampled_from(range(len(groups))), min_size=2, max_size=3, unique=True))
+    picked = draw(st.lists(st.sampled_from(range(len(groups))), min_size=2, max_size=len(groups),
+                          unique=True))
     steps = [draw(st.sampled_from(sorted(p for p in pi.entries if p[0] in groups[i])))
              for i in picked]
     names = sorted(set().union(*groups)) + list(m.constants[:2])
@@ -1219,6 +1224,52 @@ class TestBlocks:
         for bit_f, bit_g in ((0, 0), (0, 1), (1, 0), (1, 1)):
             a, b = _part(f, bit_f), _part(g, bit_g)
             assert as_dict(eng.supercommutator(a, b)) == _oracle_comm(pi, a, b, 8)
+
+    # the built-ins with more than two blocks, and their block counts
+    @pytest.mark.parametrize("name, blocks", [
+        ("L5|6", 7), ("P3|4", 5), ("WP[1,3]", 3), ("WP[2,2]", 3), ("WP[4,0]", 3),
+    ])
+    def test_every_subset_of_blocks_agrees_with_the_oracle(self, name, blocks):
+        # one step (A, B) per block, odd where the block is; f multiplies
+        # the A's in block order and g the B's in the reverse order, so
+        # every subset of the blocks is live in one product
+        m = builtin(name)
+        t, pi = m.table, m.bivector
+        groups = _components(pi)
+        assert len(groups) == len(StarEngine(pi)._blocks) == blocks
+        steps = [min(pair for pair in pi.entries if pair[0] in g) for g in groups]
+        eng = StarEngine(pi, 8)
+        for k in range(1, blocks + 1):
+            for subset in combinations(steps, k):
+                f = g = t.one()
+                for a, b in subset:
+                    f, g = f * t.var(a), t.var(b) * g
+                assert as_dict(eng.star(f, g)) == dict_oracle_star(pi, f, g, 8), subset
+
+    def test_a_four_block_product_is_pinned(self):
+        m = builtin("L5|6")
+        f = parse_expression("xi1*xi2*xi3*ze1", m.table)
+        g = parse_expression("ze1*xi3*xi2*xi1", m.table)
+        got = StarEngine(m.bivector, 8).star(f, g)
+        # each odd block fires once: xi1, xi2, xi3 and ze1 at hbar^4
+        assert render_poly(got) == (
+            "1/16*hbar^4*l1^6*m1^2 + 1/16*hbar^4*l1^6*m2^2 + 3/16*hbar^4*l1^4*l2^2*m1^2"
+            " + 3/16*hbar^4*l1^4*l2^2*m2^2 + 3/16*hbar^4*l1^2*l2^4*m1^2"
+            " + 3/16*hbar^4*l1^2*l2^4*m2^2 + 1/16*hbar^4*l2^6*m1^2 + 1/16*hbar^4*l2^6*m2^2"
+        )
+        assert as_dict(got) == dict_oracle_star(m.bivector, f, g, 8)
+
+    @pytest.mark.parametrize("name, lhs, rhs", [
+        ("L5|6", "xi1*xi2*ze1*X1", "hbar*ze1*xi2*xi1*X2 + Y1"),
+        ("P3|4", "z1^2*xi1*xi3", "xi3*xi1*z2^2 - 1/3*z2"),
+        ("WP[2,2]", "z1*xi1*xi2 + xi2", "2*z2^2*xi2*xi1"),
+    ])
+    def test_the_memoised_oracle_is_the_tuple_sum(self, name, lhs, rhs):
+        m = builtin(name)
+        f, g = parse_expression(lhs, m.table), parse_expression(rhs, m.table)
+        for a, b in ((f, g), (g, f)):
+            assert dict_oracle_star(m.bivector, a, b, 8) == dict_oracle_star(
+                m.bivector, a, b, 8, plain=True)
 
     # (model, f, g, order at which the product completes, sufficient_order)
     @pytest.mark.parametrize("model, lhs, rhs, complete, sufficient", [
