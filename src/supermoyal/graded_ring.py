@@ -220,13 +220,14 @@ class VarTable(_ReadOnly):
     It also fixes the packed layout of its monomials (see the module
     docstring): ``_odd`` masks the odd bits, ``_shifts[i]`` is even slot i's
     field, ``_zero`` is the unit monomial (every field at the bias),
-    ``_guard`` the fields' top bits, ``_evens`` all the fields' bits and
-    ``_hbar_shift`` where the hbar power starts.
+    ``_guard`` the fields' top bits, ``_evens`` all the fields' bits,
+    ``_carry`` the bits below each guard bit and ``_hbar_shift`` where the
+    hbar power starts.
     """
 
     __slots__ = (
         "specs", "_index", "_even_slot", "_odd_bit", "n_even", "n_odd",
-        "_odd", "_shifts", "_zero", "_guard", "_evens", "_hbar_shift",
+        "_odd", "_shifts", "_zero", "_guard", "_evens", "_carry", "_hbar_shift",
     )
 
     def __init__(self, specs: Iterable[VarSpec]):
@@ -260,6 +261,7 @@ class VarTable(_ReadOnly):
         self._zero = sum(EXPONENT_LIMIT << s for s in self._shifts)
         self._guard = self._zero << 1
         self._evens = sum(_FIELD << s for s in self._shifts)
+        self._carry = self._guard - (self._zero >> (FIELD_BITS - 2))
         self._hbar_shift = n_odd + n_even * FIELD_BITS
 
     @classmethod
@@ -280,10 +282,18 @@ class VarTable(_ReadOnly):
         return name in self._index
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            _check_type("name", name, str)  # a name of the wrong type is named
+            raise
 
     def spec(self, name: str) -> VarSpec:
-        return self.specs[self._index[name]]
+        try:
+            return self.specs[self._index[name]]
+        except (KeyError, TypeError):
+            _check_type("name", name, str)
+            raise
 
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.specs)
@@ -310,6 +320,10 @@ class VarTable(_ReadOnly):
         if not (isinstance(m, tuple) and len(m) == 3):
             raise TypeError(f"term key {m!r} must be a Monomial")
         even, odd, hbar = m
+        _check_int("odd mask", odd)
+        _check_int("hbar power", hbar)
+        for e in even:
+            _check_int("even exponent", e)
         if len(even) != self.n_even or not 0 <= odd <= self._odd:
             raise ValueError(f"{m!r} is not a monomial over {self!r}")
         if hbar < 0:
@@ -352,6 +366,17 @@ class VarTable(_ReadOnly):
             s = self._shifts[self._even_slot[name]]
             return _FIELD << s, EXPONENT_LIMIT << s
         return 1 << self._odd_bit[name], 0
+
+    def _factor_bits(self, m: int) -> int:
+        """One bit per variable that divides the packed m, so that
+        m & mask != bits for its ``_support`` exactly when the bit is set:
+        the guard bit of an even variable's field and the odd bit of an odd one.
+
+        A field of (m ^ _zero) & _evens is 0 exactly when its exponent is,
+        and lies below the guard bit, so adding ``_carry`` sets the guard bit
+        exactly for a non-zero exponent and carries into no other field.
+        """
+        return ((m ^ self._zero) & self._evens) + self._carry & self._guard | m & self._odd
 
     def _overflow(self, a: int, b: int) -> ExponentOverflow:
         """The error of a product of packed monomials whose exponents leave the range."""
@@ -439,6 +464,11 @@ class GradedPoly:
             if g != 1:
                 num = {m: c // g for m, c in num.items()}
                 den //= g
+        return cls._of_canonical(table, num, den)
+
+    @classmethod
+    def _of_canonical(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
+        """Trusted constructor for ``num / den`` already canonical: no gcd pass, no copy."""
         p = object.__new__(cls)
         p.table = table
         p._num = num

@@ -53,8 +53,9 @@ What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
 odd entry or an entry with hbar) is computed once, when the bivector is
 built, and an engine only reads it.  The pair cache, the run cache, the
-scale D and the counters stay per engine, so engines share no contraction
-work.
+two classification memos (see "Blocks"), the scale D and the counters stay
+per engine, so engines share no contraction work, and a fresh engine, as
+in a new process, starts with every cache empty.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -153,13 +154,29 @@ max(a + depth_c, a_c + depth), depth that of the blocks before c; the
 counts are cut at max_order only for the peaks, or depth would fall short.
 
 An odd bivector, or an entry with an odd factor, is one block over every
-variable, which an engine takes as live on every miss: two odd block
-operators anticommute, so the exponential does not factor, and centres with
-odd factors can multiply to zero, so counts do not convolve.  Its rest is
-only the operands' hbar powers, and stripping them is exact: hbar is even
-and central and no step differentiates it, so
+variable: two odd block operators anticommute, so the exponential does not
+factor, and centres with odd factors can multiply to zero, so counts do not
+convolve.  Its rest is only the operands' hbar powers, and stripping them
+is exact: hbar is even and central and no step differentiates it, so
 exp(hbar P / 2)(hbar^a F (x) hbar^b G) = hbar^(a+b) exp(hbar P / 2)(F (x) G),
 with s = 1 and the same states order by order.
+
+How a miss finds its live blocks.  An operand monomial's row bits are one
+bit per bivector row that divides it, by the same m & mask != bits test
+the kernel makes, taken for every row at once (``VarTable._factor_bits``,
+masked by ``SuperBivector._row_mask``).  Each block lists (row bit,
+partner bits) for its rows (``poisson._blocks``), so a block is live
+exactly when a row bit of mf links to a partner bit of mg.  A one-block
+bivector takes the same test, so a pair with no live step takes the k = 0
+path: its kernel would return F_b G_b from one state at order 0 and fire
+nothing, which is what the k = 0 path caches and records.  An engine
+keeps each operand's row bits per monomial, and a pair's live blocks and
+sign s per shape, (rows of mf, rows of mg, mf & odd, mg & odd).  That key
+is complete: the live blocks depend on the row bits alone, and s
+(``_regroup_sign``) reads only the parts' odd factors, mf & mask & odd and
+mg & mask & odd for the live blocks' masks and the rest, so only the odd
+masks beside the live blocks.  Both memos fill as misses arrive: one
+classification per distinct monomial and one per distinct shape.
 
 Runs.  The series F_b * G_b of a block, its live states per order and the
 highest order it fired from depend only on the parts (F_b, G_b), so an
@@ -174,6 +191,16 @@ The entries live in passive fields, which F_0 G_0 may fill too, so every
 shifted key is tested against the guard bits when F_0 G_0 has an even
 exponent.  Such a pair raises ``TruncationExceeded`` exactly when
 its run fired from max_order, and records the run's live states.
+
+Two products skip the gcd pass that makes a polynomial canonical (see
+``graded_ring``), because they are canonical as built: the run is, and
+multiplying each of its numerators by +-1 over the same denominator keeps
+their gcd with it, so one run times a signed monomial is too, and so is a
+mirror read, which flips signs over the mirror's denominator.  A product
+of k >= 2 runs multiplies their numerators and denominators, and is
+reduced once: a run with no order-0 term, as th * th for an odd row th,
+may have every numerator divisible by a factor of another run's
+denominator.
 """
 
 from __future__ import annotations
@@ -256,15 +283,16 @@ class StarEngine:
     """Star product for one bivector, with a per-engine monomial cache.
 
     The bivector's refusal, d_e and blocks are built with the bivector and
-    read by every engine over it; the pair cache, the run cache, the scale
-    for ``max_order`` and ``stats`` belong to this engine alone.  ``stats``
+    read by every engine over it; the pair cache, the run cache, the memos
+    of row bits and pair shapes, the scale for ``max_order`` and ``stats``
+    belong to this engine alone.  ``stats``
     count monomial pairs, not runs.  ``bivector``, ``table`` and
     ``max_order`` are read-only: the scale and both caches are built for them.
     """
 
     __slots__ = (
         "_bivector", "_table", "_max_order", "_blocks", "_unit", "_scale",
-        "_cache", "_runs", "_hits", "_misses", "_peaks",
+        "_cache", "_runs", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
@@ -281,6 +309,9 @@ class StarEngine:
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
         self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
+        # an operand monomial's row bits, and a pair's (live blocks, sign) by its shape
+        self._row_bits: dict[int, int] = {}
+        self._shapes: dict[tuple[int, int, int, int], tuple[tuple, int]] = {}
         self._hits = 0
         self._misses = 0
         self._peaks: list[int] = []
@@ -406,29 +437,27 @@ class StarEngine:
         """
         self._misses += 1
         t = self._table
-        odd = t._odd
         mirror = self._cache.get((mg, mf))
         if mirror is not None:
-            # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n
-            hs = t._hbar_shift
+            # mg * mf = s (mf * mg)|_{hbar -> -hbar}: flip each term of odd order n,
+            # which leaves the mirror canonical
+            hs, odd = t._hbar_shift, t._odd
             s = -1 if (mf & odd).bit_count() & (mg & odd).bit_count() & 1 else 1
             h = (mf >> hs) + (mg >> hs)
             total = {m: -s * q if (m >> hs) - h & 1 else s * q for m, q in mirror._num.items()}
-            got = self._cache[(mf, mg)] = GradedPoly._of_scaled(t, total, mirror._den)
+            got = self._cache[(mf, mg)] = GradedPoly._of_canonical(t, total, mirror._den)
             return got
-        live = self._blocks
-        if len(live) > 1:
-            live = _live_blocks(live, mf, mg)
+        live, s = self._classify(mf, mg)
         if not live:  # no step fires: the product is the one term mf mg
             fg = _mono_mul(mf, mg, t)
-            got = t.zero() if fg is None else GradedPoly._of_scaled(t, {fg[1]: fg[0]}, 1)
+            got = t.zero() if fg is None else GradedPoly._of_canonical(t, {fg[1]: fg[0]}, 1)
             if not self._peaks:
                 self._peaks.append(1)  # its one state, at order 0
             self._cache[(mf, mg)] = got
             return got
         unit, runs = self._unit, self._runs
         counts = None
-        for rows, mask, fill in live:
+        for rows, mask, fill, _ in live:
             F, G = mf & mask | fill, mg & mask | fill
             run = runs.get((F, G))
             if run is None:
@@ -456,13 +485,12 @@ class StarEngine:
             got = t.zero()
         else:
             sign, FG = fg
-            # s is 1 when every odd factor lies in the first block's part
-            if (mf | mg) & odd & ~live[0][1]:
-                sign *= _regroup_sign(mf, mg, live, odd)
-            if FG == unit and num is series._num:
+            if num is not series._num:  # a product of runs: one gcd pass
+                got = GradedPoly._of_scaled(t, _times_monomial(num, s * sign, FG, t), den)
+            elif FG == unit:
                 got = series  # one live block and no rest: the pair's product is its run
-            else:
-                got = GradedPoly._of_scaled(t, _times_monomial(num, sign, FG, t), den)
+            else:  # one run times a signed monomial is canonical as it is
+                got = GradedPoly._of_canonical(t, _times_monomial(num, s * sign, FG, t), den)
         peaks = self._peaks
         for n, c in enumerate(counts[:self._max_order + 1]):
             if n == len(peaks):
@@ -472,6 +500,36 @@ class StarEngine:
         if fired >= self._max_order:
             raise TruncationExceeded(self._max_order)
         self._cache[(mf, mg)] = got
+        return got
+
+    def _classify(self, mf: int, mg: int) -> tuple[tuple, int]:
+        """(live, s) of a pair: its live blocks, in block order, and the sign s
+        of regrouping it into their parts and the rest (see "Blocks" above).
+
+        Both depend only on the pair's shape, (rows dividing mf, rows
+        dividing mg, odd factors of mf, odd factors of mg), so the engine
+        keeps them per shape, and each operand's rows as bits per monomial.
+        """
+        t, row_bits = self._table, self._row_bits
+        rf, rg = row_bits.get(mf), row_bits.get(mg)
+        if rf is None:
+            rf = row_bits[mf] = t._factor_bits(mf) & self._bivector._row_mask
+        if rg is None:
+            rg = row_bits[mg] = t._factor_bits(mg) & self._bivector._row_mask
+        odd = t._odd
+        shape = (rf, rg, mf & odd, mg & odd)
+        got = self._shapes.get(shape)
+        if got is None:
+            live = []
+            for block in self._blocks:
+                for a, p in block[3]:
+                    if rf & a and rg & p:
+                        live.append(block)
+                        break
+            s = 1  # the sign when every odd factor lies in the first block's part
+            if live and (mf | mg) & odd & ~live[0][1]:
+                s = _regroup_sign(mf, mg, live, odd)
+            got = self._shapes[shape] = tuple(live), s
         return got
 
     def _contract(self, mf: int, mg: int, rows: tuple) -> tuple[dict, list, int]:
@@ -559,8 +617,8 @@ def _regroup_sign(mf: int, mg: int, blocks: list, odd: int) -> int:
     the rest, last."""
     sign = 1
     seen_f = seen_g = pg = 0  # odd factors of the parts so far, parity of the G's
-    used = sum(mask for _, mask, _ in blocks)
-    for mask in (*(mask for _, mask, _ in blocks), ~used):
+    used = sum(block[1] for block in blocks)
+    for mask in (*(block[1] for block in blocks), ~used):
         F, G = mf & mask & odd, mg & mask & odd
         if F:
             sign *= _merge_sign(seen_f, F) * (-1 if pg & F.bit_count() else 1)
@@ -588,17 +646,6 @@ def _times_monomial(num: dict, sign: int, FG: int, t) -> dict:
             if p & guard:
                 raise t._overflow(p - shift, FG)
     return out
-
-
-def _live_blocks(blocks: tuple, F: int, G: int) -> list:
-    """The blocks with a step (A, B) whose A divides F and whose B divides G."""
-    live = []
-    for block in blocks:
-        for _, ma, wa, _, partners in block[0]:
-            if F & ma != wa and any(G & mb != wb for _, mb, wb, _, _ in partners):
-                live.append(block)
-                break
-    return live
 
 
 @dataclass(frozen=True)

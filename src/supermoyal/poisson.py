@@ -32,12 +32,14 @@ class SuperBivector(_ReadOnly):
     |A|, ((key B, mask B, bits B, d_e * pi^{AB} as ints, |B|), ...)), with
     ``_d_e`` the entries' common denominator, keys from ``_derivative_key``
     and a packed m having the factor A when m & mask != bits; ``_blocks``
-    the star engine's blocks of those rows; and ``_refusal`` why a star
+    the star engine's blocks of those rows, with ``_row_mask`` the rows'
+    bits in ``VarTable._factor_bits``; and ``_refusal`` why a star
     product must refuse the bivector, or None.
     """
 
     __slots__ = (
-        "table", "entries", "steps", "parity", "is_central", "_d_e", "_rows", "_blocks", "_refusal",
+        "table", "entries", "steps", "parity", "is_central", "_d_e", "_rows", "_blocks",
+        "_row_mask", "_refusal",
     )
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
@@ -115,7 +117,9 @@ class SuperBivector(_ReadOnly):
             for a, pa, partners in self.steps
         )
         # central: no entry has a factor of a row (distinct variables' masks are disjoint)
-        self.is_central = not support & sum(row[1] for row in self._rows)
+        rows_mask = sum(row[1] for row in self._rows)
+        self.is_central = not support & rows_mask
+        self._row_mask = rows_mask & (table._guard | table._odd)
         if not self.is_central:
             refusal = "bivector entries depend on contracted variables"
         self._refusal = refusal
@@ -146,16 +150,25 @@ class SuperBivector(_ReadOnly):
 
 
 def _blocks(table: VarTable, rows: tuple, joint: bool) -> tuple:
-    """The star engine's blocks of packed rows, as (rows, mask, fill).
+    """The star engine's blocks of packed rows, as (rows, mask, fill, links).
 
     A block is a connected component of the graph joining A and B when
     pi^{AB} != 0, in the order of its first row; its mask covers its fields
-    and odd bits, and fill sets every other field to the bias.  Where the
-    split is not exact (``joint``: an odd bivector or an odd entry factor),
-    one block covers every variable (see "Blocks" in ``moyal``).
+    and odd bits, and fill sets every other field to the bias.  ``links``
+    holds (row bit, partner bits) for each of its rows, a variable's bit
+    being its bit in ``VarTable._factor_bits``, so the block has a step
+    (A, B) with A dividing mf and B dividing mg exactly when a row bit of
+    mf links to a partner bit of mg.  Where the split is not exact
+    (``joint``: an odd bivector or an odd entry factor), one block covers
+    every variable (see "Blocks" in ``moyal``).
     """
+    bit = table._guard | table._odd  # of a row's mask, its bit
+
+    def links(block):
+        return tuple((row[1] & bit, sum(p[1] & bit for p in row[4])) for row in block)
+
     if joint and rows:
-        return ((rows, table._evens | table._odd, 0),)
+        return ((rows, table._evens | table._odd, 0, links(rows)),)
     partners_of = {row[0]: row[4] for row in rows}
     home: dict[int, list] = {}  # row key -> the rows of its block
     blocks = []
@@ -170,7 +183,7 @@ def _blocks(table: VarTable, rows: tuple, joint: bool) -> tuple:
                         todo.append(kb)
         home[row[0]].append(row)
     masks = [sum(row[1] for row in block) for block in blocks]
-    return tuple((tuple(b), mask, table._zero & ~mask) for b, mask in zip(blocks, masks))
+    return tuple((tuple(b), mask, table._zero & ~mask, links(b)) for b, mask in zip(blocks, masks))
 
 
 def _bracket_sign(pb: int, pf: int, pa: int) -> int:

@@ -45,6 +45,13 @@ def test_render_poly_is_one_function():
 _T0 = builtin("T0-cotangent")
 _X = _T0.table.var("x11")
 _P34 = builtin("P3|4")
+_EVEN0 = (0,) * _P34.table.n_even
+# term keys of the right shape whose fields are of the wrong type
+_BAD_KEYS = {
+    "odd": {(_EVEN0, "x", 0): 1},
+    "exponent": {((0.5, *_EVEN0[1:]), 0, 0): 1},
+    "hbar": {(_EVEN0, 0, 0.5): 1},
+}
 
 
 @pytest.mark.parametrize("call, message", [
@@ -98,6 +105,13 @@ _P34 = builtin("P3|4")
     (lambda: models.anti_chiral_substitution({"x11": 1}, _X),
      "shift of 'x11' must be a GradedPoly, got int"),
     (lambda: models.generic_chart_pair({}), "n must be an int, got dict"),
+    (lambda: _P34.table.spec(3), "name must be a str, got int"),
+    (lambda: _P34.table.parity(3), "name must be a str, got int"),
+    (lambda: _P34.table.index(3), "name must be a str, got int"),
+    (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["odd"]), "odd mask must be an int, got str"),
+    (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["exponent"]),
+     "even exponent must be an int, got float"),
+    (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["hbar"]), "hbar power must be an int, got float"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -106,7 +120,8 @@ _P34 = builtin("P3|4")
         "cocycle", "weight-law-law", "weight-law-map", "d_left-poly", "d_right-poly",
         "d_left-variable", "pullback", "quadric", "parse-model", "render-model", "save-model",
         "substitute-poly", "substitute-mapping", "substitute-target", "var-name", "poly-term-key",
-        "bivector-entry-key", "chart-entry-key", "shift-value", "chart-pair-n"])
+        "bivector-entry-key", "chart-entry-key", "shift-value", "chart-pair-n", "table-spec",
+        "table-parity", "table-index", "term-key-odd", "term-key-exponent", "term-key-hbar"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
@@ -124,9 +139,11 @@ def test_no_public_callable_ends_in_an_attribute_error(tmp_path, monkeypatch):
     # save_model(model, "x") writes to a relative path: keep it out of the checkout
     monkeypatch.chdir(tmp_path)
     # the mappings are non-empty and wrong: keys that are no monomial, pair or
-    # name, and values that are no polynomial
-    values = st.sampled_from([None, 1, 1.0, True, "x", {}, _P34, {"x": 1}, {1: 2},
-                              {("z1",): _X}, {("x11", "x12"): 1}, {"x11": 1}])
+    # name, monomial keys with a field of the wrong type, and values that are
+    # no polynomial; a table lets a constructor reach its keys
+    values = st.sampled_from([None, 1, 1.0, True, "x", {}, _P34, _P34.table, {"x": 1}, {1: 2},
+                              {("z1",): _X}, {("x11", "x12"): 1}, {"x11": 1},
+                              *_BAD_KEYS.values()])
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(_PUBLIC_CALLABLES), st.lists(values, max_size=4))
@@ -136,8 +153,9 @@ def test_no_public_callable_ends_in_an_attribute_error(tmp_path, monkeypatch):
         except AttributeError as err:
             raise AssertionError(f"{fn.__name__}{tuple(args)!r}: {err!r}") from err
         except (TypeError, ValueError) as err:
-            # a failed unpacking names neither the key nor the value
-            if "unpack" in str(err):
+            # a failed unpacking or an operator refused deep inside names
+            # neither the key nor the value
+            if any(s in str(err) for s in ("unpack", "not supported between", "unsupported operand")):
                 raise AssertionError(f"{fn.__name__}{tuple(args)!r}: {err!r}") from err
         except Exception:
             pass  # any other error names what is wrong

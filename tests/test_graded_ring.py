@@ -691,6 +691,21 @@ def _in_range(even):
 class TestPackedBoundary:
     @settings(max_examples=80, deadline=None)
     @given(boundary_polys())
+    def test_factor_bits_name_each_variable_that_divides(self, a):
+        # one bit per variable, set exactly when the support test finds it,
+        # at every exponent of the field and with hbar above the fields
+        for m in GradedPoly(TB, a)._num:
+            bits = TB._factor_bits(m)
+            for name in TB.names():
+                mask, unit = TB._support(name)
+                bit = mask & (TB._guard | TB._odd)
+                assert bit.bit_count() == 1
+                assert bool(bits & bit) == (m & mask != unit), name
+                bits &= ~bit
+            assert bits == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(boundary_polys())
     def test_the_view_round_trips(self, a):
         p = GradedPoly(TB, a)
         assert as_dict(p) == a

@@ -256,16 +256,30 @@ class TestPackedSteps:
         assert [t.index(a) for a in pi.rows()] == sorted(t.index(a) for a in set(pi.rows()))
 
         rows = pi._rows
+
+        def names(bits):  # a variable's bit in VarTable._factor_bits
+            got = {n for n in t.names() if bits & t._factor_bits(t._var_key(n))}
+            assert bits == sum(t._factor_bits(t._var_key(n)) for n in got)
+            return got
+
+        for block_rows, _, _, links in pi._blocks:
+            assert [names(a) for a, _ in links] == [{name_of[row[0]]} for row in block_rows]
+            assert [row[1] & a for row, (a, _) in zip(block_rows, links)] == [a for a, _ in links]
+            for a, partners in links:
+                (name,) = names(a)
+                assert names(partners) == {b for x, b in pi.entries if x == name}
+        assert pi._row_mask == sum(a for block in pi._blocks for a, _ in block[3])
+        assert names(pi._row_mask) == set(pi.rows())
         odd_factor = any(m & t._odd for e in pi.entries.values() for m in e._num)
         if rows and (pi.parity or odd_factor):
-            assert pi._blocks == ((rows, t._evens | t._odd, 0),)
+            assert [block[:3] for block in pi._blocks] == [(rows, t._evens | t._odd, 0)]
             return
-        flat = [row for block_rows, _, _ in pi._blocks for row in block_rows]
+        flat = [row for block in pi._blocks for row in block[0]]
         assert sorted(map(id, flat)) == sorted(map(id, rows))
-        assert {frozenset(name_of[row[0]] for row in block_rows)
-                for block_rows, _, _ in pi._blocks} == _components(pi)
+        assert {frozenset(name_of[row[0]] for row in block[0])
+                for block in pi._blocks} == _components(pi)
         firsts = []
-        for block_rows, mask, fill in pi._blocks:
+        for block_rows, mask, fill, _ in pi._blocks:
             positions = [rows.index(row) for row in block_rows]
             assert positions == sorted(positions)
             firsts.append(positions[0])
@@ -284,7 +298,7 @@ class TestPackedSteps:
         assert len(shapes["P3|4"]._blocks) > 1
         t = VarTable.build(("x", EVEN), ("y", EVEN), ("th", ODD), ("c", ODD))
         pi = SuperBivector(t, {("x", "y"): t.var("th") * t.var("c"), ("th", "th"): t.one()})
-        assert pi.parity == 0 and pi._blocks == ((pi._rows, t._evens | t._odd, 0),)
+        assert pi.parity == 0 and [b[:3] for b in pi._blocks] == [(pi._rows, t._evens | t._odd, 0)]
 
 
 class TestPoissonBracket:
