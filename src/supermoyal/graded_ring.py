@@ -127,9 +127,12 @@ def _check_type(name: str, value, kind: type) -> None:
 
 
 def _exact(value) -> int | Fraction:
-    """An exact coefficient: ints stay ints, integral Fractions become ints."""
+    """An exact coefficient: ints stay ints, integral Fractions become ints;
+    a bool is refused, as ``_check_int`` refuses it."""
     if type(value) is int:
         return value
+    if isinstance(value, bool):
+        _check_int("coefficient", value)
     if not isinstance(value, Rational):
         raise TypeError(f"{type(value).__name__} {value!r} is not an exact coefficient")
     if type(value) is not Fraction:
@@ -305,10 +308,22 @@ class VarTable(_ReadOnly):
         return tuple(self._odd_bit)
 
     def even_slot(self, name: str) -> int:
-        return self._even_slot[name]
+        try:
+            return self._even_slot[name]
+        except (KeyError, TypeError):
+            raise self._not_of_parity(name, EVEN) from None
 
     def odd_bit(self, name: str) -> int:
-        return self._odd_bit[name]
+        try:
+            return self._odd_bit[name]
+        except (KeyError, TypeError):
+            raise self._not_of_parity(name, ODD) from None
+
+    def _not_of_parity(self, name: str, want: str) -> KeyError:
+        """The error of a slot lookup by a name that is not a ``want``
+        variable; ``self.parity`` raises first for a name of the wrong type
+        or one the table does not declare."""
+        return KeyError(f"{name!r} is an {self.parity(name)} variable, not an {want} one")
 
     def parity(self, name: str) -> str:
         return self.spec(name).parity
@@ -322,6 +337,8 @@ class VarTable(_ReadOnly):
         even, odd, hbar = m
         _check_int("odd mask", odd)
         _check_int("hbar power", hbar)
+        if not isinstance(even, tuple):
+            raise TypeError(f"term key {m!r}: even exponents must be a tuple, got {type(even).__name__}")
         for e in even:
             _check_int("even exponent", e)
         if len(even) != self.n_even or not 0 <= odd <= self._odd:

@@ -46,8 +46,10 @@ contract's basis sweep, is read pair by pair by one method,
 ``StarEngine._sum_products``: it sums int numerators over one shared
 denominator, the lcm of the pair denominators.  ``star`` reduces that sum
 once; the sweep needs only an equality per triple, so it compares the two
-sides' numerators and builds no polynomial (``_basis_sweep``), as
-``poisson_bracket`` sums the bracket for the order-1 check.
+sides' numerators and builds no polynomial (``_basis_sweep``).  The order-1
+check does the same with each product's hbar^1 numerators and the bracket's,
+which ``poisson._bracket_num`` sums from one table of row derivatives per
+operand (``_order1_sweep``).
 
 What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
@@ -218,7 +220,7 @@ from .graded_ring import (
     _FIELD, EVEN, EXPONENT_LIMIT, ODD, GradedPoly, _check_int, _check_type, _merge_sign, _mono_mul,
     _mul_terms, render_poly,
 )
-from .poisson import SuperBivector, _bracket_sign as _step_sign, poisson_bracket
+from .poisson import SuperBivector, _bracket_num, _bracket_sign as _step_sign, _row_derivatives
 
 
 # the largest max_order an engine accepts: every run sums its orders over
@@ -689,16 +691,22 @@ def _row_basis(engine: StarEngine):
 
 
 def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
+    """1-2 terms, each a coefficient 1, -1, 2 or 1/2 times 0-2 rows, summed
+    over the denominator 2 and reduced once."""
     t = engine.table
     rows = engine.bivector.rows()
     names = list(rows) if rows else list(t.names())
-    out = t.zero()
+    num: dict[int, int] = {}
     for _ in range(rng.randint(1, 2)):
-        term = t.const(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        c, m = rng.choice((2, -2, 4, 1)), t._zero  # the coefficient times 2
         for _ in range(rng.randint(0, 2)):
-            term = term * t.var(rng.choice(names))
-        out = out + term
-    return out
+            got = _mono_mul(m, t._var_key(rng.choice(names)), t)
+            if got is None:
+                c = 0  # an odd row drawn twice: the term is zero, the draws go on
+            else:
+                c, m = c * got[0], got[1]
+        num[m] = num.get(m, 0) + c
+    return GradedPoly._of_scaled(t, {m: c for m, c in num.items() if c}, 2)
 
 
 def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
@@ -732,6 +740,25 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     return first
 
 
+def _order1_sweep(pi: SuperBivector, pairs: list) -> str:
+    """The detail of the first pair (f, df, g, dg, fg) whose product fg has
+    an hbar^1 term other than half the bracket {f, g}, or "".
+
+    df and dg are f's and g's ``_row_derivatives``, from which
+    ``_bracket_num`` sums the bracket's numerators over d_e f._den g._den.
+    The two sides are compared cross-multiplied, as numerator maps over
+    2 d_e f._den g._den fg._den, so no polynomial is built.
+    """
+    h = pi.table._hbar_shift
+    low = (1 << h) - 1
+    for f, df, g, dg, fg in pairs:
+        scale = 2 * pi._d_e * f._den * g._den
+        lhs = {m & low: scale * c for m, c in fg._num.items() if m >> h == 1}
+        if lhs != {m: fg._den * c for m, c in _bracket_num(pi, df, dg).items()}:
+            return f"pair ({render_poly(f)}, {render_poly(g)})"
+    return ""
+
+
 def check_quantization_contract(
     engine: StarEngine, associativity: bool = True
 ) -> tuple[CheckRecord, ...]:
@@ -743,7 +770,10 @@ def check_quantization_contract(
     low-degree basis plus randomized polynomial triples; with
     ``associativity=False`` it is not run and its record is a ``skip``.
     Each basis triple compares the int numerators of its two sides, which
-    ``_basis_sweep`` sums with the reader ``star`` uses; every other check
+    ``_basis_sweep`` sums with the reader ``star`` uses.  Each order-1 pair
+    compares the int numerators of its product's hbar^1 term with those of
+    the bracket (``_order1_sweep``), from ``poisson._row_derivatives`` taken
+    once per basis element and once per sampled operand; every other check
     compares ``star`` products.  A series that outlives ``max_order`` raises
     ``TruncationExceeded``, as ``star`` does.
     """
@@ -785,14 +815,15 @@ def check_quantization_contract(
             "sweep is not run",
         ))
 
-    first = ""
     pi = engine.bivector
-    pairs = [(f, g, fg) for f, f_row in zip(basis, products) for g, fg in zip(basis, f_row)]
+    tables = [_row_derivatives(pi, f) for f in basis]
+    pairs = [
+        (f, df, g, dg, fg) for f, df, f_row in zip(basis, tables, products)
+        for g, dg, fg in zip(basis, tables, f_row)
+    ]
     for _ in range(10):
         f, g = _sample_poly(rng, engine), _sample_poly(rng, engine)
-        pairs.append((f, g, engine.star(f, g)))
-    for f, g, fg in pairs:
-        if fg.hbar_coefficient(1) != poisson_bracket(pi, f, g).scale(Fraction(1, 2)):
-            first = first or f"pair ({render_poly(f)}, {render_poly(g)})"
+        pairs.append((f, _row_derivatives(pi, f), g, _row_derivatives(pi, g), engine.star(f, g)))
+    first = _order1_sweep(pi, pairs)
     records.append(_record("contract order1-bracket", "contract", not first, detail=first))
     return tuple(records)

@@ -191,40 +191,34 @@ def _bracket_sign(pb: int, pf: int, pa: int) -> int:
     return -1 if pb & (pf ^ pa) else 1
 
 
-def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPoly:
-    """{f, g} = sum over entries of sign * pi^{AB} * d_left(A, f) * d_left(B, g).
-
-    Summed term by term into one map of packed monomials over the common
-    denominator of f, g and the entries, with the sign (-1)^(|B| (|F| + |A|))
-    of each term F of f.  It reads the bivector's packed steps, as the star
-    engine does, but sums them with its own code and sign, so the order-1
-    check compares two separate computations; any entries will do,
-    non-central, odd and Laurent ones included.
-    """
-    _check_type("bivector", pi, SuperBivector)
-    _check_type("bracket operand", f, GradedPoly)
-    _check_type("bracket operand", g, GradedPoly)
-    t = pi.table
-    if f.table != t or g.table != t:
-        raise VariableMismatch("bracket operands must live over the bivector's table")
-    odd = t._odd
-    out: dict[int, int] = {}
-    dgs: dict[int, list] = {}  # d_left(B, g) as (coefficient, monomial) pairs, by B's key
-    for ka, _, _, pa, partners in pi._rows:
-        dfs = [  # d_left(A, f) as (coefficient, monomial, parity of the term of f)
-            (got[0] * c, got[1], (m & odd).bit_count() & 1) for m, c in f._num.items()
+def _row_derivatives(pi: SuperBivector, p: GradedPoly) -> dict[int, list]:
+    """d_left(A, p) for every row A of pi with a non-zero one, keyed by A's
+    derivative key, as (coefficient, monomial, parity of the term of p)
+    triples with the coefficients over p's denominator."""
+    odd = pi.table._odd
+    out = {}
+    for ka, *_ in pi._rows:
+        d = [
+            (got[0] * c, got[1], (m & odd).bit_count() & 1) for m, c in p._num.items()
             if (got := _mono_d(m, ka, odd)) is not None
         ]
-        if not dfs:
+        if d:
+            out[ka] = d
+    return out
+
+
+def _bracket_num(pi: SuperBivector, df: dict, dg: dict) -> dict[int, int]:
+    """Numerators of {f, g} over d_e * f's denominator * g's, with no zero
+    entry, from the ``_row_derivatives`` tables df of f and dg of g."""
+    t = pi.table
+    out: dict[int, int] = {}
+    for ka, _, _, pa, partners in pi._rows:
+        dfs = df.get(ka)
+        if dfs is None:
             continue
         for kb, _, _, entry, pb in partners:
-            dg = dgs.get(kb)
-            if dg is None:
-                dg = dgs[kb] = [
-                    (got[0] * c, got[1]) for m, c in g._num.items()
-                    if (got := _mono_d(m, kb, odd)) is not None
-                ]
-            if not dg:
+            dgs = dg.get(kb)
+            if dgs is None:
                 continue
             signs = _bracket_sign(pb, 0, pa), _bracket_sign(pb, 1, pa)
             for me, ce in entry.items():
@@ -233,11 +227,33 @@ def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPo
                     if ef is None:
                         continue
                     c = signs[pf] * ef[0] * ce * cf
-                    for cg, mg in dg:
+                    for cg, mg, _ in dgs:
                         efg = _mono_mul(ef[1], mg, t)
                         if efg is not None:
                             out[efg[1]] = out.get(efg[1], 0) + efg[0] * c * cg
-    return GradedPoly._of_scaled(t, {m: c for m, c in out.items() if c}, pi._d_e * f._den * g._den)
+    return {m: c for m, c in out.items() if c}
+
+
+def poisson_bracket(pi: SuperBivector, f: GradedPoly, g: GradedPoly) -> GradedPoly:
+    """{f, g} = sum over entries of sign * pi^{AB} * d_left(A, f) * d_left(B, g).
+
+    Each operand's row derivatives are taken once (``_row_derivatives``),
+    and ``_bracket_num`` sums the terms into one map of packed monomials
+    over the common denominator of f, g and the entries, with the sign
+    (-1)^(|B| (|F| + |A|)) of each term F of f.  It reads the bivector's
+    packed steps, as the star engine does, but sums them with its own code
+    and sign, so the order-1 check, which compares those numerators with
+    the product's, compares two separate computations; any entries will do,
+    non-central, odd and Laurent ones included.
+    """
+    _check_type("bivector", pi, SuperBivector)
+    _check_type("bracket operand", f, GradedPoly)
+    _check_type("bracket operand", g, GradedPoly)
+    t = pi.table
+    if f.table != t or g.table != t:
+        raise VariableMismatch("bracket operands must live over the bivector's table")
+    num = _bracket_num(pi, _row_derivatives(pi, f), _row_derivatives(pi, g))
+    return GradedPoly._of_scaled(t, num, pi._d_e * f._den * g._den)
 
 
 def _swap_sign(pa: int, pb: int) -> int:

@@ -51,7 +51,10 @@ _BAD_KEYS = {
     "odd": {(_EVEN0, "x", 0): 1},
     "exponent": {((0.5, *_EVEN0[1:]), 0, 0): 1},
     "hbar": {(_EVEN0, 0, 0.5): 1},
+    "even": {(3, 0, 0): 1},
 }
+# a key whose even part has the wrong length names the table instead
+_SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
 
 
 @pytest.mark.parametrize("call, message", [
@@ -112,6 +115,11 @@ _BAD_KEYS = {
     (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["exponent"]),
      "even exponent must be an int, got float"),
     (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["hbar"]), "hbar power must be an int, got float"),
+    (lambda: graded_ring.GradedPoly(_P34.table, _BAD_KEYS["even"]),
+     "term key (3, 0, 0): even exponents must be a tuple, got int"),
+    (lambda: _P34.table.even_slot(3), "name must be a str, got int"),
+    (lambda: _P34.table.odd_bit(3), "name must be a str, got int"),
+    (lambda: _P34.table.even_slot(["z1"]), "name must be a str, got list"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -121,12 +129,33 @@ _BAD_KEYS = {
         "d_left-variable", "pullback", "quadric", "parse-model", "render-model", "save-model",
         "substitute-poly", "substitute-mapping", "substitute-target", "var-name", "poly-term-key",
         "bivector-entry-key", "chart-entry-key", "shift-value", "chart-pair-n", "table-spec",
-        "table-parity", "table-index", "term-key-odd", "term-key-exponent", "term-key-hbar"])
+        "table-parity", "table-index", "term-key-odd", "term-key-exponent", "term-key-hbar",
+        "term-key-even", "table-even-slot", "table-odd-bit",
+        "table-even-slot-list"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_a_key_of_the_wrong_length_names_the_key_and_the_table():
+    with pytest.raises(ValueError) as info:
+        graded_ring.GradedPoly(_P34.table, _SHORT_KEY)
+    assert str(info.value) == f"((0, 0, 0), 0, 0) is not a monomial over {_P34.table!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _P34.table.even_slot("xi1"), "'xi1' is an odd variable, not an even one"),
+    (lambda: _P34.table.odd_bit("z1"), "'z1' is an even variable, not an odd one"),
+    (lambda: _P34.table.even_slot("q"), "q"),
+    (lambda: _P34.table.odd_bit("q"), "q"),
+], ids=["even-slot-of-odd", "odd-bit-of-even", "even-slot-unknown", "odd-bit-unknown"])
+def test_a_slot_lookup_names_the_variable_and_its_parity(call, message):
+    # as spec does: an unknown name is the KeyError of the name itself
+    with pytest.raises(KeyError) as info:
+        call()
+    assert info.value.args == (message,)
 
 
 _PUBLIC_CALLABLES = [

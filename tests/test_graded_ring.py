@@ -228,6 +228,26 @@ class TestCoefficients:
             call(t, p)
         assert str(info.value) == message
 
+    def test_a_scalar_meets_a_polynomial_only_through_scale_and_multiplication(self):
+        # a bool is no coefficient, as it is no int for _check_int; ==, + and -
+        # take no scalar, so t.one() == 1 is False rather than a coercion
+        t = table()
+        x = t.var("x")
+        m = Monomial((1, 0, 0, 0), 0, 0)
+        for call in (lambda: t.const(True), lambda: x.scale(True), lambda: True * x,
+                     lambda: x * False, lambda: GradedPoly(t, {m: True})):
+            with pytest.raises(TypeError) as info:
+                call()
+            assert str(info.value) == "coefficient must be an int, got bool"
+        assert x.scale(1) == x and 2 * x == x + x and t.const(1) == t.one()
+        for scalar in (0, 1, Fraction(1, 2)):
+            assert (t.const(scalar) == scalar) is False and t.const(scalar) != scalar
+            assert t.const(scalar).__eq__(scalar) is NotImplemented
+        for call in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+                     lambda: x + Fraction(1, 2), lambda: x - True):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                call()
+
     def test_strings_and_other_non_numbers_are_not_coefficients(self):
         t = table()
         m = Monomial((1, 0, 0, 0), 0, 0)

@@ -15,7 +15,9 @@ from dict_oracle import as_dict, oracle_star as dict_oracle_star
 from test_acceptance import _oracle_star
 
 import supermoyal.moyal as moyal
+from supermoyal import poisson
 from supermoyal.cli import load_model, parse_expression
+from supermoyal.graded_calculus import _derivative_key, d_left
 from supermoyal.graded_ring import (
     EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, Monomial, VarTable, render_poly,
 )
@@ -390,7 +392,7 @@ class TestContract:
 
     def test_order1_failure_writes_the_pair_as_star_input(self, monkeypatch):
         # a bracket that is always zero; the pair is in the syntax star reads
-        monkeypatch.setattr(moyal, "poisson_bracket", lambda pi, f, g: pi.table.zero())
+        monkeypatch.setattr(moyal, "_bracket_num", lambda pi, df, dg: {})
         order1 = check_quantization_contract(StarEngine(builtin("T0-cotangent").bivector))[2]
         assert order1 == CheckRecord(
             "contract order1-bracket", "contract", "fail", detail="pair (x12, x11)"
@@ -492,6 +494,144 @@ class TestBasisSweep:
         got, want = (_outcome(StarEngine(pi, max_order), sweep, basis, products)
                      for sweep in (moyal._basis_sweep, _star_sweep))
         assert got == want
+
+
+def _bracket_sweep(pi, pairs):
+    """The order-1 check as a comparison of polynomials: the oracle of
+    ``moyal._order1_sweep``, which compares numerators and builds none."""
+    for f, _, g, _, fg in pairs:
+        if fg.hbar_coefficient(1) != poisson_bracket(pi, f, g).scale(Fraction(1, 2)):
+            return f"pair ({render_poly(f)}, {render_poly(g)})"
+    return ""
+
+
+def _ring_sample_poly(rng, engine):
+    """``moyal._sample_poly`` built with ring operations, drawing the same
+    values in the same order: its oracle."""
+    t = engine.table
+    rows = engine.bivector.rows()
+    names = list(rows) if rows else list(t.names())
+    out = t.zero()
+    for _ in range(rng.randint(1, 2)):
+        term = t.const(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        for _ in range(rng.randint(0, 2)):
+            term = term * t.var(rng.choice(names))
+        out = out + term
+    return out
+
+
+def _order1_pairs(engine, seed=0):
+    """The order-1 check's pairs (f, df, g, dg, fg): every basis pair, then
+    10 sampled ones, drawn from a generator seeded by ``seed``."""
+    pi, rng = engine.bivector, Random(seed)
+    basis = moyal._row_basis(engine)
+    samples = [moyal._sample_poly(rng, engine) for _ in range(20)]
+    pairs = [(f, g) for f in basis for g in basis] + list(zip(samples[::2], samples[1::2]))
+    return [(f, moyal._row_derivatives(pi, f), g, moyal._row_derivatives(pi, g), engine.star(f, g))
+            for f, g in pairs]
+
+
+_BUILT_IN_CASES = st.sampled_from([builtin(n) for n in list_builtins()]).map(
+    lambda m: (m.bivector, m.max_order)
+)
+
+
+class TestOrder1Sweep:
+    """``moyal._order1_sweep`` against the comparison of polynomials it
+    replaced: the same detail on products as the engine makes them, and on
+    products tampered at one pair."""
+
+    @pytest.mark.parametrize("name", [*list_builtins(), "P3|N=6"])
+    def test_contract_matches_the_polynomial_check_on_each_built_in(self, name):
+        m = builtin(name)
+        got = _outcome(StarEngine(m.bivector, m.max_order), check_quantization_contract, m.associative)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moyal, "_order1_sweep", _bracket_sweep)
+            want = _outcome(StarEngine(m.bivector, m.max_order), check_quantization_contract, m.associative)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_contract_matches_the_polynomial_check(self, case):
+        # fractional and odd entries, passive k and a1 a2 factors, and orders
+        # that may end the contract in a truncation
+        pi, max_order = case
+        got = _outcome(StarEngine(pi, max_order), check_quantization_contract)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moyal, "_order1_sweep", _bracket_sweep)
+            want = _outcome(StarEngine(pi, max_order), check_quantization_contract)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(sweep_cases(), _BUILT_IN_CASES), st.integers(0, 20))
+    def test_a_tampered_product_fails_at_its_pair(self, case, seed):
+        pi = case[0]
+        t = pi.table
+        pairs = _order1_pairs(StarEngine(pi, 8), seed)
+        assert moyal._order1_sweep(pi, pairs) == _bracket_sweep(pi, pairs) == ""
+        live = [i for i, (f, _, g, _, _) in enumerate(pairs) if poisson_bracket(pi, f, g)]
+        assume(live)
+        # the operands hold at most 2 factors and the entries fewer than 5 of
+        # any variable, so no bracket has a term with x^9
+        extra = t.hbar() * t.var(t.even_names()[0], 9)
+
+        def only_bracket(fg):
+            m, c = next(iter(fg.hbar_coefficient(1).terms.items()))
+            return fg - t.hbar() * GradedPoly(t, {m: c})
+
+        # the last basis pair with a bracket, and the last pair of all with one
+        basis_live = [i for i in live if i < len(pairs) - 10]
+        for i in {*basis_live[-1:], live[-1]}:
+            f, df, g, dg, fg = pairs[i]
+            want = f"pair ({render_poly(f)}, {render_poly(g)})"
+            for tampered in (fg + t.hbar() * fg.hbar_coefficient(1), fg + extra, only_bracket(fg)):
+                bad = pairs[:i] + [(f, df, g, dg, tampered)] + pairs[i + 1:]
+                assert moyal._order1_sweep(pi, bad) == _bracket_sweep(pi, bad) == want
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_sample_poly_matches_the_ring_build(self, name):
+        # the same polynomials from the same draws, leaving the generator alike
+        eng = StarEngine(builtin(name).bivector)
+        for seed in range(21):
+            a, b = Random(seed), Random(seed)
+            for _ in range(10):
+                assert moyal._sample_poly(a, eng) == _ring_sample_poly(b, eng)
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("name", [*list_builtins(), "P3|N=6"])
+    def test_row_derivatives_are_taken_once_per_operand(self, name, monkeypatch):
+        # each basis element's table serves all its pairs; each sampled
+        # operand takes its own
+        m = builtin(name)
+        calls = []
+        take = moyal._row_derivatives
+        monkeypatch.setattr(moyal, "_row_derivatives", lambda pi, p: calls.append(p) or take(pi, p))
+        eng = StarEngine(m.bivector, m.max_order)
+        check_quantization_contract(eng, associativity=m.associative)
+        basis = moyal._row_basis(eng)
+        assert len(calls) == len(basis) + 20
+        assert calls[:len(basis)] == basis
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(sweep_cases(), _BUILT_IN_CASES), st.integers(0, 20))
+    def test_row_derivatives_are_the_left_derivatives(self, case, seed):
+        # each row's list is d_left(A, p), beside the parity of the term of p
+        # it came from: the derivative's parity plus |A|
+        pi = case[0]
+        t, eng = pi.table, StarEngine(pi)
+        p = _ring_sample_poly(Random(seed), eng) * _ring_sample_poly(Random(seed + 1), eng)
+        table = moyal._row_derivatives(pi, p)
+        for a in pi.rows():
+            d = table.get(_derivative_key(t, a), [])
+            assert GradedPoly._of_scaled(t, {m: c for c, m, _ in d}, p._den) == d_left(a, p)
+            pa = 1 if t.parity(a) == ODD else 0
+            assert all(pf == ((m & t._odd).bit_count() + pa) & 1 for _, m, pf in d)
+        assert set(table) <= {_derivative_key(t, a) for a in pi.rows()}
+        assert all(table.values())
+
+    def test_the_contract_and_the_bracket_share_one_summation(self):
+        assert moyal._bracket_num is poisson._bracket_num
+        assert moyal._row_derivatives is poisson._row_derivatives
 
 
 def test_the_pair_reader_rescales_every_map_when_its_denominator_grows():
@@ -1225,13 +1365,15 @@ class TestBlocks:
     @settings(max_examples=60, deadline=None)
     @given(multi_block_cases())
     def test_products_agree_with_the_oracle(self, case):
+        # a term carries at most 7 step factors (L5|6 has 7 blocks) and 2
+        # more variables, so its row degree, which bounds the series, is <= 9
         pi, f, g = case
-        eng = StarEngine(pi)
+        eng = StarEngine(pi, 9)
         for a, b in ((f, g), (g, f)):
-            assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 8)
+            assert as_dict(eng.star(a, b)) == dict_oracle_star(pi, a, b, 9)
         for bit_f, bit_g in ((0, 0), (0, 1), (1, 0), (1, 1)):
             a, b = _part(f, bit_f), _part(g, bit_g)
-            assert as_dict(eng.supercommutator(a, b)) == _oracle_comm(pi, a, b, 8)
+            assert as_dict(eng.supercommutator(a, b)) == _oracle_comm(pi, a, b, 9)
 
     # the built-ins with more than two blocks, and their block counts
     @pytest.mark.parametrize("name, blocks", [
