@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from supermoyal.cli import render_model_text
+from supermoyal.cli import save_model
 from supermoyal.models import builtin, list_builtins
 
 _DROP = str.maketrans({"-": "_", "|": "_", ",": "_", "[": "_", "]": None})
@@ -24,7 +24,7 @@ def main() -> None:
     out_dir.mkdir(exist_ok=True)
     for name in list_builtins():
         path = out_dir / f"{slug(name)}.model"
-        path.write_text(render_model_text(builtin(name)))
+        save_model(builtin(name), path)
         print(f"wrote {path}")
 
 

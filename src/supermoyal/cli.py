@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 from .atlas import Chart, TransitionMap, WeightLaw, law_transition
@@ -773,7 +774,29 @@ def load_model(path) -> ModelSpec:
 
 
 def save_model(model: ModelSpec, path) -> None:
-    Path(path).write_text(render_model_text(model))
+    """Write the model's file, once its text is known to read back as the model.
+
+    The text is parsed and rendered again before anything is written; a text
+    that fails to load, or renders otherwise once loaded, raises
+    ``ValueError`` with the reload's error or the first line that differs.
+    A constant is written by its name alone, as the file declares every
+    constant even and after the variables, so the tables are compared too.
+    """
+    text = render_model_text(model)
+    try:
+        loaded = parse_model_text(text)
+    except ModelFormatError as err:
+        raise ValueError(f"model {model.name!r} does not read back: {err}") from None
+    lines = zip_longest(text.splitlines(), render_model_text(loaded).splitlines(), fillvalue="")
+    for ln, (line, back) in enumerate(lines, start=1):
+        if line != back:
+            raise ValueError(f"model {model.name!r} does not read back: line {ln} "
+                             f"{line!r} reads back as {back!r}")
+    for spec, back in zip(model.table.specs, loaded.table.specs):
+        if spec != back:
+            raise ValueError(f"model {model.name!r} does not read back: {spec} "
+                             f"reads back as {back}")
+    Path(path).write_text(text)
 
 
 _USAGE = """\

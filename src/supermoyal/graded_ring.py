@@ -450,11 +450,11 @@ class GradedPoly:
 
     Stores only the int form: ``_num`` maps packed monomials to non-zero
     integer numerators over the denominator ``_den`` > 0, canonical (no prime
-    divides ``_den`` and every numerator).  ``terms`` is derived from it on
-    first use.
+    divides ``_den`` and every numerator).  ``terms`` is built from it on
+    each read.
     """
 
-    __slots__ = ("table", "_terms", "_num", "_den")
+    __slots__ = ("table", "_num", "_den")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         _check_type("table", table, VarTable)
@@ -467,7 +467,6 @@ class GradedPoly:
         self.table = table
         self._num = {m: c.numerator * (den // c.denominator) for m, c in exact if c}
         self._den = den
-        self._terms = None
 
     @classmethod
     def _of_scaled(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
@@ -490,19 +489,16 @@ class GradedPoly:
         p.table = table
         p._num = num
         p._den = den
-        p._terms = None
         return p
 
     @property
     def terms(self) -> dict[Monomial, int | Fraction]:
-        """Monomial -> exact coefficient; callers must not mutate it."""
-        if self._terms is None:
-            unpack, den = self.table._unpack, self._den
-            self._terms = {
-                unpack(m): c if den == 1 else _exact(Fraction(c, den))
-                for m, c in self._num.items()
-            }
-        return self._terms
+        """Monomial -> exact coefficient, a new dict on each read."""
+        unpack, den = self.table._unpack, self._den
+        return {
+            unpack(m): c if den == 1 else _exact(Fraction(c, den))
+            for m, c in self._num.items()
+        }
 
     def __bool__(self) -> bool:
         return bool(self._num)

@@ -15,7 +15,7 @@ records are the ones ``check_quantization_contract`` returns.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
 from types import MappingProxyType
@@ -141,6 +141,8 @@ class ModelSpec:
     cy: CYWeights | None = None
     max_order: int = 8
     associative: bool = True
+    # (source, destination) chart names -> map, the one index of the transitions
+    _maps: Mapping[tuple[str, str], TransitionMap] = field(init=False, repr=False)
 
     @property
     def table(self) -> VarTable:
@@ -148,6 +150,7 @@ class ModelSpec:
         return self.bivector.table
 
     def __post_init__(self):
+        _check_type("name", self.name, str)
         _check_type("bivector", self.bivector, SuperBivector)
         relations = self.expected_relations
         if relations is not None:
@@ -163,9 +166,20 @@ class ModelSpec:
         for name in self.constants:
             if name not in self.table:
                 raise ValueError(f"constants must name variables of the table, got {name!r}")
+        # the charts and maps are found by name, so no name may repeat
+        chart_names = set()
+        for chart in self.charts:
+            if chart.name in chart_names:
+                raise ValueError(f"duplicate chart {chart.name!r}")
+            chart_names.add(chart.name)
+        maps = {}
         for m in self.transitions:
             if m.src not in self.charts or m.dst not in self.charts:
                 raise ValueError(f"transitions must join charts of charts, got {m!r}")
+            if (m.src.name, m.dst.name) in maps:
+                raise ValueError(f"duplicate map {m.src.name} {m.dst.name}")
+            maps[m.src.name, m.dst.name] = m
+        object.__setattr__(self, "_maps", MappingProxyType(maps))
         if self.fibration is not None and not isinstance(self.fibration, Fibration):
             raise TypeError(
                 f"fibration must be a Fibration or None, got {type(self.fibration).__name__}"
@@ -173,7 +187,6 @@ class ModelSpec:
         if self.cy is not None and not isinstance(self.cy, CYWeights):
             raise TypeError(f"cy must be a CYWeights or None, got {type(self.cy).__name__}")
         # each weight law needs its transition and a pair both charts carry
-        maps = {(m.src.name, m.dst.name): m for m in self.transitions}
         for src, dst, law in self.weight_laws:
             law_transition(maps, src, dst, law.pair)
 
@@ -256,7 +269,9 @@ def _projective_atlas(pi: SuperBivector, poles: tuple[str, ...], chart_names: tu
         mapping = {s.name: ct.var(local[s.name]) for s in carried if s.name in rename}
         mapping[pole] = ct.one()
         plan = SubstitutionPlan(t, mapping, ct)
-        entries = {(local[a], local[b]): plan.apply(e) for (a, b), e in pi.entries.items()}
+        # one transport per mirror pair: the chart's SuperBivector fills in the mirror
+        entries = {(local[a], local[b]): plan.apply(pi.entries[a, b])
+                   for a, b in pi.canonical_pairs()}
         charts.append(Chart(chart_name, ct, entries))
 
     # pole_power(e) is a pole to the power e, built once per map or hop
@@ -613,21 +628,19 @@ def _relations_phase(model: ModelSpec, engine: StarEngine):
 
 
 def _glue_phase(model: ModelSpec, engine: StarEngine):
-    tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     for sname, dname, law in model.weight_laws:
-        ok, want, got = check_weight_law(tmap_by[sname, dname], law)
+        ok, want, got = check_weight_law(model._maps[sname, dname], law)
         a, b = law.pair
         yield _record(f"glue {sname} {dname} {a} {b}", "glue", ok, got, want)
 
 
 def _cocycle_phase(model: ModelSpec, engine: StarEngine):
-    tmap_by = {(m.src.name, m.dst.name): m for m in model.transitions}
     names = [c.name for c in model.charts]
     chains = list(combinations(names, 2))
     for a, b, c in combinations(names, 3):
         chains += [(a, b, c), (a, c, b)]
     for chain in chains:
-        maps = [tmap_by.get(hop) for hop in zip(chain, chain[1:] + chain[:1])]
+        maps = [model._maps.get(hop) for hop in zip(chain, chain[1:] + chain[:1])]
         if all(maps):
             ok, bad = check_cocycle(maps)
             detail = "" if ok else f"variable {bad} does not return"

@@ -26,19 +26,19 @@ class SuperBivector(_ReadOnly):
     """Coefficient matrix of a super Poisson structure candidate.
 
     Construction computes, once, all that the bracket and the star engine
-    read; nothing is written afterwards.  ``steps`` holds one contraction
-    step per entry, grouped by row A as (A, |A|, ((B, pi^{AB}, |B|), ...)) in
-    table order; ``_rows`` the same steps packed, as (key A, mask A, bits A,
-    |A|, ((key B, mask B, bits B, d_e * pi^{AB} as ints, |B|), ...)), with
-    ``_d_e`` the entries' common denominator, keys from ``_derivative_key``
-    and a packed m having the factor A when m & mask != bits; ``_blocks``
-    the star engine's blocks of those rows, with ``_row_mask`` the rows'
-    bits in ``VarTable._factor_bits``; and ``_refusal`` why a star
-    product must refuse the bivector, or None.
+    read; nothing is written afterwards.  ``_rows`` holds one contraction
+    step per entry, mirrors included, packed and grouped by row A as (key A,
+    mask A, bits A, |A|, ((key B, mask B, bits B, d_e * pi^{AB} as ints,
+    |B|), ...)), rows and partners in table order (``rows()`` names the
+    rows), ``_d_e`` the entries' common denominator, keys from
+    ``_derivative_key`` and a packed m having the factor A when m & mask !=
+    bits; ``_blocks`` the star engine's blocks of those rows, with
+    ``_row_mask`` the rows' bits in ``VarTable._factor_bits``; and
+    ``_refusal`` why a star product must refuse the bivector, or None.
     """
 
     __slots__ = (
-        "table", "entries", "steps", "parity", "is_central", "_d_e", "_rows", "_blocks",
+        "table", "entries", "parity", "is_central", "_d_e", "_row_names", "_rows", "_blocks",
         "_row_mask", "_refusal",
     )
 
@@ -76,7 +76,6 @@ class SuperBivector(_ReadOnly):
         self.entries = MappingProxyType(full)
         zero, hbar_shift = table._zero, table._hbar_shift
         parities = set()
-        steps = []
         support = 0  # every bit where a monomial of an entry differs from the unit's
         refusal = None  # the first entry, in entry order, that is odd or holds hbar
         for (a, b), value in full.items():
@@ -86,7 +85,6 @@ class SuperBivector(_ReadOnly):
             pa = 1 if table.parity(a) == ODD else 0
             pb = 1 if table.parity(b) == ODD else 0
             parities.add(((1 if vp == ODD else 0) + pa + pb) & 1)
-            steps.append((a, b, value, pa, pb))
             bits = 0
             for m in value._num:
                 bits |= m ^ zero
@@ -100,21 +98,21 @@ class SuperBivector(_ReadOnly):
         if len(parities) > 1:
             raise ValueError("entries do not share a single bivector parity")
         index = table.index
-        steps.sort(key=lambda s: (index(s[0]), index(s[1])))
-        rows: dict[str, tuple] = {}
-        for a, b, value, pa, pb in steps:
-            rows.setdefault(a, (a, pa, []))[2].append((b, value, pb))
-        self.steps = tuple((a, pa, tuple(partners)) for a, pa, partners in rows.values())
+        rows: dict[str, list] = {}
+        for a, b in sorted(full, key=lambda k: (index(k[0]), index(k[1]))):
+            rows.setdefault(a, []).append((b, full[a, b]))
+        self._row_names = tuple(rows)
         self.parity = parities.pop() if parities else 0
         self._d_e = d_e = lcm(*(value._den for value in full.values()))
         # every partner B is a row too, as its mirror entry is there
         packed = {a: (_derivative_key(table, a), *table._support(a)) for a in rows}
+        odd = {a: 1 if table.parity(a) == ODD else 0 for a in rows}
         self._rows = tuple(
-            (*packed[a], pa, tuple(
-                (*packed[b], {m: c * (d_e // e._den) for m, c in e._num.items()}, pb)
-                for b, e, pb in partners
+            (*packed[a], odd[a], tuple(
+                (*packed[b], {m: c * (d_e // e._den) for m, c in e._num.items()}, odd[b])
+                for b, e in partners
             ))
-            for a, pa, partners in self.steps
+            for a, partners in rows.items()
         )
         # central: no entry has a factor of a row (distinct variables' masks are disjoint)
         rows_mask = sum(row[1] for row in self._rows)
@@ -132,13 +130,11 @@ class SuperBivector(_ReadOnly):
     def canonical_pairs(self) -> list[tuple[str, str]]:
         """One (A, B) per mirror pair, index A <= index B, in table order."""
         index = self.table.index
-        return [
-            (a, b) for a, _, partners in self.steps for b, _, _ in partners
-            if index(a) <= index(b)
-        ]
+        pairs = [(index(a), index(b), a, b) for a, b in self.entries if index(a) <= index(b)]
+        return [(a, b) for _, _, a, b in sorted(pairs)]
 
     def rows(self) -> tuple[str, ...]:
-        return tuple(a for a, _, _ in self.steps)
+        return self._row_names
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuperBivector):
@@ -308,7 +304,7 @@ def schouten_bracket(a: SuperBivector, b: SuperBivector) -> Mapping[tuple[int, i
         ones, in entry order, each taken once."""
         return {
             mu: [(pair, der) for pair, entry in pi.entries.items() if (der := d_left(mu, entry))]
-            for mu, _, _ in by.steps
+            for mu in by.rows()
         }
 
     d_b = derivatives(b, a)

@@ -37,6 +37,12 @@ def test_retired_helpers_are_gone():
     assert not hasattr(graded_ring.VarTable, "monomial_factors")
 
 
+def test_second_copies_are_gone():
+    # the by-name copy of the packed rows, and the cached terms view
+    assert not hasattr(poisson.SuperBivector, "steps")
+    assert not hasattr(graded_ring.GradedPoly, "_terms")
+
+
 def test_render_poly_is_one_function():
     # the ring owns the renderer; cli and the package re-export that object
     assert supermoyal.render_poly is cli.render_poly is graded_ring.render_poly

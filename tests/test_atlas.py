@@ -1,11 +1,13 @@
 """Chart gluing: transports, weight laws, and cocycle identities."""
 
+import sys
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermoyal import models
 from supermoyal.atlas import (
     Chart,
     NonComposableCycle,
@@ -22,6 +24,7 @@ from supermoyal.graded_ring import (
     Monomial,
     NonInvertibleSubstitution,
     ParityMismatch,
+    SubstitutionPlan,
     VarSpec,
     VarTable,
     substitute,
@@ -253,6 +256,46 @@ class TestProjectiveAtlas:
         assert law.factor == tmap.src.table.var("z1", -2)
         wrong = WeightLaw(law.pair, tmap.src.table.var("z1", -1))
         assert not check_weight_law(tmap, wrong)[0]
+
+
+# -- one transport per mirror pair --------------------------------------------
+
+def _every_entry_transported(pi, pole, rename, ct):
+    """A chart's entries, every entry of ``pi`` and its mirror transported on
+    its own, the zero ones dropped: what the atlas builder made before it
+    left each mirror to the chart's bivector."""
+    local = {s.name: rename.get(s.name, s.name) for s in pi.table.specs}
+    mapping = {name: ct.var(local[name]) for name in rename if name in pi.table and name != pole}
+    mapping[pole] = ct.one()
+    plan = SubstitutionPlan(pi.table, mapping, ct)
+    entries = {(local[a], local[b]): plan.apply(e) for (a, b), e in pi.entries.items()}
+    return {key: e for key, e in entries.items() if e}
+
+
+def test_every_chart_holds_every_transported_entry(monkeypatch):
+    built = []
+    real = models._projective_atlas
+
+    def spy(pi, poles, *args):
+        atlas = real(pi, poles, *args)
+        built.append((pi, poles, args[1], atlas[0]))
+        return atlas
+
+    monkeypatch.setattr(models, "_projective_atlas", spy)
+    monkeypatch.setattr(sys.modules[__name__], "_projective_atlas", spy)
+    for name in list_builtins():
+        if name != "P3|N":
+            models._BUILTINS[name]()
+    for n in (1, 4, MAX_P3N_ODD):
+        models._p3n_model(n)
+    for n in (1, 2, 3, 4):
+        generic_chart_pair(n)
+    TestProjectiveAtlas._p4_2()
+    assert [len(charts) for *_, charts in built] == [2] * 4 + [4] * 3 + [2] * 4 + [5]
+    for pi, poles, rename, charts in built:
+        for pole, chart in zip(poles, charts):
+            assert dict(chart.bivector.entries) == _every_entry_transported(
+                pi, pole, rename, chart.table)
 
 
 # -- one substitution plan per map ---------------------------------------------

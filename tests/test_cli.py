@@ -33,7 +33,9 @@ from supermoyal.cli import (
     save_model,
 )
 from supermoyal.graded_ring import EVEN, EXPONENT_LIMIT, ODD, GradedPoly, Monomial, VarTable
-from supermoyal.models import MAX_P3N_ODD, CYWeights, builtin, list_builtins, verify_model
+from supermoyal.models import (
+    MAX_P3N_ODD, CYWeights, ModelSpec, builtin, list_builtins, verify_model,
+)
 from supermoyal.moyal import MAX_ORDER, TruncationExceeded
 from supermoyal.poisson import SuperBivector
 
@@ -484,6 +486,48 @@ class TestModelFiles:
         again = load_model(path)
         assert render_model_text(again) == path.read_text()
         assert again.name == "WP[1,3]"
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("P3|4", {"constants": ("z1",)},
+         "line 18 'z1 z2 := 2*l1*l2' reads back as 'z2 z1 := -2*l1*l2'"),
+        ("P3|4", {"constants": ("xi1",)}, "<model>:18: even diagonal entry (xi1, xi1) must vanish"),
+        ("P3|4", {"constants": ("z1", "z1")}, "<model>:6: duplicate variable 'z1'"),
+        ("T1-cotangent", {"name": "T1 # copy"},
+         "line 2 'name = T1 # copy' reads back as 'name = T1'"),
+        ("T1-cotangent", {"name": " padded "},
+         "line 2 'name =  padded ' reads back as 'name = padded'"),
+    ])
+    def test_a_model_that_does_not_read_back_is_not_saved(self, tmp_path, name, change, message):
+        model = dataclasses.replace(builtin(name), **change)
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match=f"^model {re.escape(repr(model.name))} does not "
+                                             f"read back: {re.escape(message)}$"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_a_variable_name_the_reader_cannot_split_is_not_saved(self, tmp_path):
+        t = VarTable.build(("a b", EVEN), ("y", EVEN))
+        model = ModelSpec("m", (), SuperBivector(t, {("a b", "y"): t.one()}), None)
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="^model 'm' does not read back: " + re.escape(
+                "<model>:6: expected: name even|odd [invertible] [weight K]")):
+            save_model(model, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("decls", [
+        (("x", EVEN), ("y", EVEN), ("c", EVEN, False, 2)),
+        (("x", EVEN), ("y", EVEN), ("c", EVEN, True)),
+        (("x", EVEN), ("y", EVEN), ("c", ODD)),
+        (("c", EVEN), ("x", EVEN), ("y", EVEN)),
+    ])
+    def test_a_constant_the_text_cannot_declare_is_not_saved(self, tmp_path, decls):
+        # its text renders alike once loaded, but the table reads back otherwise
+        t = VarTable.build(*decls)
+        model = ModelSpec("m", ("c",), SuperBivector(t, {("x", "y"): t.one()}), None)
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match=r"^model 'm' does not read back: VarSpec\(name='c', "):
+            save_model(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_shipped_file_matches_the_builtin(self, name):

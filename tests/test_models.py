@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from supermoyal import models
-from supermoyal.atlas import UnresolvedPair, WeightLaw, check_cocycle, check_weight_law
+from supermoyal.atlas import (
+    Chart, TransitionMap, UnresolvedPair, WeightLaw, check_cocycle, check_weight_law,
+)
 from supermoyal.cli import load_model, render_model_text, render_poly, run
-from supermoyal.graded_ring import EVEN, ODD, VarTable
+from supermoyal.graded_ring import EVEN, ODD, GradedPoly, VarTable
 from supermoyal.models import (
     CYWeights,
     MAX_P3N_ODD,
@@ -127,8 +129,8 @@ class TestSharedModels:
         z1, z2, w1 = t.var("z1"), t.var("z2"), tmap.src.table.var("w1")
         before = StarEngine(m.bivector).star(z1, z2), poisson_bracket(m.bivector, z1, z2)
         moved = tmap.apply(w1)
-        objects = [(m.bivector, ("table", "entries", "steps", "parity", "is_central",
-                                  "_d_e", "_rows", "_blocks", "_refusal")),
+        objects = [(m.bivector, ("table", "entries", "parity", "is_central", "_d_e",
+                                  "_row_names", "_rows", "_blocks", "_refusal")),
                    (t, ("specs", "n_even", "_index")),
                    (m.charts[0], ("name", "table", "bivector")),
                    (tmap, ("src", "dst", "plan", "rules")),
@@ -145,6 +147,12 @@ class TestSharedModels:
         assert (StarEngine(m.bivector).star(z1, z2), poisson_bracket(m.bivector, z1, z2)) == before
         assert StarEngine(SuperBivector(t, m.bivector.entries)).star(z1, z2) == before[0]
         assert m.transitions[0].apply(w1) == moved
+
+    def test_a_terms_view_leaves_the_shared_polynomial(self):
+        p = builtin("P3|4").bivector.entry("z1", "z2")
+        p.terms.clear()
+        assert p.terms is not p.terms
+        assert render_poly(GradedPoly(p.table, p.terms)) == render_poly(p) == "2*l1*l2"
 
     def test_replace_derives_a_model_and_leaves_the_shared_one(self):
         m = builtin("T0-cotangent")
@@ -487,6 +495,38 @@ class TestP34:
         # a model without an atlas, or without a weight system, still builds
         assert verify_model(dataclasses.replace(m, charts=(), transitions=(), weight_laws=())).ok
         assert dataclasses.replace(m, cy=None).cy is None
+
+    @pytest.mark.parametrize("charts, transitions", [
+        ((0, 1, 2), (0, 1, 2)),  # the index would keep the last plus -> minus map
+        ((0, 1, 2), (2, 1, 0)),
+        ((0, 1), (0, 0, 1)),     # a file the reader refuses at its second map
+        ((0, 1), (0, 1, 3)),
+    ])
+    def test_charts_and_maps_found_by_name_are_each_named_once(self, charts, transitions):
+        m = builtin("P3|4")
+        plus, minus = m.charts
+        fwd, back = m.transitions
+        other = Chart("plus", plus.table, {("w1", "w2"): plus.table.one()})
+        bad = TransitionMap(other, minus, fwd.rules)
+        chart_of = (plus, minus, other)
+        map_of = (fwd, back, bad, TransitionMap(plus, minus, fwd.rules))
+        message = "^duplicate chart 'plus'$" if len(charts) == 3 else "^duplicate map plus minus$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(m, charts=tuple(chart_of[i] for i in charts),
+                                transitions=tuple(map_of[i] for i in transitions))
+
+    @pytest.mark.parametrize("name", [3, None, ("P3|4",)])
+    def test_a_name_that_is_not_a_str_is_refused(self, name):
+        with pytest.raises(TypeError, match="^name must be a str, got "):
+            dataclasses.replace(builtin("P3|4"), name=name)
+
+    def test_the_phases_read_the_index_the_model_built(self):
+        m = builtin("P3|N=6")
+        assert dict(m._maps) == {(t.src.name, t.dst.name): t for t in m.transitions}
+        with pytest.raises(TypeError):
+            m._maps["U1", "U2"] = m.transitions[0]
+        derived = dataclasses.replace(m, transitions=m.transitions[:-1], weight_laws=())
+        assert len(derived._maps) == len(m.transitions) - 1 and len(m._maps) == 12
 
     def test_chart_tables(self):
         m = builtin("P3|4")

@@ -241,18 +241,17 @@ class TestPackedSteps:
             name_of[key] = name
 
         assert pi._d_e == math.lcm(*(e._den for e in pi.entries.values()))
-        assert len(pi._rows) == len(pi.steps)
-        for (a, pa, partners), (*packed, pa_row, row_partners) in zip(pi.steps, pi._rows):
+        assert set(pi.rows()) == {a for a, _ in pi.entries}
+        assert len(pi._rows) == len(pi.rows())
+        for a, (*packed, pa_row, row_partners) in zip(pi.rows(), pi._rows):
             names_its_variable(packed, a)
-            assert pa_row == pa == (t.parity(a) == ODD)
-            assert [b for b, _, _ in partners] == sorted((b for x, b in pi.entries if x == a),
-                                                         key=t.index)
+            assert pa_row == (t.parity(a) == ODD)
+            partners = sorted((b for x, b in pi.entries if x == a), key=t.index)
             assert len(row_partners) == len(partners)
-            for (b, entry, pb), (*packed, ints, pb_row) in zip(partners, row_partners):
+            for b, (*packed, ints, pb_row) in zip(partners, row_partners):
                 names_its_variable(packed, b)
-                assert pb_row == pb == (t.parity(b) == ODD)
-                assert entry is pi.entries[(a, b)]
-                assert GradedPoly._of_scaled(t, ints, pi._d_e) == entry
+                assert pb_row == (t.parity(b) == ODD)
+                assert GradedPoly._of_scaled(t, ints, pi._d_e) == pi.entries[(a, b)]
         assert [t.index(a) for a in pi.rows()] == sorted(t.index(a) for a in set(pi.rows()))
 
         rows = pi._rows
