@@ -8,10 +8,17 @@ exactly one ``GradedPoly``.  ``render_poly``, defined in ``graded_ring``
 beside the packed layout it reads and re-exported here, writes any
 polynomial back in a canonical form that ``parse_expression`` reads
 verbatim, so files produced here are stable under a load/save cycle.
+
+``run`` executes one command with the cyclic garbage collector paused and
+restores the collector's state on every exit path.  This is safe because
+nothing a command builds, the engine's caches included, holds a reference
+cycle: reference counting alone frees it, and a collection during the
+command would only walk those caches to find no garbage.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -852,12 +859,18 @@ def _record_line(record) -> str:
 
 
 def _record_json(record) -> str:
+    lhs = None if record.lhs is None else render_poly(record.lhs)
+    rhs = record.rhs
+    if rhs is not None:
+        # equal polynomials over equal tables render alike, so a passing
+        # record's second side reuses the first side's text
+        rhs = lhs if rhs == record.lhs else render_poly(rhs)
     return json.dumps(
         {
             "check_id": record.check_id,
             "status": record.status,
-            "lhs": None if record.lhs is None else render_poly(record.lhs),
-            "rhs": None if record.rhs is None else render_poly(record.rhs),
+            "lhs": lhs,
+            "rhs": rhs,
             "detail": record.detail,
         }
     )
@@ -984,6 +997,21 @@ def _parse_args(command: str, args: list[str]) -> tuple[dict, list[str]]:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command; returns its exit status.
+
+    The cyclic collector is paused for the command (see the module
+    docstring) and turned back on afterwards only if it was on at entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str]) -> int:
     if not argv:
         sys.stderr.write(_USAGE)
         return 2

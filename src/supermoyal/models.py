@@ -14,7 +14,7 @@ records are the ones ``check_quantization_contract`` returns.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
@@ -120,12 +120,29 @@ class Fibration:
     def __post_init__(self):
         bt = self.base_table
         _check_type("base_table", bt, VarTable)
+        _check_type("rules", self.rules, Mapping)
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
         for name, rule in self.rules.items():
             if not isinstance(rule, GradedPoly):
                 raise TypeError(f"rule {name!r} must be a GradedPoly, got {type(rule).__name__}")
             if rule.table != bt:
                 raise VariableMismatch(f"rule {name!r} built over a different table than base_table")
+
+
+def _typed_tuple(name: str, items, kind) -> tuple:
+    """``items`` as a tuple of ``kind``s, or, for a tuple of types, of tuples
+    of those types; a TypeError names the field or the entry that is not."""
+    _check_type(name, items, Sequence)
+    items = tuple(items)
+    for i, item in enumerate(items):
+        if type(kind) is type:
+            _check_type(f"{name}[{i}]", item, kind)
+        elif type(item) is not tuple or len(item) != len(kind) or not all(map(isinstance, item, kind)):
+            got = type(item).__name__
+            if type(item) is tuple:
+                got = f"({', '.join(type(v).__name__ for v in item)})"
+            raise TypeError(f"{name}[{i}] must be a ({', '.join(k.__name__ for k in kind)}), got {got}")
+    return items
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +179,12 @@ class ModelSpec:
         if self.bivector._refusal is not None:
             raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
+        _check_type("associative", self.associative, bool)
+        # the atlas is stored as tuples, so a caller's list cannot change
+        # under the checks below or the map index built from them
+        for name, kind in (("charts", Chart), ("transitions", TransitionMap),
+                           ("weight_laws", (str, str, WeightLaw))):
+            object.__setattr__(self, name, _typed_tuple(name, getattr(self, name), kind))
         # the fields verify_model reads: each is refused here, naming itself
         for name in self.constants:
             if name not in self.table:

@@ -778,6 +778,7 @@ def check_quantization_contract(
     ``TruncationExceeded``, as ``star`` does.
     """
     _check_type("engine", engine, StarEngine)
+    _check_type("associativity", associativity, bool)
     t = engine.table
     rng = Random(0)  # fixed, so a model gets the same report on every run
 

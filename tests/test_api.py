@@ -1,6 +1,8 @@
 """The package's public names: all of them resolve, retired ones stay gone, and
 a wrong-typed argument is refused where it enters."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,19 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
     (lambda: _P34.table.even_slot(3), "name must be a str, got int"),
     (lambda: _P34.table.odd_bit(3), "name must be a str, got int"),
     (lambda: _P34.table.even_slot(["z1"]), "name must be a str, got list"),
+    (lambda: dataclasses.replace(_P34, charts=("x",), transitions=(), weight_laws=()),
+     "charts[0] must be a Chart, got str"),
+    (lambda: dataclasses.replace(_P34, charts=None), "charts must be a Sequence, got NoneType"),
+    (lambda: dataclasses.replace(_P34, transitions=(None,)),
+     "transitions[0] must be a TransitionMap, got NoneType"),
+    (lambda: dataclasses.replace(_P34, weight_laws=("x",)),
+     "weight_laws[0] must be a (str, str, WeightLaw), got str"),
+    (lambda: dataclasses.replace(_P34, weight_laws=(("plus", "minus", 1),)),
+     "weight_laws[0] must be a (str, str, WeightLaw), got (str, str, int)"),
+    (lambda: dataclasses.replace(_P34, associative="no"), "associative must be a bool, got str"),
+    (lambda: models.Fibration(_P34.fibration.base_table, None), "rules must be a Mapping, got NoneType"),
+    (lambda: moyal.check_quantization_contract(moyal.StarEngine(_T0.bivector), "no"),
+     "associativity must be a bool, got str"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -137,7 +152,9 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
         "bivector-entry-key", "chart-entry-key", "shift-value", "chart-pair-n", "table-spec",
         "table-parity", "table-index", "term-key-odd", "term-key-exponent", "term-key-hbar",
         "term-key-even", "table-even-slot", "table-odd-bit",
-        "table-even-slot-list"])
+        "table-even-slot-list", "model-chart", "model-charts", "model-transition",
+        "model-weight-law", "model-weight-law-entry", "model-associative", "fibration-rules",
+        "contract-associativity"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
@@ -156,7 +173,9 @@ def test_a_key_of_the_wrong_length_names_the_key_and_the_table():
     (lambda: _P34.table.odd_bit("z1"), "'z1' is an even variable, not an odd one"),
     (lambda: _P34.table.even_slot("q"), "q"),
     (lambda: _P34.table.odd_bit("q"), "q"),
-], ids=["even-slot-of-odd", "odd-bit-of-even", "even-slot-unknown", "odd-bit-unknown"])
+    (lambda: _P34.table.index("q"), "q"),
+], ids=["even-slot-of-odd", "odd-bit-of-even", "even-slot-unknown", "odd-bit-unknown",
+        "index-unknown"])
 def test_a_slot_lookup_names_the_variable_and_its_parity(call, message):
     # as spec does: an unknown name is the KeyError of the name itself
     with pytest.raises(KeyError) as info:

@@ -1,6 +1,7 @@
 """Expression syntax, canonical rendering, model files, and the driver."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supermoyal.cli import (
+    _COMMANDS,
     MAX_BASE_POWER,
     MAX_NESTING,
     MAX_PARSED_TERMS,
@@ -1536,3 +1538,105 @@ class TestDriver:
             main()
         assert info.value.code == 0
         capsys.readouterr()
+
+
+# every model file and built-in, and P3|N at four odd dimensions
+_TARGETS = [
+    *(p.name for p in sorted((_ROOT / "models").glob("*.model"))),
+    *list_builtins(),
+    *(f"P3|N={n}" for n in (1, 6, 12, 16)),
+]
+# star and comm with left operands of row-degree 0 to 6 on the ladder models,
+# and the truncation boundary of P3|4
+_PRODUCTS = [
+    ("star", "T0-cotangent", "--lhs", "2", "--rhs", "x11*x12*x21*t11"),
+    ("comm", "T0-cotangent", "--a", "x12*t21", "--b", "-x11*x12*x21*t11"),
+    ("star", "T0-cotangent", "--lhs", "3*x11*x12*x21*x22*t11*t12", "--rhs", "x11*x12*x21*t11"),
+    ("comm", "L5|6", "--a", "X1*xi1", "--b", "Y1*Y2*X2*ze1"),
+    ("star", "L5|6", "--lhs", "-X1*X2*Y1*xi1*xi2*ze3", "--rhs", "Y1*Y2*X2*ze1"),
+    ("star", "P3|4", "--lhs", "z1^7", "--rhs", "z2^7"),
+]
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector for one command: nothing a command
+    builds may hold a reference cycle, and the collector's state is restored."""
+
+    @pytest.fixture
+    def paused(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("target", _TARGETS)
+    def test_verify_leaves_no_cycle(self, cli, paused, target):
+        if target.endswith(".model"):
+            target = str(_ROOT / "models" / target)
+        for order in ((), ("--order", "0"), ("--order", "2")):
+            for json_flag in ((), ("--json",)):
+                assert cli("verify", target, *order, *json_flag)[0] in (0, 1)
+        assert gc.collect() == 0
+
+    def test_star_and_comm_leave_no_cycle(self, cli, paused):
+        for argv in _PRODUCTS:
+            for json_flag in ((), ("--json",)):
+                assert cli(*argv, *json_flag)[0] == 0
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("argv, rc", [
+        (("star", "P3|4", "--lhs", "z1+", "--rhs", "z2"), 2),
+        (("verify", "nope"), 2),
+        (("star", "P3|4", "--lhs", "z1", "--rhs", "z2", "--order", "0"), 1),
+    ], ids=["parse-error", "unknown-model", "truncation"])
+    def test_an_error_exit_leaves_no_cycle(self, cli, paused, argv, rc):
+        assert cli(*argv)[0] == rc
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_run_restores_the_state_it_found(self, cli, monkeypatch, enabled):
+        seen = []
+
+        def handler(opts, positional):
+            seen.append(gc.isenabled())
+            return 0
+
+        def failing(opts, positional):
+            raise RuntimeError("handler failed")
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            monkeypatch.setitem(_COMMANDS, "list-builtins", (handler, None))
+            assert cli("list-builtins") == (0, "", "")
+            assert gc.isenabled() is enabled
+            # an exception run does not catch leaves the state as found too
+            monkeypatch.setitem(_COMMANDS, "list-builtins", (failing, None))
+            with pytest.raises(RuntimeError, match="^handler failed$"):
+                run(["list-builtins"])
+            assert gc.isenabled() is enabled
+            assert cli("verify", "nope")[0] == 2
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    def test_unequal_sides_render_both_texts(self, cli, tmp_path):
+        # a failing relation and a failing weight law; equal sides share a text
+        text = (_ROOT / "models" / "p3_4.model").read_text()
+        edits = (("comm z1 z2 = 2*hbar*l1*l2", "comm z1 z2 = 3*hbar*l1*l2"),
+                 ("law plus minus w1 w2 : l^-2", "law plus minus w1 w2 : l^-3"))
+        for old, new in edits:
+            assert text.count(f"\n{old}\n") == 1
+            text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        path = tmp_path / "p3_4.model"
+        path.write_text(text)
+        rc, out, err = cli("verify", str(path), "--json")
+        assert (rc, err) == (1, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r for r in records if r["status"] == "fail"] == [
+            {"check_id": "comm z1 z2", "status": "fail", "lhs": "2*hbar*l1*l2",
+             "rhs": "3*hbar*l1*l2", "detail": ""},
+            {"check_id": "glue plus minus w1 w2", "status": "fail", "lhs": "2*l^2",
+             "rhs": "2*l", "detail": ""},
+        ]
+        assert all(r["lhs"] == r["rhs"] for r in records if r["status"] == "pass")

@@ -183,6 +183,19 @@ class TestCoefficients:
         with pytest.raises(TypeError):
             GradedPoly(t, {m: 1, Monomial((0, 0, 0, 0), 0, 0): 2.0})
 
+    def test_a_fraction_subclass_is_stored_as_a_plain_number(self):
+        # a Rational that is not exactly a Fraction is read through Fraction,
+        # so no subclass rides into a stored coefficient
+        class Ratio(Fraction):
+            pass
+
+        t = table()
+        m = Monomial((1, 0, 0, 0), 0, 0)
+        for value, want in ((Ratio(1, 2), Fraction(1, 2)), (Ratio(4, 2), 2)):
+            for p in (GradedPoly(t, {m: value}), t.const(value), t.var("x").scale(value)):
+                (c,) = p.terms.values()
+                assert c == want and type(c) is type(want)
+
     def test_sums_and_products_store_ints_where_integral(self):
         t = VarTable.build(("x", EVEN))
         half = Fraction(1, 2)

@@ -492,9 +492,23 @@ class TestP34:
             dataclasses.replace(m, charts=m.charts[:1])
         with pytest.raises(TypeError, match="^cy must be a CYWeights or None, got dict$"):
             dataclasses.replace(m, cy={"kind": "projective", "data": (3, 4)})
+        with pytest.raises(TypeError, match="^associative must be a bool, got str$"):
+            dataclasses.replace(m, associative="no")
         # a model without an atlas, or without a weight system, still builds
         assert verify_model(dataclasses.replace(m, charts=(), transitions=(), weight_laws=())).ok
         assert dataclasses.replace(m, cy=None).cy is None
+
+    def test_a_model_keeps_its_own_tuple_of_each_atlas_sequence(self):
+        # a caller's list cannot change under the checked model or its map index
+        m = builtin("P3|4")
+        given = {"charts": list(m.charts), "transitions": list(m.transitions),
+                 "weight_laws": list(m.weight_laws)}
+        copy = dataclasses.replace(m, **given)
+        for name, items in given.items():
+            assert type(getattr(copy, name)) is tuple
+            items.clear()
+            assert getattr(copy, name) == getattr(m, name)
+        assert verify_model(copy).ok
 
     @pytest.mark.parametrize("charts, transitions", [
         ((0, 1, 2), (0, 1, 2)),  # the index would keep the last plus -> minus map
