@@ -180,9 +180,9 @@ class ModelSpec:
             raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
         _check_type("associative", self.associative, bool)
-        # the atlas is stored as tuples, so a caller's list cannot change
-        # under the checks below or the map index built from them
-        for name, kind in (("charts", Chart), ("transitions", TransitionMap),
+        # the constants and the atlas are stored as tuples, so a caller's list
+        # cannot change under the checks below or the map index built from them
+        for name, kind in (("constants", str), ("charts", Chart), ("transitions", TransitionMap),
                            ("weight_laws", (str, str, WeightLaw))):
             object.__setattr__(self, name, _typed_tuple(name, getattr(self, name), kind))
         # the fields verify_model reads: each is refused here, naming itself

@@ -46,7 +46,9 @@ contract's basis sweep, is read pair by pair by one method,
 ``StarEngine._sum_products``: it sums int numerators over one shared
 denominator, the lcm of the pair denominators.  ``star`` reduces that sum
 once; the sweep needs only an equality per triple, so it compares the two
-sides' numerators and builds no polynomial (``_basis_sweep``).  The order-1
+sides' numerators and builds no polynomial, and it reads each term of a
+product operand without its passive factor (``_basis_sweep``; see "Passive
+factors" below).  The order-1
 check does the same with each product's hbar^1 numerators and the bracket's,
 which ``poisson._bracket_num`` sums from one table of row derivatives per
 operand (``_order1_sweep``).
@@ -193,6 +195,33 @@ The entries live in passive fields, which F_0 G_0 may fill too, so every
 shifted key is tested against the guard bits when F_0 G_0 has an even
 exponent.  Such a pair raises ``TruncationExceeded`` exactly when
 its run fired from max_order, and records the run's live states.
+
+Passive factors.  A variable is passive when no step differentiates it:
+hbar, and each even variable that is no row, such as an entry's constant
+D11_12 (``SuperBivector._passive`` holds their bits).  For a monomial c in
+passive variables, with any exponents an element of the ring may have,
+
+    (c m) * h = c (m * h)   and   f * (c m) = c (f * m).
+
+Proof: c is even, so it adds nothing to a Koszul sign and commutes with
+every factor, the central entries included, and no d_A differentiates it,
+so d_A (c F) = c d_A F with |c F| = |F|.  Hence P(c F (x) G) =
+(c (x) 1) P(F (x) G) and P(F (x) c G) = (1 (x) c) P(F (x) G), so
+exp(hbar P / 2) commutes with both, and mu takes either to c times mu,
+the ring being supercommutative.  Order by order, each state of the pair
+with c is c times a state of the pair without it, in the same slot and
+with the same centre, so the two merge, cancel and fire alike: the same
+live states at every order and the same truncation.  (This is the
+argument that strips hbar from the rest of a joint block above.)  Odd
+passive variables are not stripped, as they carry signs.  The basis
+sweep's product operands are full of such factors (hbar powers and
+entries' constants), so it splits each term once into m0, the term with
+its passive bits set as the unit's, and the shift m - m0 of the packed
+key, reads the pair of m0 and moves every key of its product by the
+shift.  Terms that differ only by a passive factor share that pair, so
+the sweep reads as many pairs as two ``star`` calls per triple would, one
+per pair, and misses fewer.  A moved key past the exponent range sends
+the unmoved pair to the engine, so the ``ExponentOverflow`` is ``star``'s.
 
 Two products skip the gcd pass that makes a polynomial canonical (see
 ``graded_ring``), because they are canonical as built: the run is, and
@@ -358,7 +387,9 @@ class StarEngine:
         [num], scale = self._sum_products([(2 if odd_only else 1, f, g)], odd_only=odd_only)
         return GradedPoly._of_scaled(t, num, scale * f._den * g._den)
 
-    def _sum_products(self, jobs: list, scale: int = 1, odd_only: bool = False) -> tuple[list, int]:
+    def _sum_products(
+        self, jobs: list, scale: int = 1, odd_only: bool = False, splits: list | None = None
+    ) -> tuple[list, int]:
         """c0 * x * y for each job (c0, x, y), read pair by pair from the cache:
         (maps, S), each map the int numerators over S, with no zero entry.
 
@@ -367,17 +398,31 @@ class StarEngine:
         left to the caller.  ``odd_only`` keeps the terms of odd contraction
         order.  A miss goes to ``_star_mono``; ``TruncationExceeded`` carries
         the sufficient order of the job being summed.
+
+        ``splits``, if given, holds for each job (xs, ys, shifts): the terms
+        of x and of y with their passive factors taken out, and each pair's
+        shift, in the order the pairs are read (see "Passive factors" above).
+        The job then reads the pairs of xs and ys and moves every key of a
+        pair's product by the pair's shift.  A moved key past the exponent
+        range sends the unmoved pair to ``_star_mono``, whose
+        ``ExponentOverflow`` is the one ``star`` raises.
         """
         get, star_mono = self._cache.get, self._star_mono
-        hs = self._table._hbar_shift
+        t = self._table
+        hs, guard = t._hbar_shift, t._guard
         maps = []
         hits = 0
         try:
-            for c0, x, y in jobs:
+            for i, (c0, x, y) in enumerate(jobs):
                 acc = {}
                 maps.append(acc)
-                for mx, cx in x._num.items():
-                    for my, cy in y._num.items():
+                if splits is None:
+                    xs, ys, shifts = x._num.items(), y._num.items(), None
+                else:
+                    xs, ys, shifts = splits[i]
+                k = 0  # the pairs of a split job read so far
+                for mx, cx in xs:
+                    for my, cy in ys:
                         got = get((mx, my))
                         if got is None:
                             got = star_mono(mx, my)
@@ -395,6 +440,17 @@ class StarEngine:
                         if odd_only:
                             h = (mx >> hs) + (my >> hs)
                             terms = [(m, q) for m, q in terms if (m >> hs) - h & 1]
+                        if shifts:
+                            shift = shifts[k]
+                            k += 1
+                            if shift:
+                                for m, q in terms:
+                                    p = m + shift
+                                    if p & guard:
+                                        star_mono(*list(product(x._num, y._num))[k - 1])
+                                        raise t._overflow(m, shift + self._unit)
+                                    acc[p] = acc.get(p, 0) + c * q
+                                continue
                         for m, q in terms:
                             acc[m] = acc.get(m, 0) + c * q
                 if 0 in acc.values():
@@ -661,6 +717,16 @@ class CheckRecord:
     rhs: GradedPoly | None = None
     detail: str = ""
 
+    def __post_init__(self):
+        for name in ("check_id", "category", "status", "detail"):
+            _check_type(name, getattr(self, name), str)
+        if self.status not in ("pass", "fail", "skip"):
+            raise ValueError(f"status must be pass, fail or skip, got {self.status!r}")
+        for name in ("lhs", "rhs"):
+            side = getattr(self, name)
+            if side is not None and not isinstance(side, GradedPoly):
+                raise TypeError(f"{name} must be a GradedPoly or None, got {type(side).__name__}")
+
 
 def _record(check_id, category, ok, lhs=None, rhs=None, detail="") -> CheckRecord:
     """The record of a check that passes if ``ok`` and fails otherwise."""
@@ -709,28 +775,49 @@ def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
     return GradedPoly._of_scaled(t, {m: c for m, c in num.items() if c}, 2)
 
 
+def _split_passive(p: GradedPoly, passive: int, fill: int) -> tuple[list, list]:
+    """p's terms (m0, c) with their passive factors taken out, and each
+    term's shift m - m0: m0 is m with the bits of ``passive`` set as the
+    unit's, ``fill``, so with no hbar and each passive field at the bias."""
+    terms, shifts = [], []
+    for m, c in p._num.items():
+        shift = (m & passive) - fill
+        terms.append((m - shift, c))
+        shifts.append(shift)
+    return terms, shifts
+
+
 def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     """Every basis triple's (f * g) * h against f * (g * h): the detail of the
     first that differs, or "".
 
     ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
-    read by ``StarEngine._sum_products``, the reader ``star`` uses, in the
-    order of 2 ``star`` calls per triple, so the engine ends in the state
-    that those calls leave.  One call per row (f, g) sums the sides of every
-    h as int numerator maps over one shared denominator S, kept from row to
-    row and never reduced; each side takes the other side's operand
-    denominator, so the two maps are equal exactly when the two products
-    are.  Relies on every basis element being a single monomial with
-    coefficient 1, as ``_row_basis`` builds them.
+    read by ``StarEngine._sum_products``, the reader ``star`` uses, one read
+    per pair in the order of 2 ``star`` calls per triple, but each product
+    operand's terms are read with their passive factors taken out, split
+    once per product (see "Passive factors" above): the sweep's hits and
+    misses add up to those calls', and fewer of them miss.  One call per
+    row (f, g) sums the sides of every h as int numerator maps over one
+    shared denominator S, kept from row to row and never reduced; each side
+    takes the other side's operand denominator, so the two maps are equal
+    exactly when the two products are.  Relies on every basis element being
+    a single monomial with coefficient 1 and no passive factor, as
+    ``_row_basis`` builds them.
     """
+    passive = engine.bivector._passive
+    fill = engine._unit & passive
+    split = [[_split_passive(p, passive, fill) for p in row] for row in products]
     scale = 1  # S
     first = ""
-    for f, f_row in zip(basis, products):
-        for g, fg, g_row in zip(basis, f_row, products):
-            jobs = []  # (f g) h and f (g h), each taking the other's denominator
-            for h, gh in zip(basis, g_row):
+    for f, f_row, f_split in zip(basis, products, split):
+        f_terms = f._num.items()
+        for g, fg, fg_split, g_row, g_split in zip(basis, f_row, f_split, products, split):
+            fg_terms, fg_shifts = fg_split
+            jobs, splits = [], []  # (f g) h and f (g h), each taking the other's denominator
+            for h, gh, (gh_terms, gh_shifts) in zip(basis, g_row, g_split):
                 jobs += (gh._den, fg, h), (fg._den, f, gh)
-            row, scale = engine._sum_products(jobs, scale)
+                splits += (fg_terms, h._num.items(), fg_shifts), (f_terms, gh_terms, gh_shifts)
+            row, scale = engine._sum_products(jobs, scale, splits=splits)
             if not first and row[::2] != row[1::2]:
                 h = next(h for h, a, b in zip(basis, row[::2], row[1::2]) if a != b)
                 first = (

@@ -33,13 +33,15 @@ class SuperBivector(_ReadOnly):
     rows), ``_d_e`` the entries' common denominator, keys from
     ``_derivative_key`` and a packed m having the factor A when m & mask !=
     bits; ``_blocks`` the star engine's blocks of those rows, with
-    ``_row_mask`` the rows' bits in ``VarTable._factor_bits``; and
+    ``_row_mask`` the rows' bits in ``VarTable._factor_bits``; ``_passive``
+    the bits of hbar and of the even variables that are no row, which no
+    step differentiates (a negative int: hbar's bits have no top); and
     ``_refusal`` why a star product must refuse the bivector, or None.
     """
 
     __slots__ = (
         "table", "entries", "parity", "is_central", "_d_e", "_row_names", "_rows", "_blocks",
-        "_row_mask", "_refusal",
+        "_row_mask", "_passive", "_refusal",
     )
 
     def __init__(self, table: VarTable, entries: Mapping[tuple[str, str], GradedPoly]):
@@ -118,6 +120,7 @@ class SuperBivector(_ReadOnly):
         rows_mask = sum(row[1] for row in self._rows)
         self.is_central = not support & rows_mask
         self._row_mask = rows_mask & (table._guard | table._odd)
+        self._passive = -1 << hbar_shift | table._evens & ~rows_mask
         if not self.is_central:
             refusal = "bivector entries depend on contracted variables"
         self._refusal = refusal

@@ -141,6 +141,15 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
     (lambda: models.Fibration(_P34.fibration.base_table, None), "rules must be a Mapping, got NoneType"),
     (lambda: moyal.check_quantization_contract(moyal.StarEngine(_T0.bivector), "no"),
      "associativity must be a bool, got str"),
+    (lambda: dataclasses.replace(_P34, constants=None), "constants must be a Sequence, got NoneType"),
+    (lambda: dataclasses.replace(_P34, constants=(["l1"],)), "constants[0] must be a str, got list"),
+    (lambda: moyal.CheckRecord(1, 2, 3, 4, 5), "check_id must be a str, got int"),
+    (lambda: moyal.CheckRecord("id", None, "pass"), "category must be a str, got NoneType"),
+    (lambda: moyal.CheckRecord("id", "contract", 3), "status must be a str, got int"),
+    (lambda: moyal.CheckRecord("id", "contract", "pass", detail=5), "detail must be a str, got int"),
+    (lambda: moyal.CheckRecord("id", "contract", "pass", lhs=4), "lhs must be a GradedPoly or None, got int"),
+    (lambda: moyal.CheckRecord("id", "contract", "pass", _X, "x"),
+     "rhs must be a GradedPoly or None, got str"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -154,7 +163,8 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
         "term-key-even", "table-even-slot", "table-odd-bit",
         "table-even-slot-list", "model-chart", "model-charts", "model-transition",
         "model-weight-law", "model-weight-law-entry", "model-associative", "fibration-rules",
-        "contract-associativity"])
+        "contract-associativity", "model-constants", "model-constant", "record-check-id",
+        "record-category", "record-status", "record-detail", "record-lhs", "record-rhs"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
@@ -166,6 +176,22 @@ def test_a_key_of_the_wrong_length_names_the_key_and_the_table():
     with pytest.raises(ValueError) as info:
         graded_ring.GradedPoly(_P34.table, _SHORT_KEY)
     assert str(info.value) == f"((0, 0, 0), 0, 0) is not a monomial over {_P34.table!r}"
+
+
+def test_a_record_status_is_pass_fail_or_skip():
+    with pytest.raises(ValueError) as info:
+        moyal.CheckRecord("id", "contract", "passed")
+    assert str(info.value) == "status must be pass, fail or skip, got 'passed'"
+    for status in ("pass", "fail", "skip"):
+        assert moyal.CheckRecord("id", "contract", status, _X, None, "detail").status == status
+
+
+def test_model_constants_are_kept_as_a_tuple():
+    # a caller's list is copied, not kept by reference
+    names = list(_P34.constants)
+    model = dataclasses.replace(_P34, constants=names)
+    names.append("z1")
+    assert model.constants == _P34.constants and type(model.constants) is tuple
 
 
 @pytest.mark.parametrize("call, message", [

@@ -424,6 +424,40 @@ def _star_sweep(engine, basis, products):
     return first
 
 
+def _stripped_star_sweep(engine, basis, products):
+    """The basis sweep as ``star`` calls on the stripped monomials: each
+    term c m of a product operand is read as c P (m0 * h) or c P (f * m0),
+    with P its passive monomial, the hbar power and the even variables that
+    are no row, multiplied back with the ring product, and m = P m0.  The
+    oracle of the stats of ``moyal._basis_sweep``, which reads those pairs."""
+    t = engine.table
+    rows = engine.bivector.rows()
+    passive = [t.even_slot(n) for n in t.even_names() if n not in rows]
+
+    def split(p):
+        out = []
+        for mono, c in p.terms.items():
+            even, outer = list(mono.even), [0] * t.n_even
+            for i in passive:
+                even[i], outer[i] = 0, even[i]
+            m0 = GradedPoly(t, {Monomial(tuple(even), mono.odd, 0): 1})
+            out.append((c, m0, GradedPoly(t, {Monomial(tuple(outer), 0, mono.hbar): 1})))
+        return out
+
+    first = ""
+    for f, f_row in zip(basis, products):
+        for g, fg, g_row in zip(basis, f_row, products):
+            for h, gh in zip(basis, g_row):
+                lhs = sum(((P * engine.star(m0, h)).scale(c) for c, m0, P in split(fg)), t.zero())
+                rhs = sum(((P * engine.star(f, m0)).scale(c) for c, m0, P in split(gh)), t.zero())
+                if lhs != rhs and not first:
+                    first = (
+                        "first failure on basis triple"
+                        f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                    )
+    return first
+
+
 def _outcome(engine, run, *args):
     """What ``run(engine, *args)`` returns, or its truncation text, and the
     engine's stats after it."""
@@ -464,9 +498,28 @@ def sweep_cases(draw):
     return SuperBivector(t, entries), draw(st.sampled_from((0, 1, 2, 3, 8)))
 
 
+def _check_sweep(got, star, stripped):
+    """A sweep's outcome against the star sweep's and the stripped one's: the
+    result or truncation text of the first, the stats of the second, and
+    the reads (hits plus misses) and live states of both.  The stripped
+    sweep's own truncation text may name a smaller sufficient order, as it
+    multiplies one term at a time."""
+    (value, stats), (want, star_stats), (stripped_value, want_stats) = got, star, stripped
+    assert value == want
+    assert stats == want_stats
+    assert stats.cache_hits + stats.cache_misses == star_stats.cache_hits + star_stats.cache_misses
+    assert stats.peak_states == star_stats.peak_states
+    truncated = "series alive past hbar order"
+    if isinstance(want, str) and want.startswith(truncated):
+        assert stripped_value.startswith(truncated)
+    else:
+        assert stripped_value == want
+
+
 class TestBasisSweep:
-    """``moyal._basis_sweep`` against the two ``star`` calls per triple it replaced:
-    the same detail, the same truncation text and the same engine stats."""
+    """``moyal._basis_sweep`` against the two ``star`` calls per triple it
+    replaced, for the detail and the truncation text, and against the same
+    calls on the stripped monomials, for the engine stats."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(
@@ -476,10 +529,12 @@ class TestBasisSweep:
     def test_contract_matches_the_star_sweep(self, case):
         pi, max_order = case
         got = _outcome(StarEngine(pi, max_order), check_quantization_contract)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moyal, "_basis_sweep", _star_sweep)
-            want = _outcome(StarEngine(pi, max_order), check_quantization_contract)
-        assert got == want
+        oracles = []
+        for sweep in (_star_sweep, _stripped_star_sweep):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moyal, "_basis_sweep", sweep)
+                oracles.append(_outcome(StarEngine(pi, max_order), check_quantization_contract))
+        _check_sweep(got, *oracles)
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_cases(), st.data())
@@ -491,9 +546,8 @@ class TestBasisSweep:
         basis = moyal._row_basis(ref)
         basis = [basis[i] for i in data.draw(st.permutations(range(len(basis))))]
         products = [[ref.star(g, h) for h in basis] for g in basis]
-        got, want = (_outcome(StarEngine(pi, max_order), sweep, basis, products)
-                     for sweep in (moyal._basis_sweep, _star_sweep))
-        assert got == want
+        _check_sweep(*(_outcome(StarEngine(pi, max_order), sweep, basis, products)
+                       for sweep in (moyal._basis_sweep, _star_sweep, _stripped_star_sweep)))
 
 
 def _bracket_sweep(pi, pairs):
@@ -1654,6 +1708,15 @@ def run_reuse_cases(draw):
 
 _MODELS = Path(__file__).resolve().parent.parent / "models"
 
+# the pairs a contract reads, hits plus misses: one read per pair, as two
+# ``star`` calls per basis triple make, whichever of them miss
+_CONTRACT_READS = {
+    "l5_6.model": 7018, "p3_4.model": 6980, "p3_n.model": 792, "t0_cotangent.model": 6968,
+    "t1_cotangent.model": 253, "wp_1_3.model": 7900, "wp_2_2.model": 7902, "wp_4_0.model": 7906,
+    "T0-cotangent": 6968, "T1-cotangent": 253, "P3|4": 6980, "WP[1,3]": 7900, "WP[2,2]": 7902,
+    "WP[4,0]": 7906, "L5|6": 7018, "P3|N": 792, "P3|N=6": 782,
+}
+
 
 class TestRunCache:
     """Misses split into block runs and a passive rest, against the dict oracle."""
@@ -1698,32 +1761,33 @@ class TestRunCache:
         assert eng._runs == runs
 
     @pytest.mark.parametrize("name, stats", [
-        ("l5_6.model", EngineStats(4937, 2081, 2081, (1, 3, 1), 2)),
-        ("p3_4.model", EngineStats(4954, 2026, 2026, (1, 2, 1), 2)),
-        ("p3_n.model", EngineStats(258, 534, 534, (1, 6, 3), 2)),
-        ("t0_cotangent.model", EngineStats(4722, 2246, 2246, (1, 6, 3), 2)),
+        ("l5_6.model", EngineStats(6029, 989, 989, (1, 3, 1), 2)),
+        ("p3_4.model", EngineStats(6036, 944, 944, (1, 2, 1), 2)),
+        ("p3_n.model", EngineStats(546, 246, 246, (1, 6, 3), 2)),
+        ("t0_cotangent.model", EngineStats(5994, 974, 974, (1, 6, 3), 2)),
         ("t1_cotangent.model", EngineStats(56, 197, 197, (1, 4), 1)),
-        ("wp_1_3.model", EngineStats(4945, 2955, 2955, (1, 2, 1), 2)),
-        ("wp_2_2.model", EngineStats(5493, 2409, 2409, (1, 2, 1), 2)),
-        ("wp_4_0.model", EngineStats(4954, 2952, 2952, (1, 2, 1), 2)),
-        ("P3|N=6", EngineStats(268, 514, 514, (1, 4, 1), 2)),
+        ("wp_1_3.model", EngineStats(6972, 928, 928, (1, 2, 1), 2)),
+        ("wp_2_2.model", EngineStats(6972, 930, 930, (1, 2, 1), 2)),
+        ("wp_4_0.model", EngineStats(6972, 934, 934, (1, 2, 1), 2)),
+        ("P3|N=6", EngineStats(556, 226, 226, (1, 4, 1), 2)),
     ])
     def test_stats_after_the_contract(self, name, stats):
         m = load_model(_MODELS / name) if name.endswith(".model") else builtin(name)
         eng = StarEngine(m.bivector, m.max_order)
         check_quantization_contract(eng, associativity=m.associative)
         assert eng.stats == stats
+        assert stats.cache_hits + stats.cache_misses == _CONTRACT_READS[name]
 
     @pytest.mark.parametrize("name, stats", [
-        ("T0-cotangent", EngineStats(4722, 2246, 2246, (1, 6, 3), 2)),
+        ("T0-cotangent", EngineStats(5994, 974, 974, (1, 6, 3), 2)),
         ("T1-cotangent", EngineStats(56, 197, 197, (1, 4), 1)),
-        ("P3|4", EngineStats(4954, 2026, 2026, (1, 2, 1), 2)),
-        ("WP[1,3]", EngineStats(4945, 2955, 2955, (1, 2, 1), 2)),
-        ("WP[2,2]", EngineStats(5493, 2409, 2409, (1, 2, 1), 2)),
-        ("WP[4,0]", EngineStats(4954, 2952, 2952, (1, 2, 1), 2)),
-        ("L5|6", EngineStats(4937, 2081, 2081, (1, 3, 1), 2)),
-        ("P3|N", EngineStats(258, 534, 534, (1, 6, 3), 2)),
-        ("P3|N=6", EngineStats(268, 514, 514, (1, 4, 1), 2)),
+        ("P3|4", EngineStats(6036, 944, 944, (1, 2, 1), 2)),
+        ("WP[1,3]", EngineStats(6972, 928, 928, (1, 2, 1), 2)),
+        ("WP[2,2]", EngineStats(6972, 930, 930, (1, 2, 1), 2)),
+        ("WP[4,0]", EngineStats(6972, 934, 934, (1, 2, 1), 2)),
+        ("L5|6", EngineStats(6029, 989, 989, (1, 3, 1), 2)),
+        ("P3|N", EngineStats(546, 246, 246, (1, 6, 3), 2)),
+        ("P3|N=6", EngineStats(556, 226, 226, (1, 4, 1), 2)),
     ])
     def test_records_and_stats_of_the_contract_on_each_built_in(self, name, stats):
         m = builtin(name)
@@ -1741,6 +1805,124 @@ class TestRunCache:
         )
         assert m.associative == (name != "T1-cotangent")
         assert eng.stats == stats
+        assert stats.cache_hits + stats.cache_misses == _CONTRACT_READS[name]
+
+
+def _read_split(engine, f, g, right):
+    """f * g read as the basis sweep reads a product operand: through
+    ``StarEngine._sum_products`` with the passive factors of g (``right``)
+    or of f taken out by ``moyal._split_passive``."""
+    passive = engine.bivector._passive
+    terms, shifts = moyal._split_passive(g if right else f, passive, engine._unit & passive)
+    split = (f._num.items(), terms, shifts) if right else (terms, g._num.items(), shifts)
+    [num], scale = engine._sum_products([(1, f, g)], splits=[split])
+    return GradedPoly._of_scaled(engine.table, num, scale * f._den * g._den)
+
+
+def _value_or_error(run, *args):
+    try:
+        return run(*args)
+    except (TruncationExceeded, ExponentOverflow) as err:
+        return type(err), str(err)
+
+
+_PASSIVE_BIVECTORS = st.one_of(
+    sweep_cases().map(lambda case: case[0]),
+    run_reuse_cases().map(lambda case: case[0]),  # its passive p is invertible
+    st.sampled_from([builtin(n).bivector for n in [*list_builtins(), "P3|N=6"]]),
+)
+
+
+@st.composite
+def passive_factor_cases(draw, at_limit=False):
+    """A bivector, monomials m and h of rows and odd passive variables, a
+    passive monomial c and max_order.
+
+    c is a power of hbar times up to three even variables that are no row,
+    each to a power in [0, 2], or [-2, 2] where the variable is invertible.
+    With ``at_limit``, one of them sits at the end of the exponent range,
+    L - 1 or, where invertible, -L.
+    """
+    pi = draw(_PASSIVE_BIVECTORS)
+    t, rows = pi.table, pi.rows()
+    words = list(rows) + [n for n in t.odd_names() if n not in rows]
+
+    def monomial():
+        out = t.one()
+        for name in draw(st.lists(st.sampled_from(words), max_size=3)):
+            out = out * t.var(name)
+        return out
+
+    passive = [n for n in t.even_names() if n not in rows]
+    names = draw(st.lists(st.sampled_from(passive), max_size=3, unique=True)) if passive else []
+    c = t.hbar(draw(st.integers(0, 2)))
+    for i, name in enumerate(names):
+        invertible = t.spec(name).invertible
+        if at_limit and i == 0:
+            power = draw(st.sampled_from((L - 1, -L) if invertible else (L - 1,)))
+        else:
+            power = draw(st.integers(-2 if invertible else 0, 2))
+        c = c * t.var(name, power)
+    return pi, monomial(), monomial(), c, draw(st.sampled_from((0, 1, 2, 8)))
+
+
+class TestPassiveFactors:
+    """exp(hbar P/2)(c m (x) h) = c exp(hbar P/2)(m (x) h) for a passive c, the
+    identity the basis sweep reads its product operands by (see "Passive
+    factors" in ``moyal``), on fresh engines."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(passive_factor_cases())
+    def test_a_passive_factor_leaves_each_side(self, case):
+        pi, m, h, c, max_order = case
+        for f, g, side in ((c * m, h, m), (h, c * m, m)):
+            plain = (h, side) if f is h else (side, h)
+            eng, ref = StarEngine(pi, max_order), StarEngine(pi, max_order)
+            got = _value_or_error(eng.star, f, g)
+            want = _value_or_error(lambda: c * ref.star(*plain))
+            # the same live states at every order: the same truncation and stats
+            assert got == want
+            assert eng.stats == ref.stats
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(passive_factor_cases(), passive_factor_cases(at_limit=True)), st.booleans())
+    def test_the_split_read_matches_star(self, case, right):
+        # a key moved past the exponent range raises the ExponentOverflow
+        # that star raises on the unmoved pair
+        pi, m, h, c, max_order = case
+        f, g = (h, c * m) if right else (c * m, h)
+        eng, ref = StarEngine(pi, max_order), StarEngine(pi, max_order)
+        got = _value_or_error(_read_split, eng, f, g, right)
+        assert got == _value_or_error(ref.star, f, g)
+        if not (isinstance(got, tuple) and got[0] is ExponentOverflow):
+            assert eng.stats == ref.stats
+
+    @pytest.mark.parametrize("entry, power", [("k", L - 1), ("p^-1", -L)])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_a_moved_key_past_the_limit_raises_as_star_does(self, entry, power, right):
+        t = VarTable.build(("x", EVEN), ("k", EVEN), ("p", EVEN, True), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): parse_expression(entry, t)})
+        name = entry[0]
+        f, g = t.var("x"), t.var("y") * t.var(name, power) * t.hbar()
+        if not right:
+            f, g = t.var("x") * t.var(name, power) * t.hbar(), t.var("y")
+        with pytest.raises(ExponentOverflow) as want:
+            StarEngine(pi).star(f, g)
+        with pytest.raises(ExponentOverflow) as got:
+            _read_split(StarEngine(pi), f, g, right)
+        assert str(got.value) == str(want.value)
+
+
+def test_a_mutant_of_the_passive_rest_fails_the_contract(monkeypatch):
+    # hbar dropped from the rest a run is multiplied by: the sweep reads its
+    # product operands without hbar, and still the contract sees the fault
+    times = moyal._times_monomial
+    monkeypatch.setattr(moyal, "_times_monomial",
+                        lambda num, sign, FG, t: times(num, sign, FG & (1 << t._hbar_shift) - 1, t))
+    for name in ("WP[2,2]", "L5|6"):
+        m = builtin(name)
+        records = check_quantization_contract(StarEngine(m.bivector, m.max_order))
+        assert (records[1].check_id, records[1].status) == ("contract associativity", "fail")
 
 
 def _live_blocks(blocks: tuple, F: int, G: int) -> tuple:
