@@ -86,6 +86,18 @@ class WeightLaw:
     pair: tuple[str, str]
     factor: GradedPoly
 
+    def __post_init__(self):
+        pair = self.pair
+        if isinstance(pair, Sequence) and not isinstance(pair, str):
+            pair = tuple(pair)
+        if type(pair) is not tuple or len(pair) != 2 or not all(isinstance(v, str) for v in pair):
+            got = type(pair).__name__
+            if type(pair) is tuple:
+                got = f"({', '.join(type(v).__name__ for v in pair)})"
+            raise TypeError(f"pair must be a (str, str), got {got}")
+        object.__setattr__(self, "pair", pair)
+        _check_type("factor", self.factor, GradedPoly)
+
 
 def check_pair_resolves(tmap: TransitionMap, pair: tuple[str, str]) -> None:
     """Raise UnresolvedPair unless both charts of the map carry both variables."""

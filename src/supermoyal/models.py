@@ -133,6 +133,8 @@ def _typed_tuple(name: str, items, kind) -> tuple:
     """``items`` as a tuple of ``kind``s, or, for a tuple of types, of tuples
     of those types; a TypeError names the field or the entry that is not."""
     _check_type(name, items, Sequence)
+    if isinstance(items, str):  # a Sequence, but of characters
+        raise TypeError(f"{name} must be a Sequence other than str, got str")
     items = tuple(items)
     for i, item in enumerate(items):
         if type(kind) is type:

@@ -57,9 +57,10 @@ What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
 odd entry or an entry with hbar) is computed once, when the bivector is
 built, and an engine only reads it.  The pair cache, the run cache, the
-two classification memos (see "Blocks"), the scale D and the counters stay
-per engine, so engines share no contraction work, and a fresh engine, as
-in a new process, starts with every cache empty.
+memo of monomial products and the two classification memos (see "Blocks"),
+the scale D and the counters stay per engine, so engines share no
+contraction work, and a fresh engine, as in a new process, starts with every
+cache empty.
 
 A non-zero contribution at order max_order + 1 raises ``TruncationExceeded``
 instead of being dropped, so a returned value is always the complete series.
@@ -100,9 +101,13 @@ and since g (x) f = (-1)^(|f||g|) tau(f (x) g),
 So a cache miss on (mg, mf) whose mirror (mf, mg) is cached flips signs
 on the mirror's numerators instead of contracting again; the mirror's
 series has the same live states order by order, so it raises
-``TruncationExceeded`` exactly when the cached one would have.  And the
-supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order part
-of f * g.
+``TruncationExceeded`` exactly when the cached one would have.  A term of
+order n gains the factor (-1)^(|f||g|) (-1)^n, so when that factor is 1 on
+every term (for even pairs: no term of odd order) the flip changes no
+coefficient, and the reduced polynomial is the mirror's own: the miss
+caches the mirror object itself, and both entries hold one object.  And
+the supercommutator f * g - (-1)^(|f||g|) g * f is twice the odd-order
+part of f * g.
 
 Blocks.  Join A and B when pi^{AB} != 0; a block is a connected component of
 that graph, and P = sum_b P_b, with P_b the steps inside block b.  A miss
@@ -131,8 +136,12 @@ is an algebra map because the ring is supercommutative, so
     mf * mg = s (F_1 * G_1) ... (F_k * G_k) F_0 G_0,
 
 each F_b * G_b the series of block b alone.  With k = 0 this is mf mg, and
-s = 1: such a miss is one monomial product, cached as it is, with its one
-state at order 0.  With k = 1 it is s (F_1 * G_1) F_0 G_0, where s = 1
+s = 1: such a miss is one monomial product, with its one state at order 0.
+That product is sign * (mf mg) for ``_mono_mul``'s (sign, mf mg), or zero
+when mf and mg share an odd factor, so it depends on that pair alone, and
+an engine keeps one object per (sign, mf mg) and one zero: every miss with
+no live block reads it, and so does a miss with live blocks whose rest
+F_0 G_0 vanishes.  With k = 1 it is s (F_1 * G_1) F_0 G_0, where s = 1
 unless the rest has an odd factor: order by order, the joint kernel's
 states are block 1's
 states times (F_0, G_0), each centre up to a sign that the state fixes, so
@@ -315,15 +324,15 @@ class StarEngine:
 
     The bivector's refusal, d_e and blocks are built with the bivector and
     read by every engine over it; the pair cache, the run cache, the memos
-    of row bits and pair shapes, the scale for ``max_order`` and ``stats``
-    belong to this engine alone.  ``stats``
+    of monomial products, row bits and pair shapes, the scale for
+    ``max_order`` and ``stats`` belong to this engine alone.  ``stats``
     count monomial pairs, not runs.  ``bivector``, ``table`` and
     ``max_order`` are read-only: the scale and both caches are built for them.
     """
 
     __slots__ = (
         "_bivector", "_table", "_max_order", "_blocks", "_unit", "_scale",
-        "_cache", "_runs", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
+        "_cache", "_runs", "_monos", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
@@ -340,6 +349,8 @@ class StarEngine:
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
         self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
+        # the products of pairs with no live block, one per (sign, mf mg), and zero under None
+        self._monos: dict[tuple[int, int] | None, GradedPoly] = {}
         # an operand monomial's row bits, and a pair's (live blocks, sign) by its shape
         self._row_bits: dict[int, int] = {}
         self._shapes: dict[tuple[int, int, int, int], tuple[tuple, int]] = {}
@@ -503,12 +514,17 @@ class StarEngine:
             s = -1 if (mf & odd).bit_count() & (mg & odd).bit_count() & 1 else 1
             h = (mf >> hs) + (mg >> hs)
             total = {m: -s * q if (m >> hs) - h & 1 else s * q for m, q in mirror._num.items()}
-            got = self._cache[(mf, mg)] = GradedPoly._of_canonical(t, total, mirror._den)
+            # a flip that changes no coefficient leaves the mirror's own polynomial
+            got = mirror if total == mirror._num else GradedPoly._of_canonical(t, total, mirror._den)
+            self._cache[(mf, mg)] = got
             return got
         live, s = self._classify(mf, mg)
         if not live:  # no step fires: the product is the one term mf mg
             fg = _mono_mul(mf, mg, t)
-            got = t.zero() if fg is None else GradedPoly._of_canonical(t, {fg[1]: fg[0]}, 1)
+            got = self._monos.get(fg)
+            if got is None:  # the engine's first pair with this product
+                got = t.zero() if fg is None else GradedPoly._of_canonical(t, {fg[1]: fg[0]}, 1)
+                self._monos[fg] = got
             if not self._peaks:
                 self._peaks.append(1)  # its one state, at order 0
             self._cache[(mf, mg)] = got
@@ -540,7 +556,7 @@ class StarEngine:
         fill = unit & used
         fg = _mono_mul(mf & ~used | fill, mg & ~used | fill, t)
         if fg is None:  # F_0 and G_0 share an odd factor
-            got = t.zero()
+            got = self._monos.setdefault(None, t.zero())
         else:
             sign, FG = fg
             if num is not series._num:  # a product of runs: one gcd pass

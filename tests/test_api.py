@@ -143,6 +143,14 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
      "associativity must be a bool, got str"),
     (lambda: dataclasses.replace(_P34, constants=None), "constants must be a Sequence, got NoneType"),
     (lambda: dataclasses.replace(_P34, constants=(["l1"],)), "constants[0] must be a str, got list"),
+    (lambda: dataclasses.replace(_P34, constants="l1"),
+     "constants must be a Sequence other than str, got str"),
+    (lambda: dataclasses.replace(_P34, constants=""), "constants must be a Sequence other than str, got str"),
+    (lambda: atlas.WeightLaw(None, 3.5), "pair must be a (str, str), got NoneType"),
+    (lambda: atlas.WeightLaw("w1", _X), "pair must be a (str, str), got str"),
+    (lambda: atlas.WeightLaw(("w1",), _X), "pair must be a (str, str), got (str)"),
+    (lambda: atlas.WeightLaw(("w1", 2), _X), "pair must be a (str, str), got (str, int)"),
+    (lambda: atlas.WeightLaw(("w1", "w2"), 3.5), "factor must be a GradedPoly, got float"),
     (lambda: moyal.CheckRecord(1, 2, 3, 4, 5), "check_id must be a str, got int"),
     (lambda: moyal.CheckRecord("id", None, "pass"), "category must be a str, got NoneType"),
     (lambda: moyal.CheckRecord("id", "contract", 3), "status must be a str, got int"),
@@ -163,7 +171,9 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
         "term-key-even", "table-even-slot", "table-odd-bit",
         "table-even-slot-list", "model-chart", "model-charts", "model-transition",
         "model-weight-law", "model-weight-law-entry", "model-associative", "fibration-rules",
-        "contract-associativity", "model-constants", "model-constant", "record-check-id",
+        "contract-associativity", "model-constants", "model-constant", "model-constants-str",
+        "model-constants-empty-str", "law-pair-None", "law-pair-str", "law-pair-short",
+        "law-pair-entry", "law-factor", "record-check-id",
         "record-category", "record-status", "record-detail", "record-lhs", "record-rhs"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
@@ -192,6 +202,14 @@ def test_model_constants_are_kept_as_a_tuple():
     model = dataclasses.replace(_P34, constants=names)
     names.append("z1")
     assert model.constants == _P34.constants and type(model.constants) is tuple
+
+
+def test_a_weight_law_pair_is_kept_as_a_tuple():
+    law = _P34.weight_laws[0][2]
+    pair = list(law.pair)
+    copy = atlas.WeightLaw(pair, law.factor)
+    pair.append("z1")
+    assert copy == law and type(copy.pair) is tuple
 
 
 @pytest.mark.parametrize("call, message", [

@@ -723,7 +723,7 @@ class TestEnginePlan:
         t, pi = p34()
         first, second = StarEngine(pi), StarEngine(pi)
         assert first._blocks is second._blocks  # the bivector's, built with it
-        memos = ("_cache", "_runs", "_row_bits", "_shapes")
+        memos = ("_cache", "_runs", "_monos", "_row_bits", "_shapes")
         for memo in memos:
             assert getattr(first, memo) is not getattr(second, memo)
         for engine, calls in zip((first, second), self._calls(t)):
@@ -2097,7 +2097,69 @@ class TestCanonicalForm:
                             _assert_canonical(op(x, y))
                         except TruncationExceeded:
                             pass
-        for p in eng._cache.values():
+        t = pi.table
+        for (mf, mg), p in eng._cache.items():
             _assert_canonical(p)
+            # a shared object is each of its pairs' own product
+            one = [GradedPoly._of_scaled(t, {m: 1}, 1) for m in (mf, mg)]
+            assert p == StarEngine(pi, max_order).star(*one)
         for series, _, _ in eng._runs.values():
             _assert_canonical(series)
+
+
+class TestSharedProducts:
+    """Pair-cache entries with one product hold one object: a mirror whose
+    flip changes nothing, and every pair with no live block and the same
+    monomial product."""
+
+    def _wp22(self):
+        m = builtin("WP[2,2]")
+        t = m.table
+        return StarEngine(m.bivector, m.max_order), t, {n: t.var(n) for n in t.names()}
+
+    def test_a_mirror_that_flips_to_itself_is_its_twin(self):
+        eng, _, v = self._wp22()
+        assert eng.star(v["z1"], v["l1"]) is eng.star(v["l1"], v["z1"])
+        # z1 * z2 has a term of order 1, so its mirror is a new object
+        zz = eng.star(v["z1"], v["z2"])
+        assert eng.star(v["z2"], v["z1"]) is not zz
+        assert eng.stats == EngineStats(0, 4, 4, (1, 1), 1)
+
+    def test_pairs_with_one_monomial_product_share_it(self):
+        eng, _, v = self._wp22()
+        z1, l1, l2 = v["z1"], v["l1"], v["l2"]
+        assert eng.star(z1 * l1, l2) is eng.star(z1, l1 * l2)
+        assert eng.star(z1 * l1, l2) == z1 * l1 * l2
+        assert eng.stats == EngineStats(1, 2, 2, (1,), 0)
+
+    def test_every_vanishing_product_is_the_engine_zero(self):
+        # a1 * a1 has no live block; the other two pairs have a live block
+        # and a rest that repeats the odd passive a1 or a2
+        pi = _odd_passive_bivector()
+        t = pi.table
+        eng = StarEngine(pi)
+        x, y, a1, a2, th3 = (t.var(n) for n in ("x", "y", "a1", "a2", "th3"))
+        zero = eng.star(a1, a1)
+        assert zero.is_zero()
+        assert eng.star(x * a1, y * a1) is zero and eng.star(th3 * a2, th3 * a2) is zero
+        assert list(eng._monos) == [None]
+
+    def test_a_sign_flipped_mirror_is_its_own_object(self):
+        eng, _, v = self._wp22()
+        xi1, xi2 = v["xi1"], v["xi2"]
+        first = eng.star(xi1, xi2)
+        second = eng.star(xi2, xi1)
+        assert second == first.scale(-1) and second is not first
+
+    def test_a_fixed_call_list_leaves_a_pinned_number_of_objects(self):
+        eng, t, v = self._wp22()
+        ops = [t.one(), *v.values(), v["z1"] * v["l1"], v["l1"] * v["l2"], v["z2"] * v["xi1"],
+               v["xi1"] * v["xi2"], t.hbar() * v["z2"]]
+        for f in ops:
+            for g in ops:
+                eng.star(f, g)
+        assert eng.stats == EngineStats(0, 144, 144, (1, 2, 1), 2)
+        assert len({id(p) for p in eng._cache.values()}) == 84
+        for (mf, mg), p in eng._cache.items():
+            one = [GradedPoly._of_scaled(t, {m: 1}, 1) for m in (mf, mg)]
+            assert p == StarEngine(eng.bivector, eng.max_order).star(*one)
