@@ -430,8 +430,11 @@ class VarTable(_ReadOnly):
         return GradedPoly._of_scaled(self, {self._var_key(name, power): 1}, 1)
 
     def _var_key(self, name: str, power: int = 1) -> int:
-        """The packed monomial ``name**power``."""
+        """The packed monomial ``name**power``; any variable's zero power is
+        the unit."""
         spec = self.spec(name)
+        if power == 0:
+            return self._zero
         if spec.parity == EVEN:
             if power < 0 and not spec.invertible:
                 raise NonInvertibleSubstitution(

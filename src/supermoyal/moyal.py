@@ -39,19 +39,21 @@ order-n term.  The kernel sums a monomial pair's orders at the one scale
 order n adding its integer sum times D / (n! (2 d_e)^n), an integer that is
 order n - 1's divided by n 2 d_e, and reduces the total over D by one gcd
 pass (see ``graded_ring``: the int form of a polynomial).  The caches hold
-that reduced polynomial, so D never leaves the kernel.  ``star`` of two single terms with coefficient 1 returns
-the cached polynomial itself, which is safe because a ``GradedPoly`` is
-immutable.  Every other product, and every side of the quantization
-contract's basis sweep, is read pair by pair by one method,
-``StarEngine._sum_products``: it sums int numerators over one shared
-denominator, the lcm of the pair denominators.  ``star`` reduces that sum
-once; the sweep needs only an equality per triple, so it compares the two
-sides' numerators and builds no polynomial, and it reads each term of a
-product operand without its passive factor (``_basis_sweep``; see "Passive
-factors" below).  The order-1
-check does the same with each product's hbar^1 numerators and the bracket's,
-which ``poisson._bracket_num`` sums from one table of row derivatives per
-operand (``_order1_sweep``).
+that reduced polynomial, so D never leaves the kernel.  ``star`` of two
+single terms with coefficient 1 returns the cached polynomial itself, which
+is safe because a ``GradedPoly`` is immutable, and on a miss the product
+``_star_mono`` caches, with no sum around it.  Every other product, and
+every side of the quantization contract's basis sweep, is read pair by pair
+by one method, ``StarEngine._sum_products``: it sums int numerators over
+one shared denominator, the lcm of the pair denominators.  ``star`` reduces
+that sum once.  The sweep needs only an equality per triple, so it compares
+the two sides' numerators and builds no polynomial; it reads each term of a
+product operand without its passive factor (see "Passive factors" below),
+and each row (f, g) in two reader jobs, (f g) * h and f * (g h) for every
+h, kept apart by a tag per h (``_basis_sweep``).  The order-1 check does
+the same with each product's hbar^1 numerators and the bracket's, which
+``poisson._bracket_num`` sums from one table of row derivatives per operand
+(``_order1_sweep``).
 
 What an engine needs from the bivector alone (d_e, the packed rows, the
 blocks below, and the reason to refuse it when it is not central, has an
@@ -230,7 +232,8 @@ key, reads the pair of m0 and moves every key of its product by the
 shift.  Terms that differ only by a passive factor share that pair, so
 the sweep reads as many pairs as two ``star`` calls per triple would, one
 per pair, and misses fewer.  A moved key past the exponent range sends
-the unmoved pair to the engine, so the ``ExponentOverflow`` is ``star``'s.
+the unmoved pair to the engine, so the ``ExponentOverflow`` is ``star``'s
+(a batched row of the sweep first replays as one job per product).
 
 Two products skip the gcd pass that makes a polynomial canonical (see
 ``graded_ring``), because they are canonical as built: the run is, and
@@ -255,7 +258,7 @@ from random import Random
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import (
-    _FIELD, EVEN, EXPONENT_LIMIT, ODD, GradedPoly, _check_int, _check_type, _merge_sign, _mono_mul,
+    _FIELD, EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, _check_int, _check_type, _merge_sign, _mono_mul,
     _mul_terms, render_poly,
 )
 from .poisson import SuperBivector, _bracket_num, _bracket_sign as _step_sign, _row_derivatives
@@ -390,11 +393,13 @@ class StarEngine:
             [(mf, cf)], [(mg, cg)] = f._num.items(), g._num.items()
             if cf * cg == 1:  # the cached product itself: a GradedPoly is immutable
                 got = self._cache.get((mf, mg))
-                if got is None:
-                    self._sum_products([(1, f, g)])
-                    return self._cache[mf, mg]
-                self._hits += 1
-                return got
+                if got is not None:
+                    self._hits += 1
+                    return got
+                try:  # a miss: the pair's product, with no sum around it
+                    return self._star_mono(mf, mg)
+                except TruncationExceeded:
+                    raise TruncationExceeded(self._max_order, self._sufficient_order(f, g)) from None
         [num], scale = self._sum_products([(2 if odd_only else 1, f, g)], odd_only=odd_only)
         return GradedPoly._of_scaled(t, num, scale * f._den * g._den)
 
@@ -402,7 +407,8 @@ class StarEngine:
         self, jobs: list, scale: int = 1, odd_only: bool = False, splits: list | None = None
     ) -> tuple[list, int]:
         """c0 * x * y for each job (c0, x, y), read pair by pair from the cache:
-        (maps, S), each map the int numerators over S, with no zero entry.
+        (maps, S), each map the int numerators over S, with no zero entry
+        (but see the batched rows below).
 
         S starts at ``scale`` and grows to the lcm of the pair denominators,
         rescaling the maps summed so far; the operands' own denominators are
@@ -415,8 +421,16 @@ class StarEngine:
         shift, in the order the pairs are read (see "Passive factors" above).
         The job then reads the pairs of xs and ys and moves every key of a
         pair's product by the pair's shift.  A moved key past the exponent
-        range sends the unmoved pair to ``_star_mono``, whose
-        ``ExponentOverflow`` is the one ``star`` raises.
+        range sends the unmoved pair, rebuilt from x and y, to
+        ``_star_mono``, whose ``ExponentOverflow`` is the one ``star`` raises.
+
+        That recovery, like the sufficient order, needs a job's pairs to be
+        those of x * y, so it runs only in a job of one product.  A job of a
+        batched row of the basis sweep sums the pairs of many products and
+        gives None for x and y: it picks no pair, its ``ExponentOverflow`` or
+        ``TruncationExceeded`` is raised bare, for the sweep to replay the
+        row as one job per product, and its map keeps the zero entries that
+        the sweep's comparison passes over.
         """
         get, star_mono = self._cache.get, self._star_mono
         t = self._table
@@ -458,19 +472,38 @@ class StarEngine:
                                 for m, q in terms:
                                     p = m + shift
                                     if p & guard:
-                                        star_mono(*list(product(x._num, y._num))[k - 1])
+                                        if x is not None:
+                                            star_mono(*list(product(x._num, y._num))[k - 1])
                                         raise t._overflow(m, shift + self._unit)
                                     acc[p] = acc.get(p, 0) + c * q
                                 continue
                         for m, q in terms:
                             acc[m] = acc.get(m, 0) + c * q
-                if 0 in acc.values():
+                if x is not None and 0 in acc.values():
                     maps[-1] = {m: q for m, q in acc.items() if q}
         except TruncationExceeded:
+            if x is None:
+                raise
             raise TruncationExceeded(self._max_order, self._sufficient_order(x, y)) from None
         finally:
             self._hits += hits
         return maps, scale
+
+    def _mark(self) -> tuple:
+        """The engine's state, for ``_roll_back``: the memos' sizes, the
+        counters and a copy of the peaks."""
+        return (len(self._cache), len(self._runs), len(self._monos), len(self._row_bits),
+                len(self._shapes), self._hits, self._misses, self._peaks[:])
+
+    def _roll_back(self, mark: tuple) -> None:
+        """Restore the state ``_mark`` returned.  The memos only ever gain
+        keys, so dropping the keys added since, the last ones, restores them."""
+        *sizes, self._hits, self._misses, peaks = mark
+        self._peaks[:] = peaks
+        memos = self._cache, self._runs, self._monos, self._row_bits, self._shapes
+        for memo, n in zip(memos, sizes):
+            while len(memo) > n:
+                memo.popitem()
 
     def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
         """min over operands of the largest row degree, or None if unbounded.
@@ -809,36 +842,76 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
 
     ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
     read by ``StarEngine._sum_products``, the reader ``star`` uses, one read
-    per pair in the order of 2 ``star`` calls per triple, but each product
-    operand's terms are read with their passive factors taken out, split
-    once per product (see "Passive factors" above): the sweep's hits and
-    misses add up to those calls', and fewer of them miss.  One call per
-    row (f, g) sums the sides of every h as int numerator maps over one
-    shared denominator S, kept from row to row and never reduced; each side
-    takes the other side's operand denominator, so the two maps are equal
-    exactly when the two products are.  Relies on every basis element being
-    a single monomial with coefficient 1 and no passive factor, as
-    ``_row_basis`` builds them.
+    per pair of 2 ``star`` calls per triple, but each product operand's
+    terms are read with their passive factors taken out, split once per
+    product (see "Passive factors" above): the sweep's hits and misses add
+    up to those calls', and fewer of them miss.  Every side is an int
+    numerator map over one shared denominator S, kept from row to row and
+    never reduced; each side takes the other side's operand denominator,
+    so the two maps of a triple are equal exactly when its two products are.
+
+    One reader call per row (f, g) sums it in two jobs: (f g) * h for every
+    h, and f * (g h) for every h.  The sides of h = basis[j] stay apart by a
+    tag j << T added to each of their pairs' shifts, where T lies above
+    every hbar power a side can reach: a product operand's is at most
+    MAX_ORDER, the order of the engine that built it, and the pair read adds
+    at most the sweep engine's max_order, so at most 2 MAX_ORDER.  The row's
+    two tagged maps, which keep their zero entries, are compared once; when
+    they differ other than by a zero entry, the first h whose untagged sides
+    differ names the triple.
+
+    A row reads its pairs in another order than 2 ``star`` calls per triple
+    would, so a row that raises ``TruncationExceeded`` or
+    ``ExponentOverflow`` rolls the engine back to its state at the row's
+    start and replays the row as one job per side of each triple, in those
+    calls' order: the error and the engine stats are then theirs.  Relies on
+    every basis element being a single monomial with coefficient 1 and no
+    passive factor, as ``_row_basis`` builds them.
     """
     passive = engine.bivector._passive
     fill = engine._unit & passive
     split = [[_split_passive(p, passive, fill) for p in row] for row in products]
+    T = engine.table._hbar_shift + (2 * MAX_ORDER).bit_length()
+    tags = [j << T for j in range(len(basis))]
+    # per g, the right operands of a row's two jobs: each h over g h's
+    # denominator, and the terms of every g h with their tagged shifts
+    rights = []
+    for g_row, g_split in zip(products, split):
+        hs = [(m, gh._den) for h, gh in zip(basis, g_row) for m in h._num]
+        gh_terms = [term for terms, _ in g_split for term in terms]
+        gh_shifts = [s + tag for (_, shifts), tag in zip(g_split, tags) for s in shifts]
+        rights.append((hs, gh_terms, gh_shifts))
     scale = 1  # S
     first = ""
     for f, f_row, f_split in zip(basis, products, split):
         f_terms = f._num.items()
-        for g, fg, fg_split, g_row, g_split in zip(basis, f_row, f_split, products, split):
-            fg_terms, fg_shifts = fg_split
-            jobs, splits = [], []  # (f g) h and f (g h), each taking the other's denominator
-            for h, gh, (gh_terms, gh_shifts) in zip(basis, g_row, g_split):
-                jobs += (gh._den, fg, h), (fg._den, f, gh)
-                splits += (fg_terms, h._num.items(), fg_shifts), (f_terms, gh_terms, gh_shifts)
-            row, scale = engine._sum_products(jobs, scale, splits=splits)
-            if not first and row[::2] != row[1::2]:
-                h = next(h for h, a, b in zip(basis, row[::2], row[1::2]) if a != b)
+        for g, fg, (fg_terms, fg_shifts), (hs, gh_terms, gh_shifts), g_row, g_split in zip(
+            basis, f_row, f_split, rights, products, split
+        ):
+            j = None  # the index of the row's first h whose sides differ
+            mark = engine._mark()
+            try:
+                (lhs, rhs), scale = engine._sum_products(
+                    [(1, None, None), (fg._den, None, None)], scale,
+                    splits=[(fg_terms, hs, [s + tag for s in fg_shifts for tag in tags]),
+                            (f_terms, gh_terms, gh_shifts)],
+                )
+                if not first and lhs != rhs:
+                    keys = lhs.keys() | rhs.keys()
+                    j = min((m >> T for m in keys if lhs.get(m, 0) != rhs.get(m, 0)), default=None)
+            except (TruncationExceeded, ExponentOverflow):
+                engine._roll_back(mark)
+                jobs, splits = [], []  # (f g) h and f (g h), each taking the other's denominator
+                for h, gh, (terms, shifts) in zip(basis, g_row, g_split):
+                    jobs += (gh._den, fg, h), (fg._den, f, gh)
+                    splits += (fg_terms, h._num.items(), fg_shifts), (f_terms, terms, shifts)
+                row, scale = engine._sum_products(jobs, scale, splits=splits)
+                if not first and row[::2] != row[1::2]:
+                    j = next(j for j, (a, b) in enumerate(zip(row[::2], row[1::2])) if a != b)
+            if j is not None:
                 first = (
                     "first failure on basis triple"
-                    f" ({render_poly(f)}, {render_poly(g)}, {render_poly(h)})"
+                    f" ({render_poly(f)}, {render_poly(g)}, {render_poly(basis[j])})"
                 )
     return first
 

@@ -127,8 +127,17 @@ class SuperBivector(_ReadOnly):
         self._blocks = _blocks(table, self._rows, self.parity or support & table._odd)
 
     def entry(self, a: str, b: str) -> GradedPoly:
-        got = self.entries.get((a, b))
-        return got if got is not None else self.table.zero()
+        """pi^{ab}, zero where no entry is set; a name the table does not
+        declare is refused as ``VarTable.index`` refuses it."""
+        try:
+            got = self.entries.get((a, b))
+        except TypeError:  # an unhashable name
+            got = None
+        if got is None:
+            for name in (a, b):
+                self.table.index(name)  # raises for a name not in the table
+            return self.table.zero()
+        return got
 
     def canonical_pairs(self) -> list[tuple[str, str]]:
         """One (A, B) per mirror pair, index A <= index B, in table order."""

@@ -218,13 +218,26 @@ def test_a_weight_law_pair_is_kept_as_a_tuple():
     (lambda: _P34.table.even_slot("q"), "q"),
     (lambda: _P34.table.odd_bit("q"), "q"),
     (lambda: _P34.table.index("q"), "q"),
+    (lambda: _P34.bivector.entry("nope", "z1"), "nope"),
+    (lambda: _P34.bivector.entry("z1", "nope"), "nope"),
+    (lambda: _P34.charts[0].entry("w1", "q"), "q"),
 ], ids=["even-slot-of-odd", "odd-bit-of-even", "even-slot-unknown", "odd-bit-unknown",
-        "index-unknown"])
+        "index-unknown", "entry-unknown-row", "entry-unknown-partner", "chart-entry-unknown"])
 def test_a_slot_lookup_names_the_variable_and_its_parity(call, message):
     # as spec does: an unknown name is the KeyError of the name itself
     with pytest.raises(KeyError) as info:
         call()
     assert info.value.args == (message,)
+
+
+@pytest.mark.parametrize("a, b", [(1, "z1"), ("z1", None), (["z1"], "z1")])
+def test_an_entry_by_a_name_that_is_not_a_str_is_refused(a, b):
+    with pytest.raises(TypeError, match="^name must be a str, got "):
+        _P34.bivector.entry(a, b)
+
+
+def test_an_unset_entry_between_declared_names_is_zero():
+    assert _P34.bivector.entry("z1", "xi1") == _P34.table.zero()
 
 
 _PUBLIC_CALLABLES = [

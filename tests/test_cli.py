@@ -250,8 +250,14 @@ class TestParse:
                 parse_expression(text, t)
 
     def test_odd_powers_are_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^odd variable 'th1' only carries power 1 \(column 5\)$"):
             parse_expression("th1^2", _table())
+
+    def test_an_odd_variable_to_the_zero_is_one(self):
+        # as (th1)^0, w^0 and hbar^0 are
+        t = _table()
+        for text in ("th1^0", "(th1)^0", "w^0", "hbar^0"):
+            assert parse_expression(text, t) == t.one()
 
     def test_power_of_a_non_variable_base_is_bounded(self):
         t = _table()

@@ -79,6 +79,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^negative powers only arise through substitution$"):
             table().var("x") ** -1
 
+    def test_an_odd_variable_carries_power_zero_or_one(self):
+        # its zero power is the unit, as every other variable's is
+        t = table()
+        assert t.var("th1", 0) == t.var("x", 0) == t.one()
+        for power in (2, -1):
+            with pytest.raises(ValueError, match="^odd variable 'th1' only carries power 1$"):
+                t.var("th1", power)
+
     def test_zero_terms_dropped(self):
         t = table()
         p = t.var("x") - t.var("x")

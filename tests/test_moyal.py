@@ -549,6 +549,47 @@ class TestBasisSweep:
         _check_sweep(*(_outcome(StarEngine(pi, max_order), sweep, basis, products)
                        for sweep in (moyal._basis_sweep, _star_sweep, _stripped_star_sweep)))
 
+    @staticmethod
+    def _sweep_table():
+        return VarTable.build(("x", EVEN), ("y", EVEN), ("k", EVEN), ("a", ODD), ("b", ODD))
+
+    def test_an_overflow_inside_the_sweep_is_the_star_calls_error(self):
+        # k^50000 in an entry: a moved key of the sweep passes the exponent
+        # range, and the error and stats are those of 2 star calls per triple
+        t = self._sweep_table()
+        pi = SuperBivector(t, {("x", "y"): t.var("k", 50000), ("a", "b"): t.one()})
+        eng = StarEngine(pi, 8)
+        basis = moyal._row_basis(eng)
+        products = [[eng.star(g, h) for h in basis] for g in basis]
+        with pytest.raises(ExponentOverflow, match="^exponent 150000 of 'k' is past the exponent limit: "):
+            moyal._basis_sweep(eng, basis, products)
+        assert eng.stats == EngineStats(1950, 507, 506, (1, 2, 1), 2)
+
+    def test_a_truncation_inside_the_sweep_is_the_star_calls_error(self):
+        # the products from an engine at order 8, the sweep on one at order 1
+        t = self._sweep_table()
+        pi = SuperBivector(t, {("x", "y"): t.one(), ("a", "b"): t.one()})
+        ref = StarEngine(pi, 8)
+        basis = moyal._row_basis(ref)
+        products = [[ref.star(g, h) for h in basis] for g in basis]
+        eng = StarEngine(pi, 1)
+        with pytest.raises(TruncationExceeded,
+                           match="^series alive past hbar order 1; order 2 suffices for these operands$"):
+            moyal._basis_sweep(eng, basis, products)
+        assert eng.stats == EngineStats(70, 87, 86, (1, 1), 1)
+
+    def test_a_roll_back_restores_the_marked_state(self):
+        t, pi = p34()
+        eng = StarEngine(pi)
+        eng.star(t.var("z1") * t.var("xi1"), t.var("z2") * t.var("xi1"))
+        memos = (eng._cache, eng._runs, eng._monos, eng._row_bits, eng._shapes)
+        before = [dict(memo) for memo in memos], eng.stats
+        mark = eng._mark()
+        eng.star(t.var("z1", 2) + t.var("xi2"), t.var("z2", 3) * t.var("xi2") + t.var("z1"))
+        assert eng.stats != before[1]
+        eng._roll_back(mark)
+        assert ([dict(memo) for memo in memos], eng.stats) == before
+
 
 def _bracket_sweep(pi, pairs):
     """The order-1 check as a comparison of polynomials: the oracle of
@@ -1323,6 +1364,15 @@ class TestReducedPairCache:
                 eng.star(t.var("z1", 2).scale(c), t.var("z2", 2))
             assert (info.value.max_order, info.value.sufficient_order) == (1, 2)
         assert eng.stats.cache_size == 0
+
+    def test_a_single_pair_miss_names_the_sufficient_order(self):
+        # a miss on two coefficient-1 monomials reads the pair with no sum
+        m = builtin("P3|4")
+        eng = StarEngine(m.bivector, 7)
+        with pytest.raises(TruncationExceeded,
+                           match="^series alive past hbar order 7; order 8 suffices for these operands$"):
+            eng.star(m.table.var("z1", 8), m.table.var("z2", 8))
+        assert eng.stats == EngineStats(0, 1, 0, (1,) * 8, 7)
 
     def test_returned_pair_used_as_a_value_leaves_the_cache_alone(self):
         t, pi = p34()
