@@ -9,7 +9,10 @@ once in each tree, PARENT first in odd pairs and CHANGE first in even ones,
 so drift in the machine's speed reaches both sides alike.  The runs get
 ``PYTHONDONTWRITEBYTECODE=1``, which their workload processes inherit, so
 neither tree gains a file.  A run with a failed operation, or one whose
-result is not ``correct``, stops the comparison.
+result is not ``correct``, stops the comparison.  So do trees whose
+benchmarks differ: their ``BENCHMARK.json``, a ``bench/*.py`` file or a
+file under ``bench/expected/``, of which the first that differs is named.
+``--pairs`` must be at least 1 and ``--seconds`` positive.
 
 It prints each run's result line as one JSON line, as the pair ends.  Then,
 for each end-to-end metric of CHANGE's ``BENCHMARK.json``, it prints the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -39,6 +43,22 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{tree}: bench/run.py exited with {proc.returncode}\n{proc.stdout}")
     return json.loads(lines[-1])
+
+
+def benchmark_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, as a path relative to the tree, that differs
+    between the two trees or is in one only, or None: ``BENCHMARK.json``,
+    then ``bench/*.py`` and the files under ``bench/expected/``, each in
+    sorted order."""
+    names = ["BENCHMARK.json"]
+    for pattern in ("bench/*.py", "bench/expected/**/*"):
+        names += sorted({p.relative_to(tree).as_posix()
+                         for tree in (parent, change) for p in tree.glob(pattern) if p.is_file()})
+    for name in names:
+        a, b = parent / name, change / name
+        if a.is_file() != b.is_file() or a.is_file() and a.read_bytes() != b.read_bytes():
+            return name
+    return None
 
 
 def refusal(result: dict) -> str | None:
@@ -70,16 +90,29 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
     return lines
 
 
+def _positive(kind):
+    """An argparse type: a finite ``kind`` above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=15)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=_positive(float), default=15)
+    ap.add_argument("--pairs", type=_positive(int), default=10)
     args = ap.parse_args(argv)
     trees = args.parent.resolve(), args.change.resolve()
+    differ = benchmark_difference(*trees)
+    if differ:
+        ap.error(f"the two trees run different benchmarks: {differ} differs")
     metrics = json.loads((trees[1] / "BENCHMARK.json").read_text())["end_to_end"]
     runs: tuple[list, list] = ([], [])
     for i in range(args.pairs):

@@ -44,13 +44,13 @@ single terms with coefficient 1 returns the cached polynomial itself, which
 is safe because a ``GradedPoly`` is immutable, and on a miss the product
 ``_star_mono`` caches, with no sum around it.  Every other product, and
 every side of the quantization contract's basis sweep, is read pair by pair
-by one method, ``StarEngine._sum_products``: it sums int numerators over
-one shared denominator, the lcm of the pair denominators.  ``star`` reduces
-that sum once.  The sweep needs only an equality per triple, so it compares
-the two sides' numerators and builds no polynomial; it reads each term of a
-product operand without its passive factor (see "Passive factors" below),
-and each row (f, g) in two reader jobs, (f g) * h and f * (g h) for every
-h, kept apart by a tag per h (``_basis_sweep``).  The order-1 check does
+by one method, ``StarEngine._sum_products``, each pair of terms without
+their passive factors (see "Passive factors" below): it sums int numerators
+over one shared denominator, the lcm of the pair denominators.  ``star``
+reduces that sum once.  The sweep needs only an equality per triple, so it
+compares the two sides' numerators and builds no polynomial, and reads each
+row (f, g) in two reader jobs, (f g) * h and f * (g h) for every h, kept
+apart by a tag per h (``_basis_sweep``).  The order-1 check does
 the same with each product's hbar^1 numerators and the bracket's, which
 ``poisson._bracket_num`` sums from one table of row derivatives per operand
 (``_order1_sweep``).
@@ -224,16 +224,31 @@ with c is c times a state of the pair without it, in the same slot and
 with the same centre, so the two merge, cancel and fire alike: the same
 live states at every order and the same truncation.  (This is the
 argument that strips hbar from the rest of a joint block above.)  Odd
-passive variables are not stripped, as they carry signs.  The basis
-sweep's product operands are full of such factors (hbar powers and
-entries' constants), so it splits each term once into m0, the term with
-its passive bits set as the unit's, and the shift m - m0 of the packed
-key, reads the pair of m0 and moves every key of its product by the
-shift.  Terms that differ only by a passive factor share that pair, so
-the sweep reads as many pairs as two ``star`` calls per triple would, one
-per pair, and misses fewer.  A moved key past the exponent range sends
-the unmoved pair to the engine, so the ``ExponentOverflow`` is ``star``'s
-(a batched row of the sweep first replays as one job per product).
+passive variables are not stripped, as they carry signs.  Products are
+full of such factors (hbar powers and entries' constants), so the reader
+splits each operand term once into m0, the term with its passive bits set
+as the unit's, and the shift m - m0 of the packed key, reads the pair of
+the two m0 and moves every key of its product by the two shifts.  Terms
+that differ only by a passive factor share that pair: a product makes one
+read per pair of terms, as an unsplit read does, and misses fewer.  Only
+``star`` of two single terms with coefficient 1 reads its pair as it is,
+so as to return the cached polynomial itself; it is the one read whose
+passive factors still reach a run's rest F_0 G_0, which
+``_times_monomial`` multiplies in, and the quantization contract checks
+such a pair for that reason.
+
+The identity holds in the ring, whose exponents have a range.  So a
+product's read stands for the read of its own terms: a stripped pair that
+raises, or whose two shifts leave the range on their own (the unsplit
+pair's rest would, though a run's negative exponents may bring every moved
+key back), is read unmoved instead, and a key moved past the range sends
+the unmoved pair, whose product holds that key too, to the engine.  The
+error is then the one ``star`` raises on that pair, and the pair is one
+read (a batched row of the sweep first replays as one job per product).
+Only a pair with a term whose passive exponents are far from 0 has its
+moved keys tested against the range at all: an entry's exponents bound
+those of a stripped pair's product, so ``_room`` bounds the shifts that
+keep every moved key in range.
 
 Two products skip the gcd pass that makes a polynomial canonical (see
 ``graded_ring``), because they are canonical as built: the run is, and
@@ -335,7 +350,7 @@ class StarEngine:
 
     __slots__ = (
         "_bivector", "_table", "_max_order", "_blocks", "_unit", "_scale",
-        "_cache", "_runs", "_monos", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
+        "_room", "_cache", "_runs", "_monos", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
@@ -349,6 +364,7 @@ class StarEngine:
         self._unit = t._zero
         self._max_order = max_order
         self._scale = factorial(max_order) * (2 * d_e) ** max_order  # the cache scale D
+        self._room = None  # the test of ``_room``, built for the first term with a passive factor
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
         self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
@@ -399,60 +415,96 @@ class StarEngine:
                 try:  # a miss: the pair's product, with no sum around it
                     return self._star_mono(mf, mg)
                 except TruncationExceeded:
-                    raise TruncationExceeded(self._max_order, self._sufficient_order(f, g)) from None
-        [num], scale = self._sum_products([(2 if odd_only else 1, f, g)], odd_only=odd_only)
+                    raise TruncationExceeded(self._max_order, self._sufficient_order(f._num, g._num)) from None
+        job = (2 if odd_only else 1, self._split(f), self._split(g), True)
+        [num], scale = self._sum_products([job], odd_only=odd_only)
         return GradedPoly._of_scaled(t, num, scale * f._den * g._den)
 
-    def _sum_products(
-        self, jobs: list, scale: int = 1, odd_only: bool = False, splits: list | None = None
-    ) -> tuple[list, int]:
-        """c0 * x * y for each job (c0, x, y), read pair by pair from the cache:
-        (maps, S), each map the int numerators over S, with no zero entry
-        (but see the batched rows below).
+    def _split(self, p: GradedPoly) -> list:
+        """p's terms (m0, c, shift, near) with their passive factors taken
+        out (see "Passive factors" above): m0 is the term's key m with its
+        passive bits set as the unit's, so with no hbar and each passive
+        field at the bias, shift is m - m0, and near is true unless m passes
+        ``_room``'s test: the two shifts of terms that are not near move no
+        key of their pair's product out of range."""
+        passive = self._bivector._passive
+        fill = self._unit & passive
+        room = self._room
+        out = []
+        for m, c in p._num.items():
+            shift = (m & passive) - fill
+            if not shift:
+                out.append((m, c, 0, False))
+                continue
+            if room is None:
+                room = self._room = _room(self._bivector, self._max_order)
+            add, mask, target = room
+            out.append((m - shift, c, shift, m + add & mask != target))
+        return out
 
-        S starts at ``scale`` and grows to the lcm of the pair denominators,
-        rescaling the maps summed so far; the operands' own denominators are
-        left to the caller.  ``odd_only`` keeps the terms of odd contraction
-        order.  A miss goes to ``_star_mono``; ``TruncationExceeded`` carries
-        the sufficient order of the job being summed.
+    def _sum_products(self, jobs: list, scale: int = 1, odd_only: bool = False) -> tuple[list, int]:
+        """c0 * x * y for each job (c0, xs, ys, whole), read pair by pair from
+        the cache: (maps, S), each map the int numerators over S.
 
-        ``splits``, if given, holds for each job (xs, ys, shifts): the terms
-        of x and of y with their passive factors taken out, and each pair's
-        shift, in the order the pairs are read (see "Passive factors" above).
-        The job then reads the pairs of xs and ys and moves every key of a
-        pair's product by the pair's shift.  A moved key past the exponent
-        range sends the unmoved pair, rebuilt from x and y, to
-        ``_star_mono``, whose ``ExponentOverflow`` is the one ``star`` raises.
+        xs and ys hold the terms (m0, c, shift, near) of x and y, each with
+        its passive factors taken out (``_split``, see "Passive factors"
+        above): a job reads the pair of each m0 of xs and m0 of ys and moves
+        every key of its product by the two terms' shifts, testing each
+        against the exponent range only where a term of the pair is near.
+        S starts at
+        ``scale`` and grows to the lcm of the pair denominators, rescaling
+        the maps summed so far; the operands' own denominators are left to
+        the caller.  ``odd_only`` keeps the terms of odd contraction order.
 
-        That recovery, like the sufficient order, needs a job's pairs to be
-        those of x * y, so it runs only in a job of one product.  A job of a
-        batched row of the basis sweep sums the pairs of many products and
-        gives None for x and y: it picks no pair, its ``ExponentOverflow`` or
-        ``TruncationExceeded`` is raised bare, for the sweep to replay the
-        row as one job per product, and its map keeps the zero entries that
-        the sweep's comparison passes over.
+        A job is ``whole`` when its pairs are those of one product x * y, as
+        in ``star``: its map has no zero entry and its ``TruncationExceeded``
+        carries the sufficient order of x and y.  Its reads answer as those
+        of x's and y's own terms would, one read per pair: a stripped pair
+        that raises, or whose two shifts leave the exponent range on their
+        own (the rest a run is multiplied by), is read unmoved instead, and
+        a key moved past the range sends the unmoved pair, whose product
+        holds that key too, to ``_star_mono``, so the error is the one
+        ``star`` raises on that pair.  A job of a batched row of the basis
+        sweep sums the pairs of many products, its shifts tagged per product:
+        it keeps its zero entries, which the sweep's comparison passes over,
+        and raises bare, for the sweep to replay the row as one whole job
+        per product.
         """
         get, star_mono = self._cache.get, self._star_mono
         t = self._table
-        hs, guard = t._hbar_shift, t._guard
+        hs, guard, unit = t._hbar_shift, t._guard, self._unit
         maps = []
         hits = 0
         try:
-            for i, (c0, x, y) in enumerate(jobs):
+            for c0, xs, ys, whole in jobs:
                 acc = {}
                 maps.append(acc)
-                if splits is None:
-                    xs, ys, shifts = x._num.items(), y._num.items(), None
-                else:
-                    xs, ys, shifts = splits[i]
-                k = 0  # the pairs of a split job read so far
-                for mx, cx in xs:
-                    for my, cy in ys:
-                        got = get((mx, my))
-                        if got is None:
-                            got = star_mono(mx, my)
+                for mx, cx, sx, nx in xs:
+                    for my, cy, sy, ny in ys:
+                        shift = sx + sy
+                        near = nx or ny  # each moved key is tested against the range
+                        if whole and near and shift + unit & guard:
+                            got = None
                         else:
-                            hits += 1
+                            got = get((mx, my))
+                            hit = got is not None
+                            if hit:
+                                hits += 1
+                            elif whole and shift:
+                                try:
+                                    got = star_mono(mx, my)
+                                except (ExponentOverflow, TruncationExceeded):
+                                    self._misses -= 1
+                            else:
+                                got = star_mono(mx, my)
+                        if got is None:  # read the pair unmoved, as star would
+                            key = mx + sx, my + sy
+                            got = get(key)
+                            if got is None:
+                                got = star_mono(*key)
+                            else:
+                                hits += 1
+                            shift = near = 0
                         d = got._den
                         if scale % d:
                             grow = d // gcd(scale, d)
@@ -462,29 +514,36 @@ class StarEngine:
                                     part[m] *= grow
                         c = c0 * cx * cy * (scale // d)
                         terms = got._num.items()
-                        if odd_only:
-                            h = (mx >> hs) + (my >> hs)
-                            terms = [(m, q) for m, q in terms if (m >> hs) - h & 1]
-                        if shifts:
-                            shift = shifts[k]
-                            k += 1
-                            if shift:
-                                for m, q in terms:
-                                    p = m + shift
-                                    if p & guard:
-                                        if x is not None:
-                                            star_mono(*list(product(x._num, y._num))[k - 1])
-                                        raise t._overflow(m, shift + self._unit)
-                                    acc[p] = acc.get(p, 0) + c * q
-                                continue
+                        if odd_only:  # the terms of odd order, and any key moved past the range
+                            h = (mx + sx >> hs) + (my + sy >> hs)
+                            terms = [(m, q) for m, q in terms if (m + shift >> hs) - h & 1 or m + shift & guard]
+                        if not shift:
+                            for m, q in terms:
+                                acc[m] = acc.get(m, 0) + c * q
+                            continue
+                        if not near:
+                            for m, q in terms:
+                                p = m + shift
+                                acc[p] = acc.get(p, 0) + c * q
+                            continue
                         for m, q in terms:
-                            acc[m] = acc.get(m, 0) + c * q
-                if x is not None and 0 in acc.values():
+                            p = m + shift
+                            if p & guard:
+                                if whole:  # read the unmoved pair instead: its product holds p too
+                                    if hit:
+                                        hits -= 1
+                                    else:
+                                        self._misses -= 1
+                                    star_mono(mx + sx, my + sy)
+                                raise t._overflow(m, shift + unit)
+                            acc[p] = acc.get(p, 0) + c * q
+                if whole and 0 in acc.values():
                     maps[-1] = {m: q for m, q in acc.items() if q}
         except TruncationExceeded:
-            if x is None:
+            if not whole:
                 raise
-            raise TruncationExceeded(self._max_order, self._sufficient_order(x, y)) from None
+            raise TruncationExceeded(self._max_order, self._sufficient_order(
+                [m for m, _, _, _ in xs], [m for m, _, _, _ in ys])) from None
         finally:
             self._hits += hits
         return maps, scale
@@ -505,8 +564,9 @@ class StarEngine:
             while len(memo) > n:
                 memo.popitem()
 
-    def _sufficient_order(self, f: GradedPoly, g: GradedPoly) -> int | None:
-        """min over operands of the largest row degree, or None if unbounded.
+    def _sufficient_order(self, f, g) -> int | None:
+        """min over operands, each given by its packed keys, of the largest
+        row degree, or None if unbounded.
 
         Each contraction step removes one row factor from each slot, so no
         series runs longer than either operand's row degree.  A negative
@@ -517,7 +577,7 @@ class StarEngine:
         bounds = []
         for p in (f, g):
             degrees = []
-            for m in p._num:
+            for m in p:
                 # a row's exponent, read off its packed field or odd bit as _mono_d does
                 exps = [(m >> k & _FIELD) - EXPONENT_LIMIT if k >= 0 else m >> ~k & 1 for k in keys]
                 if min(exps, default=0) < 0:
@@ -718,6 +778,35 @@ class StarEngine:
         return total, counts, fired
 
 
+def _room(pi: SuperBivector, max_order: int) -> tuple[int, int, int]:
+    """(add, mask, target) for ``StarEngine._split``: m + add & mask ==
+    target exactly when each passive even field of the packed monomial m
+    holds an exponent in [-L/4, L/4), L = EXPONENT_LIMIT; target is -1,
+    which no mask reaches, when a product of the engine may hold an
+    exponent that such a shift would move out of range.
+
+    A pair read without its passive factors has a product whose passive
+    even exponents come from the entries alone: its rest has none, and a
+    term of order n <= max_order carries n entry factors.  So when every
+    entry exponent lies in [-b, b), b the largest power of 2 with
+    b max_order <= L/2, each exponent of such a product lies within L/2 of
+    0, and the shift of two terms that pass, less than L/2 in each field,
+    moves every key within range.  A field past the test's bounds fails it.
+    """
+    t = pi.table
+    half = EXPONENT_LIMIT // 2
+    ones = (pi._passive & t._evens) // _FIELD  # a 1 at the foot of each passive even field
+
+    def test(b):  # m + add & mask == target: each field of m in [L - b, L + b), b a power of 2
+        return b * ones, (_FIELD & -2 * b) * ones, EXPONENT_LIMIT * ones
+
+    if max_order:
+        add, mask, target = test(1 << (half // max_order).bit_length() - 1)
+        if any(m + add & mask != target for e in pi.entries.values() for m in e._num):
+            return 0, 0, -1
+    return test(half // 2)
+
+
 def _regroup_sign(mf: int, mg: int, blocks: list, odd: int) -> int:
     """s_f s_g (-1)^(sum_{b < c} |G_b| |F_c|) of "Blocks" above: the sign of
     regrouping mf (x) mg into the parts of ``blocks``, in their order, and
@@ -824,36 +913,24 @@ def _sample_poly(rng: Random, engine: StarEngine) -> GradedPoly:
     return GradedPoly._of_scaled(t, {m: c for m, c in num.items() if c}, 2)
 
 
-def _split_passive(p: GradedPoly, passive: int, fill: int) -> tuple[list, list]:
-    """p's terms (m0, c) with their passive factors taken out, and each
-    term's shift m - m0: m0 is m with the bits of ``passive`` set as the
-    unit's, ``fill``, so with no hbar and each passive field at the bias."""
-    terms, shifts = [], []
-    for m, c in p._num.items():
-        shift = (m & passive) - fill
-        terms.append((m - shift, c))
-        shifts.append(shift)
-    return terms, shifts
-
-
 def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     """Every basis triple's (f * g) * h against f * (g * h): the detail of the
     first that differs, or "".
 
     ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
     read by ``StarEngine._sum_products``, the reader ``star`` uses, one read
-    per pair of 2 ``star`` calls per triple, but each product operand's
-    terms are read with their passive factors taken out, split once per
-    product (see "Passive factors" above): the sweep's hits and misses add
-    up to those calls', and fewer of them miss.  Every side is an int
-    numerator map over one shared denominator S, kept from row to row and
-    never reduced; each side takes the other side's operand denominator,
-    so the two maps of a triple are equal exactly when its two products are.
+    per pair of 2 ``star`` calls per triple, and like ``star`` it reads each
+    term without its passive factors, split once per product (see "Passive
+    factors" above): the sweep's hits and misses add up to those calls'.
+    Every side is an int numerator map over one shared denominator S, kept
+    from row to row and never reduced; each side takes the other side's
+    operand denominator, so the two maps of a triple are equal exactly when
+    its two products are.
 
     One reader call per row (f, g) sums it in two jobs: (f g) * h for every
     h, and f * (g h) for every h.  The sides of h = basis[j] stay apart by a
-    tag j << T added to each of their pairs' shifts, where T lies above
-    every hbar power a side can reach: a product operand's is at most
+    tag j << T added to the shifts of h's terms and of g h's, where T lies
+    above every hbar power a side can reach: a product operand's is at most
     MAX_ORDER, the order of the engine that built it, and the pair read adds
     at most the sweep engine's max_order, so at most 2 MAX_ORDER.  The row's
     two tagged maps, which keep their zero entries, are compared once; when
@@ -863,49 +940,43 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     A row reads its pairs in another order than 2 ``star`` calls per triple
     would, so a row that raises ``TruncationExceeded`` or
     ``ExponentOverflow`` rolls the engine back to its state at the row's
-    start and replays the row as one job per side of each triple, in those
-    calls' order: the error and the engine stats are then theirs.  Relies on
-    every basis element being a single monomial with coefficient 1 and no
-    passive factor, as ``_row_basis`` builds them.
+    start and replays the row as one whole job per side of each triple, in
+    those calls' order: the error is then theirs.  Relies on every basis
+    element being a single monomial with coefficient 1 and no passive
+    factor, as ``_row_basis`` builds them.
     """
-    passive = engine.bivector._passive
-    fill = engine._unit & passive
-    split = [[_split_passive(p, passive, fill) for p in row] for row in products]
+    terms = [engine._split(p) for p in basis]
+    split = [[engine._split(p) for p in row] for row in products]
     T = engine.table._hbar_shift + (2 * MAX_ORDER).bit_length()
     tags = [j << T for j in range(len(basis))]
     # per g, the right operands of a row's two jobs: each h over g h's
-    # denominator, and the terms of every g h with their tagged shifts
+    # denominator, and the terms of every g h, each with its tag
     rights = []
     for g_row, g_split in zip(products, split):
-        hs = [(m, gh._den) for h, gh in zip(basis, g_row) for m in h._num]
-        gh_terms = [term for terms, _ in g_split for term in terms]
-        gh_shifts = [s + tag for (_, shifts), tag in zip(g_split, tags) for s in shifts]
-        rights.append((hs, gh_terms, gh_shifts))
+        hs = [(m, gh._den, tag, False) for h, gh, tag in zip(basis, g_row, tags) for m in h._num]
+        gh_terms = [(m, c, s + tag, n) for gh_split, tag in zip(g_split, tags) for m, c, s, n in gh_split]
+        rights.append((hs, gh_terms))
     scale = 1  # S
     first = ""
-    for f, f_row, f_split in zip(basis, products, split):
-        f_terms = f._num.items()
-        for g, fg, (fg_terms, fg_shifts), (hs, gh_terms, gh_shifts), g_row, g_split in zip(
+    for f, f_terms, f_row, f_split in zip(basis, terms, products, split):
+        for g, fg, fg_terms, (hs, gh_terms), g_row, g_split in zip(
             basis, f_row, f_split, rights, products, split
         ):
             j = None  # the index of the row's first h whose sides differ
             mark = engine._mark()
             try:
                 (lhs, rhs), scale = engine._sum_products(
-                    [(1, None, None), (fg._den, None, None)], scale,
-                    splits=[(fg_terms, hs, [s + tag for s in fg_shifts for tag in tags]),
-                            (f_terms, gh_terms, gh_shifts)],
+                    [(1, fg_terms, hs, False), (fg._den, f_terms, gh_terms, False)], scale
                 )
                 if not first and lhs != rhs:
                     keys = lhs.keys() | rhs.keys()
                     j = min((m >> T for m in keys if lhs.get(m, 0) != rhs.get(m, 0)), default=None)
             except (TruncationExceeded, ExponentOverflow):
                 engine._roll_back(mark)
-                jobs, splits = [], []  # (f g) h and f (g h), each taking the other's denominator
-                for h, gh, (terms, shifts) in zip(basis, g_row, g_split):
-                    jobs += (gh._den, fg, h), (fg._den, f, gh)
-                    splits += (fg_terms, h._num.items(), fg_shifts), (f_terms, terms, shifts)
-                row, scale = engine._sum_products(jobs, scale, splits=splits)
+                jobs = []  # (f g) h and f (g h), each taking the other's denominator
+                for h_terms, gh, gh_split in zip(terms, g_row, g_split):
+                    jobs += (gh._den, fg_terms, h_terms, True), (fg._den, f_terms, gh_split, True)
+                row, scale = engine._sum_products(jobs, scale)
                 if not first and row[::2] != row[1::2]:
                     j = next(j for j, (a, b) in enumerate(zip(row[::2], row[1::2])) if a != b)
             if j is not None:
@@ -970,19 +1041,41 @@ def check_quantization_contract(
             fails.append("scalar linearity")
         if engine.star(t.hbar() * f, g) != t.hbar() * engine.star(f, g):
             fails.append("hbar linearity")
-    failure = "; ".join(sorted(set(fails)))
-    records = [_record("contract bilinearity", "contract", not failure, detail=failure)]
 
-    # each basis product once, for both checks below; basis[0] is 1, so this is
+    # each basis product once, for the checks below; basis[0] is 1, so this is
     # the order in which the sweep first needs them, and a truncation error
     # names the first basis pair whose series outlives max_order
     products = [[engine.star(g, h) for h in basis] for g in basis]
+
+    # the hbar law again, with every even variable that is no row beside
+    # hbar in c: star reads a product of several pairs without their passive
+    # factors, so only a single pair, here c a times b for the first
+    # canonical pair (a, b), sends them through a run's rest.  Its series
+    # and the triple's end at order 1, so order 0 skips them.
+    pi = engine.bivector
+    triple = None  # (c a, b, a)
+    if pi.canonical_pairs() and engine.max_order:
+        a, b = (t.var(name) for name in pi.canonical_pairs()[0])
+        c = t.hbar()
+        for name in t.even_names():
+            if name not in pi.rows():
+                c = c * t.var(name)
+        triple = c * a, b, a
+        if engine.star(c * a, b) != c * engine.star(a, b):
+            fails.append("hbar linearity")
+    failure = "; ".join(sorted(set(fails)))
+    records = [_record("contract bilinearity", "contract", not failure, detail=failure)]
+
     if associativity:
         first = _basis_sweep(engine, basis, products)
         for _ in range(10):
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
                 first = first or "failure on a randomized triple"
+        if triple:
+            f, g, h = triple
+            if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
+                first = first or f"failure on triple ({', '.join(map(render_poly, triple))})"
         records.append(_record("contract associativity", "contract", not first, detail=first))
     else:
         records.append(CheckRecord(
@@ -992,7 +1085,6 @@ def check_quantization_contract(
             "sweep is not run",
         ))
 
-    pi = engine.bivector
     tables = [_row_derivatives(pi, f) for f in basis]
     pairs = [
         (f, df, g, dg, fg) for f, df, f_row in zip(basis, tables, products)

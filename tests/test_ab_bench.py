@@ -1,9 +1,11 @@
 """scripts/ab_bench.py: its summary of paired benchmark runs, on canned
-result lines; no benchmark is run."""
+result lines, and its refusals, on small trees; no benchmark is run."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +52,58 @@ def test_a_run_with_a_failed_operation_or_a_wrong_result_is_refused():
     assert refusal(json.loads(_line(40.0, 25.0))) is None
     assert refusal(json.loads(_line(40.0, 25.0, failed=2))) == "2 of 100 operations failed"
     assert refusal(json.loads(_line(40.0, 25.0, correct=False))) == "the result is not correct"
+
+
+def _tree(root, files):
+    """A tree holding ``files``, a map of relative paths to text."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+_BENCH = {"BENCHMARK.json": "{}", "bench/run.py": "run", "bench/workloads.py": "w",
+          "bench/expected/verify_catalog.json": "[]", "bench/README.md": "a", "bench/tests/test_bench.py": "t"}
+
+
+@pytest.mark.parametrize("edit, first", [
+    ({}, None),
+    ({"bench/README.md": "b", "bench/tests/test_bench.py": "u", "src/x.py": "x"}, None),
+    ({"BENCHMARK.json": "[]", "bench/run.py": "run2"}, "BENCHMARK.json"),
+    ({"bench/workloads.py": "w2", "bench/run.py": "run2"}, "bench/run.py"),
+    ({"bench/oracle.py": "o"}, "bench/oracle.py"),
+    ({"bench/expected/verify_catalog.json": "[1]"}, "bench/expected/verify_catalog.json"),
+    ({"bench/expected/more/x.json": "{}"}, "bench/expected/more/x.json"),
+])
+def test_trees_whose_benchmarks_differ_name_the_first_differing_path(tmp_path, edit, first):
+    parent = _tree(tmp_path / "parent", _BENCH)
+    change = _tree(tmp_path / "change", {**_BENCH, **edit})
+    script = _script()
+    assert script.benchmark_difference(parent, change) == first
+    assert script.benchmark_difference(change, parent) == first
+
+
+def test_main_refuses_unlike_benchmarks_before_any_run(tmp_path, capsys):
+    parent = _tree(tmp_path / "parent", _BENCH)
+    change = _tree(tmp_path / "change", {**_BENCH, "bench/run.py": "run2"})
+    with pytest.raises(SystemExit) as exit_:
+        _script().main([str(parent), str(change), "--workload", "assoc-sweep"])
+    assert exit_.value.code == 2
+    assert "the two trees run different benchmarks: bench/run.py differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--pairs", "0", "argument --pairs: must be positive, got 0"),
+    ("--pairs", "-3", "argument --pairs: must be positive, got -3"),
+    ("--seconds", "0", "argument --seconds: must be positive, got 0"),
+    ("--seconds", "-1.5", "argument --seconds: must be positive, got -1.5"),
+    ("--seconds", "nan", "argument --seconds: must be positive, got nan"),
+    ("--seconds", "inf", "argument --seconds: must be positive, got inf"),
+])
+def test_main_refuses_a_count_or_a_length_that_is_not_positive(tmp_path, capsys, option, value, message):
+    tree = str(_tree(tmp_path, _BENCH))
+    with pytest.raises(SystemExit) as exit_:
+        _script().main([tree, tree, "--workload", "assoc-sweep", option, value])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err

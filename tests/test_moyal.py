@@ -458,6 +458,55 @@ def _stripped_star_sweep(engine, basis, products):
     return first
 
 
+def _pair_reads(f, g, rows, star=True):
+    """The monomial pairs a product f * g reads, as monomial views, one per
+    pair of terms: with ``star``, a single term with coefficient 1 on each
+    side as it is, and any other pair, or every pair of a supercommutator
+    or a sweep side, with its passive factors taken out: hbar and each even
+    variable that is not in ``rows``.  Read off the terms, not the engine."""
+    t = f.table
+    fs, gs = f.terms, g.terms
+    if star and len(fs) == len(gs) == 1 and [*fs.values()] == [*gs.values()] and [*fs.values()][0] in (1, -1):
+        return [(*fs, *gs)]
+    passive = [t.even_slot(n) for n in t.even_names() if n not in rows]
+
+    def strip(mono):
+        even = list(mono.even)
+        for i in passive:
+            even[i] = 0
+        return Monomial(tuple(even), mono.odd, 0)
+
+    return [(strip(a), strip(b)) for a in fs for b in gs]
+
+
+def _read_stats(reads):
+    """(hits, misses, cache size) after a run of pair reads that raised
+    nothing: each distinct pair misses once, on its first read, and is
+    cached, and every other read hits."""
+    misses = len(set(reads))
+    return len(reads) - misses, misses, misses
+
+
+def _contract_reads(engine, associativity, monkeypatch):
+    """Run the contract on ``engine`` and return the pairs it reads, by
+    ``_pair_reads``: those of each ``star`` call, and two stripped products
+    per basis triple for the sweep."""
+    calls, sweeps = [], []
+    star, sweep = StarEngine.star, moyal._basis_sweep
+    monkeypatch.setattr(StarEngine, "star", lambda self, f, g: calls.append((f, g)) or star(self, f, g))
+    monkeypatch.setattr(moyal, "_basis_sweep", lambda *args: sweeps.append(args[1:]) or sweep(*args))
+    check_quantization_contract(engine, associativity=associativity)
+    monkeypatch.undo()
+    rows = engine.bivector.rows()
+    reads = [pair for f, g in calls for pair in _pair_reads(f, g, rows)]
+    for basis, products in sweeps:
+        for f, f_row in zip(basis, products):
+            for fg, g_row in zip(f_row, products):
+                for h, gh in zip(basis, g_row):
+                    reads += _pair_reads(fg, h, rows, False) + _pair_reads(f, gh, rows, False)
+    return reads
+
+
 def _outcome(engine, run, *args):
     """What ``run(engine, *args)`` returns, or its truncation text, and the
     engine's stats after it."""
@@ -563,7 +612,7 @@ class TestBasisSweep:
         products = [[eng.star(g, h) for h in basis] for g in basis]
         with pytest.raises(ExponentOverflow, match="^exponent 150000 of 'k' is past the exponent limit: "):
             moyal._basis_sweep(eng, basis, products)
-        assert eng.stats == EngineStats(1950, 507, 506, (1, 2, 1), 2)
+        assert eng.stats == EngineStats(1949, 507, 506, (1, 2, 1), 2)
 
     def test_a_truncation_inside_the_sweep_is_the_star_calls_error(self):
         # the products from an engine at order 8, the sweep on one at order 1
@@ -729,6 +778,12 @@ class TestOrder1Sweep:
         assert moyal._row_derivatives is poisson._row_derivatives
 
 
+def _unsplit(p):
+    """p's terms as a job of ``StarEngine._sum_products`` takes them, each
+    with the shift 0: read as they are."""
+    return [(m, c, 0, False) for m, c in p._num.items()]
+
+
 def test_the_pair_reader_rescales_every_map_when_its_denominator_grows():
     # the pairs (1, y), (x, y), (u, v) and (x^3, y^3) reduce over 1, 2, 3 and
     # 4, so each job raises the shared denominator of the maps before it
@@ -737,7 +792,7 @@ def test_the_pair_reader_rescales_every_map_when_its_denominator_grows():
     x, y, u, v = (t.var(n) for n in "xyuv")
     jobs = [(1, t.one(), y), (3, x, y), (-1, u, v), (2, x**3, y**3)]
     eng = StarEngine(pi)
-    maps, scale = eng._sum_products(jobs)
+    maps, scale = eng._sum_products([(c0, _unsplit(a), _unsplit(b), True) for c0, a, b in jobs])
     assert scale == 12
     for (c0, a, b), num in zip(jobs, maps):
         assert GradedPoly._of_scaled(t, num, scale) == eng.star(a, b).scale(c0)
@@ -1576,10 +1631,14 @@ class TestBlocks:
             ("X1 + l1", "Y1 + 3/2*m2"), ("Y1 + 3/2*m2", "X1 + l1"), ("Y2*xi3", "Y1*ze2"),
             ("X1^2*xi1", "X2*xi1 + ze3"), ("l1", "X1"), ("hbar*ze1*ze2", "ze1"),
         ]
+        reads = []
         for op in (eng.star, eng.supercommutator):
             for lhs, rhs in pairs:
-                op(parse_expression(lhs, m.table), parse_expression(rhs, m.table))
-        assert eng.stats == EngineStats(22, 20, 20, (1, 2, 1), 2)
+                f, g = parse_expression(lhs, m.table), parse_expression(rhs, m.table)
+                op(f, g)
+                reads += _pair_reads(f, g, m.bivector.rows(), op == eng.star)
+        assert eng.stats == EngineStats(20, 22, 22, (1, 2, 1), 2)
+        assert _read_stats(reads) == (20, 22, 22)
         eng = StarEngine(m.bivector, m.max_order)
         for lhs, rhs in [("l1", "X1"), ("Y1", "Y2"), ("xi1", "ze1"), ("X1", "l1"), ("l1", "X1")]:
             eng.star(parse_expression(lhs, m.table), parse_expression(rhs, m.table))
@@ -1759,12 +1818,15 @@ def run_reuse_cases(draw):
 _MODELS = Path(__file__).resolve().parent.parent / "models"
 
 # the pairs a contract reads, hits plus misses: one read per pair, as two
-# ``star`` calls per basis triple make, whichever of them miss
+# ``star`` calls per basis triple make, whichever of them miss; the second
+# term is the passive check's, 2 for hbar linearity and the rest for the
+# triple (c a, b, a), which a model with no associativity sweep skips
 _CONTRACT_READS = {
-    "l5_6.model": 7018, "p3_4.model": 6980, "p3_n.model": 792, "t0_cotangent.model": 6968,
-    "t1_cotangent.model": 253, "wp_1_3.model": 7900, "wp_2_2.model": 7902, "wp_4_0.model": 7906,
-    "T0-cotangent": 6968, "T1-cotangent": 253, "P3|4": 6980, "WP[1,3]": 7900, "WP[2,2]": 7902,
-    "WP[4,0]": 7906, "L5|6": 7018, "P3|N": 792, "P3|N=6": 782,
+    "l5_6.model": 7018 + 8, "p3_4.model": 6980 + 8, "p3_n.model": 792 + 10,
+    "t0_cotangent.model": 6968 + 8, "t1_cotangent.model": 253 + 2, "wp_1_3.model": 7900 + 8,
+    "wp_2_2.model": 7902 + 8, "wp_4_0.model": 7906 + 8, "T0-cotangent": 6968 + 8,
+    "T1-cotangent": 253 + 2, "P3|4": 6980 + 8, "WP[1,3]": 7900 + 8, "WP[2,2]": 7902 + 8,
+    "WP[4,0]": 7906 + 8, "L5|6": 7018 + 8, "P3|N": 792 + 10, "P3|N=6": 782 + 10,
 }
 
 
@@ -1811,33 +1873,35 @@ class TestRunCache:
         assert eng._runs == runs
 
     @pytest.mark.parametrize("name, stats", [
-        ("l5_6.model", EngineStats(6029, 989, 989, (1, 3, 1), 2)),
-        ("p3_4.model", EngineStats(6036, 944, 944, (1, 2, 1), 2)),
-        ("p3_n.model", EngineStats(546, 246, 246, (1, 6, 3), 2)),
-        ("t0_cotangent.model", EngineStats(5994, 974, 974, (1, 6, 3), 2)),
-        ("t1_cotangent.model", EngineStats(56, 197, 197, (1, 4), 1)),
-        ("wp_1_3.model", EngineStats(6972, 928, 928, (1, 2, 1), 2)),
-        ("wp_2_2.model", EngineStats(6972, 930, 930, (1, 2, 1), 2)),
-        ("wp_4_0.model", EngineStats(6972, 934, 934, (1, 2, 1), 2)),
-        ("P3|N=6", EngineStats(556, 226, 226, (1, 4, 1), 2)),
+        ("l5_6.model", EngineStats(6048, 978, 978, (1, 3, 1), 2)),
+        ("p3_4.model", EngineStats(6058, 930, 930, (1, 2, 1), 2)),
+        ("p3_n.model", EngineStats(748, 54, 54, (1, 6, 3), 2)),
+        ("t0_cotangent.model", EngineStats(6024, 952, 952, (1, 6, 3), 2)),
+        ("t1_cotangent.model", EngineStats(64, 191, 191, (1, 4), 1)),
+        ("wp_1_3.model", EngineStats(7010, 898, 898, (1, 2, 1), 2)),
+        ("wp_2_2.model", EngineStats(7012, 898, 898, (1, 2, 1), 2)),
+        ("wp_4_0.model", EngineStats(7016, 898, 898, (1, 2, 1), 2)),
+        ("P3|N=6", EngineStats(728, 64, 64, (1, 4, 1), 2)),
     ])
-    def test_stats_after_the_contract(self, name, stats):
+    def test_stats_after_the_contract(self, name, stats, monkeypatch):
         m = load_model(_MODELS / name) if name.endswith(".model") else builtin(name)
         eng = StarEngine(m.bivector, m.max_order)
-        check_quantization_contract(eng, associativity=m.associative)
+        reads = _contract_reads(eng, m.associative, monkeypatch)
         assert eng.stats == stats
         assert stats.cache_hits + stats.cache_misses == _CONTRACT_READS[name]
+        # each distinct stripped pair misses once
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_size) == _read_stats(reads)
 
     @pytest.mark.parametrize("name, stats", [
-        ("T0-cotangent", EngineStats(5994, 974, 974, (1, 6, 3), 2)),
-        ("T1-cotangent", EngineStats(56, 197, 197, (1, 4), 1)),
-        ("P3|4", EngineStats(6036, 944, 944, (1, 2, 1), 2)),
-        ("WP[1,3]", EngineStats(6972, 928, 928, (1, 2, 1), 2)),
-        ("WP[2,2]", EngineStats(6972, 930, 930, (1, 2, 1), 2)),
-        ("WP[4,0]", EngineStats(6972, 934, 934, (1, 2, 1), 2)),
-        ("L5|6", EngineStats(6029, 989, 989, (1, 3, 1), 2)),
-        ("P3|N", EngineStats(546, 246, 246, (1, 6, 3), 2)),
-        ("P3|N=6", EngineStats(556, 226, 226, (1, 4, 1), 2)),
+        ("T0-cotangent", EngineStats(6024, 952, 952, (1, 6, 3), 2)),
+        ("T1-cotangent", EngineStats(64, 191, 191, (1, 4), 1)),
+        ("P3|4", EngineStats(6058, 930, 930, (1, 2, 1), 2)),
+        ("WP[1,3]", EngineStats(7010, 898, 898, (1, 2, 1), 2)),
+        ("WP[2,2]", EngineStats(7012, 898, 898, (1, 2, 1), 2)),
+        ("WP[4,0]", EngineStats(7016, 898, 898, (1, 2, 1), 2)),
+        ("L5|6", EngineStats(6048, 978, 978, (1, 3, 1), 2)),
+        ("P3|N", EngineStats(748, 54, 54, (1, 6, 3), 2)),
+        ("P3|N=6", EngineStats(728, 64, 64, (1, 4, 1), 2)),
     ])
     def test_records_and_stats_of_the_contract_on_each_built_in(self, name, stats):
         m = builtin(name)
@@ -1861,11 +1925,10 @@ class TestRunCache:
 def _read_split(engine, f, g, right):
     """f * g read as the basis sweep reads a product operand: through
     ``StarEngine._sum_products`` with the passive factors of g (``right``)
-    or of f taken out by ``moyal._split_passive``."""
-    passive = engine.bivector._passive
-    terms, shifts = moyal._split_passive(g if right else f, passive, engine._unit & passive)
-    split = (f._num.items(), terms, shifts) if right else (terms, g._num.items(), shifts)
-    [num], scale = engine._sum_products([(1, f, g)], splits=[split])
+    or of f taken out by ``StarEngine._split``."""
+    split = engine._split(g if right else f)
+    job = (1, _unsplit(f), split, True) if right else (1, split, _unsplit(g), True)
+    [num], scale = engine._sum_products([job])
     return GradedPoly._of_scaled(engine.table, num, scale * f._den * g._den)
 
 
@@ -1961,6 +2024,185 @@ class TestPassiveFactors:
         with pytest.raises(ExponentOverflow) as got:
             _read_split(StarEngine(pi), f, g, right)
         assert str(got.value) == str(want.value)
+
+
+@st.composite
+def stripped_star_cases(draw):
+    """A bivector, two operands of one parity with 1-3 terms each, and max_order.
+
+    A term is a coefficient times a monomial of rows and odd passive
+    variables, a power of hbar in [0, 2] and a power of each even variable
+    that is no row, in [0, 2], or [-2, 2] where it is invertible.  One power
+    of one term sits at the end of the exponent range, L - 1 or, where the
+    variable is invertible, -L, so some pairs' passive factors multiply out
+    of the range.
+    """
+    pi = draw(_PASSIVE_BIVECTORS)
+    t, rows = pi.table, pi.rows()
+    words = list(rows) + [n for n in t.odd_names() if n not in rows]
+    passive = [n for n in t.even_names() if n not in rows]
+
+    def term():
+        out = t.const(draw(st.sampled_from(_TERM_COEFFS))) * t.hbar(draw(st.integers(0, 2)))
+        for name in draw(st.lists(st.sampled_from(words), max_size=3, unique=True)):
+            out = out * t.var(name)
+        for name in passive:
+            out = out * t.var(name, draw(st.integers(-2 if t.spec(name).invertible else 0, 2)))
+        return out
+
+    terms = [[term() for _ in range(draw(st.integers(1, 3)))] for _ in range(2)]
+    if passive:
+        name = draw(st.sampled_from(passive))
+        power = draw(st.sampled_from((L - 1, -L) if t.spec(name).invertible else (L - 1,)))
+        side = draw(st.sampled_from(terms))
+        i = draw(st.integers(0, len(side) - 1))
+        mono, c = next(iter(side[i].terms.items()))
+        even = list(mono.even)
+        even[t.even_slot(name)] = power
+        side[i] = GradedPoly(t, {Monomial(tuple(even), mono.odd, mono.hbar): c})
+    f, g = (sum((p for p in side if p.parity() == side[0].parity()), t.zero()) for side in terms)
+    assume(not f.is_zero() and not g.is_zero())
+    return pi, f, g, draw(st.sampled_from((0, 1, 2, 8)))
+
+
+def _unsplit_outcome(pi, f, g, max_order):
+    """What a product of f and g that reads each pair of their own terms, as
+    ``star`` did before it took passive factors out, reads and raises: the
+    number of pairs read, and the error of the first pair whose own ``star``
+    on a fresh engine raises, as its type and text, or None."""
+    t = pi.table
+    pairs = [(mf, mg) for mf in f._num for mg in g._num]
+    for n, (mf, mg) in enumerate(pairs, 1):
+        try:
+            StarEngine(pi, max_order).star(GradedPoly._of_scaled(t, {mf: 1}, 1), GradedPoly._of_scaled(t, {mg: 1}, 1))
+        except (ExponentOverflow, TruncationExceeded) as err:
+            return n, (type(err), str(err))
+    return len(pairs), None
+
+
+class TestStrippedStar:
+    """``star`` and ``supercommutator`` read every pair of a product with more
+    than one pair, or a coefficient other than 1, without its passive
+    factors (see "Passive factors" in ``moyal``): against the dict oracle,
+    and against the reads and errors of the unsplit pairs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stripped_star_cases())
+    def test_matches_the_oracle_and_the_unsplit_pairs(self, case):
+        pi, f, g, max_order = case
+        reads, error = _unsplit_outcome(pi, f, g, max_order)
+        for op, oracle in ((StarEngine.star, dict_oracle_star), (StarEngine.supercommutator, _oracle_comm)):
+            eng = StarEngine(pi, max_order)
+            try:
+                got = op(eng, f, g)
+            except ExponentOverflow as err:
+                # the text star raised on the unsplit pair
+                assert error == (ExponentOverflow, str(err))
+            except TruncationExceeded:
+                assert error is not None and error[0] is TruncationExceeded
+            else:
+                assert error is None
+                # the engine completes the series; at row degree <= 3 so does order 3
+                assert as_dict(got) == oracle(pi, f, g, max(max_order, 3))
+            stats = eng.stats
+            assert stats.cache_hits + stats.cache_misses == (1 if op is StarEngine.star and reads == 1 else reads)
+
+    @pytest.mark.parametrize("lhs", ["2*f", "f"])
+    def test_a_rest_past_the_limit_raises_as_the_single_pair_does(self, lhs):
+        # th * th has no order-0 term and its hbar term carries p^-1, so every
+        # key of (p^(L-1) th) * (p th) is in range, but the rest p^L that the
+        # run is multiplied by is not, and the single pair raises on it
+        t = VarTable.build(("th", ODD), ("p", EVEN, True))
+        pi = SuperBivector(t, {("th", "th"): t.var("p", -1)})
+        f, g = t.var("th") * t.var("p", L - 1), t.var("th") * t.var("p")
+        with pytest.raises(ExponentOverflow, match=f"^exponent {L} of 'p' is past") as want:
+            StarEngine(pi).star(f, g)
+        op = StarEngine.star if lhs == "2*f" else StarEngine.supercommutator
+        eng = StarEngine(pi)
+        with pytest.raises(ExponentOverflow) as got:
+            op(eng, f.scale(2) if lhs == "2*f" else f, g)
+        assert str(got.value) == str(want.value)
+        assert eng.stats == EngineStats(0, 1, 0, (), -1)
+
+    def test_a_truncated_pair_raises_what_its_own_star_raises(self):
+        # x^2 * y^2 fires past order 1, which the stripped pair raises; the
+        # unsplit pair first moves its hbar k term by k^(L-1), past the range
+        t = VarTable.build(("x", EVEN), ("k", EVEN), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.var("k")})
+        f, g = t.var("x", 2) * t.var("k", L - 1), t.var("y", 2)
+        with pytest.raises(ExponentOverflow, match=f"^exponent {L} of 'k' is past") as want:
+            StarEngine(pi, 1).star(f, g)
+        for op in (StarEngine.star, StarEngine.supercommutator):
+            eng = StarEngine(pi, 1)
+            with pytest.raises(ExponentOverflow) as got:
+                op(eng, f.scale(2), g)
+            assert str(got.value) == str(want.value)
+            assert eng.stats.cache_hits + eng.stats.cache_misses == 1
+
+
+class TestShiftRoom:
+    """``moyal._room``: the test that lets the shifts of two terms move the
+    keys of their stripped pair's product without testing each against the
+    exponent range."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PASSIVE_BIVECTORS, st.data())
+    def test_a_term_passes_when_each_passive_field_is_within_a_quarter_of_the_range(self, pi, data):
+        # a packed monomial, each even field its exponent plus the bias L
+        t = pi.table
+        exps = {n: data.draw(st.integers(-L, L - 1)) for n in t.even_names() if n not in pi.rows()}
+        key = t._zero + sum(e << t._shifts[t.even_slot(n)] for n, e in exps.items())
+        key += data.draw(st.integers(0, 4)) << t._hbar_shift | data.draw(st.integers(0, t._odd))
+        add, mask, target = moyal._room(pi, 8)
+        assert (key + add & mask == target) == all(-L // 4 <= e < L // 4 for e in exps.values())
+
+    @pytest.mark.parametrize("power, max_order, room", [
+        (1, 256, True), (255, 256, True), (256, 256, False), (-256, 256, True), (-257, 256, False),
+        (L // 2 - 1, 1, True), (L // 2, 1, False), (-L // 2, 1, True), (L - 1, 0, True), (50000, 8, False),
+    ])
+    def test_an_entry_exponent_that_a_product_may_take_past_half_the_range_leaves_none(self, power, max_order, room):
+        # entry exponents in [-b, b), b the power of 2 with b max_order <= L/2,
+        # keep a product within L/2 of 0; else every term is near, and every
+        # moved key is tested against the range
+        t = VarTable.build(("x", EVEN), ("k", EVEN, True), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.var("k", power)})
+        assert (moyal._room(pi, max_order)[2] != -1) == room
+
+
+_CATALOG = [*sorted(p.name for p in _MODELS.glob("*.model")), "P3|N=6"]
+
+
+def _rest_mutant(kind, pi):
+    """``moyal._times_monomial`` with the rest FG that a run is multiplied by
+    mutated: hbar dropped, the coefficient doubled, or every even passive
+    field of ``pi`` reset to the bias."""
+    times = moyal._times_monomial
+    evens = pi._passive & pi.table._evens
+    return {
+        "drop hbar": lambda num, sign, FG, t: times(num, sign, FG & (1 << t._hbar_shift) - 1, t),
+        "double the coefficient": lambda num, sign, FG, t: times(num, 2 * sign, FG, t),
+        "drop the even passive part": lambda num, sign, FG, t: times(num, sign, FG & ~evens | t._zero & evens, t),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, caught", [
+    ("drop hbar", _CATALOG),
+    ("double the coefficient", _CATALOG),
+    ("drop the even passive part", [name for name in _CATALOG if name != "t1_cotangent.model"]),
+])
+def test_each_mutant_of_the_passive_rest_fails_the_contract_where_pinned(kind, caught, monkeypatch):
+    # star reads a product of several pairs without their passive factors, so
+    # the contract's single pair with hbar and every even passive variable
+    # is what still sends them through a run's rest; t1_cotangent has none
+    failed = []
+    for name in _CATALOG:
+        m = load_model(_MODELS / name) if name.endswith(".model") else builtin(name)
+        with monkeypatch.context() as mp:
+            mp.setattr(moyal, "_times_monomial", _rest_mutant(kind, m.bivector))
+            records = check_quantization_contract(StarEngine(m.bivector, m.max_order), m.associative)
+        if any(r.status == "fail" for r in records):
+            failed.append(name)
+    assert failed == caught
 
 
 def test_a_mutant_of_the_passive_rest_fails_the_contract(monkeypatch):
