@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .graded_ring import GradedPoly, SubstitutionPlan, VarTable, _ReadOnly, _check_type
+from .graded_ring import GradedPoly, SubstitutionPlan, VarTable, _ReadOnly, _check_fields, _check_type
 from .poisson import SuperBivector
 
 
@@ -86,17 +86,7 @@ class WeightLaw:
     pair: tuple[str, str]
     factor: GradedPoly
 
-    def __post_init__(self):
-        pair = self.pair
-        if isinstance(pair, Sequence) and not isinstance(pair, str):
-            pair = tuple(pair)
-        if type(pair) is not tuple or len(pair) != 2 or not all(isinstance(v, str) for v in pair):
-            got = type(pair).__name__
-            if type(pair) is tuple:
-                got = f"({', '.join(type(v).__name__ for v in pair)})"
-            raise TypeError(f"pair must be a (str, str), got {got}")
-        object.__setattr__(self, "pair", pair)
-        _check_type("factor", self.factor, GradedPoly)
+    __post_init__ = _check_fields
 
 
 def check_pair_resolves(tmap: TransitionMap, pair: tuple[str, str]) -> None:

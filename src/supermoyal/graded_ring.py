@@ -50,12 +50,14 @@ powers and Laurent inverses are built once for every polynomial it rewrites.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import fields
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
 from numbers import Rational
-from types import MappingProxyType
-from typing import NamedTuple
+from types import MappingProxyType, NoneType
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 EVEN = "even"
 ODD = "odd"
@@ -114,25 +116,65 @@ class Monomial(NamedTuple):
         return self.odd.bit_count() & 1
 
 
-def _check_int(name: str, value) -> None:
-    """A TypeError naming ``name`` unless ``value`` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+def _check_type(name: str, value, kind, label: str = ""):
+    """``value``, or a TypeError naming ``name`` unless it is a ``kind`` (a bool is no int)."""
+    if not isinstance(value, kind) or kind is int and type(value) is bool:
+        label = label or ("an int" if kind is int else f"a {kind.__name__}")
+        raise TypeError(f"{name} must be {label}, got {type(value).__name__}")
+    return value
 
 
-def _check_type(name: str, value, kind: type) -> None:
-    """A TypeError naming ``name`` unless ``value`` is a ``kind``."""
-    if not isinstance(value, kind):
-        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+def _field_check(hint):
+    """(kinds, check) for an annotation ``X``, ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]`` or
+    ``Mapping[K, V]``: an instance of ``kinds`` fits as it is, and ``check(name, value)`` returns
+    ``value``, a non-str Sequence as a tuple, or raises a TypeError naming ``name``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if NoneType in args:
+        return args, partial(_check_type, kind=args, label=f"a {args[0].__name__} or None")
+    if origin is not tuple:
+        kind = origin or hint
+        return () if kind is int else kind, partial(_check_type, kind=kind)  # a bool is an int instance
+    if args[-1] is Ellipsis:
+        kinds, item = _field_check(args[0])
+
+        def check(name, value):
+            if isinstance(_check_type(name, value, Sequence), str):  # a Sequence of characters
+                raise TypeError(f"{name} must be a Sequence other than str, got str")
+            return tuple(v if isinstance(v, kinds) else item(f"{name}[{i}]", v) for i, v in enumerate(value))
+        return (), check
+
+    def check(name, value):
+        if type(value) is not tuple and isinstance(value, Sequence) and not isinstance(value, str):
+            value = tuple(value)
+        if type(value) is tuple and len(value) == len(args) and all(map(isinstance, value, args)):
+            return value
+        got = f"({', '.join(type(v).__name__ for v in value)})" if type(value) is tuple else type(value).__name__
+        raise TypeError(f"{name} must be a ({', '.join(kind.__name__ for kind in args)}), got {got}")
+    return (), check
+
+
+@cache
+def _field_checks(cls) -> tuple:
+    """(name, kinds, check) per init field of the dataclass ``cls``, read once from its annotations."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_field_check(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def _check_fields(obj) -> None:
+    """Check each field of the frozen dataclass ``obj`` against its annotation, sequences as tuples."""
+    for name, kinds, check in _field_checks(type(obj)):
+        value = getattr(obj, name)
+        if not isinstance(value, kinds) and (checked := check(name, value)) is not value:
+            object.__setattr__(obj, name, checked)
 
 
 def _exact(value) -> int | Fraction:
     """An exact coefficient: ints stay ints, integral Fractions become ints;
-    a bool is refused, as ``_check_int`` refuses it."""
+    a bool is refused, as ``_check_type`` refuses it as an int."""
     if type(value) is int:
         return value
     if isinstance(value, bool):
-        _check_int("coefficient", value)
+        _check_type("coefficient", value, int)
     if not isinstance(value, Rational):
         raise TypeError(f"{type(value).__name__} {value!r} is not an exact coefficient")
     if type(value) is not Fraction:
@@ -243,7 +285,7 @@ class VarTable(_ReadOnly):
             _check_type("name", spec.name, str)
             _check_type("invertible", spec.invertible, bool)
             if spec.weight is not None:
-                _check_int("weight", spec.weight)
+                _check_type("weight", spec.weight, int)
             if spec.name in self._index:
                 raise ValueError(f"duplicate variable {spec.name!r}")
             if spec.name in RESERVED:
@@ -335,12 +377,12 @@ class VarTable(_ReadOnly):
         if not (isinstance(m, tuple) and len(m) == 3):
             raise TypeError(f"term key {m!r} must be a Monomial")
         even, odd, hbar = m
-        _check_int("odd mask", odd)
-        _check_int("hbar power", hbar)
+        _check_type("odd mask", odd, int)
+        _check_type("hbar power", hbar, int)
         if not isinstance(even, tuple):
             raise TypeError(f"term key {m!r}: even exponents must be a tuple, got {type(even).__name__}")
         for e in even:
-            _check_int("even exponent", e)
+            _check_type("even exponent", e, int)
         if len(even) != self.n_even or not 0 <= odd <= self._odd:
             raise ValueError(f"{m!r} is not a monomial over {self!r}")
         if hbar < 0:
@@ -419,14 +461,14 @@ class VarTable(_ReadOnly):
         return self.const(1)
 
     def hbar(self, power: int = 1) -> "GradedPoly":
-        _check_int("power", power)
+        _check_type("power", power, int)
         if power < 0:
             raise ValueError("hbar powers are non-negative")
         return GradedPoly._of_scaled(self, {self._zero + (power << self._hbar_shift): 1}, 1)
 
     def var(self, name: str, power: int = 1) -> "GradedPoly":
         _check_type("name", name, str)
-        _check_int("power", power)
+        _check_type("power", power, int)
         return GradedPoly._of_scaled(self, {self._var_key(name, power): 1}, 1)
 
     def _var_key(self, name: str, power: int = 1) -> int:
@@ -565,7 +607,7 @@ class GradedPoly:
         return NotImplemented
 
     def __pow__(self, n: int) -> "GradedPoly":
-        _check_int("power", n)
+        _check_type("power", n, int)
         if n < 0:
             raise ValueError("negative powers only arise through substitution")
         out = self.table.one()
@@ -584,14 +626,14 @@ class GradedPoly:
 
     def hbar_coefficient(self, power: int) -> "GradedPoly":
         """Terms at an exact hbar power, with that power stripped off."""
-        _check_int("power", power)
+        _check_type("power", power, int)
         h = self.table._hbar_shift
         low = (1 << h) - 1
         num = {m & low: c for m, c in self._num.items() if m >> h == power}
         return GradedPoly._of_scaled(self.table, num, self._den)
 
     def hbar_truncate(self, max_power: int) -> "GradedPoly":
-        _check_int("max_power", max_power)
+        _check_type("max_power", max_power, int)
         h = self.table._hbar_shift
         num = {m: c for m, c in self._num.items() if m >> h <= max_power}
         return GradedPoly._of_scaled(self.table, num, self._den)

@@ -5,8 +5,8 @@ table, the expected commutation relations as a superbivector over the same
 table (a built-in's is its own bivector), and optionally a fibration
 (coordinates expressed over a base table), an atlas with weight laws, and
 scaling-weight data for the volume-form check.  A ``ModelSpec`` is checked
-when it is built: the type of each field, its constants, charts and weight
-laws, and the star engine's checks of its bivector and order.
+when it is built: each field against its annotation, its constants, charts
+and weight laws, and the star engine's checks of its bivector and order.
 ``verify_model`` runs the whole certification sweep as six phases, each
 yielding the ``CheckRecord``s of its own category; the quantization contract's
 records are the ones ``check_quantization_contract`` returns.
@@ -14,7 +14,7 @@ records are the ones ``check_quantization_contract`` returns.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
@@ -24,7 +24,7 @@ from .atlas import (
     Chart, TransitionMap, WeightLaw, check_cocycle, check_weight_law, law_transition,
 )
 from .graded_ring import (
-    EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, _check_int, _check_type, substitute,
+    EVEN, ODD, GradedPoly, SubstitutionPlan, VarTable, _check_fields, _check_type, substitute,
 )
 from .moyal import (
     CheckRecord, NonCentralBivector, StarEngine, _record, check_max_order,
@@ -118,33 +118,13 @@ class Fibration:
     rules: Mapping[str, GradedPoly]
 
     def __post_init__(self):
-        bt = self.base_table
-        _check_type("base_table", bt, VarTable)
-        _check_type("rules", self.rules, Mapping)
+        _check_fields(self)
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
         for name, rule in self.rules.items():
-            if not isinstance(rule, GradedPoly):
-                raise TypeError(f"rule {name!r} must be a GradedPoly, got {type(rule).__name__}")
-            if rule.table != bt:
+            _check_type(f"rule name {name!r}", name, str)
+            _check_type(f"rule {name!r}", rule, GradedPoly)
+            if rule.table != self.base_table:
                 raise VariableMismatch(f"rule {name!r} built over a different table than base_table")
-
-
-def _typed_tuple(name: str, items, kind) -> tuple:
-    """``items`` as a tuple of ``kind``s, or, for a tuple of types, of tuples
-    of those types; a TypeError names the field or the entry that is not."""
-    _check_type(name, items, Sequence)
-    if isinstance(items, str):  # a Sequence, but of characters
-        raise TypeError(f"{name} must be a Sequence other than str, got str")
-    items = tuple(items)
-    for i, item in enumerate(items):
-        if type(kind) is type:
-            _check_type(f"{name}[{i}]", item, kind)
-        elif type(item) is not tuple or len(item) != len(kind) or not all(map(isinstance, item, kind)):
-            got = type(item).__name__
-            if type(item) is tuple:
-                got = f"({', '.join(type(v).__name__ for v in item)})"
-            raise TypeError(f"{name}[{i}] must be a ({', '.join(k.__name__ for k in kind)}), got {got}")
-    return items
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,28 +149,25 @@ class ModelSpec:
         return self.bivector.table
 
     def __post_init__(self):
-        _check_type("name", self.name, str)
-        _check_type("bivector", self.bivector, SuperBivector)
-        relations = self.expected_relations
-        if relations is not None:
-            _check_type("expected_relations", relations, SuperBivector)
-            if relations.table != self.table:
-                raise VariableMismatch("expected relations built over a different table")
+        # each sequence is stored as a tuple, so a caller's list cannot change under the checks below
+        _check_fields(self)
+        if self.expected_relations is not None and self.expected_relations.table != self.table:
+            raise VariableMismatch("expected relations built over a different table")
         # the engine's checks of the bivector and the order, so verify_model
         # cannot fail on them
         if self.bivector._refusal is not None:
             raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
-        _check_type("associative", self.associative, bool)
-        # the constants and the atlas are stored as tuples, so a caller's list
-        # cannot change under the checks below or the map index built from them
-        for name, kind in (("constants", str), ("charts", Chart), ("transitions", TransitionMap),
-                           ("weight_laws", (str, str, WeightLaw))):
-            object.__setattr__(self, name, _typed_tuple(name, getattr(self, name), kind))
-        # the fields verify_model reads: each is refused here, naming itself
+        # the relations phase skips each constant, so none may be a row or repeat
+        rows, seen = set(self.bivector.rows()), set()
         for name in self.constants:
             if name not in self.table:
                 raise ValueError(f"constants must name variables of the table, got {name!r}")
+            if name in seen:
+                raise ValueError(f"duplicate constant {name!r}")
+            if name in rows:
+                raise ValueError(f"constant {name!r} is a row of the bivector")
+            seen.add(name)
         # the charts and maps are found by name, so no name may repeat
         chart_names = set()
         for chart in self.charts:
@@ -205,12 +182,6 @@ class ModelSpec:
                 raise ValueError(f"duplicate map {m.src.name} {m.dst.name}")
             maps[m.src.name, m.dst.name] = m
         object.__setattr__(self, "_maps", MappingProxyType(maps))
-        if self.fibration is not None and not isinstance(self.fibration, Fibration):
-            raise TypeError(
-                f"fibration must be a Fibration or None, got {type(self.fibration).__name__}"
-            )
-        if self.cy is not None and not isinstance(self.cy, CYWeights):
-            raise TypeError(f"cy must be a CYWeights or None, got {type(self.cy).__name__}")
         # each weight law needs its transition and a pair both charts carry
         for src, dst, law in self.weight_laws:
             law_transition(maps, src, dst, law.pair)
@@ -352,7 +323,7 @@ def generic_chart_pair(n: int):
 
     Returns ((plus, minus), (plus_to_minus, minus_to_plus), laws).
     """
-    _check_int("n", n)
+    _check_type("n", n, int)
     decls = [(name, EVEN, False, 1) for name in ("z1", "z2", "l1", "l2")]
     decls += [(f"xi{i}", ODD, False, 1) for i in range(1, n + 1)]
     decls += [(c, EVEN) for c in _c_names(n)]

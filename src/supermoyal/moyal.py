@@ -273,7 +273,7 @@ from random import Random
 # moyal.d_left, which bench/layertrace.py rebinds like every other import
 from .graded_calculus import _mono_d, d_left  # noqa: F401
 from .graded_ring import (
-    _FIELD, EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, _check_int, _check_type, _merge_sign, _mono_mul,
+    _FIELD, EVEN, EXPONENT_LIMIT, ODD, ExponentOverflow, GradedPoly, _check_fields, _check_type, _merge_sign, _mono_mul,
     _mul_terms, render_poly,
 )
 from .poisson import SuperBivector, _bracket_num, _bracket_sign as _step_sign, _row_derivatives
@@ -288,7 +288,7 @@ MAX_ORDER = 256
 def check_max_order(max_order: int) -> None:
     """Raise a ValueError naming the bound unless 0 <= max_order <= MAX_ORDER,
     and a TypeError for a value that is not an int (a bool included)."""
-    _check_int("max_order", max_order)
+    _check_type("max_order", max_order, int)
     if max_order < 0:
         raise ValueError(f"max_order must be non-negative, got {max_order}")
     if max_order > MAX_ORDER:
@@ -856,14 +856,9 @@ class CheckRecord:
     detail: str = ""
 
     def __post_init__(self):
-        for name in ("check_id", "category", "status", "detail"):
-            _check_type(name, getattr(self, name), str)
+        _check_fields(self)
         if self.status not in ("pass", "fail", "skip"):
             raise ValueError(f"status must be pass, fail or skip, got {self.status!r}")
-        for name in ("lhs", "rhs"):
-            side = getattr(self, name)
-            if side is not None and not isinstance(side, GradedPoly):
-                raise TypeError(f"{name} must be a GradedPoly or None, got {type(side).__name__}")
 
 
 def _record(check_id, category, ok, lhs=None, rhs=None, detail="") -> CheckRecord:

@@ -158,6 +158,8 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
     (lambda: moyal.CheckRecord("id", "contract", "pass", lhs=4), "lhs must be a GradedPoly or None, got int"),
     (lambda: moyal.CheckRecord("id", "contract", "pass", _X, "x"),
      "rhs must be a GradedPoly or None, got str"),
+    (lambda: models.Fibration(_P34.fibration.base_table, {3: _P34.fibration.rules["z1"]}),
+     "rule name 3 must be a str, got int"),
 ], ids=["bracket-int", "bracket-None", "bracket-bivector", "is_poisson", "schouten",
         "verify_model", "contract", "builtin", "calabi_yau_index", "render_poly",
         "parse-text", "parse-table", "chart-brackets", "poly-table", "poly-terms",
@@ -174,7 +176,8 @@ _SHORT_KEY = {(_EVEN0[1:], 0, 0): 1}
         "contract-associativity", "model-constants", "model-constant", "model-constants-str",
         "model-constants-empty-str", "law-pair-None", "law-pair-str", "law-pair-short",
         "law-pair-entry", "law-factor", "record-check-id",
-        "record-category", "record-status", "record-detail", "record-lhs", "record-rhs"])
+        "record-category", "record-status", "record-detail", "record-lhs", "record-rhs",
+        "fibration-rule-name"])
 def test_a_wrong_typed_argument_is_named_where_it_enters(call, message):
     # no AttributeError or unrelated TypeError from deep inside
     with pytest.raises(TypeError) as info:
@@ -210,6 +213,15 @@ def test_a_weight_law_pair_is_kept_as_a_tuple():
     copy = atlas.WeightLaw(pair, law.factor)
     pair.append("z1")
     assert copy == law and type(copy.pair) is tuple
+
+
+def test_a_weight_law_entry_is_kept_as_a_tuple():
+    # one sequence rule at both levels: an entry may be a list, as a pair may
+    entries = [list(entry) for entry in _P34.weight_laws]
+    model = dataclasses.replace(_P34, weight_laws=entries)
+    entries[0].append("z1")
+    assert model.weight_laws == _P34.weight_laws
+    assert all(type(entry) is tuple for entry in model.weight_laws)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -529,6 +530,20 @@ class TestP34:
             dataclasses.replace(m, charts=tuple(chart_of[i] for i in charts),
                                 transitions=tuple(map_of[i] for i in transitions))
 
+    @pytest.mark.parametrize("model, extra, message", [
+        ("P3|4", ("z1",), "constant 'z1' is a row of the bivector"),
+        ("P3|4", ("xi1",), "constant 'xi1' is a row of the bivector"),
+        ("P3|4", ("l1", "l1"), "duplicate constant 'l1'"),
+        ("T0-cotangent", ("x11",), "constant 'x11' is a row of the bivector"),
+        ("T0-cotangent", ("D11_12",), "duplicate constant 'D11_12'"),
+    ])
+    def test_a_constant_is_named_once_and_is_no_row(self, model, extra, message):
+        # the relations phase skips every constant, so a row named as one would
+        # pass its checks vacuously; a repeated one would fail only at save_model
+        m = builtin(model)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(m, constants=m.constants + extra)
+
     @pytest.mark.parametrize("name", [3, None, ("P3|4",)])
     def test_a_name_that_is_not_a_str_is_refused(self, name):
         with pytest.raises(TypeError, match="^name must be a str, got "):
@@ -653,7 +668,7 @@ class TestL56:
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 SuperBivector(t, {**given, key: value})
-        with pytest.raises(TypeError, match="^expected_relations must be a SuperBivector, got dict$"):
+        with pytest.raises(TypeError, match="^expected_relations must be a SuperBivector or None, got dict$"):
             dataclasses.replace(m, expected_relations=dict(m.expected_relations.entries))
         other = VarTable.build(("X1", EVEN), ("X2", EVEN))
         with pytest.raises(VariableMismatch, match="^expected relations built over a different table$"):
