@@ -17,8 +17,12 @@ file under ``bench/expected/``, of which the first that differs is named.
 It prints each run's result line as one JSON line, as the pair ends.  Then,
 for each end-to-end metric of CHANGE's ``BENCHMARK.json``, it prints the
 two medians, their ratio (change over parent), the number of pairs in
-which the change is better, and whether the change's median is worse than
-the parent's by more than the metric's bound.
+which the change is better (ties count for neither side), the spread of the
+parent's runs (the distance between their quartiles), whether the medians
+differ by more than that spread, and whether the change's median is worse
+than the parent's by more than the metric's bound.  A gain may be claimed
+only where the change is better in nine pairs of ten or more and the
+medians differ by more than the spread.
 """
 
 from __future__ import annotations
@@ -80,11 +84,13 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         b = [r["metrics"][name]["value"] for r in change]
         wins = sum(y > x if higher else y < x for x, y in zip(a, b))
         pm, cm = statistics.median(a), statistics.median(b)
+        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (pm, pm, pm)
         worse = cm < pm * (1 - bound) if higher else cm > pm * (1 + bound)
         ratio = f"{cm / pm:.4f}" if pm else "n/a"
         lines.append(
             f"{name}: parent {pm:.6g}, change {cm:.6g} {spec['unit']}, ratio {ratio}, "
-            f"change better in {wins} of {len(a)}, "
+            f"change better in {wins} of {len(a)}, parent spread {q3 - q1:.6g}, medians differ by "
+            + ("more" if abs(cm - pm) > q3 - q1 else "no more") + " than it, "
             + (f"worse than the bound {bound:g} allows" if worse else f"within the bound {bound:g}")
         )
     return lines

@@ -628,10 +628,15 @@ def parse_model_text(text: str, source: str = "<model>") -> ModelSpec:
         expected_relations = None
         if "relations" in sections:
             relations = {}
+            # the relations phase compares no constant (a bivector row is refused at the bivector)
+            refused = set(constants).difference(bivector.rows())
             for ln, line in sections["relations"]:
                 kw, a, b, expr = _fields(_RELATION_RE, line, "comm|anti A B = expression")
                 _known((a, b), table, "variable")
                 _once((a, b), relations, f"relation ({a}, {b})")
+                for n in (a, b):
+                    if n in refused:
+                        raise ValueError(f"a relation cannot name the constant {n!r}")
                 both_odd = table.parity(a) == ODD and table.parity(b) == ODD
                 if (kw == "anti") != both_odd:
                     raise ValueError("anti is for odd pairs and comm for the rest")
@@ -824,6 +829,7 @@ options:
   --order K    truncation order for the star product (default: the model's)
   --json       line-delimited JSON output
   --quiet      verification summary line only
+  -h, --help   print this usage (after a command: --help)
 """
 
 
@@ -969,6 +975,8 @@ def _parse_args(command: str, args: list[str]) -> tuple[dict, list[str]]:
     positional: list[str] = []
     words = iter(args)
     for tok in words:
+        if tok == "--help" and command in _COMMANDS:
+            return {tok: True}, positional  # the usage, whatever else is given
         if tok not in _OPTIONS:
             if tok.startswith("--") and tok != "--":
                 raise _CliError(f"unknown option {tok}")
@@ -1018,6 +1026,9 @@ def _run(argv: list[str]) -> int:
     command = argv[0]
     try:
         opts, positional = _parse_args(command, argv[1:])
+        if command in ("--help", "-h") or "--help" in opts:
+            sys.stdout.write(_USAGE)
+            return 0
         if command not in _COMMANDS:
             raise _CliError(f"unknown command {command!r}")
         return _COMMANDS[command][0](opts, positional)

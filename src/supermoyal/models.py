@@ -158,8 +158,10 @@ class ModelSpec:
         if self.bivector._refusal is not None:
             raise NonCentralBivector(self.bivector._refusal)
         check_max_order(self.max_order)
-        # the relations phase skips each constant, so none may be a row or repeat
+        # the relations phase skips each constant, so none may repeat or be a
+        # row of the bivector or of the expected relations
         rows, seen = set(self.bivector.rows()), set()
+        related = set(self.expected_relations.rows()) if self.expected_relations is not None else set()
         for name in self.constants:
             if name not in self.table:
                 raise ValueError(f"constants must name variables of the table, got {name!r}")
@@ -167,6 +169,8 @@ class ModelSpec:
                 raise ValueError(f"duplicate constant {name!r}")
             if name in rows:
                 raise ValueError(f"constant {name!r} is a row of the bivector")
+            if name in related:
+                raise ValueError(f"constant {name!r} is a row of the expected relations")
             seen.add(name)
         # the charts and maps are found by name, so no name may repeat
         chart_names = set()

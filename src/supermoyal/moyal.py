@@ -237,18 +237,18 @@ passive factors still reach a run's rest F_0 G_0, which
 ``_times_monomial`` multiplies in, and the quantization contract checks
 such a pair for that reason.
 
-The identity holds in the ring, whose exponents have a range.  So a
-product's read stands for the read of its own terms: a stripped pair that
-raises, or whose two shifts leave the range on their own (the unsplit
-pair's rest would, though a run's negative exponents may bring every moved
-key back), is read unmoved instead, and a key moved past the range sends
-the unmoved pair, whose product holds that key too, to the engine.  The
-error is then the one ``star`` raises on that pair, and the pair is one
-read (a batched row of the sweep first replays as one job per product).
-Only a pair with a term whose passive exponents are far from 0 has its
-moved keys tested against the range at all: an entry's exponents bound
-those of a stripped pair's product, so ``_room`` bounds the shifts that
-keep every moved key in range.
+The identity holds in the ring, whose exponents have a range, so the
+reader raises bare where the unsplit read may differ: on an error of
+``_star_mono``, on a near pair whose two shifts alone leave the range (the
+unsplit pair's rest would), and on a key moved past it.  Without a near
+term the stripped read raises exactly as the unsplit one: ``_room`` keeps
+every shift and moved key in range, the pair takes the unsplit pair's run,
+and its rest differs only in passive fields that stay in range, so the same
+pair raises the same error.  With one, ``StarEngine._read`` marks the
+engine first, and on an error rolls it back and reads the operands' own
+terms with shift 0, so the error is ``star``'s.  Only a near pair has its
+moved keys tested at all: an entry's exponents bound those of a stripped
+pair's product, so ``_room`` bounds the shifts that keep them in range.
 
 Two products skip the gcd pass that makes a polynomial canonical (see
 ``graded_ring``), because they are canonical as built: the run is, and
@@ -416,21 +416,20 @@ class StarEngine:
                     return self._star_mono(mf, mg)
                 except TruncationExceeded:
                     raise TruncationExceeded(self._max_order, self._sufficient_order(f._num, g._num)) from None
-        job = (2 if odd_only else 1, self._split(f), self._split(g), True)
-        [num], scale = self._sum_products([job], odd_only=odd_only)
-        return GradedPoly._of_scaled(t, num, scale * f._den * g._den)
+        return self._read(2 if odd_only else 1, f, g, odd_only)
 
-    def _split(self, p: GradedPoly) -> list:
-        """p's terms (m0, c, shift, near) with their passive factors taken
-        out (see "Passive factors" above): m0 is the term's key m with its
-        passive bits set as the unit's, so with no hbar and each passive
-        field at the bias, shift is m - m0, and near is true unless m passes
-        ``_room``'s test: the two shifts of terms that are not near move no
-        key of their pair's product out of range."""
+    def _split(self, p: GradedPoly) -> tuple[list, bool]:
+        """(terms, near): p's terms (m0, c, shift, near) without their passive
+        factors (see "Passive factors" above), and whether any term is near.
+        m0 is the key m with its passive bits set as the unit's (no hbar, each
+        passive field at the bias), shift is m - m0, and near is true unless m
+        passes ``_room``'s test: the two shifts of terms that are not near
+        move no key of their pair's product out of range."""
         passive = self._bivector._passive
         fill = self._unit & passive
         room = self._room
         out = []
+        any_near = False
         for m, c in p._num.items():
             shift = (m & passive) - fill
             if not shift:
@@ -439,36 +438,48 @@ class StarEngine:
             if room is None:
                 room = self._room = _room(self._bivector, self._max_order)
             add, mask, target = room
-            out.append((m - shift, c, shift, m + add & mask != target))
-        return out
+            near = m + add & mask != target
+            any_near |= near
+            out.append((m - shift, c, shift, near))
+        return out, any_near
+
+    def _read(self, c0: int, f: GradedPoly, g: GradedPoly, odd_only: bool = False) -> GradedPoly:
+        """c0 * f * g, or with ``odd_only`` c0 times its odd-order terms, read
+        stripped by ``_sum_products`` and raising what ``star`` raises on the
+        pairs of f's and g's own terms: only when a term is near is the engine
+        marked, and on an error rolled back and read again over those terms."""
+        xs, near_x = self._split(f)
+        ys, near_y = self._split(g)
+        mark = self._mark() if near_x or near_y else None
+        try:
+            try:
+                [num], scale = self._sum_products([(c0, xs, ys)], odd_only=odd_only)
+            except (ExponentOverflow, TruncationExceeded):
+                if mark is None:
+                    raise
+                self._roll_back(mark)
+                own = [[(m, c, 0, False) for m, c in p._num.items()] for p in (f, g)]
+                [num], scale = self._sum_products([(c0, *own)], odd_only=odd_only)
+        except TruncationExceeded:
+            raise TruncationExceeded(self._max_order, self._sufficient_order(f._num, g._num)) from None
+        if 0 in num.values():
+            num = {m: q for m, q in num.items() if q}
+        return GradedPoly._of_scaled(self._table, num, scale * f._den * g._den)
 
     def _sum_products(self, jobs: list, scale: int = 1, odd_only: bool = False) -> tuple[list, int]:
-        """c0 * x * y for each job (c0, xs, ys, whole), read pair by pair from
-        the cache: (maps, S), each map the int numerators over S.
+        """c0 * x * y for each job (c0, xs, ys), read pair by pair from the
+        cache: (maps, S), each map the int numerators over S, zeros kept.
 
         xs and ys hold the terms (m0, c, shift, near) of x and y, each with
         its passive factors taken out (``_split``, see "Passive factors"
         above): a job reads the pair of each m0 of xs and m0 of ys and moves
-        every key of its product by the two terms' shifts, testing each
-        against the exponent range only where a term of the pair is near.
-        S starts at
-        ``scale`` and grows to the lcm of the pair denominators, rescaling
-        the maps summed so far; the operands' own denominators are left to
-        the caller.  ``odd_only`` keeps the terms of odd contraction order.
-
-        A job is ``whole`` when its pairs are those of one product x * y, as
-        in ``star``: its map has no zero entry and its ``TruncationExceeded``
-        carries the sufficient order of x and y.  Its reads answer as those
-        of x's and y's own terms would, one read per pair: a stripped pair
-        that raises, or whose two shifts leave the exponent range on their
-        own (the rest a run is multiplied by), is read unmoved instead, and
-        a key moved past the range sends the unmoved pair, whose product
-        holds that key too, to ``_star_mono``, so the error is the one
-        ``star`` raises on that pair.  A job of a batched row of the basis
-        sweep sums the pairs of many products, its shifts tagged per product:
-        it keeps its zero entries, which the sweep's comparison passes over,
-        and raises bare, for the sweep to replay the row as one whole job
-        per product.
+        every key of its product by the two terms' shifts.  Where a term of
+        the pair is near, shifts that leave the exponent range on their own,
+        or a key moved past it, raise ``ExponentOverflow``; these errors and
+        those of ``_star_mono`` are raised bare.  S starts at ``scale`` and
+        grows to the lcm of the pair denominators, rescaling the maps summed
+        so far; the operands' own denominators are left to the caller.
+        ``odd_only`` keeps the terms of odd contraction order.
         """
         get, star_mono = self._cache.get, self._star_mono
         t = self._table
@@ -476,35 +487,20 @@ class StarEngine:
         maps = []
         hits = 0
         try:
-            for c0, xs, ys, whole in jobs:
+            for c0, xs, ys in jobs:
                 acc = {}
                 maps.append(acc)
                 for mx, cx, sx, nx in xs:
                     for my, cy, sy, ny in ys:
                         shift = sx + sy
                         near = nx or ny  # each moved key is tested against the range
-                        if whole and near and shift + unit & guard:
-                            got = None
+                        if near and shift + unit & guard:
+                            raise t._overflow(sx + unit, sy + unit)
+                        got = get((mx, my))
+                        if got is None:
+                            got = star_mono(mx, my)
                         else:
-                            got = get((mx, my))
-                            hit = got is not None
-                            if hit:
-                                hits += 1
-                            elif whole and shift:
-                                try:
-                                    got = star_mono(mx, my)
-                                except (ExponentOverflow, TruncationExceeded):
-                                    self._misses -= 1
-                            else:
-                                got = star_mono(mx, my)
-                        if got is None:  # read the pair unmoved, as star would
-                            key = mx + sx, my + sy
-                            got = get(key)
-                            if got is None:
-                                got = star_mono(*key)
-                            else:
-                                hits += 1
-                            shift = near = 0
+                            hits += 1
                         d = got._den
                         if scale % d:
                             grow = d // gcd(scale, d)
@@ -529,21 +525,8 @@ class StarEngine:
                         for m, q in terms:
                             p = m + shift
                             if p & guard:
-                                if whole:  # read the unmoved pair instead: its product holds p too
-                                    if hit:
-                                        hits -= 1
-                                    else:
-                                        self._misses -= 1
-                                    star_mono(mx + sx, my + sy)
                                 raise t._overflow(m, shift + unit)
                             acc[p] = acc.get(p, 0) + c * q
-                if whole and 0 in acc.values():
-                    maps[-1] = {m: q for m, q in acc.items() if q}
-        except TruncationExceeded:
-            if not whole:
-                raise
-            raise TruncationExceeded(self._max_order, self._sufficient_order(
-                [m for m, _, _, _ in xs], [m for m, _, _, _ in ys])) from None
         finally:
             self._hits += hits
         return maps, scale
@@ -932,16 +915,13 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     they differ other than by a zero entry, the first h whose untagged sides
     differ names the triple.
 
-    A row reads its pairs in another order than 2 ``star`` calls per triple
-    would, so a row that raises ``TruncationExceeded`` or
-    ``ExponentOverflow`` rolls the engine back to its state at the row's
-    start and replays the row as one whole job per side of each triple, in
-    those calls' order: the error is then theirs.  Relies on every basis
-    element being a single monomial with coefficient 1 and no passive
-    factor, as ``_row_basis`` builds them.
+    A row that raises is rolled back and read again by ``StarEngine._read``,
+    side by side, so the error is that of 2 ``star`` calls per triple.
+    Relies on every basis element being a single monomial with coefficient
+    1 and no passive factor, as ``_row_basis`` builds them.
     """
-    terms = [engine._split(p) for p in basis]
-    split = [[engine._split(p) for p in row] for row in products]
+    terms = [engine._split(p)[0] for p in basis]
+    split = [[engine._split(p)[0] for p in row] for row in products]
     T = engine.table._hbar_shift + (2 * MAX_ORDER).bit_length()
     tags = [j << T for j in range(len(basis))]
     # per g, the right operands of a row's two jobs: each h over g h's
@@ -954,26 +934,21 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     scale = 1  # S
     first = ""
     for f, f_terms, f_row, f_split in zip(basis, terms, products, split):
-        for g, fg, fg_terms, (hs, gh_terms), g_row, g_split in zip(
-            basis, f_row, f_split, rights, products, split
-        ):
+        for g, fg, fg_terms, (hs, gh_terms), g_row in zip(basis, f_row, f_split, rights, products):
             j = None  # the index of the row's first h whose sides differ
             mark = engine._mark()
             try:
                 (lhs, rhs), scale = engine._sum_products(
-                    [(1, fg_terms, hs, False), (fg._den, f_terms, gh_terms, False)], scale
+                    [(1, fg_terms, hs), (fg._den, f_terms, gh_terms)], scale
                 )
                 if not first and lhs != rhs:
                     keys = lhs.keys() | rhs.keys()
                     j = min((m >> T for m in keys if lhs.get(m, 0) != rhs.get(m, 0)), default=None)
             except (TruncationExceeded, ExponentOverflow):
                 engine._roll_back(mark)
-                jobs = []  # (f g) h and f (g h), each taking the other's denominator
-                for h_terms, gh, gh_split in zip(terms, g_row, g_split):
-                    jobs += (gh._den, fg_terms, h_terms, True), (fg._den, f_terms, gh_split, True)
-                row, scale = engine._sum_products(jobs, scale)
-                if not first and row[::2] != row[1::2]:
-                    j = next(j for j, (a, b) in enumerate(zip(row[::2], row[1::2])) if a != b)
+                sides = [(engine._read(1, fg, h), engine._read(1, f, gh)) for h, gh in zip(basis, g_row)]
+                if not first:
+                    j = next((j for j, (a, b) in enumerate(sides) if a != b), None)
             if j is not None:
                 first = (
                     "first failure on basis triple"
@@ -1008,8 +983,13 @@ def check_quantization_contract(
 
     Returns the ``CheckRecord``s ``contract bilinearity``, ``contract
     associativity`` and ``contract order1-bracket``, in that order.  Failures
-    are reported, not raised.  The associativity sweep runs an exhaustive
-    low-degree basis plus randomized polynomial triples; with
+    are reported, not raised, and a failing detail names the operands of its
+    first failing case as ``star --lhs/--rhs`` reads them back, such as
+    ``left additivity on (f, g, h)`` for (f + g) * h = f * h + g * h or
+    ``hbar linearity on (c, f, g)`` for (c f) * g = c (f * g); the
+    bilinearity detail lists each broken law once, sorted.  The
+    associativity sweep runs an exhaustive low-degree basis plus randomized
+    polynomial triples; with
     ``associativity=False`` it is not run and its record is a ``skip``.
     Each basis triple compares the int numerators of its two sides, which
     ``_basis_sweep`` sums with the reader ``star`` uses.  Each order-1 pair
@@ -1025,17 +1005,18 @@ def check_quantization_contract(
     rng = Random(0)  # fixed, so a model gets the same report on every run
 
     basis = _row_basis(engine)
-    fails: list[str] = []
+    fails: dict[str, tuple] = {}  # each broken law and the operands of its first failure
     for _ in range(3):
         f, g, h = (_sample_poly(rng, engine) for _ in range(3))
-        if engine.star(f + g, h) != engine.star(f, h) + engine.star(g, h):
-            fails.append("left additivity")
-        if engine.star(f, g + h) != engine.star(f, g) + engine.star(f, h):
-            fails.append("right additivity")
-        if engine.star(f.scale(Fraction(3, 2)), g) != engine.star(f, g).scale(Fraction(3, 2)):
-            fails.append("scalar linearity")
-        if engine.star(t.hbar() * f, g) != t.hbar() * engine.star(f, g):
-            fails.append("hbar linearity")
+        for law, ok, operands in (
+            ("left additivity", engine.star(f + g, h) == engine.star(f, h) + engine.star(g, h), (f, g, h)),
+            ("right additivity", engine.star(f, g + h) == engine.star(f, g) + engine.star(f, h), (f, g, h)),
+            ("scalar linearity",
+             engine.star(f.scale(Fraction(3, 2)), g) == engine.star(f, g).scale(Fraction(3, 2)), (f, g)),
+            ("hbar linearity", engine.star(t.hbar() * f, g) == t.hbar() * engine.star(f, g), (t.hbar(), f, g)),
+        ):
+            if not ok:
+                fails.setdefault(law, operands)
 
     # each basis product once, for the checks below; basis[0] is 1, so this is
     # the order in which the sweep first needs them, and a truncation error
@@ -1057,8 +1038,8 @@ def check_quantization_contract(
                 c = c * t.var(name)
         triple = c * a, b, a
         if engine.star(c * a, b) != c * engine.star(a, b):
-            fails.append("hbar linearity")
-    failure = "; ".join(sorted(set(fails)))
+            fails.setdefault("hbar linearity", (c, a, b))
+    failure = "; ".join(f"{law} on ({', '.join(map(render_poly, fails[law]))})" for law in sorted(fails))
     records = [_record("contract bilinearity", "contract", not failure, detail=failure)]
 
     if associativity:
@@ -1066,7 +1047,7 @@ def check_quantization_contract(
         for _ in range(10):
             f, g, h = (_sample_poly(rng, engine) for _ in range(3))
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):
-                first = first or "failure on a randomized triple"
+                first = first or f"failure on a randomized triple ({', '.join(map(render_poly, (f, g, h)))})"
         if triple:
             f, g, h = triple
             if engine.star(engine.star(f, g), h) != engine.star(f, engine.star(g, h)):

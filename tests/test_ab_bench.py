@@ -35,9 +35,20 @@ def test_the_summary_gives_medians_ratio_wins_and_the_bound():
     change = [json.loads(_line(ops, rss)) for ops, rss in ((43.0, 28.0), (40.0, 28.5), (44.0, 27.0))]
     assert _script().summarize(_METRICS, parent, change) == [
         "ops_per_s: parent 40, change 43 1/s, ratio 1.0750, change better in 2 of 3,"
-        " within the bound 0.15",
+        " parent spread 2, medians differ by more than it, within the bound 0.15",
         "peak_rss_mb: parent 25, change 28 MB, ratio 1.1200, change better in 0 of 3,"
-        " worse than the bound 0.1 allows",
+        " parent spread 0, medians differ by more than it, worse than the bound 0.1 allows",
+    ]
+
+
+def test_ties_count_for_neither_side_and_a_median_inside_the_spread_is_no_gain():
+    parent = [json.loads(_line(ops, 25.0)) for ops in (36.0, 40.0, 44.0, 40.0)]
+    change = [json.loads(_line(ops, 25.0)) for ops in (37.0, 41.0, 45.0, 40.0)]
+    assert _script().summarize(_METRICS, parent, change) == [
+        "ops_per_s: parent 40, change 40.5 1/s, ratio 1.0125, change better in 3 of 4,"
+        " parent spread 6, medians differ by no more than it, within the bound 0.15",
+        "peak_rss_mb: parent 25, change 25 MB, ratio 1.0000, change better in 0 of 4,"
+        " parent spread 0, medians differ by no more than it, within the bound 0.1",
     ]
 
 

@@ -517,6 +517,14 @@ class TestModelFiles:
             parse_model_text(text, source="t0.model")
         assert str(info.value) == "t0.model:35: constant 'x11' is a row of the bivector"
 
+    def test_a_relation_on_a_constant_is_refused_at_its_line(self):
+        # the relations phase compares no constant, so this false relation would pass
+        text = (_ROOT / "models" / "t0_cotangent.model").read_text()
+        text = text.replace("[relations]\n", "[relations]\ncomm x11 D11_12 = 7*hbar*D11_21\n")
+        with pytest.raises(ModelFormatError) as info:
+            parse_model_text(text, source="t0.model")
+        assert str(info.value) == "t0.model:53: a relation cannot name the constant 'D11_12'"
+
     def test_a_variable_name_the_reader_cannot_split_is_not_saved(self, tmp_path):
         t = VarTable.build(("a b", EVEN), ("y", EVEN))
         model = ModelSpec("m", (), SuperBivector(t, {("a b", "y"): t.one()}), None)
@@ -1383,6 +1391,16 @@ class TestDriver:
         rc, out, err = cli()
         assert rc == 2
         assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("-h",), ("star", "--help"), ("verify", "P3|4", "--help"),
+        ("comm", "P3|4", "--a", "z1", "--help"), ("cy", "--help"), ("list-builtins", "--help"),
+    ])
+    def test_help_prints_the_usage_to_stdout(self, cli, argv):
+        rc, out, err = cli(*argv)
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: supermoyal <command> [options]\n")
+        assert "  -h, --help   print this usage" in out
 
     def test_unknown_command_and_flag(self, cli):
         assert cli("frobnicate")[0] == 2

@@ -544,6 +544,14 @@ class TestP34:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(m, constants=m.constants + extra)
 
+    def test_a_constant_is_no_row_of_the_expected_relations(self):
+        # the relations phase skips every constant, so such a relation is never compared
+        m = builtin("T0-cotangent")
+        t = m.table
+        relations = {**m.expected_relations.entries, ("x11", "D11_12"): t.var("D11_21").scale(7)}
+        with pytest.raises(ValueError, match="^constant 'D11_12' is a row of the expected relations$"):
+            dataclasses.replace(m, expected_relations=SuperBivector(t, relations))
+
     @pytest.mark.parametrize("name", [3, None, ("P3|4",)])
     def test_a_name_that_is_not_a_str_is_refused(self, name):
         with pytest.raises(TypeError, match="^name must be a str, got "):

@@ -405,8 +405,47 @@ class TestContract:
         monkeypatch.setattr(StarEngine, "star", lambda self, f, g: star(self, f, g) + t.one())
         assert check_quantization_contract(StarEngine(pi))[0] == CheckRecord(
             "contract bilinearity", "contract", "fail",
-            detail="hbar linearity; left additivity; right additivity; scalar linearity",
+            detail="hbar linearity on (hbar, 1/2, -z2*xi1 + 1/2*xi3);"
+            " left additivity on (1/2, -z2*xi1 + 1/2*xi3, xi1*xi3);"
+            " right additivity on (1/2, -z2*xi1 + 1/2*xi3, xi1*xi3);"
+            " scalar linearity on (1/2, -z2*xi1 + 1/2*xi3)",
         )
+
+    @staticmethod
+    def _operands(engine, text):
+        """The operands that a failing detail names in its parentheses, read back."""
+        inner = text[text.index("(") + 1:text.rindex(")")]
+        return [parse_expression(word, engine.table) for word in inner.split(", ")]
+
+    def test_each_broken_law_names_operands_that_break_it_through_star(self, monkeypatch):
+        # a product that adds the square of its left operand's constant term
+        t, pi = p34()
+        star = StarEngine.star
+        monkeypatch.setattr(StarEngine, "star", lambda self, f, g: star(self, f, g) + t.const(
+            f.terms.get(Monomial((0,) * t.n_even, 0, 0), 0) ** 2))
+        eng = StarEngine(pi)
+        detail = check_quantization_contract(eng)[0].detail
+        laws = dict(part.split(" on ", 1) for part in detail.split("; "))
+        assert sorted(laws) == ["hbar linearity", "right additivity", "scalar linearity"]
+        sides = {
+            "right additivity": lambda f, g, h: (eng.star(f, g + h), eng.star(f, g) + eng.star(f, h)),
+            "scalar linearity": lambda f, g: (eng.star(f.scale(Fraction(3, 2)), g),
+                                              eng.star(f, g).scale(Fraction(3, 2))),
+            "hbar linearity": lambda c, f, g: (eng.star(c * f, g), c * eng.star(f, g)),
+        }
+        for law, operands in laws.items():
+            lhs, rhs = sides[law](*self._operands(eng, operands))
+            assert lhs != rhs, law
+
+    def test_a_randomized_triple_that_fails_is_named_and_fails_through_star(self, monkeypatch):
+        # with the basis sweep blind, T1-cotangent's non-associativity shows on
+        # a sampled triple, which star reads back and fails on
+        monkeypatch.setattr(moyal, "_basis_sweep", lambda engine, basis, products: "")
+        eng = StarEngine(builtin("T1-cotangent").bivector)
+        detail = check_quantization_contract(eng)[1].detail
+        assert detail.startswith("failure on a randomized triple (")
+        f, g, h = self._operands(eng, detail)
+        assert eng.star(eng.star(f, g), h) != eng.star(f, eng.star(g, h))
 
 
 def _star_sweep(engine, basis, products):
@@ -792,7 +831,7 @@ def test_the_pair_reader_rescales_every_map_when_its_denominator_grows():
     x, y, u, v = (t.var(n) for n in "xyuv")
     jobs = [(1, t.one(), y), (3, x, y), (-1, u, v), (2, x**3, y**3)]
     eng = StarEngine(pi)
-    maps, scale = eng._sum_products([(c0, _unsplit(a), _unsplit(b), True) for c0, a, b in jobs])
+    maps, scale = eng._sum_products([(c0, _unsplit(a), _unsplit(b)) for c0, a, b in jobs])
     assert scale == 12
     for (c0, a, b), num in zip(jobs, maps):
         assert GradedPoly._of_scaled(t, num, scale) == eng.star(a, b).scale(c0)
@@ -1922,16 +1961,6 @@ class TestRunCache:
         assert stats.cache_hits + stats.cache_misses == _CONTRACT_READS[name]
 
 
-def _read_split(engine, f, g, right):
-    """f * g read as the basis sweep reads a product operand: through
-    ``StarEngine._sum_products`` with the passive factors of g (``right``)
-    or of f taken out by ``StarEngine._split``."""
-    split = engine._split(g if right else f)
-    job = (1, _unsplit(f), split, True) if right else (1, split, _unsplit(g), True)
-    [num], scale = engine._sum_products([job])
-    return GradedPoly._of_scaled(engine.table, num, scale * f._den * g._den)
-
-
 def _value_or_error(run, *args):
     try:
         return run(*args)
@@ -2005,7 +2034,7 @@ class TestPassiveFactors:
         pi, m, h, c, max_order = case
         f, g = (h, c * m) if right else (c * m, h)
         eng, ref = StarEngine(pi, max_order), StarEngine(pi, max_order)
-        got = _value_or_error(_read_split, eng, f, g, right)
+        got = _value_or_error(eng._read, 1, f, g)
         assert got == _value_or_error(ref.star, f, g)
         if not (isinstance(got, tuple) and got[0] is ExponentOverflow):
             assert eng.stats == ref.stats
@@ -2022,7 +2051,7 @@ class TestPassiveFactors:
         with pytest.raises(ExponentOverflow) as want:
             StarEngine(pi).star(f, g)
         with pytest.raises(ExponentOverflow) as got:
-            _read_split(StarEngine(pi), f, g, right)
+            StarEngine(pi)._read(1, f, g)
         assert str(got.value) == str(want.value)
 
 
