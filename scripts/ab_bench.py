@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
 """Compare the end-to-end benchmark metrics of two checkouts, run by run.
 
-    python3 scripts/ab_bench.py PARENT CHANGE --workload verify-catalog \\
+    python3 scripts/ab_bench.py PARENT CHANGE [--workload verify-catalog ...] \\
         --seed 1 --seconds 15 --pairs 10
 
-Each pair runs ``bench/run.py --workload W --seed S --seconds N --trace 0``
-once in each tree, PARENT first in odd pairs and CHANGE first in even ones,
-so drift in the machine's speed reaches both sides alike.  The runs get
-``PYTHONDONTWRITEBYTECODE=1``, which their workload processes inherit, so
-neither tree gains a file.  A run with a failed operation, or one whose
-result is not ``correct``, stops the comparison.  So do trees whose
-benchmarks differ: their ``BENCHMARK.json``, a ``bench/*.py`` file or a
-file under ``bench/expected/``, of which the first that differs is named.
+``--workload`` may be given more than once; without it every workload of
+CHANGE's ``BENCHMARK.json`` is compared, in its order.  A name that is no
+workload there is refused, with the valid names, before any run.  The
+workloads run one after another.  Each pair runs ``bench/run.py --workload
+W --seed S --seconds N --trace 0`` once in each tree, PARENT first in odd
+pairs and CHANGE first in even ones, so drift in the machine's speed
+reaches both sides alike.  The runs get ``PYTHONDONTWRITEBYTECODE=1``,
+which their workload processes inherit, so neither tree gains a file.  A
+run with a failed operation, or one whose result is not ``correct``, stops
+the comparison.  So do trees whose benchmarks differ: their
+``BENCHMARK.json``, a ``bench/*.py`` file or a file under
+``bench/expected/``, of which the first that differs is named.
 ``--pairs`` must be at least 1 and ``--seconds`` positive.
 
-It prints each run's result line as one JSON line, as the pair ends.  Then,
-for each end-to-end metric of CHANGE's ``BENCHMARK.json``, it prints the
-two medians, their ratio (change over parent), the number of pairs in
-which the change is better (ties count for neither side), the spread of the
-parent's runs (the distance between their quartiles), whether the medians
-differ by more than that spread, and whether the change's median is worse
-than the parent's by more than the metric's bound.  A gain may be claimed
-only where the change is better in nine pairs of ten or more and the
-medians differ by more than the spread.
+It prints each run's result line as one JSON line, tagged with its
+workload, as the pair ends.  When a workload's pairs end, it prints the
+workload's name and under it, for each end-to-end metric of CHANGE's
+``BENCHMARK.json``, the two medians, their ratio (change over parent), the
+number of pairs in which the change is better (ties count for neither
+side), the spread of the parent's runs (the distance between their
+quartiles), whether the medians differ by more than that spread, and
+whether the change's median is worse than the parent's by more than the
+metric's bound.  A gain may be claimed only where the change is better in
+nine pairs of ten or more and the medians differ by more than the spread.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", dest="workloads")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=_positive(float), default=15)
     ap.add_argument("--pairs", type=_positive(int), default=10)
@@ -119,20 +124,26 @@ def main(argv=None) -> int:
     differ = benchmark_difference(*trees)
     if differ:
         ap.error(f"the two trees run different benchmarks: {differ} differs")
-    metrics = json.loads((trees[1] / "BENCHMARK.json").read_text())["end_to_end"]
-    runs: tuple[list, list] = ([], [])
-    for i in range(args.pairs):
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
-            tree, got = trees[side], runs[side]
-            result = run_bench(tree, args.workload, args.seed, args.seconds)
-            why = refusal(result)
-            if why:
-                print(f"{tree}, pair {i + 1}: {why}; stopped", file=sys.stderr)
-                return 1
-            got.append(result)
-        for name, got in zip(("parent", "change"), runs):
-            print(json.dumps({"pair": i + 1, "tree": name, "result": got[-1]}), flush=True)
-    print("\n".join(summarize(metrics, *runs)))
+    bench = json.loads((trees[1] / "BENCHMARK.json").read_text())
+    valid = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in args.workloads or () if w not in valid]
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]!r}; the workloads are {', '.join(valid)}")
+    for workload in args.workloads or valid:
+        runs: tuple[list, list] = ([], [])
+        for i in range(args.pairs):
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                tree, got = trees[side], runs[side]
+                result = run_bench(tree, workload, args.seed, args.seconds)
+                why = refusal(result)
+                if why:
+                    print(f"{tree}, {workload}, pair {i + 1}: {why}; stopped", file=sys.stderr)
+                    return 1
+                got.append(result)
+            for name, got in zip(("parent", "change"), runs):
+                print(json.dumps({"workload": workload, "pair": i + 1, "tree": name, "result": got[-1]}),
+                      flush=True)
+        print("\n".join([workload, *summarize(bench["end_to_end"], *runs)]), flush=True)
     return 0
 
 

@@ -496,10 +496,14 @@ class GradedPoly:
     Stores only the int form: ``_num`` maps packed monomials to non-zero
     integer numerators over the denominator ``_den`` > 0, canonical (no prime
     divides ``_den`` and every numerator).  ``terms`` is built from it on
-    each read.
+    each read.  No code writes to ``_num`` after the polynomial is built.
+
+    ``_memo`` is no part of the value: ``StarEngine._split`` keeps there the
+    last engine's split of the polynomial, which ``==``, ``hash`` and
+    ``repr`` never read.
     """
 
-    __slots__ = ("table", "_num", "_den")
+    __slots__ = ("table", "_num", "_den", "_memo")
 
     def __init__(self, table: VarTable, terms: Mapping[Monomial, int | Fraction]):
         _check_type("table", table, VarTable)
@@ -512,6 +516,7 @@ class GradedPoly:
         self.table = table
         self._num = {m: c.numerator * (den // c.denominator) for m, c in exact if c}
         self._den = den
+        self._memo = None
 
     @classmethod
     def _of_scaled(cls, table: VarTable, num: dict[int, int], den: int) -> "GradedPoly":
@@ -534,6 +539,7 @@ class GradedPoly:
         p.table = table
         p._num = num
         p._den = den
+        p._memo = None
         return p
 
     @property
@@ -639,8 +645,23 @@ class GradedPoly:
         return GradedPoly._of_scaled(self.table, num, self._den)
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of an int n >= 0 of any size.  CPython's ``str``
+    refuses an int past its digit limit (4,300 by default), so n is cut in
+    two at a power of 10 until each part is within it."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half of n's digits
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
 def render_poly(p: GradedPoly) -> str:
-    """Canonical text form; ``cli.parse_expression`` reads it back exactly."""
+    """Canonical text form, whatever the size of a coefficient.
+    ``cli.parse_expression`` reads it back exactly when each integer in it
+    has at most the interpreter's limit of digits for ``int`` (4,300 by
+    default); a longer integer literal is a parse error."""
     _check_type("polynomial", p, GradedPoly)
     if p.is_zero():
         return "0"
@@ -665,7 +686,10 @@ def render_poly(p: GradedPoly) -> str:
             factors.append(odds[low.bit_length() - 1])
             rest ^= low
         g = gcd(c, den)
-        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+        try:
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+        except ValueError:  # past the interpreter's limit on int strings
+            mag = _decimal(abs(c) // g) if g == den else f"{_decimal(abs(c) // g)}/{_decimal(den // g)}"
         if mag != "1" or not factors:
             factors.insert(0, mag)
         rows.append((-degree, -(m & fields), mask, h, c < 0, "*".join(factors)))

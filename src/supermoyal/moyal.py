@@ -230,7 +230,10 @@ splits each operand term once into m0, the term with its passive bits set
 as the unit's, and the shift m - m0 of the packed key, reads the pair of
 the two m0 and moves every key of its product by the two shifts.  Terms
 that differ only by a passive factor share that pair: a product makes one
-read per pair of terms, as an unsplit read does, and misses fewer.  Only
+read per pair of terms, as an unsplit read does, and misses fewer.  Each
+operand is split once per engine, and the split is kept with the
+polynomial (``StarEngine._split``), so an engine's cached products, which
+come back as operands again and again, are not split again.  Only
 ``star`` of two single terms with coefficient 1 reads its pair as it is,
 so as to return the cached polynomial itself; it is the one read whose
 passive factors still reach a run's rest F_0 G_0, which
@@ -350,7 +353,7 @@ class StarEngine:
 
     __slots__ = (
         "_bivector", "_table", "_max_order", "_blocks", "_unit", "_scale",
-        "_room", "_cache", "_runs", "_monos", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
+        "_room", "_token", "_cache", "_runs", "_monos", "_row_bits", "_shapes", "_hits", "_misses", "_peaks",
     )
 
     def __init__(self, bivector: SuperBivector, max_order: int = 8):
@@ -365,6 +368,9 @@ class StarEngine:
         self._max_order = max_order
         self._scale = factorial(max_order) * (2 * d_e) ** max_order  # the cache scale D
         self._room = None  # the test of ``_room``, built for the first term with a passive factor
+        # marks this engine's splits in ``GradedPoly._memo``; it refers to
+        # nothing, so a kept split forms no reference cycle
+        self._token = object()
         self._cache: dict[tuple[int, int], GradedPoly] = {}
         # the block runs, keyed by the parts (F_b, G_b): (series, counts, fired)
         self._runs: dict[tuple[int, int], tuple[GradedPoly, list, int]] = {}
@@ -418,13 +424,24 @@ class StarEngine:
                     raise TruncationExceeded(self._max_order, self._sufficient_order(f._num, g._num)) from None
         return self._read(2 if odd_only else 1, f, g, odd_only)
 
-    def _split(self, p: GradedPoly) -> tuple[list, bool]:
-        """(terms, near): p's terms (m0, c, shift, near) without their passive
-        factors (see "Passive factors" above), and whether any term is near.
-        m0 is the key m with its passive bits set as the unit's (no hbar, each
-        passive field at the bias), shift is m - m0, and near is true unless m
-        passes ``_room``'s test: the two shifts of terms that are not near
-        move no key of their pair's product out of range."""
+    def _split(self, p: GradedPoly) -> tuple[object, list, bool]:
+        """(token, terms, near): p's terms (m0, c, shift, near) without their
+        passive factors (see "Passive factors" above), and whether any term is
+        near, after the engine's token.  m0 is the key m with its passive bits
+        set as the unit's (no hbar, each passive field at the bias), shift is
+        m - m0, and near is true unless m passes ``_room``'s test: the two
+        shifts of terms that are not near move no key of their pair's product
+        out of range.
+
+        The split is kept with p, in ``p._memo``, and returned from there while
+        the token is this engine's: each operand is split once per engine.  It
+        depends on the passive bits, the unit and ``_room``, which an engine
+        over another bivector or ``max_order`` may not share, so such an
+        engine splits p again and keeps its own split in place of this one.
+        Callers only read the list."""
+        memo = p._memo
+        if memo is not None and memo[0] is self._token:
+            return memo
         passive = self._bivector._passive
         fill = self._unit & passive
         room = self._room
@@ -441,15 +458,16 @@ class StarEngine:
             near = m + add & mask != target
             any_near |= near
             out.append((m - shift, c, shift, near))
-        return out, any_near
+        memo = p._memo = self._token, out, any_near
+        return memo
 
     def _read(self, c0: int, f: GradedPoly, g: GradedPoly, odd_only: bool = False) -> GradedPoly:
         """c0 * f * g, or with ``odd_only`` c0 times its odd-order terms, read
         stripped by ``_sum_products`` and raising what ``star`` raises on the
         pairs of f's and g's own terms: only when a term is near is the engine
         marked, and on an error rolled back and read again over those terms."""
-        xs, near_x = self._split(f)
-        ys, near_y = self._split(g)
+        _, xs, near_x = self._split(f)
+        _, ys, near_y = self._split(g)
         mark = self._mark() if near_x or near_y else None
         try:
             try:
@@ -898,8 +916,8 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     ``products[i][j]`` is basis[i] * basis[j].  Both sides of a triple are
     read by ``StarEngine._sum_products``, the reader ``star`` uses, one read
     per pair of 2 ``star`` calls per triple, and like ``star`` it reads each
-    term without its passive factors, split once per product (see "Passive
-    factors" above): the sweep's hits and misses add up to those calls'.
+    term without its passive factors, from the split kept with each operand
+    (see "Passive factors" above): the sweep's hits and misses add up to those calls'.
     Every side is an int numerator map over one shared denominator S, kept
     from row to row and never reduced; each side takes the other side's
     operand denominator, so the two maps of a triple are equal exactly when
@@ -920,8 +938,8 @@ def _basis_sweep(engine: StarEngine, basis: list, products: list) -> str:
     Relies on every basis element being a single monomial with coefficient
     1 and no passive factor, as ``_row_basis`` builds them.
     """
-    terms = [engine._split(p)[0] for p in basis]
-    split = [[engine._split(p)[0] for p in row] for row in products]
+    terms = [engine._split(p)[1] for p in basis]
+    split = [[engine._split(p)[1] for p in row] for row in products]
     T = engine.table._hbar_shift + (2 * MAX_ORDER).bit_length()
     tags = [j << T for j in range(len(basis))]
     # per g, the right operands of a row's two jobs: each h over g h's

@@ -118,3 +118,71 @@ def test_main_refuses_a_count_or_a_length_that_is_not_positive(tmp_path, capsys,
         _script().main([tree, tree, "--workload", "assoc-sweep", option, value])
     assert exit_.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def _bench_tree(root):
+    """A tree whose ``BENCHMARK.json`` names three workloads and the two metrics above."""
+    names = ("verify-catalog", "star-ladder", "assoc-sweep")
+    bench = {"workloads": [{"name": n, "why": "w"} for n in names], "end_to_end": _METRICS}
+    return _tree(root, {**_BENCH, "BENCHMARK.json": json.dumps(bench)})
+
+
+def _patched(monkeypatch):
+    """The script with ``run_bench`` replaced: each call is recorded and
+    answers a canned result line, so no benchmark runs."""
+    script, calls = _script(), []
+
+    def run_bench(tree, workload, seed, seconds):
+        calls.append((tree.name, workload))
+        return json.loads(_line(40.0, 25.0))
+
+    monkeypatch.setattr(script, "run_bench", run_bench)
+    return script, calls
+
+
+def _headings(out):
+    """The lines of a printed summary that are neither a result line nor a metric line."""
+    return [line for line in out.splitlines() if not line.startswith("{") and ":" not in line]
+
+
+def test_without_a_workload_every_workload_runs_each_summary_under_its_name(tmp_path, monkeypatch, capsys):
+    tree = str(_bench_tree(tmp_path / "t"))
+    script, calls = _patched(monkeypatch)
+    assert script.main([tree, tree, "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert [w for _, w in calls] == ["verify-catalog"] * 4 + ["star-ladder"] * 4 + ["assoc-sweep"] * 4
+    assert _headings(out) == ["verify-catalog", "star-ladder", "assoc-sweep"]
+    lines = out.splitlines()
+    for name in _headings(out):
+        at = lines.index(name)
+        assert [line.split(":")[0] for line in lines[at + 1:at + 3]] == ["ops_per_s", "peak_rss_mb"]
+    tagged = [json.loads(line) for line in lines if line.startswith("{")]
+    assert [(r["workload"], r["pair"], r["tree"]) for r in tagged[:4]] == [
+        ("verify-catalog", 1, "parent"), ("verify-catalog", 1, "change"),
+        ("verify-catalog", 2, "parent"), ("verify-catalog", 2, "change"),
+    ]
+
+
+def test_workloads_given_twice_run_in_the_order_given(tmp_path, monkeypatch, capsys):
+    root = tmp_path / "t"
+    parent, change = str(_bench_tree(root / "parent")), str(_bench_tree(root / "change"))
+    script, calls = _patched(monkeypatch)
+    argv = [parent, change, "--workload", "assoc-sweep", "--workload", "verify-catalog", "--pairs", "2"]
+    assert script.main(argv) == 0
+    assert calls == [
+        ("parent", "assoc-sweep"), ("change", "assoc-sweep"), ("change", "assoc-sweep"), ("parent", "assoc-sweep"),
+        ("parent", "verify-catalog"), ("change", "verify-catalog"),
+        ("change", "verify-catalog"), ("parent", "verify-catalog"),
+    ]
+    assert _headings(capsys.readouterr().out) == ["assoc-sweep", "verify-catalog"]
+
+
+def test_an_unknown_workload_is_refused_with_the_valid_names_before_any_run(tmp_path, monkeypatch, capsys):
+    tree = str(_bench_tree(tmp_path / "t"))
+    script, calls = _patched(monkeypatch)
+    with pytest.raises(SystemExit) as exit_:
+        script.main([tree, tree, "--workload", "assoc-sweep", "--workload", "assoc-swep"])
+    assert exit_.value.code == 2
+    assert calls == []
+    assert ("unknown workload 'assoc-swep'; the workloads are verify-catalog, star-ladder, assoc-sweep"
+            in capsys.readouterr().err)

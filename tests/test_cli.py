@@ -333,6 +333,16 @@ class TestRender:
             assert render_poly(as_int) == render_poly(as_fraction) == text
             assert repr(as_int) == repr(as_fraction)
 
+    def test_a_fraction_past_the_int_string_limit_renders_both_parts(self, default_int_limit):
+        t = _table()
+        w = next(iter(t.var("w").terms))
+        num, den = -(10 ** 5000 + 7), 3 ** 9000  # 5,001 and 4,294 digits
+        text = render_poly(GradedPoly(t, {w: Fraction(num, den)}))
+        top, bottom = text[1:-2].split("/")
+        assert (text[0], text[-2:]) == ("-", "*w")
+        assert (top[0], set(top[1:-1]), top[-1]) == ("1", {"0"}, "7") and len(top) == 5001
+        assert _read_digits(top) == -num and _read_digits(bottom) == den
+
     def test_sign_joins(self):
         t = _table()
         p = t.var("w") - t.var("l").scale(3) - t.const(1)
@@ -911,6 +921,27 @@ def cli(capsys):
     return _Runner(capsys)
 
 
+@pytest.fixture
+def default_int_limit():
+    """CPython's default limit on int strings, 4,300 digits, for the test, where
+    this Python has one; an environment may change it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    yield 4300 if limit is not None else None
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def _read_digits(text):
+    """The int of a run of decimal digits of any length, read 1,000 at a time."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 class TestVerifyCommand:
     def test_pass_lines_and_summary(self, cli):
         rc, out, err = cli("verify", "P3|4")
@@ -1213,6 +1244,27 @@ class TestProductCommands:
         finally:
             sys.set_int_max_str_digits(limit)
         assert got == (2, "", "error: integer literal of 5000 digits is too long (column 5)\n")
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 8000])
+    def test_a_result_past_the_int_string_limit_prints(self, cli, default_int_limit, digits):
+        # (10^a - 1)(10^b - 1) has a + b digits; x11 * x12 adds half of it times hbar D11_12
+        a = digits // 2
+        n = (10 ** a - 1) * (10 ** (digits - a) - 1)
+        argv = ["star", "T0-cotangent", "--lhs", "9" * a + "*x11", "--rhs", "9" * (digits - a) + "*x12"]
+        rc, out, err = cli(*argv)
+        assert (rc, err) == (0, "")
+        c = out.split("*")[0]
+        assert len(c) == digits and _read_digits(c) == n
+        assert out == f"{c}*x11*x12 + {c}/2*hbar*D11_12\n"
+        assert cli(*argv, "--json") == (0, json.dumps({"result": out[:-1]}) + "\n", "")
+        # the parser reads the text back only where each integer is within the limit
+        table = builtin("T0-cotangent").table
+        if default_int_limit and digits > default_int_limit:
+            with pytest.raises(ParseError, match=f"^integer literal of {digits} digits is too long"):
+                parse_expression(out, table)
+        else:
+            want = parse_expression("9" * a + "*x11", table) * parse_expression("9" * (digits - a) + "*x12", table)
+            assert parse_expression(out, table).hbar_coefficient(0) == want
 
     def test_power_limit_is_a_usage_error(self, cli):
         rc, out, err = cli("star", "P3|4", "--lhs", "(z1+1)^65", "--rhs", "z2")

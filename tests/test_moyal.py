@@ -2484,3 +2484,97 @@ class TestSharedProducts:
         for (mf, mg), p in eng._cache.items():
             one = [GradedPoly._of_scaled(t, {m: 1}, 1) for m in (mf, mg)]
             assert p == StarEngine(eng.bivector, eng.max_order).star(*one)
+
+
+def _copy(p):
+    """p as a new object with no kept split: the same terms, over the same denominator."""
+    return GradedPoly._of_canonical(p.table, dict(p._num), p._den)
+
+
+class TestKeptSplit:
+    """``StarEngine._split`` keeps each operand's split with the polynomial,
+    under the engine's token: every product, error and counter is what the
+    engine gives on copies of its operands, which it must split afresh."""
+
+    def _turns(self):
+        # A and B differ in their passive bits; A at max_order 8 and 256 in
+        # ``_room``, as its entry k^300 may leave half the range at 256
+        t = VarTable.build(("x", EVEN), ("k", EVEN), ("p", EVEN, True), ("y", EVEN))
+        x, k, p, y = (t.var(n) for n in ("x", "k", "p", "y"))
+        a = SuperBivector(t, {("x", "y"): t.var("k", 300)})
+        b = SuperBivector(t, {("x", "k"): p})
+        f = x * k * p.scale(3) * t.hbar() + x ** 2 * t.var("p", -2) + x * y * k
+        g = y * t.hbar(2) * p + k.scale(Fraction(1, 2)) + y * x
+        return t, (a, b), f, g
+
+    def test_engines_taking_turns_on_one_operand_give_what_fresh_engines_give_on_copies(self):
+        t, (a, b), f, g = self._turns()
+        engines = [StarEngine(a, 8), StarEngine(a, 256), StarEngine(b, 8), StarEngine(b, 2)]
+        assert moyal._room(a, 8) != moyal._room(a, 256)
+        splits = set()
+        for _ in range(2):
+            for eng in engines:
+                for op in (StarEngine.star, StarEngine.supercommutator):
+                    for lhs, rhs in ((f, g), (g, f), (f, f)):
+                        ref = StarEngine(eng.bivector, eng.max_order)
+                        assert _value_or_error(op, eng, lhs, rhs) == _value_or_error(op, ref, _copy(lhs), _copy(rhs))
+                        assert lhs._memo[0] is eng._token and rhs._memo[0] is eng._token
+                        assert eng._split(lhs)[1:] == ref._split(_copy(lhs))[1:]
+                splits.add(repr(eng._split(f)[1:]))
+        # the four engines split f three ways: the memo was overwritten each turn
+        assert len(splits) == 3
+
+    def test_a_near_read_that_raises_rolls_back_and_reads_again_with_the_split_kept(self):
+        # the stripped pair x^2 * y^2 fires past order 1; the unsplit pair
+        # first moves its hbar k term by k^(L-1), past the range
+        t = VarTable.build(("x", EVEN), ("k", EVEN), ("y", EVEN))
+        pi = SuperBivector(t, {("x", "y"): t.var("k")})
+        f, g = (t.var("x", 2) * t.var("k", L - 1)).scale(2), t.var("y", 2)
+        eng, ref = StarEngine(pi, 1), StarEngine(pi, 1)
+        _, _, near = eng._split(f)
+        assert near and f._memo[0] is eng._token
+        for op in (StarEngine.star, StarEngine.supercommutator, StarEngine.star):
+            got = _value_or_error(op, eng, f, g)
+            assert got[0] is ExponentOverflow
+            assert got == _value_or_error(op, ref, _copy(f), _copy(g))
+            assert eng.stats == ref.stats and eng._cache == ref._cache
+            assert f._memo[0] is eng._token and eng._split(f)[1:] == ref._split(_copy(f))[1:]
+        # the kept splits serve a read that completes
+        h = t.var("x")
+        assert eng.star(f, h) == ref.star(_copy(f), _copy(h))
+        assert eng.stats == ref.stats and eng._cache == ref._cache
+
+    @settings(max_examples=40, deadline=None)
+    @given(stripped_star_cases(), st.data())
+    def test_operands_and_cached_products_reused_across_calls_read_as_copies(self, case, data):
+        pi, f, g, max_order = case
+        eng = StarEngine(pi, max_order)
+        rows = [t for t in (pi.table.var(n) for n in pi.rows()) if t.parity() == EVEN][:2]
+        pool = [f, g, *rows]
+        for _ in range(6):
+            op = data.draw(st.sampled_from((StarEngine.star, StarEngine.supercommutator)))
+            lhs, rhs = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+            if op is StarEngine.supercommutator and "mixed" in (lhs.parity(), rhs.parity()):
+                continue
+            got = _value_or_error(op, eng, lhs, rhs)
+            assert got == _value_or_error(op, StarEngine(pi, max_order), _copy(lhs), _copy(rhs))
+            if isinstance(got, GradedPoly) and len(got._num) <= 6:
+                pool.append(got)
+
+    @pytest.mark.parametrize("name", ["WP[2,2]", "P3|N", "T0-cotangent"])
+    def test_stats_and_cache_are_those_of_reads_on_copies(self, name):
+        m = builtin(name)
+        eng, ref = StarEngine(m.bivector, m.max_order), StarEngine(m.bivector, m.max_order)
+        basis = moyal._row_basis(eng)
+        rng = Random(1)
+        ops = basis + [moyal._sample_poly(rng, eng) * m.table.hbar() for _ in range(4)]
+        for f in ops:
+            for g in ops:
+                for h in ops[::3]:
+                    eng.star(eng.star(f, g), h) == eng.star(f, eng.star(g, h))
+                    c = _copy
+                    ref.star(c(ref.star(c(f), c(g))), c(h)) == ref.star(c(f), c(ref.star(c(g), c(h))))
+        assert eng.stats == ref.stats
+        assert eng._cache == ref._cache
+        # every cached product that came back as an operand kept the engine's split
+        assert any(p._memo is not None and p._memo[0] is eng._token for p in eng._cache.values())
