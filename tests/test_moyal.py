@@ -2549,7 +2549,7 @@ class TestKeptSplit:
     def test_operands_and_cached_products_reused_across_calls_read_as_copies(self, case, data):
         pi, f, g, max_order = case
         eng = StarEngine(pi, max_order)
-        rows = [t for t in (pi.table.var(n) for n in pi.rows()) if t.parity() == EVEN][:2]
+        rows = [v for v in map(pi.table.var, pi.rows()) if v.parity() == EVEN][:2]
         pool = [f, g, *rows]
         for _ in range(6):
             op = data.draw(st.sampled_from((StarEngine.star, StarEngine.supercommutator)))
@@ -2568,12 +2568,12 @@ class TestKeptSplit:
         basis = moyal._row_basis(eng)
         rng = Random(1)
         ops = basis + [moyal._sample_poly(rng, eng) * m.table.hbar() for _ in range(4)]
+        c = _copy
         for f in ops:
             for g in ops:
                 for h in ops[::3]:
-                    eng.star(eng.star(f, g), h) == eng.star(f, eng.star(g, h))
-                    c = _copy
-                    ref.star(c(ref.star(c(f), c(g))), c(h)) == ref.star(c(f), c(ref.star(c(g), c(h))))
+                    assert eng.star(eng.star(f, g), h) == eng.star(f, eng.star(g, h))
+                    assert ref.star(c(ref.star(c(f), c(g))), c(h)) == ref.star(c(f), c(ref.star(c(g), c(h))))
         assert eng.stats == ref.stats
         assert eng._cache == ref._cache
         # every cached product that came back as an operand kept the engine's split
